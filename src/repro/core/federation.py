@@ -182,9 +182,10 @@ class FederationLink:
         Bookkeeping is local state about the remote side, so it is *not*
         gated by the WAN fault set — you always know what you failed to
         send."""
-        synced = [o["@id"] for o in observations if o["@id"] not in set(pending)]
+        unsent = set(pending)
+        synced = [o["@id"] for o in observations if o["@id"] not in unsent]
         synced_end = max(
-            (o["time"]["end"] for o in observations if o["@id"] in set(synced)),
+            (o["time"]["end"] for o in observations if o["@id"] not in unsent),
             default=None,
         )
         latest_end = max((o["time"]["end"] for o in observations), default=None)
@@ -226,10 +227,10 @@ class FederationLink:
         """Whether the upstream copy of one observation is missing or has
         raw-point gaps (ts mode) relative to the local truth."""
         sdb = self.superdb
-        doc = sdb.mongo.collection("superdb", "observations").find_one(
+        # An existence test: counting clones nothing of the sketch-bearing doc.
+        if not sdb.mongo.collection("superdb", "observations").count_documents(
             {"@id": obs["@id"] + ":" + mode}
-        )
-        if doc is None:
+        ):
             return True
         if mode != "ts":
             return False

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from repro.db.mongo import MongoDB
+from repro.db.mongo import Collection, MongoDB, _clone
 from repro.pcp.pmns import instance_field, metric_to_measurement, perfevent_metric
 
 from .dtmi import make_dtmi, parse_dtmi
@@ -73,6 +73,11 @@ class KnowledgeBase:
         self.config: dict[str, Any] = {}
         self.entries: list[dict[str, Any]] = []
         self.probe: dict[str, Any] = {}
+        #: What :meth:`save` last wrote and where — (collection, structure
+        #: snapshot, references to the entries persisted) — so the next
+        #: save can send only what changed.
+        self._persisted: tuple[Collection | None, dict[str, Any] | None, list] = (
+            None, None, [])
 
     # ==================================================================
     # Construction
@@ -419,7 +424,9 @@ class KnowledgeBase:
     # ==================================================================
     # Serialization / persistence
     # ==================================================================
-    def to_jsonld(self) -> dict[str, Any]:
+    def _structure(self) -> dict[str, Any]:
+        """Everything of the document but ``entries``: the part that
+        rarely changes."""
         return {
             "@context": DTDL_CONTEXT,
             "hostname": self.hostname,
@@ -427,8 +434,10 @@ class KnowledgeBase:
             "config": self.config,
             "interfaces": {i.id: i.to_jsonld() for i in self.interfaces.values()},
             "tree": {k: list(v) for k, v in self._children.items()},
-            "entries": list(self.entries),
         }
+
+    def to_jsonld(self) -> dict[str, Any]:
+        return {**self._structure(), "entries": list(self.entries)}
 
     @classmethod
     def from_jsonld(cls, doc: dict[str, Any]) -> "KnowledgeBase":
@@ -462,10 +471,37 @@ class KnowledgeBase:
         return kb
 
     def save(self, mongo: MongoDB, database: str = "pmove") -> None:
-        """Persist to the document store (Fig 3 step 3; re-run on change)."""
+        """Persist to the document store (Fig 3 step 3; re-run on change).
+
+        The document is the structure plus the append-only ``entries``
+        log, and a save sends what changed: when the structure equals the
+        one last written to this collection, the host's document is still
+        there and the entries persisted then are still the head of
+        ``entries``, only the new tail is ``$push``ed.  Anything else — a
+        first save, another store, a structure or config change, a deleted
+        document, a truncated or rewritten log — replaces the document, so
+        what is stored always equals ``to_jsonld()``.
+        """
         col = mongo.collection(database, "kb")
         col.create_index("hostname")  # idempotent; every load filters on it
-        col.replace_one({"hostname": self.hostname}, self.to_jsonld(), upsert=True)
+        flt = {"hostname": self.hostname}
+        structure = self._structure()
+        last_col, last_structure, sent = self._persisted
+        if (
+            last_col is col
+            and structure == last_structure
+            and self.entries[:len(sent)] == sent
+            and col.count_documents(flt) == 1
+        ):
+            new = self.entries[len(sent):]
+            if new:
+                col.update_one(flt, {"$push": {"entries": {"$each": new}}})
+                sent.extend(new)
+            return
+        col.replace_one(flt, {**structure, "entries": self.entries}, upsert=True)
+        # A clone, so that the snapshot does not follow later edits of the
+        # live config (or of anything else ``_structure`` hands out).
+        self._persisted = (col, _clone(structure), list(self.entries))
 
     @classmethod
     def load(cls, mongo: MongoDB, hostname: str, database: str = "pmove") -> "KnowledgeBase":

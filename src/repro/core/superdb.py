@@ -224,9 +224,7 @@ class SuperDB:
     # Global queries
     # ------------------------------------------------------------------
     def systems(self) -> list[str]:
-        return sorted(
-            d["hostname"] for d in self.mongo.collection("superdb", "kbs").find()
-        )
+        return sorted(self.mongo.collection("superdb", "kbs").distinct("hostname"))
 
     def observations(self, hostname: str | None = None) -> list[dict[str, Any]]:
         flt = {"hostname": hostname} if hostname else {}
@@ -265,8 +263,15 @@ class SuperDB:
         out: dict[str, dict[str, float]] = {}
         digests: dict[str, list[TDigest]] = {}
         hlls: dict[str, list[HyperLogLog]] = {}
+        # One field of documents that carry every field's sketches: project
+        # it.  Key tuples, because a measurement name may contain ".".
         for doc in self.mongo.collection("superdb", "observations").find(
-            {"@type": "AGGObservationInterface"}
+            {"@type": "AGGObservationInterface"},
+            projection=[
+                "hostname",
+                ("aggregates", measurement, field),
+                ("sketches", measurement, field),
+            ],
         ):
             agg = doc.get("aggregates", {}).get(measurement, {}).get(field)
             if not agg or not agg.get("count") or not _finite_agg(agg):

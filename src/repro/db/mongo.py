@@ -4,11 +4,16 @@
 computation" (§III-A).  This substrate provides databases, collections, and
 the query-operator subset the KB layer and SUPERDB use: equality matches on
 dotted paths, ``$eq $ne $gt $gte $lt $lte $in $nin $exists $regex``, the
-logical ``$and $or``, plus ``$set``/``$push`` updates.
+logical ``$and $or``, plus ``$set``/``$push`` (with ``$each``) updates.
 
-Documents are deep-copied on insert and on return, so callers cannot mutate
+Documents are cloned on insert and on return, so callers cannot mutate
 stored state by accident — the property that makes "the KB is given to each
-function as a parameter ... a snapshot" (§III) trustworthy.
+function as a parameter ... a snapshot" (§III) trustworthy.  The copy
+contract is that a call costs what it writes or reads, not what the
+document weighs: writes clone the value written (``$push`` the pushed
+elements, not the array), ``count_documents``/``distinct`` clone nothing,
+and ``find``/``find_one`` with a ``projection`` clone only the projected
+paths.
 
 Collections support ordered secondary indexes (:meth:`Collection.create_index`).
 An index never changes results: the planner only narrows the scan to a
@@ -39,6 +44,75 @@ class MongoError(ValueError):
 
 
 _OPERATORS = {"$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$in", "$nin", "$exists", "$regex"}
+
+_ATOMIC = frozenset({str, int, float, bool, type(None)})
+
+
+def _clone(value: Any) -> Any:
+    """Independent copy of a JSON tree.
+
+    Plain dicts, lists and scalars — what documents are made of — are
+    rebuilt directly; anything else (tuple, set, dataclass, numpy scalar,
+    dict/list subclass) is deep-copied, so nothing the caller holds is
+    ever shared with the store.  Unlike one deep copy of the whole tree, a
+    sub-list referenced twice comes out as two lists — as it would from a
+    real server, which stores bytes, not references.
+    """
+    # Leaves are tested inline: most of a document is scalars, and a call
+    # per scalar doubles the cost of the walk.
+    t = type(value)
+    if t is dict:
+        return {k: v if type(v) in _ATOMIC else _clone(v) for k, v in value.items()}
+    if t is list:
+        return [v if type(v) in _ATOMIC else _clone(v) for v in value]
+    if t in _ATOMIC:
+        return value
+    return copy.deepcopy(value)
+
+
+def _projection_tree(projection: Any) -> dict:
+    """Compile a pymongo-style inclusion projection into a key trie.
+
+    ``projection`` is an iterable of paths or a ``{path: truthy}`` dict.  A
+    path is a dotted string or a tuple of keys; the tuple form takes each
+    key literally, so a key that itself contains ``.`` (a measurement
+    name, say) cannot alias a nested path.  ``_id`` is always included.
+    """
+    if isinstance(projection, dict) and not all(projection.values()):
+        raise MongoError("only inclusion projections are supported")
+    tree: dict = {"_id": True}
+    for path in projection:
+        parts = path.split(".") if isinstance(path, str) else tuple(path)
+        if not parts or not all(isinstance(p, str) for p in parts):
+            raise MongoError(f"bad projection path {path!r}")
+        cur = tree
+        for p in parts[:-1]:
+            cur = cur.setdefault(p, {})
+            if cur is True:
+                raise MongoError(f"projection path collision at {path!r}")
+        if cur.setdefault(parts[-1], True) is not True:
+            raise MongoError(f"projection path collision at {path!r}")
+    return tree
+
+
+def _project(doc: dict, tree: dict) -> dict:
+    """Clone only the paths of ``tree`` out of ``doc``, in ``tree`` order.
+
+    Missing paths are omitted; arrays project element-wise over their
+    sub-documents, as on a real server.
+    """
+    out = {}
+    for key, sub in tree.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        if sub is True:
+            out[key] = _clone(value)
+        elif isinstance(value, dict):
+            out[key] = _project(value, sub)
+        elif isinstance(value, list):
+            out[key] = [_project(el, sub) for el in value if isinstance(el, dict)]
+    return out
 
 
 def _resolve_path(doc: Any, path: str) -> tuple[bool, Any]:
@@ -288,7 +362,8 @@ class Collection:
         return best
 
     def _scan(self, flt: dict):
-        """Yield matching stored docs in insertion order, via the planner."""
+        """Yield (position, stored doc) of every match in insertion order,
+        via the planner."""
         if self._indexes and flt:
             self._refresh_indexes()
             cands = self._candidates(flt)
@@ -298,18 +373,18 @@ class Collection:
                 for pos in sorted(set(cands)):
                     d = docs[pos]
                     if _matches(d, flt):
-                        yield d
+                        yield pos, d
                 return
         self.full_scans += 1
-        for d in self._docs:
+        for pos, d in enumerate(self._docs):
             if _matches(d, flt):
-                yield d
+                yield pos, d
 
     # ------------------------------------------------------------------
     def insert_one(self, doc: dict) -> Any:
         if not isinstance(doc, dict):
             raise MongoError("documents must be dicts")
-        stored = copy.deepcopy(doc)
+        stored = _clone(doc)
         stored.setdefault("_id", f"oid{next(self._ids):08d}")
         self._docs.append(stored)
         self._dirty = True
@@ -318,20 +393,33 @@ class Collection:
     def insert_many(self, docs: list[dict]) -> list[Any]:
         return [self.insert_one(d) for d in docs]
 
-    def find(self, flt: dict | None = None, limit: int | None = None) -> list[dict]:
+    def find(
+        self,
+        flt: dict | None = None,
+        limit: int | None = None,
+        projection: Any = None,
+    ) -> list[dict]:
+        """Copies of the matching documents, in insertion order.
+
+        With a ``projection`` (see :func:`_projection_tree`) each result
+        holds ``_id`` and the requested paths only, and only those are
+        cloned — the way to read one field of a heavy document.
+        """
         flt = flt or {}
+        tree = None if projection is None else _projection_tree(projection)
         out = []
-        for d in self._scan(flt):
-            out.append(copy.deepcopy(d))
+        for _, d in self._scan(flt):
+            out.append(_clone(d) if tree is None else _project(d, tree))
             if limit is not None and len(out) >= limit:
                 break
         return out
 
-    def find_one(self, flt: dict | None = None) -> dict | None:
-        res = self.find(flt, limit=1)
+    def find_one(self, flt: dict | None = None, projection: Any = None) -> dict | None:
+        res = self.find(flt, limit=1, projection=projection)
         return res[0] if res else None
 
     def count_documents(self, flt: dict | None = None) -> int:
+        """Number of matches; clones nothing, so it is the existence test."""
         flt = flt or {}
         return sum(1 for _ in self._scan(flt))
 
@@ -349,7 +437,7 @@ class Collection:
         flt = flt or {}
         seen: set[bytes] = set()
         out: list[Any] = []
-        for d in self._scan(flt):
+        for _, d in self._scan(flt):
             found, v = _resolve_path(d, path)
             if not found:
                 continue
@@ -362,7 +450,7 @@ class Collection:
     # ------------------------------------------------------------------
     def update_one(self, flt: dict, update: dict) -> int:
         """Apply ``$set``/``$push`` to the first matching document."""
-        for d in self._scan(flt):
+        for _, d in self._scan(flt):
             self._apply_update(d, update)
             self._dirty = True
             return 1
@@ -370,7 +458,7 @@ class Collection:
 
     def update_many(self, flt: dict, update: dict) -> int:
         n = 0
-        for d in self._scan(flt):
+        for _, d in self._scan(flt):
             self._apply_update(d, update)
             n += 1
         if n:
@@ -386,7 +474,7 @@ class Collection:
                     cur = doc
                     for p in parts[:-1]:
                         cur = cur.setdefault(p, {})
-                    cur[parts[-1]] = copy.deepcopy(value)
+                    cur[parts[-1]] = _clone(value)
             elif op == "$push":
                 for path, value in spec.items():
                     parts = path.split(".")
@@ -396,30 +484,33 @@ class Collection:
                     arr = cur.setdefault(parts[-1], [])
                     if not isinstance(arr, list):
                         raise MongoError(f"$push target {path!r} is not an array")
-                    arr.append(copy.deepcopy(value))
+                    if isinstance(value, dict) and "$each" in value:
+                        if len(value) != 1 or not isinstance(value["$each"], list):
+                            raise MongoError("$push takes {'$each': [...]} alone")
+                        arr.extend(_clone(value["$each"]))
+                    else:
+                        arr.append(_clone(value))
             else:
                 raise MongoError(f"unsupported update operator {op!r}")
 
     def replace_one(self, flt: dict, doc: dict, upsert: bool = False) -> int:
-        for i, d in enumerate(self._docs):
-            if _matches(d, flt):
-                stored = copy.deepcopy(doc)
-                stored.setdefault("_id", d["_id"])
-                self._docs[i] = stored
-                self._dirty = True
-                return 1
+        for pos, d in self._scan(flt):
+            stored = _clone(doc)
+            stored.setdefault("_id", d["_id"])
+            self._docs[pos] = stored
+            self._dirty = True
+            return 1
         if upsert:
             self.insert_one(doc)
             return 1
         return 0
 
     def delete_many(self, flt: dict) -> int:
-        before = len(self._docs)
-        self._docs = [d for d in self._docs if not _matches(d, flt)]
-        removed = before - len(self._docs)
-        if removed:
+        doomed = {pos for pos, _ in self._scan(flt)}
+        if doomed:
+            self._docs = [d for pos, d in enumerate(self._docs) if pos not in doomed]
             self._dirty = True
-        return removed
+        return len(doomed)
 
     def __len__(self) -> int:
         return len(self._docs)

@@ -204,6 +204,20 @@ class TestCompareMetricGuards:
         assert agg["count"] == 4.0
         assert all(math.isfinite(agg[k]) for k in ("min", "max", "mean"))
 
+    def test_dotted_measurement_name_reads_its_own_aggregate(self):
+        """compare_metric projects one field out of each doc; a measurement
+        whose name contains "." must not resolve as a nested path."""
+        sdb = SuperDB()
+        col = sdb.mongo.collection("superdb", "observations")
+        agg = {"min": 1.0, "max": 1.0, "mean": 1.0, "count": 1.0}
+        col.insert_one({
+            "@type": "AGGObservationInterface", "@id": "o1:agg", "hostname": "h",
+            "aggregates": {"a.b": {"_f": dict(agg)},
+                           "a": {"b": {"_f": dict(agg, mean=5.0, max=5.0)}}},
+        })
+        assert sdb.compare_metric("a.b", "_f")["h"]["mean"] == 1.0
+        assert sdb.compare_metric("a", "b") == {}  # {"_f": ...} is no aggregate
+
     def test_partial_flag_tracks_sync_state(self):
         d, kb = daemon_with_observations(seed=50, n_obs=2)
         wan = ServiceFaultSet()
@@ -223,3 +237,49 @@ class TestCompareMetricGuards:
         sdb.anti_entropy(kb, d.influx, mode="agg")
         cmp = sdb.compare_metric(meas, field)
         assert not cmp["icl"]["partial"]  # flag drops once sync completes
+
+
+class TestSyncStateBookkeeping:
+    """A long WAN outage leaves thousands of observations pending; recording
+    that must stay linear in their number."""
+
+    class CountingList(list):
+        """A list that counts how often it is walked."""
+
+        walks = 0
+
+        def __iter__(self):
+            self.walks += 1
+            return super().__iter__()
+
+    def _observations(self, n):
+        return [{"@id": f"dtmi:dt:icl:observation{i};1", "time": {"end": float(i)}}
+                for i in range(n)]
+
+    def test_all_pending_is_recorded_in_linear_time(self):
+        sdb = SuperDB()
+        observations = self._observations(2500)
+        pending = self.CountingList(o["@id"] for o in observations)
+        sdb.link._save_sync_state("icl", 7.0, "agg", observations, pending,
+                                  kb_ok=False)
+        # One walk builds the membership set, one copies the list into the
+        # document; a set rebuilt per observation would walk it 5000 times.
+        assert pending.walks <= 2
+        state = sdb.sync_status("icl")
+        assert state["synced"] == [] and state["pending"] == list(pending)
+        assert not state["kb_synced"] and not state["complete"]
+        assert state["last_sync_t"] == 7.0
+        assert state["last_synced_obs_end"] is None and state["staleness_s"] is None
+
+    def test_partially_pending_state(self):
+        sdb = SuperDB()
+        observations = self._observations(2500)
+        pending = self.CountingList(o["@id"] for o in observations[1::2])
+        sdb.link._save_sync_state("icl", 7.0, "agg", observations, pending,
+                                  kb_ok=True)
+        assert pending.walks <= 2
+        state = sdb.sync_status("icl")
+        assert state["synced"] == [o["@id"] for o in observations[0::2]]
+        assert state["pending"] == list(pending)
+        assert state["kb_synced"] and not state["complete"]
+        assert state["last_synced_obs_end"] == 2498.0 and state["staleness_s"] == 1.0

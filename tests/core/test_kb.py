@@ -1,9 +1,14 @@
 """Tests for Knowledge Base construction, navigation, and persistence."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import KBError, KnowledgeBase
+from repro.core.dtmi import make_dtmi
+from repro.core.ontology import Interface, Property
 from repro.db import MongoDB
+from repro.db.mongo import Collection
 from repro.machine import gpu_node, icl, skx
 from repro.probing import probe
 
@@ -183,3 +188,163 @@ class TestEntriesAndPersistence:
     def test_load_missing_host(self):
         with pytest.raises(KBError, match="no KB"):
             KnowledgeBase.load(MongoDB(), "ghost")
+
+
+# ======================================================================
+# Delta persistence: a save sends what changed, and stores what a full
+# replace would have stored
+# ======================================================================
+HOST = "h1"
+
+
+def _small_kb():
+    kb = KnowledgeBase(HOST)
+    kb.config = {"influx": "host:8086", "nested": {"k": 0}}
+    kb.add_interface(Interface(id=kb.root_id, kind="node", name=HOST), parent=None)
+    kb.add_interface(
+        Interface(id=make_dtmi(HOST, "memory"), kind="memory", name="memory"),
+        parent=kb.root_id,
+    )
+    return kb
+
+
+def _stored(mongo):
+    col = mongo.collection("pmove", "kb")
+    assert col.count_documents({"hostname": HOST}) == 1
+    doc = col.find_one({"hostname": HOST})
+    del doc["_id"]
+    return doc
+
+
+def _key_order(v):
+    if isinstance(v, dict):
+        return [(k, _key_order(x)) for k, x in v.items()]
+    if isinstance(v, list):
+        return [_key_order(x) for x in v]
+    return None
+
+
+def _assert_persisted(kb, mongo):
+    stored, want = _stored(mongo), kb.to_jsonld()
+    assert stored == want
+    assert _key_order(stored) == _key_order(want)
+    assert (KnowledgeBase.load(mongo, HOST).to_jsonld()
+            == KnowledgeBase.from_jsonld(want).to_jsonld())
+
+
+config_values = st.one_of(
+    st.integers(0, 3), st.sampled_from(["a", "b"]),
+    st.fixed_dictionaries({"k": st.integers(0, 3)}),
+)
+store = st.integers(0, 1)
+kb_changes = st.one_of(
+    st.tuples(st.just("append")),
+    st.tuples(st.just("interface")),
+    st.tuples(st.just("content"), st.integers(0, 5)),
+    st.tuples(st.just("config"), st.sampled_from(["influx", "token", "x"]),
+              config_values),
+    st.tuples(st.just("config_nested"), st.integers(0, 3)),
+    st.tuples(st.just("truncate"), st.integers(0, 6), st.booleans()),
+    st.tuples(st.just("delete"), store),
+    st.tuples(st.just("nothing")),
+)
+#: (change, store to save into afterwards or None): saves are frequent, so
+#: that every change lands between two saves into one store often
+kb_steps = st.lists(st.tuples(kb_changes, st.one_of(st.none(), store)), max_size=30)
+
+
+class TestDeltaPersistence:
+    @given(kb_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_delta_save_equals_full_save(self, steps):
+        kb = _small_kb()
+        mongos = (MongoDB(), MongoDB())
+        for n, (op, save_into) in enumerate(steps):
+            if op[0] == "append":
+                kb.append_entry({"@type": "ObservationInterface",
+                                 "@id": make_dtmi(HOST, f"o{n}"),
+                                 "metrics": [{"fields": ["_cpu0", "_cpu1"]}]})
+            elif op[0] == "interface":
+                kb.add_interface(
+                    Interface(id=make_dtmi(HOST, f"disk{n}"), kind="disk",
+                              name=f"disk{n}"),
+                    parent=kb.root_id)
+            elif op[0] == "content":
+                ifaces = list(kb.interfaces.values())
+                ifaces[op[1] % len(ifaces)].add(
+                    Property(id=make_dtmi(HOST, f"p{n}"), name=f"p{n}", description=n))
+            elif op[0] == "config":
+                kb.config[op[1]] = op[2]
+            elif op[0] == "config_nested":
+                kb.config["nested"]["k"] = op[1]
+            elif op[0] == "truncate":
+                if op[2]:
+                    del kb.entries[op[1]:]
+                else:
+                    kb.entries = kb.entries[:op[1]]
+            elif op[0] == "delete":
+                mongos[op[1]].collection("pmove", "kb").delete_many({"hostname": HOST})
+            if save_into is not None:
+                kb.save(mongos[save_into])
+                _assert_persisted(kb, mongos[save_into])
+
+    @pytest.mark.parametrize("change", [
+        lambda kb: kb.config.__setitem__("token", "t2"),
+        lambda kb: kb.config["nested"].__setitem__("k", 9),
+        lambda kb: kb.add_interface(
+            Interface(id=make_dtmi(HOST, "nic0"), kind="nic", name="nic0"),
+            parent=kb.root_id),
+        lambda kb: kb.get(kb.root_id).add(
+            Property(id=make_dtmi(HOST, "os"), name="os", description="linux")),
+    ], ids=["config", "nested-config", "interface", "content"])
+    def test_structure_change_is_never_persisted_stale(self, change):
+        kb, mongo = _small_kb(), MongoDB()
+        kb.append_entry({"@type": "ObservationInterface", "@id": make_dtmi(HOST, "o1")})
+        kb.save(mongo)
+        change(kb)
+        kb.append_entry({"@type": "ObservationInterface", "@id": make_dtmi(HOST, "o2")})
+        kb.save(mongo)
+        _assert_persisted(kb, mongo)
+
+    def test_rewritten_log_is_replaced_not_extended(self):
+        """Longer than what was persisted is not enough for a push: the
+        entries persisted must still be the head of the log."""
+        kb, mongo = _small_kb(), MongoDB()
+        for i in range(3):
+            kb.append_entry({"@type": "ObservationInterface",
+                             "@id": make_dtmi(HOST, f"o{i}")})
+        kb.save(mongo)
+        del kb.entries[1:]
+        for i in range(3, 7):
+            kb.append_entry({"@type": "ObservationInterface",
+                             "@id": make_dtmi(HOST, f"o{i}")})
+        kb.save(mongo)
+        _assert_persisted(kb, mongo)
+
+    def test_appending_sends_only_the_new_entries(self, monkeypatch):
+        """A profiling session's saves cost what they append: one full
+        replace, then pushes of the tail; a save with nothing new writes
+        nothing."""
+        calls = []
+        for name in ("replace_one", "update_one"):
+            real = getattr(Collection, name)
+
+            def spy(self, flt, arg, *a, _name=name, _real=real, **kw):
+                calls.append((_name, arg))
+                return _real(self, flt, arg, *a, **kw)
+
+            monkeypatch.setattr(Collection, name, spy)
+        kb, mongo = _small_kb(), MongoDB()
+        for i in range(5):
+            kb.append_entry({"@type": "ObservationInterface",
+                             "@id": make_dtmi(HOST, f"o{i}")})
+            kb.append_entry({"@type": "ProcessInterface",
+                             "@id": make_dtmi(HOST, f"p{i}")})
+            kb.save(mongo)
+        kb.save(mongo)
+        assert [c[0] for c in calls] == ["replace_one"] + ["update_one"] * 4
+        assert [c[1] for c in calls[1:]] == [
+            {"$push": {"entries": {"$each": kb.entries[2 * i:2 * i + 2]}}}
+            for i in range(1, 5)
+        ]
+        _assert_persisted(kb, mongo)

@@ -1,8 +1,14 @@
 """Tests for the MongoDB substrate."""
 
+import copy
+from dataclasses import dataclass, field
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import MongoDB, MongoError
+from repro.db.mongo import _clone
 
 
 def coll():
@@ -164,6 +170,176 @@ class TestUpdates:
         c.insert_many([{"v": i} for i in range(5)])
         assert c.delete_many({"v": {"$lt": 3}}) == 3
         assert len(c) == 2
+
+
+@dataclass
+class Payload:
+    xs: list = field(default_factory=list)
+
+
+json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+              st.floats(allow_nan=False), st.text(max_size=3)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=12,
+)
+
+
+def _containers(v):
+    """ids of every dict/list in a tree."""
+    if isinstance(v, dict):
+        return {id(v)}.union(*(_containers(x) for x in v.values()))
+    if isinstance(v, list):
+        return {id(v)}.union(*(_containers(x) for x in v))
+    return set()
+
+
+class TestCopyContract:
+    """The store shares nothing with its callers, whatever a call clones."""
+
+    @given(json_trees)
+    @settings(max_examples=100, deadline=None)
+    def test_clone_is_equal_typed_alike_and_shares_no_container(self, tree):
+        got = _clone(tree)
+        assert got == tree and repr(got) == repr(copy.deepcopy(tree))
+        assert not _containers(got) & _containers(tree)
+
+    def test_written_documents_are_isolated_from_the_caller(self):
+        c = coll()
+        doc = {"k": "ins", "nested": {"xs": [1, {"y": 2}]}}
+        c.insert_one(doc)
+        new = {"k": "rep", "nested": {"xs": [1, {"y": 2}]}}
+        c.replace_one({"k": "none"}, new, upsert=True)
+        value = {"xs": [3]}
+        c.update_one({"k": "ins"}, {"$set": {"set": value}})
+        pushed, each = {"xs": [4]}, [{"xs": [5]}, {"xs": [6]}]
+        c.update_one({"k": "ins"}, {"$push": {"log": pushed}})
+        c.update_one({"k": "ins"}, {"$push": {"log": {"$each": each}}})
+        before = copy.deepcopy(c.find())
+        doc["nested"]["xs"][1]["y"] = 99
+        doc["nested"]["xs"].append(7)
+        new["nested"]["xs"][1]["y"] = 99
+        value["xs"].append(99)
+        pushed["xs"].append(99)
+        each[0]["xs"].append(99)
+        each.append({"xs": [99]})
+        assert c.find() == before
+        assert [e["xs"] for e in c.find_one({"k": "ins"})["log"]] == [[4], [5], [6]]
+
+    def test_returned_documents_are_isolated_from_the_store(self):
+        c = coll()
+        c.insert_one({"k": 1, "nested": {"xs": [1, {"y": 2}]}, "log": [{"a": [1]}]})
+        before = copy.deepcopy(c.find())
+        for got in (c.find()[0], c.find_one({"k": 1}),
+                    c.find_one({"k": 1}, projection=["nested.xs", "log"])):
+            got["nested"]["xs"][1]["y"] = 99
+            got["nested"]["xs"].append(3)
+            got["log"][0]["a"].append(99)
+            got["log"].append("x")
+        assert c.find() == before
+
+    def test_non_json_values_behave_as_under_deepcopy(self):
+        c = coll()
+        shared = [1, 2]
+        doc = {"t": (1, [2]), "s": {1, 2}, "d": Payload([1]), "a": shared, "b": shared}
+        want = copy.deepcopy(doc)
+        c.insert_one(doc)
+        doc["t"][1].append(99)
+        doc["s"].add(99)
+        doc["d"].xs.append(99)
+        shared.append(99)
+        got = c.find_one()
+        del got["_id"]
+        assert got == want
+        assert isinstance(got["t"], tuple) and isinstance(got["s"], set)
+        assert isinstance(got["d"], Payload)
+        got["t"][1].append(98)
+        got["s"].add(98)
+        got["d"].xs.append(98)
+        got["a"].append(98)
+        again = c.find_one()
+        del again["_id"]
+        assert again == want
+
+    def test_push_each_extends_and_rejects_other_modifiers(self):
+        c = coll()
+        c.insert_one({"k": 1, "log": [0]})
+        c.update_one({"k": 1}, {"$push": {"log": {"$each": [1, 2]}}})
+        c.update_one({"k": 1}, {"$push": {"log": {"$each": []}}})
+        c.update_one({"k": 1}, {"$push": {"fresh": {"$each": ["a"]}}})
+        got = c.find_one()
+        assert got["log"] == [0, 1, 2] and got["fresh"] == ["a"]
+        with pytest.raises(MongoError):
+            c.update_one({"k": 1}, {"$push": {"log": {"$each": [3], "$slice": 2}}})
+        with pytest.raises(MongoError):
+            c.update_one({"k": 1}, {"$push": {"log": {"$each": 3}}})
+
+
+class TestProjection:
+    DOC = {
+        "hostname": "n1",
+        "aggregates": {"m1": {"_f": {"min": 1.0}, "_g": {"min": 2.0}},
+                       "m2": {"_f": {"min": 3.0}}},
+        "sketches": {"m1": {"_f": {"digest": [1, 2, 3]}}},
+        "time": {"start": 0.0, "end": 1.0},
+    }
+
+    def _coll(self):
+        c = coll()
+        self._id = c.insert_one(self.DOC)
+        return c
+
+    def test_returns_exactly_the_requested_paths_plus_id(self):
+        c = self._coll()
+        got = c.find({"hostname": "n1"},
+                     projection=["hostname", "aggregates.m1._f", "time.end"])
+        assert got == [{
+            "_id": self._id, "hostname": "n1",
+            "aggregates": {"m1": {"_f": {"min": 1.0}}}, "time": {"end": 1.0},
+        }]
+        assert c.find_one(projection={"time": 1}) == {
+            "_id": self._id, "time": {"start": 0.0, "end": 1.0}}
+        assert c.find(projection=[]) == [{"_id": self._id}]
+
+    def test_missing_path_is_omitted_not_none(self):
+        c = self._coll()
+        got = c.find_one(projection=["nope", "hostname.deeper", "sketches.m2._f",
+                                     "aggregates.m9"])
+        assert got == {"_id": self._id, "sketches": {}, "aggregates": {}}
+
+    def test_dotted_key_cannot_alias_a_nested_path(self):
+        c = coll()
+        _id = c.insert_one({"aggregates": {
+            "a.b": {"_f": "flat"}, "a": {"b": {"_f": "nested"}, "b._f": "other"}}})
+        assert c.find_one(projection=[("aggregates", "a.b", "_f")]) == {
+            "_id": _id, "aggregates": {"a.b": {"_f": "flat"}}}
+        assert c.find_one(projection=["aggregates.a.b._f"]) == {
+            "_id": _id, "aggregates": {"a": {"b": {"_f": "nested"}}}}
+        assert c.find_one(projection=[("aggregates", "a", "b._f")]) == {
+            "_id": _id, "aggregates": {"a": {"b._f": "other"}}}
+
+    def test_arrays_project_over_their_subdocuments(self):
+        c = coll()
+        _id = c.insert_one({"entries": [{"@id": "o1", "big": [1] * 9}, 7,
+                                        {"@id": "o2"}, {"other": 1}]})
+        assert c.find_one(projection=["entries.@id"]) == {
+            "_id": _id, "entries": [{"@id": "o1"}, {"@id": "o2"}, {}]}
+
+    def test_limit_and_filter_still_apply(self):
+        c = coll()
+        c.insert_many([{"i": i, "pad": [i] * 4} for i in range(5)])
+        got = c.find({"i": {"$gte": 1}}, limit=2, projection=["i"])
+        assert [d["i"] for d in got] == [1, 2]
+        assert all(set(d) == {"_id", "i"} for d in got)
+
+    @pytest.mark.parametrize("bad", [
+        {"hostname": 0}, ["time", "time.end"], ["time.end", "time"], [()],
+        [("time", 1)],
+    ])
+    def test_bad_projections_rejected(self, bad):
+        with pytest.raises(MongoError):
+            self._coll().find(projection=bad)
 
 
 class TestMongoDB:

@@ -30,15 +30,13 @@ values = st.one_of(
     st.just(float("nan")),
 )
 
-docs = st.lists(
-    st.fixed_dictionaries(
-        {"h": st.sampled_from(["n1", "n2", "n3"])},
-        optional={"x": values, "nested": st.fixed_dictionaries({"y": values}),
-                  "nodes": st.lists(st.sampled_from(["n1", "n2", "n3"]),
-                                    min_size=1, max_size=3)},
-    ),
-    max_size=40,
+one_doc = st.fixed_dictionaries(
+    {"h": st.sampled_from(["n1", "n2", "n3"])},
+    optional={"x": values, "nested": st.fixed_dictionaries({"y": values}),
+              "nodes": st.lists(st.sampled_from(["n1", "n2", "n3"]),
+                                min_size=1, max_size=3)},
 )
+docs = st.lists(one_doc, max_size=40)
 
 paths = st.sampled_from(["h", "x", "nested.y", "nodes", "missing"])
 ops = st.sampled_from(["$eq", "$ne", "$gt", "$gte", "$lt", "$lte"])
@@ -99,6 +97,36 @@ class TestIndexEquivalence:
         assert _strip(indexed.find(flt)) == _strip(plain.find(flt))
         assert indexed.count_documents(flt) == plain.count_documents(flt)
 
+    @given(docs, filters, filters, filters, one_doc, st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_replace_and_delete_identical(self, doc_list, flt, repl_flt, del_flt,
+                                          new_doc, upsert):
+        """replace_one and delete_many pick their targets through the
+        planner: same target, same return value, same collection after."""
+        plain, indexed = _pair(doc_list)
+        indexed.find(flt)  # force a build, then dirty it below
+        for _ in range(2):  # the second replace sees the first one's doc
+            assert indexed.replace_one(repl_flt, copy.deepcopy(new_doc), upsert=upsert) \
+                == plain.replace_one(repl_flt, copy.deepcopy(new_doc), upsert=upsert)
+            assert _strip(indexed.find()) == _strip(plain.find())
+            assert _strip(indexed.find(flt)) == _strip(plain.find(flt))
+        assert indexed.delete_many(del_flt) == plain.delete_many(del_flt)
+        assert _strip(indexed.find()) == _strip(plain.find())
+        assert _strip(indexed.find(flt)) == _strip(plain.find(flt))
+        assert indexed.count_documents(del_flt) == 0
+
+    def test_replaced_doc_leaves_and_enters_index_buckets(self):
+        plain, indexed = _pair([{"h": "n1", "x": 1}, {"h": "n2", "x": 2},
+                                {"h": "n1", "x": 3}])
+        for c in (plain, indexed):
+            c.find({"h": "n1"})
+            assert c.replace_one({"h": "n1"}, {"h": "n2", "x": 10}) == 1
+        for flt in ({"h": "n1"}, {"h": "n2"}, {"x": {"$gte": 3}}, {"x": 1}):
+            assert _strip(indexed.find(flt)) == _strip(plain.find(flt))
+        # It keeps its place in insertion order: ahead of the older n2 doc.
+        assert [d["x"] for d in indexed.find({"h": "n2"})] == [10, 2]
+        assert [d["x"] for d in indexed.find({"h": "n1"})] == [3]
+
     def test_limit_respects_insertion_order(self):
         plain, indexed = _pair([{"h": "n1", "x": i} for i in range(10)])
         assert _strip(indexed.find({"h": "n1"}, limit=3)) == _strip(
@@ -124,6 +152,14 @@ class TestPlannerEngagement:
         got = indexed.find({"x": {"$gte": 15.0}})
         assert [d["x"] for d in got] == [15.0, 16.0, 17.0, 18.0, 19.0]
         assert indexed.index_hits == 1
+
+    def test_replace_and_delete_use_index(self):
+        _, indexed = _pair([{"h": f"n{i % 3 + 1}", "x": i} for i in range(30)])
+        assert indexed.replace_one({"h": "n2"}, {"h": "n2", "x": -1}) == 1
+        assert indexed.replace_one({"h": "n9"}, {"h": "n9"}, upsert=True) == 1
+        assert indexed.delete_many({"h": "n3"}) == 10
+        assert indexed.index_hits == 3 and indexed.full_scans == 0
+        assert len(indexed) == 21
 
     def test_unindexed_path_falls_back_to_scan(self):
         _, indexed = _pair([{"h": "n1", "x": 1}])
