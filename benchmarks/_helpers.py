@@ -11,10 +11,15 @@ compares against the paper.
 from __future__ import annotations
 
 import json
+import platform
 import statistics
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: Leading share of a latency sample set that is warm-up (see
+#: :func:`latency_stats`).
+WARMUP_SHARE = 0.1
 
 
 def emit(name: str, text: str) -> Path:
@@ -42,14 +47,29 @@ def emit_json(name: str, payload: dict) -> Path:
 
 
 def latency_stats(samples_s: list[float]) -> dict[str, float]:
-    """p50/p95/mean of a latency sample set, in milliseconds."""
-    ordered = sorted(samples_s)
+    """p50/p95/mean of a latency sample set, in milliseconds.
+
+    ``samples_s`` is in arrival order.  Its first tenth — at least one
+    sample, when there are two or more — is warm-up (first-call allocation,
+    cold caches, a heap that has not grown yet) and is discarded before any
+    statistic is taken: with 20 samples the first call alone used to be the
+    p95, 20× the median.  ``n`` counts the samples kept, ``warmup`` those
+    dropped.
+    """
+    warmup = max(1, int(WARMUP_SHARE * len(samples_s))) if len(samples_s) > 1 else 0
+    ordered = sorted(samples_s[warmup:])
     return {
         "p50_ms": 1e3 * statistics.median(ordered),
         "p95_ms": 1e3 * ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))],
         "mean_ms": 1e3 * statistics.fmean(ordered),
         "n": len(ordered),
+        "warmup": warmup,
     }
+
+
+def run_metadata(n: int, seed: int | None) -> dict:
+    """What a result file needs for two runs of it to be comparable."""
+    return {"python": platform.python_version(), "n": n, "seed": seed}
 
 
 def fmt_table(headers: list[str], rows: list[list[str]]) -> str:

@@ -239,10 +239,10 @@ def scan_component(
     for iface in components:
         found: list[Anomaly] = []
         for tel in iface.telemetry():
-            rs = execute(influx, database,
-                         f'SELECT "{tel.field_name}" FROM "{tel.db_name}"')
-            times = [t for t, row in rs.rows if row[0] is not None]
-            values = [row[0] for _, row in rs.rows if row[0] is not None]
+            times, values = execute(
+                influx, database,
+                f'SELECT "{tel.field_name}" FROM "{tel.db_name}"',
+            ).series()
             found.extend(
                 scan_series(times, values, detector=detector,
                             series=f"{tel.db_name}:{tel.field_name}", **kw)

@@ -17,9 +17,12 @@ full scan.  Writes take an O(1) append fast path when they arrive in time
 order (the sampler's case) and a bisect-based insertion otherwise.
 
 The read path is columnar end to end.  Dashboards re-issue the same
-aggregate queries on every refresh, so three mechanisms serve them without
-per-row tuple materialization:
+queries on every refresh, so four mechanisms serve them without per-row
+tuple materialization:
 
+- :meth:`InfluxDB.scan_columns` answers a raw select with copies of the
+  column slices (:class:`ColumnRows`); ``(time, values)`` rows exist only
+  for a reader that iterates them;
 - :meth:`InfluxDB.aggregate_columns` folds MEAN/MAX/MIN/SUM/COUNT/LAST
   directly over the per-series value arrays;
 - :meth:`InfluxDB.scan_buckets` resolves ``GROUP BY time(N)`` buckets by
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
 
@@ -56,7 +60,7 @@ from .sketch import (
 )
 from .sketch import stddev_of as _stddev_of
 
-__all__ = ["Point", "InfluxError", "RetentionPolicy", "InfluxDB",
+__all__ = ["Point", "InfluxError", "RetentionPolicy", "InfluxDB", "ColumnRows",
            "DEFAULT_ROLLUP_TIERS", "fold_values"]
 
 #: Downsample shard sizes maintained on the write path, seconds.
@@ -562,6 +566,79 @@ class _Measurement:
                     del self.tag_index[kv]
 
 
+class ColumnRows(Sequence):
+    """What :meth:`InfluxDB.scan_columns` returns as ``rows``: the scanned
+    columns, readable as the ``list[(time, [value, …])]`` they stand for.
+
+    ``times`` and each entry of ``cols`` (aligned with the scan's column
+    names; ``None`` = a column no matched series ever wrote) are fresh
+    lists owned by this object, never aliases of engine storage.  Length,
+    iteration, indexing, slicing, ``==`` and ``repr`` are those of the row
+    list; the rows themselves are built on first use, once, so a reader
+    that only wants columns (:meth:`series`) never pays for them.
+    """
+
+    __slots__ = ("times", "cols", "_rows")
+
+    def __init__(
+        self, times: list[float], cols: list[list[float | None] | None]
+    ) -> None:
+        self.times = times
+        self.cols = cols
+        self._rows: list[tuple[float, list[float | None]]] | None = None
+
+    def _build_rows(self) -> list[tuple[float, list[float | None]]]:
+        n = len(self.times)
+        filled = [c if c is not None else [None] * n for c in self.cols]
+        values = map(list, zip(*filled)) if filled else ([] for _ in range(n))
+        return list(zip(self.times, values))
+
+    def _materialized(self) -> list[tuple[float, list[float | None]]]:
+        if self._rows is None:
+            self._rows = self._build_rows()
+        return self._rows
+
+    def series(self, idx: int = 0) -> tuple[list[float], list[float]]:
+        """Column ``idx`` as fresh ``(times, values)`` lists, rows whose
+        value is ``None`` dropped from both."""
+        col = self.cols[idx]
+        if col is None:
+            return [], []
+        if None not in col:
+            return list(self.times), list(col)
+        return (
+            [t for t, v in zip(self.times, col) if v is not None],
+            [v for v in col if v is not None],
+        )
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            return self._materialized()[i]
+        if self._rows is not None:
+            return self._rows[i]  # share row objects, as a list slice does
+        return ColumnRows(
+            self.times[i], [c[i] if c is not None else None for c in self.cols]
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ColumnRows):
+            other = other._materialized()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._materialized() == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._materialized())
+
+
 class _Database:
     __slots__ = ("name", "meas", "retention", "points_written", "bytes_written",
                  "tiers", "gens", "sketch")
@@ -848,9 +925,7 @@ class InfluxDB:
         names: set[str] = set()
         for s, lo, hi in matched:
             for nm, col in s.cols.items():
-                if nm not in names and any(
-                    col[i] is not None for i in range(lo, hi)
-                ):
+                if nm not in names and col[lo:hi].count(None) != hi - lo:
                     names.add(nm)
         return sorted(names)
 
@@ -866,62 +941,55 @@ class InfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
         limit: int | None = None,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
-        """Columnar read used by the query engine: no Point materialization.
+    ) -> tuple[list[str], ColumnRows]:
+        """Columnar read used by the query engine: no Point, no row tuples.
 
-        Returns ``(columns, rows)`` where each row is ``(time, values)``
-        aligned with ``columns``.  ``columns=None`` selects every field with
+        Returns ``(columns, rows)`` where ``rows`` is a :class:`ColumnRows`
+        — column copies that read as ``(time, values)`` rows aligned with
+        ``columns``.  ``columns=None`` selects every field with
         at least one value among the matched rows (the ``SELECT *`` shape),
         sorted by name — discovery always covers the full matched range even
         under ``limit``, so the column set is limit-invariant.  Row order
-        matches :meth:`points`.  ``limit`` is pushed into the scan: only the
-        first ``limit`` rows (in merged time order) are materialized.
+        matches :meth:`points`.  ``limit`` is pushed into the scan: a
+        series contributes at most its first ``limit`` rows.
+
+        One matched series (the Listing 3 dashboard shape) is answered by
+        slicing its arrays; several are concatenated and put into (time,
+        seq) order by one permutation applied to every column.
         """
         matched = self._matched_slices(
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
         cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, []
+        if limit is not None:
+            # each series is (time, seq)-sorted, so the first `limit` merged
+            # rows come from the first `limit` of every series
+            matched = [(s, lo, min(hi, lo + limit)) for s, lo, hi in matched]
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            if limit is not None:
-                hi = min(hi, lo + limit)
-            sel = [s.cols.get(c) for c in cols]
-            times = s.times
-            rows = [
-                (times[i], [c[i] if c is not None else None for c in sel])
-                for i in range(lo, hi)
-            ]
-            return cols, rows
-        if limit is not None:
-            # K-way merge on (time, seq), stopping as soon as `limit` rows
-            # are out — no full-range materialization and no global sort.
-            def _iter(s: _Series, lo: int, hi: int):
-                sel = [s.cols.get(c) for c in cols]
-                times, seqs = s.times, s.seqs
-                for i in range(lo, hi):
-                    yield (times[i], seqs[i], i, sel)
-
-            rows = []
-            for t, _, i, sel in _heap_merge(
-                *(_iter(s, lo, hi) for s, lo, hi in matched),
-                key=lambda r: (r[0], r[1]),
-            ):
-                rows.append((t, [c[i] if c is not None else None for c in sel]))
-                if len(rows) >= limit:
-                    break
-            return cols, rows
-        tmp: list[tuple[float, int, list[float | None]]] = []
+            out = []
+            for c in cols:
+                col = s.cols.get(c)
+                out.append(col[lo:hi] if col is not None else None)
+            return cols, ColumnRows(s.times[lo:hi], out)
+        times: list[float] = []
+        seqs: list[int] = []
         for s, lo, hi in matched:
-            sel = [s.cols.get(c) for c in cols]
-            times, seqs = s.times, s.seqs
-            for i in range(lo, hi):
-                tmp.append(
-                    (times[i], seqs[i], [c[i] if c is not None else None for c in sel])
-                )
-        tmp.sort(key=lambda r: (r[0], r[1]))
-        return cols, [(t, vals) for t, _, vals in tmp]
+            times += s.times[lo:hi]
+            seqs += s.seqs[lo:hi]
+        keys = list(zip(times, seqs))
+        order = sorted(range(len(keys)), key=keys.__getitem__)[:limit]
+        out = []
+        for c in cols:
+            if all(c not in s.cols for s, _, _ in matched):
+                out.append(None)
+                continue
+            col: list[float | None] = []
+            for s, lo, hi in matched:
+                part = s.cols.get(c)
+                col += part[lo:hi] if part is not None else [None] * (hi - lo)
+            out.append([col[i] for i in order])
+        return cols, ColumnRows([times[i] for i in order], out)
 
     def scan_keyed(
         self,

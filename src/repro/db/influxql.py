@@ -34,8 +34,12 @@ rides the (count, Σv, Σv²) rollup partials, and ``COUNT(DISTINCT f)``
 rides per-series HyperLogLogs.  Engines that lack those methods fall
 back to :func:`naive_execute`, which keeps the original
 materialize-then-fold path as the exact reference.  Parsed statements
-are LRU-cached, since dashboards re-issue the same auto-generated query
-text on every refresh.
+are LRU-cached on their text, which pays for statements whose text is
+fixed (recall queries, unbounded panels).  A sliding-window refresh has a
+new time bound in its text every time and would never hit, so
+:class:`~repro.viz.grafana.GrafanaServer` parses a target's time-free
+statement — fixed text — and passes :func:`execute` that :class:`Query`
+with the bounds filled in.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .influx import InfluxDB, InfluxError
+from .influx import ColumnRows, InfluxDB, InfluxError
 from .sketch import nearest_rank, stddev_of, value_key
 
 __all__ = [
@@ -86,10 +90,13 @@ class Query:
 
 @dataclass
 class ResultSet:
-    """Query output: ordered columns and (time, row) tuples."""
+    """Query output: ordered columns and (time, row) tuples.
+
+    ``rows`` of a raw select is the engine's :class:`ColumnRows` — a row
+    list to anyone who iterates it, columns to :meth:`series`."""
 
     columns: list[str]
-    rows: list[tuple[float, list[float | None]]]
+    rows: list[tuple[float, list[float | None]]] | ColumnRows
     _col_cache: dict[str, list[float | None]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -110,6 +117,23 @@ class ResultSet:
     def times(self) -> list[float]:
         return [t for t, _ in self.rows]
 
+    def series(self, column: str | None = None) -> tuple[list[float], list[float]]:
+        """One column (default: the first) as the ``(times, values)`` a
+        panel plots: rows where it is ``None`` dropped from both.  Fresh
+        lists; read straight off the columns when the engine returned them."""
+        if column is None and not self.columns:
+            return [], []  # SELECT * over no data
+        idx = 0 if column is None else self.columns.index(column)
+        rows = self.rows
+        if isinstance(rows, ColumnRows):
+            return rows.series(idx)
+        times, values = [], []
+        for t, row in rows:
+            if row[idx] is not None:
+                times.append(t)
+                values.append(row[idx])
+        return times, values
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -129,10 +153,11 @@ def show_measurements(db: InfluxDB, database: str) -> list[str]:
 def parse_query(text: str) -> Query:
     """Parse one InfluxQL statement (raises :class:`InfluxError`).
 
-    Parses are LRU-cached on the statement text: auto-generated dashboard
-    queries (Listing 3) are re-executed verbatim on every panel refresh, so
-    the regex work is paid once per distinct statement.  The returned
-    :class:`Query` is frozen, so sharing the cached instance is safe.
+    Parses are LRU-cached on the statement text, so the regex work is paid
+    once per distinct statement — which helps exactly the statements whose
+    text repeats (Listing 3 recall queries, a panel's time-free form).  The
+    returned :class:`Query` is frozen, so sharing the cached instance is
+    safe, and ``dataclasses.replace`` derives a windowed one from it.
     """
     return _parse_query_cached(text)
 
@@ -214,7 +239,11 @@ def _parse_query_cached(text: str) -> Query:
             cond = cond.strip()
             tm = re.match(r"time\s*(>=|<=|>|<)\s*([\d.eE+-]+)", cond)
             if tm:
-                op, val = tm.group(1), float(tm.group(2))
+                op = tm.group(1)
+                try:
+                    val = float(tm.group(2))
+                except ValueError:  # "-", "1e", "1.2.3": matched, not a number
+                    raise InfluxError(f"bad time bound in {cond!r}") from None
                 if op in (">=", ">"):
                     t0, t0_exclusive = val, op == ">"
                 else:

@@ -522,11 +522,12 @@ class ShardedInfluxDB:
     ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
         """Columnar scatter scan.
 
-        One contributing shard delegates verbatim; otherwise per-shard
-        *keyed* streams (each already LIMIT-pushed) are heapq k-way merged
-        on (time, seq) with an early stop at ``limit`` — no shard
-        materializes more than ``limit`` rows and the router materializes
-        exactly the merged prefix.
+        One contributing shard delegates verbatim (a single-series read
+        stays the shard's :class:`~repro.db.influx.ColumnRows`); otherwise
+        per-shard *keyed* streams (each already LIMIT-pushed) are heapq
+        k-way merged on (time, seq) with an early stop at ``limit`` — no
+        shard materializes more than ``limit`` rows and the router
+        materializes exactly the merged prefix.
         """
         self._check_db(db)
         names, partial = self._scatter_shards(db, measurement, tags)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "Vendor",
@@ -248,11 +249,15 @@ class MachineSpec:
     def n_sockets(self) -> int:
         return len(self.sockets)
 
-    @property
+    # Read on every per-CPU bounds check and software-metric sample; the
+    # spec is frozen, so the sums are taken once.  The cache lives in the
+    # instance ``__dict__``: not a field, so ``==``, ``hash`` and
+    # ``dataclasses.replace`` do not see it.
+    @cached_property
     def n_cores(self) -> int:
         return sum(s.n_cores for s in self.sockets)
 
-    @property
+    @cached_property
     def n_threads(self) -> int:
         return sum(s.n_threads for s in self.sockets)
 

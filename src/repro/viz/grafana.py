@@ -15,15 +15,25 @@ any write, series drop, or retention trim on the measurement moves the
 generation and the next refresh recomputes.  Staleness is impossible by
 construction: a stamp taken before execution can only under-report
 freshness, never over-report it.
+
+A miss costs O(1) Python work per statement, not per row.  The statement
+text is the cache key and what a user is shown, but it is not what gets
+parsed: a live panel's window slides, so its text is new on every refresh
+and the parser's LRU would never hit.  The target's *time-free* statement
+is parsed instead (fixed text), the window goes into a copy of that
+:class:`~repro.db.influxql.Query`, and the answer is read off the
+engine's columns (:meth:`~repro.db.influxql.ResultSet.series`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import OrderedDict
+from dataclasses import replace
 
-from repro.db.influx import InfluxDB
-from repro.db.influxql import execute
+from repro.db.influx import InfluxDB, InfluxError
+from repro.db.influxql import Query, execute, parse_query
 
 from .dashboard import Dashboard, DashboardError, Panel, Target
 from .render import Series, render_series_svg, render_series_text
@@ -166,8 +176,36 @@ class GrafanaServer:
         partition = self._tenant_caches.setdefault(tenant, OrderedDict())
         return partition, self._tenant_cache_sizes.get(tenant, self.cache_size)
 
+    def _target_query(
+        self,
+        target: Target,
+        t0: float | None,
+        t1: float | None,
+        tag: str | None,
+    ) -> Query:
+        """What ``parse_query(target_statement(target, t0, t1, tag))``
+        returns, from a parse of the time-free statement only.
+
+        The text path rejects a non-finite bound (the grammar has no
+        spelling for ``inf``/``nan``); so does this one, rather than let a
+        value no statement can express into a :class:`Query`.
+        """
+        q = parse_query(self.target_statement(target, tag=tag))
+        bounds = {
+            name: float(bound)
+            for name, bound in (("t0", t0), ("t1", t1)) if bound is not None
+        }
+        if not all(map(math.isfinite, bounds.values())):
+            raise InfluxError(f"non-finite time bound in {bounds}")
+        return replace(q, **bounds) if bounds else q
+
     def _target_series(
-        self, target: Target, statement: str, tenant: str | None = None
+        self,
+        target: Target,
+        t0: float | None,
+        t1: float | None,
+        tag: str | None,
+        tenant: str | None = None,
     ) -> tuple[list[float], list[float], bool]:
         """One target's (times, values, served_from_cache).
 
@@ -178,7 +216,7 @@ class GrafanaServer:
         private partition; ``None`` is the default (single-caller) one.
         """
         cache, capacity = self._partition_for(tenant)
-        key = (self.database, statement)
+        key = (self.database, self.target_statement(target, t0, t1, tag))
         gen_of = getattr(self.influx, "generation", None)
         gen = gen_of(self.database, target.measurement) if callable(gen_of) else None
         hit = cache.get(key)
@@ -187,12 +225,8 @@ class GrafanaServer:
             self.cache_hits += 1
             return list(hit[1]), list(hit[2]), True
         self.cache_misses += 1
-        rs = execute(self.influx, self.database, statement)
-        times, values = [], []
-        for t, row in rs.rows:
-            if row[0] is not None:
-                times.append(t)
-                values.append(row[0])
+        query = self._target_query(target, t0, t1, tag)
+        times, values = execute(self.influx, self.database, query).series()
         # A sharded engine flags results computed while a shard holding
         # relevant data was down.  Those are served (degraded beats blank
         # panels) but never cached: the generation vector does not move
@@ -244,8 +278,7 @@ class GrafanaServer:
         """One target's (times, values, served_from_cache) — the serving
         frontend's per-target entry point (it needs the hit flag for its
         service-cost model)."""
-        statement = self.target_statement(target, t0, t1, tag)
-        return self._target_series(target, statement, tenant=tenant)
+        return self._target_series(target, t0, t1, tag, tenant=tenant)
 
     def execute_panel(
         self,
@@ -258,8 +291,7 @@ class GrafanaServer:
         """Run a panel's targets; returns label → (times, values)."""
         series: Series = {}
         for target in panel.targets:
-            statement = self.target_statement(target, t0, t1, tag)
-            times, values, _ = self._target_series(target, statement, tenant=tenant)
+            times, values, _ = self._target_series(target, t0, t1, tag, tenant=tenant)
             label = target.alias or f"{target.measurement}{target.params}"[-40:]
             series[label] = (times, values)
         return series

@@ -6,14 +6,24 @@ must return *byte-identical* results to the flat-list reference
 query output, same retention drops, same byte accounting — for arbitrary
 workloads including out-of-order writes, duplicate timestamps, multi-series
 tag sets, and sparse field sets.
+
+Raw selects get their own section: the indexed engine answers them with
+column copies behind a row-sequence view (:class:`ColumnRows`), so the view
+has to *be* the row list the naive engine builds — under ``==`` both ways,
+``repr``, ``len``, iteration, indexing and slicing — and nothing it hands
+out may alias engine storage.
 """
 
+import copy
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.influx import InfluxDB, Point
-from repro.db.influxql import Query, execute
+from repro.db.influx import ColumnRows, InfluxDB, Point
+from repro.db.influxql import Query, ResultSet, execute, naive_execute
 from repro.db.naive import NaiveInfluxDB
+from repro.db.sharded import ShardedInfluxDB
 
 MEASUREMENTS = ["cpu_idle", "mem_used"]
 TAG_KEYS = ["tag", "host"]
@@ -126,3 +136,155 @@ class TestQueryEquivalence:
         want = execute(naive, "pmove", q)
         assert got.columns == want.columns
         assert got.rows == want.rows
+
+
+# ----------------------------------------------------------------------
+# Raw selects: columns behind a row view ≡ the naive engine's row list
+# ----------------------------------------------------------------------
+ENGINES = {
+    "indexed": InfluxDB,
+    "1-shard": lambda: ShardedInfluxDB(1),
+    "4-shard": lambda: ShardedInfluxDB(4),
+}
+
+raw_selects = st.builds(
+    Query,
+    measurement=st.sampled_from(MEASUREMENTS),
+    columns=st.one_of(
+        st.just(("*",)),
+        # "never" is a column no point ever writes
+        st.lists(
+            st.sampled_from(FIELD_NAMES + ["never"]), min_size=1, max_size=4, unique=True
+        ).map(tuple),
+    ),
+    aggregate=st.none(),
+    # an exact tag set is one series (the dashboard shape); fewer tags, several
+    tag_filters=st.lists(
+        st.tuples(st.sampled_from(TAG_KEYS), st.sampled_from(TAG_VALUES)),
+        max_size=2, unique_by=lambda kv: kv[0],
+    ).map(tuple),
+    t0=time_bound,
+    t1=time_bound,
+    group_by_s=st.none(),
+    limit=st.one_of(st.none(), st.integers(1, 5)),
+    t0_exclusive=st.booleans(),
+    t1_exclusive=st.booleans(),
+)
+
+
+def mk_engine(kind, pts):
+    db = ENGINES[kind]()
+    db.create_database("pmove")
+    db.write_many("pmove", list(pts))
+    return db
+
+
+def _naive(pts):
+    naive = NaiveInfluxDB()
+    naive.create_database("pmove")
+    naive.write_many("pmove", list(pts))
+    return naive
+
+
+class TestRawSelectEquivalence:
+    @given(workloads, raw_selects, st.sampled_from(sorted(ENGINES)))
+    @settings(max_examples=200, deadline=None)
+    def test_execute_is_the_naive_row_list(self, pts, q, kind):
+        got = execute(mk_engine(kind, pts), "pmove", q)
+        want = naive_execute(_naive(pts), "pmove", q)
+        assert type(want.rows) is list  # the reference really is rows
+        assert got.columns == want.columns
+        assert got.rows == want.rows and want.rows == got.rows
+        assert not got.rows != want.rows and not want.rows != got.rows
+        assert got == want
+        assert repr(got.rows) == repr(want.rows)
+        assert len(got) == len(want) and bool(got.rows) == bool(want.rows)
+        assert list(got.rows) == want.rows
+        assert got.times() == want.times()
+        assert got.series() == want.series()
+        for name in want.columns:
+            assert got.column(name) == want.column(name)
+            assert got.series(name) == want.series(name)
+        # indexing and slicing, on a result nothing has iterated yet
+        fresh = execute(mk_engine(kind, pts), "pmove", q).rows
+        for i in (0, -1):
+            if want.rows:
+                assert fresh[i] == want.rows[i]
+            else:
+                with pytest.raises(IndexError):
+                    fresh[i]
+        fresh = execute(mk_engine(kind, pts), "pmove", q).rows
+        for sl in (slice(1, 3), slice(None, 2), slice(None, None, -1), slice(5, 1)):
+            assert fresh[sl] == want.rows[sl] and want.rows[sl] == fresh[sl]
+
+    @given(workloads, raw_selects)
+    @settings(max_examples=100, deadline=None)
+    def test_view_differs_from_a_different_list(self, pts, q):
+        rows = execute(mk_engine("indexed", pts), "pmove", q).rows
+        assert isinstance(rows, ColumnRows)
+        plain = [(t, list(r)) for t, r in rows]
+        assert rows == plain
+        assert rows != plain + [(0.0, [None] * len(q.columns))]
+        assert rows != tuple(plain) and rows != "rows"
+        if plain and plain[0][1]:
+            plain[0][1][0] = object()
+            assert rows != plain and plain != rows
+
+    def test_series_of_a_result_built_from_rows(self):
+        rs = ResultSet(columns=["a", "b"],
+                       rows=[(1.0, [None, 2.0]), (2.0, [3.0, None]), (3.0, [4.0, 5.0])])
+        assert rs.series() == ([2.0, 3.0], [3.0, 4.0])
+        assert rs.series("b") == ([1.0, 3.0], [2.0, 5.0])
+        assert ResultSet(columns=[], rows=[]).series() == ([], [])
+        with pytest.raises(ValueError):
+            rs.series("c")
+
+
+class TestNothingAliasesStorage:
+    """Edit everything a read hands out; the engine must not notice."""
+
+    @given(workloads, raw_selects, st.sampled_from(sorted(ENGINES)))
+    @settings(max_examples=120, deadline=None)
+    def test_mutating_results_changes_no_later_answer(self, pts, q, kind):
+        db = mk_engine(kind, pts)
+        columns = None if q.columns == ("*",) else list(q.columns)
+
+        def scan():
+            return db.scan_columns(
+                "pmove", q.measurement, columns=columns, tags=dict(q.tag_filters),
+                t0=q.t0, t1=q.t1, t0_exclusive=q.t0_exclusive,
+                t1_exclusive=q.t1_exclusive, limit=q.limit,
+            )
+
+        before_scan = copy.deepcopy([list(scan()[0]), list(scan()[1])])
+        before_points = db.points("pmove", q.measurement)
+
+        cols, rows = scan()
+        cols.append("junk")
+        if isinstance(rows, ColumnRows):  # the columns themselves
+            rows.times[:] = [-1.0] * len(rows.times)
+            for col in rows.cols:
+                if col is not None:
+                    col[:] = [-2.0] * len(col)
+        _, rows = scan()
+        for _, values in rows:  # rows built from them
+            values[:] = [-3.0] * len(values)
+        rs = execute(db, "pmove", q)
+        for out in (rs.times(), *rs.series(),
+                    *(rs.column(c) for c in rs.columns),
+                    *(part for c in rs.columns for part in rs.series(c))):
+            out[:] = [-4.0] * (len(out) + 1)
+        for _, values in rs.rows:
+            values[:] = [-5.0]
+        rs.columns.append("junk")
+
+        after = scan()
+        assert [list(after[0]), list(after[1])] == before_scan
+        assert db.points("pmove", q.measurement) == before_points
+        fresh = execute(db, "pmove", q)
+        assert fresh.rows == before_scan[1]
+        # a second read of the *same* result is not its caller's edits either
+        again = execute(db, "pmove", q)
+        first = again.series()
+        first[0].append(-6.0), first[1].append(-6.0)
+        assert again.series() == fresh.series()

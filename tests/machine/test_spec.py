@@ -1,5 +1,6 @@
 """Unit tests for the hardware specification model."""
 
+import dataclasses
 import math
 
 import pytest
@@ -45,6 +46,15 @@ class TestTopologyHelpers:
         assert m.n_cores == 44
         assert m.n_threads == 88
         assert m.smt == 2
+
+    def test_cached_counts_are_not_part_of_the_value(self):
+        warm, cold = skx(), skx()
+        assert (warm.n_cores, warm.n_threads) == (44, 88)  # fills the cache
+        # (a spec holds dicts, so it never was hashable: nothing to compare)
+        assert warm == cold and dataclasses.asdict(warm) == dataclasses.asdict(cold)
+        one = dataclasses.replace(warm, sockets=warm.sockets[:1])
+        assert (one.n_cores, one.n_threads) == (22, 44)
+        assert (warm.n_cores, warm.n_threads) == (44, 88)
 
     def test_socket_of_core(self):
         m = skx()
