@@ -49,14 +49,14 @@ def emit_json(name: str, payload: dict) -> Path:
 def latency_stats(samples_s: list[float]) -> dict[str, float]:
     """p50/p95/mean of a latency sample set, in milliseconds.
 
-    ``samples_s`` is in arrival order.  Its first tenth — at least one
-    sample, when there are two or more — is warm-up (first-call allocation,
-    cold caches, a heap that has not grown yet) and is discarded before any
-    statistic is taken: with 20 samples the first call alone used to be the
-    p95, 20× the median.  ``n`` counts the samples kept, ``warmup`` those
-    dropped.
+    ``samples_s`` is in arrival order.  Its first tenth, rounded down, is
+    warm-up (first-call allocation, cold caches, a heap that has not grown
+    yet) and is discarded before any statistic is taken: with 20 samples
+    the first call alone used to be the p95, 20× the median.  A set of
+    fewer than ten samples — the slow seed sides — keeps every one.  ``n``
+    counts the samples kept, ``warmup`` those dropped.
     """
-    warmup = max(1, int(WARMUP_SHARE * len(samples_s))) if len(samples_s) > 1 else 0
+    warmup = int(WARMUP_SHARE * len(samples_s))
     ordered = sorted(samples_s[warmup:])
     return {
         "p50_ms": 1e3 * statistics.median(ordered),

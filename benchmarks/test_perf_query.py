@@ -43,7 +43,7 @@ N_SERIES = 20  # distinct observation tags sharing the measurement
 N_FIELDS = 2
 N_PANELS = 12  # dashboard width: panels re-queried on every refresh
 REFRESH_ITERS = 15
-NAIVE_REFRESH_ITERS = 4  # seed-path refreshes are slow; keep the run bounded
+NAIVE_REFRESH_ITERS = 6  # seed-path refreshes are slow; keep the run bounded
 COLD_ITERS = 20
 SLIDING_ITERS = 200
 SPEEDUP_FLOOR = 5.0

@@ -46,6 +46,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
+from itertools import chain, islice
 
 from .sketch import (
     DEFAULT_SKETCH,
@@ -575,7 +576,8 @@ class ColumnRows(Sequence):
     lists owned by this object, never aliases of engine storage.  Length,
     iteration, indexing, slicing, ``==`` and ``repr`` are those of the row
     list; the rows themselves are built on first use, once, so a reader
-    that only wants columns (:meth:`series`) never pays for them.
+    that only wants columns (:meth:`series`) never pays for them.  A slice
+    is always another ``ColumnRows`` over the sliced columns.
     """
 
     __slots__ = ("times", "cols", "_rows")
@@ -620,8 +622,6 @@ class ColumnRows(Sequence):
     def __getitem__(self, i):
         if not isinstance(i, slice):
             return self._materialized()[i]
-        if self._rows is not None:
-            return self._rows[i]  # share row objects, as a list slice does
         return ColumnRows(
             self.times[i], [c[i] if c is not None else None for c in self.cols]
         )
@@ -925,7 +925,11 @@ class InfluxDB:
         names: set[str] = set()
         for s, lo, hi in matched:
             for nm, col in s.cols.items():
-                if nm not in names and col[lo:hi].count(None) != hi - lo:
+                # a dense column answers at its first row; a sparse one is
+                # one C-level count over the slice
+                if nm not in names and (
+                    col[lo] is not None or col[lo:hi].count(None) != hi - lo
+                ):
                     names.add(nm)
         return sorted(names)
 
@@ -973,22 +977,33 @@ class InfluxDB:
                 out.append(col[lo:hi] if col is not None else None)
             return cols, ColumnRows(s.times[lo:hi], out)
         times: list[float] = []
-        seqs: list[int] = []
+        runs = []  # per series, ascending: (time, seq, place in `times`)
         for s, lo, hi in matched:
-            times += s.times[lo:hi]
-            seqs += s.seqs[lo:hi]
-        keys = list(zip(times, seqs))
-        order = sorted(range(len(keys)), key=keys.__getitem__)[:limit]
+            ts = s.times[lo:hi]
+            at = len(times)
+            runs.append(zip(ts, s.seqs[lo:hi], range(at, at + len(ts))))
+            times += ts
+        # (time, seq) is unique, so the tuples order on it alone.  No LIMIT:
+        # one sort, which merges the k ascending runs natively.  LIMIT: the
+        # first `limit` of a k-way merge — O(limit · log k), where a sort
+        # would pay for every one of the k · limit clamped rows.
+        merged = (
+            sorted(chain.from_iterable(runs)) if limit is None
+            else islice(_heap_merge(*runs), limit)
+        )
+        order = [i for _, _, i in merged]
         out = []
         for c in cols:
-            if all(c not in s.cols for s, _, _ in matched):
-                out.append(None)
-                continue
             col: list[float | None] = []
+            written = False
             for s, lo, hi in matched:
                 part = s.cols.get(c)
-                col += part[lo:hi] if part is not None else [None] * (hi - lo)
-            out.append([col[i] for i in order])
+                if part is None:
+                    col += [None] * (hi - lo)
+                else:
+                    written = True
+                    col += part[lo:hi]
+            out.append([col[i] for i in order] if written else None)
         return cols, ColumnRows([times[i] for i in order], out)
 
     def scan_keyed(

@@ -156,8 +156,11 @@ class ShardedInfluxDB:
             raise InfluxError("shard names must be distinct")
         self._rollup_tiers = rollup_tiers
         self._sketch = sketch
+        #: Kept in name order (here and in :meth:`add_shard`): scatter
+        #: planning walks it on every read, and the order partials merge in
+        #: is part of the byte-identical-to-one-engine contract.
         self.shards: dict[str, InfluxDB] = {
-            n: InfluxDB(rollup_tiers, sketch=sketch) for n in names
+            n: InfluxDB(rollup_tiers, sketch=sketch) for n in sorted(names)
         }
         self.ring = HashRing(names, vnodes=vnodes)
         #: Shard outages ride the cluster node-fault model, in virtual time.
@@ -385,24 +388,28 @@ class ShardedInfluxDB:
     # ------------------------------------------------------------------
     def _scatter_shards(
         self, db: str, measurement: str, tags: dict[str, str] | None
-    ) -> tuple[list[str], bool]:
-        """(up shards holding matching series, data unreachable?).
+    ) -> list[str]:
+        """Up shards holding matching series — every read's first step, so
+        it also rejects an unknown database and notes whether an outage
+        hides data from this query (:attr:`last_partial`).
 
         The router routed every series here, so probing each engine's tag
         index is its own placement metadata — a *down* shard's index tells
         us whether the outage actually hides data from this query (partial)
         or is irrelevant to it (complete).
         """
+        self._check_db(db)
+        is_down, now = self.faults.is_down, self.now
         up: list[str] = []
         partial = False
-        for name in sorted(self.shards):
-            has = self.shards[name].series_count(db, measurement, tags) > 0
-            if self._up(name):
-                if has:
+        for name, sh in self.shards.items():
+            if sh.series_count(db, measurement, tags):
+                if is_down(name, now):
+                    partial = True
+                else:
                     up.append(name)
-            elif has:
-                partial = True
-        return up, partial
+        self._note_partial(partial)
+        return up
 
     def _note_partial(self, partial: bool) -> None:
         self.last_partial = partial
@@ -460,9 +467,7 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> list[tuple[float, int, Point]]:
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         streams = [
             self.shards[n].scan_points(
                 db, measurement, tags, t0, t1,
@@ -529,26 +534,32 @@ class ShardedInfluxDB:
         shard materializes more than ``limit`` rows and the router
         materializes exactly the merged prefix.
         """
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
-        )
+        names = self._scatter_shards(db, measurement, tags)
+        if len(names) == 1:
+            # The dashboard's read is a few column slices in the shard —
+            # microseconds — so the dispatch around it is one positional
+            # call and one clock pair, not ``_timed``'s closure and
+            # ``_record``'s call (BENCH_shard.json, 1-shard vs plain).
+            t = _time.perf_counter()
+            out = self.shards[names[0]].scan_columns(
+                db, measurement, columns, tags, t0, t1,
+                t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+                limit=limit,
+            )
+            if self.instrument:
+                self.last_timings = {
+                    "op": "scan_columns",
+                    "shard_s": {names[0]: _time.perf_counter() - t},
+                }
+            return out
         shard_s: dict[str, float] = {}
         if not names:
             self._record("scan_columns", shard_s)
             return (list(columns) if columns is not None else []), []
-        if len(names) == 1:
-            out = self._timed(
-                shard_s, names[0],
-                lambda: self.shards[names[0]].scan_columns(
-                    db, measurement, columns=columns, limit=limit, **kw
-                ),
-            )
-            self._record("scan_columns", shard_s)
-            return out
+        kw = dict(
+            tags=tags, t0=t0, t1=t1,
+            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        )
         per = [
             (
                 n,
@@ -656,9 +667,7 @@ class ShardedInfluxDB:
         """Scatter-gather aggregate: per-shard partials, merged exactly."""
         if agg not in _FOLDABLE:
             raise InfluxError(f"unknown aggregate {agg}")
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -751,9 +760,7 @@ class ShardedInfluxDB:
             raise InfluxError(f"unknown aggregate {agg}")
         if group_by_s <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -851,9 +858,7 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], float | None, list[float | None]]:
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -925,9 +930,7 @@ class ShardedInfluxDB:
     ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
         if group_by_s <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -1003,9 +1006,7 @@ class ShardedInfluxDB:
         """Exact: single contributing shard delegates (rollup-partial
         serving and all); multi-shard re-folds the interleaved keyed scan in
         single-engine row order, so results stay byte-identical."""
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -1042,9 +1043,7 @@ class ShardedInfluxDB:
     ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
         if group_by_s <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -1081,9 +1080,7 @@ class ShardedInfluxDB:
     ) -> list[tuple[float, float]]:
         """Exact DISTINCT: per-shard value-keyed lists merged on the global
         (time, seq) first-occurrence key."""
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -1119,9 +1116,7 @@ class ShardedInfluxDB:
     ) -> tuple[float | None, float | None]:
         """COUNT(DISTINCT): register-wise HLL merge when every contributing
         shard may serve approximately, else an exact value-key union."""
-        self._check_db(db)
-        names, partial = self._scatter_shards(db, measurement, tags)
-        self._note_partial(partial)
+        names = self._scatter_shards(db, measurement, tags)
         kw = dict(
             tags=tags, t0=t0, t1=t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -1222,6 +1217,7 @@ class ShardedInfluxDB:
             if duration is not None:
                 engine.set_retention_policy(db, duration)
         self.shards[name] = engine
+        self.shards = dict(sorted(self.shards.items()))
         self.dropped_points.setdefault(name, 0)
         self.ring.add(name)
         return self._rebalance(f"add {name}")

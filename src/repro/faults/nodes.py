@@ -244,7 +244,8 @@ class NodeFaultSet:
 
     # ------------------------------------------------------------------
     def is_down(self, node: str, t: float) -> bool:
-        return any(f.down_at(t) for f in self.by_node.get(node, []))
+        faults = self.by_node.get(node)
+        return bool(faults) and any(f.down_at(t) for f in faults)
 
     def hang_factor(self, node: str, t: float) -> float:
         factor = 1.0

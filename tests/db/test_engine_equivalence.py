@@ -216,6 +216,12 @@ class TestRawSelectEquivalence:
         fresh = execute(mk_engine(kind, pts), "pmove", q).rows
         for sl in (slice(1, 3), slice(None, 2), slice(None, None, -1), slice(5, 1)):
             assert fresh[sl] == want.rows[sl] and want.rows[sl] == fresh[sl]
+        # ... and one result type for a slice, rows built or not
+        if isinstance(fresh, ColumnRows):
+            before = fresh[1:3]
+            list(fresh)
+            assert type(fresh[1:3]) is type(before) is ColumnRows
+            assert fresh[1:3] == before == want.rows[1:3]
 
     @given(workloads, raw_selects)
     @settings(max_examples=100, deadline=None)
