@@ -94,15 +94,25 @@ class InfluxError(ValueError):
     """Malformed line protocol or unknown database/measurement."""
 
 
-_ESCAPE_RE = re.compile(r"([,= ])")
+_ESCAPE_RE = re.compile(r"([,= \\])")
+_UNESCAPE_RE = re.compile(r"\\([,= \\])")
+#: Everything ``str.splitlines`` cuts at: a batch is split into lines
+#: before it is parsed, so none of these can be carried inside one.
+_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _escape(s: str) -> str:
+    """Backslash-escape the separators *and the backslash itself*: left
+    bare, a value ending in one would swallow the separator after it."""
+    if "," not in s and "=" not in s and " " not in s and "\\" not in s:
+        return s
     return _ESCAPE_RE.sub(r"\\\1", s)
 
 
 def _unescape(s: str) -> str:
-    return re.sub(r"\\([,= ])", r"\1", s)
+    if "\\" not in s:
+        return s
+    return _UNESCAPE_RE.sub(r"\1", s)
 
 
 # Escaped-length memo for field names: sampler field names (``_cpu0`` …)
@@ -119,6 +129,8 @@ def _esc_len(s: str) -> int:
 
 def _split_unescaped(s: str, sep: str) -> list[str]:
     """Split on ``sep`` except where backslash-escaped."""
+    if "\\" not in s:
+        return s.split(sep)
     out, buf, i = [], "", 0
     while i < len(s):
         ch = s[i]
@@ -134,6 +146,12 @@ def _split_unescaped(s: str, sep: str) -> list[str]:
         i += 1
     out.append(buf)
     return out
+
+
+def _split_pair(kv: str) -> tuple[str, str]:
+    """``key=value`` cut at the first ``=`` that is not escaped."""
+    k, *rest = _split_unescaped(kv, "=")
+    return k, "=".join(rest)
 
 
 def _parse_field_value(v: str) -> float:
@@ -166,14 +184,26 @@ class Point:
             raise InfluxError("point needs at least one field")
 
     def to_line(self) -> str:
-        """Serialize to Influx line protocol (ns timestamp, float fields)."""
+        """Serialize to Influx line protocol (ns timestamp, float fields).
+
+        ``from_line(p.to_line()) == p`` for every point this returns a line
+        for.  A name no single line can carry is refused: a line break
+        anywhere (batches are cut into lines before they are parsed), or
+        leading whitespace on the measurement (parsers strip the line).
+        """
         key = _escape(self.measurement)
         if self.tags:
             key += "," + ",".join(
                 f"{_escape(k)}={_escape(v)}" for k, v in sorted(self.tags.items())
             )
         fields = ",".join(f"{_escape(k)}={v!r}" for k, v in sorted(self.fields.items()))
-        return f"{key} {fields} {int(self.time * 1e9)}"
+        line = f"{key} {fields} {int(self.time * 1e9)}"
+        if _LINE_BREAK_RE.search(line) or key[0].isspace():
+            raise InfluxError(
+                f"line break or leading whitespace in a name of {line!r}; "
+                "line protocol cannot carry it"
+            )
+        return line
 
     @classmethod
     def from_line(cls, line: str) -> "Point":
@@ -189,13 +219,13 @@ class Point:
         measurement = _unescape(key_parts[0])
         tags: dict[str, str] = {}
         for kv in key_parts[1:]:
-            k, _, v = kv.partition("=")
+            k, v = _split_pair(kv)
             if not k or not v:
                 raise InfluxError(f"malformed tag {kv!r}")
             tags[_unescape(k)] = _unescape(v)
         fields: dict[str, float] = {}
         for kv in _split_unescaped(field_part, ","):
-            k, _, v = kv.partition("=")
+            k, v = _split_pair(kv)
             if not k or v == "":
                 raise InfluxError(f"malformed field {kv!r}")
             fields[_unescape(k)] = _parse_field_value(v)

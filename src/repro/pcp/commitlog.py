@@ -89,14 +89,30 @@ class LogRecord:
     #: Every other group already settled the original (applied or parked
     #: it); an untargeted re-append would make them apply it twice.
     for_group: str | None = None
+    #: Decode memo (see :meth:`points`); not part of the record's identity.
+    _decoded: list[Point] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def points(self) -> list[Point]:
-        """Deserialize the payload; raises on poison (malformed lines)."""
-        return [
-            Point.from_line(line)
-            for line in self.lines.splitlines()
-            if line.strip()
-        ]
+        """Deserialize the payload; raises on poison (malformed lines).
+
+        Every consumer group reads every record, so a good decode is kept
+        on the record and handed to the next group as is — shared and
+        read-only (sinks copy the values out).  A failed decode is not
+        remembered: each group parses the poison and parks it itself.
+        :meth:`CommitLog.trim` drops the memo once every group has
+        committed past the record.
+        """
+        pts = self._decoded
+        if pts is None:
+            pts = [
+                Point.from_line(line)
+                for line in self.lines.splitlines()
+                if line.strip()
+            ]
+            object.__setattr__(self, "_decoded", pts)
+        return pts
 
 
 class LogSegment:
@@ -119,15 +135,22 @@ class LogSegment:
 class _Partition:
     """Segmented record store with a flushed (durable) high-watermark."""
 
-    __slots__ = ("topic", "index", "segment_records", "segments", "flushed")
+    __slots__ = ("topic", "index", "tp", "segment_records", "segments",
+                 "_bases", "flushed", "released")
 
     def __init__(self, topic: str, index: int, segment_records: int) -> None:
         self.topic = topic
         self.index = index
+        self.tp = (topic, index)
         self.segment_records = segment_records
         self.segments: list[LogSegment] = [LogSegment(0)]
+        #: ``base_offset`` of every segment, kept beside ``segments`` so an
+        #: offset finds its segment by bisection without rebuilding it.
+        self._bases = [0]
         #: Offsets below this are durable; consumers never read past it.
         self.flushed = 0
+        #: Records below this hold no decode memo (:meth:`release_decoded`).
+        self.released = 0
 
     @property
     def start_offset(self) -> int:
@@ -137,33 +160,42 @@ class _Partition:
     def next_offset(self) -> int:
         return self.segments[-1].end_offset
 
+    def _add_segment(self, base_offset: int) -> LogSegment:
+        seg = LogSegment(base_offset)
+        self.segments.append(seg)
+        self._bases.append(base_offset)
+        return seg
+
     def append(self, rec: LogRecord) -> None:
         seg = self.segments[-1]
         if len(seg) >= self.segment_records:
-            seg = LogSegment(seg.end_offset)
-            self.segments.append(seg)
+            seg = self._add_segment(seg.end_offset)
         seg.records.append(rec)
 
     def get(self, offset: int) -> LogRecord:
-        bases = [s.base_offset for s in self.segments]
-        i = bisect_right(bases, offset) - 1
-        seg = self.segments[i]
+        seg = self.segments[bisect_right(self._bases, offset) - 1]
         return seg.records[offset - seg.base_offset]
 
-    def read(self, start: int, max_records: int) -> list[LogRecord]:
-        """Durable records in ``[start, flushed)``, at most ``max_records``."""
-        start = max(start, self.start_offset)
-        stop = min(self.flushed, start + max_records)
+    def _range(self, start: int, stop: int) -> list[LogRecord]:
+        """Records in ``[start, stop)``; ``start`` is not below the log start."""
         out: list[LogRecord] = []
         o = start
         while o < stop:
-            seg_i = bisect_right([s.base_offset for s in self.segments], o) - 1
-            seg = self.segments[seg_i]
+            seg = self.segments[bisect_right(self._bases, o) - 1]
             lo = o - seg.base_offset
             hi = min(len(seg), stop - seg.base_offset)
             out.extend(seg.records[lo:hi])
             o = seg.base_offset + hi
         return out
+
+    def read(self, start: int, max_records: int) -> list[LogRecord]:
+        """Durable records in ``[start, flushed)``, at most ``max_records``."""
+        start = max(start, self.start_offset)
+        if start < self.released:
+            # A reader behind the mark (a group that joined late) decodes
+            # these records again; the next release starts from here.
+            self.released = start
+        return self._range(start, min(self.flushed, start + max_records))
 
     def flush(self) -> int:
         """Mark everything appended so far durable; returns records flushed."""
@@ -176,15 +208,24 @@ class _Partition:
         lost: list[LogRecord] = []
         while self.segments and self.segments[-1].base_offset >= self.flushed:
             seg = self.segments.pop()
+            self._bases.pop()
             lost[:0] = seg.records
         if not self.segments:
-            self.segments.append(LogSegment(self.flushed))
+            self._add_segment(self.flushed)
         else:
             seg = self.segments[-1]
             keep = self.flushed - seg.base_offset
             lost[:0] = seg.records[keep:]
             del seg.records[keep:]
         return lost
+
+    def release_decoded(self, upto: int) -> None:
+        """Drop the decode memo of every record below ``upto``; each record
+        is visited once, the walk resumes where the last one stopped."""
+        if upto > self.released:
+            for rec in self._range(max(self.released, self.start_offset), upto):
+                object.__setattr__(rec, "_decoded", None)
+            self.released = upto
 
     def trim(self, upto: int) -> int:
         """Drop whole segments fully below ``upto`` (all-consumed, durable).
@@ -195,10 +236,11 @@ class _Partition:
         reclaimed = 0
         while len(self.segments) > 1 and self.segments[0].end_offset <= upto:
             reclaimed += len(self.segments.pop(0))
+            self._bases.pop(0)
         return reclaimed
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
     """Committed progress of one (group, topic, partition).
 
@@ -214,16 +256,20 @@ class Checkpoint:
     state: Any = None
 
 
+#: What a (group, partition) that never committed loads.
+_NO_CHECKPOINT = Checkpoint()
+
+
 class CheckpointStore:
     """The in-process ``__consumer_offsets``: atomic, crash-durable commits."""
 
     def __init__(self) -> None:
-        self._docs: dict[tuple[str, str, int], Checkpoint] = {}
+        #: group → (topic, partition) → checkpoint
+        self._docs: dict[str, dict[tuple[str, int], Checkpoint]] = {}
         self.commits = 0
 
     def load(self, group: str, tp: tuple[str, int]) -> Checkpoint:
-        cp = self._docs.get((group, *tp))
-        return cp if cp is not None else Checkpoint()
+        return self.for_group(group).get(tp, _NO_CHECKPOINT)
 
     def commit(
         self,
@@ -233,24 +279,23 @@ class CheckpointStore:
         applied_seq: int,
         state: Any = None,
     ) -> None:
-        self._docs[(group, *tp)] = Checkpoint(offset, applied_seq, state)
+        self._docs.setdefault(group, {})[tp] = Checkpoint(offset, applied_seq, state)
         self.commits += 1
 
     def committed_offset(self, group: str, tp: tuple[str, int]) -> int:
         return self.load(group, tp).offset
 
     def for_group(self, group: str) -> dict[tuple[str, int], Checkpoint]:
-        return {
-            (topic, p): cp
-            for (g, topic, p), cp in self._docs.items()
-            if g == group
-        }
+        """The group's checkpoints by partition (the store's own mapping:
+        read it, commit through :meth:`commit`)."""
+        return self._docs.get(group) or {}
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         """JSON-friendly view for health surfaces and CI artifacts."""
         return {
             f"{g}:{topic}/{p}": {"offset": cp.offset, "applied_seq": cp.applied_seq}
-            for (g, topic, p), cp in sorted(self._docs.items())
+            for g, docs in sorted(self._docs.items())
+            for (topic, p), cp in sorted(docs.items())
         }
 
 
@@ -380,7 +425,12 @@ class CommitLog:
         # Group coordination.
         self._members: dict[str, list[str]] = {}
         self._generations: dict[str, int] = {}
-        self._positions: dict[tuple[str, str, int], int] = {}
+        #: group → (topic, partition) → next offset to hand out
+        self._positions: dict[str, dict[tuple[str, int], int]] = {}
+        #: (group, consumer) → (generation, topic count, assignment)
+        self._assignments: dict[
+            tuple[str, str], tuple[int, int, list[tuple[str, int]]]
+        ] = {}
         self.rebalances = 0
 
         # Observability.
@@ -532,34 +582,56 @@ class CommitLog:
         applied-but-uncommitted tail the departed member left behind."""
         self._generations[group] = self._generations.get(group, 0) + 1
         self.rebalances += 1
-        for key in [k for k in self._positions if k[0] == group]:
-            del self._positions[key]
+        self._positions.pop(group, None)
 
     def generation(self, group: str) -> int:
         return self._generations.get(group, 0)
 
     def all_partitions(self) -> list[tuple[str, int]]:
-        return [
-            (topic, p.index)
-            for topic in sorted(self._topics)
-            for p in self._topics[topic]
-        ]
+        return [p.tp for topic in sorted(self._topics) for p in self._topics[topic]]
 
     def assignment(self, group: str, consumer: str) -> list[tuple[str, int]]:
         """Round-robin assignment over the sorted partition list.
 
         Deterministic in (member set, topic set) alone, so every member
-        computes the same split without a coordinator round-trip.
+        computes the same split without a coordinator round-trip — and
+        computed only when one of the two moved (a group's generation
+        counts its membership changes, topics are never dropped).  The
+        list is the cached one: read it, do not edit it.
         """
+        generation, n_topics = self._generations.get(group, 0), len(self._topics)
+        cached = self._assignments.get((group, consumer))
+        if cached is not None and cached[0] == generation and cached[1] == n_topics:
+            return cached[2]
         members = self._members.get(group, [])
-        if consumer not in members:
-            return []
-        idx = members.index(consumer)
-        return [
-            tp
-            for i, tp in enumerate(self.all_partitions())
-            if i % len(members) == idx
-        ]
+        mine: list[tuple[str, int]] = []
+        if consumer in members:
+            mine = self.all_partitions()[members.index(consumer) :: len(members)]
+        self._assignments[(group, consumer)] = (generation, n_topics, mine)
+        return mine
+
+    def ready(self, group: str, consumer: str) -> list[tuple[str, int]]:
+        """The assigned partitions :meth:`poll` would return records from,
+        in assignment order.
+
+        A poll of any other partition is a no-op — nothing read, nothing
+        committed, no virtual time spent — so a consumer that walks only
+        these reaches each of them at the instant a walk of its whole
+        assignment would.
+        """
+        topics = self._topics
+        positions = self._positions.get(group) or {}
+        committed = self.checkpoints.for_group(group)
+        out = []
+        for tp in self.assignment(group, consumer):
+            p = topics[tp[0]][tp[1]]
+            if p.flushed:  # most partitions of a topic never see a series
+                pos = positions.get(tp)
+                if pos is None:
+                    pos = committed.get(tp, _NO_CHECKPOINT).offset
+                if max(pos, p.start_offset) < p.flushed:
+                    out.append(tp)
+        return out
 
     def poll(
         self,
@@ -577,14 +649,25 @@ class CommitLog:
             return []
         topic, part = tp
         p = self._topic(topic)[part]
-        key = (group, topic, part)
-        pos = self._positions.get(key)
+        positions = self._positions.setdefault(group, {})
+        pos = positions.get(tp)
         if pos is None:
             pos = self.checkpoints.committed_offset(group, tp)
         records = p.read(pos, max_records)
         if records:
-            self._positions[key] = records[-1].offset + 1
+            positions[tp] = records[-1].offset + 1
         return records
+
+    def rewind(self, group: str, tp: tuple[str, int]) -> None:
+        """Forget the group's read position on ``tp``: the next poll starts
+        at the committed checkpoint again.
+
+        For a consumer that dies mid-batch.  Records it was handed but
+        never committed are re-read after a rebalance; a crash window that
+        closes before the consumer's next poll causes none, and without
+        this they would be skipped for good.
+        """
+        self._positions.get(group, {}).pop(tp, None)
 
     def commit(
         self,
@@ -601,17 +684,21 @@ class CommitLog:
 
     def lag(self, group: str) -> dict[tuple[str, int], int]:
         """Durable-but-uncommitted records per partition for one group."""
-        out: dict[tuple[str, int], int] = {}
-        for topic, parts in self._topics.items():
-            for p in parts:
-                committed = self.checkpoints.committed_offset(
-                    group, (topic, p.index)
-                )
-                out[(topic, p.index)] = max(0, p.flushed - committed)
-        return out
+        committed = self.checkpoints.for_group(group)
+        return {
+            p.tp: max(0, p.flushed - committed.get(p.tp, _NO_CHECKPOINT).offset)
+            for parts in self._topics.values()
+            for p in parts
+        }
 
     def total_lag(self, group: str) -> int:
-        return sum(self.lag(group).values())
+        committed = self.checkpoints.for_group(group)
+        return sum(
+            max(0, p.flushed - committed.get(p.tp, _NO_CHECKPOINT).offset)
+            for parts in self._topics.values()
+            for p in parts
+            if p.flushed
+        )
 
     # ------------------------------------------------------------------
     # Dead-letter queue
@@ -693,14 +780,19 @@ class CommitLog:
         groups = list(self._members) if groups is None else groups
         if not groups:
             return 0
+        committed = [self.checkpoints.for_group(g) for g in groups]
         reclaimed = 0
-        for topic, parts in self._topics.items():
+        for parts in self._topics.values():
             for p in parts:
-                floor = min(
-                    self.checkpoints.committed_offset(g, (topic, p.index))
-                    for g in groups
-                )
-                reclaimed += p.trim(min(floor, p.flushed))
+                if p.flushed:
+                    floor = min(
+                        docs.get(p.tp, _NO_CHECKPOINT).offset for docs in committed
+                    )
+                    floor = min(floor, p.flushed)
+                    # Every listed group is past these: nobody decodes them
+                    # again, so the shared decode goes before the segment.
+                    p.release_decoded(floor)
+                    reclaimed += p.trim(floor)
         self.trimmed_records += reclaimed
         return reclaimed
 
@@ -746,6 +838,8 @@ class LogProducer:
         self.fsync_every_reports = fsync_every_reports
         self._unacked: list[LogRecord] = []
         self._reports_since_flush = 0
+        #: ``log.truncated_records`` at the last reconcile.
+        self._truncated_seen = log.truncated_records
 
         self.produced_reports = 0
         self.produced_records = 0
@@ -758,7 +852,15 @@ class LogProducer:
 
     # ------------------------------------------------------------------
     def _reconcile(self) -> None:
-        """Re-append any retained record a truncation wiped (same seq)."""
+        """Re-append any retained record a truncation wiped (same seq).
+
+        Retained records are unflushed, and only a truncation removes an
+        unflushed record: while the log's count of truncated records has
+        not moved there is nothing to look for.
+        """
+        if self.log.truncated_records == self._truncated_seen:
+            return
+        self._truncated_seen = self.log.truncated_records
         for i, rec in enumerate(self._unacked):
             if self.log.has_record(rec):
                 continue

@@ -61,6 +61,15 @@ GROUP_ANOMALY = "anomaly"
 GROUP_FEDERATOR = "federator"
 
 
+#: Per-consumer counters :meth:`IngestPipeline.flat_counters` sums by group
+#: (``zero_points`` exists on the sink-writing consumers only).
+_FLAT_COUNTERS = (
+    "applied_records", "applied_points", "duplicate_records",
+    "filtered_records", "parked_records", "replayed_parked_records",
+    "apply_failures", "zero_points",
+)
+
+
 class ApplyError(Exception):
     """A consumer's apply failed for this record (retryable)."""
 
@@ -148,9 +157,12 @@ class LogConsumer:
     def step(self, t: float, alive: Callable[[float], bool]) -> float:
         """Run one poll cycle starting at ``t``; returns the end time."""
         t0 = t
-        for tp in self.log.assignment(self.group, self.cid):
+        for tp in self.log.ready(self.group, self.cid):
             t, interrupted = self._consume_tp(tp, t, alive)
             if interrupted:
+                # died mid-batch: what was polled but not committed must be
+                # polled again, whether or not a rebalance follows
+                self.log.rewind(self.group, tp)
                 break
         self.next_poll_t = max(t0 + self.poll_interval_s, t)
         return t
@@ -306,6 +318,10 @@ class DbWriterConsumer(LogConsumer):
         )
         self.tracker = tracker or ReportTracker()
         self.zero_points = 0
+        #: The sink's optional hooks: a virtual clock (failure-injectable
+        #: proxies) and the per-series applied-seq gate.
+        self._sink_at = getattr(sink, "at", None)
+        self._sink_max_seq = getattr(sink, "max_seq", None)
         if database not in sink.databases():
             sink.create_database(database)
 
@@ -320,14 +336,14 @@ class DbWriterConsumer(LogConsumer):
         """Per-series gate: a record's points apply atomically and a
         series' records apply in seq order (same partition), so the first
         point's series holding seq ≥ rec.seq means this record landed."""
-        max_seq = getattr(self.sink, "max_seq", None)
+        max_seq = self._sink_max_seq
         if max_seq is None or not pts:
             return False
         return max_seq(self.database, rec.topic, pts[0].tags) >= rec.seq
 
     def apply(self, rec: LogRecord, pts: list[Point], t: float) -> None:
-        if hasattr(self.sink, "at"):
-            self.sink.at(t)
+        if self._sink_at is not None:
+            self._sink_at(t)
         self.sink.write_many(self.database, pts, seqs=[rec.seq] * len(pts))
 
     def _on_applied(self, rec: LogRecord, pts: list[Point], t: float) -> None:
@@ -345,6 +361,15 @@ class RollupMaintainerConsumer(LogConsumer):
     offset — aggregates can neither skip nor double-count a record.  The
     visible state is :meth:`rollups`, read from committed checkpoints
     only.
+
+    The committed accumulator of a partition is one dict that stays in its
+    checkpoint for good.  Applies never write to it: a bucket's cell is
+    copied into an *overlay* on first touch and updated there.  A commit
+    folds the overlay into the accumulator inside the call that stores the
+    offset — nothing can observe the fold without the offset — and a
+    (re)load throws the overlay away, so replay starts from exactly the
+    committed cells.  Either costs what was touched since the last commit,
+    not what the partition has ever seen.
     """
 
     GROUP = GROUP_ROLLUP
@@ -354,22 +379,33 @@ class RollupMaintainerConsumer(LogConsumer):
             raise ValueError("rollup tier must be a positive duration")
         super().__init__(log, **kw)
         self.tier_s = tier_s
-        self._acc: dict[float, list[float]] = {}
+        #: The partition being consumed: its committed accumulator, and the
+        #: cells applied to since its last commit.
+        self._committed: dict[float, list[float]] = {}
+        self._overlay: dict[float, list[float]] = {}
 
     def _load_state(self, tp: tuple[str, int], cp: Checkpoint) -> None:
-        self._acc = {b: list(v) for b, v in (cp.state or {}).items()}
+        self._committed = cp.state if cp.state is not None else {}
+        self._overlay = {}
 
     def _commit_state(self, tp: tuple[str, int]) -> dict[float, list[float]]:
-        return {b: list(v) for b, v in self._acc.items()}
+        self._committed.update(self._overlay)
+        self._overlay = {}
+        return self._committed
 
     def _on_applied(self, rec: LogRecord, pts: list[Point], t: float) -> None:
         T = self.tier_s
+        overlay = self._overlay
         for p in pts:
             b = (p.time // T) * T
+            cell = overlay.get(b)
+            if cell is None:
+                base = self._committed.get(b)
+                if base is not None:
+                    cell = overlay[b] = list(base)
             for v in p.fields.values():
-                cell = self._acc.get(b)
                 if cell is None:
-                    self._acc[b] = [1.0, v, v, v]
+                    cell = overlay[b] = [1.0, v, v, v]
                 else:
                     cell[0] += 1.0
                     cell[1] += v
@@ -473,12 +509,24 @@ class IngestPipeline:
         )
         self.consumers: list[LogConsumer] = []
         self._present: dict[tuple[str, str], bool] = {}
+        #: Per consumer, built once in :meth:`add`: its liveness probe and
+        #: the (attribute, flat-counter key) pairs it reports.
+        self._alive: dict[tuple[str, str], Callable[[float], bool]] = {}
+        self._counter_keys: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        self._groups: list[str] = []
         self._steps = 0
         self.max_group_lag = 0
 
     def add(self, consumer: LogConsumer) -> LogConsumer:
         self.consumers.append(consumer)
-        self._present[(consumer.group, consumer.cid)] = True
+        g, cid = key = (consumer.group, consumer.cid)
+        self._present[key] = True
+        self._alive[key] = lambda t: not self.faults.crashed(g, cid, t)
+        self._counter_keys[key] = [
+            (attr, f"{g}.{attr}") for attr in _FLAT_COUNTERS if hasattr(consumer, attr)
+        ]
+        if g not in self._groups:
+            self._groups.append(g)
         return consumer
 
     def group_members(self, group: str) -> list[LogConsumer]:
@@ -519,7 +567,7 @@ class IngestPipeline:
             self.log.join(c.group, c.cid)
             self._present[key] = True
         self.log.at(t)
-        c.step(t, lambda tt, g=c.group, i=c.cid: not self.faults.crashed(g, i, tt))
+        c.step(t, self._alive[key])
         lag = self.log.total_lag(c.group)
         if lag > self.max_group_lag:
             self.max_group_lag = lag
@@ -537,9 +585,7 @@ class IngestPipeline:
         """Pump until every group has consumed its durable backlog (or the
         deadline passes); returns the virtual time reached."""
         while True:
-            if len(self.producer) == 0 and all(
-                self.log.total_lag(c.group) == 0 for c in self.consumers
-            ):
+            if len(self.producer) == 0 and self.backlog_records() == 0:
                 break
             if not self._step_next(deadline):
                 break
@@ -548,9 +594,7 @@ class IngestPipeline:
 
     def backlog_records(self) -> int:
         """Durable records still unconsumed by at least one group."""
-        return sum(
-            self.log.total_lag(g) for g in sorted({c.group for c in self.consumers})
-        )
+        return sum(self.log.total_lag(g) for g in self._groups)
 
     # ------------------------------------------------------------------
     def flat_counters(self) -> dict[str, float]:
@@ -566,15 +610,8 @@ class IngestPipeline:
         trackers_seen: set[int] = set()
         for c in self.consumers:
             g = c.group
-            for attr in (
-                "applied_records", "applied_points", "duplicate_records",
-                "filtered_records", "parked_records",
-                "replayed_parked_records", "apply_failures",
-                "zero_points",
-            ):
-                v = getattr(c, attr, None)
-                if v is not None:
-                    out[f"{g}.{attr}"] = out.get(f"{g}.{attr}", 0) + v
+            for attr, key in self._counter_keys[(g, c.cid)]:
+                out[key] = out.get(key, 0) + getattr(c, attr)
             tracker = getattr(c, "tracker", None)
             if tracker is not None and id(tracker) not in trackers_seen:
                 trackers_seen.add(id(tracker))

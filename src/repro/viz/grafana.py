@@ -14,7 +14,11 @@ since auto-generated statements are re-issued verbatim — is a dict hit;
 any write, series drop, or retention trim on the measurement moves the
 generation and the next refresh recomputes.  Staleness is impossible by
 construction: a stamp taken before execution can only under-report
-freshness, never over-report it.
+freshness, never over-report it.  Stamps never repeat, so the miss that
+sees a measurement at a new one proves every entry stored under the old
+one dead, and drops them there and then (:class:`_CachePartition`): a
+live dashboard's superseded windows do not ride the LRU until live
+entries push them out.
 
 A miss costs O(1) Python work per statement, not per row.  The statement
 text is the cache key and what a user is shown, but it is not what gets
@@ -68,6 +72,73 @@ def quote_tag_value(value: str) -> str:
     return f"{quote}{value}{quote}"
 
 
+class _CachePartition:
+    """One LRU partition of the generation-stamped result cache.
+
+    ``entries`` maps (database, statement) → (measurement, times, values),
+    least recently used first.  ``by_measurement`` maps a measurement to
+    ``[stamp, keys]``: the generation its entries were computed at and
+    exactly the keys ``entries`` holds for it.  One stamp per measurement
+    is enough because stamps never repeat: the moment a miss observes a
+    new one, every entry under the old one is unservable for good and
+    :meth:`get` drops it — eviction is by proof of death, never by a
+    guess.
+    """
+
+    __slots__ = ("entries", "by_measurement")
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[
+            tuple[str, str], tuple[str, list[float], list[float]]
+        ] = OrderedDict()
+        self.by_measurement: dict[str, list] = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, key: tuple[str, str], measurement: str, gen):
+        """The entry under ``key`` if it was computed at generation ``gen``
+        (now the most recently used), else None — and if ``measurement``'s
+        entries carry another stamp, this is the miss that proves them
+        dead: they are dropped."""
+        index = self.by_measurement.get(measurement)
+        if index is None:
+            return None
+        if index[0] != gen:
+            for dead in index[1]:
+                del self.entries[dead]
+            del self.by_measurement[measurement]
+            return None
+        hit = self.entries.get(key)
+        if hit is not None:
+            self.entries.move_to_end(key)
+        return hit
+
+    def store(self, key: tuple[str, str], measurement: str, gen,
+              times: list[float], values: list[float], capacity: int) -> None:
+        """Insert as most recent, then trim to ``capacity``; ``gen`` is the
+        stamp the :meth:`get` that missed was given for ``measurement``."""
+        index = self.by_measurement.get(measurement)
+        if index is None:
+            index = self.by_measurement[measurement] = [gen, set()]
+        index[1].add(key)
+        self.entries[key] = (measurement, times, values)
+        self.trim(capacity)
+
+    def trim(self, capacity: int) -> None:
+        """Evict least recently used entries down to ``capacity``."""
+        while len(self.entries) > capacity:
+            key, (measurement, _, _) = self.entries.popitem(last=False)
+            keys = self.by_measurement[measurement][1]
+            keys.discard(key)
+            if not keys:
+                del self.by_measurement[measurement]
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.by_measurement.clear()
+
+
 class GrafanaServer:
     """Dashboard registry + panel execution against InfluxDB."""
 
@@ -82,19 +153,14 @@ class GrafanaServer:
         self.database = database
         self.api_token = api_token
         self._dashboards: dict[str, Dashboard] = {}
-        #: (database, statement) → (generation, times, values); LRU-bounded.
-        #: This is the *default* partition — the single-caller path every
-        #: PR before the serving tier used, byte-identical.
-        self._cache: OrderedDict[
-            tuple[str, str], tuple[int, list[float], list[float]]
-        ] = OrderedDict()
+        #: The *default* partition of the result cache — the single-caller
+        #: path every PR before the serving tier used.
+        self._cache = _CachePartition()
         #: tenant → its private partition of the same generation-stamped
         #: cache.  Partitions are evicted independently: an aggressor
         #: tenant churning its own partition cannot evict a quiet
         #: tenant's working set (or the default partition's).
-        self._tenant_caches: dict[
-            str, OrderedDict[tuple[str, str], tuple[int, list[float], list[float]]]
-        ] = {}
+        self._tenant_caches: dict[str, _CachePartition] = {}
         self._tenant_cache_sizes: dict[str, int] = {}
         self.cache_size = cache_size
         self.cache_hits = 0
@@ -159,21 +225,21 @@ class GrafanaServer:
         if entries < 1:
             raise ValueError("tenant cache needs at least one entry")
         self._tenant_cache_sizes[tenant] = entries
-        partition = self._tenant_caches.setdefault(tenant, OrderedDict())
-        while len(partition) > entries:
-            partition.popitem(last=False)
+        self._partition_for(tenant)[0].trim(entries)
 
     def tenant_cache_info(self, tenant: str) -> dict[str, int]:
-        partition = self._tenant_caches.get(tenant, {})
+        partition = self._tenant_caches.get(tenant, ())
         return {
             "entries": len(partition),
             "capacity": self._tenant_cache_sizes.get(tenant, self.cache_size),
         }
 
-    def _partition_for(self, tenant: str | None) -> tuple[OrderedDict, int]:
+    def _partition_for(self, tenant: str | None) -> tuple[_CachePartition, int]:
         if tenant is None:
             return self._cache, self.cache_size
-        partition = self._tenant_caches.setdefault(tenant, OrderedDict())
+        partition = self._tenant_caches.get(tenant)
+        if partition is None:
+            partition = self._tenant_caches[tenant] = _CachePartition()
         return partition, self._tenant_cache_sizes.get(tenant, self.cache_size)
 
     def _target_query(
@@ -218,10 +284,10 @@ class GrafanaServer:
         cache, capacity = self._partition_for(tenant)
         key = (self.database, self.target_statement(target, t0, t1, tag))
         gen_of = getattr(self.influx, "generation", None)
-        gen = gen_of(self.database, target.measurement) if callable(gen_of) else None
-        hit = cache.get(key)
-        if hit is not None and gen is not None and hit[0] == gen:
-            cache.move_to_end(key)
+        measurement = target.measurement
+        gen = gen_of(self.database, measurement) if callable(gen_of) else None
+        hit = cache.get(key, measurement, gen) if gen is not None else None
+        if hit is not None:
             self.cache_hits += 1
             return list(hit[1]), list(hit[2]), True
         self.cache_misses += 1
@@ -235,10 +301,7 @@ class GrafanaServer:
         if getattr(self.influx, "last_partial", False):
             self.partial_serves += 1
         elif gen is not None:
-            cache[key] = (gen, list(times), list(values))
-            cache.move_to_end(key)
-            while len(cache) > capacity:
-                cache.popitem(last=False)
+            cache.store(key, measurement, gen, list(times), list(values), capacity)
         return times, values, False
 
     def invalidate_cache(self) -> None:

@@ -2,11 +2,15 @@
 engine-swap stats contract (``reset_stats`` / ``set_engine``).
 """
 
+import random
+
 import pytest
 
 from repro.db.influx import InfluxDB, Point
 from repro.viz.dashboard import Panel, Target
 from repro.viz.grafana import GrafanaServer
+
+from .test_panel_cache import ParentCache, check_index
 
 
 def _mk(n=50):
@@ -143,3 +147,129 @@ class TestEngineSwap:
         times, values = next(iter(_refresh(server, panel, 0.0).values()))
         assert set(values) == {-1.0}
         assert server.cache_misses == 1
+
+
+class TestMeasurementIndex:
+    """The per-measurement index behind dead-entry eviction names exactly
+    the keys each partition holds, whatever removed the others."""
+
+    def _two_measurements(self):
+        influx, server, cpu = _mk()
+        influx.write_many("pmove", [
+            Point("mem", {"tag": "t1"}, {"v": float(i)}, float(i)) for i in range(50)])
+        mem = Panel(id=2, title="mem", targets=[Target("mem", "v", tag="t1")])
+        return influx, server, cpu, mem
+
+    def test_lru_eviction_keeps_the_index_exact(self):
+        _, server, cpu, mem = self._two_measurements()
+        server.cache_size = 3
+        for k in range(4):
+            _refresh(server, cpu, float(k))
+            _refresh(server, mem, float(k))
+            check_index(server)
+        assert len(server._cache) == 3
+        assert sorted(server._cache.by_measurement) == ["cpu", "mem"]
+        for k in range(4, 8):  # cpu alone now: mem's last key ages out
+            _refresh(server, cpu, float(k))
+        check_index(server)
+        assert list(server._cache.by_measurement) == ["cpu"]
+
+    def test_invalidate_set_engine_and_shrink_keep_the_index_exact(self):
+        influx, server, cpu, mem = self._two_measurements()
+        server.set_tenant_cache_size("a", 8)
+        for k in range(5):
+            _refresh(server, cpu, float(k), tenant="a")
+            _refresh(server, mem, float(k), tenant="a")
+            _refresh(server, cpu, float(k))
+        server.set_tenant_cache_size("a", 3)  # 10 → 3: seven trimmed, oldest first
+        check_index(server)
+        part = server._tenant_caches["a"]
+        assert server.tenant_cache_info("a") == {"entries": 3, "capacity": 3}
+        assert {m: len(keys) for m, (_, keys) in part.by_measurement.items()} == {
+            "cpu": 1, "mem": 2}
+        server.invalidate_cache()
+        check_index(server)
+        assert not server._cache.by_measurement and not part.by_measurement
+        _refresh(server, cpu, 0.0, tenant="a")
+        server.set_engine(influx)
+        check_index(server)
+        assert not part.by_measurement and not part.entries
+
+    def test_sizes_count_live_entries_only(self):
+        """A tenant sliding its window over a measurement that is written
+        between refreshes holds one entry per live target, not one per
+        refresh it ever made."""
+        influx, server, cpu, mem = self._two_measurements()
+        server.set_tenant_cache_size("a", 64)
+        _refresh(server, mem, 0.0, tenant="a")
+        for k in range(20):
+            influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 50.0 + k))
+            _refresh(server, cpu, float(k), tenant="a")
+            assert server.tenant_cache_info("a")["entries"] == 2
+        hits = server.cache_hits
+        _refresh(server, mem, 0.0, tenant="a")  # untouched by cpu's churn
+        assert server.cache_hits == hits + 1
+        check_index(server)
+
+
+class TestServeReadHeavyShape:
+    def test_hit_and_miss_counts_are_the_parents(self):
+        """One of four measurements written per round, two tenants on
+        windows that move every 40 rounds, one that never repeats a window
+        (``benchmarks/e2e`` ``serve_read_heavy``, scaled down): here no
+        live entry was ever crowded out by a dead one, so evicting the dead
+        changes no hit and no miss."""
+        rng = random.Random(5)
+        fields = ("_f0", "_f1", "_f2")
+        influx = InfluxDB()
+        influx.create_database("pmove")
+        reports = [0] * 4
+
+        def write(m):
+            t = reports[m]
+            reports[m] += 1
+            influx.write_many("pmove", [
+                Point(f"bench_m{m}", {"tag": f"s{s}"},
+                      {f: float((t * 7 + s + i) % 13) for i, f in enumerate(fields)},
+                      float(t))
+                for s in range(4)])
+
+        for _ in range(400):
+            for m in range(4):
+                write(m)
+        dashboard = [
+            (window, Panel(1, title, targets))
+            for m in range(4) for s in range(2)
+            for window, title, targets in (
+                (60.0, "raw", [Target(f"bench_m{m}", fields[0], tag=f"s{s}"),
+                               Target(f"bench_m{m}", fields[1], tag=f"s{s}")]),
+                (240.0, "mean", [Target(f"bench_m{m}", fields[0], tag=f"s{s}",
+                                        agg="MEAN", group_by_s=60.0)]),
+                (120.0, "mean7", [Target(f"bench_m{m}", fields[2], tag=f"s{s}",
+                                         agg="MEAN", group_by_s=7.0)]),
+            )
+        ]
+        server = GrafanaServer(influx)
+        model = ParentCache(256)
+        for tenant in ("ops", "perf", "adhoc"):
+            server.set_tenant_cache_size(tenant, 256)
+        for rnd in range(240):
+            write(rnd % 4)
+            now = float(min(reports))
+            edge = now // 10 * 10
+            for tenant in ("ops", "perf", "adhoc"):
+                for window, panel in dashboard:
+                    if tenant == "adhoc":
+                        t0 = rng.uniform(0.0, now - 200.0)
+                        t1 = t0 + rng.uniform(50.0, 150.0)
+                    else:
+                        t0, t1 = edge - window, edge
+                    for target in panel.targets:
+                        key = ("pmove", server.target_statement(target, t0, t1))
+                        gen = influx.generation("pmove", target.measurement)
+                        want = model.read(tenant, key, gen)
+                        *_, hit = server.execute_target(target, t0, t1, tenant=tenant)
+                        assert hit == want
+        assert (server.cache_hits, server.cache_misses) == (model.hits, model.misses)
+        assert model.hits > 4000 and model.misses > 4000
+        check_index(server)

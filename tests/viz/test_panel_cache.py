@@ -8,9 +8,17 @@ fast an answer arrives, never the answer.
 """
 
 import random
+from collections import OrderedDict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.faulty import FaultyInfluxDB
 from repro.db.influx import InfluxDB, Point
+from repro.db.influxql import execute
+from repro.db.sharded import ShardedInfluxDB
+from repro.faults import NodeCrash
 from repro.viz.dashboard import Dashboard, Panel, Target
 from repro.viz.grafana import GrafanaServer
 
@@ -186,3 +194,169 @@ class TestDownsampledTargets:
             ])],
         )
         assert Dashboard.loads(dash.dumps()).panels[0].targets[0].agg == "MAX"
+
+
+# ----------------------------------------------------------------------
+# Dead entries: evicted at the miss that proves them dead
+# ----------------------------------------------------------------------
+class ParentCache:
+    """The cache as it was before dead entries were evicted: one LRU of
+    key → stamp per partition, nothing leaves except by capacity.  Kept
+    as the reference for which reads must (still) hit."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.partitions = {}
+        self.hits = self.misses = 0
+
+    def read(self, tenant, key, gen):
+        lru = self.partitions.setdefault(tenant, OrderedDict())
+        if lru.get(key) == gen:
+            lru.move_to_end(key)
+            self.hits += 1
+            return True
+        self.misses += 1
+        lru[key] = gen
+        lru.move_to_end(key)
+        while len(lru) > self.capacity:
+            lru.popitem(last=False)
+        return False
+
+
+def check_index(server):
+    """The measurement index names exactly the keys each partition holds,
+    and every entry of a measurement sits under that measurement's stamp."""
+    for part in [server._cache, *server._tenant_caches.values()]:
+        indexed = {}
+        for measurement, (_stamp, keys) in part.by_measurement.items():
+            assert keys, "an emptied measurement leaves the index"
+            for key in keys:
+                assert key not in indexed
+                indexed[key] = measurement
+        assert indexed == {key: entry[0] for key, entry in part.entries.items()}
+        assert len(part) == len(part.entries)
+
+
+MEASUREMENTS = ("m0", "m1", "m2")
+SERIES = ("a", "b")
+TENANTS = (None, "x", "y")
+
+cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.sampled_from(MEASUREMENTS),
+                  st.sampled_from(SERIES), st.integers(0, 40),
+                  st.integers(-5, 5)),
+        st.tuples(st.just("delete"), st.sampled_from(MEASUREMENTS),
+                  st.sampled_from(SERIES)),
+        st.tuples(st.just("retain"), st.integers(5, 40)),
+        st.tuples(st.just("read"), st.sampled_from(MEASUREMENTS),
+                  st.sampled_from(SERIES), st.sampled_from([None, 0, 10, 20]),
+                  st.sampled_from(TENANTS)),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def _engine(kind):
+    influx = InfluxDB() if kind == "single" else ShardedInfluxDB(4)
+    influx.create_database("pmove")
+    influx.write_many("pmove", [
+        Point(m, {"tag": s}, {"v": float(i)}, float(i))
+        for m in MEASUREMENTS for s in SERIES for i in range(0, 40, 4)
+    ])
+    return influx
+
+
+class TestDeadEntries:
+    def test_a_miss_on_a_new_stamp_drops_the_measurements_old_entries(self):
+        influx, server, panel = _mk()
+        other = Panel(id=2, title="mem", targets=[Target("mem", "v", tag="t1")])
+        influx.write("pmove", Point("mem", {"tag": "t1"}, {"v": 1.0}, 3.0))
+        for t0 in (0.0, 10.0, 20.0):
+            server.execute_panel(panel, t0=t0)
+        server.execute_panel(other)
+        assert len(server._cache) == 4
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 9.0}, 60.0))
+        assert len(server._cache) == 4  # a write alone evicts nothing
+        server.execute_panel(other)
+        assert server.cache_hits == 1 and len(server._cache) == 4
+        server.execute_panel(panel, t0=30.0)  # the proving miss
+        assert [key[1] for key in server._cache.entries] == [
+            server.target_statement(other.targets[0]),
+            server.target_statement(panel.targets[0], 30.0),
+        ]
+        check_index(server)
+
+    def test_partial_results_are_still_not_cached(self):
+        influx = ShardedInfluxDB(2)
+        influx.create_database("pmove")
+        influx.write_many("pmove", [
+            Point("cpu", {"tag": f"t{i}"}, {"_cpu0": 1.0}, float(i)) for i in range(8)])
+        server = GrafanaServer(influx)
+        panel = Panel(id=1, title="cpu", targets=[Target("cpu", "_cpu0")])
+        server.execute_panel(panel)
+        assert len(server._cache) == 1
+        influx.write("pmove", Point("cpu", {"tag": "t0"}, {"_cpu0": 2.0}, 9.0))
+        influx.inject_shard_fault("shard-0", NodeCrash(t0=0.0, t1=100.0))
+        influx.at(1.0)
+        server.execute_panel(panel)
+        assert server.partial_serves == 1
+        assert len(server._cache) == 0  # old stamp proven dead, partial not stored
+        check_index(server)
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    @pytest.mark.parametrize("capacity", [3, 64])
+    @given(ops=cache_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_writes_drops_trims_and_reads(self, kind, capacity, ops):
+        influx = _engine(kind)
+        server = GrafanaServer(influx, cache_size=capacity)
+        model = ParentCache(capacity)
+        for op in ops:
+            if op[0] == "write":
+                _, m, s, t, v = op
+                influx.write("pmove", Point(m, {"tag": s}, {"v": float(v)}, float(t)))
+            elif op[0] == "delete":
+                influx.delete_series("pmove", op[1], tags={"tag": op[2]})
+            elif op[0] == "retain":
+                influx.set_retention_policy("pmove", float(op[1]))
+                influx.enforce_retention("pmove", 40.0)
+            else:
+                _, m, s, t0, tenant = op
+                target = Target(m, "v", tag=s)
+                stmt = server.target_statement(target, t0)
+                part, _ = server._partition_for(tenant)
+                others = {
+                    t: list(p.entries.items())
+                    for t, p in [(None, server._cache), *server._tenant_caches.items()]
+                    if p is not part
+                }
+                bystanders = [k for k, e in part.entries.items() if e[0] != m]
+                gen = influx.generation("pmove", m)
+
+                times, values, hit = server.execute_target(target, t0, tenant=tenant)
+
+                fresh = execute(influx, "pmove", stmt).series()
+                assert (list(times), list(values)) == (list(fresh[0]), list(fresh[1]))
+                # every read that hit before still hits; hits may be gained
+                assert hit or not model.read(tenant, ("pmove", stmt), gen)
+                if hit:
+                    model.read(tenant, ("pmove", stmt), gen)
+                # nothing of m stamped otherwise is left in this partition …
+                assert part.by_measurement[m][0] == gen
+                assert ("pmove", stmt) in part.by_measurement[m][1]
+                # … other measurements lose entries to capacity only, oldest
+                # first, and other partitions are not touched at all
+                left = [k for k in bystanders if k in part.entries]
+                assert left == bystanders[len(bystanders) - len(left):]
+                assert len(left) == len(bystanders) or len(part) == capacity
+                for t, before in others.items():
+                    p = server._cache if t is None else server._tenant_caches[t]
+                    assert list(p.entries.items()) == before
+            check_index(server)
+            for t in ("x", "y"):
+                info = server.tenant_cache_info(t)
+                held = server._tenant_caches.get(t, ())
+                assert info["entries"] == len(held) <= capacity
+        assert server.cache_hits >= model.hits
+        assert server.cache_hits + server.cache_misses == model.hits + model.misses
