@@ -9,8 +9,9 @@ over a long-lived host's series (1e5 points by default; crank
   over the column arrays instead of materializing row tuples;
 - **write-through rollups**: tier-aligned GROUP BY queries read ~N/60
   pre-folded buckets instead of N raw rows;
-- **the generation-stamped result cache**: an unchanged panel refresh is a
-  dict hit in ``GrafanaServer``.
+- **the freshness-stamped result cache**: an unchanged panel refresh is a
+  dict hit in ``GrafanaServer`` — and so is a refresh of a window that ended
+  before the samples written since.
 
 - **columnar raw selects**: a cache *miss* on a raw window reads
   ``(times, values)`` off column slices and, when the window slides, parses
@@ -21,6 +22,10 @@ Three CI gates: the repeated dashboard-refresh workload must beat the seed
 (naive execute, no cache) by ≥5× at p50; a *cold* GROUP BY — cache miss AND
 rollup miss — must be no slower than the seed path; a cold raw window,
 statement → ``(times, values)``, must beat the row-building seed by ≥3×.
+One count gate, no timing: a dashboard of closed windows refreshed N times
+with an in-order write before each refresh computes every target once and
+serves it N − 1 times, and one out-of-order write among them costs exactly
+one more computation per target.
 Results land in ``benchmarks/results/BENCH_query.json``.
 """
 
@@ -46,6 +51,7 @@ REFRESH_ITERS = 15
 NAIVE_REFRESH_ITERS = 6  # seed-path refreshes are slow; keep the run bounded
 COLD_ITERS = 20
 SLIDING_ITERS = 200
+APPEND_REFRESHES = 20
 SPEEDUP_FLOOR = 5.0
 COLD_FLOOR = 0.9  # cold path must not regress vs seed (0.9 absorbs jitter)
 RAW_FLOOR = 3.0  # columnar raw window vs one Python tuple per row
@@ -182,6 +188,23 @@ def _sliding_window(influx, span):
     return out
 
 
+def _closed_windows_under_appends(influx, panels, t0, t1, late_at=None):
+    """``APPEND_REFRESHES`` refreshes of a dashboard whose windows ended
+    before the newest sample, one write landing before each: in order, but
+    for the one before refresh ``late_at``, which lands inside the windows.
+    Counts only — what was computed and what was served."""
+    server = GrafanaServer(influx)
+    newest = influx.freshness("pmove", MEASUREMENT)[2]
+    assert t1 < newest
+    for k in range(APPEND_REFRESHES):
+        when = (t0 + t1) / 2 if k == late_at else newest + k
+        influx.write("pmove", Point(MEASUREMENT, {"tag": "obs-0000"},
+                                    {"_cpu0": float(k)}, when))
+        for panel in panels:
+            server.execute_panel(panel, t0=t0, t1=t1)
+    return {"hits": server.cache_hits, "misses": server.cache_misses}
+
+
 def test_query_serving_speedup():
     pts = _workload(N_POINTS)
     influx = InfluxDB()  # default 10s/60s rollup tiers
@@ -244,6 +267,14 @@ def test_query_serving_speedup():
         }
     sliding = _sliding_window(influx, span)
     floors = {"groupby_7s": COLD_FLOOR, "raw_window": RAW_FLOOR}
+    n_targets = sum(len(panel.targets) for panel in panels)
+    appends = {
+        "refreshes": APPEND_REFRESHES,
+        "targets": n_targets,
+        "in_order": _closed_windows_under_appends(influx, panels, t0, t1),
+        "one_out_of_order": _closed_windows_under_appends(
+            influx, panels, t0, t1, late_at=APPEND_REFRESHES // 2),
+    }
 
     payload = {
         "workload": {
@@ -263,6 +294,7 @@ def test_query_serving_speedup():
         },
         "cold_queries": cold,
         "sliding_window": sliding,
+        "closed_windows_under_appends": appends,
         "gate": {
             "speedup_floor": SPEEDUP_FLOOR,
             "cold_floor": COLD_FLOOR,
@@ -285,3 +317,7 @@ def test_query_serving_speedup():
         )
     assert sliding["columnar"]["parse_cache_misses"] == 0
     assert sliding["seed"]["parse_cache_misses"] == SLIDING_ITERS
+    assert appends["in_order"] == {
+        "hits": n_targets * (APPEND_REFRESHES - 1), "misses": n_targets}
+    assert appends["one_out_of_order"] == {
+        "hits": n_targets * (APPEND_REFRESHES - 2), "misses": 2 * n_targets}

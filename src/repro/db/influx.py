@@ -31,9 +31,11 @@ tuple materialization:
   10s/60s, the continuous-query pattern of production Influx stacks)
   maintained incrementally on every write, with raw-point folds for the
   unaligned head/tail so results stay exactly equal to raw aggregation;
-- per-measurement **generation counters** (:meth:`InfluxDB.generation`)
-  bumped on every mutation, so read layers (the Grafana panel cache) can
-  invalidate cached results with one integer compare.
+- per-measurement **freshness stamps** (:meth:`InfluxDB.freshness`): a
+  generation bumped on every mutation, and an epoch and frontier that say
+  which mutations were in-order appends, so read layers (the Grafana panel
+  cache) invalidate with integer compares and keep what an append cannot
+  have changed.
 
 Timestamps are virtual-clock seconds stored at nanosecond resolution, as
 Influx line protocol does.
@@ -41,6 +43,7 @@ Influx line protocol does.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
@@ -671,7 +674,7 @@ class ColumnRows(Sequence):
 
 class _Database:
     __slots__ = ("name", "meas", "retention", "points_written", "bytes_written",
-                 "tiers", "gens", "sketch")
+                 "tiers", "fresh", "sketch")
 
     def __init__(self, name: str, tiers: tuple[float, ...] = (),
                  sketch: SketchConfig = DEFAULT_SKETCH) -> None:
@@ -682,8 +685,9 @@ class _Database:
         self.bytes_written = 0
         self.tiers = tiers
         self.sketch = sketch
-        #: Per-measurement generation stamps (see :meth:`InfluxDB.generation`).
-        self.gens: dict[str, int] = {}
+        #: measurement → ``[epoch, generation, frontier]``, the one record
+        #: behind :meth:`InfluxDB.freshness` and :meth:`InfluxDB.generation`.
+        self.fresh: dict[str, list] = {}
 
 
 class InfluxDB:
@@ -745,24 +749,46 @@ class InfluxDB:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _bump(self, d: _Database, measurement: str) -> None:
-        self._gen_seq += 1
-        d.gens[measurement] = self._gen_seq
+    def _bump(self, d: _Database, measurement: str,
+              written: float | None = None) -> None:
+        """Stamp a mutation that may have changed rows *below* the
+        frontier: a new epoch (and generation).  ``written`` is the
+        timestamp of the write that caused it, if one did; it sets the
+        frontier only as the measurement's first — any other write that
+        comes here lies below it."""
+        self._gen_seq = stamp = self._gen_seq + 1
+        fresh = d.fresh.get(measurement)
+        if fresh is None:
+            d.fresh[measurement] = [
+                stamp, stamp, -math.inf if written is None else written]
+        else:
+            fresh[0] = fresh[1] = stamp
 
     def _append(self, d: _Database, point: Point, seq: int | None = None) -> None:
+        time = point.time
+        fresh = d.fresh.get(point.measurement)
+        if fresh is not None and time >= fresh[2]:
+            # In-order append: nothing below the frontier moves.
+            self._gen_seq = fresh[1] = self._gen_seq + 1
+            fresh[2] = time
+        elif time != time:
+            # A NaN key has no place in a sorted column: every bisect over
+            # it afterwards would answer by where its probes happen to land.
+            raise InfluxError(f"point time is NaN: {point!r}")
+        else:
+            self._bump(d, point.measurement, time)
         m = d.meas.get(point.measurement)
         if m is None:
             m = d.meas[point.measurement] = _Measurement(
                 point.measurement, d.tiers, d.sketch
             )
         s = m.series_for(point.tags)
-        self._bump(d, point.measurement)
         if seq is None:
             seq = m.seq
             m.seq += 1
         elif seq >= m.seq:
             m.seq = seq + 1
-        s.add(point.time, seq, point.fields)
+        s.add(time, seq, point.fields)
         d.points_written += len(point.fields)
         # Line-protocol byte accounting, computed arithmetically: the series
         # key prefix length is cached, so only field values and the ns
@@ -833,8 +859,27 @@ class InfluxDB:
         equals ``g``.  Unknown databases/measurements report 0 (nothing to
         invalidate against — they have no rows).
         """
+        return self.freshness(db, measurement)[1]
+
+    def freshness(self, db: str, measurement: str) -> tuple[int, int, float]:
+        """``(epoch, generation, frontier)`` of one measurement.
+
+        Telemetry is appended in time order, and an append cannot change
+        what lies before it.  ``frontier`` is the largest timestamp written
+        to the measurement so far; a write at ``time >= frontier`` moves
+        ``generation`` and ``frontier`` and nothing else.  Every other
+        mutation — the measurement's first write, a write below the
+        frontier, a series drop or move, a retention trim — starts a new
+        epoch.  So while ``epoch`` holds, the rows at ``time < frontier``
+        are exactly the rows that were there when ``frontier`` was read:
+        an answer over a window that ends below it stays right whatever
+        ``generation`` does.  All three share the never-reused stamp
+        sequence; an unknown database or measurement reports
+        ``(0, 0, -inf)``.
+        """
         d = self._dbs.get(db)
-        return 0 if d is None else d.gens.get(measurement, 0)
+        fresh = None if d is None else d.fresh.get(measurement)
+        return (0, 0, -math.inf) if fresh is None else tuple(fresh)
 
     def max_seq(
         self, db: str, measurement: str, tags: dict[str, str] | None = None
@@ -2480,7 +2525,7 @@ class InfluxDB:
         """Detach exactly the series whose tag set equals ``tags``.
 
         Returns its rows as ``(time, seq, fields)`` (None if absent) and
-        bumps the generation.  Unlike :meth:`delete_series` this matches by
+        starts a new epoch.  Unlike :meth:`delete_series` this matches by
         *exact* tag set, not containment — migration must never drag a
         superset series along.  Cumulative ingest counters stay put: a
         shard move is not new ingest.
@@ -2513,8 +2558,8 @@ class InfluxDB:
         rows: list[tuple[float, int, dict[str, float]]],
     ) -> int:
         """Migration receive path: append rows keeping their original
-        (time, seq) keys, so global merge order survives the move.  Bumps
-        the generation; leaves the ingest counters untouched (the mirror of
+        (time, seq) keys, so global merge order survives the move.  Starts
+        a new epoch; leaves the ingest counters untouched (the mirror of
         :meth:`pop_series`)."""
         if not rows:
             return 0
@@ -2562,7 +2607,7 @@ class InfluxDB:
 
         Besides the cumulative ingest counters, ``measurements`` breaks the
         live state down per measurement — series and row counts, rollup
-        bucket counts per tier, and the generation stamp.  The shard
+        bucket counts per tier, and the freshness stamps.  The shard
         rebalancer, the balance tests, and the ``pmove shard`` CLI all read
         this; it doubles as a debugging endpoint.
         """
@@ -2594,7 +2639,9 @@ class InfluxDB:
                 "series": len(m.series),
                 "points": sum(len(s) for s in m.series.values()),
                 "rollup_buckets": rollup_buckets,
-                "generation": d.gens.get(name, 0),
+                "epoch": d.fresh[name][0],
+                "generation": d.fresh[name][1],
+                "frontier": d.fresh[name][2],
                 "sketch": {
                     "digest_buckets": digest_buckets,
                     "digest_centroids": digest_centroids,

@@ -30,9 +30,10 @@ analytics):
   merge that float reordering could perturb falls back to an interleaved
   k-way fold, so results stay byte-identical to a single engine.
 
-- **Generations** combine into a per-shard vector
-  (:meth:`ShardedInfluxDB.generation`), so the PR 5 dashboard result cache
-  invalidates on any shard's mutation with one tuple compare.
+- **Freshness stamps** combine into per-shard epoch and generation vectors
+  and the lowest frontier (:meth:`ShardedInfluxDB.freshness`), so the
+  dashboard result cache invalidates on any shard's mutation with a tuple
+  compare and keeps what no shard's append can have changed.
 
 - **Faults** ride the PR 4 node-fault model: shards are nodes in a
   :class:`~repro.faults.nodes.NodeFaultSet`, consulted in virtual time.  A
@@ -47,6 +48,7 @@ analytics):
 
 from __future__ import annotations
 
+import math
 import time as _time
 from bisect import bisect_right, insort
 from hashlib import blake2b
@@ -435,14 +437,36 @@ class ShardedInfluxDB:
         """Generation *vector*: one per-shard stamp, ordered by shard name.
 
         Any write, series drop, retention trim — or a membership change,
-        which changes the vector's length — produces a different vector, so
-        read layers (the Grafana panel cache) invalidate with one tuple
-        compare, exactly as they do against a single engine's scalar stamp.
+        which changes the vector's length — produces a different vector.
+        It is the middle element of :meth:`freshness`, which read layers
+        use; this spelling stays for callers that only ask "did anything
+        move".
         """
-        return tuple(
-            self.shards[n].generation(db, measurement)
-            for n in sorted(self.shards)
-        )
+        return self.freshness(db, measurement)[1]
+
+    def freshness(
+        self, db: str, measurement: str
+    ) -> tuple[tuple[int, ...], tuple[int, ...], float]:
+        """:meth:`InfluxDB.freshness <repro.db.influx.InfluxDB.freshness>`
+        of the whole router: the per-shard epoch vector, the per-shard
+        generation vector (both ordered by shard name) and the *lowest*
+        frontier among the shards that hold the measurement.
+
+        An in-order append on shard ``i`` lands at or above shard ``i``'s
+        frontier, hence at or above the lowest one: a window that ends
+        below it is out of every shard's reach while the epoch vector
+        holds.  A shard that has never held the measurement reports epoch
+        0, so its first write of it — which could lie anywhere in time —
+        changes the vector, as does any membership change (its length).
+        """
+        epochs, gens, lowest = [], [], None
+        for name in sorted(self.shards):
+            epoch, gen, frontier = self.shards[name].freshness(db, measurement)
+            epochs.append(epoch)
+            gens.append(gen)
+            if epoch and (lowest is None or frontier < lowest):
+                lowest = frontier
+        return tuple(epochs), tuple(gens), -math.inf if lowest is None else lowest
 
     def max_seq(
         self, db: str, measurement: str, tags: dict[str, str] | None = None

@@ -35,6 +35,7 @@ callback; the executor only decides *who runs when*.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -100,8 +101,8 @@ class _TenantQueue:
     __slots__ = ("live", "backfill", "vpass", "weight")
 
     def __init__(self, weight: float) -> None:
-        self.live: list[QueryRequest] = []
-        self.backfill: list[QueryRequest] = []
+        self.live: deque[QueryRequest] = deque()
+        self.backfill: deque[QueryRequest] = deque()
         self.vpass = 0.0
         self.weight = weight
 
@@ -141,6 +142,9 @@ class BoundedExecutor:
         self._seq = 0
         #: statement key → (finish_t, result, record) of in-flight runs.
         self._inflight: dict[tuple[str, ...], tuple[float, Any, ExecutionRecord]] = {}
+        #: (finish_t, rid, key) of the same runs, soonest to finish first.
+        self._finishing: list[tuple[float, int, tuple[str, ...]]] = []
+        self._queued = 0
         self.records: list[ExecutionRecord] = []
         self.executed = 0
         self.coalesced = 0
@@ -168,6 +172,7 @@ class BoundedExecutor:
             # Waking from idle: inherit the stride clock, don't replay it.
             q.vpass = max(q.vpass, self._vtime)
         (q.live if request.priority is Priority.LIVE else q.backfill).append(request)
+        self._queued += 1
         depth = len(q)
         if depth > self.max_queue_depth.get(request.tenant, 0):
             self.max_queue_depth[request.tenant] = depth
@@ -183,7 +188,7 @@ class BoundedExecutor:
         return len(q) if q is not None else 0
 
     def total_queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._queued
 
     def pending_arrivals(self) -> int:
         return len(self._arrivals)
@@ -209,7 +214,7 @@ class BoundedExecutor:
 
     def _step(self, until: float) -> bool:
         t_arrival = self._arrivals[0][0] if self._arrivals else float("inf")
-        if self.total_queued():
+        if self._queued:
             t_dispatch = max(min(self.slots), self.now)
         else:
             t_dispatch = float("inf")
@@ -248,6 +253,7 @@ class BoundedExecutor:
                 best_key, best_tenant = key, name
         if best_tenant is None:
             return None
+        self._queued -= 1
         q = self._queues[best_tenant]
         if q.live and q.backfill:
             # An aged backfill head that predates the live head wins even
@@ -255,9 +261,9 @@ class BoundedExecutor:
             # starves its own backfill forever.
             aged = t - q.backfill[0].submit_t >= self.aging_s
             if aged and q.backfill[0].submit_t < q.live[0].submit_t:
-                return q.backfill.pop(0)
+                return q.backfill.popleft()
         lane = q.live if q.live else q.backfill
-        return lane.pop(0)
+        return lane.popleft()
 
     def _finish(self, request: QueryRequest, record: ExecutionRecord, result: Any) -> None:
         self.records.append(record)
@@ -265,8 +271,14 @@ class BoundedExecutor:
             self.on_complete(request, record, result)
 
     def _dispatch(self, t: float) -> None:
-        for key in [k for k, (f, _, _) in self._inflight.items() if f <= t]:
-            del self._inflight[key]
+        finishing, inflight = self._finishing, self._inflight
+        while finishing and finishing[0][0] <= t:
+            finish_t, _, key = heapq.heappop(finishing)
+            # (without coalescing a key can be running twice: the later
+            # run owns the entry until its own finish time)
+            running = inflight.get(key)
+            if running is not None and running[0] == finish_t:
+                del inflight[key]
         request = self._pick(t)
         if request is None:  # pragma: no cover — guarded by total_queued()
             return
@@ -311,6 +323,7 @@ class BoundedExecutor:
             request.submit_t, t, finish_t, points=points,
         )
         self._inflight[request.key] = (finish_t, result, record)
+        heapq.heappush(self._finishing, (finish_t, request.rid, request.key))
         self._finish(request, record, result)
 
     # ------------------------------------------------------------------

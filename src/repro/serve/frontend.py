@@ -12,7 +12,7 @@ Request lifecycle (all on virtual time, fully deterministic):
    live-before-backfill priority with aging, per-query deadlines, and
    single-flight coalescing;
 4. execution resolves each target through the tenant's *private
-   partition* of the Grafana generation-stamped result cache, and the
+   partition* of the Grafana freshness-stamped result cache, and the
    modeled service time (:class:`ServiceCostModel`) charges cache hits
    and missed points differently;
 5. the outcome lands in the per-tenant :class:`SloBoard` —
@@ -187,10 +187,11 @@ class ServingFrontend:
         missed_points = 0
         sketch_targets = 0
         total_points = 0
-        for target in request.panel.targets:
+        for target, statement in zip(request.panel.targets, request.statements):
             serves_before = self._sketch_serves()
             times, values, hit = self.grafana.execute_target(
-                target, request.t0, request.t1, request.tag, tenant=request.tenant
+                target, request.t0, request.t1, request.tag,
+                tenant=request.tenant, statement=statement,
             )
             label = target.alias or f"{target.measurement}{target.params}"[-40:]
             series[label] = (times, values)

@@ -6,7 +6,7 @@ The request mix models what a facility-scale deployment actually serves:
 - **live refresh** — every tenant re-issues the shared "fleet overview"
   panels on a fixed tick with the window quantized to that tick.  The
   statements are identical across tenants and across consecutive ticks,
-  which is exactly what makes the generation cache and single-flight
+  which is exactly what makes the result cache and single-flight
   coalescing earn their keep;
 - **backfill/export** — occasional wide, randomly-placed window scans
   (seeded rng), deliberately cache-hostile, submitted at BACKFILL

@@ -7,18 +7,22 @@ a registry of dashboards (by uid), resolves each panel target against the
 Influx substrate (the plugin role), and renders panels to text or SVG.
 
 Panel execution carries a write-invalidated result cache: each target's
-(database, statement) result is stored with the measurement's generation
-stamp (:meth:`~repro.db.influx.InfluxDB.generation`), read *before* the
+(database, statement) result is stored with the measurement's freshness
+stamps (:meth:`~repro.db.influx.InfluxDB.freshness`), read *before* the
 query runs.  An unchanged panel refresh — the dominant dashboard workload,
-since auto-generated statements are re-issued verbatim — is a dict hit;
-any write, series drop, or retention trim on the measurement moves the
-generation and the next refresh recomputes.  Staleness is impossible by
-construction: a stamp taken before execution can only under-report
-freshness, never over-report it.  Stamps never repeat, so the miss that
-sees a measurement at a new one proves every entry stored under the old
-one dead, and drops them there and then (:class:`_CachePartition`): a
-live dashboard's superseded windows do not ride the LRU until live
-entries push them out.
+since auto-generated statements are re-issued verbatim — is a dict hit.
+What a mutation invalidates depends on what it can have changed.
+Telemetry is appended in time order, and an append cannot touch a window
+that ended before it: an entry whose ``t1`` lay below the measurement's
+frontier when it was computed is *sealed*, and outlives every in-order
+write; only a new epoch (an out-of-order write, a series drop or move, a
+retention trim) ends it.  Every other entry is *open* and ends at the next
+generation, whatever moved it.  Staleness is impossible by construction:
+stamps taken before execution can only under-report freshness, never
+over-report it.  Stamps never repeat, so the miss that sees a measurement
+at a new one proves the entries it ends dead, and drops them there and
+then (:class:`_CachePartition`): a live dashboard's superseded windows do
+not ride the LRU until live entries push them out.
 
 A miss costs O(1) Python work per statement, not per row.  The statement
 text is the cache key and what a user is shown, but it is not what gets
@@ -35,6 +39,7 @@ import math
 import re
 from collections import OrderedDict
 from dataclasses import replace
+from functools import lru_cache
 
 from repro.db.influx import InfluxDB, InfluxError
 from repro.db.influxql import Query, execute, parse_query
@@ -72,16 +77,38 @@ def quote_tag_value(value: str) -> str:
     return f"{quote}{value}{quote}"
 
 
+@lru_cache(maxsize=512)
+def _timefree_query(target: Target, tag: str | None) -> Query:
+    """The parsed time-free statement of ``target``: fixed for the life of
+    the (frozen) target, so it is formatted and looked up once."""
+    return parse_query(GrafanaServer.target_statement(target, tag=tag))
+
+
+class _Filed:
+    """One measurement's keys in a partition, under the stamps they were
+    computed at."""
+
+    __slots__ = ("epoch", "generation", "sealed", "open")
+
+    def __init__(self, epoch, generation) -> None:
+        self.epoch = epoch
+        self.generation = generation
+        #: keys of windows that ended below the frontier: dead at a new epoch
+        self.sealed: set[tuple[str, str]] = set()
+        #: every other key: dead at a new generation
+        self.open: set[tuple[str, str]] = set()
+
+
 class _CachePartition:
-    """One LRU partition of the generation-stamped result cache.
+    """One LRU partition of the freshness-stamped result cache.
 
     ``entries`` maps (database, statement) → (measurement, times, values),
-    least recently used first.  ``by_measurement`` maps a measurement to
-    ``[stamp, keys]``: the generation its entries were computed at and
-    exactly the keys ``entries`` holds for it.  One stamp per measurement
-    is enough because stamps never repeat: the moment a miss observes a
-    new one, every entry under the old one is unservable for good and
-    :meth:`get` drops it — eviction is by proof of death, never by a
+    least recently used first.  ``by_measurement`` files exactly the keys
+    ``entries`` holds under their measurement (:class:`_Filed`), sealed
+    or open.  One pair of stamps per measurement is enough because stamps
+    never repeat: the moment a lookup observes a new generation every open
+    entry is unservable for good, at a new epoch every entry is, and
+    :meth:`get` drops them — eviction is by proof of death, never by a
     guess.
     """
 
@@ -91,37 +118,47 @@ class _CachePartition:
         self.entries: OrderedDict[
             tuple[str, str], tuple[str, list[float], list[float]]
         ] = OrderedDict()
-        self.by_measurement: dict[str, list] = {}
+        self.by_measurement: dict[str, _Filed] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def get(self, key: tuple[str, str], measurement: str, gen):
-        """The entry under ``key`` if it was computed at generation ``gen``
-        (now the most recently used), else None — and if ``measurement``'s
-        entries carry another stamp, this is the miss that proves them
-        dead: they are dropped."""
-        index = self.by_measurement.get(measurement)
-        if index is None:
+    def get(self, key: tuple[str, str], measurement: str, epoch, generation):
+        """The entry under ``key`` if it is still servable at these stamps
+        (now the most recently used), else None.  If ``measurement``'s
+        entries are filed under other stamps, this is the lookup that
+        proves some of them dead: a new generation drops the open ones, a
+        new epoch the sealed ones too."""
+        filed = self.by_measurement.get(measurement)
+        if filed is None:
             return None
-        if index[0] != gen:
-            for dead in index[1]:
-                del self.entries[dead]
-            del self.by_measurement[measurement]
-            return None
+        if filed.epoch != epoch or filed.generation != generation:
+            entries = self.entries
+            for dead in filed.open:
+                del entries[dead]
+            if filed.epoch != epoch:
+                for dead in filed.sealed:
+                    del entries[dead]
+                filed.sealed.clear()
+            if not filed.sealed:
+                del self.by_measurement[measurement]
+                return None
+            filed.open.clear()
+            filed.generation = generation
         hit = self.entries.get(key)
         if hit is not None:
             self.entries.move_to_end(key)
         return hit
 
-    def store(self, key: tuple[str, str], measurement: str, gen,
-              times: list[float], values: list[float], capacity: int) -> None:
-        """Insert as most recent, then trim to ``capacity``; ``gen`` is the
-        stamp the :meth:`get` that missed was given for ``measurement``."""
-        index = self.by_measurement.get(measurement)
-        if index is None:
-            index = self.by_measurement[measurement] = [gen, set()]
-        index[1].add(key)
+    def store(self, key: tuple[str, str], measurement: str, epoch, generation,
+              sealed: bool, times: list[float], values: list[float],
+              capacity: int) -> None:
+        """Insert as most recent, then trim to ``capacity``; the stamps are
+        the ones the :meth:`get` that missed was given for ``measurement``."""
+        filed = self.by_measurement.get(measurement)
+        if filed is None:
+            filed = self.by_measurement[measurement] = _Filed(epoch, generation)
+        (filed.sealed if sealed else filed.open).add(key)
         self.entries[key] = (measurement, times, values)
         self.trim(capacity)
 
@@ -129,9 +166,10 @@ class _CachePartition:
         """Evict least recently used entries down to ``capacity``."""
         while len(self.entries) > capacity:
             key, (measurement, _, _) = self.entries.popitem(last=False)
-            keys = self.by_measurement[measurement][1]
-            keys.discard(key)
-            if not keys:
+            filed = self.by_measurement[measurement]
+            filed.sealed.discard(key)
+            filed.open.discard(key)
+            if not filed.sealed and not filed.open:
                 del self.by_measurement[measurement]
 
     def clear(self) -> None:
@@ -156,7 +194,7 @@ class GrafanaServer:
         #: The *default* partition of the result cache — the single-caller
         #: path every PR before the serving tier used.
         self._cache = _CachePartition()
-        #: tenant → its private partition of the same generation-stamped
+        #: tenant → its private partition of the same freshness-stamped
         #: cache.  Partitions are evicted independently: an aggressor
         #: tenant churning its own partition cannot evict a quiet
         #: tenant's working set (or the default partition's).
@@ -228,10 +266,15 @@ class GrafanaServer:
         self._partition_for(tenant)[0].trim(entries)
 
     def tenant_cache_info(self, tenant: str) -> dict[str, int]:
-        partition = self._tenant_caches.get(tenant, ())
+        partition = self._tenant_caches.get(tenant)
+        filed = () if partition is None else partition.by_measurement.values()
+        sealed = sum(len(f.sealed) for f in filed)
+        open_ = sum(len(f.open) for f in filed)
         return {
-            "entries": len(partition),
+            "entries": sealed + open_,
             "capacity": self._tenant_cache_sizes.get(tenant, self.cache_size),
+            "sealed": sealed,
+            "open": open_,
         }
 
     def _partition_for(self, tenant: str | None) -> tuple[_CachePartition, int]:
@@ -256,7 +299,7 @@ class GrafanaServer:
         spelling for ``inf``/``nan``); so does this one, rather than let a
         value no statement can express into a :class:`Query`.
         """
-        q = parse_query(self.target_statement(target, tag=tag))
+        q = _timefree_query(target, tag)
         bounds = {
             name: float(bound)
             for name, bound in (("t0", t0), ("t1", t1)) if bound is not None
@@ -272,36 +315,46 @@ class GrafanaServer:
         t1: float | None,
         tag: str | None,
         tenant: str | None = None,
+        statement: str | None = None,
     ) -> tuple[list[float], list[float], bool]:
         """One target's (times, values, served_from_cache).
 
-        The generation stamp is read *before* executing, so a write racing
+        The freshness stamps are read *before* executing, so a write racing
         the query can only make the cached entry look stale (recompute),
-        never fresh (stale serve).  Engines without generation support
-        (stamp ``None``) bypass the cache entirely.  ``tenant`` selects a
-        private partition; ``None`` is the default (single-caller) one.
+        never fresh (stale serve).  Engines without freshness support
+        bypass the cache entirely.  ``tenant`` selects a private partition;
+        ``None`` is the default (single-caller) one.  ``statement`` is
+        ``target_statement(target, t0, t1, tag)`` where the caller already
+        has it.
         """
         cache, capacity = self._partition_for(tenant)
-        key = (self.database, self.target_statement(target, t0, t1, tag))
-        gen_of = getattr(self.influx, "generation", None)
+        if statement is None:
+            statement = self.target_statement(target, t0, t1, tag)
+        key = (self.database, statement)
+        freshness = getattr(self.influx, "freshness", None)
         measurement = target.measurement
-        gen = gen_of(self.database, measurement) if callable(gen_of) else None
-        hit = cache.get(key, measurement, gen) if gen is not None else None
-        if hit is not None:
-            self.cache_hits += 1
-            return list(hit[1]), list(hit[2]), True
+        stamps = freshness(self.database, measurement) if callable(freshness) else None
+        if stamps is not None:
+            epoch, generation, frontier = stamps
+            hit = cache.get(key, measurement, epoch, generation)
+            if hit is not None:
+                self.cache_hits += 1
+                return list(hit[1]), list(hit[2]), True
         self.cache_misses += 1
         query = self._target_query(target, t0, t1, tag)
         times, values = execute(self.influx, self.database, query).series()
         # A sharded engine flags results computed while a shard holding
         # relevant data was down.  Those are served (degraded beats blank
-        # panels) but never cached: the generation vector does not move
-        # when a shard merely recovers, so a cached partial could outlive
-        # the outage.
+        # panels) but never cached: the stamps do not move when a shard
+        # merely recovers, so a cached partial could outlive the outage.
         if getattr(self.influx, "last_partial", False):
             self.partial_serves += 1
-        elif gen is not None:
-            cache.store(key, measurement, gen, list(times), list(values), capacity)
+        elif stamps is not None:
+            cache.store(
+                key, measurement, epoch, generation,
+                t1 is not None and t1 < frontier,
+                list(times), list(values), capacity,
+            )
         return times, values, False
 
     def invalidate_cache(self) -> None:
@@ -323,7 +376,7 @@ class GrafanaServer:
     def set_engine(self, influx: InfluxDB) -> None:
         """Swap the backing engine: drop cached results AND stats.
 
-        The cache must go because generation stamps are per-engine (a
+        The cache must go because freshness stamps are per-engine (a
         fresh engine restarts its counters, so stale entries could look
         fresh); the stats must go because they described the old engine."""
         self.influx = influx
@@ -337,11 +390,12 @@ class GrafanaServer:
         t1: float | None = None,
         tag: str | None = None,
         tenant: str | None = None,
+        statement: str | None = None,
     ) -> tuple[list[float], list[float], bool]:
         """One target's (times, values, served_from_cache) — the serving
         frontend's per-target entry point (it needs the hit flag for its
-        service-cost model)."""
-        return self._target_series(target, t0, t1, tag, tenant=tenant)
+        service-cost model, and has formatted ``statement`` already)."""
+        return self._target_series(target, t0, t1, tag, tenant, statement)
 
     def execute_panel(
         self,

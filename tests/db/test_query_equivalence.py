@@ -11,10 +11,11 @@ useless) are still checked bit-for-bit.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.influx import DEFAULT_ROLLUP_TIERS, InfluxDB, Point
+from repro.db.influx import DEFAULT_ROLLUP_TIERS, InfluxDB, InfluxError, Point
 from repro.db.influxql import Query, execute, naive_execute
 
 MEASUREMENTS = ["cpu_idle", "mem_used"]
@@ -248,6 +249,53 @@ class TestGenerations:
         assert db.generation("d", "m") == 0
         db.write("d", Point("m", {}, {"v": 9.0}, 1.0))
         assert db.generation("d", "m") > g1
+
+    def test_freshness_says_which_mutations_were_in_order_appends(self):
+        """mutation → what moves (DESIGN.md, "What an append cannot change")."""
+        db = InfluxDB()
+        db.create_database("d")
+        assert db.freshness("d", "m") == (0, 0, -math.inf)
+        assert db.freshness("nowhere", "m") == (0, 0, -math.inf)
+
+        def after(mutate):
+            before = db.freshness("d", "m")
+            mutate()
+            now = db.freshness("d", "m")
+            assert now[1] > before[1] and now[1] == db.generation("d", "m")
+            assert now[0] in (before[0], now[1]) and now[2] >= before[2]
+            return now[0] != before[0], now[2]
+
+        def write(t, tags=None):
+            return lambda: db.write("d", Point("m", tags or {}, {"v": 1.0}, t))
+
+        assert after(write(10.0)) == (True, 10.0)        # first write
+        assert after(write(10.0)) == (False, 10.0)       # duplicate timestamp
+        assert after(write(12.0)) == (False, 12.0)       # in order
+        assert after(write(11.0)) == (True, 12.0)        # below the frontier
+        assert after(write(3.0, {"k": "new"})) == (True, 12.0)  # a late series
+        assert after(write(12.0, {"k": "new"})) == (False, 12.0)
+        assert after(lambda: db.delete_series("d", "m", {"k": "new"})) == (True, 12.0)
+        db.set_retention_policy("d", 1.5)
+        assert after(lambda: db.enforce_retention("d", 12.0)) == (True, 12.0)
+        rows = []
+        assert after(lambda: rows.extend(db.pop_series("d", "m", {}))) == (True, 12.0)
+        assert after(lambda: db.import_rows("d", "m", {}, rows)) == (True, 12.0)
+        assert after(write(20.0)) == (False, 20.0)
+        block = db.stats("d")["measurements"]["m"]
+        assert (block["epoch"], block["generation"], block["frontier"]) == (
+            db.freshness("d", "m"))
+        # untouched by all of it
+        db.write("d", Point("other", {}, {"v": 1.0}, 1.0))
+        assert db.freshness("d", "other")[2] == 1.0
+
+    def test_a_nan_timestamp_is_refused_before_anything_moves(self):
+        db = _mk([Point("m", {}, {"v": 1.0}, 1.0)])
+        before = db.freshness("pmove", "m"), db.stats("pmove")
+        for name in ("m", "never_written"):
+            with pytest.raises(InfluxError):
+                db.write("pmove", Point(name, {}, {"v": 2.0}, math.nan))
+        assert (db.freshness("pmove", "m"), db.stats("pmove")) == before
+        assert db.measurements("pmove") == ["m"]
 
     def test_nan_aggregate_still_exact(self):
         db = _mk([Point("m", {}, {"v": v}, float(i))

@@ -9,9 +9,11 @@ and what the stats surface reports.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.influx import InfluxDB, InfluxError, Point
-from repro.db.influxql import execute
+from repro.db.influxql import execute, naive_execute
 from repro.db.sharded import ShardedInfluxDB
 from repro.faults.nodes import NodeCrash, NodeFlap
 from repro.viz.grafana import Dashboard, GrafanaServer, Panel, Target
@@ -78,6 +80,143 @@ class TestRouting:
         g1 = db.generation("pmove", "cpu_idle")
         assert g1 != g0
         assert sum(a != b for a, b in zip(g0, g1)) == 1  # one shard moved
+
+
+def _on_distinct_shards(db, measurement, n):
+    """``n`` tag sets of ``measurement`` that the ring places on ``n``
+    different shards."""
+    found = {}
+    for i in range(200):
+        found.setdefault(db.shard_for(measurement, {"obs": f"x{i}"}), {"obs": f"x{i}"})
+    assert len(found) >= n
+    return list(found.items())[:n]
+
+
+class TestFreshness:
+    def test_shape_vectors_by_shard_name_and_the_lowest_frontier(self):
+        db, _ = mk(3)
+        epochs, gens, frontier = db.freshness("pmove", "cpu_idle")
+        parts = [db.shards[n].freshness("pmove", "cpu_idle") for n in sorted(db.shards)]
+        assert epochs == tuple(p[0] for p in parts) and all(epochs)
+        assert gens == tuple(p[1] for p in parts) == db.generation("pmove", "cpu_idle")
+        assert frontier == 39.0
+        assert db.freshness("pmove", "nothing") == ((0, 0, 0), (0, 0, 0), -math.inf)
+
+    def test_in_order_append_moves_one_generation_and_no_epoch(self):
+        db, _ = mk(3)
+        epochs, gens, _ = db.freshness("pmove", "cpu_idle")
+        db.write("pmove", Point("cpu_idle", {"obs": "o0"}, {"v": 1.0}, 39.0))
+        after = db.freshness("pmove", "cpu_idle")
+        assert after[0] == epochs and after[2] == 39.0
+        assert sum(a != b for a, b in zip(after[1], gens)) == 1
+        db.write("pmove", Point("cpu_idle", {"obs": "o0"}, {"v": 1.0}, 38.5))
+        late = db.freshness("pmove", "cpu_idle")
+        assert sum(a != b for a, b in zip(late[0], epochs)) == 1
+
+    def test_the_lowest_shard_frontier_decides(self):
+        """A shard's in-order append only promises to lie above *its own*
+        newest sample: the router may vouch for nothing above the lowest."""
+        db = ShardedInfluxDB(3)
+        db.create_database("pmove")
+        (_, ahead), (_, behind) = _on_distinct_shards(db, "m", 2)
+        db.write_many("pmove", [Point("m", ahead, {"v": float(t)}, float(t))
+                                for t in range(0, 61, 10)])
+        db.write_many("pmove", [Point("m", behind, {"v": float(t)}, float(t))
+                                for t in range(0, 41, 10)])
+        assert db.freshness("pmove", "m")[2] == 40.0
+        srv = GrafanaServer(db, database="pmove")
+        target = Target(measurement="m", params="v")
+        srv.execute_target(target, 0.0, 55.0)  # ends above shard "behind"
+        db.write("pmove", Point("m", behind, {"v": -1.0}, 50.0))  # in order there
+        _, values, hit = srv.execute_target(target, 0.0, 55.0)
+        assert not hit and -1.0 in values
+        srv.execute_target(target, 0.0, 35.0)  # below both
+        db.write("pmove", Point("m", behind, {"v": -2.0}, 50.0))
+        assert srv.execute_target(target, 0.0, 35.0)[2]
+
+    def test_a_shards_first_write_of_a_measurement_moves_its_epoch_off_zero(self):
+        db = ShardedInfluxDB(3)
+        db.create_database("pmove")
+        (first_shard, first), (late_shard, late) = _on_distinct_shards(db, "m", 2)
+        db.write_many("pmove", [Point("m", first, {"v": 1.0}, float(t)) for t in range(50)])
+        names = sorted(db.shards)
+        epochs, _, frontier = db.freshness("pmove", "m")
+        assert [bool(e) for e in epochs] == [n == first_shard for n in names]
+        assert frontier == 49.0
+        srv = GrafanaServer(db, database="pmove")
+        target = Target(measurement="m", params="v")
+        srv.execute_target(target, 0.0, 30.0)
+        db.write("pmove", Point("m", late, {"v": 7.0}, 3.0))  # old, on a new shard
+        after, _, frontier = db.freshness("pmove", "m")
+        assert [bool(e) for e in after] == [n in (first_shard, late_shard) for n in names]
+        assert frontier == 3.0
+        _, values, hit = srv.execute_target(target, 0.0, 30.0)
+        assert not hit and 7.0 in values
+
+    @pytest.mark.parametrize("change", ["add", "drain", "remove"])
+    def test_membership_changes_start_a_new_epoch_vector(self, change):
+        db, _ = mk(3)
+        srv = GrafanaServer(db, database="pmove")
+        target = Target(measurement="cpu_idle", params="v", agg="MEAN", group_by_s=10)
+        before = srv.execute_target(target, 0.0, 25.0)[:2]
+        epochs = db.freshness("pmove", "cpu_idle")[0]
+        if change == "add":
+            db.add_shard()
+        else:
+            getattr(db, f"{change}_shard")("shard-1")
+        assert db.freshness("pmove", "cpu_idle")[0] != epochs
+        times, values, hit = srv.execute_target(target, 0.0, 25.0)
+        assert not hit and (times, values) == before  # moved, not changed
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("write"), st.sampled_from("abcdef"),
+                  st.one_of(st.integers(0, 30), st.integers(20, 45))),
+        st.tuples(st.just("delete"), st.sampled_from("abcdef")),
+        st.tuples(st.just("retain"), st.integers(5, 30)),
+        st.tuples(st.just("reshard"), st.sampled_from(["add", "drain", "remove"]),
+                  st.integers(0, 5)),
+    ), min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_below_the_frontier_nothing_moves_while_the_epoch_holds(self, kind, ops):
+        """The contract itself, without a cache in the way: remember every
+        (epoch, frontier) seen and what lay below that frontier; as long as
+        the engine reports the same epoch, exactly that still lies there."""
+        db = InfluxDB() if kind == "single" else ShardedInfluxDB(3)
+        db.create_database("pmove")
+        db.write_many("pmove", [Point("m", {"obs": s}, {"v": float(t)}, float(t))
+                                for s in "abc" for t in range(0, 25, 3)])
+
+        def below(frontier):
+            if frontier == -math.inf:
+                return []
+            return naive_execute(
+                db, "pmove", f'SELECT "v" FROM "m" WHERE time < {frontier}').rows
+
+        seen = []
+        for op in ops:
+            if op[0] == "write":
+                db.write("pmove", Point("m", {"obs": op[1]}, {"v": -1.0}, float(op[2])))
+            elif op[0] == "delete":
+                db.delete_series("pmove", "m", tags={"obs": op[1]})
+            elif op[0] == "retain":
+                db.set_retention_policy("pmove", float(op[1]))
+                db.enforce_retention("pmove", 35.0)
+            elif kind == "sharded":
+                try:
+                    if op[1] == "add":
+                        db.add_shard()
+                    else:
+                        names = db.shard_names()
+                        getattr(db, f"{op[1]}_shard")(names[op[2] % len(names)])
+                except InfluxError:
+                    pass  # the last placeable shard stays
+            epoch, _, frontier = db.freshness("pmove", "m")
+            seen.append((epoch, frontier, below(frontier)))
+            for then, old_frontier, rows in seen:
+                if then == epoch:
+                    assert old_frontier <= frontier
+                    assert below(old_frontier) == rows
 
 
 class TestFaults:

@@ -252,7 +252,10 @@ class TestRoundTripOrRefusal:
         log = CommitLog(n_partitions=1)
         records = LogProducer(log).produce(0.0, 0.0, batch, "t")
         decoded = [p for r in records for p in r.points()]
-        assert sorted(decoded, key=repr) == sorted(batch, key=repr)
+        # (repr prints tags in insertion order, which decoding does not keep)
+        canonical = lambda p: repr(
+            (p.measurement, sorted(p.tags.items()), sorted(p.fields.items()), p.time))
+        assert sorted(decoded, key=canonical) == sorted(batch, key=canonical)
         influx = InfluxDB()
         influx.create_database("d")
         influx.write_many("d", batch)

@@ -244,3 +244,33 @@ class TestStats:
         assert s["executed"] == 3 and s["queued"] == 0
         assert s["pending_arrivals"] == 0
         assert s["max_queue_depth"]["a"] >= 1
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_running_counts_equal_the_full_scans(self, coalesce):
+        """The queued count and the in-flight expiry are kept per event,
+        not recomputed: after every event they say what a scan of every
+        lane and every in-flight run would."""
+        rng = np.random.default_rng(3)
+        service = {rid: float(rng.choice([0.0, 0.25, 0.5])) for rid in range(120)}
+        ex = BoundedExecutor(
+            3, execute=lambda request, t: (None, 1, service[request.rid]),
+            coalesce=coalesce)
+        for rid in range(120):
+            ex.schedule_arrival(
+                _req(rid, tenant=f"t{rid % 5}", key=f"K{rng.integers(4)}",
+                     submit_t=float(rng.integers(0, 12)) / 4,
+                     priority=Priority.LIVE if rid % 3 else Priority.BACKFILL,
+                     deadline_s=0.5 if rid % 7 == 0 else None),
+                _admit_all)
+        seen = 0
+        while ex._step(float("inf")):
+            assert ex.total_queued() == sum(len(q) for q in ex._queues.values())
+            dispatched = len(ex.records) > seen
+            seen = len(ex.records)
+            for key, (finish_t, _, record) in ex._inflight.items():
+                assert (finish_t, record.rid, key) in ex._finishing
+                # the scan at this dispatch left only what was still running
+                # (or was started by it)
+                assert not dispatched or finish_t > ex.now or record.start_t == ex.now
+        assert ex.stats()["queued"] == 0 and seen == 120
+        assert ex.coalesced > 0 if coalesce else ex.executed + ex.timeouts == 120

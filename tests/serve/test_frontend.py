@@ -143,7 +143,9 @@ class TestSloAccounting:
         assert h["executor"]["executed"] == 1
         assert h["tenants"]["a"]["completed"] == 1
         assert h["cache_partitions"]["a"]["entries"] == 1
-        assert h["cache_partitions"]["b"] == {"entries": 0, "capacity": 128}
+        assert h["cache_partitions"]["a"]["sealed"] + h["cache_partitions"]["a"]["open"] == 1
+        assert h["cache_partitions"]["b"] == {
+            "entries": 0, "capacity": 128, "sealed": 0, "open": 0}
 
 
 class TestCachePartitionIsolation:

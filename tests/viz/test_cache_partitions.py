@@ -3,6 +3,7 @@ engine-swap stats contract (``reset_stats`` / ``set_engine``).
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -94,7 +95,8 @@ class TestTenantPartitions:
         for k in range(6):
             _refresh(server, panel, float(k), tenant="a")
         server.set_tenant_cache_size("a", 2)
-        assert server.tenant_cache_info("a") == {"entries": 2, "capacity": 2}
+        assert server.tenant_cache_info("a") == {
+            "entries": 2, "capacity": 2, "sealed": 2, "open": 0}
         hits = server.cache_hits
         _refresh(server, panel, 5.0, tenant="a")  # newest survived the trim
         assert server.cache_hits == hits + 1
@@ -127,7 +129,7 @@ class TestEngineSwap:
         assert server._cache  # the cached results themselves survive
 
     def test_set_engine_swaps_invalidates_and_resets(self):
-        """Generation stamps are per-engine: a swap must drop both the
+        """Freshness stamps are per-engine: a swap must drop both the
         cached results (stale stamps could look fresh) and the stats
         (they described the old engine)."""
         _, server, panel = _mk()
@@ -184,8 +186,10 @@ class TestMeasurementIndex:
         server.set_tenant_cache_size("a", 3)  # 10 → 3: seven trimmed, oldest first
         check_index(server)
         part = server._tenant_caches["a"]
-        assert server.tenant_cache_info("a") == {"entries": 3, "capacity": 3}
-        assert {m: len(keys) for m, (_, keys) in part.by_measurement.items()} == {
+        # (windows [k, k + 10] over samples up to t = 49: k = 4 is closed)
+        assert server.tenant_cache_info("a") == {
+            "entries": 3, "capacity": 3, "sealed": 3, "open": 0}
+        assert {m: len(f.sealed) for m, f in part.by_measurement.items()} == {
             "cpu": 1, "mem": 2}
         server.invalidate_cache()
         check_index(server)
@@ -196,29 +200,75 @@ class TestMeasurementIndex:
         assert not part.by_measurement and not part.entries
 
     def test_sizes_count_live_entries_only(self):
-        """A tenant sliding its window over a measurement that is written
-        between refreshes holds one entry per live target, not one per
-        refresh it ever made."""
+        """A tenant sliding a window that reaches the newest sample over a
+        measurement that is written between refreshes holds one entry per
+        live target, not one per refresh it ever made."""
         influx, server, cpu, mem = self._two_measurements()
         server.set_tenant_cache_size("a", 64)
         _refresh(server, mem, 0.0, tenant="a")
         for k in range(20):
-            influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 50.0 + k))
-            _refresh(server, cpu, float(k), tenant="a")
-            assert server.tenant_cache_info("a")["entries"] == 2
+            now = 50.0 + k
+            influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, now))
+            server.execute_panel(cpu, t0=float(k), t1=now, tenant="a")
+            assert server.tenant_cache_info("a") == {
+                "entries": 2, "capacity": 64, "sealed": 1, "open": 1}
         hits = server.cache_hits
         _refresh(server, mem, 0.0, tenant="a")  # untouched by cpu's churn
         assert server.cache_hits == hits + 1
         check_index(server)
 
+    def test_closed_windows_are_live_and_ride_the_lru(self):
+        """The same slide over windows that ended before the newest sample:
+        every one of them is still servable, so they stay until capacity
+        says otherwise — and an out-of-order write ends them together."""
+        influx, server, cpu, _ = self._two_measurements()
+        server.set_tenant_cache_size("a", 8)
+        for k in range(20):
+            influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 50.0 + k))
+            _refresh(server, cpu, float(k), tenant="a")
+            assert server.tenant_cache_info("a")["sealed"] == min(k + 1, 8)
+            check_index(server)
+        hits = server.cache_hits
+        for k in range(12, 20):
+            _refresh(server, cpu, float(k), tenant="a")
+        assert server.cache_hits == hits + 8
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 0.5))
+        _refresh(server, cpu, 19.0, tenant="a")
+        assert server.tenant_cache_info("a") == {
+            "entries": 1, "capacity": 8, "sealed": 1, "open": 0}
+        check_index(server)
+
+
+class ClosedWindowCache(ParentCache):
+    """The rule as plainly as it can be said: an LRU of key → the stamps
+    it was computed at and whether its window had ended below the
+    frontier; nothing leaves except by capacity."""
+
+    def read(self, tenant, key, stamps, t1):
+        epoch, gen, frontier = stamps
+        lru = self.partitions.setdefault(tenant, OrderedDict())
+        was = lru.get(key)
+        if was is not None and was[0] == epoch and (was[2] or was[1] == gen):
+            lru.move_to_end(key)
+            self.hits += 1
+            return True
+        self.misses += 1
+        lru[key] = (epoch, gen, t1 < frontier)
+        lru.move_to_end(key)
+        while len(lru) > self.capacity:
+            lru.popitem(last=False)
+        return False
+
 
 class TestServeReadHeavyShape:
-    def test_hit_and_miss_counts_are_the_parents(self):
+    def test_parents_hits_plus_the_closed_windows(self):
         """One of four measurements written per round, two tenants on
         windows that move every 40 rounds, one that never repeats a window
-        (``benchmarks/e2e`` ``serve_read_heavy``, scaled down): here no
-        live entry was ever crowded out by a dead one, so evicting the dead
-        changes no hit and no miss."""
+        (``benchmarks/e2e`` ``serve_read_heavy``, scaled down).  Every
+        read the generation-only cache served is still served; what is
+        gained is exactly the windows the round's write landed beyond, on
+        the measurement it wrote — and here no live entry is ever crowded
+        out, so evicting the dead changes no hit and no miss."""
         rng = random.Random(5)
         fields = ("_f0", "_f1", "_f2")
         influx = InfluxDB()
@@ -250,9 +300,10 @@ class TestServeReadHeavyShape:
             )
         ]
         server = GrafanaServer(influx)
-        model = ParentCache(256)
+        parent, model = ParentCache(256), ClosedWindowCache(256)
         for tenant in ("ops", "perf", "adhoc"):
             server.set_tenant_cache_size(tenant, 256)
+        gained = 0
         for rnd in range(240):
             write(rnd % 4)
             now = float(min(reports))
@@ -266,10 +317,16 @@ class TestServeReadHeavyShape:
                         t0, t1 = edge - window, edge
                     for target in panel.targets:
                         key = ("pmove", server.target_statement(target, t0, t1))
-                        gen = influx.generation("pmove", target.measurement)
-                        want = model.read(tenant, key, gen)
+                        stamps = influx.freshness("pmove", target.measurement)
+                        was = parent.read(tenant, key, stamps[1])
+                        want = model.read(tenant, key, stamps, t1)
                         *_, hit = server.execute_target(target, t0, t1, tenant=tenant)
-                        assert hit == want
+                        assert hit == want and hit >= was
+                        if hit and not was:
+                            assert target.measurement == f"bench_m{rnd % 4}"
+                            assert t1 < stamps[2] and tenant != "adhoc"
+                            gained += 1
         assert (server.cache_hits, server.cache_misses) == (model.hits, model.misses)
-        assert model.hits > 4000 and model.misses > 4000
+        assert server.cache_hits == parent.hits + gained
+        assert parent.hits > 4000 and gained > 2500 and model.misses > 4000
         check_index(server)

@@ -1,12 +1,15 @@
 """The dashboard result cache never serves stale rows.
 
 ``GrafanaServer.execute_panel`` caches each target's result under the
-measurement's generation stamp.  The invariant under test: a refresh after
-*any* engine mutation (write, series drop, retention trim) returns exactly
-what an uncached server would return — the cache may only ever change how
-fast an answer arrives, never the answer.
+measurement's freshness stamps: a window that ended below the frontier is
+*sealed* and outlives in-order appends, every other entry is *open* and
+ends at the next mutation.  The invariant under test: a refresh after
+*any* engine mutation (write, series drop, retention trim, shard move)
+returns exactly what an uncached server would return — the cache may only
+ever change how fast an answer arrives, never the answer.
 """
 
+import math
 import random
 from collections import OrderedDict
 
@@ -15,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.faulty import FaultyInfluxDB
-from repro.db.influx import InfluxDB, Point
-from repro.db.influxql import execute
+from repro.db.influx import InfluxDB, InfluxError, Point
+from repro.db.influxql import naive_execute
 from repro.db.sharded import ShardedInfluxDB
 from repro.faults import NodeCrash
 from repro.viz.dashboard import Dashboard, Panel, Target
@@ -68,14 +71,15 @@ class TestCacheHits:
         assert len(server._cache) <= 4
 
     def test_engine_without_generation_bypasses_cache(self):
-        """A non-generational engine is never cached (and never stale)."""
+        """An engine that reports no freshness is never cached (and never
+        stale) — ``generation`` alone cannot say what a write left alone."""
 
         class Legacy:
             def __init__(self, inner):
                 self._inner = inner
 
             def __getattr__(self, name):
-                if name == "generation":
+                if name == "freshness":
                     raise AttributeError(name)
                 return getattr(self._inner, name)
 
@@ -197,12 +201,162 @@ class TestDownsampledTargets:
 
 
 # ----------------------------------------------------------------------
-# Dead entries: evicted at the miss that proves them dead
+# Closed windows: what an in-order append cannot change stays cached
+# ----------------------------------------------------------------------
+def _sharded_mk(n=50):
+    influx = ShardedInfluxDB(3)
+    influx.create_database("pmove")
+    influx.write_many("pmove", [
+        Point("cpu", {"tag": f"t{s}"}, {"_cpu0": float(i)}, float(i))
+        for i in range(n) for s in (1, 2, 3, 4)])
+    return influx, GrafanaServer(influx), Panel(
+        id=1, title="cpu", targets=[Target("cpu", "_cpu0", tag="t1")])
+
+
+def _answer(influx, server, panel, **window):
+    """The panel's series, and the uncached reference for it."""
+    got = server.execute_panel(panel, **window)
+    want = {
+        label: tuple(map(list, naive_execute(
+            influx, "pmove", server.target_statement(target, **window)).series()))
+        for label, target in zip(got, panel.targets)
+    }
+    assert {k: (list(t), list(v)) for k, (t, v) in got.items()} == {
+        k: (t, v) for k, (t, v) in want.items()}
+    return got
+
+
+@pytest.mark.parametrize("mk", [_mk, _sharded_mk], ids=["single", "sharded"])
+class TestClosedWindows:
+    """The newest sample is at t = 49: ``t1 = 30`` is a closed window."""
+
+    def test_in_order_appends_keep_a_closed_window_a_hit(self, mk):
+        influx, server, panel = mk()
+        first = _answer(influx, server, panel, t0=0.0, t1=30.0)
+        for t in (49.0, 49.0, 50.0, 75.5):  # at the frontier, then beyond
+            influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": -1.0}, t))
+            assert _answer(influx, server, panel, t0=0.0, t1=30.0) == first
+        assert (server.cache_hits, server.cache_misses) == (4, 1)
+        filed = server._cache.by_measurement["cpu"]
+        assert len(filed.sealed) == 1 and not filed.open
+
+    @pytest.mark.parametrize("when", [30.0, 12.5, 0.0, -3.0])
+    def test_a_write_at_or_below_t1_makes_it_a_miss(self, mk, when):
+        influx, server, panel = mk()
+        first = _answer(influx, server, panel, t0=-10.0, t1=30.0)
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 999.0}, when))
+        second = _answer(influx, server, panel, t0=-10.0, t1=30.0)
+        assert server.cache_hits == 0 and second != first
+        assert 999.0 in next(iter(second.values()))[1]
+
+    def test_a_write_between_t1_and_the_frontier_is_a_miss_too(self, mk):
+        """Below the frontier nothing is promised, whichever side of the
+        window the write fell on: the epoch moved."""
+        influx, server, panel = mk()
+        first = _answer(influx, server, panel, t0=0.0, t1=30.0)
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 999.0}, 40.0))
+        assert _answer(influx, server, panel, t0=0.0, t1=30.0) == first
+        assert server.cache_hits == 0
+
+    @pytest.mark.parametrize("t1", [49.0, 60.0, None])
+    def test_a_window_reaching_the_frontier_behaves_as_before(self, mk, t1):
+        """``t1 >= frontier`` (or none): any write ends the entry, and an
+        unchanged measurement keeps it."""
+        influx, server, panel = mk()
+        first = _answer(influx, server, panel, t0=20.0, t1=t1)
+        assert _answer(influx, server, panel, t0=20.0, t1=t1) == first
+        assert server.cache_hits == 1
+        filed = server._cache.by_measurement["cpu"]
+        assert len(filed.open) == 1 and not filed.sealed
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 999.0}, 49.0))
+        second = _answer(influx, server, panel, t0=20.0, t1=t1)
+        assert server.cache_hits == 1 and second != first
+
+    def test_a_new_series_older_than_the_window_is_seen(self, mk):
+        influx, server, _ = mk()
+        every = Panel(id=3, title="all", targets=[Target("cpu", "_cpu0")])
+        first = _answer(influx, server, every, t0=0.0, t1=30.0)
+        influx.write("pmove", Point("cpu", {"tag": "late"}, {"_cpu0": 999.0}, 5.0))
+        second = _answer(influx, server, every, t0=0.0, t1=30.0)
+        assert server.cache_hits == 0 and second != first
+
+    def test_a_measurements_first_write_is_seen(self, mk):
+        influx, server, _ = mk()
+        mem = Panel(id=4, title="mem", targets=[Target("mem", "v")])
+        assert _answer(influx, server, mem, t0=0.0, t1=30.0) == {"memv": ([], [])}
+        for tag, t in (("a", 40.0), ("b", 20.0), ("c", 45.0), ("d", 45.0)):
+            # a new series' first point can land on a shard that never
+            # held the measurement: "in order" there says nothing here
+            influx.write("pmove", Point("mem", {"tag": tag}, {"v": 1.0}, t))
+            _answer(influx, server, mem, t0=0.0, t1=30.0)
+            _answer(influx, server, mem, t0=0.0, t1=42.0)
+        assert len(_answer(influx, server, mem, t0=0.0, t1=30.0)["memv"][0]) == 1
+
+    def test_a_new_generation_ends_open_entries_a_new_epoch_all(self, mk):
+        influx, server, panel = mk()
+        for t1 in (10.0, 30.0, 60.0, None):
+            _answer(influx, server, panel, t0=0.0, t1=t1)
+        filed = server._cache.by_measurement["cpu"]
+        assert (len(filed.sealed), len(filed.open)) == (2, 2)
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 50.0))
+        assert len(server._cache) == 4  # a write alone evicts nothing
+        _answer(influx, server, panel, t0=0.0, t1=10.0)  # a hit, and the proof
+        assert server.cache_hits == 1
+        assert (len(filed.sealed), len(filed.open)) == (2, 0)
+        assert len(server._cache) == 2
+        check_index(server)
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 7.0))
+        _answer(influx, server, panel, t0=0.0, t1=None)
+        assert server.cache_hits == 1
+        assert [key[1] for key in server._cache.entries] == [
+            server.target_statement(panel.targets[0], 0.0)]
+        check_index(server)
+
+    def test_drop_and_trim_end_closed_windows(self, mk):
+        influx, server, panel = mk()
+        _answer(influx, server, panel, t0=0.0, t1=30.0)
+        influx.set_retention_policy("pmove", 40.0)
+        influx.enforce_retention("pmove", 50.0)  # rows below t = 10 go
+        times, _ = next(iter(_answer(influx, server, panel, t0=0.0, t1=30.0).values()))
+        assert min(times) == 10.0
+        influx.delete_series("pmove", "cpu", tags={"tag": "t1"})
+        assert _answer(influx, server, panel, t0=0.0, t1=30.0) == {"cpu_cpu0": ([], [])}
+        assert server.cache_hits == 0
+
+    @pytest.mark.parametrize("series", ["t1", "t2", "new"])
+    def test_every_window_against_every_write(self, mk, series):
+        """One window, one write, the window again: a hit exactly when the
+        window ended below the newest sample and the write did not."""
+        every = Panel(id=3, title="all", targets=[Target("cpu", "_cpu0")])
+        for t1 in (None, 10.0, 30.0, 48.0, 48.5, 49.0, 50.0, 60.0):
+            for when in (-3.0, 0.0, 10.0, 29.0, 30.0, 31.0, 48.0, 48.5, 49.0, 50.0, 60.0):
+                influx, server, _ = mk()
+                _answer(influx, server, every, t0=5.0, t1=t1)
+                influx.write(
+                    "pmove", Point("cpu", {"tag": series}, {"_cpu0": 999.0}, when))
+                _answer(influx, server, every, t0=5.0, t1=t1)
+                closed = t1 is not None and t1 < 49.0
+                assert server.cache_hits == (closed and when >= 49.0), (t1, when)
+
+    def test_a_nan_timestamp_is_refused_and_changes_nothing(self, mk):
+        influx, server, panel = mk()
+        first = _answer(influx, server, panel, t0=0.0, t1=30.0)
+        stamps = influx.freshness("pmove", "cpu")
+        with pytest.raises(InfluxError):
+            influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, math.nan))
+        assert influx.freshness("pmove", "cpu") == stamps
+        assert _answer(influx, server, panel, t0=0.0, t1=30.0) == first
+        assert server.cache_hits == 1
+
+
+# ----------------------------------------------------------------------
+# Dead entries: evicted at the lookup that proves them dead
 # ----------------------------------------------------------------------
 class ParentCache:
-    """The cache as it was before dead entries were evicted: one LRU of
-    key → stamp per partition, nothing leaves except by capacity.  Kept
-    as the reference for which reads must (still) hit."""
+    """The cache as it was before dead entries were evicted and before
+    closed windows were kept: one LRU of key → generation per partition,
+    nothing leaves except by capacity.  Kept as the reference for which
+    reads must (still) hit."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -225,12 +379,13 @@ class ParentCache:
 
 def check_index(server):
     """The measurement index names exactly the keys each partition holds,
-    and every entry of a measurement sits under that measurement's stamp."""
+    each once, sealed or open."""
     for part in [server._cache, *server._tenant_caches.values()]:
         indexed = {}
-        for measurement, (_stamp, keys) in part.by_measurement.items():
-            assert keys, "an emptied measurement leaves the index"
-            for key in keys:
+        for measurement, filed in part.by_measurement.items():
+            assert filed.sealed or filed.open, "an emptied measurement leaves the index"
+            assert not filed.sealed & filed.open
+            for key in filed.sealed | filed.open:
                 assert key not in indexed
                 indexed[key] = measurement
         assert indexed == {key: entry[0] for key, entry in part.entries.items()}
@@ -239,18 +394,26 @@ def check_index(server):
 
 MEASUREMENTS = ("m0", "m1", "m2")
 SERIES = ("a", "b")
+LATE_SERIES = ("c", "d")  # not preloaded: their first point can be old
 TENANTS = (None, "x", "y")
 
 cache_ops = st.lists(
     st.one_of(
         st.tuples(st.just("write"), st.sampled_from(MEASUREMENTS),
-                  st.sampled_from(SERIES), st.integers(0, 40),
+                  st.sampled_from(SERIES + LATE_SERIES),
+                  st.one_of(st.integers(0, 40), st.integers(36, 60)),
                   st.integers(-5, 5)),
-        st.tuples(st.just("delete"), st.sampled_from(MEASUREMENTS),
+        st.tuples(st.just("nan"), st.sampled_from(MEASUREMENTS),
                   st.sampled_from(SERIES)),
+        st.tuples(st.just("delete"), st.sampled_from(MEASUREMENTS),
+                  st.sampled_from(SERIES + LATE_SERIES)),
         st.tuples(st.just("retain"), st.integers(5, 40)),
+        st.tuples(st.just("reshard"), st.sampled_from(["add", "drain", "remove"]),
+                  st.integers(0, 5)),
         st.tuples(st.just("read"), st.sampled_from(MEASUREMENTS),
-                  st.sampled_from(SERIES), st.sampled_from([None, 0, 10, 20]),
+                  st.sampled_from(SERIES + LATE_SERIES + (None,)),
+                  st.sampled_from([None, 0, 10, 20]),
+                  st.sampled_from([None, 8, 30, 36, 37, 45, 70]),
                   st.sampled_from(TENANTS)),
     ),
     min_size=1, max_size=60,
@@ -265,6 +428,21 @@ def _engine(kind):
         for m in MEASUREMENTS for s in SERIES for i in range(0, 40, 4)
     ])
     return influx
+
+
+def _reshard(influx, how, i):
+    """Membership change on a router (a no-op on a single engine); one the
+    router refuses — the last shard — changes nothing."""
+    if not isinstance(influx, ShardedInfluxDB):
+        return
+    try:
+        if how == "add":
+            influx.add_shard()
+        else:
+            names = influx.shard_names()
+            getattr(influx, f"{how}_shard")(names[i % len(names)])
+    except InfluxError:
+        pass
 
 
 class TestDeadEntries:
@@ -295,13 +473,16 @@ class TestDeadEntries:
         server = GrafanaServer(influx)
         panel = Panel(id=1, title="cpu", targets=[Target("cpu", "_cpu0")])
         server.execute_panel(panel)
-        assert len(server._cache) == 1
+        server.execute_panel(panel, t1=2.0)  # a closed window
+        assert len(server._cache) == 2
         influx.write("pmove", Point("cpu", {"tag": "t0"}, {"_cpu0": 2.0}, 9.0))
         influx.inject_shard_fault("shard-0", NodeCrash(t0=0.0, t1=100.0))
         influx.at(1.0)
         server.execute_panel(panel)
         assert server.partial_serves == 1
-        assert len(server._cache) == 0  # old stamp proven dead, partial not stored
+        assert len(server._cache) == 1  # the open one proven dead, partial not stored
+        server.execute_panel(panel, t1=3.0)
+        assert server.partial_serves == 2 and len(server._cache) == 1
         check_index(server)
 
     @pytest.mark.parametrize("kind", ["single", "sharded"])
@@ -312,19 +493,26 @@ class TestDeadEntries:
         influx = _engine(kind)
         server = GrafanaServer(influx, cache_size=capacity)
         model = ParentCache(capacity)
+        #: (tenant, key) → (epoch, generation, sealed) it was last computed at
+        computed = {}
         for op in ops:
             if op[0] == "write":
                 _, m, s, t, v = op
                 influx.write("pmove", Point(m, {"tag": s}, {"v": float(v)}, float(t)))
+            elif op[0] == "nan":
+                with pytest.raises(InfluxError):
+                    influx.write("pmove", Point(op[1], {"tag": op[2]}, {"v": 0.0}, math.nan))
             elif op[0] == "delete":
                 influx.delete_series("pmove", op[1], tags={"tag": op[2]})
             elif op[0] == "retain":
                 influx.set_retention_policy("pmove", float(op[1]))
                 influx.enforce_retention("pmove", 40.0)
+            elif op[0] == "reshard":
+                _reshard(influx, op[1], op[2])
             else:
-                _, m, s, t0, tenant = op
-                target = Target(m, "v", tag=s)
-                stmt = server.target_statement(target, t0)
+                _, m, s, t0, t1, tenant = op
+                target = Target(m, "v", tag=s or "")
+                stmt = server.target_statement(target, t0, t1)
                 part, _ = server._partition_for(tenant)
                 others = {
                     t: list(p.entries.items())
@@ -332,19 +520,33 @@ class TestDeadEntries:
                     if p is not part
                 }
                 bystanders = [k for k, e in part.entries.items() if e[0] != m]
-                gen = influx.generation("pmove", m)
+                epoch, gen, frontier = influx.freshness("pmove", m)
+                assert gen == influx.generation("pmove", m)
 
-                times, values, hit = server.execute_target(target, t0, tenant=tenant)
+                times, values, hit = server.execute_target(target, t0, t1, tenant=tenant)
 
-                fresh = execute(influx, "pmove", stmt).series()
+                fresh = naive_execute(influx, "pmove", stmt).series()
                 assert (list(times), list(values)) == (list(fresh[0]), list(fresh[1]))
                 # every read that hit before still hits; hits may be gained
                 assert hit or not model.read(tenant, ("pmove", stmt), gen)
                 if hit:
                     model.read(tenant, ("pmove", stmt), gen)
+                    # … but only ever on an answer computed in this epoch,
+                    # and after a write only on one it cannot have reached
+                    was = computed[tenant, stmt]
+                    assert was[0] == epoch and (was[2] or was[1] == gen)
+                else:
+                    computed[tenant, stmt] = (
+                        epoch, gen, t1 is not None and t1 < frontier)
                 # nothing of m stamped otherwise is left in this partition …
-                assert part.by_measurement[m][0] == gen
-                assert ("pmove", stmt) in part.by_measurement[m][1]
+                filed = part.by_measurement[m]
+                assert (filed.epoch, filed.generation) == (epoch, gen)
+                was = computed[tenant, stmt]
+                assert ("pmove", stmt) in (filed.sealed if was[2] else filed.open)
+                for key in filed.sealed | filed.open:
+                    assert computed[tenant, key[1]][0] == epoch
+                for key in filed.open:
+                    assert computed[tenant, key[1]][1] == gen
                 # … other measurements lose entries to capacity only, oldest
                 # first, and other partitions are not touched at all
                 left = [k for k in bystanders if k in part.entries]
@@ -358,5 +560,6 @@ class TestDeadEntries:
                 info = server.tenant_cache_info(t)
                 held = server._tenant_caches.get(t, ())
                 assert info["entries"] == len(held) <= capacity
+                assert info["sealed"] + info["open"] == info["entries"]
         assert server.cache_hits >= model.hits
         assert server.cache_hits + server.cache_misses == model.hits + model.misses
