@@ -7,8 +7,9 @@ over a long-lived host's series (1e5 points by default; crank
 
 - **aggregation pushdown**: ``execute`` folds aggregates/buckets straight
   over the column arrays instead of materializing row tuples;
-- **write-through rollups**: tier-aligned GROUP BY queries read ~N/60
-  pre-folded buckets instead of N raw rows;
+- **rollup tiers**: tier-aligned GROUP BY queries read ~N/60 buckets —
+  folded from the rows when the first such read asked, and kept — instead
+  of N raw rows;
 - **the freshness-stamped result cache**: an unchanged panel refresh is a
   dict hit in ``GrafanaServer`` — and so is a refresh of a window that ended
   before the samples written since.

@@ -5,9 +5,10 @@ percentile over a long-lived series, re-bucketed by a rollup-aligned
 ``GROUP BY time`` — at 1e6 points by default (crank
 ``PMOVE_BENCH_SKETCH_POINTS``).  Two layers are under test:
 
-- **write-through tier sketches**: ``PERCENTILE(f, 99) ... GROUP BY
-  time(60s)`` answers from ~N/600 pre-merged t-digests instead of
-  sorting every bucket's raw values;
+- **tier sketches**: ``PERCENTILE(f, 99) ... GROUP BY time(60s)``
+  answers from ~N/600 per-bucket t-digests — each built from its bucket's
+  rows by the first read that asked, and kept — instead of sorting every
+  bucket's raw values;
 - **scatter-gather sketch merge**: a 4-shard engine ships serialized
   digest partials and merges them, staying inside the merged rank bound.
 

@@ -281,16 +281,23 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_sketch(args) -> int:
-    """Sketch observability: the write-through tier digests and HLLs that
-    serve PERCENTILE / COUNT DISTINCT without rescanning raw points."""
+    """Sketch observability: the tier digests and HLLs that serve
+    PERCENTILE / COUNT DISTINCT without rescanning raw points.  Digests
+    are built by the first read that asks for them, so the command makes
+    the read a p95 panel would — one grouped percentile per measurement."""
     from repro.core import PMoVE
+    from repro.db.influx import DEFAULT_ROLLUP_TIERS
 
     daemon = PMoVE()
     daemon.attach_target(SimulatedMachine(get_preset(args.preset)))
     daemon.scenario_a(args.preset, duration_s=args.duration, freq_hz=args.freq)
 
+    tier = DEFAULT_ROLLUP_TIERS[0]
+    for name in daemon.influx.measurements(daemon.database):
+        daemon.influx.quantile_buckets(daemon.database, name, 95.0, tier)
     st = daemon.influx.stats(daemon.database)
     print(f"sketch state on {args.preset} after {args.duration:g}s sampling "
+          f"and one p95 read per measurement "
           f"({st['points_written']} points, {st['series_count']} series):")
     hdr = (f"{'measurement':<40} {'series':>6} {'est':>6} {'digests':>8} "
            f"{'centroids':>10} {'hll':>4} {'kB':>8}")

@@ -28,7 +28,7 @@ def generate_queries(
     The default is the verbatim Listing 3 raw select.  ``agg`` (and
     optionally ``group_by_s``) generate the downsampled variant instead —
     ``SELECT AGG("f") ... GROUP BY time(Ns)`` — which the engine serves
-    from its write-through rollup tiers when the bucket width allows.
+    from its rollup tiers when the bucket width allows.
     """
     if observation.get("@type") != "ObservationInterface":
         raise ValueError("query generation needs an ObservationInterface entry")

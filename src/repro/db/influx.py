@@ -27,15 +27,23 @@ tuple materialization:
   directly over the per-series value arrays;
 - :meth:`InfluxDB.scan_buckets` resolves ``GROUP BY time(N)`` buckets by
   bisecting bucket edges, and serves fully covered buckets from
-  **write-through rollups** — per-series downsample shards (default tiers
-  10s/60s, the continuous-query pattern of production Influx stacks)
-  maintained incrementally on every write, with raw-point folds for the
-  unaligned head/tail so results stay exactly equal to raw aggregation;
+  **rollup tiers** — per-series downsample shards (default tiers 10s/60s,
+  the continuous-query pattern of production Influx stacks), with
+  raw-point folds for the unaligned head/tail so results stay exactly
+  equal to raw aggregation;
 - per-measurement **freshness stamps** (:meth:`InfluxDB.freshness`): a
   generation bumped on every mutation, and an epoch and frontier that say
   which mutations were in-order appends, so read layers (the Grafana panel
   cache) invalidate with integer compares and keep what an append cannot
   have changed.
+
+A write maintains none of this.  The paper's default path has no buffer
+between sampler and database (§V-A), so a write stores its row in the
+columns and returns; tiers, per-bucket t-digests and per-field HLLs are
+memos over a prefix of those columns (``_Series.folded``), caught up by
+the first read that needs them with the one routine late writes and
+retention use (``_RollupCol.set_from`` over a raw slice) — on-demand
+operators over a head-extended sensor cache, as in DCDB Wintermute.
 
 Timestamps are virtual-clock seconds stored at nanosecond resolution, as
 Influx line protocol does.
@@ -49,7 +57,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 
 from .sketch import (
     DEFAULT_SKETCH,
@@ -67,7 +75,7 @@ from .sketch import stddev_of as _stddev_of
 __all__ = ["Point", "InfluxError", "RetentionPolicy", "InfluxDB", "ColumnRows",
            "DEFAULT_ROLLUP_TIERS", "fold_values"]
 
-#: Downsample shard sizes maintained on the write path, seconds.
+#: Downsample shard sizes every series keeps, seconds.
 DEFAULT_ROLLUP_TIERS = (10.0, 60.0)
 
 _FOLDABLE = frozenset({"MEAN", "MAX", "MIN", "SUM", "COUNT", "LAST"})
@@ -91,6 +99,13 @@ def fold_values(agg: str, values: list[float]) -> float | None:
     if agg == "LAST":
         return values[-1]
     raise InfluxError(f"unknown aggregate {agg}")
+
+
+def _merged(digests: list[TDigest]) -> TDigest | None:
+    """One digest for all of them (a single one: itself, no copy)."""
+    if len(digests) < 2:
+        return digests[0] if digests else None
+    return TDigest.merged(digests)
 
 
 class InfluxError(ValueError):
@@ -247,18 +262,18 @@ class _RollupCol:
     """Per-bucket fold state of one field, parallel with ``_Rollup.starts``.
 
     A bucket with ``count == 0`` holds no value for this field.  ``total``,
-    ``vmin``, ``vmax`` and ``last`` are maintained as the *left fold* of the
-    raw values in (time, write-seq) order, so every stat is bit-identical to
-    folding the raw column slice of that bucket.  ``sumsq`` extends the fold
-    with Σv² (STDDEV partials, same fold order), and ``digest`` holds one
-    write-through :class:`~repro.db.sketch.TDigest` per bucket — the
-    quantile summary the PERCENTILE serving planner merges at read time.
+    ``vmin``, ``vmax`` and ``last`` are the fold of the bucket's raw values
+    in (time, write-seq) order — :meth:`set_from` is the only routine that
+    writes them, so every stat is bit-identical to folding the raw column
+    slice of that bucket.  ``sumsq`` extends the fold with Σv² (STDDEV
+    partials, same fold order), and ``digest`` holds the bucket's
+    :class:`~repro.db.sketch.TDigest` once a PERCENTILE read has asked for
+    it (:meth:`_Series.bucket_digest`).
     """
 
-    __slots__ = ("count", "total", "vmin", "vmax", "last", "sumsq", "digest",
-                 "compression")
+    __slots__ = ("count", "total", "vmin", "vmax", "last", "sumsq", "digest")
 
-    def __init__(self, n: int, compression: int = DEFAULT_SKETCH.compression) -> None:
+    def __init__(self, n: int) -> None:
         self.count = [0] * n
         self.total = [0.0] * n
         self.vmin = [0.0] * n
@@ -266,7 +281,6 @@ class _RollupCol:
         self.last = [0.0] * n
         self.sumsq = [0.0] * n
         self.digest: list[TDigest | None] = [None] * n
-        self.compression = compression
 
     def _arrays(self):
         return (self.count, self.total, self.vmin, self.vmax, self.last,
@@ -292,44 +306,42 @@ class _RollupCol:
             del a[k]
         del self.digest[k]
 
-    def set_from(self, k: int, values: list[float]) -> None:
-        """Recompute bucket ``k`` from the raw in-order value list."""
+    def set_from(self, k: int, values: list[float | None]) -> None:
+        """Fold bucket ``k`` from its raw in-order column slice and drop the
+        digest built from the rows it held before."""
+        self.digest[k] = None
+        try:
+            total = sum(values)
+        except TypeError:  # a hole: some row of the slice lacks the field
+            values = [v for v in values if v is not None]
+            total = sum(values)
         self.count[k] = len(values)
-        if values:
-            self.total[k] = sum(values)
-            self.vmin[k] = min(values)
-            self.vmax[k] = max(values)
-            self.last[k] = values[-1]
-            sq = 0.0
-            for v in values:
-                sq += v * v
-            self.sumsq[k] = sq
-            d = TDigest(self.compression)
-            d.add_many(values)
-            self.digest[k] = d
-        else:
+        if not values:
             self.sumsq[k] = 0.0
-            self.digest[k] = None
+            return
+        self.total[k] = total
+        self.vmin[k] = min(values)
+        self.vmax[k] = max(values)
+        self.last[k] = values[-1]
+        sq = 0.0
+        for v in values:
+            sq += v * v
+        self.sumsq[k] = sq
 
 
 class _Rollup:
     """One downsample shard of one series: per-bucket folds at tier ``T``.
 
     ``starts`` is the sorted list of bucket starts ``(t // T) * T`` that
-    hold at least one raw row.  ``has_nan`` poisons MIN/MAX serving: NaN
-    makes min/max folds order-dependent, so the planner falls back to raw
-    folds for those aggregates once a NaN was ever ingested.
+    hold at least one folded raw row.
     """
 
-    __slots__ = ("tier", "starts", "fields", "has_nan", "compression")
+    __slots__ = ("tier", "starts", "fields")
 
-    def __init__(self, tier: float,
-                 compression: int = DEFAULT_SKETCH.compression) -> None:
+    def __init__(self, tier: float) -> None:
         self.tier = tier
         self.starts: list[float] = []
         self.fields: dict[str, _RollupCol] = {}
-        self.compression = compression
-        self.has_nan = False
 
 
 class _Series:
@@ -339,12 +351,18 @@ class _Series:
     sequence so equal timestamps preserve global insertion order across
     series (matching a stable sort over a flat point list).  ``cols`` maps
     field name → value array aligned with ``times`` (``None`` = field absent
-    in that row).  ``rollups`` holds one write-through downsample shard per
-    configured tier.
+    in that row).
+
+    The per-series summaries — one downsample shard per configured tier
+    (``rollups``) and one value-cardinality HLL per field (``hlls``) — are
+    memos over the row prefix ``[0, folded)``.  A write only stores its
+    row; a reader first asks :meth:`catch_up` for the prefix it reads
+    (either attribute: for all of it), which folds what is missing of that
+    and costs one compare when nothing is.
     """
 
-    __slots__ = ("tags", "key_len", "times", "seqs", "cols", "rollups", "max_seq",
-                 "hlls", "hll_trimmed", "sketch")
+    __slots__ = ("tags", "key_len", "times", "seqs", "cols", "_rollups", "max_seq",
+                 "_hlls", "hll_trimmed", "sketch", "folded", "has_nan")
 
     def __init__(
         self, tags: dict[str, str], key_len: int, tiers: tuple[float, ...] = (),
@@ -356,15 +374,20 @@ class _Series:
         self.seqs: list[int] = []
         self.cols: dict[str, list[float | None]] = {}
         self.sketch = sketch
-        self.rollups: tuple[_Rollup, ...] = tuple(
-            _Rollup(t, sketch.compression) for t in tiers
-        )
+        #: Rows ``[0, folded)`` are reflected in ``_rollups`` and ``_hlls``.
+        self.folded = 0
+        #: A NaN was ever written here.  It poisons tier serving of MIN/MAX
+        #: (NaN makes those folds order-dependent) and of percentiles, and
+        #: is noted by the write, not by a fold: which plan a read gets
+        #: must not depend on how far an earlier read made the folds run.
+        self.has_nan = False
+        self._rollups: tuple[_Rollup, ...] = tuple(_Rollup(t) for t in tiers)
         #: Per-field value-cardinality HLL over the series' whole history —
         #: what serves ``COUNT(DISTINCT field)`` without a scan.  Order- and
         #: duplicate-insensitive, so out-of-order writes need no rebuild;
         #: retention trims set ``hll_trimmed`` (an HLL cannot forget) and
         #: the planner falls back to exact scans from then on.
-        self.hlls: dict[str, HyperLogLog] = {}
+        self._hlls: dict[str, HyperLogLog] = {}
         self.hll_trimmed = False
         #: Highest write sequence ever stored — the durable-ingest apply
         #: gate reads this to answer "did record seq N already land here?"
@@ -375,86 +398,106 @@ class _Series:
         if seq > self.max_seq:
             self.max_seq = seq
         times = self.times
-        in_order = not times or time >= times[-1]
-        if in_order:
+        cols = self.cols
+        if not times or time >= times[-1]:
             idx = len(times)  # append fast path (in-order ingest)
             times.append(time)
             self.seqs.append(seq)
-            for col in self.cols.values():
+            for col in cols.values():
                 col.append(None)
         else:
             idx = bisect_right(times, time)
             times.insert(idx, time)
             self.seqs.insert(idx, seq)
-            for col in self.cols.values():
+            for col in cols.values():
                 col.insert(idx, None)
-        n = len(times)
-        cols = self.cols
-        hlls = self.hlls
         for name, v in fields.items():
             col = cols.get(name)
             if col is None:
-                col = cols[name] = [None] * n
+                col = cols[name] = [None] * len(times)
             col[idx] = v
-            hll = hlls.get(name)
-            if hll is None:
-                hll = hlls[name] = HyperLogLog(self.sketch.hll_p)
-            hll.add_hash(float_hash64(v))
-        if in_order:
-            for r in self.rollups:
-                self._rollup_append(r, time, fields)
-        else:
-            for r in self.rollups:
+            if v != v:
+                self.has_nan = True
+        if idx < self.folded:
+            # The row landed inside the folded prefix: the prefix grew by
+            # it, and only the bucket it fell in (as far as it is folded)
+            # changed.
+            self.folded += 1
+            self._hash(idx, idx + 1)
+            for r in self._rollups:
                 self._rollup_recompute(r, (time // r.tier) * r.tier)
 
-    # -- write-through rollup maintenance ------------------------------
-    def _rollup_append(self, r: _Rollup, time: float, fields: dict[str, float]) -> None:
-        """In-order update: extend or amend the newest bucket in place."""
-        b = (time // r.tier) * r.tier
-        starts = r.starts
-        if not starts or starts[-1] != b:
-            starts.append(b)
-            for rc in r.fields.values():
-                rc.append_bucket()
-        k = len(starts) - 1
-        for name, v in fields.items():
+    # -- summaries: memos over rows [0, folded) --------------------------
+    @property
+    def rollups(self) -> tuple[_Rollup, ...]:
+        self.catch_up(len(self.times))
+        return self._rollups
+
+    @property
+    def hlls(self) -> dict[str, HyperLogLog]:
+        self.catch_up(len(self.times))
+        return self._hlls
+
+    def catch_up(self, upto: int) -> None:
+        """Make the summaries reflect rows ``[0, upto)`` at least — all a
+        read of rows ``[lo, upto)`` can be served from, since a tier bucket
+        that lies whole inside the read lies whole below ``upto``.
+
+        Folds rows ``[folded, upto)`` in: hashes their values, and re-folds
+        whole tier buckets from the one that holds row ``folded`` (it may
+        be half folded already) to the one that holds row ``upto - 1``.  A
+        bucket is always folded from its raw slice, never continued, so a
+        tier is by construction the fold of the raw columns below
+        ``folded``."""
+        f = self.folded
+        if f >= upto:
+            return
+        times = self.times
+        self._hash(f, upto)
+        self.folded = upto
+        for r in self._rollups:
+            T = r.tier
+            key = lambda t: (t // T) * T  # noqa: E731
+            starts = r.starts
+            i = bisect_left(times, key(times[f]), 0, f, key=key)
+            while i < upto:
+                b = key(times[i])
+                j = bisect_right(times, b, i, upto, key=key)
+                if not starts or starts[-1] != b:
+                    starts.append(b)
+                    for rc in r.fields.values():
+                        rc.append_bucket()
+                self._fold_bucket(r, len(starts) - 1, i, j)
+                i = j
+
+    def _hash(self, i: int, j: int) -> None:
+        """Add the values of rows ``[i, j)`` to the per-field HLLs."""
+        hlls = self._hlls
+        for name, col in self.cols.items():
+            hll = hlls.get(name)
+            for v in col[i:j]:
+                if v is not None:
+                    if hll is None:
+                        hll = hlls[name] = HyperLogLog(self.sketch.hll_p)
+                    hll.add_hash(float_hash64(v))
+
+    def _fold_bucket(self, r: _Rollup, k: int, i: int, j: int) -> None:
+        """Set bucket ``k`` of tier ``r`` to the fold of rows ``[i, j)``."""
+        for name, col in self.cols.items():
             rc = r.fields.get(name)
             if rc is None:
-                rc = r.fields[name] = _RollupCol(len(starts), r.compression)
-            if rc.count[k] == 0:
-                # 0.0 + v, not v: sum() folds from int 0, so a bucket of
-                # all -0.0 values totals +0.0 — the write-through total
-                # must bit-match fold_values/set_from or rollup-served
-                # MEAN/SUM diverges from raw folds (repr comparisons).
-                rc.total[k] = 0.0 + v
-                rc.sumsq[k] = 0.0 + v * v
-                rc.vmin[k] = v
-                rc.vmax[k] = v
-            else:
-                rc.total[k] += v
-                rc.sumsq[k] += v * v
-                if v < rc.vmin[k]:
-                    rc.vmin[k] = v
-                if v > rc.vmax[k]:
-                    rc.vmax[k] = v
-            rc.count[k] += 1
-            rc.last[k] = v
-            d = rc.digest[k]
-            if d is None:
-                d = rc.digest[k] = TDigest(rc.compression)
-            d.add(v)
-            if v != v:
-                r.has_nan = True
+                rc = r.fields[name] = _RollupCol(len(r.starts))
+            rc.set_from(k, col[i:j])
 
     def _rollup_recompute(self, r: _Rollup, b: float) -> None:
-        """Rebuild bucket ``b`` from raw rows (out-of-order insert, retention
-        trim).  The fold re-runs in storage order, so exactness survives any
-        write pattern."""
+        """Rebuild bucket ``b`` from its folded raw rows (out-of-order
+        insert, retention trim).  The fold re-runs in storage order, so
+        exactness survives any write pattern."""
         T = r.tier
         times = self.times
         key = lambda t: (t // T) * T  # noqa: E731
-        i = bisect_left(times, b, key=key)
-        j = bisect_right(times, b, key=key)
+        i = bisect_left(times, b, 0, self.folded, key=key)
+        j = bisect_right(times, b, i, self.folded, key=key)
         k = bisect_left(r.starts, b)
         have = k < len(r.starts) and r.starts[k] == b
         if i == j:  # bucket holds no raw rows any more
@@ -467,14 +510,41 @@ class _Series:
             r.starts.insert(k, b)
             for rc in r.fields.values():
                 rc.insert_bucket(k)
-        for name, col in self.cols.items():
-            rc = r.fields.get(name)
-            if rc is None:
-                rc = r.fields[name] = _RollupCol(len(r.starts), r.compression)
-            vals = [v for v in col[i:j] if v is not None]
-            rc.set_from(k, vals)
-            if any(v != v for v in vals):
-                r.has_nan = True
+        self._fold_bucket(r, k, i, j)
+
+    def bucket_digest(self, r: _Rollup, name: str, k: int) -> TDigest | None:
+        """The t-digest of field ``name`` over bucket ``k`` of tier ``r``,
+        built from the bucket's folded rows on first use and held
+        compressed — so what a digest answers, alone or merged, depends on
+        those rows and not on what was read before."""
+        rc = r.fields.get(name)
+        if rc is None or not rc.count[k]:
+            return None
+        d = rc.digest[k]
+        if d is None:
+            T = r.tier
+            key = lambda t: (t // T) * T  # noqa: E731
+            i = bisect_left(self.times, r.starts[k], 0, self.folded, key=key)
+            j = bisect_right(self.times, r.starts[k], i, self.folded, key=key)
+            d = rc.digest[k] = TDigest.of(
+                (v for v in self.cols[name][i:j] if v is not None),
+                self.sketch.compression,
+            )
+        return d
+
+    def whole_buckets(self, lo: int, hi: int, T: float) -> tuple[int, int]:
+        """``[full_lo, full_hi)``: the maximal sub-range of rows ``[lo, hi)``
+        exactly tiled by whole buckets of width ``T``; ``[lo, full_lo)`` and
+        ``[full_hi, hi)`` are the head/tail of buckets the range cuts."""
+        times = self.times
+        key = lambda t: (t // T) * T  # noqa: E731
+        full_lo = lo
+        if lo > 0 and key(times[lo - 1]) == key(times[lo]):
+            full_lo = bisect_right(times, key(times[lo]), lo, hi, key=key)
+        full_hi = hi
+        if hi < len(times) and key(times[hi]) == key(times[hi - 1]):
+            full_hi = bisect_left(times, key(times[hi - 1]), full_lo, hi, key=key)
+        return full_lo, max(full_hi, full_lo)
 
     def time_slice(
         self,
@@ -506,14 +576,15 @@ class _Series:
             # HLLs cannot forget the trimmed values: poison cardinality
             # serving for this series (exact scans take over).
             self.hll_trimmed = True
-            for hll in self.hlls.values():
+            for hll in self._hlls.values():
                 hll.trimmed = True
             del self.times[:idx]
             del self.seqs[:idx]
             for col in self.cols.values():
                 del col[:idx]
-            for r in self.rollups:
-                if not self.times:
+            self.folded = max(self.folded - idx, 0)
+            for r in self._rollups:
+                if not self.folded:  # no folded row is left
                     r.starts.clear()
                     r.fields.clear()
                     continue
@@ -693,8 +764,8 @@ class _Database:
 class InfluxDB:
     """The time-series store: multiple databases, line-protocol ingest.
 
-    ``rollup_tiers`` configures the write-through downsample shards every
-    series maintains (seconds per bucket, ascending); ``()`` disables them.
+    ``rollup_tiers`` configures the downsample shards every series keeps
+    caught up on read (seconds per bucket, ascending); ``()`` disables them.
     """
 
     def __init__(self, rollup_tiers: tuple[float, ...] = DEFAULT_ROLLUP_TIERS,
@@ -1212,7 +1283,7 @@ class InfluxDB:
 
         Single-series matches (the Listing 3 dashboard shape) resolve bucket
         edges by bisect and, when a rollup tier divides ``N`` evenly, serve
-        fully covered buckets from the write-through rollup shard — raw
+        fully covered buckets from the rollup shard — raw
         folds cover only the unaligned head/tail the time filter cut
         through.  MEAN/SUM only ever ride a tier equal to ``N`` (summation
         order must match the raw left fold exactly); COUNT/MIN/MAX/LAST
@@ -1231,7 +1302,7 @@ class InfluxDB:
             return cols, []
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            r = self._pick_rollup(s, agg, group_by_s)
+            r = self._pick_rollup(s, agg, group_by_s, hi)
             if r is not None:
                 return cols, self._buckets_rollup(s, lo, hi, cols, agg,
                                                   group_by_s, r)
@@ -1258,11 +1329,14 @@ class InfluxDB:
     def _note_plan(self, outcome: str) -> None:
         self.rollup_plan[outcome] = self.rollup_plan.get(outcome, 0) + 1
 
-    def _pick_rollup(self, s: _Series, agg: str, group_by_s: float) -> _Rollup | None:
-        """Largest rollup tier that can serve ``GROUP BY time(N)`` exactly."""
+    def _pick_rollup(
+        self, s: _Series, agg: str, group_by_s: float, hi: int | None = None
+    ) -> _Rollup | None:
+        """Largest rollup tier that can serve ``GROUP BY time(N)`` exactly
+        over rows below ``hi`` (default: all of them)."""
         best = None
         skips: set[str] = set()
-        for r in s.rollups:
+        for r in s._rollups:  # planned on tier sizes: nothing read from one yet
             k = group_by_s / r.tier
             if k < 1.0 or k != k or not k.is_integer():
                 skips.add("skip:tier-not-dividing")
@@ -1271,12 +1345,14 @@ class InfluxDB:
                 # cross-bucket float summation reorders the fold
                 skips.add("skip:mean-sum-needs-exact-tier")
                 continue
-            if agg in ("MIN", "MAX") and r.has_nan:
+            if agg in ("MIN", "MAX") and s.has_nan:
                 # NaN makes min/max folds order-dependent
                 skips.add("skip:nan-poisoned")
                 continue
             if best is None or r.tier > best.tier:
                 best = r
+        if best is not None:
+            s.catch_up(len(s) if hi is None else hi)
         for reason in skips:
             self._note_plan(reason)
         self._note_plan(f"served:{best.tier:g}" if best is not None else "raw-fallback")
@@ -1336,21 +1412,10 @@ class InfluxDB:
         COUNT/MIN/MAX/LAST, where it is exact) reproduces the raw left fold.
         """
         times = s.times
-        n = len(times)
         T = r.tier
         keyq = lambda t: (t // N) * N  # noqa: E731
         keyt = lambda t: (t // T) * T  # noqa: E731
-        # [full_lo, full_hi): the maximal sub-range exactly tiled by whole
-        # tier buckets; [lo, full_lo) and [full_hi, hi) are the raw head/tail.
-        full_lo = lo
-        if lo > 0 and keyt(times[lo - 1]) == keyt(times[lo]):
-            full_lo = bisect_right(times, keyt(times[lo]), lo, hi, key=keyt)
-        full_hi = hi
-        if hi < n and keyt(times[hi]) == keyt(times[hi - 1]):
-            full_hi = bisect_left(times, keyt(times[hi - 1]), full_lo, hi,
-                                  key=keyt)
-        if full_hi < full_lo:
-            full_hi = full_lo
+        full_lo, full_hi = s.whole_buckets(lo, hi, T)
 
         sel = [s.cols.get(c) for c in cols]
 
@@ -1562,11 +1627,9 @@ class InfluxDB:
             return cols, []
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            r = next(
-                (r for r in s.rollups if r.tier == group_by_s and not r.has_nan),
-                None,
-            )
-            if r is not None:
+            r = next((r for r in s._rollups if r.tier == group_by_s), None)
+            if r is not None and not s.has_nan:
+                s.catch_up(hi)
                 return cols, self._partials_rollup(s, lo, hi, cols, group_by_s, r)
             return cols, self._partials_raw(s, lo, hi, cols, group_by_s)
         # Multi-series within this engine: bucket the keyed merged rows.
@@ -1638,21 +1701,12 @@ class InfluxDB:
         The head/tail buckets the time filter may cut through are folded
         raw (with exact last keys); every fully covered bucket comes
         straight from the per-bucket count/total/min/max/last arrays.
-        ``r.has_nan`` is False on this path, so has_nan is False for served
+        ``s.has_nan`` is False on this path, so has_nan is False for served
         buckets.
         """
         times = s.times
-        n = len(times)
         keyt = lambda t: (t // N) * N  # noqa: E731
-        full_lo = lo
-        if lo > 0 and keyt(times[lo - 1]) == keyt(times[lo]):
-            full_lo = bisect_right(times, keyt(times[lo]), lo, hi, key=keyt)
-        full_hi = hi
-        if hi < n and keyt(times[hi]) == keyt(times[hi - 1]):
-            full_hi = bisect_left(times, keyt(times[hi - 1]), full_lo, hi,
-                                  key=keyt)
-        if full_hi < full_lo:
-            full_hi = full_lo
+        full_lo, full_hi = s.whole_buckets(lo, hi, N)
         out: list[tuple[float, list[tuple | None]]] = []
         if lo < full_lo:
             out.extend(self._partials_raw(s, lo, full_lo, cols, N))
@@ -1687,18 +1741,20 @@ class InfluxDB:
     def _note_sketch(self, outcome: str) -> None:
         self.sketch_plan[outcome] = self.sketch_plan.get(outcome, 0) + 1
 
-    def _pick_sketch_rollup(self, s: _Series, group_by_s: float) -> _Rollup | None:
+    def _pick_sketch_rollup(
+        self, s: _Series, group_by_s: float, hi: int
+    ) -> _Rollup | None:
         """Largest tier whose per-bucket digests can serve ``GROUP BY
         time(N)`` percentiles within the configured rank-error bound."""
         cfg = self.sketch
         best = None
         skips: set[str] = set()
-        for r in s.rollups:
+        for r in s._rollups:  # planned on tier sizes: nothing read from one yet
             k = group_by_s / r.tier
             if k < 1.0 or k != k or not k.is_integer():
                 skips.add("fallback:tier-not-dividing")
                 continue
-            if r.has_nan:
+            if s.has_nan:
                 skips.add("fallback:nan-poisoned")
                 continue
             if k > cfg.max_merge:
@@ -1709,6 +1765,8 @@ class InfluxDB:
                 continue
             if best is None or r.tier > best.tier:
                 best = r
+        if best is not None:
+            s.catch_up(hi)
         for reason in skips:
             self._note_sketch(reason)
         self._note_sketch(
@@ -1746,7 +1804,7 @@ class InfluxDB:
             return cols, []
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            r = self._pick_sketch_rollup(s, group_by_s)
+            r = self._pick_sketch_rollup(s, group_by_s, hi)
             if r is not None:
                 return cols, self._quantile_rollup(s, lo, hi, cols, pct,
                                                    group_by_s, r)
@@ -1801,62 +1859,38 @@ class InfluxDB:
         N: float,
         r: _Rollup,
     ) -> list[tuple[float, list[float | None]]]:
-        """Serve grouped percentiles from tier digests.
-
-        Boundary output buckets the time filter may have cut through are
-        folded exactly from raw rows; each fully covered bucket merges the
-        ``N/tier`` digests it spans (one digest: no copy at all)."""
-        times = s.times
-        n = len(times)
-        keyN = lambda t: (t // N) * N  # noqa: E731
-        full_lo = lo
-        if lo > 0 and keyN(times[lo - 1]) == keyN(times[lo]):
-            full_lo = bisect_right(times, keyN(times[lo]), lo, hi, key=keyN)
-        full_hi = hi
-        if hi < n and keyN(times[hi]) == keyN(times[hi - 1]):
-            full_hi = bisect_left(times, keyN(times[hi - 1]), full_lo, hi,
-                                  key=keyN)
-        if full_hi < full_lo:
-            full_hi = full_lo
+        """Serve grouped percentiles from tier digests; boundary output
+        buckets the time filter may have cut through are folded exactly
+        from raw rows."""
+        full_lo, full_hi = s.whole_buckets(lo, hi, N)
         q = pct / 100.0
-        out: list[tuple[float, list[float | None]]] = []
-        if lo < full_lo:
-            out.extend(self._quantile_raw(s, lo, full_lo, cols, pct, N))
-        if full_lo < full_hi:
+        return (
+            self._quantile_raw(s, lo, full_lo, cols, pct, N)
+            + [(b, [None if d is None else d.quantile(q) for d in row])
+               for b, row in self._tier_digests(s, full_lo, full_hi, cols, N, r)]
+            + self._quantile_raw(s, full_hi, hi, cols, pct, N)
+        )
+
+    def _tier_digests(
+        self, s: _Series, lo: int, hi: int, cols: list[str], N: float, r: _Rollup
+    ) -> list[tuple[float, list[TDigest | None]]]:
+        """One digest per column per ``N``-wide output bucket over rows
+        ``[lo, hi)``, a range whole buckets tile: each merges the ``N/tier``
+        bucket digests it spans (one digest: no copy at all)."""
+        out: list[tuple[float, list[TDigest | None]]] = []
+        if lo < hi:
             T = r.tier
-            ri0 = bisect_left(r.starts, (times[full_lo] // T) * T)
-            ri1 = bisect_right(r.starts, (times[full_hi - 1] // T) * T)
-            rsel = [r.fields.get(c) for c in cols]
-            cur: float | None = None
-            accs: list[list[TDigest]] = []
-
-            def _flush() -> None:
-                if cur is None:
-                    return
-                row: list[float | None] = []
-                for ds in accs:
-                    if not ds:
-                        row.append(None)
-                    elif len(ds) == 1:
-                        row.append(ds[0].quantile(q))
-                    else:
-                        row.append(TDigest.merged(ds).quantile(q))
-                out.append((cur, row))
-
-            for ri in range(ri0, ri1):
-                b = keyN(r.starts[ri])
-                if b != cur:
-                    _flush()
-                    cur = b
-                    accs = [[] for _ in cols]
-                for ci, rc in enumerate(rsel):
-                    if rc is not None and rc.count[ri]:
-                        d = rc.digest[ri]
-                        if d is not None:
-                            accs[ci].append(d)
-            _flush()
-        if full_hi < hi:
-            out.extend(self._quantile_raw(s, full_hi, hi, cols, pct, N))
+            ri0 = bisect_left(r.starts, (s.times[lo] // T) * T)
+            ri1 = bisect_right(r.starts, (s.times[hi - 1] // T) * T)
+            for b, run in groupby(
+                range(ri0, ri1), key=lambda ri: (r.starts[ri] // N) * N
+            ):
+                span = list(run)
+                out.append((b, [
+                    _merged([d for ri in span
+                             if (d := s.bucket_digest(r, c, ri)) is not None])
+                    for c in cols
+                ]))
         return out
 
     def _range_digests(
@@ -1870,7 +1904,7 @@ class InfluxDB:
         times = s.times
         n = len(times)
         skips: set[str] = set()
-        for r in sorted(s.rollups, key=lambda r: -r.tier):
+        for r in sorted(s._rollups, key=lambda r: -r.tier):
             T = r.tier
             keyt = lambda t: (t // T) * T  # noqa: E731
             if (lo > 0 and keyt(times[lo - 1]) == keyt(times[lo])) or (
@@ -1878,9 +1912,10 @@ class InfluxDB:
             ):
                 skips.add("fallback:unaligned-range")
                 continue
-            if r.has_nan:
+            if s.has_nan:
                 skips.add("fallback:nan-poisoned")
                 continue
+            s.catch_up(hi)
             ri0 = bisect_left(r.starts, keyt(times[lo]))
             ri1 = bisect_right(r.starts, keyt(times[hi - 1]))
             m = ri1 - ri0
@@ -1890,27 +1925,14 @@ class InfluxDB:
             if cfg.digest_bound(merged=m > 1) > cfg.epsilon:
                 skips.add("fallback:error-bound")
                 continue
-            out: list[TDigest | None] = []
-            for c in cols:
-                rc = r.fields.get(c)
-                if rc is None:
-                    out.append(None)
-                    continue
-                ds = [
-                    rc.digest[ri]
-                    for ri in range(ri0, ri1)
-                    if rc.count[ri] and rc.digest[ri] is not None
-                ]
-                if not ds:
-                    out.append(None)
-                elif len(ds) == 1:
-                    out.append(ds[0])
-                else:
-                    out.append(TDigest.merged(ds))
             for reason in skips:
                 self._note_sketch(reason)
             self._note_sketch(f"served:{T:g}")
-            return out
+            return [
+                _merged([d for ri in range(ri0, ri1)
+                         if (d := s.bucket_digest(r, c, ri)) is not None])
+                for c in cols
+            ]
         for reason in skips:
             self._note_sketch(reason)
         self._note_sketch("fallback:raw-scan")
@@ -2043,8 +2065,9 @@ class InfluxDB:
             return cols, []
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            r = next((r for r in s.rollups if r.tier == group_by_s), None)
+            r = next((r for r in s._rollups if r.tier == group_by_s), None)
             if r is not None:
+                s.catch_up(hi)
                 self._note_sketch(f"stddev-served:{r.tier:g}")
                 return cols, self._stddev_rollup(s, lo, hi, cols, group_by_s, r)
             self._note_sketch("stddev-raw")
@@ -2094,17 +2117,8 @@ class InfluxDB:
         """STDDEV buckets from tier ``r.tier == N``: head/tail raw, interior
         from the per-bucket (count, total, sumsq) arrays."""
         times = s.times
-        n = len(times)
         keyt = lambda t: (t // N) * N  # noqa: E731
-        full_lo = lo
-        if lo > 0 and keyt(times[lo - 1]) == keyt(times[lo]):
-            full_lo = bisect_right(times, keyt(times[lo]), lo, hi, key=keyt)
-        full_hi = hi
-        if hi < n and keyt(times[hi]) == keyt(times[hi - 1]):
-            full_hi = bisect_left(times, keyt(times[hi - 1]), full_lo, hi,
-                                  key=keyt)
-        if full_hi < full_lo:
-            full_hi = full_lo
+        full_lo, full_hi = s.whole_buckets(lo, hi, N)
         out: list[tuple[float, list[float | None]]] = []
         if lo < full_lo:
             out.extend(self._stddev_raw(s, lo, full_lo, cols, N))
@@ -2212,36 +2226,14 @@ class InfluxDB:
         if not matched:
             return None, None
         first_t = min(s.times[lo] for s, lo, _ in matched)
-        cfg = self.sketch
-        reason: str | None = None
-        hlls: list[HyperLogLog] = []
-        for s, lo, hi in matched:
-            if lo != 0 or hi != len(s.times):
-                reason = "fallback:hll-partial-range"
-                break
-            if s.hll_trimmed:
-                reason = "fallback:hll-trimmed"
-                break
-            h = s.hlls.get(column)
-            if h is None:
-                continue  # field absent in this series: contributes nothing
-            if h.trimmed:
-                reason = "fallback:hll-trimmed"
-                break
-            if h.error_bound() > cfg.hll_epsilon:
-                reason = "fallback:hll-error-bound"
-                break
-            hlls.append(h)
+        hll, reason = self._covering_hll(matched, column)
         if reason is None:
-            if not hlls:
+            if hll is None:
                 return first_t, None
-            self._note_sketch("hll-served")
-            if len(hlls) == 1:
-                return first_t, float(round(hlls[0].count()))
-            merged = HyperLogLog(hlls[0].p)
-            for h in hlls:
-                merged.merge_from(h)
-            return first_t, float(round(merged.count()))
+            if hll.error_bound() <= self.sketch.hll_epsilon:
+                self._note_sketch("hll-served")
+                return first_t, float(round(hll.count()))
+            reason = "fallback:hll-error-bound"
         self._note_sketch(reason)
         n = len(
             self.distinct_keyed(
@@ -2250,6 +2242,31 @@ class InfluxDB:
             )
         )
         return first_t, (float(n) if n else None)
+
+    @staticmethod
+    def _covering_hll(
+        matched: list[tuple[_Series, int, int]], column: str
+    ) -> tuple[HyperLogLog | None, str | None]:
+        """``(hll, None)`` — the matched series' HLLs of ``column`` merged
+        (one: itself, to read, not a copy; no series has the field:
+        ``None``) — when they describe
+        exactly the matched rows: every series covered whole and never
+        trimmed.  Else ``(None, reason)``."""
+        hlls: list[HyperLogLog] = []
+        for s, lo, hi in matched:
+            if lo != 0 or hi != len(s.times):
+                return None, "fallback:hll-partial-range"
+            h = None if s.hll_trimmed else s.hlls.get(column)
+            if s.hll_trimmed or (h is not None and h.trimmed):
+                return None, "fallback:hll-trimmed"
+            if h is not None:
+                hlls.append(h)
+        if len(hlls) < 2:
+            return (hlls[0] if hlls else None), None
+        merged = HyperLogLog(hlls[0].p)
+        for h in hlls:
+            merged.merge_from(h)
+        return merged, None
 
     def quantile_partials(
         self,
@@ -2316,7 +2333,7 @@ class InfluxDB:
             return cols, []
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            r = self._pick_sketch_rollup(s, group_by_s)
+            r = self._pick_sketch_rollup(s, group_by_s, hi)
             if r is not None:
                 return cols, self._digest_rollup(s, lo, hi, cols, group_by_s, r)
             return cols, self._digest_raw(s, lo, hi, cols, group_by_s)
@@ -2373,57 +2390,12 @@ class InfluxDB:
     ) -> list[tuple[float, list[TDigest | None]]]:
         """Digest partials per output bucket from tier digests (interior)
         plus built-from-raw boundary buckets."""
-        times = s.times
-        n = len(times)
-        keyN = lambda t: (t // N) * N  # noqa: E731
-        full_lo = lo
-        if lo > 0 and keyN(times[lo - 1]) == keyN(times[lo]):
-            full_lo = bisect_right(times, keyN(times[lo]), lo, hi, key=keyN)
-        full_hi = hi
-        if hi < n and keyN(times[hi]) == keyN(times[hi - 1]):
-            full_hi = bisect_left(times, keyN(times[hi - 1]), full_lo, hi,
-                                  key=keyN)
-        if full_hi < full_lo:
-            full_hi = full_lo
-        out: list[tuple[float, list[TDigest | None]]] = []
-        if lo < full_lo:
-            out.extend(self._digest_raw(s, lo, full_lo, cols, N))
-        if full_lo < full_hi:
-            T = r.tier
-            ri0 = bisect_left(r.starts, (times[full_lo] // T) * T)
-            ri1 = bisect_right(r.starts, (times[full_hi - 1] // T) * T)
-            rsel = [r.fields.get(c) for c in cols]
-            cur: float | None = None
-            accs: list[list[TDigest]] = []
-
-            def _flush() -> None:
-                if cur is None:
-                    return
-                row: list[TDigest | None] = []
-                for ds in accs:
-                    if not ds:
-                        row.append(None)
-                    elif len(ds) == 1:
-                        row.append(ds[0])
-                    else:
-                        row.append(TDigest.merged(ds))
-                out.append((cur, row))
-
-            for ri in range(ri0, ri1):
-                b = keyN(r.starts[ri])
-                if b != cur:
-                    _flush()
-                    cur = b
-                    accs = [[] for _ in cols]
-                for ci, rc in enumerate(rsel):
-                    if rc is not None and rc.count[ri]:
-                        d = rc.digest[ri]
-                        if d is not None:
-                            accs[ci].append(d)
-            _flush()
-        if full_hi < hi:
-            out.extend(self._digest_raw(s, full_hi, hi, cols, N))
-        return out
+        full_lo, full_hi = s.whole_buckets(lo, hi, N)
+        return (
+            self._digest_raw(s, lo, full_lo, cols, N)
+            + self._tier_digests(s, full_lo, full_hi, cols, N, r)
+            + self._digest_raw(s, full_hi, hi, cols, N)
+        )
 
     def distinct_partials(
         self,
@@ -2449,24 +2421,7 @@ class InfluxDB:
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
         first_t = min((s.times[lo] for s, lo, _ in matched), default=None)
-        hll: HyperLogLog | None = None
-        ok = True
-        collected: list[HyperLogLog] = []
-        for s, lo, hi in matched:
-            if lo != 0 or hi != len(s.times) or s.hll_trimmed:
-                ok = False
-                break
-            h = s.hlls.get(column)
-            if h is None:
-                continue
-            if h.trimmed:
-                ok = False
-                break
-            collected.append(h)
-        if ok and collected:
-            hll = HyperLogLog(collected[0].p)
-            for h in collected:
-                hll.merge_from(h)
+        hll, _ = self._covering_hll(matched, column)
         exact = self.distinct_keyed(
             db, measurement, column, tags, t0, t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
@@ -2609,7 +2564,11 @@ class InfluxDB:
         live state down per measurement — series and row counts, rollup
         bucket counts per tier, and the freshness stamps.  The shard
         rebalancer, the balance tests, and the ``pmove shard`` CLI all read
-        this; it doubles as a debugging endpoint.
+        this; it doubles as a debugging endpoint.  ``rows_unfolded`` is how
+        many rows no summary reflected yet when the call arrived; the call
+        itself catches them up (so ``rollup_buckets`` counts every bucket)
+        and changes no answer: the digests reported are the ones reads have
+        built, as they are held.
         """
         d = self._db(db)
         stored = sum(
@@ -2624,7 +2583,9 @@ class InfluxDB:
             digest_bytes = 0
             hll_fields = 0
             hll_bytes = m.series_hll.memory_bytes()
+            rows_unfolded = 0
             for s in m.series.values():
+                rows_unfolded += len(s) - s.folded
                 for r in s.rollups:
                     rollup_buckets[r.tier] = rollup_buckets.get(r.tier, 0) + len(r.starts)
                     for rc in r.fields.values():
@@ -2639,6 +2600,7 @@ class InfluxDB:
                 "series": len(m.series),
                 "points": sum(len(s) for s in m.series.values()),
                 "rollup_buckets": rollup_buckets,
+                "rows_unfolded": rows_unfolded,
                 "epoch": d.fresh[name][0],
                 "generation": d.fresh[name][1],
                 "frontier": d.fresh[name][2],

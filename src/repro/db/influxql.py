@@ -25,7 +25,7 @@ Execution pushes work into the storage engine: raw selects ride
 :meth:`InfluxDB.scan_columns` (with LIMIT pushed into the scan),
 aggregates ride :meth:`InfluxDB.aggregate_columns`, and ``GROUP BY time``
 rides :meth:`InfluxDB.scan_buckets` — which serves coarse buckets from
-write-through rollup tiers when that is provably exact.  The analytic
+rollup tiers, caught up on read, when that is provably exact.  The analytic
 aggregates added by the sketch layer dispatch the same way:
 ``PERCENTILE``/``MEDIAN`` ride :meth:`InfluxDB.quantile_buckets` /
 :meth:`InfluxDB.quantile_columns` (tier t-digests when the serving

@@ -1,6 +1,6 @@
-"""Mergeable sketches for write-path analytics: t-digest, HLL, reservoir.
+"""Mergeable sketches for incremental analytics: t-digest, HLL, reservoir.
 
-PR 5's rollup tiers maintain count/total/min/max/last incrementally, which
+PR 5's rollup tiers keep count/total/min/max/last per bucket, which
 serves MEAN/SUM/COUNT/MIN/MAX/LAST at O(tiers) cost — but percentiles and
 distinct counts still require a raw columnar scan on every read.  This
 module supplies the three mergeable summaries that close that gap (the
@@ -227,7 +227,7 @@ def stddev_of(values: list[float]) -> float | None:
 class TDigest:
     """Deterministic merging t-digest.
 
-    Values buffer unsorted (O(1) append — the write path's cost) and fold
+    Values buffer unsorted (O(1) append) and fold
     into weight-limited centroids on compression, which runs when the
     buffer reaches ``4·compression`` or a read arrives.  NaN never enters a
     centroid; it sets ``has_nan`` so the serving planner can refuse the
@@ -264,8 +264,35 @@ class TDigest:
             self._compress()
 
     def add_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
+        """Bulk :meth:`add`, bit-equal to the sequential one: the buffer is
+        extended in chunks that end exactly where ``add`` would compress."""
+        values = list(values)
+        vals = [v for v in values if v == v]
+        if len(vals) != len(values):
+            self.has_nan = True
+        if not vals:
+            return
+        self._count += len(vals)
+        self._min = min(self._min, min(vals))
+        self._max = max(self._max, max(vals))
+        cap = 4 * self.compression
+        i = 0
+        while i < len(vals):
+            room = cap - len(self._buf)
+            self._buf.extend(vals[i:i + room])
+            i += room
+            if len(self._buf) >= cap:
+                self._compress()
+
+    @classmethod
+    def of(cls, values: Iterable[float], compression: int) -> "TDigest":
+        """The compressed digest of exactly ``values``.  Held this way a
+        digest answers — alone or merged, which reads centroids and buffer
+        as they are — by its values only, not by which read compressed it."""
+        d = cls(compression)
+        d.add_many(values)
+        d._compress()
+        return d
 
     def merge_from(self, other: "TDigest") -> None:
         """Fold ``other`` in.  Commutative up to identical results: both

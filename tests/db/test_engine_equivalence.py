@@ -15,15 +15,18 @@ out may alias engine storage.
 """
 
 import copy
+import math
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.influx import ColumnRows, InfluxDB, Point
-from repro.db.influxql import Query, ResultSet, execute, naive_execute
+from repro.db.influxql import Query, ResultSet, execute, naive_execute, parse_query
 from repro.db.naive import NaiveInfluxDB
 from repro.db.sharded import ShardedInfluxDB
+from repro.db.sketch import DEFAULT_SKETCH
 
 MEASUREMENTS = ["cpu_idle", "mem_used"]
 TAG_KEYS = ["tag", "host"]
@@ -294,3 +297,192 @@ class TestNothingAliasesStorage:
         first = again.series()
         first[0].append(-6.0), first[1].append(-6.0)
         assert again.series() == fresh.series()
+
+
+# ----------------------------------------------------------------------
+# Summaries caught up on read: reads fall between the writes
+# ----------------------------------------------------------------------
+# Tiers, digests and HLLs are memos over a row prefix (``_Series.folded``)
+# that readers advance.  So the state to cover is *where the mark stands
+# when the next mutation arrives*: late writes below, at and above it
+# (dense integer times make them land in the bucket that straddles it),
+# NaN values, retention cutting through a half-folded bucket, series
+# dropped and moved.  Two properties: every read equals the naive fold of
+# the raw rows (exactly, or within the sketch bounds), and the reads made
+# on the way change no later answer.
+LAZY_TAGS = ["a", "b"]
+LAZY_FIELDS = ["v", "w"]
+
+lazy_points = st.builds(
+    Point,
+    measurement=st.just("m"),
+    tags=st.fixed_dictionaries({"tag": st.sampled_from(LAZY_TAGS)}),
+    fields=st.dictionaries(
+        st.sampled_from(LAZY_FIELDS),
+        st.one_of(
+            st.integers(-3, 3).map(float),  # few distinct values, cancelling sums
+            st.floats(allow_nan=False, allow_infinity=False, width=32),
+            st.sampled_from([math.nan, 0.1, 1e16, -1e16]),
+        ),
+        min_size=1, max_size=2,
+    ),
+    time=st.one_of(
+        st.integers(0, 130).map(float),
+        st.floats(0, 130, allow_nan=False, allow_infinity=False),
+    ),
+)
+
+_where = st.sampled_from(["", " AND time < 45s", " AND time >= 12s AND time <= 70s",
+                          " AND time > 60s"])
+lazy_reads = st.one_of(
+    st.builds(
+        'SELECT {}("{}") FROM "m" WHERE tag=\'{}\'{} GROUP BY time({}s)'.format,
+        st.sampled_from(["MEAN", "SUM", "MIN", "MAX", "COUNT", "LAST", "STDDEV",
+                         "PERCENTILE50", "PERCENTILE95"]),
+        st.sampled_from(LAZY_FIELDS), st.sampled_from(LAZY_TAGS), _where,
+        st.sampled_from([10, 20, 60, 7]),
+    ).map(lambda text: text.replace('PERCENTILE50("v")', 'PERCENTILE("v", 50)')
+          .replace('PERCENTILE95("v")', 'PERCENTILE("v", 95)')
+          .replace('PERCENTILE50("w")', 'PERCENTILE("w", 50)')
+          .replace('PERCENTILE95("w")', 'PERCENTILE("w", 95)')),
+    st.builds(
+        'SELECT {} FROM "m" WHERE tag=\'{}\'{}'.format,
+        st.sampled_from(['PERCENTILE("v", 90)', 'COUNT(DISTINCT("v"))',
+                         'DISTINCT("w")', 'STDDEV("v")', '"v", "w"']),
+        st.sampled_from(LAZY_TAGS), _where,
+    ),
+    st.sampled_from(['SELECT COUNT(DISTINCT("v")) FROM "m"',
+                     'SELECT MAX("w") FROM "m" GROUP BY time(10s)']),
+)
+
+lazy_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.lists(lazy_points, min_size=1, max_size=12)),
+        st.tuples(st.just("write"), st.lists(lazy_points, min_size=1, max_size=12)),
+        st.tuples(st.just("read"), lazy_reads),
+        st.tuples(st.just("read"), lazy_reads),
+        st.tuples(st.just("stats"), st.none()),
+        st.tuples(st.just("retain"), st.integers(100, 190).map(float)),
+        st.tuples(st.just("delete"), st.sampled_from(LAZY_TAGS)),
+        st.tuples(st.just("move"), st.sampled_from(LAZY_TAGS)),
+    ),
+    max_size=14,
+)
+
+FINAL_READS = [
+    f'SELECT {agg} FROM "m" WHERE tag=\'{tag}\'{where} GROUP BY time({n}s)'
+    for agg in ('MEAN("v")', 'MAX("w")', 'STDDEV("v")', 'PERCENTILE("v", 95)')
+    for tag in LAZY_TAGS
+    for where in ("", " AND time < 45s")
+    for n in (10, 20, 60)
+] + [f'SELECT {sel} FROM "m" WHERE tag=\'{tag}\''
+     for sel in ('PERCENTILE("w", 50)', 'COUNT(DISTINCT("v"))') for tag in LAZY_TAGS]
+
+
+def _rank_error(sorted_vals, got, q):
+    n = len(sorted_vals)
+    lo = bisect_left(sorted_vals, got) / n
+    hi = bisect_right(sorted_vals, got) / n
+    return 0.0 if lo <= q <= hi else min(abs(lo - q), abs(hi - q))
+
+
+def assert_answers_like_naive(db, text):
+    """Exact families: the naive fold's rows, NaN for NaN.  PERCENTILE:
+    every value within the merged-digest rank bound of its bucket's rows.
+    COUNT(DISTINCT): within the HLL bound of the exact count."""
+    got = execute(db, "pmove", text)
+    want = naive_execute(db, "pmove", text)
+    q = parse_query(text)
+    if q.aggregate == "COUNT_DISTINCT":
+        (_, [g]), (_, [w]) = got.rows[0], want.rows[0]
+        assert (g is None) == (w is None)
+        assert g is None or abs(g - w) <= max(2.0, 4 * 1.04 / 64.0 * w)
+        return
+    if q.aggregate != "PERCENTILE":
+        assert got.columns == want.columns
+        assert repr(list(got.rows)) == repr(list(want.rows)), text
+        return
+    raw = naive_execute(db, "pmove", Query(**{**q.__dict__, "aggregate": None,
+                                              "agg_arg": None, "group_by_s": None}))
+    buckets = {}
+    for t, (v,) in raw.rows:
+        if v is not None and v == v:
+            key = 0.0 if q.group_by_s is None else (t // q.group_by_s) * q.group_by_s
+            buckets.setdefault(key, []).append(v)
+    assert [t for t, _ in got.rows] == [t for t, _ in want.rows]
+    bound = DEFAULT_SKETCH.digest_bound(merged=True)
+    for (t, (g,)), (_, (w,)) in zip(got.rows, want.rows):
+        assert (g is None) == (w is None), text
+        if g is not None:
+            vals = sorted(buckets[t if q.group_by_s is not None else 0.0])
+            assert _rank_error(vals, g, q.agg_arg / 100.0) <= bound + 1.0 / len(vals)
+
+
+def lazy_engine(kind):
+    db = ENGINES[kind]()
+    db.create_database("pmove")
+    db.set_retention_policy("pmove", 100.0)
+    return db
+
+
+def apply_mutation(db, op, arg):
+    if op == "write":
+        db.write_many("pmove", list(arg))
+    elif op == "retain":
+        db.enforce_retention("pmove", arg)
+    elif op == "delete":
+        db.delete_series("pmove", "m", {"tag": arg})
+    elif op == "move":
+        if isinstance(db, ShardedInfluxDB):  # pop_series/import_rows per series
+            if len(db.shard_names()) > 1 and arg == "a":
+                db.remove_shard(db.shard_names()[-1])
+            else:
+                db.add_shard()
+        else:
+            rows = db.pop_series("pmove", "m", {"tag": arg})
+            if rows is not None:
+                db.import_rows("pmove", "m", {"tag": arg}, rows)
+
+
+class TestReadsBetweenWrites:
+    @given(lazy_ops, st.sampled_from(sorted(ENGINES)))
+    @settings(max_examples=150, deadline=None)
+    def test_every_read_answers_like_the_naive_fold(self, ops, kind):
+        db = lazy_engine(kind)
+        for op, arg in ops:
+            if op == "read":
+                assert_answers_like_naive(db, arg)
+            elif op == "stats":
+                db.stats("pmove")
+            else:
+                apply_mutation(db, op, arg)
+        for text in FINAL_READS:
+            assert_answers_like_naive(db, text)
+
+    @given(lazy_ops, st.sampled_from(sorted(ENGINES)))
+    @settings(max_examples=150, deadline=None)
+    def test_reads_on_the_way_change_no_later_answer(self, ops, kind):
+        """Any interleaving of writes, ``stats()``, tier reads and DISTINCT
+        reads ends in the answers — sketch-served ones included, bit for
+        bit — of the mutations alone."""
+        looked, quiet = lazy_engine(kind), lazy_engine(kind)
+        for op, arg in ops:
+            if op == "read":
+                execute(looked, "pmove", arg)
+            elif op == "stats":
+                looked.stats("pmove")
+            else:
+                apply_mutation(looked, op, arg)
+                apply_mutation(quiet, op, arg)
+        for text in FINAL_READS:
+            assert repr(list(execute(looked, "pmove", text).rows)) == repr(
+                list(execute(quiet, "pmove", text).rows)), text
+        # ... and in the same stored state; what differs is how much of it
+        # was summarised when stats() arrived, and which sketches exist (an
+        # HLL that hashed a row retention dropped before the other looked)
+        after = [db.stats("pmove") for db in (looked, quiet)]
+        for st_ in after:
+            for shard in st_.get("shards", {"": st_}).values():
+                for block in shard["measurements"].values():
+                    del block["rows_unfolded"], block["sketch"]
+        assert after[0] == after[1]

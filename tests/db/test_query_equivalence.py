@@ -2,7 +2,7 @@
 
 PR 5's read path has three new ways to answer a query — columnar aggregate
 folds (:meth:`InfluxDB.aggregate_columns`), bisected GROUP BY buckets
-(:meth:`InfluxDB.scan_buckets`), and write-through rollup tiers serving
+(:meth:`InfluxDB.scan_buckets`), and rollup tiers serving
 coarse buckets — all of which must return *exactly* the same floats as the
 seed materialize-then-fold path (:func:`repro.db.influxql.naive_execute`).
 These tests compare via ``repr`` so NaN-carrying results (where ``==`` is
@@ -290,7 +290,8 @@ class TestGenerations:
 
     def test_a_nan_timestamp_is_refused_before_anything_moves(self):
         db = _mk([Point("m", {}, {"v": 1.0}, 1.0)])
-        before = db.freshness("pmove", "m"), db.stats("pmove")
+        assert db.stats("pmove")["measurements"]["m"]["rows_unfolded"] == 1
+        before = db.freshness("pmove", "m"), db.stats("pmove")  # now caught up
         for name in ("m", "never_written"):
             with pytest.raises(InfluxError):
                 db.write("pmove", Point(name, {}, {"v": 2.0}, math.nan))

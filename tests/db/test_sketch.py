@@ -171,6 +171,23 @@ class TestTDigest:
         for d in (ab, ba):
             assert rank_error(combined, d.quantile(q), q) <= bound + slack
 
+    @given(st.lists(st.lists(
+        st.one_of(st.floats(allow_infinity=False),  # NaN, ±0.0 included
+                  st.integers(-2, 2).map(float)), max_size=130), max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_add_many_is_the_sequential_adds_bit_for_bit(self, chunks):
+        """The bulk path extends the buffer up to exactly where ``add``
+        would compress — state compared *uncompressed*, slot by slot."""
+        bulk, seq = TDigest(10), TDigest(10)  # compresses every 40 values
+        for chunk in chunks:
+            bulk.add_many(iter(chunk))
+            for v in chunk:
+                seq.add(v)
+            assert [repr(getattr(bulk, a)) for a in TDigest.__slots__] == [
+                repr(getattr(seq, a)) for a in TDigest.__slots__]
+        of = TDigest.of([v for chunk in chunks for v in chunk], 10)
+        assert not of._buf and of.to_dict() == TDigest.from_dict(seq.to_dict()).to_dict()
+
     def test_error_bound_at_1e6_points(self):
         """Satellite gate: p-of-1e6 within the configured rank bound,
         cross-checked against ``statistics.quantiles`` exact cuts."""
