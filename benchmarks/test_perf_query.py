@@ -27,6 +27,19 @@ One count gate, no timing: a dashboard of closed windows refreshed N times
 with an in-order write before each refresh computes every target once and
 serves it N − 1 times, and one out-of-order write among them costs exactly
 one more computation per target.
+
+- **grouped sliding windows**: one 1 Hz series, a sample appended before
+  every refresh, three live ``GROUP BY time`` panels whose windows end at
+  the newest sample — ``MEAN … time(60s)`` and ``PERCENTILE(…, 95) …
+  time(60s)`` over the last hour (a tier window is a slice; a sealed
+  bucket's percentile is worked out once) and ``MEAN … time(7s)`` over the
+  last ten minutes (the raw walk steps by bucket edge).  Each is gated on
+  its ratio to ``naive_execute`` — floors at half of what this was measured
+  at when the case was added — and on a count: refreshing a window that
+  did not move asks no digest for a quantile.
+- **multi-series ``SELECT * … LIMIT``**: the first ``LIMIT`` rows of twenty
+  interleaved series, against scanning them all and cutting.
+
 Results land in ``benchmarks/results/BENCH_query.json``.
 """
 
@@ -40,6 +53,7 @@ from _helpers import emit_json, latency_stats, run_metadata
 
 from repro.db import influxql
 from repro.db.influx import InfluxDB, Point
+from repro.db.sketch import TDigest
 from repro.db.influxql import execute, naive_execute, parse_query
 from repro.viz.dashboard import Panel, Target
 from repro.viz.grafana import GrafanaServer
@@ -57,6 +71,18 @@ SPEEDUP_FLOOR = 5.0
 COLD_FLOOR = 0.9  # cold path must not regress vs seed (0.9 absorbs jitter)
 RAW_FLOOR = 3.0  # columnar raw window vs one Python tuple per row
 SEED = 0  # draws the sliding case's steps; the data itself is a formula
+GROUPED_PRELOAD_S = 7200  # the grouped case's one series: two hours at 1 Hz
+GROUPED_REFRESHES = 60
+#: speedup over ``naive_execute`` each grouped panel must keep: half of what
+#: it measured when the case was added (eight runs: medians 30.4 / 27.6 /
+#: 4.5, ranges 25.8–35.4 / 24.1–30.9 / 3.9–4.8; the parent of that change
+#: read 16–18 / 6.0–6.2 / 2.5–2.6 and asked 60 quantiles where 0 are allowed)
+GROUPED_FLOORS = {"mean_60s_1h": 15.0, "p95_60s_1h": 14.0, "mean_7s_10min": 2.2}
+LIMIT_ROWS = 100
+#: SELECT * … LIMIT against scan-all-then-cut, whose cost grows with the
+#: points scanned: half of the 290 × measured at 1e5 points (220–490 over
+#: eight runs), scaled to the session's size
+LIMIT_FLOOR = 145.0 * N_POINTS / 1e5
 
 MEASUREMENT = "kernel_percpu_cpu_idle"
 
@@ -206,6 +232,86 @@ def _closed_windows_under_appends(influx, panels, t0, t1, late_at=None):
     return {"hits": server.cache_hits, "misses": server.cache_misses}
 
 
+def _grouped_sliding_window():
+    """Three live grouped panels over one 1 Hz series, a sample appended
+    before every refresh.  µs per statement for ``execute`` and for
+    ``naive_execute``, their ratio, and the quantiles asked of digests by
+    the second refresh of a window that did not move."""
+    influx = InfluxDB()
+    influx.create_database("pmove")
+    fields = ("_f0", "_f1", "_f2")
+
+    def sample(t):
+        return Point("grouped", {"tag": "s0"},
+                     {f: 50.0 + 10.0 * ((t * (i + 3)) % 97) / 97.0
+                      for i, f in enumerate(fields)}, float(t))
+
+    influx.write_many("pmove", [sample(t) for t in range(GROUPED_PRELOAD_S)])
+    panels = {
+        "mean_60s_1h": ('MEAN("_f0")', 60, 3600.0),
+        "p95_60s_1h": ('PERCENTILE("_f1", 95)', 60, 3600.0),
+        "mean_7s_10min": ('MEAN("_f2")', 7, 600.0),
+    }
+
+    def statement(name, now):
+        sel, width, window = panels[name]
+        return parse_query(
+            f'SELECT {sel} FROM "grouped" WHERE tag="s0" AND time >= {now - window} '
+            f"AND time <= {now} GROUP BY time({width}s)")
+
+    lat = {name: {"pushdown": [], "seed": []} for name in panels}
+    for k in range(GROUPED_REFRESHES):
+        now = GROUPED_PRELOAD_S + k
+        influx.write("pmove", sample(now))
+        for name in panels:
+            q = statement(name, float(now))
+            for side, run in (("pushdown", execute), ("seed", naive_execute)):
+                begin = time.perf_counter()
+                rs = run(influx, "pmove", q)
+                lat[name][side].append(time.perf_counter() - begin)
+            if k == 0 and name != "p95_60s_1h":  # exact paths: the naive rows
+                assert execute(influx, "pmove", q).rows == rs.rows
+            elif k == 0:
+                assert [t for t, _ in execute(influx, "pmove", q).rows] == [
+                    t for t, _ in rs.rows]
+    out = {}
+    for name, sides in lat.items():
+        stats = {side: latency_stats(samples) for side, samples in sides.items()}
+        out[name] = {
+            **stats,
+            "us_per_statement": 1e3 * stats["pushdown"]["p50_ms"],
+            "speedup_p50": stats["seed"]["p50_ms"] / stats["pushdown"]["p50_ms"],
+            "floor": GROUPED_FLOORS[name],
+        }
+    # counted, not timed: the same window again asks no digest anything
+    q = statement("p95_60s_1h", float(now))
+    asked = []
+    inner = TDigest.quantile
+    TDigest.quantile = lambda self, q_: asked.append(q_) or inner(self, q_)
+    try:
+        execute(influx, "pmove", q)
+    finally:
+        TDigest.quantile = inner
+    out["quantiles_asked_by_an_unmoved_window"] = len(asked)
+    return out
+
+
+def _select_star_limit(influx):
+    """``SELECT * … LIMIT`` across every series of the measurement: the
+    first rows of a k-way merge, against the seed's scan-all-then-cut."""
+    text = f'SELECT * FROM "{MEASUREMENT}" LIMIT {LIMIT_ROWS}'
+    got, want = execute(influx, "pmove", text), naive_execute(influx, "pmove", text)
+    assert got.columns == want.columns and got.rows == want.rows
+    assert len(got.rows) == LIMIT_ROWS
+    s_new = _timed(lambda: execute(influx, "pmove", text).rows[-1], COLD_ITERS)
+    s_seed = _timed(lambda: naive_execute(influx, "pmove", text).rows[-1],
+                    NAIVE_REFRESH_ITERS)
+    return {
+        "limit": LIMIT_ROWS, "series": N_SERIES, "pushdown": s_new, "seed": s_seed,
+        "speedup_p50": s_seed["p50_ms"] / s_new["p50_ms"], "floor": LIMIT_FLOOR,
+    }
+
+
 def test_query_serving_speedup():
     pts = _workload(N_POINTS)
     influx = InfluxDB()  # default 10s/60s rollup tiers
@@ -267,6 +373,8 @@ def test_query_serving_speedup():
             "speedup_p50": s_seed["p50_ms"] / s_new["p50_ms"],
         }
     sliding = _sliding_window(influx, span)
+    grouped = _grouped_sliding_window()
+    star_limit = _select_star_limit(influx)
     floors = {"groupby_7s": COLD_FLOOR, "raw_window": RAW_FLOOR}
     n_targets = sum(len(panel.targets) for panel in panels)
     appends = {
@@ -295,13 +403,18 @@ def test_query_serving_speedup():
         },
         "cold_queries": cold,
         "sliding_window": sliding,
+        "grouped_sliding_window": grouped,
+        "select_star_limit": star_limit,
         "closed_windows_under_appends": appends,
         "gate": {
             "speedup_floor": SPEEDUP_FLOOR,
             "cold_floor": COLD_FLOOR,
             "raw_floor": RAW_FLOOR,
             "passed": refresh_speedup >= SPEEDUP_FLOOR
-            and all(c["speedup_p50"] >= floors[n] for n, c in cold.items()),
+            and all(c["speedup_p50"] >= floors[n] for n, c in cold.items())
+            and all(grouped[n]["speedup_p50"] >= f for n, f in GROUPED_FLOORS.items())
+            and grouped["quantiles_asked_by_an_unmoved_window"] == 0
+            and star_limit["speedup_p50"] >= LIMIT_FLOOR,
         },
         "run": run_metadata(N_POINTS, SEED),
     }
@@ -316,6 +429,17 @@ def test_query_serving_speedup():
             f"cold {name} vs seed: {c['speedup_p50']:.2f}x "
             f"(floor {floors[name]}x)"
         )
+    for name, floor in GROUPED_FLOORS.items():
+        assert grouped[name]["speedup_p50"] >= floor, (
+            f"grouped {name} vs naive: {grouped[name]['speedup_p50']:.1f}x "
+            f"(floor {floor}x)"
+        )
+    assert grouped["quantiles_asked_by_an_unmoved_window"] == 0
+    assert star_limit["speedup_p50"] >= LIMIT_FLOOR, (
+        f"SELECT * LIMIT {LIMIT_ROWS} over {N_SERIES} series only "
+        f"{star_limit['speedup_p50']:.1f}x faster than scan-and-cut "
+        f"(floor {LIMIT_FLOOR}x)"
+    )
     assert sliding["columnar"]["parse_cache_misses"] == 0
     assert sliding["seed"]["parse_cache_misses"] == SLIDING_ITERS
     assert appends["in_order"] == {

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.db.influx import InfluxDB
-from repro.db.influxql import execute
+from repro.db.influxql import ResultSet, execute
 from repro.db.sketch import nearest_rank
 
 from .kb import KnowledgeBase
@@ -193,10 +193,10 @@ def scan_observation(
         # One columnar scan per measurement (no Point materialization),
         # then split per field; row order matches the Point scan.
         fields = list(m["fields"])
-        _, rows = influx.scan_columns(
+        scanned = ResultSet(*influx.scan_columns(
             database, m["measurement"], columns=fields,
             tags={"tag": observation["tag"]},
-        )
+        ))
         cutoffs: dict[str, float | None] = {}
         if sketch_served:
             _, _, qs = influx.quantile_columns(
@@ -204,9 +204,8 @@ def scan_observation(
                 columns=fields, tags={"tag": observation["tag"]},
             )
             cutoffs = dict(zip(fields, qs))
-        for i, f in enumerate(fields):
-            times = [t for t, r in rows if r[i] is not None]
-            values = [r[i] for _, r in rows if r[i] is not None]
+        for f in fields:
+            times, values = scanned.series(f)
             if as_rates:
                 times, values = _to_rates(times, values)
             extra = dict(kw)

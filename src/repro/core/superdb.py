@@ -27,6 +27,7 @@ import math
 from typing import Any
 
 from repro.db.influx import InfluxDB
+from repro.db.influxql import ResultSet
 from repro.db.mongo import MongoDB
 from repro.db.sharded import ShardedInfluxDB
 from repro.db.sketch import DEFAULT_SKETCH, HyperLogLog, TDigest
@@ -190,14 +191,14 @@ class SuperDB:
                 # One columnar scan per measurement; per-field value lists
                 # come out of the column arrays, no Point materialization.
                 fields = list(m["fields"])
-                _, rows = local_influx.scan_columns(
+                scanned = ResultSet(*local_influx.scan_columns(
                     local_database, m["measurement"], columns=fields,
                     tags={"tag": obs["tag"]},
-                )
+                ))
                 per_field: dict[str, dict[str, float]] = {}
                 per_sketch: dict[str, dict[str, Any]] = {}
-                for i, f in enumerate(fields):
-                    vals = [r[i] for _, r in rows if r[i] is not None]
+                for f in fields:
+                    _, vals = scanned.series(f)
                     per_field[f] = _aggregate(vals)
                     copied += len(vals)
                     # Mergeable sketches travel beside the scalar summary:

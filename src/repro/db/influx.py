@@ -25,12 +25,12 @@ tuple materialization:
   for a reader that iterates them;
 - :meth:`InfluxDB.aggregate_columns` folds MEAN/MAX/MIN/SUM/COUNT/LAST
   directly over the per-series value arrays;
-- :meth:`InfluxDB.scan_buckets` resolves ``GROUP BY time(N)`` buckets by
-  bisecting bucket edges, and serves fully covered buckets from
-  **rollup tiers** — per-series downsample shards (default tiers 10s/60s,
-  the continuous-query pattern of production Influx stacks), with
-  raw-point folds for the unaligned head/tail so results stay exactly
-  equal to raw aggregation;
+- :meth:`InfluxDB.scan_buckets` answers ``GROUP BY time(N)`` as columns
+  too: it steps from bucket edge to bucket edge (:func:`bucket_runs`), and
+  reads fully covered buckets as slices of **rollup tiers** — per-series
+  downsample shards (default tiers 10s/60s, the continuous-query pattern
+  of production Influx stacks), with raw-point folds for the unaligned
+  head/tail so results stay exactly equal to raw aggregation;
 - per-measurement **freshness stamps** (:meth:`InfluxDB.freshness`): a
   generation bumped on every mutation, and an epoch and frontier that say
   which mutations were in-order appends, so read layers (the Grafana panel
@@ -56,8 +56,9 @@ import re
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from heapq import merge as _heap_merge
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 
 from .sketch import (
     DEFAULT_SKETCH,
@@ -73,7 +74,7 @@ from .sketch import (
 from .sketch import stddev_of as _stddev_of
 
 __all__ = ["Point", "InfluxError", "RetentionPolicy", "InfluxDB", "ColumnRows",
-           "DEFAULT_ROLLUP_TIERS", "fold_values"]
+           "DEFAULT_ROLLUP_TIERS", "fold_values", "bucket_runs"]
 
 #: Downsample shard sizes every series keeps, seconds.
 DEFAULT_ROLLUP_TIERS = (10.0, 60.0)
@@ -206,8 +207,9 @@ class Point:
 
         ``from_line(p.to_line()) == p`` for every point this returns a line
         for.  A name no single line can carry is refused: a line break
-        anywhere (batches are cut into lines before they are parsed), or
-        leading whitespace on the measurement (parsers strip the line).
+        anywhere (batches are cut into lines before they are parsed),
+        leading whitespace on the measurement (parsers strip the line), or
+        a leading ``#`` on it (the line would read as a comment).
         """
         key = _escape(self.measurement)
         if self.tags:
@@ -220,6 +222,11 @@ class Point:
             raise InfluxError(
                 f"line break or leading whitespace in a name of {line!r}; "
                 "line protocol cannot carry it"
+            )
+        if key[0] == "#":
+            raise InfluxError(
+                f"measurement of {line!r} starts with '#': a batch parser "
+                "would skip the line as a comment"
             )
         return line
 
@@ -266,12 +273,20 @@ class _RollupCol:
     in (time, write-seq) order — :meth:`set_from` is the only routine that
     writes them, so every stat is bit-identical to folding the raw column
     slice of that bucket.  ``sumsq`` extends the fold with Σv² (STDDEV
-    partials, same fold order), and ``digest`` holds the bucket's
+    partials, same fold order).  ``digest`` holds the bucket's
     :class:`~repro.db.sketch.TDigest` once a PERCENTILE read has asked for
-    it (:meth:`_Series.bucket_digest`).
+    it (:meth:`_Series.bucket_digest`), and ``kept[q]`` what that digest
+    answered at quantile ``q`` (``None`` = not asked, or nothing to ask):
+    both are memos of the bucket's rows, emptied wherever the bucket is
+    re-folded or moves, so a sealed bucket is worked out once.
     """
 
-    __slots__ = ("count", "total", "vmin", "vmax", "last", "sumsq", "digest")
+    __slots__ = ("count", "total", "vmin", "vmax", "last", "sumsq", "digest",
+                 "kept")
+
+    #: Quantiles remembered per field; asking for one more forgets the
+    #: oldest (a dashboard asks for one or two, an ad-hoc user for any).
+    KEPT_QUANTILES = 4
 
     def __init__(self, n: int) -> None:
         self.count = [0] * n
@@ -281,35 +296,49 @@ class _RollupCol:
         self.last = [0.0] * n
         self.sumsq = [0.0] * n
         self.digest: list[TDigest | None] = [None] * n
+        self.kept: dict[float, list[float | None]] = {}
 
     def _arrays(self):
         return (self.count, self.total, self.vmin, self.vmax, self.last,
                 self.sumsq)
 
+    def _memos(self):
+        return (self.digest, *self.kept.values())
+
     def append_bucket(self) -> None:
         for a in self._arrays():
             a.append(0)
-        self.digest.append(None)
+        for a in self._memos():
+            a.append(None)
 
     def insert_bucket(self, k: int) -> None:
         for a in self._arrays():
             a.insert(k, 0)
-        self.digest.insert(k, None)
+        for a in self._memos():
+            a.insert(k, None)
 
     def drop_buckets(self, k: int) -> None:
-        for a in self._arrays():
+        for a in (*self._arrays(), *self._memos()):
             del a[:k]
-        del self.digest[:k]
 
     def remove_bucket(self, k: int) -> None:
-        for a in self._arrays():
+        for a in (*self._arrays(), *self._memos()):
             del a[k]
-        del self.digest[k]
+
+    def kept_for(self, q: float) -> list[float | None]:
+        """The per-bucket answers kept for quantile ``q``."""
+        kept = self.kept.get(q)
+        if kept is None:
+            if len(self.kept) >= self.KEPT_QUANTILES:
+                del self.kept[next(iter(self.kept))]
+            kept = self.kept[q] = [None] * len(self.count)
+        return kept
 
     def set_from(self, k: int, values: list[float | None]) -> None:
         """Fold bucket ``k`` from its raw in-order column slice and drop the
-        digest built from the rows it held before."""
-        self.digest[k] = None
+        digest, and its answers, built from the rows it held before."""
+        for a in self._memos():
+            a[k] = None
         try:
             total = sum(values)
         except TypeError:  # a hole: some row of the slice lacks the field
@@ -342,6 +371,45 @@ class _Rollup:
         self.tier = tier
         self.starts: list[float] = []
         self.fields: dict[str, _RollupCol] = {}
+
+
+def bucket_runs(times: list[float], lo: int, hi: int, N: float):
+    """Rows ``[lo, hi)`` of a sorted time column cut where ``GROUP BY
+    time(N)`` cuts them: yields ``(b, i, j)``, rows ``[i, j)`` being the
+    ones whose ``(t // N) * N`` is ``b``.
+
+    The key does not fall with time, so a bucket is one run.  A plain
+    bisect for ``b + N`` proposes where it ends and the key then settles it
+    from both sides: ``b + N`` is a rounded sum and need not be the time
+    at which the key moves (widths like 0.1, times near 2**53), whereas
+    this way no row is ever placed by anything but its own key — at two
+    key evaluations per bucket (the second is the next bucket's ``b``),
+    not one per row."""
+    if lo >= hi:
+        return
+    i, b = lo, (times[lo] // N) * N
+    while True:
+        j = bisect_left(times, b + N, i + 1, hi)
+        while (times[j - 1] // N) * N != b:  # row i is of b: stops there
+            j -= 1
+        while j < hi and (nb := (times[j] // N) * N) == b:
+            j += 1
+        yield b, i, j
+        if j >= hi:
+            return
+        i, b = j, nb
+
+
+def _bucket_start(times: list[float], b: float, N: float, lo: int, hi: int) -> int:
+    """First row of ``[lo, hi)`` whose ``(t // N) * N`` is ``b`` or later;
+    proposed by a bisect for ``b``, settled by the key (``b`` itself need
+    not key to ``b``: it is a rounded product)."""
+    i = bisect_left(times, b, lo, hi)
+    while i < hi and (times[i] // N) * N < b:
+        i += 1
+    while i > lo and (times[i - 1] // N) * N >= b:
+        i -= 1
+    return i
 
 
 class _Series:
@@ -457,18 +525,14 @@ class _Series:
         self.folded = upto
         for r in self._rollups:
             T = r.tier
-            key = lambda t: (t // T) * T  # noqa: E731
             starts = r.starts
-            i = bisect_left(times, key(times[f]), 0, f, key=key)
-            while i < upto:
-                b = key(times[i])
-                j = bisect_right(times, b, i, upto, key=key)
+            first = _bucket_start(times, (times[f] // T) * T, T, 0, f)
+            for b, i, j in bucket_runs(times, first, upto, T):
                 if not starts or starts[-1] != b:
                     starts.append(b)
                     for rc in r.fields.values():
                         rc.append_bucket()
                 self._fold_bucket(r, len(starts) - 1, i, j)
-                i = j
 
     def _hash(self, i: int, j: int) -> None:
         """Add the values of rows ``[i, j)`` to the per-field HLLs."""
@@ -493,11 +557,7 @@ class _Series:
         """Rebuild bucket ``b`` from its folded raw rows (out-of-order
         insert, retention trim).  The fold re-runs in storage order, so
         exactness survives any write pattern."""
-        T = r.tier
-        times = self.times
-        key = lambda t: (t // T) * T  # noqa: E731
-        i = bisect_left(times, b, 0, self.folded, key=key)
-        j = bisect_right(times, b, i, self.folded, key=key)
+        i, j = self.bucket_rows(b, r.tier)
         k = bisect_left(r.starts, b)
         have = k < len(r.starts) and r.starts[k] == b
         if i == j:  # bucket holds no raw rows any more
@@ -522,28 +582,37 @@ class _Series:
             return None
         d = rc.digest[k]
         if d is None:
-            T = r.tier
-            key = lambda t: (t // T) * T  # noqa: E731
-            i = bisect_left(self.times, r.starts[k], 0, self.folded, key=key)
-            j = bisect_right(self.times, r.starts[k], i, self.folded, key=key)
+            i, j = self.bucket_rows(r.starts[k], r.tier)
             d = rc.digest[k] = TDigest.of(
                 (v for v in self.cols[name][i:j] if v is not None),
                 self.sketch.compression,
             )
         return d
 
+    def bucket_runs(self, lo: int, hi: int, N: float):
+        """:func:`bucket_runs` over this series' rows ``[lo, hi)``."""
+        return bucket_runs(self.times, lo, hi, N)
+
+    def bucket_rows(self, b: float, T: float) -> tuple[int, int]:
+        """``[i, j)``: the folded rows of bucket ``b`` of width ``T``."""
+        times, hi = self.times, self.folded
+        i = _bucket_start(times, b, T, 0, hi)
+        if i == hi or (times[i] // T) * T != b:
+            return i, i
+        return i, next(bucket_runs(times, i, hi, T))[2]
+
     def whole_buckets(self, lo: int, hi: int, T: float) -> tuple[int, int]:
         """``[full_lo, full_hi)``: the maximal sub-range of rows ``[lo, hi)``
         exactly tiled by whole buckets of width ``T``; ``[lo, full_lo)`` and
         ``[full_hi, hi)`` are the head/tail of buckets the range cuts."""
         times = self.times
-        key = lambda t: (t // T) * T  # noqa: E731
         full_lo = lo
-        if lo > 0 and key(times[lo - 1]) == key(times[lo]):
-            full_lo = bisect_right(times, key(times[lo]), lo, hi, key=key)
+        if lo > 0 and (times[lo - 1] // T) * T == (times[lo] // T) * T:
+            full_lo = next(bucket_runs(times, lo, hi, T))[2]
         full_hi = hi
-        if hi < len(times) and key(times[hi]) == key(times[hi - 1]):
-            full_hi = bisect_left(times, key(times[hi - 1]), full_lo, hi, key=key)
+        if hi < len(times) and (times[hi] // T) * T == (times[hi - 1] // T) * T:
+            full_hi = _bucket_start(
+                times, (times[hi - 1] // T) * T, T, full_lo, hi)
         return full_lo, max(full_hi, full_lo)
 
     def time_slice(
@@ -743,6 +812,77 @@ class ColumnRows(Sequence):
         return repr(self._materialized())
 
 
+def _fold_buckets(
+    times: list[float], sel: list[list | None], lo: int, hi: int, N: float, fold
+) -> ColumnRows:
+    """``GROUP BY time(N)`` over rows ``[lo, hi)`` of aligned columns, as
+    columns: per bucket (:func:`bucket_runs`) and per column of ``sel``
+    (``None`` = never written), ``fold`` of the bucket's values."""
+    runs = list(bucket_runs(times, lo, hi, N))
+    out: list[list | None] = []
+    for col in sel:
+        if col is None:
+            out.append(None)
+            continue
+        try:
+            sum(col[lo:hi])  # the cheapest probe for a hole: None + float
+        except TypeError:
+            out.append([fold([v for v in col[i:j] if v is not None])
+                        for _, i, j in runs])
+        else:  # none in the range: a bucket's slice is its values
+            out.append([fold(col[i:j]) for _, i, j in runs])
+    return ColumnRows([b for b, _, _ in runs], out)
+
+
+# What InfluxDB._tier_buckets asks per column for the whole buckets of a
+# window, one function per aggregate family: ``rc`` is the column's tier
+# state, ``[ri0, ri1)`` the tier buckets, ``spans`` their grouping into
+# output buckets (``None`` when the tier is the output width).
+
+_TIER_STAT = {"MEAN": "total", "SUM": "total", "COUNT": "count",
+              "MIN": "vmin", "MAX": "vmax", "LAST": "last"}
+
+
+def _tier_fold(agg: str, c: str, rc: _RollupCol, ri0: int, ri1: int, spans):
+    """MEAN/SUM/COUNT/MIN/MAX/LAST: a slice of the stat the aggregate reads,
+    finalized by one comprehension; first reduced over ``spans`` when the
+    output is wider than the tier (COUNT/MIN/MAX/LAST only, where that is
+    exact — MEAN and SUM are planned on a tier equal to ``N``)."""
+    count, stat = rc.count, getattr(rc, _TIER_STAT[agg])
+    if spans is not None:
+        out = []
+        for ka, kb in spans:
+            vals = [x for n, x in zip(count[ka:kb], stat[ka:kb]) if n]
+            out.append(float(sum(vals)) if vals and agg == "COUNT"
+                       else fold_values(agg, vals))
+        return out
+    count, stat = count[ri0:ri1], stat[ri0:ri1]
+    if agg == "MEAN":
+        return [x / n if n else None for n, x in zip(count, stat)]
+    if agg == "COUNT":
+        return [float(n) if n else None for n in count]
+    return [x if n else None for n, x in zip(count, stat)]
+
+
+def _tier_stddev(c: str, rc: _RollupCol, ri0: int, ri1: int, spans):
+    return [
+        stddev_from_partials(n, total, sq) if n else None
+        for n, total, sq in zip(
+            rc.count[ri0:ri1], rc.total[ri0:ri1], rc.sumsq[ri0:ri1])
+    ]
+
+
+def _tier_partials(c: str, rc: _RollupCol, ri0: int, ri1: int, spans):
+    """Partial stats (see ``InfluxDB._partial_stat``) with no last key and,
+    the planner having refused a series that ever held one, no NaN."""
+    return [
+        (n, total, lo, hi, last, None, None, False) if n else None
+        for n, total, lo, hi, last in zip(
+            rc.count[ri0:ri1], rc.total[ri0:ri1], rc.vmin[ri0:ri1],
+            rc.vmax[ri0:ri1], rc.last[ri0:ri1])
+    ]
+
+
 class _Database:
     __slots__ = ("name", "meas", "retention", "points_written", "bytes_written",
                  "tiers", "fresh", "sketch")
@@ -793,6 +933,9 @@ class InfluxDB:
         #: ``hll-served``) or which rule disqualified them
         #: (``fallback:merge-bound``, ``fallback:nan-poisoned``, …).
         self.sketch_plan: dict[str, int] = {}
+        #: How many of those decisions were to serve from a sketch or tier
+        #: partial: what a caller diffs to learn whether its read was.
+        self.sketch_served = 0
 
     # ------------------------------------------------------------------
     # Admin
@@ -837,15 +980,18 @@ class InfluxDB:
 
     def _append(self, d: _Database, point: Point, seq: int | None = None) -> None:
         time = point.time
+        if time - time != 0.0:  # NaN or ±inf
+            # Refused before anything moves.  A NaN key has no place in a
+            # sorted column: every bisect over it afterwards would answer
+            # by where its probes happen to land.  An infinite one has no
+            # bucket and no nanosecond spelling, and as the frontier it
+            # would make every window test as sealed.
+            raise InfluxError(f"point time is not finite: {point!r}")
         fresh = d.fresh.get(point.measurement)
         if fresh is not None and time >= fresh[2]:
             # In-order append: nothing below the frontier moves.
             self._gen_seq = fresh[1] = self._gen_seq + 1
             fresh[2] = time
-        elif time != time:
-            # A NaN key has no place in a sorted column: every bisect over
-            # it afterwards would answer by where its probes happen to land.
-            raise InfluxError(f"point time is NaN: {point!r}")
         else:
             self._bump(d, point.measurement, time)
         m = d.meas.get(point.measurement)
@@ -1265,6 +1411,41 @@ class InfluxDB:
             out.append(fold_values(agg, [v for _, _, v in pairs]))
         return cols, first_t, out
 
+    def _grouped(
+        self, db: str, measurement: str, N: float, columns, tags, t0, t1,
+        t0_exclusive: bool, t1_exclusive: bool, fold, tier, note_multi,
+    ) -> tuple[list[str], ColumnRows]:
+        """The one shape of a ``GROUP BY time(N)`` read: per bucket and
+        column ``fold`` of the bucket's values, as columns under the bucket
+        starts (:class:`ColumnRows`).
+
+        One matched series (the Listing 3 dashboard shape) is first offered
+        to ``tier(s, lo, hi, cols, raw)`` — the family's planner, which
+        answers from a rollup tier or returns ``None`` — and walked raw
+        otherwise.  Several are merged into (time, seq) order by
+        :meth:`scan_columns` and walked the same way (rare shape —
+        exactness over speed)."""
+        if N <= 0:
+            raise InfluxError("GROUP BY time() needs a positive bucket width")
+        matched = self._matched_slices(
+            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
+        )
+        cols = self._resolve_columns(matched, columns)
+        if not matched:
+            return cols, ColumnRows([], [None] * len(cols))
+        if len(matched) == 1:
+            s, lo, hi = matched[0]
+            sel = [s.cols.get(c) for c in cols]
+            raw = lambda i, j: _fold_buckets(s.times, sel, i, j, N, fold)  # noqa: E731
+            rows = tier(s, lo, hi, cols, raw)
+            return cols, raw(lo, hi) if rows is None else rows
+        note_multi()
+        _, rows = self.scan_columns(
+            db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
+            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        )
+        return cols, _fold_buckets(rows.times, rows.cols, 0, len(rows), N, fold)
+
     def scan_buckets(
         self,
         db: str,
@@ -1278,53 +1459,32 @@ class InfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         """``GROUP BY time(N)`` without row materialization.
 
-        Single-series matches (the Listing 3 dashboard shape) resolve bucket
-        edges by bisect and, when a rollup tier divides ``N`` evenly, serve
-        fully covered buckets from the rollup shard — raw
-        folds cover only the unaligned head/tail the time filter cut
-        through.  MEAN/SUM only ever ride a tier equal to ``N`` (summation
-        order must match the raw left fold exactly); COUNT/MIN/MAX/LAST
-        combine exactly across sub-buckets so any dividing tier works.
-        Output is exactly equal to bucketing :meth:`scan_columns` rows.
+        Single-series matches (the Listing 3 dashboard shape) step from
+        bucket edge to bucket edge (:func:`bucket_runs`) and, when a rollup
+        tier divides ``N`` evenly, read every bucket the time filter left
+        whole off the rollup shard — raw folds cover only the one it cut
+        at either end.  MEAN/SUM only ever ride a tier equal to ``N``
+        (summation order must match the raw left fold exactly);
+        COUNT/MIN/MAX/LAST combine exactly across sub-buckets so any
+        dividing tier works.  Output is exactly equal to bucketing
+        :meth:`scan_columns` rows.
         """
         if agg not in _FOLDABLE:
             raise InfluxError(f"unknown aggregate {agg}")
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
-        )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, []
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
+
+        def tier(s, lo, hi, cols, raw):
             r = self._pick_rollup(s, agg, group_by_s, hi)
-            if r is not None:
-                return cols, self._buckets_rollup(s, lo, hi, cols, agg,
-                                                  group_by_s, r)
-            return cols, self._buckets_raw(s, lo, hi, cols, agg, group_by_s)
-        # Multi-series: fold the merged scan in row order (rare shape —
-        # exactness over speed).
-        self._note_plan("multi-series-raw")
-        _, rows = self.scan_columns(
-            db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+            return None if r is None else self._tier_buckets(
+                s, lo, hi, cols, group_by_s, r, raw, partial(_tier_fold, agg))
+
+        return self._grouped(
+            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
+            t1_exclusive, partial(fold_values, agg), tier,
+            lambda: self._note_plan("multi-series-raw"),
         )
-        buckets: dict[float, list[list[float]]] = {}
-        for t, vals in rows:
-            b = (t // group_by_s) * group_by_s
-            slot = buckets.setdefault(b, [[] for _ in cols])
-            for i, v in enumerate(vals):
-                if v is not None:
-                    slot[i].append(v)
-        return cols, [
-            (b, [fold_values(agg, vs) for vs in buckets[b]])
-            for b in sorted(buckets)
-        ]
 
     def _note_plan(self, outcome: str) -> None:
         self.rollup_plan[outcome] = self.rollup_plan.get(outcome, 0) + 1
@@ -1337,11 +1497,12 @@ class InfluxDB:
         best = None
         skips: set[str] = set()
         for r in s._rollups:  # planned on tier sizes: nothing read from one yet
-            k = group_by_s / r.tier
-            if k < 1.0 or k != k or not k.is_integer():
+            # exact divisibility: 0.5 / 0.1 == 5.0 rounds a remainder away,
+            # and buckets of such a tier straddle the edges of time(0.5)
+            if group_by_s < r.tier or group_by_s % r.tier != 0.0:
                 skips.add("skip:tier-not-dividing")
                 continue
-            if k != 1.0 and agg in ("MEAN", "SUM"):
+            if group_by_s != r.tier and agg in ("MEAN", "SUM"):
                 # cross-bucket float summation reorders the fold
                 skips.add("skip:mean-sum-needs-exact-tier")
                 continue
@@ -1358,148 +1519,49 @@ class InfluxDB:
         self._note_plan(f"served:{best.tier:g}" if best is not None else "raw-fallback")
         return best
 
-    def _buckets_raw(
-        self,
-        s: _Series,
-        lo: int,
-        hi: int,
-        cols: list[str],
-        agg: str,
-        N: float,
-    ) -> list[tuple[float, list[float | None]]]:
-        """Pushdown bucket walk over raw arrays: per bucket, find the run
-        end (short linear probe, then bisect) and fold each column slice."""
-        times = s.times
-        keyq = lambda t: (t // N) * N  # noqa: E731
-        sel = [s.cols.get(c) for c in cols]
-        out: list[tuple[float, list[float | None]]] = []
-        i = lo
-        while i < hi:
-            b = keyq(times[i])
-            j = i + 1
-            stop = min(i + 32, hi)
-            while j < stop and keyq(times[j]) == b:
-                j += 1
-            if j == stop and j < hi and keyq(times[j]) == b:
-                j = bisect_right(times, b, j, hi, key=keyq)
-            row: list[float | None] = []
-            for col in sel:
-                if col is None:
-                    row.append(None)
-                    continue
-                vals = [v for v in col[i:j] if v is not None]
-                row.append(fold_values(agg, vals))
-            out.append((b, row))
-            i = j
-        return out
+    @staticmethod
+    def _tier_buckets(
+        s: _Series, lo: int, hi: int, cols: list[str], N: float, r: _Rollup,
+        raw, served,
+    ) -> ColumnRows:
+        """Rows ``[lo, hi)`` grouped by ``time(N)``, every whole bucket read
+        off tier ``r`` (caught up to ``hi``; its width divides ``N``).
 
-    def _buckets_rollup(
-        self,
-        s: _Series,
-        lo: int,
-        hi: int,
-        cols: list[str],
-        agg: str,
-        N: float,
-        r: _Rollup,
-    ) -> list[tuple[float, list[float | None]]]:
-        """Serve ``GROUP BY time(N)`` from rollup tier ``r.tier``.
-
-        The time filter may cut through the first and last tier bucket; rows
-        of those two partial buckets are folded raw, every bucket in between
-        comes straight from the rollup arrays.  Segments are exact partial
-        folds, and segment combination (only ever needed for
-        COUNT/MIN/MAX/LAST, where it is exact) reproduces the raw left fold.
-        """
-        times = s.times
-        T = r.tier
-        keyq = lambda t: (t // N) * N  # noqa: E731
-        keyt = lambda t: (t // T) * T  # noqa: E731
-        full_lo, full_hi = s.whole_buckets(lo, hi, T)
-
-        sel = [s.cols.get(c) for c in cols]
-
-        def _raw_stats(i: int, j: int) -> list[tuple]:
-            stats = []
-            for col in sel:
-                vals = (
-                    [v for v in col[i:j] if v is not None]
-                    if col is not None else []
-                )
-                if vals:
-                    stats.append(
-                        (len(vals), sum(vals), min(vals), max(vals), vals[-1])
-                    )
-                else:
-                    stats.append((0, 0.0, 0.0, 0.0, 0.0))
-            return stats
-
-        # (bucket, per-col (count, total, min, max, last)) segments in order.
-        segments: list[tuple[float, list[tuple]]] = []
-        if lo < full_lo:
-            segments.append((keyq(times[lo]), _raw_stats(lo, full_lo)))
+        The time filter cuts at most the first and the last bucket: those
+        two are ``raw(i, j)``, the fold of their rows.  The buckets between
+        are tiled by tier buckets ``[ri0, ri1)`` and come from
+        ``served(c, rc, ri0, ri1, spans)`` per column.  When the tier *is*
+        ``N`` a tier bucket is an output bucket — ``spans`` is ``None``
+        and ``served`` reads slices; when ``N`` spans several, ``spans``
+        holds each output bucket's ``(ka, kb)`` tier range, found from its
+        rows' own keys, for ``served`` to reduce over."""
+        times, T, starts = s.times, r.tier, r.starts
+        full_lo, full_hi = s.whole_buckets(lo, hi, N)
+        head, tail = raw(lo, full_lo), raw(full_hi, hi)
+        mid: list[float] = []
+        spans = ri0 = ri1 = None
         if full_lo < full_hi:
-            ri0 = bisect_left(r.starts, keyt(times[full_lo]))
-            ri1 = bisect_right(r.starts, keyt(times[full_hi - 1]))
-            rsel = [r.fields.get(c) for c in cols]
-            for ri in range(ri0, ri1):
-                stats = []
-                for rc in rsel:
-                    if rc is None or rc.count[ri] == 0:
-                        stats.append((0, 0.0, 0.0, 0.0, 0.0))
-                    else:
-                        stats.append((rc.count[ri], rc.total[ri], rc.vmin[ri],
-                                      rc.vmax[ri], rc.last[ri]))
-                segments.append(((r.starts[ri] // N) * N, stats))
-        if full_hi < hi:
-            segments.append((keyq(times[full_hi]), _raw_stats(full_hi, hi)))
-
-        out: list[tuple[float, list[float | None]]] = []
-        cur_key: float | None = None
-        accs: list[list] = []
-
-        def _flush() -> None:
-            if cur_key is None:
-                return
-            row: list[float | None] = []
-            for acc in accs:
-                c = acc[0]
-                if c == 0:
-                    row.append(None)
-                elif agg == "MEAN":
-                    row.append(acc[1] / c)
-                elif agg == "SUM":
-                    row.append(acc[1])
-                elif agg == "COUNT":
-                    row.append(float(c))
-                elif agg == "MIN":
-                    row.append(acc[2])
-                elif agg == "MAX":
-                    row.append(acc[3])
-                else:  # LAST
-                    row.append(acc[4])
-            out.append((cur_key, row))
-
-        for qb, stats in segments:
-            if qb != cur_key:
-                _flush()
-                cur_key = qb
-                accs = [[0, 0.0, 0.0, 0.0, 0.0] for _ in cols]
-            for acc, (c1, t1_, m1, M1, l1) in zip(accs, stats):
-                if c1 == 0:
-                    continue
-                if acc[0] == 0:
-                    acc[0], acc[1], acc[2], acc[3], acc[4] = c1, t1_, m1, M1, l1
-                else:
-                    acc[0] += c1
-                    acc[1] += t1_
-                    if m1 < acc[2]:
-                        acc[2] = m1
-                    if M1 > acc[3]:
-                        acc[3] = M1
-                    acc[4] = l1
-        _flush()
-        return out
+            ri0 = bisect_left(starts, (times[full_lo] // T) * T)
+            ri1 = bisect_right(starts, (times[full_hi - 1] // T) * T)
+            if T == N:
+                mid = starts[ri0:ri1]
+            else:
+                spans, ka = [], ri0
+                for b, _, j in bucket_runs(times, full_lo, full_hi, N):
+                    kb = bisect_right(starts, (times[j - 1] // T) * T, ka, ri1)
+                    mid.append(b)
+                    spans.append((ka, kb))
+                    ka = kb
+        out = []
+        for c, h, t in zip(cols, head.cols, tail.cols):
+            if h is None:  # a column the series never wrote
+                out.append(None)
+                continue
+            rc = r.fields.get(c)
+            out.append(h + (
+                [None] * len(mid) if rc is None or not mid
+                else served(c, rc, ri0, ri1, spans)) + t)
+        return ColumnRows(head.times + mid + tail.times, out)
 
     # ------------------------------------------------------------------
     # Scatter-gather partials (consumed by repro.db.sharded)
@@ -1627,11 +1689,13 @@ class InfluxDB:
             return cols, []
         if len(matched) == 1:
             s, lo, hi = matched[0]
+            raw = partial(self._partials_raw, s, cols, group_by_s)
             r = next((r for r in s._rollups if r.tier == group_by_s), None)
             if r is not None and not s.has_nan:
                 s.catch_up(hi)
-                return cols, self._partials_rollup(s, lo, hi, cols, group_by_s, r)
-            return cols, self._partials_raw(s, lo, hi, cols, group_by_s)
+                return cols, self._tier_buckets(
+                    s, lo, hi, cols, group_by_s, r, raw, _tier_partials)
+            return cols, raw(lo, hi)
         # Multi-series within this engine: bucket the keyed merged rows.
         _, rows = self.scan_keyed(
             db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
@@ -1660,74 +1724,26 @@ class InfluxDB:
         ]
 
     def _partials_raw(
-        self, s: _Series, lo: int, hi: int, cols: list[str], N: float
-    ) -> list[tuple[float, list[tuple | None]]]:
-        """Raw bucket walk emitting partial stats (single-series shape)."""
+        self, s: _Series, cols: list[str], N: float, lo: int, hi: int
+    ) -> ColumnRows:
+        """Raw bucket walk emitting partial stats (single-series shape),
+        each with the (time, seq) key of its last value."""
         times, seqs = s.times, s.seqs
-        keyq = lambda t: (t // N) * N  # noqa: E731
-        sel = [s.cols.get(c) for c in cols]
-        out: list[tuple[float, list[tuple | None]]] = []
-        i = lo
-        while i < hi:
-            b = keyq(times[i])
-            j = bisect_right(times, b, i, hi, key=keyq)
-            row: list[tuple | None] = []
-            for col in sel:
-                if col is None:
-                    row.append(None)
-                    continue
-                vals, last = [], -1
-                for k in range(i, j):
-                    v = col[k]
-                    if v is not None:
-                        vals.append(v)
-                        last = k
-                row.append(
-                    self._partial_stat(
-                        vals,
-                        times[last] if last >= 0 else None,
-                        seqs[last] if last >= 0 else None,
-                    )
-                )
-            out.append((b, row))
-            i = j
-        return out
-
-    def _partials_rollup(
-        self, s: _Series, lo: int, hi: int, cols: list[str], N: float, r: _Rollup
-    ) -> list[tuple[float, list[tuple | None]]]:
-        """Partial stats served from rollup tier ``r.tier == N``.
-
-        The head/tail buckets the time filter may cut through are folded
-        raw (with exact last keys); every fully covered bucket comes
-        straight from the per-bucket count/total/min/max/last arrays.
-        ``s.has_nan`` is False on this path, so has_nan is False for served
-        buckets.
-        """
-        times = s.times
-        keyt = lambda t: (t // N) * N  # noqa: E731
-        full_lo, full_hi = s.whole_buckets(lo, hi, N)
-        out: list[tuple[float, list[tuple | None]]] = []
-        if lo < full_lo:
-            out.extend(self._partials_raw(s, lo, full_lo, cols, N))
-        if full_lo < full_hi:
-            ri0 = bisect_left(r.starts, keyt(times[full_lo]))
-            ri1 = bisect_right(r.starts, keyt(times[full_hi - 1]))
-            rsel = [r.fields.get(c) for c in cols]
-            for ri in range(ri0, ri1):
-                row: list[tuple | None] = []
-                for rc in rsel:
-                    if rc is None or rc.count[ri] == 0:
-                        row.append(None)
-                    else:
-                        row.append(
-                            (rc.count[ri], rc.total[ri], rc.vmin[ri],
-                             rc.vmax[ri], rc.last[ri], None, None, False)
-                        )
-                out.append((r.starts[ri], row))
-        if full_hi < hi:
-            out.extend(self._partials_raw(s, full_hi, hi, cols, N))
-        return out
+        runs = list(s.bucket_runs(lo, hi, N))
+        out: list[list[tuple | None] | None] = []
+        for col in (s.cols.get(c) for c in cols):
+            if col is None:
+                out.append(None)
+                continue
+            stats = []
+            for _, i, j in runs:
+                vals = [v for v in col[i:j] if v is not None]
+                last = j - 1
+                while vals and col[last] is None:
+                    last -= 1
+                stats.append(self._partial_stat(vals, times[last], seqs[last]))
+            out.append(stats)
+        return ColumnRows([b for b, _, _ in runs], out)
 
     # ------------------------------------------------------------------
     # Sketch-served analytics: PERCENTILE / STDDEV / DISTINCT
@@ -1740,6 +1756,8 @@ class InfluxDB:
 
     def _note_sketch(self, outcome: str) -> None:
         self.sketch_plan[outcome] = self.sketch_plan.get(outcome, 0) + 1
+        if "served" in outcome:  # served:<tier>, stddev-served:<tier>, hll-served
+            self.sketch_served += 1
 
     def _pick_sketch_rollup(
         self, s: _Series, group_by_s: float, hi: int
@@ -1751,7 +1769,7 @@ class InfluxDB:
         skips: set[str] = set()
         for r in s._rollups:  # planned on tier sizes: nothing read from one yet
             k = group_by_s / r.tier
-            if k < 1.0 or k != k or not k.is_integer():
+            if k < 1.0 or group_by_s % r.tier != 0.0:  # see _pick_rollup
                 skips.add("fallback:tier-not-dividing")
                 continue
             if s.has_nan:
@@ -1787,111 +1805,62 @@ class InfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         """``PERCENTILE(field, pct) … GROUP BY time(N)``.
 
-        Single-series matches serve interior buckets by merging at most
-        ``N/tier`` per-bucket digests (O(tiers) per bucket, not O(rows));
-        the head/tail buckets a time filter cut through — and every
-        fallback — use the exact nearest-rank fold."""
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
-        )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, []
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
+        Single-series matches answer every whole bucket from the tier's
+        per-bucket digests: when the tier is ``N``, from what the bucket's
+        digest answered the first time it was asked (kept beside it, so a
+        window asked again reads a slice); when ``N`` spans several, from
+        the merge of at most ``N/tier`` of them.  The head/tail buckets a
+        time filter cut through — and every fallback — use the exact
+        nearest-rank fold."""
+        def tier(s, lo, hi, cols, raw):
             r = self._pick_sketch_rollup(s, group_by_s, hi)
-            if r is not None:
-                return cols, self._quantile_rollup(s, lo, hi, cols, pct,
-                                                   group_by_s, r)
-            return cols, self._quantile_raw(s, lo, hi, cols, pct, group_by_s)
-        self._note_sketch("fallback:multi-series")
-        _, rows = self.scan_columns(
-            db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+            return None if r is None else self._tier_buckets(
+                s, lo, hi, cols, group_by_s, r, raw,
+                partial(self._tier_quantiles, s, r, pct / 100.0))
+
+        return self._grouped(
+            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
+            t1_exclusive, partial(nearest_rank, pct=pct), tier,
+            lambda: self._note_sketch("fallback:multi-series"),
         )
-        buckets: dict[float, list[list[float]]] = {}
-        for t, vals in rows:
-            b = (t // group_by_s) * group_by_s
-            slot = buckets.setdefault(b, [[] for _ in cols])
-            for i, v in enumerate(vals):
-                if v is not None:
-                    slot[i].append(v)
-        return cols, [
-            (b, [nearest_rank(vs, pct) for vs in buckets[b]])
-            for b in sorted(buckets)
+
+    @staticmethod
+    def _tier_digests(
+        s: _Series, r: _Rollup, c: str, rc: _RollupCol, ri0: int, ri1: int,
+        spans: list[tuple[int, int]] | None,
+    ) -> list[TDigest | None]:
+        """One digest per whole output bucket of column ``c`` (see
+        :meth:`_tier_buckets`): the tier bucket's own, or the merge of the
+        ones the output bucket spans (a single one: itself, no copy)."""
+        if spans is None:
+            return [s.bucket_digest(r, c, k) for k in range(ri0, ri1)]
+        return [
+            _merged([d for k in range(ka, kb)
+                     if (d := s.bucket_digest(r, c, k)) is not None])
+            for ka, kb in spans
         ]
 
-    def _quantile_raw(
-        self, s: _Series, lo: int, hi: int, cols: list[str], pct: float, N: float
-    ) -> list[tuple[float, list[float | None]]]:
-        """Exact nearest-rank bucket walk over the raw value arrays."""
-        times = s.times
-        keyq = lambda t: (t // N) * N  # noqa: E731
-        sel = [s.cols.get(c) for c in cols]
-        out: list[tuple[float, list[float | None]]] = []
-        i = lo
-        while i < hi:
-            b = keyq(times[i])
-            j = bisect_right(times, b, i, hi, key=keyq)
-            row: list[float | None] = []
-            for col in sel:
-                if col is None:
-                    row.append(None)
-                    continue
-                vals = [v for v in col[i:j] if v is not None]
-                row.append(nearest_rank(vals, pct))
-            out.append((b, row))
-            i = j
-        return out
-
-    def _quantile_rollup(
-        self,
-        s: _Series,
-        lo: int,
-        hi: int,
-        cols: list[str],
-        pct: float,
-        N: float,
-        r: _Rollup,
-    ) -> list[tuple[float, list[float | None]]]:
-        """Serve grouped percentiles from tier digests; boundary output
-        buckets the time filter may have cut through are folded exactly
-        from raw rows."""
-        full_lo, full_hi = s.whole_buckets(lo, hi, N)
-        q = pct / 100.0
-        return (
-            self._quantile_raw(s, lo, full_lo, cols, pct, N)
-            + [(b, [None if d is None else d.quantile(q) for d in row])
-               for b, row in self._tier_digests(s, full_lo, full_hi, cols, N, r)]
-            + self._quantile_raw(s, full_hi, hi, cols, pct, N)
-        )
-
-    def _tier_digests(
-        self, s: _Series, lo: int, hi: int, cols: list[str], N: float, r: _Rollup
-    ) -> list[tuple[float, list[TDigest | None]]]:
-        """One digest per column per ``N``-wide output bucket over rows
-        ``[lo, hi)``, a range whole buckets tile: each merges the ``N/tier``
-        bucket digests it spans (one digest: no copy at all)."""
-        out: list[tuple[float, list[TDigest | None]]] = []
-        if lo < hi:
-            T = r.tier
-            ri0 = bisect_left(r.starts, (s.times[lo] // T) * T)
-            ri1 = bisect_right(r.starts, (s.times[hi - 1] // T) * T)
-            for b, run in groupby(
-                range(ri0, ri1), key=lambda ri: (r.starts[ri] // N) * N
-            ):
-                span = list(run)
-                out.append((b, [
-                    _merged([d for ri in span
-                             if (d := s.bucket_digest(r, c, ri)) is not None])
-                    for c in cols
-                ]))
-        return out
+    def _tier_quantiles(
+        self, s: _Series, r: _Rollup, q: float, c: str, rc: _RollupCol,
+        ri0: int, ri1: int, spans: list[tuple[int, int]] | None,
+    ) -> list[float | None]:
+        """Quantile ``q`` per whole output bucket of column ``c``.  A tier
+        bucket's answer is asked of its digest once and kept in
+        ``rc.kept[q]`` for as long as the digest holds."""
+        if spans is not None:
+            return [d if d is None else d.quantile(q)
+                    for d in self._tier_digests(s, r, c, rc, ri0, ri1, spans)]
+        kept = rc.kept_for(q)
+        part = kept[ri0:ri1]
+        if None in part:  # never asked (or a bucket with no value)
+            for k in range(ri0, ri1):
+                if kept[k] is None and (d := s.bucket_digest(r, c, k)) is not None:
+                    kept[k] = d.quantile(q)
+            part = kept[ri0:ri1]
+        return part
 
     def _range_digests(
         self, s: _Series, lo: int, hi: int, cols: list[str]
@@ -2048,99 +2017,28 @@ class InfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         """``STDDEV(field) … GROUP BY time(N)``, exact.
 
         A rollup tier equal to ``N`` serves whole buckets from the stored
-        (count, Σv, Σv²) fold — bit-identical to the raw fold because the
-        write path maintains both in the same order — with raw folds for
-        the head/tail buckets the time filter cut through."""
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
-        )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, []
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
+        (count, Σv, Σv²) fold — bit-identical to the raw fold because both
+        are the same fold of the same slice — with raw folds for the
+        head/tail buckets the time filter cut through."""
+        def tier(s, lo, hi, cols, raw):
             r = next((r for r in s._rollups if r.tier == group_by_s), None)
-            if r is not None:
-                s.catch_up(hi)
-                self._note_sketch(f"stddev-served:{r.tier:g}")
-                return cols, self._stddev_rollup(s, lo, hi, cols, group_by_s, r)
-            self._note_sketch("stddev-raw")
-            return cols, self._stddev_raw(s, lo, hi, cols, group_by_s)
-        self._note_sketch("stddev-raw")
-        _, rows = self.scan_columns(
-            db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+            if r is None:
+                self._note_sketch("stddev-raw")
+                return None
+            s.catch_up(hi)
+            self._note_sketch(f"stddev-served:{r.tier:g}")
+            return self._tier_buckets(
+                s, lo, hi, cols, group_by_s, r, raw, _tier_stddev)
+
+        return self._grouped(
+            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
+            t1_exclusive, _stddev_of, tier,
+            lambda: self._note_sketch("stddev-raw"),
         )
-        buckets: dict[float, list[list[float]]] = {}
-        for t, vals in rows:
-            b = (t // group_by_s) * group_by_s
-            slot = buckets.setdefault(b, [[] for _ in cols])
-            for i, v in enumerate(vals):
-                if v is not None:
-                    slot[i].append(v)
-        return cols, [
-            (b, [_stddev_of(vs) for vs in buckets[b]])
-            for b in sorted(buckets)
-        ]
-
-    def _stddev_raw(
-        self, s: _Series, lo: int, hi: int, cols: list[str], N: float
-    ) -> list[tuple[float, list[float | None]]]:
-        times = s.times
-        keyq = lambda t: (t // N) * N  # noqa: E731
-        sel = [s.cols.get(c) for c in cols]
-        out: list[tuple[float, list[float | None]]] = []
-        i = lo
-        while i < hi:
-            b = keyq(times[i])
-            j = bisect_right(times, b, i, hi, key=keyq)
-            row: list[float | None] = []
-            for col in sel:
-                if col is None:
-                    row.append(None)
-                    continue
-                vals = [v for v in col[i:j] if v is not None]
-                row.append(_stddev_of(vals))
-            out.append((b, row))
-            i = j
-        return out
-
-    def _stddev_rollup(
-        self, s: _Series, lo: int, hi: int, cols: list[str], N: float, r: _Rollup
-    ) -> list[tuple[float, list[float | None]]]:
-        """STDDEV buckets from tier ``r.tier == N``: head/tail raw, interior
-        from the per-bucket (count, total, sumsq) arrays."""
-        times = s.times
-        keyt = lambda t: (t // N) * N  # noqa: E731
-        full_lo, full_hi = s.whole_buckets(lo, hi, N)
-        out: list[tuple[float, list[float | None]]] = []
-        if lo < full_lo:
-            out.extend(self._stddev_raw(s, lo, full_lo, cols, N))
-        if full_lo < full_hi:
-            ri0 = bisect_left(r.starts, keyt(times[full_lo]))
-            ri1 = bisect_right(r.starts, keyt(times[full_hi - 1]))
-            rsel = [r.fields.get(c) for c in cols]
-            for ri in range(ri0, ri1):
-                row: list[float | None] = []
-                for rc in rsel:
-                    if rc is None or rc.count[ri] == 0:
-                        row.append(None)
-                    else:
-                        row.append(
-                            stddev_from_partials(
-                                rc.count[ri], rc.total[ri], rc.sumsq[ri]
-                            )
-                        )
-                out.append((r.starts[ri], row))
-        if full_hi < hi:
-            out.extend(self._stddev_raw(s, full_hi, hi, cols, N))
-        return out
 
     def distinct_keyed(
         self,
@@ -2319,82 +2217,29 @@ class InfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[TDigest | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         """Per-bucket digest partials for sharded ``GROUP BY time(N)``
         percentiles: tier-digest-served interior buckets, built-from-raw
         boundary buckets — every bucket ships a mergeable digest."""
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
-        )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, []
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
+        def tier(s, lo, hi, cols, raw):
             r = self._pick_sketch_rollup(s, group_by_s, hi)
-            if r is not None:
-                return cols, self._digest_rollup(s, lo, hi, cols, group_by_s, r)
-            return cols, self._digest_raw(s, lo, hi, cols, group_by_s)
-        self._note_sketch("fallback:multi-series")
-        _, rows = self.scan_columns(
-            db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
-        )
-        comp = self.sketch.compression
-        buckets: dict[float, list[TDigest | None]] = {}
-        for t, vals in rows:
-            b = (t // group_by_s) * group_by_s
-            slot = buckets.get(b)
-            if slot is None:
-                slot = buckets[b] = [None] * len(cols)
-            for i, v in enumerate(vals):
-                if v is not None:
-                    d = slot[i]
-                    if d is None:
-                        d = slot[i] = TDigest(comp)
-                    d.add(v)
-        return cols, [(b, buckets[b]) for b in sorted(buckets)]
+            return None if r is None else self._tier_buckets(
+                s, lo, hi, cols, group_by_s, r, raw,
+                partial(self._tier_digests, s, r))
 
-    def _digest_raw(
-        self, s: _Series, lo: int, hi: int, cols: list[str], N: float
-    ) -> list[tuple[float, list[TDigest | None]]]:
-        times = s.times
-        keyq = lambda t: (t // N) * N  # noqa: E731
-        sel = [s.cols.get(c) for c in cols]
         comp = self.sketch.compression
-        out: list[tuple[float, list[TDigest | None]]] = []
-        i = lo
-        while i < hi:
-            b = keyq(times[i])
-            j = bisect_right(times, b, i, hi, key=keyq)
-            row: list[TDigest | None] = []
-            for col in sel:
-                if col is None:
-                    row.append(None)
-                    continue
-                vals = [v for v in col[i:j] if v is not None]
-                if not vals:
-                    row.append(None)
-                    continue
-                d = TDigest(comp)
-                d.add_many(vals)
-                row.append(d)
-            out.append((b, row))
-            i = j
-        return out
 
-    def _digest_rollup(
-        self, s: _Series, lo: int, hi: int, cols: list[str], N: float, r: _Rollup
-    ) -> list[tuple[float, list[TDigest | None]]]:
-        """Digest partials per output bucket from tier digests (interior)
-        plus built-from-raw boundary buckets."""
-        full_lo, full_hi = s.whole_buckets(lo, hi, N)
-        return (
-            self._digest_raw(s, lo, full_lo, cols, N)
-            + self._tier_digests(s, full_lo, full_hi, cols, N, r)
-            + self._digest_raw(s, full_hi, hi, cols, N)
+        def digest_of(vals: list[float]) -> TDigest | None:
+            if not vals:
+                return None
+            d = TDigest(comp)
+            d.add_many(vals)
+            return d
+
+        return self._grouped(
+            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
+            t1_exclusive, digest_of, tier,
+            lambda: self._note_sketch("fallback:multi-series"),
         )
 
     def distinct_partials(
@@ -2568,7 +2413,8 @@ class InfluxDB:
         many rows no summary reflected yet when the call arrived; the call
         itself catches them up (so ``rollup_buckets`` counts every bucket)
         and changes no answer: the digests reported are the ones reads have
-        built, as they are held.
+        built, as they are held, and ``kept_quantiles`` counts the bucket
+        percentiles kept beside them.
         """
         d = self._db(db)
         stored = sum(
@@ -2581,6 +2427,7 @@ class InfluxDB:
             digest_buckets = 0
             digest_centroids = 0
             digest_bytes = 0
+            kept_quantiles = 0
             hll_fields = 0
             hll_bytes = m.series_hll.memory_bytes()
             rows_unfolded = 0
@@ -2594,6 +2441,8 @@ class InfluxDB:
                                 digest_buckets += 1
                                 digest_centroids += dg.centroid_count
                                 digest_bytes += dg.memory_bytes()
+                        kept_quantiles += sum(
+                            len(a) - a.count(None) for a in rc.kept.values())
                 hll_fields += len(s.hlls)
                 hll_bytes += sum(h.memory_bytes() for h in s.hlls.values())
             measurements[name] = {
@@ -2608,6 +2457,7 @@ class InfluxDB:
                     "digest_buckets": digest_buckets,
                     "digest_centroids": digest_centroids,
                     "digest_memory_bytes": digest_bytes,
+                    "kept_quantiles": kept_quantiles,
                     "hll_fields": hll_fields,
                     "hll_registers": 1 << m.sketch.hll_p,
                     "hll_memory_bytes": hll_bytes,

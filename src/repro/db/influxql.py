@@ -92,8 +92,9 @@ class Query:
 class ResultSet:
     """Query output: ordered columns and (time, row) tuples.
 
-    ``rows`` of a raw select is the engine's :class:`ColumnRows` — a row
-    list to anyone who iterates it, columns to :meth:`series`."""
+    ``rows`` of a raw select and of a ``GROUP BY time`` is the engine's
+    :class:`ColumnRows` — a row list to anyone who iterates it, columns to
+    :meth:`series`."""
 
     columns: list[str]
     rows: list[tuple[float, list[float | None]]] | ColumnRows
@@ -157,7 +158,7 @@ def parse_query(text: str) -> Query:
     once per distinct statement — which helps exactly the statements whose
     text repeats (Listing 3 recall queries, a panel's time-free form).  The
     returned :class:`Query` is frozen, so sharing the cached instance is
-    safe, and ``dataclasses.replace`` derives a windowed one from it.
+    safe, and a windowed one is a copy of it with the bounds filled in.
     """
     return _parse_query_cached(text)
 
@@ -318,8 +319,8 @@ def execute(db: InfluxDB, database: str, query: Query | str) -> ResultSet:
 
     - raw select → ``scan_columns`` with LIMIT pushed into the scan;
     - plain aggregate → ``aggregate_columns`` (column folds, no rows);
-    - GROUP BY time(N) → ``scan_buckets`` (bisected bucket edges, served
-      from a rollup tier when that is provably exact).
+    - GROUP BY time(N) → ``scan_buckets`` (bucket edge to bucket edge,
+      or slices of a rollup tier when that is provably exact).
 
     Results are exactly equal to :func:`naive_execute`.
     """

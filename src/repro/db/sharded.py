@@ -234,6 +234,11 @@ class ShardedInfluxDB:
         return out
 
     @property
+    def sketch_served(self) -> int:
+        """:attr:`InfluxDB.sketch_served` summed across shards."""
+        return sum(sh.sketch_served for sh in self.shards.values())
+
+    @property
     def sketch(self) -> SketchConfig:
         """The (shared) sketch configuration of the shard engines."""
         return next(iter(self.shards.values())).sketch
@@ -778,7 +783,9 @@ class ShardedInfluxDB:
         allows) merge bucket-by-bucket under the same exactness rules as
         :meth:`aggregate_columns`; any (bucket, column) slot a partial
         merge cannot reproduce bit-for-bit is re-folded from one shared
-        interleaved scan.
+        interleaved scan.  One contributing shard answers alone, and its
+        :class:`~repro.db.influx.ColumnRows` is passed through (as for
+        :meth:`quantile_buckets` and :meth:`stddev_buckets`).
         """
         if agg not in _FOLDABLE:
             raise InfluxError(f"unknown aggregate {agg}")

@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import accumulate
 from typing import Any, Iterable
 
 __all__ = [
@@ -389,23 +391,22 @@ class TDigest:
         idx = q * n
         if idx <= weights[0] / 2.0:
             return self._min
-        cum = 0.0
-        prev_mid = 0.0
-        prev_val = self._min
-        for m, w in zip(means, weights):
-            mid = cum + w / 2.0
-            if idx <= mid:
-                span = mid - prev_mid
-                frac = (idx - prev_mid) / span if span > 0 else 0.0
-                # Clamp to the bracketing interval (means are sorted):
-                # prev + frac*(m - prev) cancels catastrophically when
-                # |prev| dwarfs |m| (prev=-1.0, m=-6e-89, frac=1 gives
-                # 0.0 — outside the data range entirely).
-                v = prev_val + frac * (m - prev_val)
-                return min(max(v, prev_val), m)
-            cum += w
-            prev_mid = mid
-            prev_val = m
+        # Rank of each centroid's middle — the running weight sum a
+        # centroid-by-centroid walk would carry, added in its order — and
+        # the first one at or past the asked rank, by bisect.
+        mids = [cum + w / 2.0
+                for cum, w in zip(accumulate(weights, initial=0.0), weights)]
+        k = bisect_left(mids, idx)
+        prev_mid, prev_val = (mids[k - 1], means[k - 1]) if k else (0.0, self._min)
+        if k < len(means):
+            span = mids[k] - prev_mid
+            frac = (idx - prev_mid) / span if span > 0 else 0.0
+            # Clamp to the bracketing interval (means are sorted):
+            # prev + frac*(m - prev) cancels catastrophically when
+            # |prev| dwarfs |m| (prev=-1.0, m=-6e-89, frac=1 gives
+            # 0.0 — outside the data range entirely).
+            v = prev_val + frac * (means[k] - prev_val)
+            return min(max(v, prev_val), means[k])
         span = n - prev_mid
         frac = (idx - prev_mid) / span if span > 0 else 1.0
         v = prev_val + frac * (self._max - prev_val)

@@ -168,17 +168,6 @@ class ServingFrontend:
         slo.admitted += 1
         return True
 
-    def _sketch_serves(self) -> int:
-        """Total sketch-served answers the engine has recorded so far."""
-        plan = getattr(self.grafana.influx, "sketch_plan", None)
-        if not plan:
-            return 0
-        return sum(
-            v for k, v in plan.items()
-            if k.startswith("served:") or k.startswith("stddev-served")
-            or k == "hll-served"
-        )
-
     def _execute(self, request: QueryRequest, t: float) -> tuple[Any, int, float]:
         """Resolve the panel through the tenant's cache partition and
         model the service time from what actually happened."""
@@ -187,8 +176,11 @@ class ServingFrontend:
         missed_points = 0
         sketch_targets = 0
         total_points = 0
+        influx = self.grafana.influx
         for target, statement in zip(request.panel.targets, request.statements):
-            serves_before = self._sketch_serves()
+            # sketch-served answers the engine has recorded so far (an
+            # engine without sketches records none)
+            serves_before = getattr(influx, "sketch_served", 0)
             times, values, hit = self.grafana.execute_target(
                 target, request.t0, request.t1, request.tag,
                 tenant=request.tenant, statement=statement,
@@ -198,7 +190,7 @@ class ServingFrontend:
             total_points += len(times)
             if hit:
                 hit_targets += 1
-            elif self._sketch_serves() > serves_before:
+            elif getattr(influx, "sketch_served", 0) > serves_before:
                 # The engine answered from tier sketches: no raw points
                 # were scanned, so the per-point term would overcharge.
                 sketch_targets += 1

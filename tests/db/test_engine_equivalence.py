@@ -352,7 +352,13 @@ lazy_reads = st.one_of(
         st.sampled_from(LAZY_TAGS), _where,
     ),
     st.sampled_from(['SELECT COUNT(DISTINCT("v")) FROM "m"',
-                     'SELECT MAX("w") FROM "m" GROUP BY time(10s)']),
+                     'SELECT MAX("w") FROM "m" GROUP BY time(10s)',
+                     # two columns of one tier window; two kept percentiles
+                     'SELECT MEAN("v"), MEAN("w") FROM "m" WHERE tag=\'a\' '
+                     'GROUP BY time(10s)',
+                     'SELECT PERCENTILE("v", 95), PERCENTILE("w", 95) FROM "m" '
+                     'WHERE tag=\'b\' AND time < 45s GROUP BY time(10s)',
+                     'SELECT STDDEV("v") FROM "m" GROUP BY time(60s)']),
 )
 
 lazy_ops = st.lists(
@@ -392,7 +398,7 @@ def assert_answers_like_naive(db, text):
     COUNT(DISTINCT): within the HLL bound of the exact count."""
     got = execute(db, "pmove", text)
     want = naive_execute(db, "pmove", text)
-    q = parse_query(text)
+    q = parse_query(text) if isinstance(text, str) else text
     if q.aggregate == "COUNT_DISTINCT":
         (_, [g]), (_, [w]) = got.rows[0], want.rows[0]
         assert (g is None) == (w is None)
@@ -404,18 +410,21 @@ def assert_answers_like_naive(db, text):
         return
     raw = naive_execute(db, "pmove", Query(**{**q.__dict__, "aggregate": None,
                                               "agg_arg": None, "group_by_s": None}))
-    buckets = {}
-    for t, (v,) in raw.rows:
-        if v is not None and v == v:
-            key = 0.0 if q.group_by_s is None else (t // q.group_by_s) * q.group_by_s
-            buckets.setdefault(key, []).append(v)
     assert [t for t, _ in got.rows] == [t for t, _ in want.rows]
     bound = DEFAULT_SKETCH.digest_bound(merged=True)
-    for (t, (g,)), (_, (w,)) in zip(got.rows, want.rows):
-        assert (g is None) == (w is None), text
-        if g is not None:
-            vals = sorted(buckets[t if q.group_by_s is not None else 0.0])
-            assert _rank_error(vals, g, q.agg_arg / 100.0) <= bound + 1.0 / len(vals)
+    for ci in range(len(got.columns)):
+        buckets = {}
+        for t, row in raw.rows:
+            v = row[ci]
+            if v is not None and v == v:
+                key = 0.0 if q.group_by_s is None else (t // q.group_by_s) * q.group_by_s
+                buckets.setdefault(key, []).append(v)
+        for (t, grow), (_, wrow) in zip(got.rows, want.rows):
+            g, w = grow[ci], wrow[ci]
+            assert (g is None) == (w is None), text
+            if g is not None:
+                vals = sorted(buckets[t if q.group_by_s is not None else 0.0])
+                assert _rank_error(vals, g, q.agg_arg / 100.0) <= bound + 1.0 / len(vals)
 
 
 def lazy_engine(kind):

@@ -41,8 +41,8 @@ def the_series(db, tag="x"):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the three kinds of summary work: value hashes, bucket
-    folds (per field) and values put into a digest."""
+    """Counts of the kinds of summary work: value hashes, bucket folds
+    (per field), values put into a digest, and quantiles asked of one."""
     counts = Counter()
 
     def count(owner, name, key, weigh=lambda *a: 1):
@@ -58,6 +58,7 @@ def calls(monkeypatch):
     count(_RollupCol, "set_from", "fold")
     count(TDigest, "add", "digest")
     count(TDigest, "add_many", "digest")
+    count(TDigest, "quantile", "quantile")
     return counts
 
 
@@ -397,3 +398,114 @@ class TestDigestsArePureFunctionsOfTheirRows:
         assert [t for t, _ in rs.rows] == [0.0, 10.0]
         d = the_series(db).rollups[0].fields["a"].digest[1]
         assert d.count == 8.0
+
+
+# ----------------------------------------------------------------------
+# A sealed bucket's percentile is worked out once
+# ----------------------------------------------------------------------
+class TestKeptPercentiles:
+    """What a bucket's digest answered at ``q`` is kept beside the digest
+    and dropped where the digest is: counted, not timed."""
+
+    P95 = 'SELECT PERCENTILE("a", 95) FROM "m" GROUP BY time(10s)'
+
+    def load(self, n=95):
+        db = mk()
+        rnd = random.Random(5)
+        db.write_many(DB, [pt(t, a=rnd.lognormvariate(0.0, 1.0), b=float(t))
+                           for t in range(n)])
+        return db
+
+    def kept(self, db):
+        return db.stats(DB)["measurements"]["m"]["sketch"]["kept_quantiles"]
+
+    def test_a_second_read_walks_no_centroid_and_builds_no_digest(self, calls):
+        db = self.load()
+        first = execute(db, DB, self.P95).rows
+        assert (calls["digest"], calls["quantile"]) == (10, 10)
+        assert self.kept(db) == 10
+        calls.clear()
+        again = execute(db, DB, self.P95).rows
+        assert calls == {} and list(again) == list(first)
+        # a window inside the first, cutting a bucket at either end: the
+        # whole ones are a slice of what is kept, the cut ones nearest-rank
+        inner = self.P95.replace("GROUP", "WHERE time >= 13s AND time <= 77s GROUP")
+        assert [r for r in execute(db, DB, inner).rows][1:-1] == list(first)[2:7]
+        assert calls == {}
+        # another quantile is another ask of the same digests
+        execute(db, DB, self.P95.replace("95", "50"))
+        assert calls == {"quantile": 10} and self.kept(db) == 20
+
+    def test_an_append_reasks_the_open_bucket_only(self, calls):
+        db = self.load()
+        execute(db, DB, self.P95)
+        calls.clear()
+        db.write_many(DB, [pt(t, a=float(t), b=0.0) for t in range(95, 98)])
+        got = execute(db, DB, self.P95).rows
+        assert (calls["digest"], calls["quantile"]) == (1, 1)
+        assert list(got) == list(execute(self.fresh_copy(db), DB, self.P95).rows)
+
+    def fresh_copy(self, db):
+        """Another engine holding the same rows, never read before."""
+        fresh = mk()
+        fresh.import_rows(DB, "m", {"tag": "x"}, [
+            (t, q, dict(p.fields)) for t, q, p in db.scan_points(DB, "m")])
+        return fresh
+
+    @pytest.mark.parametrize("t", [4.5, 47.0, 90.5])
+    def test_a_late_write_reasks_its_bucket_only(self, calls, t):
+        db = self.load()
+        before = list(execute(db, DB, self.P95).rows)
+        calls.clear()
+        db.write(DB, pt(t, a=1e6, b=0.0))
+        got = list(execute(db, DB, self.P95).rows)
+        assert (calls["digest"], calls["quantile"]) == (1, 1)
+        k = int(t // 10)
+        assert got[:k] == before[:k] and got[k + 1:] == before[k + 1:]
+        assert got[k] != before[k]
+        assert got == list(execute(self.fresh_copy(db), DB, self.P95).rows)
+
+    def test_retention_through_a_bucket_drops_its_kept_answer(self, calls):
+        db = self.load()
+        before = list(execute(db, DB, self.P95).rows)
+        db.set_retention_policy(DB, 100.0)
+        assert db.enforce_retention(DB, 123.0) == 23  # cuts bucket [20, 30)
+        assert self.kept(db) == 7  # buckets 30.. are whole; 0, 10 gone, 20 re-folded
+        calls.clear()
+        got = list(execute(db, DB, self.P95).rows)
+        assert (calls["digest"], calls["quantile"]) == (1, 1)
+        assert got[1:] == before[3:] and got[0][0] == 20.0 and got[0] != before[2]
+        assert got == list(execute(self.fresh_copy(db), DB, self.P95).rows)
+
+    def test_a_dropped_or_moved_series_takes_its_answers_along(self):
+        db = self.load()
+        want = list(execute(db, DB, self.P95).rows)
+        rows = db.pop_series(DB, "m", {"tag": "x"})
+        assert db.measurements(DB) == []
+        db.import_rows(DB, "m", {"tag": "x"}, rows[:50])
+        assert self.kept(db) == 0
+        assert list(execute(db, DB, self.P95).rows) == want[:5]
+        db.delete_series(DB, "m")
+        db.write_many(DB, [pt(t, a=1.0, b=0.0) for t in range(20)])
+        assert list(execute(db, DB, self.P95).rows) == [(0.0, [1.0]), (10.0, [1.0])]
+
+    def test_only_a_few_quantiles_are_kept_per_field(self):
+        db = self.load()
+        for pct in (5, 25, 50, 75, 95, 99):
+            execute(db, DB, self.P95.replace("95", str(pct)))
+        rc = the_series(db).rollups[0].fields["a"]
+        assert list(rc.kept) == [0.5, 0.75, 0.95, 0.99]  # oldest asked, first gone
+        assert self.kept(db) == 40
+        assert all(len(a) == len(rc.count) for a in rc.kept.values())
+
+    def test_a_merged_window_keeps_nothing_and_the_sharded_engine_keeps_the_same(self):
+        db = self.load()
+        execute(db, DB, self.P95.replace("10s", "20s"))  # two digests per bucket
+        assert self.kept(db) == 0
+        sharded = mk(lambda: ShardedInfluxDB(2))
+        sharded.write_many(DB, [p for _, _, p in db.scan_points(DB, "m")])
+        assert list(execute(sharded, DB, self.P95).rows) == list(
+            execute(db, DB, self.P95).rows)
+        blocks = [b["measurements"]["m"]["sketch"]["kept_quantiles"]
+                  for b in sharded.stats(DB)["shards"].values() if b["measurements"]]
+        assert blocks == [10]

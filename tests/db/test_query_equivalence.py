@@ -10,13 +10,24 @@ useless) are still checked bit-for-bit.
 """
 
 import math
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.influx import DEFAULT_ROLLUP_TIERS, InfluxDB, InfluxError, Point
+from repro.db.influx import (
+    DEFAULT_ROLLUP_TIERS,
+    ColumnRows,
+    InfluxDB,
+    InfluxError,
+    Point,
+    bucket_runs,
+)
 from repro.db.influxql import Query, execute, naive_execute
+from repro.db.sharded import ShardedInfluxDB
+
+from .test_engine_equivalence import assert_answers_like_naive
 
 MEASUREMENTS = ["cpu_idle", "mem_used"]
 TAG_KEYS = ["tag", "host"]
@@ -176,6 +187,219 @@ class TestRollupServing:
             _assert_same(db, q)
 
 
+# ----------------------------------------------------------------------
+# Bucket edges: any width, any time — a row is placed by its own key
+# ----------------------------------------------------------------------
+#: widths whose multiples round (0.1, 0.3, 1/3), a plain one, a tiny and a
+#: huge one; N / 2 is exact for each, so the half-width tier nests in it
+WIDTHS = [0.1, 0.3, 1 / 3, 7.0, 1e-3, 1e9]
+
+
+def edge_times(N):
+    """Times that are negative, duplicated, near 2**53, and exactly on
+    bucket edges — the edge computed both as ``k * N`` and by adding ``N``
+    ``k`` times — with their float neighbours on either side."""
+    k = st.integers(-40, 40)
+    on_edge = st.one_of(
+        k.map(lambda k: k * N),
+        st.integers(0, 40).map(lambda k: list(accumulate([N] * k, initial=0.0))[-1]),
+    )
+    return st.one_of(
+        on_edge,
+        on_edge.map(lambda t: math.nextafter(t, -math.inf)),
+        on_edge.map(lambda t: math.nextafter(t, math.inf)),
+        st.floats(-20 * N, 20 * N),
+        st.integers(0, 64).map(lambda k: 2.0**53 - 2.0 * k * max(1.0, N)),
+        st.sampled_from([0.0, N, -N, N / 2, 3 * N / 2]),
+    )
+
+
+@st.composite
+def edge_cases(draw):
+    N = draw(st.sampled_from(WIDTHS))
+    # (+ 0.0: a -0.0 timestamp labels its bucket -0.0 or 0.0 by which row
+    # comes first, which a router merging two shards' buckets does not keep)
+    times = [t + 0.0 for t in draw(st.lists(edge_times(N), min_size=1, max_size=40))]
+    times += draw(st.lists(st.sampled_from(times), max_size=8))  # duplicates
+    return N, times
+
+
+def grouped(times, N):
+    """The reference: sorted rows grouped by ``(t // N) * N``."""
+    return [(b, len(list(run)))
+            for b, run in groupby(sorted(times), key=lambda t: (t // N) * N)]
+
+
+class TestBucketEdges:
+    @given(edge_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bucket_runs_groups_rows_by_their_key(self, case, data):
+        N, times = case
+        times.sort()
+        lo = data.draw(st.integers(0, len(times)))
+        hi = data.draw(st.integers(lo, len(times)))
+        runs = list(bucket_runs(times, lo, hi, N))
+        assert [(b, j - i) for b, i, j in runs] == grouped(times[lo:hi], N)
+        assert [i for _, i, _ in runs] + [hi] == [lo] + [j for _, _, j in runs]
+
+    def test_the_bisect_alone_would_misplace_these(self):
+        """``b + N`` is not where the key moves, in either direction: 0.5
+        keys to bucket 0.4 of width 0.1 though it is not below ``0.4 + 0.1``;
+        0.01 keys to itself at width 1e-3 though it is below
+        ``0.009… + 1e-3``; and near 2**53, ``b + 0.1`` is ``b`` itself."""
+        assert (0.5 // 0.1) * 0.1 == 0.4 and not 0.5 < 0.4 + 0.1
+        b = (0.0095 // 1e-3) * 1e-3
+        assert (0.01 // 1e-3) * 1e-3 == 0.01 != b and 0.01 < b + 1e-3
+        big = 2.0**53
+        assert big + 0.1 == big
+        for N, times in ((0.1, [0.4, 0.45, 0.5, 0.5, 0.55, 0.6]),
+                         (1e-3, [0.0095, 0.0095, 0.01, 0.0105, 0.011]),
+                         (0.1, [big - 4, big - 2, big - 2, big])):
+            assert [(b, j - i) for b, i, j in bucket_runs(times, 0, len(times), N)
+                    ] == grouped(times, N)
+
+    AGGS = ["MEAN", "SUM", "COUNT", "MIN", "MAX", "LAST", "STDDEV", "PERCENTILE"]
+
+    @staticmethod
+    def load(engine, N, tier, times, data):
+        db = engine(rollup_tiers=() if tier is None else (tier,))
+        db.create_database("pmove")
+        value = st.floats(-1e6, 1e6, width=32)
+        pts = []
+        for t in times:
+            fields = {"a": data.draw(value)}
+            if data.draw(st.booleans()):
+                fields["b"] = data.draw(value)  # a column with holes
+            pts.append(Point("m", {"tag": data.draw(st.sampled_from("xxy"))},
+                             fields, t))
+        db.write_many("pmove", pts)
+        return db
+
+    @pytest.mark.parametrize("engine", [InfluxDB, lambda **kw: ShardedInfluxDB(2, **kw)])
+    @given(case=edge_cases(), tiering=st.sampled_from(["raw", "exact", "half"]),
+           data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_execute_equals_naive_on_every_path(self, engine, case, tiering, data):
+        """Raw walk, a tier equal to ``N``, a tier half of it (COUNT/MIN/
+        MAX/LAST reduce over pairs; the rest fall back), windows that cut the
+        first and last bucket, one series or two (the merged walk, the
+        router's partials), holes and a column nobody wrote."""
+        N, times = case
+        tier = {"raw": None, "exact": N, "half": N / 2}[tiering]
+        db = self.load(engine, N, tier, times, data)
+        bound = st.one_of(st.none(), st.sampled_from(times))
+        t0, t1 = data.draw(bound), data.draw(bound)
+        tags = data.draw(st.sampled_from([(), (("tag", "x"),)]))
+        for agg in self.AGGS:
+            q = Query("m", ("a", "b", "never"), agg, tags, t0, t1, N,
+                      t0_exclusive=data.draw(st.booleans()),
+                      t1_exclusive=data.draw(st.booleans()),
+                      agg_arg=95.0 if agg == "PERCENTILE" else None)
+            assert_answers_like_naive(db, q)
+
+    @pytest.mark.parametrize("N", WIDTHS)
+    def test_each_path_is_really_taken(self, N):
+        """One dense series, buckets of three rows, a window that cuts the
+        first and the last bucket: the planners serve from the exact tier
+        and from the half-width tier, and the answers are the naive ones."""
+        times = [k * N + f * N for k in range(2, 12) for f in (0.0, 0.25, 0.75)]
+        for tier, rollup, sketch in (
+            (N, {f"served:{N:g}": 6}, {f"served:{N:g}": 1, f"stddev-served:{N:g}": 1}),
+            (N / 2, {f"served:{N / 2:g}": 4, "skip:mean-sum-needs-exact-tier": 2,
+                     "raw-fallback": 2},
+             {f"served:{N / 2:g}": 1, "stddev-raw": 1}),
+        ):
+            db = InfluxDB(rollup_tiers=(tier,))
+            db.create_database("pmove")
+            db.write_many("pmove", [
+                Point("m", {}, {"a": float(i % 7), "b": -float(i)}, t)
+                for i, t in enumerate(times)])
+            for agg in self.AGGS:
+                assert_answers_like_naive(db, Query(
+                    "m", ("a", "b", "never"), agg, (), times[1], times[-2], N,
+                    agg_arg=95.0 if agg == "PERCENTILE" else None))
+            assert db.rollup_plan == rollup and db.sketch_plan == sketch
+
+    def test_a_tier_that_only_nearly_divides_is_not_used(self):
+        """0.5 / 0.1 == 5.0 in floats, yet 0.5 is not five times the double
+        0.1: the row at 0.5 sits in tier bucket 0.4 and in output bucket
+        0.5.  Planned on the quotient (as it was), COUNT read 3, 4 → 3, 3."""
+        db = InfluxDB(rollup_tiers=(0.1,))
+        db.create_database("pmove")
+        db.write_many("pmove", [Point("m", {}, {"a": float(i)}, t) for i, t in
+                                enumerate([0.4, 0.45, 0.5, 0.55, 0.6, 0.9, 1.0])])
+        for agg in ("COUNT", "MAX", "LAST", "PERCENTILE"):
+            assert_answers_like_naive(db, Query(
+                "m", ("a",), agg, (), None, None, 0.5,
+                agg_arg=50.0 if agg == "PERCENTILE" else None))
+        assert "served:0.1" not in db.rollup_plan
+        assert db.sketch_plan == {"fallback:tier-not-dividing": 1,
+                                  "fallback:raw-scan": 1}
+        assert_answers_like_naive(db, Query("m", ("a",), "COUNT", (), None, None, 0.2))
+        assert db.rollup_plan["served:0.1"] == 1  # 0.2 is exactly two of them
+
+
+# ----------------------------------------------------------------------
+# Grouped reads leave as columns
+# ----------------------------------------------------------------------
+class TestGroupedReadsAreColumns:
+    TEXTS = [
+        'SELECT MEAN("a"), MEAN("b"), MEAN("never") FROM "m" WHERE tag=\'x\' '
+        "AND time >= 13 AND time <= 171 GROUP BY time(10s)",        # exact tier
+        'SELECT MAX("a") FROM "m" WHERE tag=\'x\' GROUP BY time(20s)',   # reduce
+        'SELECT SUM("a"), SUM("b") FROM "m" WHERE tag=\'x\' GROUP BY time(7s)',
+        'SELECT STDDEV("a") FROM "m" WHERE tag=\'x\' AND time > 5 GROUP BY time(60s)',
+        'SELECT PERCENTILE("a", 90) FROM "m" WHERE tag=\'x\' GROUP BY time(10s)',
+        'SELECT COUNT("b") FROM "m" GROUP BY time(10s)',             # two series
+        'SELECT MEAN("a") FROM "nothing" GROUP BY time(10s)',
+    ]
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return _mk(
+            Point("m", {"tag": "xy"[i % 2]},
+                  {"a": float(i % 11)} | ({"b": -float(i)} if i % 3 else {}), i * 0.5)
+            for i in range(400))
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_rows_read_as_the_row_list(self, db, text):
+        got = execute(db, "pmove", text)
+        want = list(naive_execute(db, "pmove", text).rows)
+        if "PERCENTILE" in text:  # a sketch answer: compare it to itself
+            want = [(t, list(r)) for t, r in got.rows]
+        rows = got.rows
+        assert isinstance(rows, ColumnRows) and len(rows) == len(want) == len(got)
+        assert list(rows) == want and rows == want and want == rows
+        assert repr(rows) == repr(want)
+        assert [rows[i] for i in range(len(want))] == want
+        if want:
+            assert rows[-1] == want[-1]
+        assert rows[1:3] == want[1:3] and isinstance(rows[1:3], ColumnRows)
+        for column in got.columns:
+            idx = got.columns.index(column)
+            pairs = [(t, r[idx]) for t, r in want if r[idx] is not None]
+            assert got.series(column) == ([t for t, _ in pairs], [v for _, v in pairs])
+
+    @pytest.mark.parametrize("text", TEXTS[:5])
+    def test_limit_slices_the_columns(self, db, text):
+        whole = execute(db, "pmove", text).rows
+        cut = execute(db, "pmove", text + " LIMIT 3").rows
+        assert isinstance(cut, ColumnRows) and cut == whole[:3] == list(whole)[:3]
+        assert cut.times == whole.times[:3]
+
+    def test_an_answer_is_not_an_alias_of_the_tier(self, db):
+        """Columns handed out are copies: editing one cannot reach the
+        rollup arrays or the kept percentiles."""
+        for text in (self.TEXTS[0], self.TEXTS[4]):
+            first = execute(db, "pmove", text).rows
+            want = list(first)
+            for col in first.cols:
+                if col is not None:
+                    col[:] = [None] * len(col)
+            first.times.clear()
+            assert list(execute(db, "pmove", text).rows) == want
+
+
 class TestResultSetColumn:
     def test_column_memoized_and_correct(self):
         db = _mk(Point("m", {}, {"a": float(i), "b": -float(i)}, float(i))
@@ -289,14 +513,19 @@ class TestGenerations:
         assert db.freshness("d", "other")[2] == 1.0
 
     def test_a_nan_timestamp_is_refused_before_anything_moves(self):
+        """So is an infinite one: ``+inf`` used to land, set the frontier to
+        ``inf`` and only then fail in byte accounting, half applied."""
         db = _mk([Point("m", {}, {"v": 1.0}, 1.0)])
         assert db.stats("pmove")["measurements"]["m"]["rows_unfolded"] == 1
         before = db.freshness("pmove", "m"), db.stats("pmove")  # now caught up
-        for name in ("m", "never_written"):
-            with pytest.raises(InfluxError):
-                db.write("pmove", Point(name, {}, {"v": 2.0}, math.nan))
-        assert (db.freshness("pmove", "m"), db.stats("pmove")) == before
-        assert db.measurements("pmove") == ["m"]
+        for when in (math.nan, math.inf, -math.inf):
+            for name in ("m", "never_written"):
+                with pytest.raises(InfluxError):
+                    db.write("pmove", Point(name, {}, {"v": 2.0}, when))
+            assert (db.freshness("pmove", "m"), db.stats("pmove")) == before
+            assert db.measurements("pmove") == ["m"]
+        db.write("pmove", Point("m", {}, {"v": 3.0}, 2.0))
+        assert db.freshness("pmove", "m")[0] == before[0][0]  # still in order
 
     def test_nan_aggregate_still_exact(self):
         db = _mk([Point("m", {}, {"v": v}, float(i))

@@ -15,7 +15,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.influx import InfluxDB, Point
+from repro.db.influx import ColumnRows, InfluxDB, Point
 from repro.db.influxql import Query, execute
 from repro.db.sharded import ShardedInfluxDB
 
@@ -191,7 +191,8 @@ class TestLifecycleEquivalence:
 def _nan_eq(a, b):
     if isinstance(a, float) and isinstance(b, float):
         return (a != a and b != b) or repr(a) == repr(b)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+    seq = (list, tuple, ColumnRows)  # rows: a list, or the engine's columns
+    if isinstance(a, seq) and isinstance(b, seq):
         return len(a) == len(b) and all(_nan_eq(x, y) for x, y in zip(a, b))
     return a == b
 

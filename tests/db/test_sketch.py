@@ -188,6 +188,71 @@ class TestTDigest:
         of = TDigest.of([v for chunk in chunks for v in chunk], 10)
         assert not of._buf and of.to_dict() == TDigest.from_dict(seq.to_dict()).to_dict()
 
+    @staticmethod
+    def walked_quantile(d: TDigest, q: float):
+        """``TDigest.quantile`` as the centroid-by-centroid walk it was
+        before it bisected: kept as the reference."""
+        if d._count == 0:
+            return None
+        d._compress()
+        q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
+        means, weights, n = d._means, d._weights, d._count
+        if len(means) == 1:
+            return means[0]
+        idx = q * n
+        if idx <= weights[0] / 2.0:
+            return d._min
+        cum = 0.0
+        prev_mid = 0.0
+        prev_val = d._min
+        for m, w in zip(means, weights):
+            mid = cum + w / 2.0
+            if idx <= mid:
+                span = mid - prev_mid
+                frac = (idx - prev_mid) / span if span > 0 else 0.0
+                v = prev_val + frac * (m - prev_val)
+                return min(max(v, prev_val), m)
+            cum += w
+            prev_mid = mid
+            prev_val = m
+        span = n - prev_mid
+        frac = (idx - prev_mid) / span if span > 0 else 1.0
+        v = prev_val + frac * (d._max - prev_val)
+        return min(max(v, prev_val), d._max)
+
+    QS = [-0.5, 0.0, 1e-9, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99,
+          0.999, 1.0 - 1e-12, 1.0, 1.5] + [k / 97.0 for k in range(98)]
+
+    @given(st.lists(st.lists(
+        st.one_of(st.floats(allow_infinity=False),  # NaN, ±0.0 included
+                  st.floats(-1e6, 1e6), st.integers(-2, 2).map(float)),
+        max_size=200), min_size=1, max_size=4),
+        st.sampled_from([10, 25, 100, 200]))
+    @settings(max_examples=120, deadline=None)
+    def test_quantile_is_the_centroid_walk_bit_for_bit(self, chunks, compression):
+        """Single digests (buffered, compressed, ``of``), their merge in
+        both orders, and all of them after a ``to_dict``/``from_dict``
+        round trip: the bisect over the mid-rank array answers exactly what
+        the walk did, at every q — the same additions in the same order."""
+        singles = []
+        for chunk in chunks:
+            d = TDigest(compression)
+            d.add_many(chunk)
+            singles += [d, TDigest.of(chunk, compression)]
+        digests = singles + [TDigest.merged(singles), TDigest.merged(singles[::-1])]
+        digests += [TDigest.from_dict(d.to_dict()) for d in digests]
+        for d in digests:
+            for q in self.QS:
+                assert repr(d.quantile(q)) == repr(self.walked_quantile(d, q))
+
+    def test_quantile_walk_equivalence_on_a_large_skewed_digest(self):
+        n = 200_000
+        d = TDigest(DEFAULT_SKETCH.compression)
+        d.add_many((((i * 2654435761) % n) / n) ** 3 for i in range(n))
+        assert d.centroid_count > 200
+        for q in self.QS:
+            assert d.quantile(q) == self.walked_quantile(d, q)
+
     def test_error_bound_at_1e6_points(self):
         """Satellite gate: p-of-1e6 within the configured rank bound,
         cross-checked against ``statistics.quantiles`` exact cuts."""

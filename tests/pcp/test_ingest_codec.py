@@ -222,12 +222,25 @@ class TestRoundTripOrRefusal:
         with pytest.raises(InfluxError, match="line break or leading whitespace"):
             p.to_line()
 
+    def test_a_measurement_that_reads_as_a_comment_is_refused(self):
+        """``#m,k=v f=1.0 1`` is a line ``write_lines`` skips: it used to
+        be serialised, dropped on the way in and reported as 0 written."""
+        p = Point("#m", {"k": "v"}, {"f": 1.0}, 1.0)
+        with pytest.raises(InfluxError, match="comment"):
+            p.to_line()
+        influx = InfluxDB()
+        influx.create_database("d")
+        assert influx.write_lines("d", "#m,k=v f=1.0 1000000000") == 0
+        influx.write("d", p)  # no line involved: the engine takes the name
+        assert influx.measurements("d") == ["#m"]
+        assert Point("m#", {"#k": "#"}, {"#f": 1.0}, 1.0).to_line()  # only leading
+
     @given(points(SEPARATORS))
     @settings(max_examples=300)
     def test_same_point_or_influx_error(self, p):
         back = round_trip(p)
-        if p.measurement[0] in "\t\xa0":
-            assert back is None  # a parser would strip it: refused instead
+        if p.measurement[0] in "\t\xa0#":
+            assert back is None  # a parser would strip or skip it: refused instead
         else:
             assert back == p  # nothing else here is beyond escaping
 

@@ -70,6 +70,19 @@ class TestCommands:
         row = next(line for line in out.splitlines()
                    if line.startswith("kernel_all_load"))
         assert int(row.split()[3]) > 0  # digest buckets materialized
+        # the command's one grouped percentile read per measurement comes
+        # back as columns now; the table it prints is the one it printed
+        table = {line.split()[0]: line.split()[1:6] for line in out.splitlines()
+                 if line.startswith(("kernel_", "mem_"))}
+        assert table == {
+            "kernel_all_load": ["1", "1", "1", "8", "1"],
+            "kernel_all_pswitch": ["1", "1", "1", "8", "1"],
+            "kernel_percpu_cpu_idle": ["1", "1", "16", "128", "16"],
+            "kernel_percpu_cpu_user": ["1", "1", "16", "128", "16"],
+            "mem_numa_alloc_hit": ["1", "1", "1", "8", "1"],
+            "mem_util_used": ["1", "1", "1", "8", "1"],
+        }
+        assert "total sketch memory: 178.5 kB across 6 measurements" in out
 
     def test_monitor_buffered(self, capsys):
         code, out, _ = run(capsys, "monitor", "icl", "--duration", "4",
