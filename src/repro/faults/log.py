@@ -127,6 +127,8 @@ class LogFaultSet:
     # ------------------------------------------------------------------
     def crashed(self, group: str, consumer: str, t: float) -> bool:
         """Is this consumer inside any of its crash windows at ``t``?"""
+        if not self.crashes:  # the liveness probe of every poll; usually no schedule
+            return False
         return any(
             c.group == group and c.consumer == consumer and c.covers(t)
             for c in self.crashes

@@ -99,16 +99,6 @@ class _Series:
         self.rates = rates
         self.prefix = prefix
 
-    def cumulative(self, x: float) -> float:
-        """Integral of the compacted step function over [times[0], x]."""
-        times = self.times
-        if x <= times[0]:
-            return 0.0
-        if x >= times[-1]:
-            return self.prefix[-1]
-        i = bisect_right(times, x) - 1
-        return self.prefix[i] + self.rates[i] * (x - times[i])
-
 
 class Timeline:
     """Append-mostly store of rate segments, queryable by integration.
@@ -179,51 +169,57 @@ class Timeline:
             return None
         return series
 
-    def _integrate_compacted(self, series: _Series, t0: float, t1: float) -> float:
-        times = series.times
-        if t1 <= times[0] or t0 >= times[-1]:
-            return 0.0
-        i = bisect_right(times, t0) - 1
-        j = bisect_right(times, t1) - 1
-        if i == j:
-            # Window inside one interval: one multiply, and bit-identical
-            # to the reference engine's rate * (clip width) for the
-            # single-overlap case.
-            return series.rates[i] * (t1 - t0)
-        return series.cumulative(t1) - series.cumulative(t0)
-
     def integrate(self, scope: Scope, quantity: str, t0: float, t1: float) -> float:
-        """Total amount of ``quantity`` accrued on ``scope`` during [t0, t1)."""
-        if t1 < t0:
-            raise ValueError("integration window reversed")
-        if t1 == t0:
-            return 0.0  # empty window: answer without merging staged writes
-        series = self._compacted((scope, quantity))
-        if series is None:
-            return 0.0
-        return self._integrate_compacted(series, t0, t1)
+        """Total amount of ``quantity`` accrued on ``scope`` during [t0, t1)
+        — :meth:`integrate_batch` of one pair."""
+        return self.integrate_batch(((scope, quantity),), t0, t1)[0]
 
     def integrate_batch(
         self, pairs: Iterable[tuple[Scope, str]], t0: float, t1: float
     ) -> list[float]:
         """Integrate many (scope, quantity) pairs over one shared window.
 
-        One validation + one pass; each series still costs only its two
-        bisects.  This is the read shape of a sampler tick (all programmed
-        events × all cpus over the same window) — see
-        :meth:`repro.pmu.counters.PMU.read_events_all_cpus`.
+        One validation, then per series a lookup, the staged-merge check and
+        two bisects, all in this loop — the only definition of the window
+        arithmetic.  This is the read shape of a sampler tick (all programmed
+        events × all cpus, or every cpu's cycle counter, over the same
+        window) — see :meth:`repro.pmu.counters.PMU.read_events_all_cpus`
+        and :meth:`repro.machine.activity.SoftwareState.snapshot`.
         """
         if t1 < t0:
             raise ValueError("integration window reversed")
         if t1 == t0:
+            # empty window: answer without merging staged writes
             return [0.0 for _ in pairs]
+        get = self._series.get
         out: list[float] = []
-        for scope, quantity in pairs:
-            series = self._compacted((scope, quantity))
+        append = out.append
+        for key in pairs:
+            series = get(key)
             if series is None:
-                out.append(0.0)
-            else:
-                out.append(self._integrate_compacted(series, t0, t1))
+                append(0.0)
+                continue
+            if series.staged:
+                series.merge()
+            times = series.times
+            if not times or t1 <= times[0] or t0 >= times[-1]:
+                append(0.0)
+                continue
+            i = bisect_right(times, t0) - 1
+            j = bisect_right(times, t1) - 1
+            rates = series.rates
+            if i == j:
+                # Window inside one interval: one multiply, and bit-identical
+                # to the reference engine's rate * (clip width) for the
+                # single-overlap case.
+                append(rates[i] * (t1 - t0))
+                continue
+            # Integral from times[0] up to each end, on the interval the
+            # bisects above already found (clamped outside the support).
+            prefix = series.prefix
+            upto_t1 = prefix[-1] if t1 >= times[-1] else prefix[j] + rates[j] * (t1 - times[j])
+            upto_t0 = 0.0 if t0 <= times[0] else prefix[i] + rates[i] * (t0 - times[i])
+            append(upto_t1 - upto_t0)
         return out
 
     def integrate_many(

@@ -61,23 +61,27 @@ class Agent:
         raise NotImplementedError
 
     def fetch(self, metric: str, t0: float, t1: float) -> dict[str, float]:
-        """Return {influx field name: value} for one metric over a window."""
-        values = self._fetch(metric, t0, t1)
-        self.costs.charge(len(values), self.cpu_per_fetch, self.cpu_per_value)
-        return values
+        """Return {influx field name: value} for one metric over a window:
+        :meth:`fetch_batch` of one."""
+        return self.fetch_batch([metric], t0, t1)[metric]
 
     def fetch_batch(
         self, metrics: list[str], t0: float, t1: float
     ) -> dict[str, dict[str, float]]:
-        """Fetch several owned metrics over one shared window.
+        """Fetch several owned metrics over one shared window — a sampler
+        tick's worth, which is the unit agents implement (:meth:`_fetch_batch`).
 
-        The base implementation just loops :meth:`fetch`; agents whose
-        backing store has a batched read path (perfevent → the timeline's
-        ``integrate_batch``) override it.  Cost accounting is per metric
-        either way, so Fig 6 numbers do not depend on the fetch shape."""
-        return {m: self.fetch(m, t0, t1) for m in metrics}
+        Costs are charged here and nowhere else, per metric and only once
+        every value is in hand, so Fig 6 numbers do not depend on the fetch
+        shape and a tick that raises charges nothing."""
+        fetched = self._fetch_batch(metrics, t0, t1)
+        for m in metrics:
+            self.costs.charge(len(fetched[m]), self.cpu_per_fetch, self.cpu_per_value)
+        return fetched
 
-    def _fetch(self, metric: str, t0: float, t1: float) -> dict[str, float]:
+    def _fetch_batch(
+        self, metrics: list[str], t0: float, t1: float
+    ) -> dict[str, dict[str, float]]:
         raise NotImplementedError
 
 
@@ -90,6 +94,7 @@ class PmdaLinux(Agent):
     def __init__(self, state: SoftwareState) -> None:
         super().__init__("pmdalinux")
         self.state = state
+        self._fields = {m: [instance_field(i) for i in state.instances(m)] for m in SW_METRICS}
 
     def metrics(self) -> list[str]:
         return sorted(SW_METRICS)
@@ -97,16 +102,20 @@ class PmdaLinux(Agent):
     def owns(self, metric: str) -> bool:
         return metric in SW_METRICS
 
-    def _fetch(self, metric: str, t0: float, t1: float) -> dict[str, float]:
-        semantics = SW_METRICS[metric][1]
-        out: dict[str, float] = {}
-        for inst in self.state.instances(metric):
-            if semantics == "counter":
-                v = self.state.value(metric, inst, t1) - self.state.value(metric, inst, t0)
-            else:
-                v = self.state.value(metric, inst, t1)
-            out[instance_field(inst)] = v
-        return out
+    def _fetch_batch(
+        self, metrics: list[str], t0: float, t1: float
+    ) -> dict[str, dict[str, float]]:
+        """One /proc snapshot at ``t1`` and, only if a counter was asked over
+        a non-empty window, one at ``t0``.  Counters are differenced value by
+        value — ``v(t1) - v(t0)`` on the metric's own scale, the subtraction
+        the goldens were recorded with."""
+        now = self.state.snapshot(metrics, t1)
+        counters = [m for m in metrics if SW_METRICS[m][1] == "counter"]
+        then = self.state.snapshot(counters, t0) if counters and t0 != t1 else now
+        values = dict(now)
+        for m in counters:
+            values[m] = [v1 - v0 for v1, v0 in zip(now[m], then[m])]
+        return {m: dict(zip(self._fields[m], values[m])) for m in metrics}
 
 
 class PmdaPerfevent(Agent):
@@ -145,29 +154,18 @@ class PmdaPerfevent(Agent):
                 return e
         raise KeyError(f"perfevent metric {metric!r} not configured")
 
-    def _fetch(self, metric: str, t0: float, t1: float) -> dict[str, float]:
-        event = self._event_for(metric)
-        vals = self.pmu.read_all_cpus(event, t0, t1)
-        return {instance_field(f"cpu{c}"): v for c, v in vals.items()}
-
-    def fetch_batch(
+    def _fetch_batch(
         self, metrics: list[str], t0: float, t1: float
     ) -> dict[str, dict[str, float]]:
-        """One batched PMU read for the whole metric set × cpu set.
-
-        A sampler tick lands here: instead of events × cpus scalar
-        ``integrate`` calls, the tick issues a single
-        :meth:`~repro.pmu.counters.PMU.read_events_all_cpus` (one timeline
-        pass).  Values and per-metric cost accounting are identical to the
-        scalar path."""
+        """One batched PMU read for the whole metric set × cpu set: a tick
+        issues a single :meth:`~repro.pmu.counters.PMU.read_events_all_cpus`
+        (one timeline pass), never events × cpus scalar ``integrate`` calls."""
         events = [self._event_for(m) for m in metrics]
         vals = self.pmu.read_events_all_cpus(events, t0, t1)
-        out: dict[str, dict[str, float]] = {}
-        for metric, event in zip(metrics, events):
-            fields = {instance_field(f"cpu{c}"): v for c, v in vals[event].items()}
-            self.costs.charge(len(fields), self.cpu_per_fetch, self.cpu_per_value)
-            out[metric] = fields
-        return out
+        return {
+            metric: {instance_field(f"cpu{c}"): v for c, v in vals[event].items()}
+            for metric, event in zip(metrics, events)
+        }
 
 
 class PmdaProc(Agent):
@@ -192,25 +190,25 @@ class PmdaProc(Agent):
     def owns(self, metric: str) -> bool:
         return metric.startswith("proc.")
 
-    def _fetch(self, metric: str, t0: float, t1: float) -> dict[str, float]:
+    def _fetch_batch(
+        self, metrics: list[str], t0: float, t1: float
+    ) -> dict[str, dict[str, float]]:
         # A stable synthetic process table: pid -> deterministic share of
-        # system activity.  Process 1..n split the machine's busy time.
+        # system activity.  Process 1..n split the machine's busy time, read
+        # from the same /proc snapshot pair pmdalinux differences.
         nproc = self.n_processes
-        busy_ms = sum(
-            self.state.value("kernel.percpu.cpu.user", f"cpu{c}", t1)
-            - self.state.value("kernel.percpu.cpu.user", f"cpu{c}", t0)
-            for c in range(min(4, self.state.spec.n_threads))
-        )
-        out: dict[str, float] = {}
-        for pid in range(1, nproc + 1):
-            if metric == "proc.psinfo.rss":
-                v = 2_000.0 + (pid % 17) * 800.0
-            elif metric == "proc.psinfo.utime":
-                v = busy_ms * (1.0 / nproc)
-            else:  # stime
-                v = busy_ms * (0.1 / nproc)
-            out[instance_field(f"{pid:06d} proc{pid}")] = v
-        return out
+        user = "kernel.percpu.cpu.user"
+        now = self.state.snapshot((user,), t1)[user][:4]
+        then = self.state.snapshot((user,), t0)[user][:4]
+        busy_ms = sum(v1 - v0 for v1, v0 in zip(now, then))
+        fields = [instance_field(f"{pid:06d} proc{pid}") for pid in range(1, nproc + 1)]
+        table = {
+            "proc.psinfo.rss": lambda: {
+                f: 2_000.0 + (pid % 17) * 800.0 for pid, f in enumerate(fields, 1)},
+            "proc.psinfo.utime": lambda: dict.fromkeys(fields, busy_ms * (1.0 / nproc)),
+            "proc.psinfo.stime": lambda: dict.fromkeys(fields, busy_ms * (0.1 / nproc)),
+        }
+        return {m: table[m]() for m in metrics}
 
 
 class PmdaNvidia(Agent):
@@ -228,5 +226,8 @@ class PmdaNvidia(Agent):
     def owns(self, metric: str) -> bool:
         return metric.startswith("nvidia.")
 
-    def _fetch(self, metric: str, t0: float, t1: float) -> dict[str, float]:
-        return {instance_field(f"gpu{self.sampler.gpu.spec.index}"): self.sampler.value(metric, t1)}
+    def _fetch_batch(
+        self, metrics: list[str], t0: float, t1: float
+    ) -> dict[str, dict[str, float]]:
+        field = instance_field(f"gpu{self.sampler.gpu.spec.index}")
+        return {m: {field: self.sampler.value(m, t1)} for m in metrics}

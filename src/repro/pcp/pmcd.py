@@ -9,6 +9,7 @@ cost for marshalling.  The report is what the transport ships to the host.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .agents import Agent, AgentCosts
 
@@ -23,8 +24,9 @@ class Report:
     window: tuple[float, float]
     values: dict[str, dict[str, float]]  # metric -> {field: value}
 
-    @property
+    @cached_property
     def n_points(self) -> int:
+        """Values in the report, counted once (a report is not edited)."""
         return sum(len(v) for v in self.values.values())
 
     def zeroed(self) -> "Report":
@@ -52,6 +54,7 @@ class Pmcd:
             raise ValueError("duplicate agent names")
         self.agents = list(agents)
         self.costs = AgentCosts(rss_kb=self.rss_kb)
+        self._owner: dict[str, Agent] = {}  # metric -> agent, learnt at first sight
 
     def agent(self, name: str) -> Agent:
         for a in self.agents:
@@ -60,10 +63,15 @@ class Pmcd:
         raise KeyError(f"no agent named {name!r}")
 
     def _route(self, metric: str) -> Agent:
-        for a in self.agents:
-            if a.owns(metric):
-                return a
-        raise KeyError(f"no agent owns metric {metric!r}")
+        agent = self._owner.get(metric)
+        if agent is None:
+            for agent in self.agents:
+                if agent.owns(metric):
+                    self._owner[metric] = agent
+                    break
+            else:
+                raise KeyError(f"no agent owns metric {metric!r}")
+        return agent
 
     def available_metrics(self) -> list[str]:
         out: list[str] = []
@@ -74,11 +82,10 @@ class Pmcd:
     def fetch(self, metrics: list[str], t0: float, t1: float) -> Report:
         """Fetch a metric set over a window into one report.
 
-        Metrics are grouped by owning agent and fetched through each
-        agent's batched path — one round-trip per agent per tick, so a
-        perfevent fetch is a single batched timeline read instead of
-        events × cpus scalar reads.  The report lists metrics in request
-        order regardless of grouping."""
+        Metrics are grouped by owning agent and each agent is asked once
+        per tick — a perfevent fetch is a single batched PMU read, a
+        pmdalinux fetch one /proc snapshot per window edge.  The report
+        lists metrics in request order regardless of grouping."""
         if not metrics:
             raise ValueError("empty metric list")
         if t1 < t0:

@@ -137,6 +137,17 @@ class TestLogBoundaries:
         assert not lf.crashed("g", "c", 7.0)
         assert lf.next_up("g", "c", 7.0) == 7.0
 
+    def test_liveness_probe_without_a_crash_schedule_walks_nothing(self):
+        """``crashed`` is asked for every consumer on every poll; with no
+        crash scheduled it answers before building anything to walk."""
+        class NeverWalked(list):
+            def __iter__(self):
+                raise AssertionError("walked an empty crash schedule")
+
+        lf = LogFaultSet()
+        lf.crashes = NeverWalked()
+        assert lf.crashed("g", "c", 1.0) is False
+
     def test_zero_length_crash_rejected(self):
         with pytest.raises(ValueError):
             ConsumerCrash("g", "c", t0=2.0, t1=2.0)

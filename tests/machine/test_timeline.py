@@ -6,6 +6,8 @@ contract (overlap summing, half-open windows, negative-rate corrections)
 is pinned on each independently of the randomized equivalence suite.
 """
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,3 +252,96 @@ class TestTimelineProperties:
         # Slack scales with magnitude: prefix-sum reads are not exactly
         # per-segment monotone the way the naive clip-scan is.
         assert outer >= inner - 1e-9 - 1e-12 * abs(inner)
+
+
+# ----------------------------------------------------------------------
+# integrate_batch(pairs) == [integrate(p) ...], bit for bit
+# ----------------------------------------------------------------------
+def parent_integrate(tl: Timeline, scope, quantity, t0, t1):
+    """The scalar read as it stood before ``integrate`` became a batch of
+    one and the batch loop began reusing its two bisect indices —
+    ``_compacted`` + ``_integrate_compacted`` + ``_Series.cumulative``,
+    which bisected twice more.  Kept here as the oracle: the arithmetic
+    must not have moved by a bit."""
+    def cumulative(series, x):
+        times = series.times
+        if x <= times[0]:
+            return 0.0
+        if x >= times[-1]:
+            return series.prefix[-1]
+        i = bisect_right(times, x) - 1
+        return series.prefix[i] + series.rates[i] * (x - times[i])
+
+    if t1 < t0:
+        raise ValueError("integration window reversed")
+    if t1 == t0:
+        return 0.0
+    series = tl._series.get((scope, quantity))
+    if series is None:
+        return 0.0
+    if series.staged:
+        series.merge()
+    times = series.times
+    if not times or t1 <= times[0] or t0 >= times[-1]:
+        return 0.0
+    i = bisect_right(times, t0) - 1
+    j = bisect_right(times, t1) - 1
+    if i == j:
+        return series.rates[i] * (t1 - t0)
+    return cumulative(series, t1) - cumulative(series, t0)
+
+
+batch_soups = st.lists(
+    st.tuples(
+        st.sampled_from([("cpu", 0), ("cpu", 1), ("socket", 0)]),
+        st.one_of(st.integers(0, 10).map(float), st.floats(0, 100)),
+        st.one_of(st.integers(1, 5).map(float), st.floats(0.01, 50)),
+        st.one_of(st.integers(-100, 100).map(float), st.floats(-1e6, 1e6)),  # corrections too
+    ),
+    max_size=30,
+)
+
+
+class TestBatchEqualsScalarBitForBit:
+    PAIRS = [
+        (("cpu", 0), "x"), (("cpu", 1), "x"), (("socket", 0), "x"),
+        (("cpu", 0), "x"),   # duplicated pair
+        (("cpu", 9), "x"),   # absent series
+        (("cpu", 0), "never"),
+    ]
+
+    @staticmethod
+    def windows(soup):
+        """Left of, right of, straddling and inside the support; on and
+        beside every breakpoint (single- and multi-interval windows)."""
+        edges = sorted({t0 for _, t0, _, _ in soup} | {t0 + d for _, t0, d, _ in soup})
+        if not edges:
+            return [(0.0, 1.0)]
+        lo, hi = edges[0], edges[-1]
+        out = [(lo - 2.0, lo - 1.0), (hi + 1.0, hi + 2.0), (lo - 1.0, hi + 1.0),
+               (lo - 1.0, (lo + hi) / 2), ((lo + hi) / 2, hi + 1.0), (lo, hi)]
+        for a, b in zip(edges, edges[1:]):
+            mid = (a + b) / 2
+            out += [(a, b), (a, mid), (mid, b), (mid, hi), (lo, mid),
+                    ((a + mid) / 2, (mid + b) / 2)]
+        return [(a, b) for a, b in out if a <= b]
+
+    @given(batch_soups, st.integers(0, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_against_both_engines_and_the_parent_arithmetic(self, soup, staged_from):
+        engine, oracle, naive = Timeline(), Timeline(), NaiveTimeline()
+        for k, (scope, t0, dur, rate) in enumerate(soup):
+            if k == staged_from:
+                # everything before is merged, everything after stays staged
+                # until the first window below reads it
+                for tl in (engine, oracle):
+                    for pair in self.PAIRS:
+                        tl.integrate(*pair, 0.0, 1000.0)
+            for tl in (engine, oracle, naive):
+                tl.add_rate(scope, "x", t0, t0 + dur, rate)
+        for w0, w1 in self.windows(soup):
+            got = engine.integrate_batch(self.PAIRS, w0, w1)
+            assert got == [engine.integrate(s, q, w0, w1) for s, q in self.PAIRS]
+            assert got == [parent_integrate(oracle, s, q, w0, w1) for s, q in self.PAIRS]
+            assert naive.integrate_batch(self.PAIRS, w0, w1) == [
+                naive.integrate(s, q, w0, w1) for s, q in self.PAIRS]

@@ -5,14 +5,17 @@ sampler tick) routes every perfevent metric through
 ``PMU.read_events_all_cpus`` → ``SimulatedMachine.read_batch`` →
 ``Timeline.integrate_batch`` — **zero** per-event-per-cpu scalar
 ``integrate`` calls — and the batched values/costs are identical to the
-scalar path's.
+scalar path's.  Since the SW half of the PMNS fetches by the tick as well,
+the same holds for a Scenario-A tick through ``PmdaLinux``.
 """
 
 import pytest
 
 from repro.db import InfluxDB
 from repro.machine import SimulatedMachine, SoftwareState, get_preset
-from repro.pcp import Pmcd, PmdaLinux, PmdaPerfevent, Sampler, perfevent_metric
+from repro.machine.activity import SW_METRICS
+from repro.core.daemon import _SCENARIO_A_METRICS as SCENARIO_A_METRICS
+from repro.pcp import Pmcd, PmdaLinux, PmdaPerfevent, PmdaProc, Sampler, perfevent_metric
 from repro.pmu import PMU
 
 EVENTS = [
@@ -141,11 +144,52 @@ class TestBatchedFetchFidelity:
         report = pmcd.fetch(metrics, 0.0, 1.0)
         assert list(report.values) == metrics
 
-    def test_base_agent_fetch_batch_loops_scalar(self):
+
+class TestScenarioATick:
+    """The SW half of the PMNS fetches by the tick too: one /proc snapshot
+    per instant (``SoftwareState.snapshot``), so a Scenario-A tick is a
+    handful of batched timeline reads — counted here, not timed."""
+
+    def stack(self):
         machine = make_machine()
-        linux = PmdaLinux(SoftwareState(machine))
-        ms = ["kernel.all.load", "mem.util.used"]
-        got = linux.fetch_batch(ms, 0.0, 2.0)
-        fresh = PmdaLinux(SoftwareState(machine))
-        want = {m: fresh.fetch(m, 0.0, 2.0) for m in ms}
-        assert got == want
+        state = SoftwareState(machine)
+        perfevent = PmdaPerfevent(PMU(machine, seed=7))
+        perfevent.configure(EVENTS)
+        return machine, Pmcd([PmdaLinux(state), perfevent, PmdaProc(state, n_processes=30)])
+
+    def test_a_tick_reads_each_counter_once_per_instant(self):
+        machine, pmcd = self.stack()
+        counts = instrument(machine)
+        report = pmcd.fetch(list(SCENARIO_A_METRICS), 10.0, 10.5)
+        assert report.n_points == 2 * machine.spec.n_threads + 4
+        assert counts["integrate"] == 0, "scalar integrate in the tick hot loop"
+        # cycles and dram_bytes at t1 and at t0, and the load window
+        assert 0 < counts["integrate_batch"] <= 5
+
+    def test_a_stale_tick_takes_one_snapshot(self):
+        machine, pmcd = self.stack()
+        counts = instrument(machine)
+        report = pmcd.fetch(list(SCENARIO_A_METRICS), 10.5, 10.5)
+        assert counts["integrate"] == 0
+        assert 0 < counts["integrate_batch"] <= 3
+        counters = [m for m in SCENARIO_A_METRICS if SW_METRICS[m][1] == "counter"]
+        assert all(v == 0.0 for m in counters for v in report.values[m].values())
+
+    def test_costs_equal_the_per_metric_scalar_fetch(self):
+        """Fig 6 quantities do not depend on the fetch shape: one tick
+        through ``Pmcd.fetch`` charges every agent what fetching the same
+        metrics one ``Agent.fetch`` at a time does, float for float."""
+        metrics = (list(SCENARIO_A_METRICS) + [perfevent_metric(e) for e in EVENTS]
+                   + ["proc.psinfo.utime", "proc.psinfo.rss"])
+        _, ticked = self.stack()
+        _, scalar = self.stack()
+        for t0, t1 in ((10.0, 10.5), (10.5, 10.5), (10.5, 11.25)):
+            report = ticked.fetch(metrics, t0, t1)
+            one_by_one = {m: scalar._route(m).fetch(m, t0, t1) for m in metrics}
+            assert report.values == one_by_one
+            scalar.costs.charge(report.n_points, scalar.cpu_per_fetch, scalar.cpu_per_value)
+        for name, want in scalar.resource_usage().items():
+            got = ticked.resource_usage()[name]
+            assert (got.fetches, got.values_served, got.cpu_seconds) == (
+                want.fetches, want.values_served, want.cpu_seconds), name
+            assert got.fetches > 0
