@@ -186,7 +186,6 @@ def scan_observation(
         detector == "percentile"
         and not as_rates
         and "cutoff" not in kw
-        and hasattr(influx, "quantile_columns")
     )
     out: list[Anomaly] = []
     for m in observation["metrics"]:

@@ -304,10 +304,8 @@ class SuperDB:
                         cur[label] = v
             hs = hlls.get(host)
             if hs:
-                hll = HyperLogLog(hs[0].p)
-                for h in hs:
-                    hll.merge_from(h)
-                cur["distinct_estimate"] = float(round(hll.count()))
+                cur["distinct_estimate"] = float(
+                    round(HyperLogLog.merged(hs).count()))
             state = self.sync_status(host)
             cur["partial"] = bool(state is not None and not state.get("complete", True))
         return out

@@ -589,10 +589,6 @@ class _Series:
             )
         return d
 
-    def bucket_runs(self, lo: int, hi: int, N: float):
-        """:func:`bucket_runs` over this series' rows ``[lo, hi)``."""
-        return bucket_runs(self.times, lo, hi, N)
-
     def bucket_rows(self, b: float, T: float) -> tuple[int, int]:
         """``[i, j)``: the folded rows of bucket ``b`` of width ``T``."""
         times, hi = self.times, self.folded
@@ -832,6 +828,79 @@ def _fold_buckets(
         else:  # none in the range: a bucket's slice is its values
             out.append([fold(col[i:j]) for _, i, j in runs])
     return ColumnRows([b for b, _, _ in runs], out)
+
+
+def _merge_keyed(
+    runs: list[tuple[list[float], list[int], list[list | None]]],
+    width: int,
+    limit: int | None = None,
+) -> tuple[list[float], list[list | None]]:
+    """Several (time, seq)-ordered column sources as one: the only place
+    rows of different series — or of different shards — are put in order.
+
+    A run is ``(times, seqs, cols)``: aligned lists in (time, seq) order,
+    ``cols`` being ``width`` value columns (``None`` = one the source never
+    wrote).  Returns ``(times, cols)`` of every row, or of the first
+    ``limit`` (each run is sorted, so a caller may clamp it to ``limit``
+    rows first): a column no run wrote stays ``None``, a run without a
+    column another has reads ``None`` in its rows.  A caller that wants the
+    merged seqs too gives them as one more column.  One run that fits is
+    handed back as it is — the caller's lists, not a copy of them.
+
+    (time, seq) is unique, so the key tuples order on it alone.  No LIMIT:
+    one sort, which merges the k ascending runs natively.  LIMIT: the first
+    ``limit`` of a k-way merge — O(limit · log k), where a sort would pay
+    for every one of the k · limit clamped rows."""
+    if len(runs) == 1 and (limit is None or len(runs[0][0]) <= limit):
+        return runs[0][0], runs[0][2]
+    times: list[float] = []
+    keys = []  # per run, ascending: (time, seq, place in `times`)
+    for ts, qs, _ in runs:
+        at = len(times)
+        keys.append(zip(ts, qs, range(at, at + len(ts))))
+        times += ts
+    merged = (
+        sorted(chain.from_iterable(keys)) if limit is None
+        else islice(_heap_merge(*keys), limit)
+    )
+    order = [i for _, _, i in merged]
+    out: list[list | None] = []
+    for ci in range(width):
+        col: list = []
+        written = False
+        for ts, _, cols in runs:
+            part = cols[ci]
+            if part is None:
+                col += [None] * len(ts)
+            else:
+                written = True
+                col += part
+        out.append([col[i] for i in order] if written else None)
+    return [times[i] for i in order], out
+
+
+def _merge_runs(runs: list, width: int, limit: int | None = None):
+    """:func:`_merge_keyed` for a caller that wants a run back, ``(times,
+    seqs, cols)``: the seqs ride through the merge as one more column."""
+    times, cols = _merge_keyed(
+        [(ts, qs, [*sel, qs]) for ts, qs, sel in runs], width + 1, limit)
+    return times, cols.pop() or [], cols
+
+
+def _values(col: list, lo: int, hi: int) -> list[float]:
+    """The values rows ``[lo, hi)`` of a column hold, in order."""
+    part = col[lo:hi]
+    try:
+        sum(part)  # the cheapest probe for a hole: None + float
+    except TypeError:
+        return [v for v in part if v is not None]
+    return part  # none in the range: the slice is its values
+
+
+def _of_values(f):
+    """``f`` of a column range's values as an :meth:`InfluxDB._ungrouped`
+    fold, for the families that do not look at the rows' keys."""
+    return lambda times, seqs, col, lo, hi: f(_values(col, lo, hi))
 
 
 # What InfluxDB._tier_buckets asks per column for the whole buckets of a
@@ -1250,8 +1319,8 @@ class InfluxDB:
         series contributes at most its first ``limit`` rows.
 
         One matched series (the Listing 3 dashboard shape) is answered by
-        slicing its arrays; several are concatenated and put into (time,
-        seq) order by one permutation applied to every column.
+        slicing its arrays; several are put into (time, seq) order by
+        :func:`_merge_keyed`.
         """
         matched = self._matched_slices(
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
@@ -1268,35 +1337,20 @@ class InfluxDB:
                 col = s.cols.get(c)
                 out.append(col[lo:hi] if col is not None else None)
             return cols, ColumnRows(s.times[lo:hi], out)
-        times: list[float] = []
-        runs = []  # per series, ascending: (time, seq, place in `times`)
+        return cols, ColumnRows(
+            *_merge_keyed(self._runs(matched, cols), len(cols), limit))
+
+    @staticmethod
+    def _runs(matched: list[tuple[_Series, int, int]], cols: list[str]) -> list:
+        """The matched slices of ``cols`` as :func:`_merge_keyed` runs."""
+        runs = []
         for s, lo, hi in matched:
-            ts = s.times[lo:hi]
-            at = len(times)
-            runs.append(zip(ts, s.seqs[lo:hi], range(at, at + len(ts))))
-            times += ts
-        # (time, seq) is unique, so the tuples order on it alone.  No LIMIT:
-        # one sort, which merges the k ascending runs natively.  LIMIT: the
-        # first `limit` of a k-way merge — O(limit · log k), where a sort
-        # would pay for every one of the k · limit clamped rows.
-        merged = (
-            sorted(chain.from_iterable(runs)) if limit is None
-            else islice(_heap_merge(*runs), limit)
-        )
-        order = [i for _, _, i in merged]
-        out = []
-        for c in cols:
-            col: list[float | None] = []
-            written = False
-            for s, lo, hi in matched:
-                part = s.cols.get(c)
-                if part is None:
-                    col += [None] * (hi - lo)
-                else:
-                    written = True
-                    col += part[lo:hi]
-            out.append([col[i] for i in order] if written else None)
-        return cols, ColumnRows([times[i] for i in order], out)
+            sel = []
+            for c in cols:
+                col = s.cols.get(c)
+                sel.append(col if col is None else col[lo:hi])
+            runs.append((s.times[lo:hi], s.seqs[lo:hi], sel))
+        return runs
 
     def scan_keyed(
         self,
@@ -1310,45 +1364,23 @@ class InfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
         limit: int | None = None,
-    ) -> tuple[list[str], list[tuple[float, int, list[float | None]]]]:
-        """:meth:`scan_columns` plus each row's (time, seq) merge key.
+    ) -> tuple[list[str], tuple[list[float], list[int], list[list | None]]]:
+        """:meth:`scan_columns` with each row's merge key: ``(columns,
+        (times, seqs, value columns))`` in (time, seq) order.
 
-        This is the scatter-gather primitive: per-shard keyed streams can be
-        k-way merged on (time, seq) into exactly the row order a single
-        engine would produce.  Column discovery stays limit-invariant.
+        This is the scatter-gather primitive: what it returns is a
+        :func:`_merge_keyed` run, so a router puts its shards' rows into
+        exactly the order a single engine would with the routine this
+        engine orders its series with.  Column discovery stays
+        limit-invariant.
         """
         matched = self._matched_slices(
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
         cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, []
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
-            if limit is not None:
-                hi = min(hi, lo + limit)
-            sel = [s.cols.get(c) for c in cols]
-            times, seqs = s.times, s.seqs
-            return cols, [
-                (times[i], seqs[i], [c[i] if c is not None else None for c in sel])
-                for i in range(lo, hi)
-            ]
-
-        def _iter(s: _Series, lo: int, hi: int):
-            sel = [s.cols.get(c) for c in cols]
-            times, seqs = s.times, s.seqs
-            for i in range(lo, hi):
-                yield (times[i], seqs[i], i, sel)
-
-        rows: list[tuple[float, int, list[float | None]]] = []
-        for t, q, i, sel in _heap_merge(
-            *(_iter(s, lo, hi) for s, lo, hi in matched),
-            key=lambda r: (r[0], r[1]),
-        ):
-            rows.append((t, q, [c[i] if c is not None else None for c in sel]))
-            if limit is not None and len(rows) >= limit:
-                break
-        return cols, rows
+        if limit is not None:
+            matched = [(s, lo, min(hi, lo + limit)) for s, lo, hi in matched]
+        return cols, _merge_runs(self._runs(matched, cols), len(cols), limit)
 
     # ------------------------------------------------------------------
     # Aggregation pushdown
@@ -1370,12 +1402,32 @@ class InfluxDB:
 
         Returns ``(columns, first_row_time, aggregates)``; ``first_row_time``
         is ``None`` when no row matches.  The result is exactly what folding
-        :meth:`scan_columns` rows in (time, seq) order yields — the
-        single-series fast path folds each column slice in storage order,
-        and the multi-series path merges values into that order first.
+        :meth:`scan_columns` rows in (time, seq) order yields
+        (:meth:`_ungrouped`).
         """
         if agg not in _FOLDABLE:
             raise InfluxError(f"unknown aggregate {agg}")
+        return self._ungrouped(
+            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
+            _of_values(partial(fold_values, agg)),
+        )
+
+    def _ungrouped(
+        self, db: str, measurement: str, columns, tags, t0, t1,
+        t0_exclusive: bool, t1_exclusive: bool, fold, tier=None, note_multi=None,
+    ) -> tuple[list[str], float | None, list]:
+        """The one shape of a read without ``GROUP BY``: ``(columns,
+        first_row_time, [answer per column])``, ``first_row_time`` being
+        ``None`` when no row matches and an answer ``None`` for a column
+        never written.
+
+        One matched series (the Listing 3 dashboard shape) is first offered
+        to ``tier(s, lo, hi, cols)`` — the family's planner, which answers
+        every column from a rollup tier or returns ``None`` — and is else
+        ``fold(times, seqs, col, lo, hi)`` per column over its own arrays.
+        Several are put into (time, seq) order by :func:`_merge_keyed` and
+        folded the same way, so what a fold sees is what a fold over
+        :meth:`scan_columns` rows would."""
         matched = self._matched_slices(
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
@@ -1384,32 +1436,18 @@ class InfluxDB:
             return cols, None, [None] * len(cols)
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            out: list[float | None] = []
-            for c in cols:
-                col = s.cols.get(c)
-                if col is None:
-                    out.append(None)
-                    continue
-                vals = [v for v in col[lo:hi] if v is not None]
-                out.append(fold_values(agg, vals))
-            return cols, s.times[lo], out
-        first_t = min(s.times[lo] for s, lo, _ in matched)
-        out = []
-        for c in cols:
-            pairs: list[tuple[float, int, float]] = []
-            for s, lo, hi in matched:
-                col = s.cols.get(c)
-                if col is None:
-                    continue
-                times, seqs = s.times, s.seqs
-                pairs.extend(
-                    (times[i], seqs[i], col[i])
-                    for i in range(lo, hi)
-                    if col[i] is not None
-                )
-            pairs.sort(key=lambda p: (p[0], p[1]))
-            out.append(fold_values(agg, [v for _, _, v in pairs]))
-        return cols, first_t, out
+            served = None if tier is None else tier(s, lo, hi, cols)
+            if served is not None:
+                return cols, s.times[lo], served
+            times, seqs, sel = s.times, s.seqs, [s.cols.get(c) for c in cols]
+        else:
+            if note_multi is not None:
+                note_multi()
+            times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
+            lo, hi = 0, len(times)
+        return cols, times[lo], [
+            None if col is None else fold(times, seqs, col, lo, hi) for col in sel
+        ]
 
     def _grouped(
         self, db: str, measurement: str, N: float, columns, tags, t0, t1,
@@ -1576,14 +1614,19 @@ class InfluxDB:
 
     @staticmethod
     def _partial_stat(
-        vals: list[float], last_t: float | None, last_seq: int | None
+        times: list[float], seqs: list[int], col: list, lo: int, hi: int
     ):
-        """Fold one in-order value list into a partial stat (None if empty)."""
+        """Rows ``[lo, hi)`` of one column folded in order into a partial
+        stat keyed by its last value's row (None if they hold no value)."""
+        vals = _values(col, lo, hi)
         if not vals:
             return None
+        last = hi - 1
+        while col[last] is None:
+            last -= 1
         return (
             len(vals), sum(vals), min(vals), max(vals), vals[-1],
-            last_t, last_seq, any(v != v for v in vals),
+            times[last], seqs[last], any(v != v for v in vals),
         )
 
     def aggregate_partials(
@@ -1605,57 +1648,10 @@ class InfluxDB:
         lives on one engine the finalized aggregate is bit-identical to the
         single-engine fold.
         """
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
+        return self._ungrouped(
+            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
+            self._partial_stat,
         )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, None, [None] * len(cols)
-        first_t = min(s.times[lo] for s, lo, _ in matched)
-        out: list[tuple | None] = []
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
-            times, seqs = s.times, s.seqs
-            for c in cols:
-                col = s.cols.get(c)
-                if col is None:
-                    out.append(None)
-                    continue
-                vals, last = [], -1
-                for i in range(lo, hi):
-                    v = col[i]
-                    if v is not None:
-                        vals.append(v)
-                        last = i
-                out.append(
-                    self._partial_stat(
-                        vals,
-                        times[last] if last >= 0 else None,
-                        seqs[last] if last >= 0 else None,
-                    )
-                )
-            return cols, first_t, out
-        for c in cols:
-            pairs: list[tuple[float, int, float]] = []
-            for s, lo, hi in matched:
-                col = s.cols.get(c)
-                if col is None:
-                    continue
-                times, seqs = s.times, s.seqs
-                pairs.extend(
-                    (times[i], seqs[i], col[i])
-                    for i in range(lo, hi)
-                    if col[i] is not None
-                )
-            pairs.sort(key=lambda p: (p[0], p[1]))
-            out.append(
-                self._partial_stat(
-                    [v for _, _, v in pairs],
-                    pairs[-1][0] if pairs else None,
-                    pairs[-1][1] if pairs else None,
-                )
-            )
-        return cols, first_t, out
 
     def bucket_partials(
         self,
@@ -1669,7 +1665,7 @@ class InfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[tuple | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         """``GROUP BY time(N)`` partial stats per bucket per column.
 
         Single-series matches with a rollup tier exactly equal to ``N`` (and
@@ -1678,6 +1674,7 @@ class InfluxDB:
         head/tail buckets the time filter cut through.  Rollup-served stats
         carry ``last_t=None`` (the key is not stored per bucket), which the
         router treats as "fall back if LAST must merge across shards".
+        Several series are walked as one, over their merged columns.
         """
         if group_by_s <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
@@ -1685,65 +1682,32 @@ class InfluxDB:
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
         cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, []
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            raw = partial(self._partials_raw, s, cols, group_by_s)
+            raw = partial(self._partials_raw, s.times, s.seqs,
+                          [s.cols.get(c) for c in cols], group_by_s)
             r = next((r for r in s._rollups if r.tier == group_by_s), None)
             if r is not None and not s.has_nan:
                 s.catch_up(hi)
                 return cols, self._tier_buckets(
                     s, lo, hi, cols, group_by_s, r, raw, _tier_partials)
             return cols, raw(lo, hi)
-        # Multi-series within this engine: bucket the keyed merged rows.
-        _, rows = self.scan_keyed(
-            db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
-        )
-        buckets: dict[float, list[tuple[list[float], float | None, int | None]]] = {}
-        for t, q, vals in rows:
-            b = (t // group_by_s) * group_by_s
-            slot = buckets.get(b)
-            if slot is None:
-                slot = buckets[b] = [([], None, None) for _ in cols]
-            for i, v in enumerate(vals):
-                if v is not None:
-                    vs, _, _ = slot[i]
-                    vs.append(v)
-                    slot[i] = (vs, t, q)
-        return cols, [
-            (
-                b,
-                [
-                    self._partial_stat(vs, lt, lq)
-                    for vs, lt, lq in buckets[b]
-                ],
-            )
-            for b in sorted(buckets)
-        ]
+        times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
+        return cols, self._partials_raw(
+            times, seqs, sel, group_by_s, 0, len(times))
 
     def _partials_raw(
-        self, s: _Series, cols: list[str], N: float, lo: int, hi: int
+        self, times: list[float], seqs: list[int], sel: list[list | None],
+        N: float, lo: int, hi: int,
     ) -> ColumnRows:
-        """Raw bucket walk emitting partial stats (single-series shape),
-        each with the (time, seq) key of its last value."""
-        times, seqs = s.times, s.seqs
-        runs = list(s.bucket_runs(lo, hi, N))
-        out: list[list[tuple | None] | None] = []
-        for col in (s.cols.get(c) for c in cols):
-            if col is None:
-                out.append(None)
-                continue
-            stats = []
-            for _, i, j in runs:
-                vals = [v for v in col[i:j] if v is not None]
-                last = j - 1
-                while vals and col[last] is None:
-                    last -= 1
-                stats.append(self._partial_stat(vals, times[last], seqs[last]))
-            out.append(stats)
-        return ColumnRows([b for b, _, _ in runs], out)
+        """Raw bucket walk over rows ``[lo, hi)`` of aligned columns, a
+        partial stat (:meth:`_partial_stat`) per bucket and column."""
+        runs = list(bucket_runs(times, lo, hi, N))
+        return ColumnRows([b for b, _, _ in runs], [
+            None if col is None else
+            [self._partial_stat(times, seqs, col, i, j) for _, i, j in runs]
+            for col in sel
+        ])
 
     # ------------------------------------------------------------------
     # Sketch-served analytics: PERCENTILE / STDDEV / DISTINCT
@@ -1925,37 +1889,17 @@ class InfluxDB:
         Served from merged tier digests when the matched slice is exactly
         bucket-tiled and within the merge/error bounds; exact nearest-rank
         scan otherwise."""
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
-        )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, None, [None] * len(cols)
-        first_t = min(s.times[lo] for s, lo, _ in matched)
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
+        def tier(s, lo, hi, cols):
             digests = self._range_digests(s, lo, hi, cols)
-            if digests is not None:
-                q = pct / 100.0
-                return cols, first_t, [
-                    d.quantile(q) if d is not None else None for d in digests
-                ]
-            col_vals = (
-                [v for v in s.cols[c][lo:hi] if v is not None]
-                if c in s.cols else []
-                for c in cols
-            )
-            return cols, first_t, [nearest_rank(vs, pct) for vs in col_vals]
-        self._note_sketch("fallback:multi-series")
-        out: list[float | None] = []
-        for c in cols:
-            vals: list[float] = []
-            for s, lo, hi in matched:
-                col = s.cols.get(c)
-                if col is not None:
-                    vals.extend(v for v in col[lo:hi] if v is not None)
-            out.append(nearest_rank(vals, pct))
-        return cols, first_t, out
+            if digests is None:
+                return None
+            return [d if d is None else d.quantile(pct / 100.0) for d in digests]
+
+        return self._ungrouped(
+            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
+            _of_values(partial(nearest_rank, pct=pct)), tier,
+            partial(self._note_sketch, "fallback:multi-series"),
+        )
 
     def stddev_columns(
         self,
@@ -1971,39 +1915,10 @@ class InfluxDB:
     ) -> tuple[list[str], float | None, list[float | None]]:
         """Ungrouped sample STDDEV per column — exact, folded in the same
         (time, seq) order as the naive reference."""
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
+        return self._ungrouped(
+            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
+            _of_values(_stddev_of),
         )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, None, [None] * len(cols)
-        first_t = min(s.times[lo] for s, lo, _ in matched)
-        out: list[float | None] = []
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
-            for c in cols:
-                col = s.cols.get(c)
-                vals = (
-                    [v for v in col[lo:hi] if v is not None]
-                    if col is not None else []
-                )
-                out.append(_stddev_of(vals))
-            return cols, first_t, out
-        for c in cols:
-            pairs: list[tuple[float, int, float]] = []
-            for s, lo, hi in matched:
-                col = s.cols.get(c)
-                if col is None:
-                    continue
-                times, seqs = s.times, s.seqs
-                pairs.extend(
-                    (times[i], seqs[i], col[i])
-                    for i in range(lo, hi)
-                    if col[i] is not None
-                )
-            pairs.sort(key=lambda p: (p[0], p[1]))
-            out.append(_stddev_of([v for _, _, v in pairs]))
-        return cols, first_t, out
 
     def stddev_buckets(
         self,
@@ -2159,12 +2074,7 @@ class InfluxDB:
                 return None, "fallback:hll-trimmed"
             if h is not None:
                 hlls.append(h)
-        if len(hlls) < 2:
-            return (hlls[0] if hlls else None), None
-        merged = HyperLogLog(hlls[0].p)
-        for h in hlls:
-            merged.merge_from(h)
-        return merged, None
+        return (HyperLogLog.merged(hlls) if hlls else None), None
 
     def quantile_partials(
         self,
@@ -2180,30 +2090,23 @@ class InfluxDB:
     ) -> tuple[list[str], float | None, list[TDigest | None]]:
         """Scatter-gather primitive: one digest per column over the matched
         range.  Serves from merged tier digests when the planner allows and
-        otherwise *builds* the digest from the raw slice, so the router
-        always receives a true mergeable sketch — never interleaved values.
+        otherwise *builds* the digest from the values in (time, seq) order,
+        so the router always receives a true mergeable sketch — never
+        interleaved values.
         """
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
+        return self._ungrouped(
+            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
+            _of_values(self._digest_of), self._range_digests,
+            partial(self._note_sketch, "fallback:multi-series"),
         )
-        cols = self._resolve_columns(matched, columns)
-        if not matched:
-            return cols, None, [None] * len(cols)
-        first_t = min(s.times[lo] for s, lo, _ in matched)
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
-            digests = self._range_digests(s, lo, hi, cols)
-            if digests is not None:
-                return cols, first_t, digests
-        out: list[TDigest | None] = []
-        for c in cols:
-            d = TDigest(self.sketch.compression)
-            for s, lo, hi in matched:
-                col = s.cols.get(c)
-                if col is not None:
-                    d.add_many(v for v in col[lo:hi] if v is not None)
-            out.append(d if (d.count or d.has_nan) else None)
-        return cols, first_t, out
+
+    def _digest_of(self, vals: list[float]) -> TDigest | None:
+        """The digest a shard ships for ``vals`` (None for none at all)."""
+        if not vals:
+            return None
+        d = TDigest(self.sketch.compression)
+        d.add_many(vals)
+        return d
 
     def quantile_bucket_partials(
         self,
@@ -2227,18 +2130,9 @@ class InfluxDB:
                 s, lo, hi, cols, group_by_s, r, raw,
                 partial(self._tier_digests, s, r))
 
-        comp = self.sketch.compression
-
-        def digest_of(vals: list[float]) -> TDigest | None:
-            if not vals:
-                return None
-            d = TDigest(comp)
-            d.add_many(vals)
-            return d
-
         return self._grouped(
             db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, digest_of, tier,
+            t1_exclusive, self._digest_of, tier,
             lambda: self._note_sketch("fallback:multi-series"),
         )
 

@@ -31,11 +31,13 @@ aggregates added by the sketch layer dispatch the same way:
 :meth:`InfluxDB.quantile_columns` (tier t-digests when the serving
 planner's error bound holds, exact nearest-rank otherwise), ``STDDEV``
 rides the (count, Σv, Σv²) rollup partials, and ``COUNT(DISTINCT f)``
-rides per-series HyperLogLogs.  Engines that lack those methods fall
-back to :func:`naive_execute`, which keeps the original
-materialize-then-fold path as the exact reference.  Parsed statements
-are LRU-cached on their text, which pays for statements whose text is
-fixed (recall queries, unbounded panels).  A sliding-window refresh has a
+rides per-series HyperLogLogs.  Every engine :func:`execute` is handed
+has all of these reads; :func:`naive_execute` keeps the original
+materialize-then-fold path over anything with a ``scan_columns`` as the
+exact reference tests and benchmarks compare against, and nothing here
+calls it.  Parsed statements are LRU-cached on their text, which pays
+for statements whose text is fixed (recall queries, unbounded panels).
+A sliding-window refresh has a
 new time bound in its text every time and would never hit, so
 :class:`~repro.viz.grafana.GrafanaServer` parses a target's time-free
 statement — fixed text — and passes :func:`execute` that :class:`Query`
@@ -386,8 +388,7 @@ def _execute_analytic(
     tags: dict[str, str],
 ) -> ResultSet:
     """Dispatch PERCENTILE / STDDEV / DISTINCT / COUNT(DISTINCT) to the
-    engine's sketch-aware methods, falling back to the exact
-    :func:`naive_execute` fold for engines that lack them."""
+    engine's sketch-aware reads."""
     _check_analytic(q)
     kw = dict(
         tags=tags,
@@ -396,58 +397,42 @@ def _execute_analytic(
         t0_exclusive=q.t0_exclusive,
         t1_exclusive=q.t1_exclusive,
     )
+    if q.aggregate == "DISTINCT":
+        pairs = db.distinct_values(database, q.measurement, q.columns[0], **kw)
+        rows = [(t, [v]) for t, v in pairs]
+        if q.limit is not None:
+            rows = rows[: q.limit]
+        return ResultSet(columns=[q.columns[0]], rows=rows)
+    if q.aggregate == "COUNT_DISTINCT":
+        first_t, cnt = db.count_distinct(database, q.measurement, q.columns[0], **kw)
+        return ResultSet(
+            columns=[q.columns[0]],
+            rows=[(first_t if first_t is not None else 0.0, [cnt])],
+        )
+    pct = q.agg_arg if q.agg_arg is not None else 50.0
+    if q.group_by_s is not None:
+        if q.aggregate == "PERCENTILE":
+            cols, out = db.quantile_buckets(
+                database, q.measurement, pct, q.group_by_s, columns=columns, **kw
+            )
+        else:
+            cols, out = db.stddev_buckets(
+                database, q.measurement, q.group_by_s, columns=columns, **kw
+            )
+        if q.limit is not None:
+            out = out[: q.limit]
+        return ResultSet(columns=cols, rows=out)
     if q.aggregate == "PERCENTILE":
-        pct = q.agg_arg if q.agg_arg is not None else 50.0
-        if q.group_by_s is not None:
-            if hasattr(db, "quantile_buckets"):
-                cols, out = db.quantile_buckets(
-                    database, q.measurement, pct, q.group_by_s,
-                    columns=columns, **kw,
-                )
-                if q.limit is not None:
-                    out = out[: q.limit]
-                return ResultSet(columns=cols, rows=out)
-        elif hasattr(db, "quantile_columns"):
-            cols, first_t, aggs = db.quantile_columns(
-                database, q.measurement, pct, columns=columns, **kw
-            )
-            return ResultSet(
-                columns=cols,
-                rows=[(first_t if first_t is not None else 0.0, aggs)],
-            )
-    elif q.aggregate == "STDDEV":
-        if q.group_by_s is not None:
-            if hasattr(db, "stddev_buckets"):
-                cols, out = db.stddev_buckets(
-                    database, q.measurement, q.group_by_s,
-                    columns=columns, **kw,
-                )
-                if q.limit is not None:
-                    out = out[: q.limit]
-                return ResultSet(columns=cols, rows=out)
-        elif hasattr(db, "stddev_columns"):
-            cols, first_t, aggs = db.stddev_columns(
-                database, q.measurement, columns=columns, **kw
-            )
-            return ResultSet(
-                columns=cols,
-                rows=[(first_t if first_t is not None else 0.0, aggs)],
-            )
-    elif q.aggregate == "DISTINCT":
-        if hasattr(db, "distinct_values"):
-            pairs = db.distinct_values(database, q.measurement, q.columns[0], **kw)
-            rows = [(t, [v]) for t, v in pairs]
-            if q.limit is not None:
-                rows = rows[: q.limit]
-            return ResultSet(columns=[q.columns[0]], rows=rows)
-    elif q.aggregate == "COUNT_DISTINCT":
-        if hasattr(db, "count_distinct"):
-            first_t, cnt = db.count_distinct(database, q.measurement, q.columns[0], **kw)
-            return ResultSet(
-                columns=[q.columns[0]],
-                rows=[(first_t if first_t is not None else 0.0, [cnt])],
-            )
-    return naive_execute(db, database, q)
+        cols, first_t, aggs = db.quantile_columns(
+            database, q.measurement, pct, columns=columns, **kw
+        )
+    else:
+        cols, first_t, aggs = db.stddev_columns(
+            database, q.measurement, columns=columns, **kw
+        )
+    return ResultSet(
+        columns=cols, rows=[(first_t if first_t is not None else 0.0, aggs)]
+    )
 
 
 def naive_execute(db, database: str, query: Query | str) -> ResultSet:

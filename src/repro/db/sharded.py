@@ -20,15 +20,18 @@ analytics):
   write sequence and pins it into the shard engine, so rows scattered over
   several engines keep one global (time, seq) order.
 
-- **Queries** run scatter-gather.  A query whose matching series all live
-  on one shard delegates verbatim (rollup serving, LIMIT pushdown and all).
-  Multi-shard queries merge per-shard partials *exactly*: raw selects and
-  LIMIT are a heapq k-way merge of per-shard keyed streams; COUNT adds,
-  MIN/MAX combine associatively (unless NaN made the fold order-sensitive),
-  LAST picks the partial with the latest (time, seq) key, and MEAN/SUM ride
-  sum/count pairs whenever a single shard holds the column's values — any
-  merge that float reordering could perturb falls back to an interleaved
-  k-way fold, so results stay byte-identical to a single engine.
+- **Queries** run scatter-gather through one dispatch (``_gather``).  A
+  query whose matching series all live on one shard delegates verbatim
+  (rollup serving, LIMIT pushdown and all).  Multi-shard queries merge
+  per-shard partials *exactly*: raw selects and LIMIT put the shards' keyed
+  columns in order with the routine an engine orders its series with;
+  COUNT adds, MIN/MAX combine associatively (unless NaN made the fold
+  order-sensitive), LAST picks the partial with the latest (time, seq) key,
+  and MEAN/SUM ride sum/count pairs whenever a single shard holds the
+  column's values — any merge that float reordering could perturb is
+  re-folded, by the engine's own folds, from the interleaved scan, so
+  results stay byte-identical to a single engine.  Sketches (t-digests,
+  HLLs) merge only inside the configured error bound.
 
 - **Freshness stamps** combine into per-shard epoch and generation vectors
   and the lowest frontier (:meth:`ShardedInfluxDB.freshness`), so the
@@ -52,18 +55,23 @@ import math
 import time as _time
 from bisect import bisect_right, insort
 from hashlib import blake2b
+from functools import partial
 from heapq import merge as _heap_merge
 
 from repro.faults.nodes import NodeFault, NodeFaultSet
 
 from .influx import (
     DEFAULT_ROLLUP_TIERS,
+    ColumnRows,
     InfluxDB,
     InfluxError,
     Point,
+    _fold_buckets,
+    _merge_keyed,
+    _values,
     fold_values,
 )
-from .sketch import HyperLogLog, SketchConfig, TDigest, stddev_of, value_key
+from .sketch import SketchConfig, TDigest, nearest_rank, stddev_of, value_key
 
 __all__ = ["HashRing", "ShardedInfluxDB", "series_key"]
 
@@ -485,6 +493,46 @@ class ShardedInfluxDB:
             default=-1,
         )
 
+    # ------------------------------------------------------------------
+    # Scatter-gather
+    # ------------------------------------------------------------------
+    def _gather(
+        self, op: str, db: str, measurement: str, tags, t0, t1,
+        t0_exclusive: bool, t1_exclusive: bool, args: tuple, merge,
+        names: list[str] | None = None,
+    ):
+        """The one dispatch of a read.  One contributing shard answers
+        ``op`` itself, verbatim (rollup serving, LIMIT pushdown and all).
+        Any other number gives ``merge(read)``, where ``read(name, *args,
+        **kw)`` is every contributing shard's answer to its read ``name``
+        over the same tags and time range, in shard-name order — so the
+        answer over no shard is the family's merge of nothing.
+
+        Whichever it is, ``last_timings`` then says ``op`` and how long
+        each contributing shard worked for it.  ``names`` is for a caller
+        that had to scatter before it came here."""
+        if names is None:
+            names = self._scatter_shards(db, measurement, tags)
+        kw = dict(
+            tags=tags, t0=t0, t1=t1,
+            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        )
+        shard_s: dict[str, float] = {}
+
+        def read(name: str, *args, **more):
+            return [
+                self._timed(
+                    shard_s, n,
+                    lambda n=n: getattr(self.shards[n], name)(
+                        db, measurement, *args, **kw, **more),
+                )
+                for n in names
+            ]
+
+        out = read(op, *args)[0] if len(names) == 1 else merge(read)
+        self._record(op, shard_s)
+        return out
+
     def scan_points(
         self,
         db: str,
@@ -496,17 +544,12 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> list[tuple[float, int, Point]]:
-        names = self._scatter_shards(db, measurement, tags)
-        streams = [
-            self.shards[n].scan_points(
-                db, measurement, tags, t0, t1,
-                t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
-            )
-            for n in names
-        ]
-        if len(streams) <= 1:
-            return streams[0] if streams else []
-        return list(_heap_merge(*streams, key=lambda r: (r[0], r[1])))
+        return self._gather(
+            "scan_points", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (),
+            lambda read: list(_heap_merge(
+                *read("scan_points"), key=lambda r: (r[0], r[1]))),
+        )
 
     def points(
         self,
@@ -553,22 +596,21 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
         limit: int | None = None,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         """Columnar scatter scan.
 
-        One contributing shard delegates verbatim (a single-series read
-        stays the shard's :class:`~repro.db.influx.ColumnRows`); otherwise
-        per-shard *keyed* streams (each already LIMIT-pushed) are heapq
-        k-way merged on (time, seq) with an early stop at ``limit`` — no
-        shard materializes more than ``limit`` rows and the router
-        materializes exactly the merged prefix.
+        One contributing shard delegates verbatim; several have their keyed
+        columns (each already LIMIT-pushed) put into (time, seq) order by
+        the routine an engine orders its series with — no shard hands over
+        more than ``limit`` rows and the router keeps exactly the merged
+        prefix.
         """
         names = self._scatter_shards(db, measurement, tags)
         if len(names) == 1:
             # The dashboard's read is a few column slices in the shard —
             # microseconds — so the dispatch around it is one positional
-            # call and one clock pair, not ``_timed``'s closure and
-            # ``_record``'s call (BENCH_shard.json, 1-shard vs plain).
+            # call and one clock pair, not ``_gather``'s closures
+            # (BENCH_shard.json, 1-shard vs plain).
             t = _time.perf_counter()
             out = self.shards[names[0]].scan_columns(
                 db, measurement, columns, tags, t0, t1,
@@ -581,55 +623,53 @@ class ShardedInfluxDB:
                     "shard_s": {names[0]: _time.perf_counter() - t},
                 }
             return out
-        shard_s: dict[str, float] = {}
-        if not names:
-            self._record("scan_columns", shard_s)
-            return (list(columns) if columns is not None else []), []
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        return self._gather(
+            "scan_columns", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (columns,),
+            lambda read: self._merged_scan(read, columns, limit), names,
         )
-        per = [
-            (
-                n,
-                self._timed(
-                    shard_s, n,
-                    lambda n=n: self.shards[n].scan_keyed(
-                        db, measurement, columns=columns, limit=limit, **kw
-                    ),
-                ),
-            )
-            for n in names
-        ]
-        cols = self._union_columns([c for _, (c, _) in per], columns)
 
-        def _remap(shard_cols: list[str], rows):
-            idx = [
-                shard_cols.index(c) if c in shard_cols else None for c in cols
-            ]
-            for t, q, vals in rows:
-                yield (t, q, [vals[i] if i is not None else None for i in idx])
-
-        rows: list[tuple[float, list[float | None]]] = []
-        for t, q, vals in _heap_merge(
-            *(_remap(c, r) for _, (c, r) in per), key=lambda r: (r[0], r[1])
-        ):
-            rows.append((t, vals))
-            if limit is not None and len(rows) >= limit:
-                break
-        self._record("scan_columns", shard_s)
-        return cols, rows
+    def _merged_scan(
+        self, read, columns: list[str] | None, limit: int | None = None
+    ) -> tuple[list[str], ColumnRows]:
+        """The shards' rows as one engine's ``scan_columns`` would hand
+        them over: what the router's own answers with, and what every exact
+        re-fold below folds."""
+        per = read("scan_keyed", columns, limit=limit)
+        cols = self._union_columns([c for c, _ in per], columns)
+        runs = []
+        for shard_cols, (times, seqs, values) in per:
+            have = dict(zip(shard_cols, values))
+            runs.append((times, seqs, [have.get(c) for c in cols]))
+        return cols, ColumnRows(*_merge_keyed(runs, len(cols), limit))
 
     # ------------------------------------------------------------------
-    # Partial-stat merging
+    # One answer per (bucket, column): aggregates, percentiles, STDDEV
     # ------------------------------------------------------------------
+    # Between shards such an answer is ``(columns, bucket starts, [[answer
+    # per bucket] per column])`` — an ungrouped read being one bucket that
+    # starts at its first row — and leaves through ``_rows`` or ``_row`` in
+    # the shape the engine gives it.  ``_folded_scan`` works it out exactly,
+    # as the engine's own fold of the interleaved rows.  ``_merged_partials``
+    # works it out from one *slot* per shard, bucket and column (a partial
+    # stat, a t-digest) wherever the family's ``merge`` says that is
+    # provably the same answer, and folds the rest.
+    #
     # A stat is (count, total, vmin, vmax, last, last_t, last_seq, has_nan);
-    # see InfluxDB.aggregate_partials.  _merge_stats returns the finalized
-    # aggregate or the _FALLBACK sentinel when only an interleaved re-fold
-    # is provably exact (MEAN/SUM split across shards; MIN/MAX with a NaN
-    # in the fold; LAST whose winning key a rollup did not store).
+    # see InfluxDB.aggregate_partials.  ``_merge_stats`` returns the
+    # _FALLBACK sentinel for MEAN/SUM split across shards (float summation
+    # order), MIN/MAX with a NaN in the fold, and LAST whose winning key a
+    # rollup did not store.
 
     _FALLBACK = object()
+
+    @staticmethod
+    def _rows(cols: list[str], starts: list, out: list):
+        return cols, ColumnRows(starts, out)
+
+    @staticmethod
+    def _row(cols: list[str], starts: list, out: list):
+        return cols, starts[0], [None if col is None else col[0] for col in out]
 
     @classmethod
     def _merge_stats(cls, agg: str, stats: list[tuple]):
@@ -666,19 +706,75 @@ class ShardedInfluxDB:
             return cls._FALLBACK  # rollup-served partial lost its key
         return max(stats, key=lambda st: (st[5], st[6]))[4]
 
-    def _merged_keyed_rows(
-        self, db: str, measurement: str, cols: list[str], names: list[str],
-        kw: dict,
+    def _merged_sketch(self, sketches: list):
+        """The shards' sketches of one slot — t-digests or HLLs, at least
+        one — as one.  This is the only place the router answers
+        approximately, so the only place it checks that it may: _FALLBACK
+        when the error bound of what it would hand over exceeds the one
+        configured (:class:`~repro.db.sketch.SketchConfig`; a digest's
+        doubles once it is a merge)."""
+        cfg = self.sketch
+        first = sketches[0]
+        if isinstance(first, TDigest):
+            ok = cfg.digest_bound(merged=len(sketches) > 1) <= cfg.epsilon
+        else:
+            ok = first.error_bound() <= cfg.hll_epsilon
+        if not ok:
+            return self._FALLBACK
+        return first if len(sketches) == 1 else type(first).merged(sketches)
+
+    def _merge_digests(self, q: float, digests: list[TDigest]):
+        if not digests:
+            return None
+        d = self._merged_sketch(digests)
+        return d if d is self._FALLBACK else d.quantile(q)
+
+    def _folded_scan(self, read, columns, group_by_s: float | None, fold):
+        """The exact answer: ``fold`` of each bucket's values in (time,
+        seq) order, by the routines the engine folds its own rows with."""
+        cols, rows = self._merged_scan(read, columns)
+        if group_by_s is not None:
+            out = _fold_buckets(
+                rows.times, rows.cols, 0, len(rows), group_by_s, fold)
+            return cols, out.times, out.cols
+        return cols, rows.times[:1] or [None], [
+            None if col is None else [fold(_values(col, 0, len(rows)))]
+            for col in rows.cols]
+
+    def _merged_partials(
+        self, read, name: str, columns, group_by_s: float | None, merge, fold
     ):
-        """Interleaved (time, seq, values) rows across shards — the exact
-        single-engine row order the fallback folds re-run in."""
-        per = [
-            self.shards[n].scan_keyed(db, measurement, columns=cols, **kw)
-            for n in names
-        ]
-        return _heap_merge(
-            *(rows for _, rows in per), key=lambda r: (r[0], r[1])
-        )
+        """The answer from every shard's partial read ``name``: its slots
+        regrouped onto the union columns and the union of buckets, each
+        (bucket, column) finalized by ``merge(slots)`` — and, where that
+        falls back, taken from :meth:`_folded_scan`."""
+        if group_by_s is None:
+            per = read(name, columns)
+            starts = [min((t for _, t, _ in per if t is not None), default=None)]
+            per = [(cols, [(starts[0], slots)]) for cols, _, slots in per]
+        else:
+            per = read(name, group_by_s, columns)
+            starts = sorted({b for _, rows in per for b in rows.times})
+        cols = self._union_columns([c for c, _ in per], columns)
+        place = {b: k for k, b in enumerate(starts)}
+        held: list[list[list]] = [[[] for _ in starts] for _ in cols]
+        for shard_cols, rows in per:
+            idx = [shard_cols.index(c) if c in shard_cols else None for c in cols]
+            for b, slots in rows:
+                k = place[b]
+                for into, i in zip(held, idx):
+                    if i is not None and slots[i] is not None:
+                        into[k].append(slots[i])
+        out = [[merge(slots) for slots in col] for col in held]
+        again = [ci for ci, col in enumerate(out)
+                 if any(v is self._FALLBACK for v in col)]
+        if again:
+            _, _, exact = self._folded_scan(
+                read, [cols[ci] for ci in again], group_by_s, fold)
+            for ci, ecol in zip(again, exact):
+                out[ci] = [e if v is self._FALLBACK else v
+                           for v, e in zip(out[ci], ecol)]
+        return cols, starts, out
 
     def aggregate_columns(
         self,
@@ -696,72 +792,13 @@ class ShardedInfluxDB:
         """Scatter-gather aggregate: per-shard partials, merged exactly."""
         if agg not in _FOLDABLE:
             raise InfluxError(f"unknown aggregate {agg}")
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        return self._gather(
+            "aggregate_columns", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (agg, columns),
+            lambda read: self._row(*self._merged_partials(
+                read, "aggregate_partials", columns, None,
+                partial(self._merge_stats, agg), partial(fold_values, agg))),
         )
-        shard_s: dict[str, float] = {}
-        if not names:
-            cols = list(columns) if columns is not None else []
-            self._record("aggregate_columns", shard_s)
-            return cols, None, [None] * len(cols)
-        if len(names) == 1:
-            out = self._timed(
-                shard_s, names[0],
-                lambda: self.shards[names[0]].aggregate_columns(
-                    db, measurement, agg, columns=columns, **kw
-                ),
-            )
-            self._record("aggregate_columns", shard_s)
-            return out
-        per = [
-            (
-                n,
-                self._timed(
-                    shard_s, n,
-                    lambda n=n: self.shards[n].aggregate_partials(
-                        db, measurement, columns=columns, **kw
-                    ),
-                ),
-            )
-            for n in names
-        ]
-        cols = self._union_columns([c for _, (c, _, _) in per], columns)
-        first_t = min(
-            (ft for _, (_, ft, _) in per if ft is not None), default=None
-        )
-        out: list = []
-        fallback_cols: list[int] = []
-        for ci, c in enumerate(cols):
-            stats = []
-            for _, (shard_cols, _, shard_stats) in per:
-                try:
-                    si = shard_cols.index(c)
-                except ValueError:
-                    continue
-                st = shard_stats[si]
-                if st is not None:
-                    stats.append(st)
-            merged = self._merge_stats(agg, stats)
-            if merged is self._FALLBACK:
-                fallback_cols.append(ci)
-                merged = None
-            out.append(merged)
-        if fallback_cols:
-            vals: dict[int, list[float]] = {ci: [] for ci in fallback_cols}
-            fb_names = [cols[ci] for ci in fallback_cols]
-            for _, _, row in self._merged_keyed_rows(
-                db, measurement, fb_names, names, kw
-            ):
-                for j, ci in enumerate(fallback_cols):
-                    v = row[j]
-                    if v is not None:
-                        vals[ci].append(v)
-            for ci in fallback_cols:
-                out[ci] = fold_values(agg, vals[ci]) if vals[ci] else None
-        self._record("aggregate_columns", shard_s)
-        return cols, first_t, out
 
     def scan_buckets(
         self,
@@ -776,105 +813,36 @@ class ShardedInfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         """``GROUP BY time(N)`` scatter-gather.
 
         Per-shard bucket partials (rollup-served where the shard's planner
         allows) merge bucket-by-bucket under the same exactness rules as
         :meth:`aggregate_columns`; any (bucket, column) slot a partial
         merge cannot reproduce bit-for-bit is re-folded from one shared
-        interleaved scan.  One contributing shard answers alone, and its
-        :class:`~repro.db.influx.ColumnRows` is passed through (as for
-        :meth:`quantile_buckets` and :meth:`stddev_buckets`).
+        interleaved scan.
         """
         if agg not in _FOLDABLE:
             raise InfluxError(f"unknown aggregate {agg}")
         if group_by_s <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        return self._gather(
+            "scan_buckets", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (agg, group_by_s, columns),
+            lambda read: self._rows(*self._merged_partials(
+                read, "bucket_partials", columns, group_by_s,
+                partial(self._merge_stats, agg), partial(fold_values, agg))),
         )
-        shard_s: dict[str, float] = {}
-        if not names:
-            self._record("scan_buckets", shard_s)
-            return (list(columns) if columns is not None else []), []
-        if len(names) == 1:
-            out = self._timed(
-                shard_s, names[0],
-                lambda: self.shards[names[0]].scan_buckets(
-                    db, measurement, agg, group_by_s, columns=columns, **kw
-                ),
-            )
-            self._record("scan_buckets", shard_s)
-            return out
-        per = [
-            (
-                n,
-                self._timed(
-                    shard_s, n,
-                    lambda n=n: self.shards[n].bucket_partials(
-                        db, measurement, group_by_s, columns=columns, **kw
-                    ),
-                ),
-            )
-            for n in names
-        ]
-        cols = self._union_columns([c for _, (c, _) in per], columns)
-        buckets: dict[float, list[list[tuple]]] = {}
-        for _, (shard_cols, bucket_rows) in per:
-            idx = [
-                shard_cols.index(c) if c in shard_cols else None for c in cols
-            ]
-            for b, stat_row in bucket_rows:
-                slot = buckets.get(b)
-                if slot is None:
-                    slot = buckets[b] = [[] for _ in cols]
-                for ci, i in enumerate(idx):
-                    if i is None:
-                        continue
-                    st = stat_row[i]
-                    if st is not None:
-                        slot[ci].append(st)
-        ordered = sorted(buckets)
-        rows: list[tuple[float, list]] = []
-        fallback: set[tuple[float, int]] = set()
-        for b in ordered:
-            row: list = []
-            for ci in range(len(cols)):
-                merged = self._merge_stats(agg, buckets[b][ci])
-                if merged is self._FALLBACK:
-                    fallback.add((b, ci))
-                    merged = None
-                row.append(merged)
-            rows.append((b, row))
-        if fallback:
-            vals: dict[tuple[float, int], list[float]] = {}
-            for t, _, row in self._merged_keyed_rows(
-                db, measurement, cols, names, kw
-            ):
-                b = (t // group_by_s) * group_by_s
-                for ci, v in enumerate(row):
-                    if v is not None and (b, ci) in fallback:
-                        vals.setdefault((b, ci), []).append(v)
-            by_bucket = {b: row for b, row in rows}
-            for (b, ci) in fallback:
-                vs = vals.get((b, ci))
-                by_bucket[b][ci] = fold_values(agg, vs) if vs else None
-        self._record("scan_buckets", shard_s)
-        return cols, rows
 
-    # ------------------------------------------------------------------
-    # Sketch-served analytics scatter-gather
-    # ------------------------------------------------------------------
     # PERCENTILE ships per-shard t-digest partials and merges them as
     # digests (true merge — the whole point of mergeable sketches), so the
     # cross-shard answer carries the same rank-error bound as a single
-    # engine.  COUNT(DISTINCT) merges per-shard HLLs register-wise when
-    # every shard may serve approximately, else unions the value-keyed
-    # exact lists.  STDDEV and DISTINCT re-fold the interleaved scan —
-    # exact, and byte-identical to the unsharded engine.
+    # engine's, and is the exact nearest rank where the configuration
+    # promises less than that.  COUNT(DISTINCT) merges per-shard HLLs
+    # register-wise when every shard may serve approximately, else unions
+    # the value-keyed exact lists.  STDDEV and DISTINCT are exact: a fold
+    # of the interleaved scan and a merge of first occurrences,
+    # byte-identical to the unsharded engine.
 
     def quantile_columns(
         self,
@@ -889,61 +857,14 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], float | None, list[float | None]]:
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        return self._gather(
+            "quantile_columns", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (pct, columns),
+            lambda read: self._row(*self._merged_partials(
+                read, "quantile_partials", columns, None,
+                partial(self._merge_digests, pct / 100.0),
+                partial(nearest_rank, pct=pct))),
         )
-        shard_s: dict[str, float] = {}
-        if not names:
-            cols = list(columns) if columns is not None else []
-            self._record("quantile_columns", shard_s)
-            return cols, None, [None] * len(cols)
-        if len(names) == 1:
-            out = self._timed(
-                shard_s, names[0],
-                lambda: self.shards[names[0]].quantile_columns(
-                    db, measurement, pct, columns=columns, **kw
-                ),
-            )
-            self._record("quantile_columns", shard_s)
-            return out
-        per = [
-            (
-                n,
-                self._timed(
-                    shard_s, n,
-                    lambda n=n: self.shards[n].quantile_partials(
-                        db, measurement, columns=columns, **kw
-                    ),
-                ),
-            )
-            for n in names
-        ]
-        cols = self._union_columns([c for _, (c, _, _) in per], columns)
-        first_t = min(
-            (ft for _, (_, ft, _) in per if ft is not None), default=None
-        )
-        q = pct / 100.0
-        out: list[float | None] = []
-        for c in cols:
-            ds: list[TDigest] = []
-            for _, (shard_cols, _, digests) in per:
-                try:
-                    si = shard_cols.index(c)
-                except ValueError:
-                    continue
-                d = digests[si]
-                if d is not None:
-                    ds.append(d)
-            if not ds:
-                out.append(None)
-            elif len(ds) == 1:
-                out.append(ds[0].quantile(q))
-            else:
-                out.append(TDigest.merged(ds).quantile(q))
-        self._record("quantile_columns", shard_s)
-        return cols, first_t, out
 
     def quantile_buckets(
         self,
@@ -958,69 +879,17 @@ class ShardedInfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         if group_by_s <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        return self._gather(
+            "quantile_buckets", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (pct, group_by_s, columns),
+            lambda read: self._rows(*self._merged_partials(
+                read, "quantile_bucket_partials", columns, group_by_s,
+                partial(self._merge_digests, pct / 100.0),
+                partial(nearest_rank, pct=pct))),
         )
-        shard_s: dict[str, float] = {}
-        if not names:
-            self._record("quantile_buckets", shard_s)
-            return (list(columns) if columns is not None else []), []
-        if len(names) == 1:
-            out = self._timed(
-                shard_s, names[0],
-                lambda: self.shards[names[0]].quantile_buckets(
-                    db, measurement, pct, group_by_s, columns=columns, **kw
-                ),
-            )
-            self._record("quantile_buckets", shard_s)
-            return out
-        per = [
-            (
-                n,
-                self._timed(
-                    shard_s, n,
-                    lambda n=n: self.shards[n].quantile_bucket_partials(
-                        db, measurement, group_by_s, columns=columns, **kw
-                    ),
-                ),
-            )
-            for n in names
-        ]
-        cols = self._union_columns([c for _, (c, _) in per], columns)
-        buckets: dict[float, list[list[TDigest]]] = {}
-        for _, (shard_cols, bucket_rows) in per:
-            idx = [
-                shard_cols.index(c) if c in shard_cols else None for c in cols
-            ]
-            for b, digest_row in bucket_rows:
-                slot = buckets.get(b)
-                if slot is None:
-                    slot = buckets[b] = [[] for _ in cols]
-                for ci, i in enumerate(idx):
-                    if i is None:
-                        continue
-                    d = digest_row[i]
-                    if d is not None:
-                        slot[ci].append(d)
-        q = pct / 100.0
-        rows: list[tuple[float, list[float | None]]] = []
-        for b in sorted(buckets):
-            row: list[float | None] = []
-            for ds in buckets[b]:
-                if not ds:
-                    row.append(None)
-                elif len(ds) == 1:
-                    row.append(ds[0].quantile(q))
-                else:
-                    row.append(TDigest.merged(ds).quantile(q))
-            rows.append((b, row))
-        self._record("quantile_buckets", shard_s)
-        return cols, rows
 
     def stddev_columns(
         self,
@@ -1037,27 +906,12 @@ class ShardedInfluxDB:
         """Exact: single contributing shard delegates (rollup-partial
         serving and all); multi-shard re-folds the interleaved keyed scan in
         single-engine row order, so results stay byte-identical."""
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        return self._gather(
+            "stddev_columns", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (columns,),
+            lambda read: self._row(
+                *self._folded_scan(read, columns, None, stddev_of)),
         )
-        if not names:
-            cols = list(columns) if columns is not None else []
-            return cols, None, [None] * len(cols)
-        if len(names) == 1:
-            return self.shards[names[0]].stddev_columns(
-                db, measurement, columns=columns, **kw
-            )
-        cols, rows = self.scan_columns(
-            db, measurement, columns=columns, **kw
-        )
-        first_t = rows[0][0] if rows else None
-        out: list[float | None] = []
-        for i in range(len(cols)):
-            vals = [r[i] for _, r in rows if r[i] is not None]
-            out.append(stddev_of(vals))
-        return cols, first_t, out
 
     def stddev_buckets(
         self,
@@ -1071,31 +925,15 @@ class ShardedInfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], list[tuple[float, list[float | None]]]]:
+    ) -> tuple[list[str], ColumnRows]:
         if group_by_s <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        return self._gather(
+            "stddev_buckets", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (group_by_s, columns),
+            lambda read: self._rows(
+                *self._folded_scan(read, columns, group_by_s, stddev_of)),
         )
-        if not names:
-            return (list(columns) if columns is not None else []), []
-        if len(names) == 1:
-            return self.shards[names[0]].stddev_buckets(
-                db, measurement, group_by_s, columns=columns, **kw
-            )
-        cols, rows = self.scan_columns(db, measurement, columns=columns, **kw)
-        buckets: dict[float, list[list[float]]] = {}
-        for t, vals in rows:
-            b = (t // group_by_s) * group_by_s
-            slot = buckets.setdefault(b, [[] for _ in cols])
-            for i, v in enumerate(vals):
-                if v is not None:
-                    slot[i].append(v)
-        return cols, [
-            (b, [stddev_of(vs) for vs in buckets[b]]) for b in sorted(buckets)
-        ]
 
     def distinct_values(
         self,
@@ -1111,27 +949,20 @@ class ShardedInfluxDB:
     ) -> list[tuple[float, float]]:
         """Exact DISTINCT: per-shard value-keyed lists merged on the global
         (time, seq) first-occurrence key."""
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        def merge(read):
+            best: dict[bytes, tuple[float, int, float]] = {}
+            for keyed in read("distinct_keyed", column):
+                for t, seq, v in keyed:
+                    vk = value_key(v)
+                    prev = best.get(vk)
+                    if prev is None or (t, seq) < (prev[0], prev[1]):
+                        best[vk] = (t, seq, v)
+            return [(t, v) for t, _, v in sorted(best.values())]
+
+        return self._gather(
+            "distinct_values", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (column,), merge,
         )
-        if not names:
-            return []
-        if len(names) == 1:
-            return self.shards[names[0]].distinct_values(
-                db, measurement, column, **kw
-            )
-        best: dict[bytes, tuple[float, int, float]] = {}
-        for n in names:
-            for t, seq, v in self.shards[n].distinct_keyed(
-                db, measurement, column, **kw
-            ):
-                vk = value_key(v)
-                prev = best.get(vk)
-                if prev is None or (t, seq) < (prev[0], prev[1]):
-                    best[vk] = (t, seq, v)
-        return [(t, v) for t, _, v in sorted(best.values())]
 
     def count_distinct(
         self,
@@ -1147,39 +978,23 @@ class ShardedInfluxDB:
     ) -> tuple[float | None, float | None]:
         """COUNT(DISTINCT): register-wise HLL merge when every contributing
         shard may serve approximately, else an exact value-key union."""
-        names = self._scatter_shards(db, measurement, tags)
-        kw = dict(
-            tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
+        def merge(read):
+            per = read("distinct_partials", column)
+            first_t = min((t for t, _, _ in per if t is not None), default=None)
+            hlls = [h for _, h, _ in per if h is not None]
+            if hlls and len(hlls) == len(per):
+                hll = self._merged_sketch(hlls)
+                if hll is not self._FALLBACK:
+                    return first_t, float(round(hll.count()))
+            keys: set[bytes] = set()
+            for _, _, exact in per:
+                keys.update(value_key(v) for _, _, v in exact)
+            return first_t, (float(len(keys)) if keys else None)
+
+        return self._gather(
+            "count_distinct", db, measurement, tags, t0, t1, t0_exclusive,
+            t1_exclusive, (column,), merge,
         )
-        if not names:
-            return None, None
-        if len(names) == 1:
-            return self.shards[names[0]].count_distinct(
-                db, measurement, column, **kw
-            )
-        per = [
-            self.shards[n].distinct_partials(db, measurement, column, **kw)
-            for n in names
-        ]
-        first_t = min((ft for ft, _, _ in per if ft is not None), default=None)
-        cfg = self.sketch
-        hlls = [h for _, h, _ in per if h is not None]
-        # Approximate only when *every* shard could serve its slice and the
-        # merged register width stays within the configured bound.
-        if (
-            len(hlls) == len(per)
-            and hlls
-            and hlls[0].error_bound() <= cfg.hll_epsilon
-        ):
-            merged = HyperLogLog(hlls[0].p)
-            for h in hlls:
-                merged.merge_from(h)
-            return first_t, float(round(merged.count()))
-        keys: set[bytes] = set()
-        for _, _, exact in per:
-            keys.update(value_key(v) for _, _, v in exact)
-        return first_t, (float(len(keys)) if keys else None)
 
     # ------------------------------------------------------------------
     # Series administration, retention, stats

@@ -497,6 +497,17 @@ class HyperLogLog:
                 regs[i] = oregs[i]
         self.trimmed = self.trimmed or other.trimmed
 
+    @classmethod
+    def merged(cls, hlls: Iterable["HyperLogLog"]) -> "HyperLogLog":
+        """The union of at least one HLL (one: itself, to read, not a copy)."""
+        first, *rest = hlls
+        if not rest:
+            return first
+        out = cls(first.p)
+        for h in (first, *rest):
+            out.merge_from(h)
+        return out
+
     def count(self) -> float:
         m = self.m
         zeros = 0

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.influx import ColumnRows, InfluxDB, Point
+from repro.db.influx import ColumnRows, InfluxDB, Point, _merge_keyed
 from repro.db.influxql import Query, ResultSet, execute, naive_execute, parse_query
 from repro.db.naive import NaiveInfluxDB
 from repro.db.sharded import ShardedInfluxDB
@@ -297,6 +297,67 @@ class TestNothingAliasesStorage:
         first = again.series()
         first[0].append(-6.0), first[1].append(-6.0)
         assert again.series() == fresh.series()
+
+
+# ----------------------------------------------------------------------
+# The keyed merge: the one routine that orders rows of several sources
+# ----------------------------------------------------------------------
+# k runs over three columns: "dense" every run wrote, "sparse" with holes
+# and missing from some runs, "never" no run wrote.  Times come from a grid
+# of four values, so most keys tie on time and are settled by seq.
+merge_rows = st.lists(
+    st.tuples(st.integers(0, 3).map(float), st.integers(0, 3),
+              st.one_of(st.none(), st.integers(0, 9).map(float))),
+    min_size=1, max_size=40,
+)
+
+
+class TestKeyedMerge:
+    @staticmethod
+    def _runs(rows):
+        """Rows ``(time, run, sparse value)`` dealt to their runs, each in
+        (time, seq) order, seq being the row's place in ``rows``.  The seqs
+        ride along as the last column, as a caller that wants them merged
+        passes them."""
+        runs = []
+        for r in sorted({r for _, r, _ in rows}):
+            mine = sorted((t, q, v) for q, (t, run, v) in enumerate(rows) if run == r)
+            seqs = [q for _, q, _ in mine]
+            runs.append((
+                [t for t, _, _ in mine], seqs,
+                [[t * 100.0 + q for t, q, _ in mine],
+                 None if r % 2 else [v for _, _, v in mine],
+                 None, seqs],
+            ))
+        return runs
+
+    @given(merge_rows, st.one_of(st.none(), st.integers(1, 12)))
+    @settings(max_examples=150, deadline=None)
+    def test_merge_is_the_sorted_rows_and_limit_its_prefix(self, rows, limit):
+        runs = self._runs(rows)
+        times, (dense, sparse, never, seqs) = _merge_keyed(runs, 4)
+        assert list(zip(times, seqs)) == sorted((t, q) for q, (t, _, _) in enumerate(rows))
+        assert dense == [t * 100.0 + q for t, q in zip(times, seqs)]
+        assert never is None  # not a list of None
+        if all(r % 2 for _, r, _ in rows):
+            assert sparse is None
+        else:
+            assert sparse == [None if rows[q][1] % 2 else rows[q][2] for q in seqs]
+        clamped = [(ts[:limit], qs[:limit], [c and c[:limit] for c in cols])
+                   for ts, qs, cols in runs]
+        for given_runs in (runs, clamped):
+            lt, lcols = _merge_keyed(given_runs, 4, limit)
+            assert lt == times[:limit]
+            assert lcols == [c and c[:limit] for c in (dense, sparse, never, seqs)]
+
+    def test_one_run_is_handed_back_as_it_is(self):
+        times, seqs, cols = [1.0, 1.0, 2.0], [4, 7, 5], [[0.1, 0.2, 0.3], None]
+        for limit in (None, 3):
+            got = _merge_keyed([(times, seqs, cols)], 2, limit)
+            assert got[0] is times and got[1] is cols
+        assert _merge_keyed([(times, seqs, cols)], 2, limit=2) == (
+            [1.0, 1.0], [[0.1, 0.2], None])
+        assert _merge_keyed([], 2) == ([], [None, None])
 
 
 # ----------------------------------------------------------------------

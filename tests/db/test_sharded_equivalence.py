@@ -216,3 +216,62 @@ class TestNaN:
             ba = sharded.scan_buckets("pmove", "cpu_idle", agg, 5.0)
             bb = single.scan_buckets("pmove", "cpu_idle", agg, 5.0)
             assert _nan_eq(ba, bb), (agg, ba, bb)
+
+
+# ----------------------------------------------------------------------
+# One dispatch (`_gather`): what every read reports and hands back
+# ----------------------------------------------------------------------
+class TestGatherContract:
+    READS = {
+        "scan_points": (),
+        "scan_columns": (["v"],),
+        "aggregate_columns": ("MEAN", ["v"]),
+        "scan_buckets": ("MEAN", 10.0, ["v"]),
+        "quantile_columns": (95.0, ["v"]),
+        "quantile_buckets": (95.0, 10.0, ["v"]),
+        "stddev_columns": (["v"],),
+        "stddev_buckets": (10.0, ["v"]),
+        "distinct_values": ("v",),
+        "count_distinct": ("v",),
+    }
+
+    @staticmethod
+    def _pair():
+        pts = [Point("cpu_idle", {"tag": f"t{s}"}, {"v": float((s * 31 + i) % 17)},
+                     float(i))
+               for s in range(12) for i in range(40)]
+        return mk_pair(pts, 4)
+
+    def test_last_timings_names_the_read_and_its_shards(self):
+        sharded, _ = self._pair()
+        sharded.instrument = True
+        owners = {sharded.shard_for("cpu_idle", {"tag": f"t{s}"}) for s in range(12)}
+        assert owners == set(sharded.shards)  # no filter: all four contribute
+        for tags, want in (
+            ({"tag": "nope"}, set()),
+            ({"tag": "t0"}, {sharded.shard_for("cpu_idle", {"tag": "t0"})}),
+            (None, owners),
+        ):
+            for op, args in self.READS.items():
+                sharded.last_timings = None
+                getattr(sharded, op)("pmove", "cpu_idle", *args, tags=tags)
+                assert sharded.last_timings["op"] == op, (op, tags)
+                assert set(sharded.last_timings["shard_s"]) == want, (op, tags)
+
+    def test_reads_that_are_columns_on_one_engine_are_columns_on_four(self):
+        sharded, single = self._pair()
+        for tags in ({"tag": "nope"}, {"tag": "t0"}, None):
+            for op, args in self.READS.items():
+                got = getattr(sharded, op)("pmove", "cpu_idle", *args, tags=tags)
+                want = getattr(single, op)("pmove", "cpu_idle", *args, tags=tags)
+                if op not in ("quantile_columns", "quantile_buckets", "count_distinct"):
+                    assert repr(got) == repr(want), (op, tags)  # exact families
+                if isinstance(want, tuple) and isinstance(want[1], ColumnRows):
+                    assert isinstance(got[1], ColumnRows), (op, tags)
+        for text in ('SELECT * FROM "cpu_idle" LIMIT 7',
+                     'SELECT MAX("v") FROM "cpu_idle" GROUP BY time(10s) LIMIT 2',
+                     'SELECT STDDEV("v") FROM "cpu_idle" GROUP BY time(10s) LIMIT 2',
+                     'SELECT MEDIAN("v") FROM "cpu_idle" GROUP BY time(10s) LIMIT 2'):
+            got, want = execute(sharded, "pmove", text), execute(single, "pmove", text)
+            assert isinstance(want.rows, ColumnRows), text
+            assert isinstance(got.rows, ColumnRows) and len(got.rows) == len(want.rows)

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.db.influx import InfluxDB, Point
 from repro.db.influxql import InfluxError, execute, naive_execute, parse_query
+from repro.db.naive import NaiveInfluxDB
 from repro.db.sharded import ShardedInfluxDB
-from repro.db.sketch import DEFAULT_SKETCH
+from repro.db.sketch import DEFAULT_SKETCH, SketchConfig, TDigest
 
 
 def rank_error(sorted_vals, got, q):
@@ -73,6 +74,19 @@ class TestAnalyticParse:
         with pytest.raises(InfluxError):
             execute(db, "pmove",
                     'SELECT DISTINCT("ms") FROM "lat" GROUP BY time(10s)')
+
+    def test_execute_does_not_answer_through_the_oracle(self):
+        """An engine without the analytic reads is not quietly answered by
+        ``naive_execute``: the reference is called by name or not at all."""
+        naive = NaiveInfluxDB()
+        naive.create_database("pmove")
+        naive.write("pmove", Point("lat", {}, {"ms": 1.0}, 0.0))
+        for sel in ('STDDEV("ms")', 'PERCENTILE("ms", 50)', 'DISTINCT("ms")',
+                    'COUNT(DISTINCT("ms"))'):
+            text = f'SELECT {sel} FROM "lat"'
+            with pytest.raises(AttributeError):
+                execute(naive, "pmove", text)
+            assert len(naive_execute(naive, "pmove", text).rows) == 1
 
 
 # ----------------------------------------------------------------------
@@ -240,3 +254,70 @@ class TestShardedSketches:
         got = execute(sharded, "pmove", text).rows[0][1][0]
         bound = DEFAULT_SKETCH.digest_bound(merged=True)
         assert rank_error(sorted(vals), got, pct / 100.0) <= bound + 1.0 / n
+
+
+class TestRouterErrorBound:
+    """The router merges sketches only inside the bound the configuration
+    promises (``_merged_sketch``); past it, it folds the exact answer."""
+
+    SHAPES = (
+        'SELECT PERCENTILE("x", 95) FROM "m"',
+        'SELECT PERCENTILE("x", 95) FROM "m" GROUP BY time(60s)',
+        'SELECT PERCENTILE("x", 95) FROM "m" GROUP BY time(10s) LIMIT 7',
+        'SELECT MEDIAN("x") FROM "m" WHERE tag="t3"',
+        'SELECT PERCENTILE("x", 99) FROM "m" WHERE tag="t3" GROUP BY time(60s)',
+        'SELECT PERCENTILE("x", 50), PERCENTILE("never", 50) FROM "m" '
+        'WHERE time >= 13 AND time < 207 GROUP BY time(20s)',
+    )
+
+    @staticmethod
+    def _load(engine, n=8000):
+        rnd = random.Random(7)
+        engine.create_database("pmove")
+        engine.write_many("pmove", [
+            Point("m", {"tag": f"t{i % 8}"}, {"x": rnd.lognormvariate(1.0, 0.6)},
+                  i * 0.05)
+            for i in range(n)])
+        return engine
+
+    def test_epsilon_zero_router_is_exact(self):
+        cfg = SketchConfig(epsilon=0.0)
+        router = self._load(ShardedInfluxDB(4, sketch=cfg))
+        single = self._load(InfluxDB(sketch=cfg))
+        for text in self.SHAPES:
+            want = naive_execute(single, "pmove", text)
+            got = execute(router, "pmove", text)
+            assert got.columns == want.columns, text
+            assert got.rows == want.rows, text
+            assert execute(single, "pmove", text).rows == want.rows, text
+        assert not router.sketch_served
+        assert all(k.startswith("fallback:") for k in router.sketch_plan)
+
+    def test_default_router_still_merges_digests(self):
+        """4/200 = 0.02 <= 0.02: at the default configuration the ungrouped
+        answer is the merge of the shards' digests, as it was."""
+        router = self._load(ShardedInfluxDB(4))
+        assert len({router.shard_for("m", {"tag": f"t{i}"}) for i in range(8)}) > 1
+        digests = [
+            sh.quantile_partials("pmove", "m", columns=["x"])[2][0]
+            for sh in router.shards.values()
+            if sh.series_count("pmove", "m")
+        ]
+        want = TDigest.merged(digests).quantile(0.95)
+        got = execute(router, "pmove", self.SHAPES[0]).rows[0][1][0]
+        assert got == want
+        assert got != naive_execute(router, "pmove", self.SHAPES[0]).rows[0][1][0]
+
+    def test_count_distinct_merge_checks_the_hll_bound(self):
+        pts = [Point("m", {"tag": f"t{i % 8}"}, {"x": float(i % 900)}, float(i))
+               for i in range(3600)]
+        exact = 900.0
+        for cfg, is_exact in ((SketchConfig(), False),
+                              (SketchConfig(hll_epsilon=0.0), True)):
+            router = ShardedInfluxDB(4, sketch=cfg)
+            router.create_database("pmove")
+            router.write_many("pmove", pts)
+            got = execute(router, "pmove",
+                          'SELECT COUNT(DISTINCT("x")) FROM "m"').rows[0][1][0]
+            assert (got == exact) == is_exact
+            assert abs(got - exact) / exact <= 4 * 1.04 / math.sqrt(2 ** cfg.hll_p)
