@@ -37,6 +37,13 @@ one more computation per target.
   its ratio to ``naive_execute`` — floors at half of what this was measured
   at when the case was added — and on a count: refreshing a window that
   did not move asks no digest for a quantile.
+- **live-edge sliding window**: one raw panel over the last 600 rows of a
+  1 Hz series, its window ending at the newest sample, ten rows appended
+  before every refresh.  Gated on a count, not a time: the engine returns
+  only the rows at or above the frontier the target's held answer was
+  computed at (the ten new ones and the one that was newest), and the
+  answer is a cache-cold server's; µs per refresh is recorded beside the
+  cold server's.
 - **multi-series ``SELECT * … LIMIT``**: the first ``LIMIT`` rows of twenty
   interleaved series, against scanning them all and cutting.
 
@@ -78,6 +85,7 @@ GROUPED_REFRESHES = 60
 #: 4.5, ranges 25.8–35.4 / 24.1–30.9 / 3.9–4.8; the parent of that change
 #: read 16–18 / 6.0–6.2 / 2.5–2.6 and asked 60 quantiles where 0 are allowed)
 GROUPED_FLOORS = {"mean_60s_1h": 15.0, "p95_60s_1h": 14.0, "mean_7s_10min": 2.2}
+LIVE_EDGE_ROWS, LIVE_EDGE_APPENDED, LIVE_EDGE_REFRESHES = 600, 10, 100
 LIMIT_ROWS = 100
 #: SELECT * … LIMIT against scan-all-then-cut, whose cost grows with the
 #: points scanned: half of the 290 × measured at 1e5 points (220–490 over
@@ -213,6 +221,65 @@ def _sliding_window(influx, span):
     out["points_per_window"] = len(seed(starts[0])[0])
     assert server.cache_hits == 0
     return out
+
+
+def _live_edge_sliding_window():
+    """One live raw panel: the last ``LIVE_EDGE_ROWS`` rows of a 1 Hz
+    series, ``LIVE_EDGE_APPENDED`` rows written before each refresh.  Rows
+    the engine returned to each warm refresh, the rows at or above the
+    frontier its held answer was computed at, and µs per refresh of the
+    warm server and of a cache-cold one."""
+    influx = InfluxDB()
+    influx.create_database("pmove")
+    target = Target("live", "_v", tag="s0")
+
+    def append(first, n):
+        influx.write_many("pmove", [
+            Point("live", {"tag": "s0"}, {"_v": float(t % 89)}, float(t))
+            for t in range(first, first + n)])
+
+    append(0, LIVE_EDGE_ROWS)
+    warm = GrafanaServer(influx)
+    returned = []
+    scan = influx.scan_columns
+
+    def counted(*args, **kw):
+        cols, rows = scan(*args, **kw)
+        returned.append(len(rows))
+        return cols, rows
+
+    lat = {"held": [], "cold": []}
+    rows_read, rows_expected = [], []
+    warm.execute_target(target, 0.0, LIVE_EDGE_ROWS - 1.0)
+    influx.scan_columns = counted  # both sides pay for the count
+    for k in range(LIVE_EDGE_REFRESHES):
+        held_frontier = influx.freshness("pmove", "live")[2]
+        newest = LIVE_EDGE_ROWS + (k + 1) * LIVE_EDGE_APPENDED - 1
+        append(newest + 1 - LIVE_EDGE_APPENDED, LIVE_EDGE_APPENDED)
+        window = (float(newest + 1 - LIVE_EDGE_ROWS), float(newest))
+        answers = {}
+        for side, server in (("held", warm), ("cold", GrafanaServer(influx))):
+            begin = time.perf_counter()
+            answers[side] = server.execute_target(target, *window)
+            lat[side].append(time.perf_counter() - begin)
+        assert answers["held"] == answers["cold"]
+        assert len(answers["held"][0]) == LIVE_EDGE_ROWS
+        rows_expected.append(int(newest - held_frontier) + 1)
+        rows_read.append(returned[-2])
+        assert returned[-1] == LIVE_EDGE_ROWS and len(returned) == 2 * (k + 1)
+    stats = {side: latency_stats(samples) for side, samples in lat.items()}
+    return {
+        **stats,
+        "us_per_refresh": 1e3 * stats["held"]["p50_ms"],
+        "us_per_cold_refresh": 1e3 * stats["cold"]["p50_ms"],
+        "speedup_p50": stats["cold"]["p50_ms"] / stats["held"]["p50_ms"],
+        "rows_per_window": LIVE_EDGE_ROWS,
+        "rows_read_per_refresh": sorted(set(rows_read)),
+        "rows_at_or_above_held_frontier": sorted(set(rows_expected)),
+        "rows_read_equal_expected": rows_read == rows_expected,
+        "delta_serves": warm.delta_serves,
+        "refreshes": LIVE_EDGE_REFRESHES,
+    }
 
 
 def _closed_windows_under_appends(influx, panels, t0, t1, late_at=None):
@@ -373,6 +440,7 @@ def test_query_serving_speedup():
             "speedup_p50": s_seed["p50_ms"] / s_new["p50_ms"],
         }
     sliding = _sliding_window(influx, span)
+    live_edge = _live_edge_sliding_window()
     grouped = _grouped_sliding_window()
     star_limit = _select_star_limit(influx)
     floors = {"groupby_7s": COLD_FLOOR, "raw_window": RAW_FLOOR}
@@ -403,6 +471,7 @@ def test_query_serving_speedup():
         },
         "cold_queries": cold,
         "sliding_window": sliding,
+        "live_edge_sliding_window": live_edge,
         "grouped_sliding_window": grouped,
         "select_star_limit": star_limit,
         "closed_windows_under_appends": appends,
@@ -414,6 +483,7 @@ def test_query_serving_speedup():
             and all(c["speedup_p50"] >= floors[n] for n, c in cold.items())
             and all(grouped[n]["speedup_p50"] >= f for n, f in GROUPED_FLOORS.items())
             and grouped["quantiles_asked_by_an_unmoved_window"] == 0
+            and live_edge["rows_read_equal_expected"]
             and star_limit["speedup_p50"] >= LIMIT_FLOOR,
         },
         "run": run_metadata(N_POINTS, SEED),
@@ -440,6 +510,11 @@ def test_query_serving_speedup():
         f"{star_limit['speedup_p50']:.1f}x faster than scan-and-cut "
         f"(floor {LIMIT_FLOOR}x)"
     )
+    assert live_edge["rows_read_equal_expected"], (
+        f"a live-edge refresh read {live_edge['rows_read_per_refresh']} rows; "
+        f"{live_edge['rows_at_or_above_held_frontier']} lie at or above the held frontier")
+    assert live_edge["rows_read_per_refresh"] == [LIVE_EDGE_APPENDED + 1]
+    assert live_edge["delta_serves"] == LIVE_EDGE_REFRESHES
     assert sliding["columnar"]["parse_cache_misses"] == 0
     assert sliding["seed"]["parse_cache_misses"] == SLIDING_ITERS
     assert appends["in_order"] == {

@@ -177,7 +177,8 @@ class ServingFrontend:
         sketch_targets = 0
         total_points = 0
         influx = self.grafana.influx
-        for target, statement in zip(request.panel.targets, request.statements):
+        targets, labels = request.panel.targets, request.panel.labels()
+        for target, statement, label in zip(targets, request.statements, labels):
             # sketch-served answers the engine has recorded so far (an
             # engine without sketches records none)
             serves_before = getattr(influx, "sketch_served", 0)
@@ -185,7 +186,6 @@ class ServingFrontend:
                 target, request.t0, request.t1, request.tag,
                 tenant=request.tenant, statement=statement,
             )
-            label = target.alias or f"{target.measurement}{target.params}"[-40:]
             series[label] = (times, values)
             total_points += len(times)
             if hit:

@@ -111,6 +111,22 @@ class Panel:
         if not self.targets:
             raise DashboardError(f"panel {self.id} has no targets")
 
+    def labels(self) -> list[str]:
+        """One legend label per target: its alias, else the last 40
+        characters of measurement + field.  Labels that collide — Fig 2 c/d
+        draws one field once per execution — gain the target's tag, then
+        its position, so that no series overwrites another."""
+        targets = self.targets
+        labels = [t.alias or f"{t.measurement}{t.params}"[-40:] for t in targets]
+        if len(set(labels)) == len(labels):
+            return labels
+        for suffix in (lambda i: f" [{targets[i].tag}]" if targets[i].tag else "",
+                       lambda i: f" #{i + 1}"):
+            clash = {label for label in labels if labels.count(label) > 1}
+            labels = [label + suffix(i) if label in clash else label
+                      for i, label in enumerate(labels)]
+        return labels
+
     def to_json(self) -> dict[str, Any]:
         return {
             "id": self.id,

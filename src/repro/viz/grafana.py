@@ -6,38 +6,43 @@ telemetry agents and displays them" (§III-B).  :class:`GrafanaServer` keeps
 a registry of dashboards (by uid), resolves each panel target against the
 Influx substrate (the plugin role), and renders panels to text or SVG.
 
-Panel execution carries a write-invalidated result cache: each target's
-(database, statement) result is stored with the measurement's freshness
-stamps (:meth:`~repro.db.influx.InfluxDB.freshness`), read *before* the
-query runs.  An unchanged panel refresh — the dominant dashboard workload,
-since auto-generated statements are re-issued verbatim — is a dict hit.
-What a mutation invalidates depends on what it can have changed.
-Telemetry is appended in time order, and an append cannot touch a window
-that ended before it: an entry whose ``t1`` lay below the measurement's
-frontier when it was computed is *sealed*, and outlives every in-order
-write; only a new epoch (an out-of-order write, a series drop or move, a
-retention trim) ends it.  Every other entry is *open* and ends at the next
-generation, whatever moved it.  Staleness is impossible by construction:
-stamps taken before execution can only under-report freshness, never
-over-report it.  Stamps never repeat, so the miss that sees a measurement
-at a new one proves the entries it ends dead, and drops them there and
-then (:class:`_CachePartition`): a live dashboard's superseded windows do
-not ride the LRU until live entries push them out.
+Panel execution carries a result cache stamped with the measurement's
+freshness (:meth:`~repro.db.influx.InfluxDB.freshness`), read *before* the
+query runs: stamps taken early can only under-report freshness, so a stale
+serve is impossible by construction.  Telemetry is appended in time order,
+and the one rule everything here rests on is the engine's: **while the
+epoch holds, the rows at ``time < frontier`` are exactly the rows that
+were there when the frontier was read.**  It makes two kinds of entry.
 
-A miss costs O(1) Python work per statement, not per row.  The statement
-text is the cache key and what a user is shown, but it is not what gets
-parsed: a live panel's window slides, so its text is new on every refresh
-and the parser's LRU would never hit.  The target's *time-free* statement
-is parsed instead (fixed text), the window goes into a copy of that
-:class:`~repro.db.influxql.Query`, and the answer is read off the
-engine's columns (:meth:`~repro.db.influxql.ResultSet.series`) — of a
-raw select and of a ``GROUP BY time`` alike.
+A *sealed* window (``t1`` below the frontier) is out of every in-order
+append's reach: its answer is kept under (database, statement) and is a
+dict hit until a new epoch (an out-of-order write, a series drop or move,
+a retention trim) ends it — proven at the first lookup that sees the new
+epoch, which drops the measurement's sealed entries there and then.
+
+An *open* window (no ``t1``, or one at or above the frontier) is what a
+live dashboard refreshes, and it slides: its statement never repeats, so
+it is not keyed by one.  Each target keeps **one held answer** — the
+stamps and window it was computed at, overwritten in place by its
+successor.  The same window at the same generation is a hit.  A raw
+target whose window moved forward in the same epoch is a *delta*: the
+held rows with ``t0 <= time < held frontier`` (two bisects; the rule says
+they cannot have changed) plus one engine read from the held frontier on.
+It reads the engine, so it counts as a miss (``delta_serves`` says how
+many misses were deltas).  Anything else — a new epoch, a window that
+moved backwards, an aggregate — is the full read.
+
+No statement is formatted or parsed per refresh: the target's *time-free*
+statement is formatted and parsed once, the window goes into a copy of
+that :class:`~repro.db.influxql.Query`, and the answer is read off the
+engine's columns (:meth:`~repro.db.influxql.ResultSet.series`).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections import OrderedDict
 from functools import lru_cache
 
@@ -78,99 +83,101 @@ def quote_tag_value(value: str) -> str:
 
 
 @lru_cache(maxsize=512)
-def _timefree_query(target: Target, tag: str | None) -> Query:
-    """The parsed time-free statement of ``target``: fixed for the life of
-    the (frozen) target, so it is formatted and looked up once."""
-    return parse_query(GrafanaServer.target_statement(target, tag=tag))
+def _timefree(target: Target, tag: str | None) -> tuple[str, Query]:
+    """The time-free statement of ``target`` and its parse: fixed for the
+    life of the (frozen) target, so formatted and parsed once.  The text is
+    also the key of the target's held answer — no sealed window has it,
+    since a sealed window has a ``t1``."""
+    statement = GrafanaServer.target_statement(target, tag=tag)
+    return statement, parse_query(statement)
+
+
+def _windowed(q: Query, t0: float | None, t1: float | None) -> Query:
+    """The time-free parse ``q`` (no bound, no exclusivity of its own) with
+    the window filled in: what ``parse_query`` makes of the target's
+    statement for that window.  The text path rejects a non-finite bound
+    (the grammar has no spelling for ``inf``/``nan``); so does this one,
+    rather than let a value no statement can express into a :class:`Query`."""
+    if t0 is None and t1 is None:
+        return q
+    t0 = None if t0 is None else float(t0)
+    t1 = None if t1 is None else float(t1)
+    if not ((t0 is None or math.isfinite(t0)) and (t1 is None or math.isfinite(t1))):
+        raise InfluxError(f"non-finite time bound in ({t0}, {t1})")
+    # Built field by field: every miss passes here, and
+    # dataclasses.replace costs several times as much.
+    return Query(q.measurement, q.columns, q.aggregate, q.tag_filters,
+                 t0, t1, q.group_by_s, q.limit, agg_arg=q.agg_arg)
 
 
 class _Filed:
-    """One measurement's keys in a partition, under the stamps they were
-    computed at."""
+    """One measurement's sealed keys in a partition, under the epoch they
+    were computed in."""
 
-    __slots__ = ("epoch", "generation", "sealed", "open")
+    __slots__ = ("epoch", "sealed")
 
-    def __init__(self, epoch, generation) -> None:
+    def __init__(self, epoch) -> None:
         self.epoch = epoch
-        self.generation = generation
-        #: keys of windows that ended below the frontier: dead at a new epoch
         self.sealed: set[tuple[str, str]] = set()
-        #: every other key: dead at a new generation
-        self.open: set[tuple[str, str]] = set()
 
 
 class _CachePartition:
     """One LRU partition of the freshness-stamped result cache.
 
-    ``entries`` maps (database, statement) → (measurement, times, values),
-    least recently used first.  ``by_measurement`` files exactly the keys
-    ``entries`` holds under their measurement (:class:`_Filed`), sealed
-    or open.  One pair of stamps per measurement is enough because stamps
-    never repeat: the moment a lookup observes a new generation every open
-    entry is unservable for good, at a new epoch every entry is, and
-    :meth:`get` drops them — eviction is by proof of death, never by a
-    guess.
+    ``entries`` maps (database, statement) to an answer, least recently
+    used first.  A sealed window's is (measurement, times, values) under
+    its own statement, and ``by_measurement`` files its key
+    (:class:`_Filed`): epochs never repeat, so the lookup that sees a new
+    one proves those entries dead and drops them — eviction by proof of
+    death, never by a guess.  A target's held answer is (measurement,
+    times, values, (epoch, generation, frontier), (t0, t1)) under its
+    time-free statement; it carries its own stamps and is overwritten in
+    place, so nothing has to find it to end it.
     """
 
     __slots__ = ("entries", "by_measurement")
 
     def __init__(self) -> None:
-        self.entries: OrderedDict[
-            tuple[str, str], tuple[str, list[float], list[float]]
-        ] = OrderedDict()
+        self.entries: OrderedDict[tuple[str, str], tuple] = OrderedDict()
         self.by_measurement: dict[str, _Filed] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def get(self, key: tuple[str, str], measurement: str, epoch, generation):
-        """The entry under ``key`` if it is still servable at these stamps
-        (now the most recently used), else None.  If ``measurement``'s
-        entries are filed under other stamps, this is the lookup that
-        proves some of them dead: a new generation drops the open ones, a
-        new epoch the sealed ones too."""
+    def get(self, key: tuple[str, str], measurement: str, epoch):
+        """The entry under ``key`` (now the most recently used), or None.
+        If ``measurement``'s sealed entries are filed under another epoch,
+        this is the lookup that proves them dead."""
         filed = self.by_measurement.get(measurement)
-        if filed is None:
-            return None
-        if filed.epoch != epoch or filed.generation != generation:
-            entries = self.entries
-            for dead in filed.open:
-                del entries[dead]
-            if filed.epoch != epoch:
-                for dead in filed.sealed:
-                    del entries[dead]
-                filed.sealed.clear()
-            if not filed.sealed:
-                del self.by_measurement[measurement]
-                return None
-            filed.open.clear()
-            filed.generation = generation
+        if filed is not None and filed.epoch != epoch:
+            for dead in self.by_measurement.pop(measurement).sealed:
+                del self.entries[dead]
         hit = self.entries.get(key)
         if hit is not None:
             self.entries.move_to_end(key)
         return hit
 
-    def store(self, key: tuple[str, str], measurement: str, epoch, generation,
-              sealed: bool, times: list[float], values: list[float],
-              capacity: int) -> None:
-        """Insert as most recent, then trim to ``capacity``; the stamps are
-        the ones the :meth:`get` that missed was given for ``measurement``."""
-        filed = self.by_measurement.get(measurement)
-        if filed is None:
-            filed = self.by_measurement[measurement] = _Filed(epoch, generation)
-        (filed.sealed if sealed else filed.open).add(key)
-        self.entries[key] = (measurement, times, values)
+    def store(self, key: tuple[str, str], entry: tuple, seal_epoch, capacity: int):
+        """Insert as most recent (a held answer over its predecessor), then
+        trim to ``capacity``.  ``seal_epoch`` is None for a held answer, else
+        the epoch the :meth:`get` that missed was given."""
+        if seal_epoch is not None:
+            filed = self.by_measurement.get(entry[0])
+            if filed is None:
+                filed = self.by_measurement[entry[0]] = _Filed(seal_epoch)
+            filed.sealed.add(key)
+        self.entries[key] = entry
         self.trim(capacity)
 
     def trim(self, capacity: int) -> None:
         """Evict least recently used entries down to ``capacity``."""
         while len(self.entries) > capacity:
-            key, (measurement, _, _) = self.entries.popitem(last=False)
-            filed = self.by_measurement[measurement]
-            filed.sealed.discard(key)
-            filed.open.discard(key)
-            if not filed.sealed and not filed.open:
-                del self.by_measurement[measurement]
+            key, entry = self.entries.popitem(last=False)
+            filed = self.by_measurement.get(entry[0])
+            if filed is not None:
+                filed.sealed.discard(key)
+                if not filed.sealed:
+                    del self.by_measurement[entry[0]]
 
     def clear(self) -> None:
         self.entries.clear()
@@ -203,6 +210,8 @@ class GrafanaServer:
         self.cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
+        #: Misses answered by a held answer plus a read from its frontier on.
+        self.delta_serves = 0
         #: Renders served from a degraded (shard-down) engine state.
         self.partial_serves = 0
 
@@ -266,15 +275,14 @@ class GrafanaServer:
         self._partition_for(tenant)[0].trim(entries)
 
     def tenant_cache_info(self, tenant: str) -> dict[str, int]:
-        partition = self._tenant_caches.get(tenant)
-        filed = () if partition is None else partition.by_measurement.values()
-        sealed = sum(len(f.sealed) for f in filed)
-        open_ = sum(len(f.open) for f in filed)
+        """Sizes of ``tenant``'s partition; ``open`` counts held answers."""
+        partition = self._tenant_caches.get(tenant) or _CachePartition()
+        sealed = sum(len(f.sealed) for f in partition.by_measurement.values())
         return {
-            "entries": sealed + open_,
+            "entries": len(partition),
             "capacity": self._tenant_cache_sizes.get(tenant, self.cache_size),
             "sealed": sealed,
-            "open": open_,
+            "open": len(partition) - sealed,
         }
 
     def _partition_for(self, tenant: str | None) -> tuple[_CachePartition, int]:
@@ -284,33 +292,6 @@ class GrafanaServer:
         if partition is None:
             partition = self._tenant_caches[tenant] = _CachePartition()
         return partition, self._tenant_cache_sizes.get(tenant, self.cache_size)
-
-    def _target_query(
-        self,
-        target: Target,
-        t0: float | None,
-        t1: float | None,
-        tag: str | None,
-    ) -> Query:
-        """What ``parse_query(target_statement(target, t0, t1, tag))``
-        returns, from a parse of the time-free statement only.
-
-        The text path rejects a non-finite bound (the grammar has no
-        spelling for ``inf``/``nan``); so does this one, rather than let a
-        value no statement can express into a :class:`Query`.
-        """
-        q = _timefree_query(target, tag)
-        if t0 is None and t1 is None:
-            return q
-        t0 = None if t0 is None else float(t0)
-        t1 = None if t1 is None else float(t1)
-        if not all(b is None or math.isfinite(b) for b in (t0, t1)):
-            raise InfluxError(f"non-finite time bound in ({t0}, {t1})")
-        # The time-free parse (no bound, no exclusivity of its own) with
-        # the window filled in.  Built field by field: every miss passes
-        # here, and dataclasses.replace costs several times as much.
-        return Query(q.measurement, q.columns, q.aggregate, q.tag_filters,
-                     t0, t1, q.group_by_s, q.limit, agg_arg=q.agg_arg)
 
     def _target_series(
         self,
@@ -324,41 +305,74 @@ class GrafanaServer:
         """One target's (times, values, served_from_cache).
 
         The freshness stamps are read *before* executing, so a write racing
-        the query can only make the cached entry look stale (recompute),
-        never fresh (stale serve).  Engines without freshness support
-        bypass the cache entirely.  ``tenant`` selects a private partition;
-        ``None`` is the default (single-caller) one.  ``statement`` is
+        the query can only make a kept answer look stale (recompute), never
+        fresh (stale serve).  Engines without freshness support bypass the
+        cache entirely.  ``tenant`` selects a private partition; ``None`` is
+        the default (single-caller) one.  ``statement`` is
         ``target_statement(target, t0, t1, tag)`` where the caller already
         has it.
         """
         cache, capacity = self._partition_for(tenant)
-        if statement is None:
-            statement = self.target_statement(target, t0, t1, tag)
-        key = (self.database, statement)
         freshness = getattr(self.influx, "freshness", None)
         measurement = target.measurement
         stamps = freshness(self.database, measurement) if callable(freshness) else None
+        since, held, timefree = t0, None, None
         if stamps is not None:
-            epoch, generation, frontier = stamps
-            hit = cache.get(key, measurement, epoch, generation)
+            epoch, _, frontier = stamps
+            sealed = t1 is not None and t1 < frontier
+            if sealed:
+                key = (self.database,
+                       statement or self.target_statement(target, t0, t1, tag))
+            else:
+                text, timefree = _timefree(target, tag)
+                key = (self.database, text)
+            hit = cache.get(key, measurement, epoch)
             if hit is not None:
-                self.cache_hits += 1
-                return list(hit[1]), list(hit[2]), True
+                if sealed or hit[3:] == (stamps, (t0, t1)):
+                    self.cache_hits += 1
+                    return hit[1][:], hit[2][:], True
+                (was_epoch, _, edge), (was_t0, _) = hit[3:]
+                # Same epoch: the held rows below the held frontier stand.
+                # A raw window that did not move backwards needs only them
+                # and what the engine has from that frontier on.
+                if (was_epoch == epoch and edge > -math.inf
+                        and not target.agg and not target.group_by_s
+                        and (was_t0 is None if t0 is None
+                             else was_t0 is not None and t0 >= was_t0)):
+                    held = hit
+                    since = edge if t0 is None or edge > t0 else t0
         self.cache_misses += 1
-        query = self._target_query(target, t0, t1, tag)
-        times, values = execute(self.influx, self.database, query).series()
+        timefree = timefree or _timefree(target, tag)[1]
+        times, values = execute(
+            self.influx, self.database, _windowed(timefree, since, t1)).series()
         # A sharded engine flags results computed while a shard holding
         # relevant data was down.  Those are served (degraded beats blank
-        # panels) but never cached: the stamps do not move when a shard
-        # merely recovers, so a cached partial could outlive the outage.
-        if getattr(self.influx, "last_partial", False):
+        # panels) as a cold server would serve them, without held rows, and
+        # never kept: the stamps do not move when a shard merely recovers,
+        # so a kept partial could outlive the outage.
+        partial = getattr(self.influx, "last_partial", False)
+        if held is not None and partial:
+            times, values = execute(
+                self.influx, self.database, _windowed(timefree, t0, t1)).series()
+        elif held is not None:
+            # The held lists become the new answer in place (nobody else
+            # has them): cut to [t0, held frontier), then the rows read.
+            self.delta_serves += 1
+            lo = 0 if t0 is None else bisect_left(held[1], t0)
+            hi = bisect_left(held[1], edge, lo)
+            for kept, read in ((held[1], times), (held[2], values)):
+                del kept[hi:]
+                del kept[:lo]
+                kept += read
+            times, values = held[1:3]
+        if partial:
             self.partial_serves += 1
         elif stamps is not None:
-            cache.store(
-                key, measurement, epoch, generation,
-                t1 is not None and t1 < frontier,
-                list(times), list(values), capacity,
-            )
+            entry = (measurement, times, values)
+            if not sealed:
+                entry += (stamps, (t0, t1))
+            cache.store(key, entry, epoch if sealed else None, capacity)
+            times, values = times[:], values[:]  # the entry's stay its own
         return times, values, False
 
     def invalidate_cache(self) -> None:
@@ -375,6 +389,7 @@ class GrafanaServer:
         one meaningless series."""
         self.cache_hits = 0
         self.cache_misses = 0
+        self.delta_serves = 0
         self.partial_serves = 0
 
     def set_engine(self, influx: InfluxDB) -> None:
@@ -411,9 +426,8 @@ class GrafanaServer:
     ) -> Series:
         """Run a panel's targets; returns label → (times, values)."""
         series: Series = {}
-        for target in panel.targets:
+        for target, label in zip(panel.targets, panel.labels()):
             times, values, _ = self._target_series(target, t0, t1, tag, tenant=tenant)
-            label = target.alias or f"{target.measurement}{target.params}"[-40:]
             series[label] = (times, values)
         return series
 

@@ -3,7 +3,6 @@ engine-swap stats contract (``reset_stats`` / ``set_engine``).
 """
 
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -11,7 +10,7 @@ from repro.db.influx import InfluxDB, Point
 from repro.viz.dashboard import Panel, Target
 from repro.viz.grafana import GrafanaServer
 
-from .test_panel_cache import ParentCache, check_index
+from .test_panel_cache import HeldAnswerCache, ParentCache, check_index, held_answers
 
 
 def _mk(n=50):
@@ -201,20 +200,35 @@ class TestMeasurementIndex:
 
     def test_sizes_count_live_entries_only(self):
         """A tenant sliding a window that reaches the newest sample over a
-        measurement that is written between refreshes holds one entry per
-        live target, not one per refresh it ever made."""
+        measurement that is written between refreshes holds one answer per
+        live target, overwritten in place — not one per refresh it ever
+        made — and pays the engine for the new rows only.  Crowded out of
+        the partition, the target falls back to the full read: same answer."""
         influx, server, cpu, mem = self._two_measurements()
-        server.set_tenant_cache_size("a", 64)
+        server.set_tenant_cache_size("a", 4)
         _refresh(server, mem, 0.0, tenant="a")
         for k in range(20):
             now = 50.0 + k
             influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, now))
-            server.execute_panel(cpu, t0=float(k), t1=now, tenant="a")
+            got = server.execute_panel(cpu, t0=float(k), t1=now, tenant="a")
+            assert got == GrafanaServer(influx).execute_panel(cpu, t0=float(k), t1=now)
             assert server.tenant_cache_info("a") == {
-                "entries": 2, "capacity": 64, "sealed": 1, "open": 1}
+                "entries": 2, "capacity": 4, "sealed": 1, "open": 1}
+            assert server.delta_serves == k  # all but the first
+        part = server._tenant_caches["a"]
+        (held,) = held_answers(part).values()
+        assert held[3:] == (influx.freshness("pmove", "cpu"), (19.0, 69.0))
         hits = server.cache_hits
         _refresh(server, mem, 0.0, tenant="a")  # untouched by cpu's churn
         assert server.cache_hits == hits + 1
+        for k in range(1, 4):  # sealed windows up to the cap: the held one is oldest
+            _refresh(server, mem, float(k), tenant="a")
+        assert not held_answers(part) and server.tenant_cache_info("a")["sealed"] == 4
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 70.0))
+        got = server.execute_panel(cpu, t0=20.0, t1=70.0, tenant="a")
+        assert got == GrafanaServer(influx).execute_panel(cpu, t0=20.0, t1=70.0)
+        assert server.delta_serves == 19 and len(part) == 4
+        assert list(held_answers(part)) == [list(part.entries)[-1]]
         check_index(server)
 
     def test_closed_windows_are_live_and_ride_the_lru(self):
@@ -237,27 +251,6 @@ class TestMeasurementIndex:
         assert server.tenant_cache_info("a") == {
             "entries": 1, "capacity": 8, "sealed": 1, "open": 0}
         check_index(server)
-
-
-class ClosedWindowCache(ParentCache):
-    """The rule as plainly as it can be said: an LRU of key → the stamps
-    it was computed at and whether its window had ended below the
-    frontier; nothing leaves except by capacity."""
-
-    def read(self, tenant, key, stamps, t1):
-        epoch, gen, frontier = stamps
-        lru = self.partitions.setdefault(tenant, OrderedDict())
-        was = lru.get(key)
-        if was is not None and was[0] == epoch and (was[2] or was[1] == gen):
-            lru.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        lru[key] = (epoch, gen, t1 < frontier)
-        lru.move_to_end(key)
-        while len(lru) > self.capacity:
-            lru.popitem(last=False)
-        return False
 
 
 class TestServeReadHeavyShape:
@@ -300,7 +293,7 @@ class TestServeReadHeavyShape:
             )
         ]
         server = GrafanaServer(influx)
-        parent, model = ParentCache(256), ClosedWindowCache(256)
+        parent, model = ParentCache(256), HeldAnswerCache(256)
         for tenant in ("ops", "perf", "adhoc"):
             server.set_tenant_cache_size(tenant, 256)
         gained = 0
@@ -316,10 +309,10 @@ class TestServeReadHeavyShape:
                     else:
                         t0, t1 = edge - window, edge
                     for target in panel.targets:
-                        key = ("pmove", server.target_statement(target, t0, t1))
+                        stmt = server.target_statement(target, t0, t1)
                         stamps = influx.freshness("pmove", target.measurement)
-                        was = parent.read(tenant, key, stamps[1])
-                        want = model.read(tenant, key, stamps, t1)
+                        was = parent.read(tenant, ("pmove", stmt), stamps[1])
+                        want = model.read(tenant, target, stmt, stamps, (t0, t1))
                         *_, hit = server.execute_target(target, t0, t1, tenant=tenant)
                         assert hit == want and hit >= was
                         if hit and not was:

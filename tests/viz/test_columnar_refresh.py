@@ -22,7 +22,7 @@ from repro.db.influx import ColumnRows, InfluxDB, InfluxError, Point
 from repro.db.influxql import naive_execute, parse_query
 from repro.serve import ServingFrontend, TenantConfig
 from repro.viz.dashboard import DashboardError, Panel, Target
-from repro.viz.grafana import GrafanaServer
+from repro.viz.grafana import GrafanaServer, _timefree, _windowed
 
 HOSTILE_TAGS = [
     "", "t1", "278e26c2-3fd3-45e4-862b-5646dc9e7aa0",
@@ -67,7 +67,7 @@ class TestWindowedQueryIsTheParsedStatement:
         server = GrafanaServer(InfluxDB())
         via_text = _outcome(
             lambda: parse_query(server.target_statement(target, t0, t1, tag)))
-        via_template = _outcome(lambda: server._target_query(target, t0, t1, tag))
+        via_template = _outcome(lambda: _windowed(_timefree(target, tag)[1], t0, t1))
         assert via_template == via_text
         if not isinstance(via_text, type):
             # == on floats would let an int bound through as an int

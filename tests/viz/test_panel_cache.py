@@ -2,8 +2,9 @@
 
 ``GrafanaServer.execute_panel`` caches each target's result under the
 measurement's freshness stamps: a window that ended below the frontier is
-*sealed* and outlives in-order appends, every other entry is *open* and
-ends at the next mutation.  The invariant under test: a refresh after
+*sealed* and outlives in-order appends; every other window is *open*, and
+its target holds one answer that its successor overwrites (and, for a raw
+window sliding forward, extends).  The invariant under test: a refresh after
 *any* engine mutation (write, series drop, retention trim, shard move)
 returns exactly what an uncached server would return — the cache may only
 ever change how fast an answer arrives, never the answer.
@@ -237,8 +238,7 @@ class TestClosedWindows:
             influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": -1.0}, t))
             assert _answer(influx, server, panel, t0=0.0, t1=30.0) == first
         assert (server.cache_hits, server.cache_misses) == (4, 1)
-        filed = server._cache.by_measurement["cpu"]
-        assert len(filed.sealed) == 1 and not filed.open
+        assert len(server._cache.by_measurement["cpu"].sealed) == len(server._cache) == 1
 
     @pytest.mark.parametrize("when", [30.0, 12.5, 0.0, -3.0])
     def test_a_write_at_or_below_t1_makes_it_a_miss(self, mk, when):
@@ -260,17 +260,21 @@ class TestClosedWindows:
 
     @pytest.mark.parametrize("t1", [49.0, 60.0, None])
     def test_a_window_reaching_the_frontier_behaves_as_before(self, mk, t1):
-        """``t1 >= frontier`` (or none): any write ends the entry, and an
-        unchanged measurement keeps it."""
+        """``t1 >= frontier`` (or none): any write ends the hit, and an
+        unchanged measurement keeps it — as one held answer, not a sealed
+        entry, which the read after the write overwrites."""
         influx, server, panel = mk()
         first = _answer(influx, server, panel, t0=20.0, t1=t1)
         assert _answer(influx, server, panel, t0=20.0, t1=t1) == first
         assert server.cache_hits == 1
-        filed = server._cache.by_measurement["cpu"]
-        assert len(filed.open) == 1 and not filed.sealed
+        assert list(held_answers(server._cache)) == [
+            ("pmove", server.target_statement(panel.targets[0]))]
+        assert not server._cache.by_measurement and len(server._cache) == 1
         influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 999.0}, 49.0))
         second = _answer(influx, server, panel, t0=20.0, t1=t1)
         assert server.cache_hits == 1 and second != first
+        assert (server.cache_misses, server.delta_serves) == (2, 1)
+        assert len(held_answers(server._cache)) == len(server._cache) == 1
 
     def test_a_new_series_older_than_the_window_is_seen(self, mk):
         influx, server, _ = mk()
@@ -297,19 +301,20 @@ class TestClosedWindows:
         for t1 in (10.0, 30.0, 60.0, None):
             _answer(influx, server, panel, t0=0.0, t1=t1)
         filed = server._cache.by_measurement["cpu"]
-        assert (len(filed.sealed), len(filed.open)) == (2, 2)
+        # two sealed windows, and one held answer: ``None`` over ``60.0``
+        assert (len(filed.sealed), len(server._cache)) == (2, 3)
+        assert (server.cache_hits, server.delta_serves) == (0, 1)
         influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 50.0))
-        assert len(server._cache) == 4  # a write alone evicts nothing
-        _answer(influx, server, panel, t0=0.0, t1=10.0)  # a hit, and the proof
-        assert server.cache_hits == 1
-        assert (len(filed.sealed), len(filed.open)) == (2, 0)
-        assert len(server._cache) == 2
+        _answer(influx, server, panel, t0=0.0, t1=10.0)  # sealed: still a hit
+        _answer(influx, server, panel, t0=0.0, t1=None)  # open: read again
+        assert (server.cache_hits, server.delta_serves) == (1, 2)
+        assert (len(filed.sealed), len(server._cache)) == (2, 3)
         check_index(server)
         influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 1.0}, 7.0))
-        _answer(influx, server, panel, t0=0.0, t1=None)
-        assert server.cache_hits == 1
+        _answer(influx, server, panel, t0=0.0, t1=None)  # the proof, and no delta
+        assert (server.cache_hits, server.delta_serves) == (1, 2)
         assert [key[1] for key in server._cache.entries] == [
-            server.target_statement(panel.targets[0], 0.0)]
+            server.target_statement(panel.targets[0])]
         check_index(server)
 
     def test_drop_and_trim_end_closed_windows(self, mk):
@@ -377,19 +382,53 @@ class ParentCache:
         return False
 
 
+class HeldAnswerCache(ParentCache):
+    """The rule as plainly as it can be said: an LRU in which a window that
+    ended below the frontier is kept under its statement and is good for
+    its epoch, and every other window is kept under its target — one per
+    target, the newer over the older — and is good for the very window and
+    generation it was computed at; nothing leaves except by capacity."""
+
+    def read(self, tenant, target, statement, stamps, window):
+        epoch, gen, frontier = stamps
+        sealed = window[1] is not None and window[1] < frontier
+        key = statement if sealed else target
+        lru = self.partitions.setdefault(tenant, OrderedDict())
+        was = lru.get(key)
+        if was is not None and was[0] == epoch and (sealed or was[1:] == (gen, window)):
+            lru.move_to_end(key)
+            self.hits += 1
+            return True
+        self.misses += 1
+        lru[key] = (epoch, gen, window)
+        lru.move_to_end(key)
+        while len(lru) > self.capacity:
+            lru.popitem(last=False)
+        return False
+
+
+def held_answers(part):
+    """A partition's held answers: the entries that carry their own stamps
+    and window, each under its target's time-free statement."""
+    held = {key: entry for key, entry in part.entries.items() if len(entry) == 5}
+    assert not any("time >=" in text or "time <=" in text for _, text in held)
+    return held
+
+
 def check_index(server):
-    """The measurement index names exactly the keys each partition holds,
-    each once, sealed or open."""
+    """The measurement index names exactly the sealed keys each partition
+    holds, each once; every other entry is a held answer."""
     for part in [server._cache, *server._tenant_caches.values()]:
         indexed = {}
         for measurement, filed in part.by_measurement.items():
-            assert filed.sealed or filed.open, "an emptied measurement leaves the index"
-            assert not filed.sealed & filed.open
-            for key in filed.sealed | filed.open:
+            assert filed.sealed, "an emptied measurement leaves the index"
+            for key in filed.sealed:
                 assert key not in indexed
                 indexed[key] = measurement
-        assert indexed == {key: entry[0] for key, entry in part.entries.items()}
-        assert len(part) == len(part.entries)
+        held = held_answers(part)
+        assert indexed == {key: entry[0] for key, entry in part.entries.items()
+                           if key not in held}
+        assert len(part) == len(part.entries) == len(indexed) + len(held)
 
 
 MEASUREMENTS = ("m0", "m1", "m2")
@@ -447,21 +486,29 @@ def _reshard(influx, how, i):
 
 class TestDeadEntries:
     def test_a_miss_on_a_new_stamp_drops_the_measurements_old_entries(self):
+        """Sealed windows die together at the lookup that sees a new epoch,
+        whichever kind of window it asked for; an open target's superseded
+        windows never pile up to begin with."""
         influx, server, panel = _mk()
         other = Panel(id=2, title="mem", targets=[Target("mem", "v", tag="t1")])
         influx.write("pmove", Point("mem", {"tag": "t1"}, {"v": 1.0}, 3.0))
-        for t0 in (0.0, 10.0, 20.0):
+        for t1 in (10.0, 20.0):
+            server.execute_panel(panel, t1=t1)
+        for t0 in (0.0, 10.0, 20.0):  # one held answer, overwritten in place
             server.execute_panel(panel, t0=t0)
         server.execute_panel(other)
-        assert len(server._cache) == 4
-        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 9.0}, 60.0))
+        assert len(server._cache) == 4 and len(held_answers(server._cache)) == 2
+        assert server.delta_serves == 2  # each slide kept what it still covered
+        influx.write("pmove", Point("cpu", {"tag": "t1"}, {"_cpu0": 9.0}, 5.0))
         assert len(server._cache) == 4  # a write alone evicts nothing
         server.execute_panel(other)
         assert server.cache_hits == 1 and len(server._cache) == 4
-        server.execute_panel(panel, t0=30.0)  # the proving miss
+        got = server.execute_panel(panel, t0=30.0)  # the proving miss
+        assert got == GrafanaServer(influx).execute_panel(panel, t0=30.0)
+        assert server.delta_serves == 2  # a new epoch: nothing held stands
         assert [key[1] for key in server._cache.entries] == [
             server.target_statement(other.targets[0]),
-            server.target_statement(panel.targets[0], 30.0),
+            server.target_statement(panel.targets[0]),
         ]
         check_index(server)
 
@@ -472,18 +519,28 @@ class TestDeadEntries:
             Point("cpu", {"tag": f"t{i}"}, {"_cpu0": 1.0}, float(i)) for i in range(8)])
         server = GrafanaServer(influx)
         panel = Panel(id=1, title="cpu", targets=[Target("cpu", "_cpu0")])
-        server.execute_panel(panel)
+        whole = server.execute_panel(panel)
         server.execute_panel(panel, t1=2.0)  # a closed window
         assert len(server._cache) == 2
+        (held,) = held_answers(server._cache).values()
         influx.write("pmove", Point("cpu", {"tag": "t0"}, {"_cpu0": 2.0}, 9.0))
         influx.inject_shard_fault("shard-0", NodeCrash(t0=0.0, t1=100.0))
         influx.at(1.0)
-        server.execute_panel(panel)
-        assert server.partial_serves == 1
-        assert len(server._cache) == 1  # the open one proven dead, partial not stored
+        degraded = server.execute_panel(panel)
+        # what a cold server serves now: no held row stands in for a lost one
+        assert degraded == GrafanaServer(influx).execute_panel(panel)
+        assert len(degraded["cpu_cpu0"][0]) < len(whole["cpu_cpu0"][0])
+        assert (server.partial_serves, server.delta_serves) == (1, 0)
+        # the partial answer did not replace the held one
+        assert list(held_answers(server._cache).values()) == [held]
         server.execute_panel(panel, t1=3.0)
-        assert server.partial_serves == 2 and len(server._cache) == 1
+        assert server.partial_serves == 2 and len(server._cache) == 2
         check_index(server)
+        influx.at(200.0)  # the shard is back: the held answer still stands
+        healed = server.execute_panel(panel)
+        assert healed == GrafanaServer(influx).execute_panel(panel)
+        assert (server.partial_serves, server.delta_serves) == (2, 1)
+        assert len(healed["cpu_cpu0"][0]) == len(whole["cpu_cpu0"][0]) + 1
 
     @pytest.mark.parametrize("kind", ["single", "sharded"])
     @pytest.mark.parametrize("capacity", [3, 64])
@@ -492,8 +549,8 @@ class TestDeadEntries:
     def test_interleaved_writes_drops_trims_and_reads(self, kind, capacity, ops):
         influx = _engine(kind)
         server = GrafanaServer(influx, cache_size=capacity)
-        model = ParentCache(capacity)
-        #: (tenant, key) → (epoch, generation, sealed) it was last computed at
+        model = HeldAnswerCache(capacity)
+        #: (tenant, entry key) → the (stamps, window) it was last computed at
         computed = {}
         for op in ops:
             if op[0] == "write":
@@ -520,33 +577,45 @@ class TestDeadEntries:
                     if p is not part
                 }
                 bystanders = [k for k, e in part.entries.items() if e[0] != m]
-                epoch, gen, frontier = influx.freshness("pmove", m)
+                stamps = epoch, gen, frontier = influx.freshness("pmove", m)
                 assert gen == influx.generation("pmove", m)
+                sealed = t1 is not None and t1 < frontier
+                key = ("pmove", stmt if sealed else server.target_statement(target))
+                deltas = server.delta_serves
 
                 times, values, hit = server.execute_target(target, t0, t1, tenant=tenant)
 
                 fresh = naive_execute(influx, "pmove", stmt).series()
                 assert (list(times), list(values)) == (list(fresh[0]), list(fresh[1]))
-                # every read that hit before still hits; hits may be gained
-                assert hit or not model.read(tenant, ("pmove", stmt), gen)
+                # every read the rule says hits does; evicting the dead
+                # early can only leave more room for the living
+                want = model.read(tenant, target, stmt, stamps, (t0, t1))
+                assert hit or not want
                 if hit:
-                    model.read(tenant, ("pmove", stmt), gen)
-                    # … but only ever on an answer computed in this epoch,
-                    # and after a write only on one it cannot have reached
-                    was = computed[tenant, stmt]
-                    assert was[0] == epoch and (was[2] or was[1] == gen)
+                    # … and only ever on an answer computed in this epoch,
+                    # after a write only on one the write cannot have reached
+                    assert server.delta_serves == deltas
+                    was_stamps, was_window = computed[tenant, key]
+                    assert was_stamps[0] == epoch
+                    assert sealed or (was_stamps, was_window) == (stamps, (t0, t1))
                 else:
-                    computed[tenant, stmt] = (
-                        epoch, gen, t1 is not None and t1 < frontier)
-                # nothing of m stamped otherwise is left in this partition …
-                filed = part.by_measurement[m]
-                assert (filed.epoch, filed.generation) == (epoch, gen)
-                was = computed[tenant, stmt]
-                assert ("pmove", stmt) in (filed.sealed if was[2] else filed.open)
-                for key in filed.sealed | filed.open:
-                    assert computed[tenant, key[1]][0] == epoch
-                for key in filed.open:
-                    assert computed[tenant, key[1]][1] == gen
+                    # a delta only ever extends this epoch's held answer to
+                    # a window that starts no earlier
+                    if server.delta_serves > deltas:
+                        was_stamps, (was_t0, _) = computed[tenant, key]
+                        assert not sealed and was_stamps[0] == epoch
+                        assert was_t0 == t0 or (None not in (was_t0, t0) and was_t0 <= t0)
+                    computed[tenant, key] = (stamps, (t0, t1))
+                # nothing sealed of m is left from another epoch, and the
+                # target's held answer is the one just served …
+                filed = part.by_measurement.get(m)
+                for sealed_key in filed.sealed if filed else ():
+                    assert filed.epoch == epoch == computed[tenant, sealed_key][0][0]
+                if sealed:
+                    assert key in filed.sealed
+                else:
+                    assert part.entries[key][3:] == computed[tenant, key]
+                    assert list(part.entries)[-1] == key
                 # … other measurements lose entries to capacity only, oldest
                 # first, and other partitions are not touched at all
                 left = [k for k in bystanders if k in part.entries]
@@ -563,3 +632,107 @@ class TestDeadEntries:
                 assert info["sealed"] + info["open"] == info["entries"]
         assert server.cache_hits >= model.hits
         assert server.cache_hits + server.cache_misses == model.hits + model.misses
+
+
+# ----------------------------------------------------------------------
+# Sliding refreshes: a held answer plus what the frontier let in
+# ----------------------------------------------------------------------
+def _same(got, want):
+    """(times, values) equality that takes NaN for what it is."""
+    return repr((list(got[0]), list(got[1]))) == repr((list(want[0]), list(want[1])))
+
+
+def _slide(kind, seed, steps=60):
+    """A live dashboard's life under everything that can happen to its
+    data: a refresh of every target after every mutation, over windows
+    whose ``t0`` and ``t1`` advance with the clock — each answer what a
+    cache-cold server and the naive scan say.  Returns the server."""
+    rng = random.Random(seed)
+    influx = _engine(kind)
+    server = GrafanaServer(influx, cache_size=rng.choice([3, 64, 64]))
+    targets = [Target(m, f, tag=s)
+               for m in MEASUREMENTS[:2] for f in ("v", "w") for s in ("a", "c", "")]
+    now, width, down_until = 40.0, rng.choice([6.0, 25.0]), -1.0
+    for step in range(steps):
+        now += rng.choice([0.0, 0.0, 0.5, 1.0, 4.0])  # 0: equal stamps at the frontier
+        if isinstance(influx, ShardedInfluxDB):
+            influx.at(now)
+        m, s = rng.choice(MEASUREMENTS[:2]), rng.choice(SERIES + LATE_SERIES)
+        action = rng.random()
+        if action < 0.75 or action >= 0.96:  # in order; late if >= 0.96
+            t = now if action < 0.75 else now - rng.uniform(0.5, 30.0)
+            fields = rng.choice([
+                {"v": rng.uniform(-9, 9)}, {"w": 1.0},  # "v" is None in this row
+                {"v": math.nan, "w": 2.0}, {"v": 0.5, "w": math.nan}])
+            influx.write("pmove", Point(m, {"tag": s}, fields, t))
+        elif action < 0.79:
+            influx.delete_series("pmove", m, tags={"tag": s})
+        elif action < 0.83:
+            influx.set_retention_policy("pmove", rng.choice([10.0, 30.0]))
+            influx.enforce_retention("pmove", now)
+        elif action < 0.88:
+            _reshard(influx, rng.choice(["add", "drain", "remove"]), rng.randrange(6))
+        elif kind == "sharded" and now > down_until:
+            down_until = now + rng.choice([0.5, 3.0])
+            influx.inject_shard_fault(
+                rng.choice(influx.shard_names()), NodeCrash(t0=now, t1=down_until))
+        for target in targets:
+            t0 = rng.choice([now - width] * 4 + [now - 2 * width, None])
+            t1 = rng.choice([now, now + 5.0, None])
+            tenant = rng.choice(TENANTS[:2])
+            held_key = ("pmove", server.target_statement(target))
+            part, partials = server._partition_for(tenant)[0], server.partial_serves
+            held = part.entries.get(held_key)
+            times, values, hit = server.execute_target(target, t0, t1, tenant=tenant)
+            if hit and kind == "sharded" and "down" in influx.shard_states().values():
+                continue  # a hit asks no shard: the whole answer, outage or not
+            cold = GrafanaServer(influx).execute_target(target, t0, t1)
+            naive = naive_execute(
+                influx, "pmove", server.target_statement(target, t0, t1)).series()
+            where = f"seed {seed} step {step} {target.measurement}.{target.params}"
+            assert _same((times, values), cold[:2]), where
+            assert _same((times, values), naive), where
+            if server.partial_serves > partials:  # served, never held
+                assert part.entries.get(held_key) is held
+        check_index(server)
+    return server
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+class TestSlidingRefresh:
+    def test_refresh_after_every_write_equals_a_cold_server(self, kind):
+        served = [_slide(kind, seed) for seed in range(6)]
+        assert sum(s.delta_serves for s in served) > 300
+        assert sum(s.cache_hits for s in served) > 10
+        if kind == "sharded":
+            assert sum(s.partial_serves for s in served) > 20
+
+    @pytest.mark.chaos
+    def test_refresh_after_every_write_equals_a_cold_server_at_length(self, kind):
+        for seed in range(100, 140):
+            _slide(kind, seed, steps=80)
+
+    def test_a_slid_refresh_reads_from_the_held_frontier_only(self, kind, monkeypatch):
+        """Counted, not timed: the engine is asked for the rows at or above
+        the frontier the held answer was computed at, no statement text is
+        formatted, and the held rows below it are served as they stand."""
+        influx = _engine(kind)
+        server = GrafanaServer(influx)
+        target = Target("m0", "v", tag="a")
+        first = server.execute_target(target, 10.0, 40.0)
+        frontier = influx.freshness("pmove", "m0")[2]
+        assert frontier == 36.0 and server.delta_serves == 0
+        influx.write_many("pmove", [
+            Point("m0", {"tag": "a"}, {"v": float(t)}, float(t)) for t in (36, 38, 41)])
+        asked, formatted = [], []
+        scan = influx.scan_columns
+        monkeypatch.setattr(influx, "scan_columns", lambda *a, **kw: (
+            asked.append(a[4:6] if len(a) > 4 else (kw.get("t0"), kw.get("t1"))),
+            scan(*a, **kw))[1])
+        monkeypatch.setattr(GrafanaServer, "target_statement", staticmethod(
+            lambda *a, **kw: formatted.append(a) or "never"))
+        times, values, hit = server.execute_target(target, 14.0, 45.0)
+        assert asked == [(frontier, 45.0)] and not formatted and not hit
+        assert (server.delta_serves, server.cache_misses) == (1, 2)
+        assert times == [16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 36.0, 38.0, 41.0]
+        assert times[:5] == first[0][1:6] and values == times

@@ -141,6 +141,52 @@ class TestGrafanaServer:
         assert "== t ==" in full
 
 
+class TestSeriesLabels:
+    """``Panel.labels`` is the one label rule, for ``execute_panel`` and the
+    serving frontend alike: no target's series overwrites another's."""
+
+    def served(self, panel, points):
+        from repro.serve import ServingFrontend, TenantConfig
+
+        influx = InfluxDB()
+        influx.create_database("pmove")
+        influx.write_many("pmove", points)
+        direct = GrafanaServer(influx).execute_panel(panel)
+        fe = ServingFrontend(GrafanaServer(influx), [TenantConfig("a")], keep_results=True)
+        rid = fe.submit("a", panel, at=0.0)
+        fe.drain()
+        assert fe.results[rid] == direct and list(direct) == panel.labels()
+        return direct
+
+    def test_one_line_per_execution_of_one_field(self):
+        """Fig 2 c/d: one measurement and field under two tags, no alias."""
+        panel = Panel(id=1, title="runs", targets=[
+            Target("kernel", "_flops", tag="run-a"), Target("kernel", "_flops", tag="run-b")])
+        series = self.served(panel, [
+            Point("kernel", {"tag": f"run-{r}"}, {"_flops": v}, 1.0)
+            for r, v in (("a", 1.0), ("b", 2.0))])
+        assert series == {"kernel_flops [run-a]": ([1.0], [1.0]),
+                          "kernel_flops [run-b]": ([1.0], [2.0])}
+
+    def test_long_names_sharing_their_last_40_characters(self):
+        tail = "x" * 36 + "_cpu"
+        panel = Panel(id=1, title="long", targets=[
+            Target("node.a." + tail, "0"), Target("node.b." + tail, "0"),
+            Target("node.b." + tail, "0", tag="t"), Target("other", "v")])
+        cut = (tail + "0")[-40:]
+        assert panel.labels() == [f"{cut} #1", f"{cut} #2", f"{cut} [t]", "otherv"]
+        series = self.served(panel, [
+            Point(f"node.{n}.{tail}", {"tag": "t"}, {"0": v}, 1.0)
+            for n, v in (("a", 1.0), ("b", 2.0))])
+        assert [v for _, v in series.values()] == [[1.0], [2.0], [2.0], []]
+
+    def test_labels_that_do_not_collide_are_what_they_always_were(self):
+        panel = Panel(id=1, title="p", targets=[
+            Target("cpu", "_cpu0", tag="t1"), Target("cpu", "_cpu1", tag="t1"),
+            Target("m" * 50, "_v"), Target("cpu", "_cpu0", alias="named")])
+        assert panel.labels() == ["cpu_cpu0", "cpu_cpu1", "m" * 38 + "_v", "named"]
+
+
 class TestRenderers:
     def test_sparkline_shape(self):
         s = sparkline([0, 1, 2, 3, 4, 5, 6, 7, 8], width=9)
