@@ -63,12 +63,11 @@ def _series_by_event(influx: InfluxDB, database: str, observation: dict) -> dict
         event = m.get("event")
         if not event:
             continue  # software metric rows are not PMU events
-        pts = influx.points(database, m["measurement"], tags={"tag": observation["tag"]})
-        series = []
-        for p in pts:
-            vals = [p.fields[f] for f in m["fields"] if f in p.fields]
-            series.append((p.time, float(sum(vals))))
-        out[event] = series
+        _, rows = influx.scan_columns(
+            database, m["measurement"], m["fields"], tags={"tag": observation["tag"]})
+        out[event] = [
+            (t, float(sum(v for v in vals if v is not None))) for t, vals in rows
+        ]
     return out
 
 

@@ -340,12 +340,13 @@ class ClusterMonitor:
         network.interface.out.bytes series."""
         out: dict[str, float] = {}
         for node in execution.nodes:
-            pts = self.daemon.influx.points(
+            nic = self.cluster.node(node).spec.nics[0].name
+            _, rows = self.daemon.influx.scan_columns(
                 self.daemon.database,
                 "network_interface_out_bytes",
+                [f"_{nic}"],
                 tags={"tag": execution.job_id, "host": node},
             )
-            nic = self.cluster.node(node).spec.nics[0].name
-            total = sum(p.fields.get(f"_{nic}", 0.0) for p in pts)
-            out[node] = total
+            col = rows.cols[0] or [None] * len(rows)  # never written: all holes
+            out[node] = sum(0.0 if v is None else v for v in col)
         return out

@@ -234,18 +234,16 @@ class FederationLink:
             return True
         if mode != "ts":
             return False
-        for m in obs["metrics"]:
-            local = local_influx.points(
-                local_database, m["measurement"], tags={"tag": obs["tag"]}
-            )
-            upstream = sdb.influx.points(
-                "superdb", m["measurement"], tags={"tag": obs["tag"]}
-            )
-            n_local = sum(len(p.fields) for p in local)
-            n_up = sum(len(p.fields) for p in upstream)
-            if n_local != n_up:
-                return True
-        return False
+        def n_values(influx: "InfluxDB", database: str, measurement: str) -> int:
+            _, rows = influx.scan_columns(
+                database, measurement, tags={"tag": obs["tag"]})
+            return sum(len(col) - col.count(None) for col in rows.cols)
+
+        return any(
+            n_values(local_influx, local_database, m["measurement"])
+            != n_values(sdb.influx, "superdb", m["measurement"])
+            for m in obs["metrics"]
+        )
 
     def anti_entropy(
         self,

@@ -46,10 +46,12 @@ def replay(influx: InfluxDB, database: str, observation: dict) -> list[ReplayEve
         raise ValueError("replay needs an ObservationInterface entry")
     events: list[ReplayEvent] = []
     for m in observation["metrics"]:
-        for p in influx.points(database, m["measurement"], tags={"tag": observation["tag"]}):
-            for f, v in p.fields.items():
-                events.append(ReplayEvent(t=p.time, measurement=m["measurement"],
-                                          field=f, value=v))
+        fields, rows = influx.scan_columns(
+            database, m["measurement"], tags={"tag": observation["tag"]})
+        for f, col in zip(fields, rows.cols):
+            events.extend(
+                ReplayEvent(t=t, measurement=m["measurement"], field=f, value=v)
+                for t, v in zip(rows.times, col) if v is not None)
     if not events:
         raise ValueError(
             f"no stored series for observation {observation.get('@id')!r} — "

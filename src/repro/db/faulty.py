@@ -7,6 +7,10 @@ caller stamps ``now`` (or uses :meth:`at`) before each attempt, mirroring
 how the sampler's virtual clock drives everything else in the substrate.
 Reads and admin calls delegate untouched, so dashboards keep rendering
 whatever data did make it in during an outage.
+
+Which sinks keep a virtual clock, and which of them reject writes, is
+known here only: the sampler, the shipper and the durable consumers write
+through :func:`write_at` and none of them looks at the sink's attributes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from repro.faults.services import ServiceFaultSet, ServiceUnavailable
 
 from .influx import InfluxDB, Point
 
-__all__ = ["FaultyInfluxDB", "ServiceUnavailable"]
+__all__ = [
+    "FaultyInfluxDB", "ServiceUnavailable", "service_faults", "stamp", "write_at",
+]
 
 
 class FaultyInfluxDB:
@@ -37,9 +43,7 @@ class FaultyInfluxDB:
         clock as the service faults interposed here.
         """
         self.now = t
-        inner_at = getattr(self.inner, "at", None)
-        if inner_at is not None:
-            inner_at(t)
+        stamp(self.inner, t)
         return self
 
     # ------------------------------------------------------------------
@@ -61,10 +65,7 @@ class FaultyInfluxDB:
         # ``seqs`` pins per-measurement write sequences (the durable-ingest
         # apply path); forwarded verbatim so the idempotence gate works
         # through the fault proxy.
-        if seqs is None:
-            n = self.inner.write_many(db, points)
-        else:
-            n = self.inner.write_many(db, points, seqs=seqs)
+        n = write_at(self.inner, self.now, db, points, seqs=seqs)
         self.accepted_writes += 1
         return n
 
@@ -78,3 +79,36 @@ class FaultyInfluxDB:
     def __getattr__(self, name: str):
         # Reads, admin, retention — everything else passes straight through.
         return getattr(self.inner, name)
+
+
+def stamp(sink, t: float) -> None:
+    """Tell ``sink`` its next operation happens at virtual time ``t``: the
+    fault proxy and the shard router keep a clock (their faults are windows
+    on it), a plain engine keeps none."""
+    at = getattr(sink, "at", None)
+    if at is not None:
+        at(t)
+
+
+def write_at(
+    sink, t: float, db: str, points: list[Point], *, seqs: list[int] | None = None
+) -> int:
+    """Write one batch into ``sink`` at virtual time ``t``.  A fault proxy
+    with a write-failing fault active at ``t`` raises
+    :class:`ServiceUnavailable` and stores nothing — the one way a service
+    fault becomes a rejected write."""
+    stamp(sink, t)
+    if seqs is None:
+        return sink.write_many(db, points)
+    return sink.write_many(db, points, seqs=seqs)
+
+
+def service_faults(
+    sink, override: ServiceFaultSet | None = None
+) -> ServiceFaultSet | None:
+    """The fault set that prices an attempt into ``sink``: ``override``, else
+    the fault proxy's own.  Anything else has none — a shard router's
+    ``faults`` are node faults of its shards, not service faults."""
+    if override is None and isinstance(sink, FaultyInfluxDB):
+        return sink.faults
+    return override

@@ -33,6 +33,7 @@ from typing import Any
 
 from repro.core.daemon import PMoVE
 from repro.core.superdb import SuperDB
+from repro.db.faulty import stamp
 from repro.faults.log import ConsumerCrash, LogFaultSet, LogTruncation
 from repro.faults.nodes import NodeCrash, NodeFlap, NodeHang
 from repro.faults.services import (
@@ -282,8 +283,7 @@ def _breaker_edges(breaker) -> list[list[str]]:
 
 
 def _db_hash(influx, db: str, at: float) -> str:
-    if hasattr(influx, "at"):
-        influx.at(at)
+    stamp(influx, at)
     h = hashlib.sha256()
     for m in sorted(influx.measurements(db)):
         for line in sorted(p.to_line() for p in influx.points(db, m)):

@@ -34,6 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.db import faulty
 from repro.db.faulty import ServiceUnavailable
 from repro.db.influx import InfluxError, Point
 from repro.faults.log import LogFaultSet
@@ -312,15 +313,10 @@ class DbWriterConsumer(LogConsumer):
         self.database = database
         self.transport = transport
         # A FaultyInfluxDB carries its own fault set; use it unless overridden.
-        self.service_faults = (
-            service_faults if service_faults is not None
-            else getattr(sink, "faults", None)
-        )
+        self.service_faults = faulty.service_faults(sink, service_faults)
         self.tracker = tracker or ReportTracker()
         self.zero_points = 0
-        #: The sink's optional hooks: a virtual clock (failure-injectable
-        #: proxies) and the per-series applied-seq gate.
-        self._sink_at = getattr(sink, "at", None)
+        #: The sink's optional per-series applied-seq gate.
         self._sink_max_seq = getattr(sink, "max_seq", None)
         if database not in sink.databases():
             sink.create_database(database)
@@ -342,9 +338,7 @@ class DbWriterConsumer(LogConsumer):
         return max_seq(self.database, rec.topic, pts[0].tags) >= rec.seq
 
     def apply(self, rec: LogRecord, pts: list[Point], t: float) -> None:
-        if self._sink_at is not None:
-            self._sink_at(t)
-        self.sink.write_many(self.database, pts, seqs=[rec.seq] * len(pts))
+        faulty.write_at(self.sink, t, self.database, pts, seqs=[rec.seq] * len(pts))
 
     def _on_applied(self, rec: LogRecord, pts: list[Point], t: float) -> None:
         self.tracker.record_applied(rec)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.db.faulty import ServiceUnavailable
+from repro.db.faulty import ServiceUnavailable, write_at
 from repro.db.influx import InfluxDB, Point
 
 from .pmcd import Pmcd, Report
@@ -42,6 +42,12 @@ _BACKPRESSURE_HIGH = 0.75
 _BACKPRESSURE_LOW = 0.25
 #: Deepest frequency-halving allowed: freq / 8.
 _MAX_STRIDE = 8
+#: Shipper counters that are SamplingStats fields of the same name.
+_SHIPPER_COUNTERS = (
+    "inserted_points", "zero_points", "inserted_reports", "zero_reports",
+    "retried_reports", "recovered_reports", "dropped_by_policy", "spilled_reports",
+    "unshipped_reports", "max_queue_depth", "max_staleness_s",
+)
 
 
 @dataclass
@@ -178,15 +184,6 @@ class Sampler:
             if fields
         ]
 
-    def _insert(self, report: Report, tag: str) -> int:
-        """Write one report into Influx as one batch; returns points inserted.
-
-        The whole report ships through :meth:`InfluxDB.write_many` — one
-        database lookup per report instead of one ``write()`` per metric."""
-        batch = self._batch(report, tag)
-        self.influx.write_many(self.database, batch)
-        return sum(len(p.fields) for p in batch)
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -203,27 +200,26 @@ class Sampler:
         """Sample ``metrics`` at ``freq_hz`` over ``[t_start, t_end]``.
 
         Each tick fetches the window since the previous *successful* tick
-        (counter deltas), ships it, and inserts it under ``tag``.  In the
-        default unbuffered mode, ticks that fire while the pipeline is busy
-        are lost; high-frequency runs additionally deliver zero batches
-        (§V-A) — stale snapshot reads that insert zeros *without* advancing
-        the counter cursor, so the next good fetch recovers the counts
-        (this is why Fig 4's summed errors stay small even when Table III
-        shows batched zeros).  ``mode="buffered"`` decouples fetch from
-        insert through a :class:`Shipper` — no busy-losses; queue, retry
-        and breaker behaviour per ``shipper_config``.
+        (counter deltas) and hands the report to the sink ``mode`` names,
+        which gets it into the host DB under ``tag``.  High-frequency runs
+        additionally deliver zero batches (§V-A) — stale snapshot reads that
+        insert zeros *without* advancing the counter cursor, so the next
+        good fetch recovers the counts (this is why Fig 4's summed errors
+        stay small even when Table III shows batched zeros).
+
+        In the default unbuffered mode the sampler ships and inserts each
+        report itself, and ticks that fire while it is busy are lost.
+        ``mode="buffered"`` decouples fetch from insert through a
+        :class:`Shipper` — no busy-losses; queue, retry and breaker
+        behaviour per ``shipper_config``.  ``mode="durable"`` produces
+        reports into a shared :class:`~repro.pcp.consumers.IngestPipeline`
+        (the checkpointed commit log) instead of writing point-to-point, and
+        the stats are read back from the pipeline's DB-writer group.
 
         ``final_fetch=True`` adds one closing fetch at ``t_end`` — what PCP
         does when P-MoVE "stops the sampling as the kernel is halted"
         (Scenario B); without it the tail window past the last tick is
         never observed.
-
-        ``mode="durable"`` produces reports into a shared
-        :class:`~repro.pcp.consumers.IngestPipeline` (the checkpointed
-        commit log) instead of writing point-to-point; the pipeline's
-        consumer groups — pumped between ticks and drained after the run —
-        make the data visible, and the stats are read back as counter
-        deltas from the pipeline's DB-writer group.
         """
         if freq_hz <= 0:
             raise ValueError("sampling frequency must be positive")
@@ -232,305 +228,82 @@ class Sampler:
         if mode not in ("unbuffered", "buffered", "durable"):
             raise ValueError(f"unknown sampling mode {mode!r}")
         tag = tag or str(uuid.uuid4())
+        config = shipper_config or ShipperConfig()
         if mode == "durable":
             if pipeline is None:
                 raise ValueError("mode='durable' needs an IngestPipeline")
-            stats = self._run_durable(
-                metrics, freq_hz, t_start, t_end, tag, final_fetch, pipeline,
-                (shipper_config or ShipperConfig()).drain_grace_s,
-            )
+            sink = _LogSink(tag, pipeline, t_start, config.drain_grace_s)
         elif mode == "buffered":
-            stats = self._run_buffered(
-                metrics, freq_hz, t_start, t_end, tag, final_fetch,
-                shipper_config or ShipperConfig(),
-            )
+            sink = _QueueSink(self, tag, config, freq_hz, t_start)
         else:
-            stats = self._run_unbuffered(
-                metrics, freq_hz, t_start, t_end, tag, final_fetch
-            )
+            sink = _DirectSink(self, t_start)
+        stats = self._run(metrics, freq_hz, t_start, t_end, tag, final_fetch, mode, sink)
         self.last_stats = stats
         if stats.inserted_reports > 0:
             self.last_success_t = t_end
         return stats
 
     # ------------------------------------------------------------------
-    def _run_unbuffered(
-        self,
-        metrics: list[str],
-        freq_hz: float,
-        t_start: float,
-        t_end: float,
-        tag: str,
-        final_fetch: bool,
-    ) -> SamplingStats:
-        period = 1.0 / freq_hz
-        n_ticks = int(round((t_end - t_start) * freq_hz))
-        p_zero = self.transport.zero_batch_probability(period)
-        hiccup = self.transport.hiccup_rate(self._rng)
+    def _run(self, metrics: list[str], freq_hz: float, t_start: float, t_end: float,
+             tag: str, final_fetch: bool, mode: str, sink) -> SamplingStats:
+        """The one tick loop: tick, fetch, hand the report to ``sink``.
 
-        points_per_report: int | None = None
-        busy_until = t_start
-        last_fetch_t = t_start
-        inserted_reports = lost = zero_reports = 0
-        inserted_points = zero_points = 0
-
-        for k in range(1, n_ticks + 1):
-            tick = t_start + k * period
-            if tick < busy_until or self._rng.random() < hiccup:
-                lost += 1  # unbuffered: sampler still busy -> tick dropped
-                continue
-            is_zero = self._rng.random() < p_zero
-            if is_zero:
-                # Stale snapshot: the agent answers with zeros and its read
-                # cursor does not advance.
-                report = self.pmcd.fetch(metrics, tick, tick).zeroed()
-                zero_reports += 1
-            else:
-                report = self.pmcd.fetch(metrics, last_fetch_t, tick)
-                last_fetch_t = tick
-            if points_per_report is None:
-                points_per_report = report.n_points
-            busy_until = tick + self.transport.ship_time(report.n_points, self._rng)
-            if hasattr(self.influx, "at"):  # failure-injectable proxy
-                self.influx.at(busy_until)
-            try:
-                n = self._insert(report, tag)
-            except ServiceUnavailable:
-                # No buffer, no retry: an insert rejected by a service fault
-                # is simply gone — the paper's §V-A failure mode.
-                lost += 1
-                if is_zero:
-                    zero_reports -= 1
-                continue
-            inserted_points += n
-            inserted_reports += 1
-            if is_zero:
-                zero_points += n
-
-        if final_fetch and last_fetch_t < t_end:
-            report = self.pmcd.fetch(metrics, last_fetch_t, t_end)
-            if hasattr(self.influx, "at"):
-                self.influx.at(t_end)
-            try:
-                inserted_points += self._insert(report, tag)
-                inserted_reports += 1
-            except ServiceUnavailable:
-                lost += 1
-            if points_per_report is None:
-                points_per_report = report.n_points
-
-        if points_per_report is None:
-            # Nothing delivered; derive the domain size from a dry fetch.
-            points_per_report = self.pmcd.fetch(metrics, t_start, t_end).n_points
-            inserted_reports = 0
-        return SamplingStats(
-            freq_hz=freq_hz,
-            n_metrics=len(metrics),
-            duration_s=t_end - t_start,
-            expected_points=n_ticks * points_per_report,
-            inserted_points=inserted_points,
-            zero_points=zero_points,
-            expected_reports=n_ticks,
-            inserted_reports=inserted_reports,
-            lost_reports=lost,
-            zero_reports=zero_reports,
-            tag=tag,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_buffered(
-        self,
-        metrics: list[str],
-        freq_hz: float,
-        t_start: float,
-        t_end: float,
-        tag: str,
-        final_fetch: bool,
-        config: ShipperConfig,
-    ) -> SamplingStats:
-        period = 1.0 / freq_hz
-        n_ticks = int(round((t_end - t_start) * freq_hz))
-        p_zero = self.transport.zero_batch_probability(period)
-        # pmcd-side physics is unchanged by buffering: scheduling hiccups
-        # still lose ticks and sub-floor periods still go stale.
-        hiccup = self.transport.hiccup_rate(self._rng)
-        shipper = Shipper(
-            self.influx, self.database, self.transport, config, rng=self._rng
-        )
-        self.last_shipper = shipper
-        self.last_degradation = [(t_start, 1)]
-
-        high_wm = max(1, int(math.ceil(_BACKPRESSURE_HIGH * config.capacity)))
-        low_wm = int(_BACKPRESSURE_LOW * config.capacity)
-        stride = 1
-        degraded = 0
-        min_eff_freq = freq_hz
-        points_per_report: int | None = None
-        last_fetch_t = t_start
-        lost = 0
-
-        for k in range(1, n_ticks + 1):
-            tick = t_start + k * period
-            shipper.advance(tick)
-            depth = len(shipper)
-            if not config.adaptive_degradation:
-                new_stride = 1
-            elif depth >= high_wm:
-                new_stride = min(stride * 2, _MAX_STRIDE)
-            elif depth <= low_wm:
-                new_stride = 1
-            else:
-                new_stride = stride
-            if new_stride != stride:
-                stride = new_stride
-                self.last_degradation.append((tick, stride))
-            min_eff_freq = min(min_eff_freq, freq_hz / stride)
-            if k % stride:
-                degraded += 1
-                continue
-            if self._rng.random() < hiccup:
-                lost += 1  # pmcd scheduling hiccup: the fetch never happens
-                continue
-            is_zero = self._rng.random() < p_zero
-            if is_zero:
-                report = self.pmcd.fetch(metrics, tick, tick).zeroed()
-            else:
-                report = self.pmcd.fetch(metrics, last_fetch_t, tick)
-                last_fetch_t = tick
-            if points_per_report is None:
-                points_per_report = report.n_points
-            shipper.offer(tick, tick, self._batch(report, tag),
-                          report.n_points, is_zero, tag)
-
-        if final_fetch and last_fetch_t < t_end:
-            report = self.pmcd.fetch(metrics, last_fetch_t, t_end)
-            if points_per_report is None:
-                points_per_report = report.n_points
-            shipper.offer(t_end, t_end, self._batch(report, tag),
-                          report.n_points, False, tag)
-
-        end_t = shipper.drain(t_end + config.drain_grace_s)
-        if points_per_report is None:
-            points_per_report = self.pmcd.fetch(metrics, t_start, t_end).n_points
-
-        return SamplingStats(
-            freq_hz=freq_hz,
-            n_metrics=len(metrics),
-            duration_s=t_end - t_start,
-            expected_points=n_ticks * points_per_report,
-            inserted_points=shipper.inserted_points,
-            zero_points=shipper.zero_points,
-            expected_reports=n_ticks,
-            inserted_reports=shipper.inserted_reports,
-            lost_reports=lost,
-            zero_reports=shipper.zero_reports,
-            tag=tag,
-            mode="buffered",
-            retried_reports=shipper.retried_reports,
-            recovered_reports=shipper.recovered_reports,
-            dropped_by_policy=shipper.dropped_by_policy,
-            spilled_reports=shipper.spilled_reports,
-            unshipped_reports=shipper.unshipped_reports,
-            degraded_ticks=degraded,
-            breaker_open_s=shipper.breaker.open_seconds(max(end_t, t_end)),
-            max_queue_depth=shipper.max_queue_depth,
-            max_staleness_s=shipper.max_staleness_s,
-            effective_freq_hz=min_eff_freq,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_durable(
-        self,
-        metrics: list[str],
-        freq_hz: float,
-        t_start: float,
-        t_end: float,
-        tag: str,
-        final_fetch: bool,
-        pipeline,
-        drain_grace_s: float,
-    ) -> SamplingStats:
-        """Produce into the commit log; consumers run between ticks.
-
-        pmcd-side physics is unchanged (hiccups lose ticks, sub-floor
-        periods go stale-zero); the transport queue is gone — the log *is*
-        the queue, and appends are local, so there is no backpressure to
-        degrade under.  Loss can only happen downstream, where the chaos
-        suite proves there is none (or it is parked, visibly, in the DLQ).
+        pmcd-side physics is the same whatever the sink: scheduling hiccups
+        lose ticks and sub-floor periods go stale-zero.  What a mode changes
+        is where a report goes, and the order of draws on the sampler's
+        generator is part of each mode's contract (the Table III digits
+        hang on it): whatever ``before_tick`` draws, then the hiccup draw —
+        none on a tick the sink refused — then the zero draw, the fetch,
+        whatever ``deliver`` draws; the closing fetch draws nothing here.
         """
         period = 1.0 / freq_hz
         n_ticks = int(round((t_end - t_start) * freq_hz))
         p_zero = self.transport.zero_batch_probability(period)
         hiccup = self.transport.hiccup_rate(self._rng)
 
-        before = pipeline.flat_counters()
-        writers = pipeline.group_members("db-writer")
-        open_before = sum(c.breaker.open_seconds(t_start) for c in writers)
         points_per_report: int | None = None
         last_fetch_t = t_start
         lost = 0
 
         for k in range(1, n_ticks + 1):
             tick = t_start + k * period
-            pipeline.pump(tick)
+            if not sink.before_tick(k, tick):
+                continue
             if self._rng.random() < hiccup:
                 lost += 1  # pmcd scheduling hiccup: the fetch never happens
                 continue
             is_zero = self._rng.random() < p_zero
             if is_zero:
+                # Stale snapshot: the agent answers with zeros and its read
+                # cursor does not advance.
                 report = self.pmcd.fetch(metrics, tick, tick).zeroed()
             else:
                 report = self.pmcd.fetch(metrics, last_fetch_t, tick)
                 last_fetch_t = tick
             if points_per_report is None:
                 points_per_report = report.n_points
-            pipeline.produce(tick, tick, self._batch(report, tag), tag, is_zero)
+            sink.deliver(tick, report, self._batch(report, tag), is_zero, False)
 
         if final_fetch and last_fetch_t < t_end:
             report = self.pmcd.fetch(metrics, last_fetch_t, t_end)
             if points_per_report is None:
                 points_per_report = report.n_points
-            pipeline.produce(t_end, t_end, self._batch(report, tag), tag)
+            sink.deliver(t_end, report, self._batch(report, tag), False, True)
 
-        pipeline.producer.flush(t_end)
-        end_t = pipeline.drain(t_end + drain_grace_s)
+        counters = sink.finish(t_end)
         if points_per_report is None:
+            # Nothing delivered; derive the domain size from a dry fetch.
             points_per_report = self.pmcd.fetch(metrics, t_start, t_end).n_points
-
-        after = pipeline.flat_counters()
-        delta = lambda key: int(after.get(key, 0) - before.get(key, 0))  # noqa: E731
-        parked = sum(
-            after.get(k, 0) - before.get(k, 0)
-            for k in after
-            if k.endswith(".parked_records")
-        )
         return SamplingStats(
             freq_hz=freq_hz,
             n_metrics=len(metrics),
             duration_s=t_end - t_start,
             expected_points=n_ticks * points_per_report,
-            inserted_points=delta("db-writer.applied_points"),
-            zero_points=delta("db-writer.zero_points"),
             expected_reports=n_ticks,
-            inserted_reports=delta("db-writer.reports"),
-            lost_reports=lost,
-            zero_reports=delta("db-writer.zero_reports"),
+            lost_reports=lost + counters.pop("lost_reports", 0),
             tag=tag,
-            mode="durable",
-            breaker_open_s=(
-                sum(c.breaker.open_seconds(max(end_t, t_end)) for c in writers)
-                - open_before
-            ),
-            max_staleness_s=max(
-                (c.max_staleness_s for c in writers), default=0.0
-            ),
-            produced_records=delta("producer.records"),
-            applied_records=delta("db-writer.applied_records"),
-            duplicate_records=delta("db-writer.duplicate_records"),
-            parked_records=int(parked),
-            resent_records=delta("producer.resent"),
-            max_group_lag=pipeline.max_group_lag,
-            backlog_records=pipeline.backlog_records(),
+            mode=mode,
+            **counters,
         )
 
     # ------------------------------------------------------------------
@@ -544,3 +317,144 @@ class Sampler:
         if freq_hz < 0:
             raise ValueError("negative frequency")
         return 3.2e-6 * freq_hz
+
+
+class _DirectSink:
+    """§V-A's pipeline: no buffer, no retry — the sampler ships and inserts
+    each report itself, a tick that fires meanwhile is lost before any draw,
+    and an insert a service fault rejects is simply gone."""
+
+    def __init__(self, sampler: "Sampler", t_start: float) -> None:
+        self.sampler = sampler
+        self.busy_until = t_start
+        self.counters = dict.fromkeys(
+            ("inserted_points", "zero_points", "inserted_reports", "zero_reports",
+             "lost_reports"), 0)
+
+    def before_tick(self, k: int, tick: float) -> bool:
+        if tick < self.busy_until:
+            self.counters["lost_reports"] += 1  # sampler still busy -> tick dropped
+            return False
+        return True
+
+    def deliver(self, t: float, report: Report, batch: list[Point], is_zero: bool,
+                final: bool) -> None:
+        s, c = self.sampler, self.counters
+        if not final:  # the closing fetch is inserted as sampling stops
+            t = self.busy_until = t + s.transport.ship_time(report.n_points, s._rng)
+        try:
+            write_at(s.influx, t, s.database, batch)
+        except ServiceUnavailable:
+            c["lost_reports"] += 1
+            return
+        n = sum(len(p.fields) for p in batch)
+        c["inserted_reports"] += 1
+        c["inserted_points"] += n
+        if is_zero:
+            c["zero_reports"] += 1
+            c["zero_points"] += n
+
+    def finish(self, t_end: float) -> dict:
+        return self.counters
+
+
+class _QueueSink:
+    """Reports queue in a :class:`Shipper`, serviced before each tick; on a
+    deep queue the tick stride doubles (a skipped tick is degraded, not
+    lost, and draws nothing) and a shallow one restores it."""
+
+    def __init__(self, sampler: "Sampler", tag: str, config: ShipperConfig,
+                 freq_hz: float, t_start: float) -> None:
+        self.tag = tag
+        self.freq_hz = freq_hz
+        self.shipper = sampler.last_shipper = Shipper(
+            sampler.influx, sampler.database, sampler.transport, config,
+            rng=sampler._rng)
+        self.trace = sampler.last_degradation = [(t_start, 1)]
+        self.high_wm = max(1, int(math.ceil(_BACKPRESSURE_HIGH * config.capacity)))
+        self.low_wm = int(_BACKPRESSURE_LOW * config.capacity)
+        self.stride = 1
+        self.degraded = 0
+        self.min_eff_freq = freq_hz
+
+    def before_tick(self, k: int, tick: float) -> bool:
+        self.shipper.advance(tick)
+        depth = len(self.shipper)
+        stride = self.stride
+        if not self.shipper.config.adaptive_degradation:
+            stride = 1
+        elif depth >= self.high_wm:
+            stride = min(stride * 2, _MAX_STRIDE)
+        elif depth <= self.low_wm:
+            stride = 1
+        if stride != self.stride:
+            self.stride = stride
+            self.trace.append((tick, stride))
+        self.min_eff_freq = min(self.min_eff_freq, self.freq_hz / stride)
+        if k % stride:
+            self.degraded += 1
+            return False
+        return True
+
+    def deliver(self, t: float, report: Report, batch: list[Point], is_zero: bool,
+                final: bool) -> None:
+        self.shipper.offer(t, t, batch, report.n_points, is_zero, self.tag)
+
+    def finish(self, t_end: float) -> dict:
+        shipper = self.shipper
+        end_t = shipper.drain(t_end + shipper.config.drain_grace_s)
+        return {
+            **{name: getattr(shipper, name) for name in _SHIPPER_COUNTERS},
+            "degraded_ticks": self.degraded,
+            "breaker_open_s": shipper.breaker.open_seconds(max(end_t, t_end)),
+            "effective_freq_hz": self.min_eff_freq,
+        }
+
+
+class _LogSink:
+    """Reports are produced into the commit log; its consumers run between
+    ticks and are drained after the run.  The transport queue is gone — the
+    log *is* the queue, and appends are local, so there is no backpressure
+    to degrade under.  Loss can only happen downstream, where the chaos
+    suite proves there is none (or it is parked, visibly, in the DLQ).  The
+    pipeline outlives the run, so the stats are deltas of its counters."""
+
+    def __init__(self, tag: str, pipeline, t_start: float, grace_s: float) -> None:
+        self.tag = tag
+        self.pipeline = pipeline
+        self.grace_s = grace_s
+        self.before = pipeline.flat_counters()
+        self.writers = pipeline.group_members("db-writer")
+        self.open_before = sum(c.breaker.open_seconds(t_start) for c in self.writers)
+
+    def before_tick(self, k: int, tick: float) -> bool:
+        self.pipeline.pump(tick)
+        return True
+
+    def deliver(self, t: float, report: Report, batch: list[Point], is_zero: bool,
+                final: bool) -> None:
+        self.pipeline.produce(t, t, batch, self.tag, is_zero)
+
+    def finish(self, t_end: float) -> dict:
+        pipeline, writers = self.pipeline, self.writers
+        pipeline.producer.flush(t_end)
+        end_t = pipeline.drain(t_end + self.grace_s)
+        before, after = self.before, pipeline.flat_counters()
+        delta = lambda key: int(after.get(key, 0) - before.get(key, 0))  # noqa: E731
+        open_s = sum(c.breaker.open_seconds(max(end_t, t_end)) for c in writers)
+        return {
+            "inserted_points": delta("db-writer.applied_points"),
+            "zero_points": delta("db-writer.zero_points"),
+            "inserted_reports": delta("db-writer.reports"),
+            "zero_reports": delta("db-writer.zero_reports"),
+            "breaker_open_s": open_s - self.open_before,
+            "max_staleness_s": max((c.max_staleness_s for c in writers), default=0.0),
+            "produced_records": delta("producer.records"),
+            "applied_records": delta("db-writer.applied_records"),
+            "duplicate_records": delta("db-writer.duplicate_records"),
+            "parked_records": sum(
+                delta(k) for k in after if k.endswith(".parked_records")),
+            "resent_records": delta("producer.resent"),
+            "max_group_lag": pipeline.max_group_lag,
+            "backlog_records": pipeline.backlog_records(),
+        }

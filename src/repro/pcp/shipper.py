@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.db.faulty import ServiceUnavailable
+from repro.db.faulty import FaultyInfluxDB, ServiceUnavailable, service_faults, write_at
 from repro.db.influx import InfluxDB, Point
 from repro.faults.services import ServiceFaultSet
 
@@ -118,12 +118,16 @@ class Shipper:
         faults: ServiceFaultSet | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
+        # A bare engine (or router) plus ``faults=`` gets the fault proxy here,
+        # once, so a rejected write is decided in one place whatever came in.
+        if faults is not None and not isinstance(influx, FaultyInfluxDB):
+            influx = FaultyInfluxDB(influx, faults)
         self.influx = influx
         self.database = database
         self.transport = transport
         self.config = config or ShipperConfig()
         # A FaultyInfluxDB carries its own fault set; use it unless overridden.
-        self.faults = faults if faults is not None else getattr(influx, "faults", None)
+        self.faults = service_faults(influx, faults)
         self._rng = rng or np.random.default_rng(0)
         self.retry = RetryPolicy(
             base_s=self.config.backoff_base_s,
@@ -216,16 +220,10 @@ class Shipper:
 
     # ------------------------------------------------------------------
     def _try_insert(self, item: _Item, t: float) -> bool:
-        if hasattr(self.influx, "at"):  # FaultyInfluxDB: stamp virtual time
-            self.influx.at(t)
-            try:
-                self.influx.write_many(self.database, item.batch)
-            except ServiceUnavailable:
-                return False
-            return True
-        if self.faults is not None and self.faults.write_error(t) is not None:
+        try:
+            write_at(self.influx, t, self.database, item.batch)
+        except ServiceUnavailable:
             return False
-        self.influx.write_many(self.database, item.batch)
         return True
 
     def _backoff(self, item: _Item) -> float:

@@ -1,15 +1,23 @@
-"""Tests for the transport model and the unbuffered sampling loop."""
+"""Tests for the transport model and the sampling loop."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.db import InfluxDB
+from repro.core import PMoVE
+from repro.db import FaultyInfluxDB, InfluxDB
+from repro.faults import DbOutage, ServiceFaultSet
 from repro.machine import SimulatedMachine, SoftwareState, icl, skx
 from repro.pcp import (
+    CommitLog,
+    DbWriterConsumer,
+    IngestPipeline,
     Pmcd,
     PmdaLinux,
     PmdaPerfevent,
     Sampler,
+    ShipperConfig,
     TransportModel,
     perfevent_metric,
 )
@@ -34,6 +42,138 @@ def make_sampler(mk=icl, seed=7, duration=10.0, n_events=2, transport=None):
     s = Sampler(pmcd, influx, transport=transport, seed=seed)
     metrics = [perfevent_metric(e) for e in EVENTS[:n_events]]
     return s, influx, metrics, m
+
+
+class RecordingRng:
+    """Generator proxy that logs every draw as ``(method, tick)``; ``tick``
+    is whatever the test last set it to."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.log = []
+        self.tick = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self.log.append((name, self.tick))
+            return draw(*args, **kwargs)
+
+        return recorded
+
+
+MODES = ("unbuffered", "buffered", "durable")
+
+#: Captured at the parent of the one-loop refactor (PR 23): per mode, every
+#: draw on the sampler's generator and every pmcd fetch of the window below,
+#: as ``method@k`` with k the index of the last tick that fetched.
+DRAWS = {
+    "unbuffered": (
+        "uniform@0 random@0 random@0 fetch@1 normal@1 random@1 random@1 "
+        "fetch@2 normal@2 random@2 random@2 fetch@3 normal@3 random@3 "
+        "random@3 fetch@4 normal@4 random@4 random@4 fetch@5 normal@5 "
+        "random@5 random@5 fetch@6 normal@6 random@6 random@6 fetch@7 "
+        "normal@7 random@7 random@7 fetch@8 normal@8 random@8 random@8 "
+        "fetch@9 normal@9 random@9 random@9 fetch@10 normal@10 random@10 "
+        "random@10 fetch@11 normal@11 random@11 random@11 fetch@12 "
+        "normal@12 random@12 random@12 random@12 fetch@14 normal@14 "
+        "random@14 random@14 fetch@15 normal@15 random@15 random@15 "
+        "fetch@16 normal@16"
+    ),
+    "buffered": (
+        "uniform@0 random@0 random@0 fetch@1 normal@1 random@1 random@1 "
+        "fetch@2 normal@2 random@2 random@2 fetch@3 normal@3 uniform@3 "
+        "random@3 random@3 fetch@4 normal@4 uniform@4 random@4 random@4 "
+        "fetch@5 random@5 random@5 fetch@6 random@6 random@6 fetch@8 "
+        "normal@8 uniform@8 normal@8 uniform@8 normal@8 normal@8 normal@8 "
+        "normal@8 random@8 random@8 fetch@11 normal@11 random@11 random@11 "
+        "fetch@12 normal@12 random@12 random@12 fetch@13 normal@13 "
+        "random@13 random@13 fetch@14 normal@14 random@14 random@14 "
+        "fetch@15 normal@15 random@15 random@15 fetch@16 fetch@16 normal@16 "
+        "normal@16"
+    ),
+    "durable": (
+        "uniform@0 random@0 random@0 fetch@1 random@1 random@1 fetch@2 "
+        "random@2 random@2 fetch@3 random@3 random@3 fetch@4 random@4 "
+        "random@4 fetch@5 random@5 random@5 fetch@6 random@6 random@6 "
+        "fetch@7 random@7 random@7 fetch@8 random@8 random@8 fetch@9 "
+        "random@9 random@9 fetch@10 random@10 random@10 fetch@11 random@11 "
+        "random@11 fetch@12 random@12 random@12 fetch@13 random@13 "
+        "random@13 fetch@14 random@14 random@14 fetch@15 random@15 "
+        "random@15 fetch@16 fetch@16"
+    ),
+}
+
+#: ``dataclasses.asdict(SamplingStats)`` of the same three runs.
+STATS = {
+    "unbuffered": {
+        "freq_hz": 32.0, "n_metrics": 1, "duration_s": 0.5,
+        "expected_points": 256, "inserted_points": 128, "zero_points": 48,
+        "expected_reports": 16, "inserted_reports": 8, "lost_reports": 8,
+        "zero_reports": 3, "tag": "draws", "mode": "unbuffered",
+        "retried_reports": 0, "recovered_reports": 0, "dropped_by_policy": 0,
+        "spilled_reports": 0, "unshipped_reports": 0, "degraded_ticks": 0,
+        "breaker_open_s": 0.0, "max_queue_depth": 0, "max_staleness_s": 0.0,
+        "effective_freq_hz": None, "produced_records": 0, "applied_records": 0,
+        "duplicate_records": 0, "parked_records": 0, "resent_records": 0,
+        "max_group_lag": 0, "backlog_records": 0,
+    },
+    "buffered": {
+        "freq_hz": 32.0, "n_metrics": 1, "duration_s": 0.5,
+        "expected_points": 256, "inserted_points": 208, "zero_points": 80,
+        "expected_reports": 16, "inserted_reports": 13, "lost_reports": 0,
+        "zero_reports": 5, "tag": "draws", "mode": "buffered",
+        "retried_reports": 2, "recovered_reports": 1, "dropped_by_policy": 1,
+        "spilled_reports": 0, "unshipped_reports": 0, "degraded_ticks": 3,
+        "breaker_open_s": 0.0, "max_queue_depth": 4,
+        "max_staleness_s": 0.18527069791146555, "effective_freq_hz": 4.0,
+        "produced_records": 0, "applied_records": 0, "duplicate_records": 0,
+        "parked_records": 0, "resent_records": 0, "max_group_lag": 0,
+        "backlog_records": 0,
+    },
+    "durable": {
+        "freq_hz": 32.0, "n_metrics": 1, "duration_s": 0.5,
+        "expected_points": 256, "inserted_points": 272, "zero_points": 112,
+        "expected_reports": 16, "inserted_reports": 17, "lost_reports": 0,
+        "zero_reports": 7, "tag": "draws", "mode": "durable",
+        "retried_reports": 0, "recovered_reports": 0, "dropped_by_policy": 0,
+        "spilled_reports": 0, "unshipped_reports": 0, "degraded_ticks": 0,
+        "breaker_open_s": 0.0, "max_queue_depth": 0,
+        "max_staleness_s": 0.4825868761801779, "effective_freq_hz": None,
+        "produced_records": 17, "applied_records": 17, "duplicate_records": 0,
+        "parked_records": 0, "resent_records": 0, "max_group_lag": 0,
+        "backlog_records": 0,
+    },
+}
+
+
+def faulted_run(mode, freq=32.0, t_end=0.5):
+    """16 ticks at 32 Hz (zero batches happen) with a DB outage over
+    [0.1, 0.3): the draws and fetches in order, and the run's stats."""
+    s, influx, metrics, _ = make_sampler(icl, seed=7, duration=t_end, n_events=1)
+    influx = s.influx = FaultyInfluxDB(
+        influx, ServiceFaultSet([DbOutage(t0=0.1, t1=0.3)]))
+    rec = s._rng = RecordingRng(np.random.default_rng(7))
+    pmcd = s.pmcd
+    fetch = pmcd.fetch
+
+    def recorded_fetch(metrics, t0, t1):
+        rec.tick = int(round(t1 * freq))
+        rec.log.append(("fetch", rec.tick))
+        return fetch(metrics, t0, t1)
+
+    pmcd.fetch = recorded_fetch
+    pipeline = None
+    if mode == "durable":
+        log = CommitLog(n_partitions=2)
+        pipeline = IngestPipeline(log)
+        pipeline.add(DbWriterConsumer(log, influx, "pmove", transport=TransportModel(),
+                                      cid="db-writer-0", seed=1))
+    st = s.run(metrics, freq, 0.0, t_end, tag="draws",
+               final_fetch=True, mode=mode, pipeline=pipeline,
+               shipper_config=ShipperConfig(capacity=4, drain_grace_s=5.0))
+    return rec.log, st
 
 
 class TestTransportModel:
@@ -230,29 +370,49 @@ class TestSampler:
         while the pipeline is shipping consumes no randomness, so hiccups
         only ever hit ticks that had a chance to fetch."""
 
-        class CountingRng:
-            def __init__(self, rng):
-                self._rng = rng
-                self.random_calls = 0
-
-            def random(self):
-                self.random_calls += 1
-                return self._rng.random()
-
-            def __getattr__(self, name):
-                return getattr(self._rng, name)
-
         # Insert cost far beyond the window: only tick 1 is ever non-busy.
         slow = TransportModel(insert_base_s=1e6, hiccup_rate_max=0.0)
         s, _, metrics, _ = make_sampler(icl, n_events=1, transport=slow)
-        counter = CountingRng(np.random.default_rng(3))
-        s._rng = counter
+        rec = s._rng = RecordingRng(np.random.default_rng(3))
         st = s.run(metrics, 8.0, 0.0, 10.0)
         assert st.inserted_reports == 1
         assert st.lost_reports == st.expected_reports - 1
-        # Exactly two draws: tick 1's hiccup check and zero-batch check.
-        # 79 busy ticks drew nothing.
-        assert counter.random_calls == 2
+        # The run's hiccup rate, then tick 1's hiccup check, zero-batch check
+        # and ship time.  79 busy ticks drew nothing.
+        assert [name for name, _ in rec.log] == ["uniform", "random", "random", "normal"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_draw_order_is_pinned_per_mode(self, mode):
+        """Unbuffered ``busy? → (hiccup) → zero → fetch → ship_time``;
+        buffered ``advance`` (ship times and backoffs, drawn from the
+        *sampler's* generator) ``→ stride skip (no draw) → hiccup → zero →
+        fetch``; durable ``pump → hiccup → zero → fetch``; the closing fetch
+        draws nothing.  A reordered, added or dropped draw fails here by
+        name, not as a changed Table III digit."""
+        log, st = faulted_run(mode)
+        assert " ".join(f"{name}@{k}" for name, k in log) == DRAWS[mode]
+        assert dataclasses.asdict(st) == STATS[mode]
+
+    def test_three_modes_agree_when_nothing_is_lost(self):
+        """One pipeline configured three ways: with no hiccups, no zero
+        batches (2 Hz) and no faults, where a report goes changes nothing
+        of what the host DB ends up holding."""
+        outcomes = []
+        for mode in MODES:
+            d = PMoVE(seed=5)
+            m = SimulatedMachine(icl(), seed=5)
+            d.attach_target(m, transport=TransportModel(hiccup_rate_max=0.0))
+            st, _ = d.scenario_a(m.spec.hostname, 30.0, 2.0, mode=mode)
+            rows = sorted(
+                p.to_line()
+                for meas in d.influx.measurements("pmove")
+                for p in d.influx.points("pmove", meas)
+            )
+            outcomes.append((rows, (st.expected_points, st.inserted_points,
+                                    st.zero_points, st.lost_reports)))
+        assert len(outcomes[0][0]) == 360
+        assert outcomes[0][1] == (2160, 2160, 0, 0)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_sampling_overhead_scales_with_freq(self):
         s, _, _, _ = make_sampler()

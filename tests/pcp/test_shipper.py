@@ -4,7 +4,7 @@ breaker state machine, backoff, and WAL spill/replay."""
 import numpy as np
 import pytest
 
-from repro.db import FaultyInfluxDB, InfluxDB, Point
+from repro.db import FaultyInfluxDB, InfluxDB, Point, ShardedInfluxDB
 from repro.faults import DbOutage, ServiceFaultSet
 from repro.pcp import CircuitBreaker, Shipper, ShipperConfig, TransportModel
 
@@ -155,6 +155,42 @@ class TestWorker:
         item = s.queue[0]
         assert item.attempts > 10  # kept retrying
         assert 0.1 <= item.prev_sleep <= 0.4
+
+
+class TestBareEngineWithFaults:
+    """``Shipper(engine, faults=...)`` on an engine that is not the fault
+    proxy: the shipper wraps it, so the fault set decides every write.  The
+    router keeps a clock of its own (``at``, for shard faults) and a
+    ``faults`` of its own (node faults) — neither makes it the proxy."""
+
+    @pytest.mark.parametrize("engine", [InfluxDB, lambda: ShardedInfluxDB(2)],
+                             ids=["engine", "router"])
+    def test_outage_rejects_the_write(self, engine):
+        influx = engine()
+        influx.create_database("db")
+        s = Shipper(influx, "db", TransportModel(jitter_rel_std=0.0),
+                    faults=ServiceFaultSet([DbOutage(t0=0.0, t1=100.0)]),
+                    rng=np.random.default_rng(0))
+        offer(s, 1.0)
+        s.drain(50.0)
+        assert s.inserted_reports == 0
+        assert s.unshipped_reports == 1
+        assert influx.points("db", "m") == []
+        offer(s, 101.0)
+        s.drain(200.0)  # the outage is over: the same shipper gets through
+        assert s.inserted_reports == 1
+        assert len(influx.points("db", "m")) == 1
+
+    def test_router_without_faults_ships(self):
+        """The router's node-fault set is not a service-fault set: it prices
+        no attempt (it used to be handed to ``ship_time`` and raise)."""
+        influx = ShardedInfluxDB(2)
+        influx.create_database("db")
+        s = Shipper(influx, "db", TransportModel(), rng=np.random.default_rng(0))
+        assert s.faults is None
+        offer(s, 1.0)
+        s.drain(50.0)
+        assert s.inserted_reports == 1
 
 
 class TestCircuitBreaker:
