@@ -16,22 +16,33 @@ Three CI gates: the sketch-served query must beat the exact scan
 (``naive_execute``) by ≥10× at p50; every sketch-served bucket must land
 within the configured rank-error bound of the exact sorted data; and the
 4-shard merged percentile must hold the (looser, 2×) merged bound.
+
+``hll_small_set`` is the HyperLogLog's two states beside the one-state
+class the tests keep as their oracle (``DenseHLL``): what a nine-value HLL
+weighs on the wire (gated: at most a twentieth of the dense form), what
+building, serialising and 300-way merging such HLLs costs, and what an
+``add_hash`` costs once promoted (timings recorded with both absolutes, not
+gated: ``serve_read_heavy`` in ``benchmarks/e2e`` is where a promoted HLL
+paying for the sparse state would show).
 Results land in ``benchmarks/results/BENCH_sketch.json``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import random
 import time
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 from _helpers import emit_json, latency_stats
 
 from repro.db.influx import InfluxDB, Point
 from repro.db.influxql import execute, naive_execute
 from repro.db.sharded import ShardedInfluxDB
-from repro.db.sketch import DEFAULT_SKETCH
+from repro.db.sketch import DEFAULT_SKETCH, HyperLogLog
 
 N_POINTS = int(float(os.environ.get("PMOVE_BENCH_SKETCH_POINTS", "1000000")))
 TIERS = (10.0, 60.0)
@@ -43,6 +54,10 @@ SKETCH_ITERS = 9
 NAIVE_ITERS = 3
 SPEEDUP_FLOOR = 10.0
 N_SHARDS = 4
+HLL_SMALL_VALUES = 9  # the median field of a profiling observation
+HLL_MERGE_WAYS = 300
+HLL_DENSE_VALUES = 100_000
+HLL_PAYLOAD_RATIO_CEILING = 1.0 / 20.0
 STATEMENT = f'SELECT PERCENTILE("v", {PCT:g}) FROM "m" GROUP BY time({GROUP_BY_S:g}s)'
 
 
@@ -71,6 +86,74 @@ def _ingest(engine, n: int, tags) -> list[float]:
     if batch:
         engine.write_many("pmove", batch)
     return vals
+
+
+def _dense_oracle():
+    """``DenseHLL`` — the one-state class — from where the tests keep it."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "db" / "test_sketch.py"
+    spec = importlib.util.spec_from_file_location("_sketch_tests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DenseHLL
+
+
+def _best_us(fn, repeats: int, per: int = 1) -> float:
+    """Fastest of ``repeats`` timings of ``fn()``, in µs per ``per`` units."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e6 / per
+
+
+def hll_small_set() -> dict:
+    """Both HLL states against the dense-only oracle (module docstring)."""
+    dense_cls = _dense_oracle()
+    p = DEFAULT_SKETCH.hll_p
+    values = [1.5 * k for k in range(HLL_SMALL_VALUES)]
+
+    def built(cls, vals):
+        h = cls(p)
+        for v in vals:
+            h.add(v)
+        return h
+
+    rnd = random.Random(5)
+    hashes = [rnd.getrandbits(64) for _ in range(HLL_DENSE_VALUES)]
+    out: dict = {"values": HLL_SMALL_VALUES, "p": p}
+    for name, cls in (("sparse", HyperLogLog), ("dense_oracle", dense_cls)):
+        small = [built(cls, [float(HLL_SMALL_VALUES * i + k)
+                             for k in range(HLL_SMALL_VALUES)])
+                 for i in range(HLL_MERGE_WAYS)]
+
+        def fill(cls=cls):
+            h = cls(p)
+            for x in hashes:
+                h.add_hash(x)
+
+        out[name] = {
+            "payload_json_bytes": len(json.dumps(built(cls, values).to_dict())),
+            "build_serialise_us": _best_us(
+                lambda cls=cls: built(cls, values).to_dict(), repeats=200),
+            f"merged_{HLL_MERGE_WAYS}_way_us": _best_us(
+                lambda cls=cls, small=small: cls.merged(small), repeats=5),
+            "merged_count": cls.merged(small).count(),
+            "dense_regime_add_hash_us_per_value": _best_us(
+                fill, repeats=3, per=HLL_DENSE_VALUES),
+        }
+    assert out["sparse"]["merged_count"] == out["dense_oracle"]["merged_count"]
+    out["payload_ratio"] = (out["sparse"]["payload_json_bytes"]
+                            / out["dense_oracle"]["payload_json_bytes"])
+    out["gate"] = {"payload_ratio_ceiling": HLL_PAYLOAD_RATIO_CEILING,
+                   "passed": out["payload_ratio"] <= HLL_PAYLOAD_RATIO_CEILING}
+    return out
+
+
+def test_hll_small_set_payload():
+    """The gate alone, in milliseconds; the 1e6-point test below records it."""
+    block = hll_small_set()
+    assert block["gate"]["passed"], block
 
 
 def test_sketch_served_percentile_speedup():
@@ -125,6 +208,7 @@ def test_sketch_served_percentile_speedup():
         shard_rows[f"p{pct:g}"] = {"value": got, "rank_error": err}
         assert err <= merged_bound + 1.0 / n_shard_pts, (pct, err, merged_bound)
 
+    hll_block = hll_small_set()
     payload = {
         "workload": {
             "n_points": N_POINTS,
@@ -148,6 +232,7 @@ def test_sketch_served_percentile_speedup():
             "merged_rank_bound": merged_bound,
             "percentiles": shard_rows,
         },
+        "hll_small_set": hll_block,
         "gate": {
             "speedup_floor": SPEEDUP_FLOOR,
             "passed": speedup >= SPEEDUP_FLOOR and worst <= eps,
@@ -155,6 +240,7 @@ def test_sketch_served_percentile_speedup():
     }
     emit_json("BENCH_sketch.json", payload)
 
+    assert hll_block["gate"]["passed"], hll_block
     assert speedup >= SPEEDUP_FLOOR, (
         f"sketch-served PERCENTILE only {speedup:.1f}x faster than the exact "
         f"scan at {N_POINTS} points (floor {SPEEDUP_FLOOR}x)"

@@ -203,7 +203,8 @@ class SuperDB:
                     copied += len(vals)
                     # Mergeable sketches travel beside the scalar summary:
                     # SUPERDB can answer global percentile / cardinality
-                    # questions without ever pulling raw points back.
+                    # questions without ever pulling raw points back.  The
+                    # HLL of a profile's few values ships sparse: bytes, not KB.
                     dg = TDigest(DEFAULT_SKETCH.compression)
                     dg.add_many(vals)
                     hll = HyperLogLog(DEFAULT_SKETCH.hll_p)

@@ -2308,7 +2308,8 @@ class InfluxDB:
         itself catches them up (so ``rollup_buckets`` counts every bucket)
         and changes no answer: the digests reported are the ones reads have
         built, as they are held, and ``kept_quantiles`` counts the bucket
-        percentiles kept beside them.
+        percentiles kept beside them.  ``hll_memory_bytes`` is the state each
+        HLL is in (its occupied registers while sparse); ``hll_registers`` is ``m``.
         """
         d = self._db(db)
         stored = sum(

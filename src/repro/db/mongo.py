@@ -21,8 +21,8 @@ candidate *superset* (hash buckets for equality/containment, bisected sorted
 runs for ranges), every candidate is re-verified by the full filter, and
 candidates are visited in insertion order — so ``find``/``count_documents``/
 ``distinct`` stay byte-identical to the linear scan.  Indexes rebuild lazily
-(one dirty flag per collection), so write bursts cost one rebuild at the
-next read.
+(one dirty flag per collection): updates, replaces and deletes cost one
+rebuild at the next read, an insert into clean indexes extends them in place.
 """
 
 from __future__ import annotations
@@ -206,6 +206,30 @@ class _Index:
         self.path = path
         self.build([])
 
+    def _file(self, pos: int, d: dict) -> Any:
+        """File ``d`` (at ``pos``, past every position filed) in the hash
+        slots; returns its value if a sorted run takes it too, else None."""
+        found, v = _resolve_path(d, self.path)
+        if not found:
+            return None
+        self.present.append(pos)
+        try:
+            self.eq.setdefault(v, []).append(pos)
+        except TypeError:
+            pass  # unhashable (list/dict): reachable via contains/linear
+        if isinstance(v, list):
+            for el in v:
+                try:
+                    bucket = self.contains.setdefault(el, [])
+                except TypeError:
+                    continue
+                if not bucket or bucket[-1] != pos:
+                    bucket.append(pos)
+            return None
+        if isinstance(v, numbers.Real):
+            return v if v == v else None  # NaN never matches a range
+        return v if isinstance(v, str) else None
+
     def build(self, docs: list[dict]) -> None:
         self.eq: dict[Any, list[int]] = {}
         self.contains: dict[Any, list[int]] = {}
@@ -213,32 +237,26 @@ class _Index:
         nums: list[tuple[Any, int]] = []
         strs: list[tuple[str, int]] = []
         for pos, d in enumerate(docs):
-            found, v = _resolve_path(d, self.path)
-            if not found:
-                continue
-            self.present.append(pos)
-            try:
-                self.eq.setdefault(v, []).append(pos)
-            except TypeError:
-                pass  # unhashable (list/dict): reachable via contains/linear
-            if isinstance(v, list):
-                for el in v:
-                    try:
-                        bucket = self.contains.setdefault(el, [])
-                    except TypeError:
-                        continue
-                    if not bucket or bucket[-1] != pos:
-                        bucket.append(pos)
-            elif isinstance(v, numbers.Real) and v == v:  # NaN never matches a range
-                nums.append((v, pos))
-            elif isinstance(v, str):
-                strs.append((v, pos))
+            v = self._file(pos, d)
+            if v is not None:
+                (strs if isinstance(v, str) else nums).append((v, pos))
         nums.sort(key=lambda p: p[0])
         strs.sort(key=lambda p: p[0])
         self.num_vals = [v for v, _ in nums]
         self.num_pos = [p for _, p in nums]
         self.str_vals = [v for v, _ in strs]
         self.str_pos = [p for _, p in strs]
+
+    def add(self, pos: int, d: dict) -> None:
+        """Extend a built index by the document appended at ``pos``: after
+        its ties in the sorted runs, where the stable sort leaves them."""
+        v = self._file(pos, d)
+        if v is not None:
+            vals, at = ((self.str_vals, self.str_pos) if isinstance(v, str)
+                        else (self.num_vals, self.num_pos))
+            k = bisect_right(vals, v)
+            vals.insert(k, v)
+            at.insert(k, pos)
 
     # -- candidate lookups (None = index unusable for this condition) ----
     def _range(self, op: str, arg: Any) -> list[int] | None:
@@ -387,7 +405,9 @@ class Collection:
         stored = _clone(doc)
         stored.setdefault("_id", f"oid{next(self._ids):08d}")
         self._docs.append(stored)
-        self._dirty = True
+        if not self._dirty:  # clean indexes grow by the one document
+            for idx in self._indexes.values():
+                idx.add(len(self._docs) - 1, stored)
         return stored["_id"]
 
     def insert_many(self, docs: list[dict]) -> list[Any]:

@@ -10,7 +10,8 @@ online-ODA pattern of DCDB Wintermute):
   near the tails stay small (the ``4·n·q·(1−q)/δ`` size limit), so rank
   error is tightest exactly where p95/p99 dashboards look.
 - :class:`HyperLogLog` — cardinality with ``1.04/√m`` standard error,
-  register-wise-max mergeable across shards and federation hosts.
+  register-wise-max mergeable across shards and federation hosts; held and
+  shipped as its occupied registers until the dense array is the smaller.
 - :class:`ReservoirSample` — a bottom-k sample keyed by a stable hash of
   each row's identity, so shard-split samples merge into exactly the
   sample an unsharded store would keep.
@@ -459,42 +460,88 @@ def _hll_alpha(m: int) -> float:
     return 0.7213 / (1.0 + 1.079 / m)
 
 
+#: Bytes an occupied register costs held sparse (a list slot, a boxed int):
+#: sparse is the smaller form while ``occupied <= m // _SPARSE_ENTRY_BYTES``.
+_SPARSE_ENTRY_BYTES = 40
+
+
 class HyperLogLog:
     """Classic 64-bit HLL over :func:`stable_hash64` values.
 
-    ``2**p`` one-byte registers; merge is register-wise max, so shard and
+    ``2**p`` registers; merge is register-wise max, so shard and
     federation merges estimate exactly the union.  ``trimmed`` marks that
     values were *removed* from the backing store (retention, series drops)
-    — HLL cannot forget, so the planner must fall back to exact scans."""
+    — HLL cannot forget, so the planner must fall back to exact scans.
 
-    __slots__ = ("p", "m", "registers", "trimmed")
+    Held as the occupied registers alone, an ascending ``index << 6 | rank``
+    each, while few are set, and as one byte per register from then on
+    (HLL++'s sparse mode).  The occupied count only grows, so the state is a
+    function of the register contents: equal HLLs serialise equal however
+    they were built."""
+
+    __slots__ = ("p", "m", "_sparse", "_dense", "trimmed")
 
     def __init__(self, p: int = DEFAULT_SKETCH.hll_p) -> None:
         if not 4 <= p <= 16:
             raise ValueError("HLL precision p must be in [4, 16]")
         self.p = p
         self.m = 1 << p
-        self.registers = bytearray(self.m)
+        self._sparse: list[int] | None = []
+        self._dense: bytearray | None = None
         self.trimmed = False
 
+    @property
+    def registers(self) -> bytes:
+        """Read-only dense view: one rank byte per register."""
+        regs = self._dense
+        if regs is None:
+            regs = bytearray(self.m)
+            for e in self._sparse:
+                regs[e >> 6] = e & 63
+        return bytes(regs)
+
+    def _settle(self) -> None:
+        """Go dense, for good, once sparse stopped being the smaller form."""
+        if len(self._sparse) > self.m // _SPARSE_ENTRY_BYTES:
+            self._sparse, self._dense = None, bytearray(self.registers)
+
     def add(self, value: Any) -> None:
-        self.add_hash(stable_hash64(value))
+        self.add_hash((float_hash64 if type(value) is float else stable_hash64)(value))
 
     def add_hash(self, h: int) -> None:
         j = h >> (64 - self.p)
         rest = h & ((1 << (64 - self.p)) - 1)
         # rank = leading zeros of the remaining 64-p bits, plus one
         rank = (64 - self.p) - rest.bit_length() + 1
-        if rank > self.registers[j]:
-            self.registers[j] = rank
+        dense = self._dense
+        if dense is not None:
+            if rank > dense[j]:
+                dense[j] = rank
+            return
+        sparse = self._sparse
+        k = bisect_left(sparse, j << 6)
+        if k == len(sparse) or sparse[k] >> 6 != j:
+            sparse.insert(k, j << 6 | rank)
+            self._settle()
+        elif rank > sparse[k] & 63:
+            sparse[k] = j << 6 | rank
 
     def merge_from(self, other: "HyperLogLog") -> None:
         if other.p != self.p:
             raise ValueError("cannot merge HLLs of different precision")
-        regs, oregs = self.registers, other.registers
-        for i in range(self.m):
-            if oregs[i] > regs[i]:
-                regs[i] = oregs[i]
+        mine, theirs = self._sparse, other._sparse
+        if mine is not None and theirs is not None:
+            # Sorted, a register's highest rank comes last: the one kept.
+            self._sparse = list({e >> 6: e for e in sorted(mine + theirs)}.values())
+            self._settle()
+        else:
+            if mine is not None:  # max commutes: take other's, fold the few held here
+                theirs, self._sparse, self._dense = mine, None, bytearray(other._dense)
+            regs = self._dense
+            for j, r in (enumerate(other._dense) if theirs is None
+                         else ((e >> 6, e & 63) for e in theirs)):
+                if r > regs[j]:
+                    regs[j] = r
         self.trimmed = self.trimmed or other.trimmed
 
     @classmethod
@@ -510,9 +557,15 @@ class HyperLogLog:
 
     def count(self) -> float:
         m = self.m
+        if self._dense is None:
+            # The dense walk below answers by linear counting whenever
+            # α·m²/acc ≤ 2.5·m; acc ≥ zeros and α < 0.7213, so that holds
+            # with fewer than 0.71·m registers set — and the promotion point
+            # is far below.  Linear counting reads only how many are zero.
+            return m * math.log(m / (m - len(self._sparse)))
         zeros = 0
         acc = 0.0
-        for r in self.registers:
+        for r in self._dense:
             if r == 0:
                 zeros += 1
             acc += _POW2_NEG[r]
@@ -526,22 +579,37 @@ class HyperLogLog:
         return 1.04 / math.sqrt(self.m)
 
     def memory_bytes(self) -> int:
-        return 64 + self.m
+        held = self.m if self._dense is not None else _SPARSE_ENTRY_BYTES * len(self._sparse)
+        return 64 + held
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "p": self.p,
-            "registers": bytes(self.registers).hex(),
-            "trimmed": self.trimmed,
-        }
+        """JSON-safe: dense as ``registers`` (hex, a byte each), sparse as
+        ``sparse`` (the ascending ``index << 6 | rank`` list held)."""
+        held = ({"sparse": list(self._sparse)} if self._dense is None
+                else {"registers": bytes(self._dense).hex()})
+        return {"p": self.p, **held, "trimmed": self.trimmed}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "HyperLogLog":
+        """Load either form — the state follows the contents, not the form
+        — refusing registers no hash can produce."""
         h = cls(doc["p"])
-        regs = bytes.fromhex(doc["registers"])
-        if len(regs) != h.m:
-            raise ValueError("HLL register payload does not match precision")
-        h.registers = bytearray(regs)
+        if ("registers" in doc) == ("sparse" in doc):
+            raise ValueError("HLL payload needs one of 'registers' and 'sparse'")
+        top = 64 - h.p + 1  # the rank of a hash whose remaining bits are all 0
+        if "registers" in doc:
+            regs = bytes.fromhex(doc["registers"])
+            if len(regs) != h.m or max(regs) > top:
+                raise ValueError("HLL register payload does not match precision")
+            h._sparse = [j << 6 | r for j, r in enumerate(regs) if r]
+        else:
+            last = -1
+            for e in doc["sparse"]:
+                if type(e) is not int or not (last < e >> 6 < h.m and 1 <= e & 63 <= top):
+                    raise ValueError(f"sparse HLL entry {e!r}: bad rank, index or order")
+                last = e >> 6
+            h._sparse = list(doc["sparse"])
+        h._settle()
         h.trimmed = bool(doc.get("trimmed", False))
         return h
 

@@ -1,13 +1,17 @@
 """Sketch consumers: the percentile anomaly detector and SUPERDB's
 serialized-sketch federation (cross-host percentiles + cardinality)."""
 
+import json
 import math
 import random
 
+from repro.core import PMoVE
 from repro.core.anomaly import percentile_exceed, scan_observation, scan_series
 from repro.core.superdb import SuperDB
 from repro.db.influx import InfluxDB, Point
 from repro.db.sketch import nearest_rank
+from repro.machine import SimulatedMachine, get_preset
+from repro.workloads import build_kernel
 
 
 def obs_db(n=2000, seed=3):
@@ -124,3 +128,51 @@ class TestSuperDBSketches:
         row = sdb.compare_metric("lat", "ms")["old-host"]
         assert "p99" not in row and "distinct_estimate" not in row
         assert row["count"] == 2.0
+
+    def test_two_hosts_report_and_repair_with_small_payloads(self):
+        """Scenario B on two hosts, an ``agg`` report, two more observations
+        each, an ``anti_entropy`` pass: the comparison rows are the ones
+        captured while every HLL shipped as 8 236 bytes of dense hex, and
+        what is stored now is the handful of registers nine values set."""
+        d, sdb, hosts = PMoVE(seed=24), SuperDB(seed=24), ("icl", "zen3")
+        for host in hosts:
+            d.attach_target(SimulatedMachine(get_preset(host), seed=24))
+
+        def observe(k):
+            return {host: d.scenario_b(
+                host, build_kernel("triad", 2_000_000, iterations=60 + 20 * k),
+                ["INSTRUCTIONS"], freq_hz=16, n_threads=2,
+                tag=f"pr24-{host}-{k}")[0] for host in hosts}
+
+        observe(0)
+        for host in hosts:
+            assert sdb.report(d.target(host).kb, d.influx, d.database,
+                              mode="agg")["observations"] == 1
+        observe(1)
+        last = observe(2)
+        for host in hosts:
+            assert sdb.anti_entropy(d.target(host).kb, d.influx, d.database,
+                                    mode="agg")["repaired"] == 2
+        want = {
+            "icl": {"min": 4406218.096922978, "max": 13657728.462706178,
+                    "mean": 11818578.09172452, "count": 12.0,
+                    "p50": 13609328.512332194, "p95": 13657679.245766114,
+                    "p99": 13657728.462706178, "distinct_estimate": 12.0,
+                    "partial": False},
+            "zen3": {"min": 6933653.331269413, "max": 39618750.37640449,
+                     "mean": 27831373.008330356, "count": 5.0,
+                     "p50": 34825670.77422689, "p95": 39618750.37640449,
+                     "p99": 39618750.37640449, "distinct_estimate": 5.0,
+                     "partial": False},
+        }
+        for host in hosts:  # HW-event measurements are vendor-specific
+            metric = last[host]["metrics"][-1]
+            assert sdb.compare_metric(
+                metric["measurement"], metric["fields"][0]) == {host: want[host]}
+            docs = sdb.observations(host)
+            assert len(docs) == 3
+            for doc in docs:
+                for fields in doc["sketches"].values():
+                    for sk in fields.values():
+                        assert "sparse" in sk["hll"]
+                        assert len(json.dumps(sk["hll"])) < 300

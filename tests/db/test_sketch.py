@@ -5,20 +5,27 @@ the rank of the returned value within the exact sorted data, never by
 value distance (value error is unbounded where density is low).
 """
 
+import json
 import math
+import random
 import statistics
+import struct
 from bisect import bisect_left, bisect_right
+from typing import Any, Iterable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.db.sketch import (
+    _SPARSE_ENTRY_BYTES,
     DEFAULT_SKETCH,
     HyperLogLog,
     ReservoirSample,
     SketchConfig,
     TDigest,
+    _hll_alpha,
+    float_hash64,
     nearest_rank,
     stable_hash64,
     stddev_from_partials,
@@ -74,6 +81,28 @@ class TestValueKey:
         # Pinned value: must not depend on PYTHONHASHSEED.
         assert stable_hash64("pmove") == stable_hash64("pmove")
         assert stable_hash64("pmove") != stable_hash64("pmove2")
+
+    # every bit pattern is a float: NaN payloads of both signs, ±0.0, ±inf
+    # and subnormals are named, the rest is drawn
+    @given(st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.builds(lambda sign, payload: sign << 63 | 0x7FF << 52 | payload,
+                  st.integers(0, 1), st.integers(0, 2**52 - 1)),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        .map(lambda v: struct.unpack(">Q", struct.pack(">d", v))[0]),
+    ))
+    @example(0x0000000000000000)
+    @example(0x8000000000000000)
+    @example(0x7FF0000000000000)
+    @example(0xFFF0000000000000)
+    @example(0x7FF8000000000000)
+    @example(0xFFF0000000000001)
+    @example(0x0000000000000001)
+    @example(0x800FFFFFFFFFFFFF)
+    @settings(max_examples=200, deadline=None)
+    def test_float_hash64_is_stable_hash64_of_every_float(self, bits):
+        v = struct.unpack(">d", struct.pack(">Q", bits))[0]
+        assert float_hash64(v) == stable_hash64(v)
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +306,167 @@ class TestTDigest:
 # ----------------------------------------------------------------------
 # HyperLogLog
 # ----------------------------------------------------------------------
+_POW2_NEG = tuple(2.0 ** -r for r in range(65))
+
+
+class DenseHLL:
+    """The HyperLogLog as it was while it had one state: ``2**p`` one-byte
+    registers from the first value on, shipped as their hex.  Kept verbatim
+    as the reference for what the registers, every estimate and the dense
+    wire form must (still) be."""
+
+    __slots__ = ("p", "m", "registers", "trimmed")
+
+    def __init__(self, p: int = DEFAULT_SKETCH.hll_p) -> None:
+        if not 4 <= p <= 16:
+            raise ValueError("HLL precision p must be in [4, 16]")
+        self.p = p
+        self.m = 1 << p
+        self.registers = bytearray(self.m)
+        self.trimmed = False
+
+    def add(self, value: Any) -> None:
+        self.add_hash(stable_hash64(value))
+
+    def add_hash(self, h: int) -> None:
+        j = h >> (64 - self.p)
+        rest = h & ((1 << (64 - self.p)) - 1)
+        # rank = leading zeros of the remaining 64-p bits, plus one
+        rank = (64 - self.p) - rest.bit_length() + 1
+        if rank > self.registers[j]:
+            self.registers[j] = rank
+
+    def merge_from(self, other: "DenseHLL") -> None:
+        if other.p != self.p:
+            raise ValueError("cannot merge HLLs of different precision")
+        regs, oregs = self.registers, other.registers
+        for i in range(self.m):
+            if oregs[i] > regs[i]:
+                regs[i] = oregs[i]
+        self.trimmed = self.trimmed or other.trimmed
+
+    @classmethod
+    def merged(cls, hlls: Iterable["DenseHLL"]) -> "DenseHLL":
+        """The union of at least one HLL (one: itself, to read, not a copy)."""
+        first, *rest = hlls
+        if not rest:
+            return first
+        out = cls(first.p)
+        for h in (first, *rest):
+            out.merge_from(h)
+        return out
+
+    def count(self) -> float:
+        m = self.m
+        zeros = 0
+        acc = 0.0
+        for r in self.registers:
+            if r == 0:
+                zeros += 1
+            acc += _POW2_NEG[r]
+        est = _hll_alpha(m) * m * m / acc
+        if est <= 2.5 * m and zeros:
+            return m * math.log(m / zeros)  # linear counting regime
+        return est
+
+    def error_bound(self) -> float:
+        """Relative standard error: ``1.04/√m``."""
+        return 1.04 / math.sqrt(self.m)
+
+    def memory_bytes(self) -> int:
+        return 64 + self.m
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "p": self.p,
+            "registers": bytes(self.registers).hex(),
+            "trimmed": self.trimmed,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any]) -> "DenseHLL":
+        h = cls(doc["p"])
+        regs = bytes.fromhex(doc["registers"])
+        if len(regs) != h.m:
+            raise ValueError("HLL register payload does not match precision")
+        h.registers = bytearray(regs)
+        h.trimmed = bool(doc.get("trimmed", False))
+        return h
+
+
+def sparse_limit(p: int) -> int:
+    """Most occupied registers an HLL of precision ``p`` holds sparse."""
+    return (1 << p) // _SPARSE_ENTRY_BYTES
+
+
+def is_sparse(h: HyperLogLog) -> bool:
+    return "sparse" in h.to_dict()
+
+
+def filled(p: int, n: int, seed: int = 0) -> tuple[HyperLogLog, DenseHLL]:
+    """An HLL and the oracle after the same ``n`` seeded hashes."""
+    rnd = random.Random(seed)
+    pair = HyperLogLog(p), DenseHLL(p)
+    for _ in range(n):
+        h = rnd.getrandbits(64)
+        for side in pair:
+            side.add_hash(h)
+    return pair
+
+
+WHICH = st.integers(0, 2)
+HLL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), WHICH, st.one_of(
+        st.floats(allow_nan=True), st.integers(-5, 5), st.text(max_size=3))),
+    st.tuples(st.just("add_hash"), WHICH, st.integers(0, 2**64 - 1)),
+    # enough hashes at once to reach, and to cross, the promotion point
+    st.tuples(st.just("burst"), WHICH, st.integers(0, 2**32), st.floats(0.0, 2.5)),
+    st.tuples(st.just("merge_from"), WHICH, WHICH),
+    st.tuples(st.just("merged"), WHICH, st.lists(WHICH, min_size=1, max_size=3)),
+    st.tuples(st.just("roundtrip"), WHICH),
+    st.tuples(st.just("trim"), WHICH),
+), max_size=10)
+
+
+def check_interleaving(p: int, n: int, ops) -> None:
+    """Run ``ops`` over ``n`` HLLs and ``n`` oracles; they never differ."""
+    new = [HyperLogLog(p) for _ in range(n)]
+    old = [DenseHLL(p) for _ in range(n)]
+    for op, i, *args in ops:
+        i %= n
+        if op in ("add", "add_hash"):
+            getattr(new[i], op)(*args)
+            getattr(old[i], op)(*args)
+        elif op == "burst":
+            rnd = random.Random(args[0])
+            for _ in range(int(args[1] * sparse_limit(p)) + 1):
+                h = rnd.getrandbits(64)
+                new[i].add_hash(h)
+                old[i].add_hash(h)
+        elif op == "merge_from":
+            new[i].merge_from(new[args[0] % n])
+            old[i].merge_from(old[args[0] % n])
+        elif op == "merged":
+            new[i] = HyperLogLog.merged([new[k % n] for k in args[0]])
+            old[i] = DenseHLL.merged([old[k % n] for k in args[0]])
+        elif op == "roundtrip":
+            new[i] = HyperLogLog.from_dict(json.loads(json.dumps(new[i].to_dict())))
+            old[i] = DenseHLL.from_dict(old[i].to_dict())
+        else:
+            new[i].trimmed = old[i].trimmed = True
+        for h, o in zip(new, old):
+            assert h.registers == o.registers and h.trimmed == o.trimmed
+            occupied = h.m - h.registers.count(0)
+            assert is_sparse(h) == (occupied <= sparse_limit(p))
+            assert h.memory_bytes() <= o.memory_bytes()
+    for h, o in zip(new, old):
+        assert h.count() == o.count()  # bit-equal, not approximately
+        assert h.error_bound() == o.error_bound()
+        # equal registers serialise equal whatever built them — here: the
+        # ops above, and a load of the oracle's (the parent's) dense payload
+        assert HyperLogLog.from_dict(o.to_dict()).to_dict() == h.to_dict()
+
+
 class TestHyperLogLog:
     def test_estimate_within_tolerance(self):
         h = HyperLogLog(12)
@@ -326,6 +516,174 @@ class TestHyperLogLog:
             (left if i % 2 else right).add(v)
         left.merge_from(right)
         assert left.registers == whole.registers
+
+    @pytest.mark.parametrize("p", [4, 10, 12, 16])
+    @given(n=st.integers(1, 3), ops=HLL_OPS)
+    @settings(max_examples=12, deadline=None)
+    def test_any_interleaving_equals_the_dense_oracle(self, p, n, ops):
+        check_interleaving(p, n, ops)
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("p", [4, 10, 12, 16])
+    @given(n=st.integers(1, 3), ops=HLL_OPS)
+    @settings(max_examples=120, deadline=None)
+    def test_any_interleaving_equals_the_dense_oracle_long(self, p, n, ops):
+        check_interleaving(p, n, ops)
+
+    @pytest.mark.parametrize("p", [4, 10, 12, 16])
+    @given(sizes=st.tuples(*[st.floats(0.0, 2.5)] * 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_merge_commutes_and_associates_across_states(self, p, sizes, seed):
+        """Exactly: the serialised forms are equal, not only the counts."""
+        def copy(h):
+            return HyperLogLog.from_dict(h.to_dict())
+
+        (a, oa), (b, ob), (c, oc) = (
+            filled(p, int(f * sparse_limit(p)), seed + k)
+            for k, f in enumerate(sizes))
+        ab, ba = copy(a), copy(b)
+        ab.merge_from(b)
+        ba.merge_from(a)
+        assert ab.to_dict() == ba.to_dict()
+        bc = copy(b)
+        bc.merge_from(c)
+        left, right = copy(ab), copy(a)
+        left.merge_from(c)
+        right.merge_from(bc)
+        whole = DenseHLL.merged([oa, ob, oc])
+        assert left.to_dict() == right.to_dict() \
+            == HyperLogLog.merged([c, a, b]).to_dict()
+        assert left.registers == whole.registers
+        assert left.count() == whole.count()
+
+    @pytest.mark.parametrize("p", [4, 10, 12, 16])
+    def test_promotion_is_at_one_occupied_count_whatever_crosses_it(self, p):
+        limit, top = sparse_limit(p), 64 - p + 1
+
+        def at_limit():
+            return HyperLogLog.from_dict(
+                {"p": p, "sparse": [j << 6 | 1 + j % top for j in range(limit)]})
+
+        one_more = HyperLogLog(p)
+        one_more.add_hash(limit << (64 - p))  # register ``limit``: unoccupied
+        assert is_sparse(at_limit()) and at_limit().count() == \
+            DenseHLL.from_dict({"p": p, "registers": at_limit().registers.hex()}).count()
+
+        by_add, by_merge, raised = at_limit(), at_limit(), at_limit()
+        by_add.add_hash(limit << (64 - p))
+        by_merge.merge_from(one_more)
+        raised.merge_from(at_limit())  # the same registers: nothing new is set
+        for j in range(limit):
+            raised.add_hash(j << (64 - p))  # top rank, an occupied register
+        by_sparse_load = HyperLogLog.from_dict(
+            {"p": p, "sparse": [j << 6 | 1 for j in range(limit + 1)]})
+        by_dense_load = HyperLogLog.from_dict(
+            {"p": p, "registers": by_sparse_load.registers.hex()})
+        assert is_sparse(raised)
+        assert raised.registers == bytes([top] * limit + [0] * ((1 << p) - limit))
+        for h in (by_add, by_merge, by_sparse_load, by_dense_load):
+            assert not is_sparse(h)
+            assert h.memory_bytes() == 64 + (1 << p)
+        assert by_add.to_dict() == by_merge.to_dict()
+        assert by_sparse_load.to_dict() == by_dense_load.to_dict()
+        # a dense one stays dense through its own wire form
+        assert not is_sparse(HyperLogLog.from_dict(by_add.to_dict()))
+
+    def test_parent_format_payload_and_sparse_payload_merge_alike(self):
+        regs = bytearray(4096)
+        regs[7], regs[900], regs[4095] = 3, 1, 52
+        old_form = HyperLogLog.from_dict({"p": 12, "registers": regs.hex()})
+        new_form = HyperLogLog.from_dict(
+            {"p": 12, "sparse": [7 << 6 | 5, 12 << 6 | 2, 4095 << 6 | 1]})
+        assert is_sparse(old_form) and old_form.registers == bytes(regs)
+        both, other_way = HyperLogLog.merged([old_form, new_form]), \
+            HyperLogLog.merged([new_form, old_form])
+        want = DenseHLL.merged([
+            DenseHLL.from_dict({"p": 12, "registers": regs.hex()}),
+            DenseHLL.from_dict({"p": 12, "registers": new_form.registers.hex()})])
+        assert both.to_dict() == other_way.to_dict() == {
+            "p": 12, "trimmed": False,
+            "sparse": [7 << 6 | 5, 12 << 6 | 2, 900 << 6 | 1, 4095 << 6 | 52]}
+        assert both.count() == want.count()
+
+    @pytest.mark.parametrize("p", range(4, 17))
+    def test_a_sparse_hll_is_always_in_the_linear_counting_regime(self, p):
+        """Why ``count()`` may answer the sparse state from the number of
+        zero registers alone: the dense walk's raw estimate is at most
+        ``α·m²/zeros``, which is under ``2.5·m`` while fewer than ``0.71·m``
+        registers are set — and the promotion point is far below that."""
+        m = 1 << p
+        assert sparse_limit(p) <= m // 2
+        most = math.ceil(0.71 * m) - 1
+        assert _hll_alpha(m) * m * m / (m - most) <= 2.5 * m
+        # the worst case for the walk: top ranks add next to nothing to acc
+        worst = DenseHLL(p)
+        worst.registers[:m // 2] = bytes([64 - p + 1]) * (m // 2)
+        assert worst.count() == m * math.log(m / (m - m // 2))
+
+    def test_memory_bytes_reports_the_state_held(self):
+        h = HyperLogLog(12)
+        assert h.memory_bytes() == 64
+        for v in range(9):
+            h.add(float(v))
+        assert h.memory_bytes() == 64 + _SPARSE_ENTRY_BYTES * 9
+        for v in range(5000):
+            h.add(v)
+        assert h.memory_bytes() == 64 + 4096 == DenseHLL(12).memory_bytes()
+
+    def test_nine_values_ship_as_a_short_sorted_list(self):
+        h = HyperLogLog(12)
+        for v in range(9):
+            h.add(v * 1.5)
+        doc = h.to_dict()
+        assert list(doc) == ["p", "sparse", "trimmed"]
+        assert doc["sparse"] == sorted(doc["sparse"]) and len(doc["sparse"]) == 9
+        assert len(json.dumps(doc)) * 20 <= len(json.dumps(
+            DenseHLL.from_dict({"p": 12, "registers": h.registers.hex()}).to_dict()))
+
+    # -- from_dict refuses what no hash can produce ----------------------
+    def test_the_parent_loaded_impossible_ranks(self):
+        doc = {"p": 4, "registers": "c8" + "00" * 15}
+        with pytest.raises(IndexError):  # one such document aborted a compare
+            DenseHLL.from_dict(doc).count()
+        # 63 at p=4 (the most a hash gives is 61): wrong but plausible
+        assert round(DenseHLL.from_dict(
+            {"p": 4, "registers": "3f" + "00" * 15}).count(), 2) == 1.03
+        with pytest.raises(ValueError):
+            HyperLogLog.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"p": 4, "registers": "3f" + "00" * 15},           # rank 63 > 61
+        {"p": 16, "registers": "32" + "00" * 65535},       # rank 50 > 49
+        {"p": 4, "registers": "00" * 15},                  # 15 registers
+        {"p": 4, "registers": "00" * 17},
+        {"p": 4, "registers": "00" * 16, "sparse": []},    # both forms
+        {"p": 4},                                          # neither
+        {"p": 4, "sparse": [1 << 6 | 62]},                 # rank 62 > 61
+        {"p": 4, "sparse": [1 << 6]},                      # rank 0
+        {"p": 4, "sparse": [16 << 6 | 1]},                 # index == m
+        {"p": 4, "sparse": [2 << 6 | 1, 1 << 6 | 1]},      # descending
+        {"p": 4, "sparse": [1 << 6 | 1, 1 << 6 | 2]},      # one index twice
+        {"p": 4, "sparse": [-63]},
+        {"p": 4, "sparse": [True]},
+        {"p": 4, "sparse": [65.0]},
+        {"p": 4, "sparse": ["65"]},
+        {"p": 3, "sparse": []},
+    ])
+    def test_from_dict_rejects(self, doc):
+        with pytest.raises(ValueError):
+            HyperLogLog.from_dict(doc)
+
+    def test_from_dict_accepts_the_legal_extremes(self):
+        for p in (4, 16):
+            top, m = 64 - p + 1, 1 << p
+            regs = bytes([top]) + bytes(m - 2) + bytes([1])
+            dense = HyperLogLog.from_dict({"p": p, "registers": regs.hex()})
+            sparse = HyperLogLog.from_dict(
+                {"p": p, "sparse": [top, (m - 1) << 6 | 1]})
+            assert dense.registers == sparse.registers == regs
+            assert dense.count() == sparse.count() == \
+                DenseHLL.from_dict({"p": p, "registers": regs.hex()}).count()
 
 
 # ----------------------------------------------------------------------
