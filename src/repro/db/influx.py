@@ -903,6 +903,13 @@ def _of_values(f):
     return lambda times, seqs, col, lo, hi: f(_values(col, lo, hi))
 
 
+def _walk_values(fold):
+    """``fold`` of each bucket's values as an :meth:`InfluxDB._grouped`
+    walk (:func:`_fold_buckets`), for the families that do not look at the
+    rows' keys."""
+    return lambda times, seqs, sel, N, lo, hi: _fold_buckets(times, sel, lo, hi, N, fold)
+
+
 # What InfluxDB._tier_buckets asks per column for the whole buckets of a
 # window, one function per aggregate family: ``rc`` is the column's tier
 # state, ``[ri0, ri1)`` the tier buckets, ``spans`` their grouping into
@@ -952,6 +959,45 @@ def _tier_partials(c: str, rc: _RollupCol, ri0: int, ri1: int, spans):
     ]
 
 
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """What one family of reads asks of a rollup tier (:meth:`InfluxDB._plan`):
+    ``rules`` judged per tier in order, each named by the reason a tier that
+    fails it is turned down; the counter the decisions land in (``None``:
+    nowhere); the outcome label of a serving tier (followed by its width),
+    of none, and of a read over several series; ``quiet``: record the
+    outcome only, no reasons."""
+
+    counter: str | None
+    rules: tuple[str, ...]
+    served: str = "served:"
+    fallback: str = "fallback:raw-scan"
+    multi: str = "fallback:multi-series"
+    quiet: bool = False
+
+
+#: Rollup reads, per aggregate: COUNT/MIN/MAX/LAST combine exactly across
+#: sub-buckets, MEAN/SUM only ride a tier equal to ``N``.
+_ROLLUP = {
+    agg: _Family("rollup_plan", ("tier-not-dividing", *extra),
+                 fallback="raw-fallback", multi="multi-series-raw")
+    for agg, extra in (
+        ("MEAN", ("mean-sum-needs-exact-tier",)), ("SUM", ("mean-sum-needs-exact-tier",)),
+        ("MIN", ("nan-poisoned",)), ("MAX", ("nan-poisoned",)), ("COUNT", ()), ("LAST", ()),
+    )
+}
+#: Tier digests serve a percentile only where the configured error bound
+#: provably holds; anything else is the exact nearest-rank scan.
+_SKETCH = _Family("sketch_plan", (
+    "tier-not-dividing", "nan-poisoned", "merge-bound", "error-bound"))
+_SKETCH_RANGE = _Family("sketch_plan", (
+    "unaligned-range", "nan-poisoned", "merge-bound", "error-bound"))
+_STDDEV = _Family("sketch_plan", ("exact-tier",), "stddev-served:", "stddev-raw",
+                  "stddev-raw", quiet=True)
+#: The router's merge, not the shard, decides what a partial served.
+_PARTIALS = _Family(None, ("exact-tier", "nan-poisoned"))
+
+
 class _Database:
     __slots__ = ("name", "meas", "retention", "points_written", "bytes_written",
                  "tiers", "fresh", "sketch")
@@ -991,16 +1037,12 @@ class InfluxDB:
         # (statement → rows) entry can never collide with a post-drop
         # recreation of the same database/measurement.
         self._gen_seq = 0
-        #: Rollup-planner decision counters: every ``GROUP BY time(N)``
-        #: plan records its outcome (``served:<tier>`` / ``raw-fallback`` /
-        #: ``multi-series-raw``) and each disqualification reason.  Purely
-        #: observational — the scenario fuzzer's coverage signal.
+        #: Planner decision counters (:meth:`_plan`), of the MEAN … LAST reads
+        #: and of the PERCENTILE/STDDEV/DISTINCT ones: per read exactly one
+        #: outcome (``served:<tier>``, ``raw-fallback``, ``hll-served``, …) and
+        #: each distinct reason a tier was turned down (``skip:<why>``).
+        #: Purely observational — the scenario fuzzer's coverage signal.
         self.rollup_plan: dict[str, int] = {}
-        #: Sketch-planner decision counters, same contract as
-        #: ``rollup_plan``: every PERCENTILE/COUNT DISTINCT plan records
-        #: whether tier sketches served it (``served:<tier>`` /
-        #: ``hll-served``) or which rule disqualified them
-        #: (``fallback:merge-bound``, ``fallback:nan-poisoned``, …).
         self.sketch_plan: dict[str, int] = {}
         #: How many of those decisions were to serve from a sketch or tier
         #: partial: what a caller diffs to learn whether its read was.
@@ -1414,20 +1456,20 @@ class InfluxDB:
 
     def _ungrouped(
         self, db: str, measurement: str, columns, tags, t0, t1,
-        t0_exclusive: bool, t1_exclusive: bool, fold, tier=None, note_multi=None,
+        t0_exclusive: bool, t1_exclusive: bool, fold, fam=None, served=None,
     ) -> tuple[list[str], float | None, list]:
         """The one shape of a read without ``GROUP BY``: ``(columns,
         first_row_time, [answer per column])``, ``first_row_time`` being
         ``None`` when no row matches and an answer ``None`` for a column
         never written.
 
-        One matched series (the Listing 3 dashboard shape) is first offered
-        to ``tier(s, lo, hi, cols)`` — the family's planner, which answers
-        every column from a rollup tier or returns ``None`` — and is else
-        ``fold(times, seqs, col, lo, hi)`` per column over its own arrays.
-        Several are put into (time, seq) order by :func:`_merge_keyed` and
-        folded the same way, so what a fold sees is what a fold over
-        :meth:`scan_columns` rows would."""
+        One matched series (the Listing 3 dashboard shape) of a family a
+        tier may serve is first planned (:meth:`_plan`); a tier ``r`` that
+        serves answers every column, ``served(s, r, lo, hi, cols)``.  Else
+        each column is ``fold(times, seqs, col, lo, hi)`` over the series'
+        own arrays.  Several are put into (time, seq) order by
+        :func:`_merge_keyed` and folded the same way, so what a fold sees
+        is what a fold over :meth:`scan_columns` rows would."""
         matched = self._matched_slices(
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
@@ -1436,13 +1478,12 @@ class InfluxDB:
             return cols, None, [None] * len(cols)
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            served = None if tier is None else tier(s, lo, hi, cols)
-            if served is not None:
-                return cols, s.times[lo], served
+            if fam is not None and (r := self._plan(fam, s, lo, hi)) is not None:
+                return cols, s.times[lo], served(s, r, lo, hi, cols)
             times, seqs, sel = s.times, s.seqs, [s.cols.get(c) for c in cols]
         else:
-            if note_multi is not None:
-                note_multi()
+            if fam is not None:
+                self._plan(fam)
             times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
             lo, hi = 0, len(times)
         return cols, times[lo], [
@@ -1451,18 +1492,19 @@ class InfluxDB:
 
     def _grouped(
         self, db: str, measurement: str, N: float, columns, tags, t0, t1,
-        t0_exclusive: bool, t1_exclusive: bool, fold, tier, note_multi,
+        t0_exclusive: bool, t1_exclusive: bool, walk, fam, served,
     ) -> tuple[list[str], ColumnRows]:
         """The one shape of a ``GROUP BY time(N)`` read: per bucket and
-        column ``fold`` of the bucket's values, as columns under the bucket
-        starts (:class:`ColumnRows`).
+        column the family's answer, as columns under the bucket starts
+        (:class:`ColumnRows`); ``walk(times, seqs, sel, N, lo, hi)`` works
+        it out from rows ``[lo, hi)`` of aligned columns.
 
-        One matched series (the Listing 3 dashboard shape) is first offered
-        to ``tier(s, lo, hi, cols, raw)`` — the family's planner, which
-        answers from a rollup tier or returns ``None`` — and walked raw
-        otherwise.  Several are merged into (time, seq) order by
-        :meth:`scan_columns` and walked the same way (rare shape —
-        exactness over speed)."""
+        One matched series (the Listing 3 dashboard shape) is first planned
+        for family ``fam`` (:meth:`_plan`); a tier ``r`` that serves reads
+        every whole bucket through ``served(s, r)`` (:meth:`_tier_buckets`),
+        and the series is walked raw otherwise.  Several are merged into
+        (time, seq) order by :func:`_merge_keyed` and walked the same way
+        (rare shape — exactness over speed)."""
         if N <= 0:
             raise InfluxError("GROUP BY time() needs a positive bucket width")
         matched = self._matched_slices(
@@ -1473,16 +1515,13 @@ class InfluxDB:
             return cols, ColumnRows([], [None] * len(cols))
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            sel = [s.cols.get(c) for c in cols]
-            raw = lambda i, j: _fold_buckets(s.times, sel, i, j, N, fold)  # noqa: E731
-            rows = tier(s, lo, hi, cols, raw)
-            return cols, raw(lo, hi) if rows is None else rows
-        note_multi()
-        _, rows = self.scan_columns(
-            db, measurement, columns=cols, tags=tags, t0=t0, t1=t1,
-            t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
-        )
-        return cols, _fold_buckets(rows.times, rows.cols, 0, len(rows), N, fold)
+            raw = partial(walk, s.times, s.seqs, [s.cols.get(c) for c in cols], N)
+            r = self._plan(fam, s, lo, hi, N)
+            return cols, raw(lo, hi) if r is None else self._tier_buckets(
+                s, lo, hi, cols, N, r, raw, served(s, r))
+        self._plan(fam)
+        times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
+        return cols, walk(times, seqs, sel, N, 0, len(times))
 
     def scan_buckets(
         self,
@@ -1503,58 +1542,79 @@ class InfluxDB:
         Single-series matches (the Listing 3 dashboard shape) step from
         bucket edge to bucket edge (:func:`bucket_runs`) and, when a rollup
         tier divides ``N`` evenly, read every bucket the time filter left
-        whole off the rollup shard — raw folds cover only the one it cut
-        at either end.  MEAN/SUM only ever ride a tier equal to ``N``
-        (summation order must match the raw left fold exactly);
-        COUNT/MIN/MAX/LAST combine exactly across sub-buckets so any
-        dividing tier works.  Output is exactly equal to bucketing
+        whole off the rollup shard (``_ROLLUP``) — raw folds cover only
+        the one it cut at either end.  Output is exactly equal to bucketing
         :meth:`scan_columns` rows.
         """
         if agg not in _FOLDABLE:
             raise InfluxError(f"unknown aggregate {agg}")
 
-        def tier(s, lo, hi, cols, raw):
-            r = self._pick_rollup(s, agg, group_by_s, hi)
-            return None if r is None else self._tier_buckets(
-                s, lo, hi, cols, group_by_s, r, raw, partial(_tier_fold, agg))
-
         return self._grouped(
             db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, partial(fold_values, agg), tier,
-            lambda: self._note_plan("multi-series-raw"),
+            t1_exclusive, _walk_values(partial(fold_values, agg)), _ROLLUP[agg],
+            lambda s, r: partial(_tier_fold, agg),
         )
 
-    def _note_plan(self, outcome: str) -> None:
-        self.rollup_plan[outcome] = self.rollup_plan.get(outcome, 0) + 1
-
-    def _pick_rollup(
-        self, s: _Series, agg: str, group_by_s: float, hi: int | None = None
+    def _plan(
+        self, fam: _Family, s: _Series | None = None, lo: int = 0, hi: int = 0,
+        N: float = 0.0, outcome: str | None = None,
     ) -> _Rollup | None:
-        """Largest rollup tier that can serve ``GROUP BY time(N)`` exactly
-        over rows below ``hi`` (default: all of them)."""
+        """The tier of ``s`` that serves rows ``[lo, hi)`` for read family
+        ``fam`` (``N``: the ``GROUP BY time`` width, 0 for a range) — the
+        largest that passes every rule, caught up to ``hi`` — or ``None``,
+        with nothing folded.  The one place a plan is recorded: in ``fam``'s
+        counter, each distinct rule a tier failed once as ``skip:<rule>``
+        (unless the family is quiet), and exactly one outcome — the serving
+        tier, the fallback, or, with no series to judge, ``outcome`` (a read
+        no tier answers: ``hll-served``) else the several-series label."""
         best = None
-        skips: set[str] = set()
-        for r in s._rollups:  # planned on tier sizes: nothing read from one yet
-            # exact divisibility: 0.5 / 0.1 == 5.0 rounds a remainder away,
-            # and buckets of such a tier straddle the edges of time(0.5)
-            if group_by_s < r.tier or group_by_s % r.tier != 0.0:
-                skips.add("skip:tier-not-dividing")
-                continue
-            if group_by_s != r.tier and agg in ("MEAN", "SUM"):
-                # cross-bucket float summation reorders the fold
-                skips.add("skip:mean-sum-needs-exact-tier")
-                continue
-            if agg in ("MIN", "MAX") and s.has_nan:
-                # NaN makes min/max folds order-dependent
-                skips.add("skip:nan-poisoned")
-                continue
-            if best is None or r.tier > best.tier:
-                best = r
-        if best is not None:
-            s.catch_up(len(s) if hi is None else hi)
-        for reason in skips:
-            self._note_plan(reason)
-        self._note_plan(f"served:{best.tier:g}" if best is not None else "raw-fallback")
+        why: list[str] = []
+        if s is None:
+            outcome = outcome or fam.multi
+        else:
+            cfg, times = self.sketch, s.times
+            for r in s._rollups:
+                T = r.tier
+                for rule in fam.rules:
+                    if rule == "tier-not-dividing":
+                        # exact divisibility: 0.5 / 0.1 == 5.0 rounds a remainder
+                        # away, and buckets of such a tier straddle time(0.5)'s edges
+                        failed = N < T or N % T != 0.0
+                    elif rule == "nan-poisoned":
+                        # NaN makes min/max folds and digests order-dependent
+                        failed = s.has_nan
+                    elif rule == "merge-bound":
+                        # a time(N) bucket merges N / T digests; a range, one per
+                        # tier bucket it holds (counted no further than the bound)
+                        k = N / T if N else sum(1 for _ in islice(
+                            bucket_runs(times, lo, hi, T), cfg.max_merge + 1))
+                        failed = k > cfg.max_merge
+                    elif rule == "error-bound":
+                        failed = cfg.digest_bound(merged=k > 1) > cfg.epsilon
+                    elif rule == "unaligned-range":  # the range cuts a tier bucket
+                        failed = (
+                            lo > 0 and (times[lo - 1] // T) * T == (times[lo] // T) * T
+                            or hi < len(times)
+                            and (times[hi] // T) * T == (times[hi - 1] // T) * T)
+                    else:  # an exact tier: cross-bucket float sums reorder the fold
+                        failed = N != T
+                    if failed:
+                        if not fam.quiet and rule not in why:
+                            why.append(rule)
+                        break
+                else:
+                    if best is None or T > best.tier:
+                        best = r
+            if best is not None:
+                s.catch_up(hi)
+            outcome = fam.fallback if best is None else f"{fam.served}{best.tier:g}"
+        if fam.counter is not None:
+            plan = getattr(self, fam.counter)
+            for rule in why:
+                plan["skip:" + rule] = plan.get("skip:" + rule, 0) + 1
+            plan[outcome] = plan.get(outcome, 0) + 1
+            if "served" in outcome and fam.counter == "sketch_plan":
+                self.sketch_served += 1
         return best
 
     @staticmethod
@@ -1674,27 +1734,11 @@ class InfluxDB:
         head/tail buckets the time filter cut through.  Rollup-served stats
         carry ``last_t=None`` (the key is not stored per bucket), which the
         router treats as "fall back if LAST must merge across shards".
-        Several series are walked as one, over their merged columns.
         """
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        matched = self._matched_slices(
-            self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
+        return self._grouped(
+            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
+            t1_exclusive, self._partials_raw, _PARTIALS, lambda s, r: _tier_partials,
         )
-        cols = self._resolve_columns(matched, columns)
-        if len(matched) == 1:
-            s, lo, hi = matched[0]
-            raw = partial(self._partials_raw, s.times, s.seqs,
-                          [s.cols.get(c) for c in cols], group_by_s)
-            r = next((r for r in s._rollups if r.tier == group_by_s), None)
-            if r is not None and not s.has_nan:
-                s.catch_up(hi)
-                return cols, self._tier_buckets(
-                    s, lo, hi, cols, group_by_s, r, raw, _tier_partials)
-            return cols, raw(lo, hi)
-        times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
-        return cols, self._partials_raw(
-            times, seqs, sel, group_by_s, 0, len(times))
 
     def _partials_raw(
         self, times: list[float], seqs: list[int], sel: list[list | None],
@@ -1712,50 +1756,6 @@ class InfluxDB:
     # ------------------------------------------------------------------
     # Sketch-served analytics: PERCENTILE / STDDEV / DISTINCT
     # ------------------------------------------------------------------
-    # The planner contract mirrors the rollup planner: serve from tier
-    # sketches only when the configured error bound provably holds —
-    # a dividing tier, no NaN poisoning, at most ``max_merge`` digests per
-    # answer, and ``digest_bound(merged) <= epsilon`` — otherwise fall back
-    # to an exact columnar scan.  Every decision lands in ``sketch_plan``.
-
-    def _note_sketch(self, outcome: str) -> None:
-        self.sketch_plan[outcome] = self.sketch_plan.get(outcome, 0) + 1
-        if "served" in outcome:  # served:<tier>, stddev-served:<tier>, hll-served
-            self.sketch_served += 1
-
-    def _pick_sketch_rollup(
-        self, s: _Series, group_by_s: float, hi: int
-    ) -> _Rollup | None:
-        """Largest tier whose per-bucket digests can serve ``GROUP BY
-        time(N)`` percentiles within the configured rank-error bound."""
-        cfg = self.sketch
-        best = None
-        skips: set[str] = set()
-        for r in s._rollups:  # planned on tier sizes: nothing read from one yet
-            k = group_by_s / r.tier
-            if k < 1.0 or group_by_s % r.tier != 0.0:  # see _pick_rollup
-                skips.add("fallback:tier-not-dividing")
-                continue
-            if s.has_nan:
-                skips.add("fallback:nan-poisoned")
-                continue
-            if k > cfg.max_merge:
-                skips.add("fallback:merge-bound")
-                continue
-            if cfg.digest_bound(merged=k > 1.0) > cfg.epsilon:
-                skips.add("fallback:error-bound")
-                continue
-            if best is None or r.tier > best.tier:
-                best = r
-        if best is not None:
-            s.catch_up(hi)
-        for reason in skips:
-            self._note_sketch(reason)
-        self._note_sketch(
-            f"served:{best.tier:g}" if best is not None else "fallback:raw-scan"
-        )
-        return best
-
     def quantile_buckets(
         self,
         db: str,
@@ -1779,16 +1779,10 @@ class InfluxDB:
         the merge of at most ``N/tier`` of them.  The head/tail buckets a
         time filter cut through — and every fallback — use the exact
         nearest-rank fold."""
-        def tier(s, lo, hi, cols, raw):
-            r = self._pick_sketch_rollup(s, group_by_s, hi)
-            return None if r is None else self._tier_buckets(
-                s, lo, hi, cols, group_by_s, r, raw,
-                partial(self._tier_quantiles, s, r, pct / 100.0))
-
         return self._grouped(
             db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, partial(nearest_rank, pct=pct), tier,
-            lambda: self._note_sketch("fallback:multi-series"),
+            t1_exclusive, _walk_values(partial(nearest_rank, pct=pct)), _SKETCH,
+            lambda s, r: partial(self._tier_quantiles, s, r, pct / 100.0),
         )
 
     @staticmethod
@@ -1826,50 +1820,21 @@ class InfluxDB:
             part = kept[ri0:ri1]
         return part
 
+    @staticmethod
     def _range_digests(
-        self, s: _Series, lo: int, hi: int, cols: list[str]
-    ) -> list[TDigest | None] | None:
-        """One merged digest per column over ``[lo, hi)``, or ``None`` when
-        no tier may serve it: the slice must be exactly tiled by whole tier
-        buckets (no partial head/tail), NaN-free, and span at most
-        ``max_merge`` digests within the error bound."""
-        cfg = self.sketch
-        times = s.times
-        n = len(times)
-        skips: set[str] = set()
-        for r in sorted(s._rollups, key=lambda r: -r.tier):
-            T = r.tier
-            keyt = lambda t: (t // T) * T  # noqa: E731
-            if (lo > 0 and keyt(times[lo - 1]) == keyt(times[lo])) or (
-                hi < n and keyt(times[hi]) == keyt(times[hi - 1])
-            ):
-                skips.add("fallback:unaligned-range")
-                continue
-            if s.has_nan:
-                skips.add("fallback:nan-poisoned")
-                continue
-            s.catch_up(hi)
-            ri0 = bisect_left(r.starts, keyt(times[lo]))
-            ri1 = bisect_right(r.starts, keyt(times[hi - 1]))
-            m = ri1 - ri0
-            if m > cfg.max_merge:
-                skips.add("fallback:merge-bound")
-                continue
-            if cfg.digest_bound(merged=m > 1) > cfg.epsilon:
-                skips.add("fallback:error-bound")
-                continue
-            for reason in skips:
-                self._note_sketch(reason)
-            self._note_sketch(f"served:{T:g}")
-            return [
-                _merged([d for ri in range(ri0, ri1)
-                         if (d := s.bucket_digest(r, c, ri)) is not None])
-                for c in cols
-            ]
-        for reason in skips:
-            self._note_sketch(reason)
-        self._note_sketch("fallback:raw-scan")
-        return None
+        s: _Series, r: _Rollup, lo: int, hi: int, cols: list[str]
+    ) -> list[TDigest | None]:
+        """One merged digest per column over ``[lo, hi)``, which the planner
+        found exactly tiled by the whole buckets of tier ``r``
+        (``_SKETCH_RANGE``)."""
+        T, times = r.tier, s.times
+        ri0 = bisect_left(r.starts, (times[lo] // T) * T)
+        ri1 = bisect_right(r.starts, (times[hi - 1] // T) * T)
+        return [
+            _merged([d for ri in range(ri0, ri1)
+                     if (d := s.bucket_digest(r, c, ri)) is not None])
+            for c in cols
+        ]
 
     def quantile_columns(
         self,
@@ -1889,16 +1854,11 @@ class InfluxDB:
         Served from merged tier digests when the matched slice is exactly
         bucket-tiled and within the merge/error bounds; exact nearest-rank
         scan otherwise."""
-        def tier(s, lo, hi, cols):
-            digests = self._range_digests(s, lo, hi, cols)
-            if digests is None:
-                return None
-            return [d if d is None else d.quantile(pct / 100.0) for d in digests]
-
         return self._ungrouped(
             db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
-            _of_values(partial(nearest_rank, pct=pct)), tier,
-            partial(self._note_sketch, "fallback:multi-series"),
+            _of_values(partial(nearest_rank, pct=pct)), _SKETCH_RANGE,
+            lambda *a: [d if d is None else d.quantile(pct / 100.0)
+                        for d in self._range_digests(*a)],
         )
 
     def stddev_columns(
@@ -1939,20 +1899,9 @@ class InfluxDB:
         (count, Σv, Σv²) fold — bit-identical to the raw fold because both
         are the same fold of the same slice — with raw folds for the
         head/tail buckets the time filter cut through."""
-        def tier(s, lo, hi, cols, raw):
-            r = next((r for r in s._rollups if r.tier == group_by_s), None)
-            if r is None:
-                self._note_sketch("stddev-raw")
-                return None
-            s.catch_up(hi)
-            self._note_sketch(f"stddev-served:{r.tier:g}")
-            return self._tier_buckets(
-                s, lo, hi, cols, group_by_s, r, raw, _tier_stddev)
-
         return self._grouped(
             db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, _stddev_of, tier,
-            lambda: self._note_sketch("stddev-raw"),
+            t1_exclusive, _walk_values(_stddev_of), _STDDEV, lambda s, r: _tier_stddev,
         )
 
     def distinct_keyed(
@@ -2007,7 +1956,7 @@ class InfluxDB:
         """``DISTINCT(field)``: (first_time, value) per distinct value in
         first-occurrence order — always exact (a value list cannot be
         sketch-served)."""
-        self._note_sketch("distinct-scan")
+        self._plan(_SKETCH, outcome="distinct-scan")
         return [
             (t, v)
             for t, _, v in self.distinct_keyed(
@@ -2043,11 +1992,11 @@ class InfluxDB:
         if reason is None:
             if hll is None:
                 return first_t, None
-            if hll.error_bound() <= self.sketch.hll_epsilon:
-                self._note_sketch("hll-served")
-                return first_t, float(round(hll.count()))
-            reason = "fallback:hll-error-bound"
-        self._note_sketch(reason)
+            reason = ("hll-served" if hll.error_bound() <= self.sketch.hll_epsilon
+                      else "fallback:hll-error-bound")
+        self._plan(_SKETCH, outcome=reason)
+        if reason == "hll-served":
+            return first_t, float(round(hll.count()))
         n = len(
             self.distinct_keyed(
                 db, measurement, column, tags, t0, t1,
@@ -2096,8 +2045,7 @@ class InfluxDB:
         """
         return self._ungrouped(
             db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
-            _of_values(self._digest_of), self._range_digests,
-            partial(self._note_sketch, "fallback:multi-series"),
+            _of_values(self._digest_of), _SKETCH_RANGE, self._range_digests,
         )
 
     def _digest_of(self, vals: list[float]) -> TDigest | None:
@@ -2124,16 +2072,10 @@ class InfluxDB:
         """Per-bucket digest partials for sharded ``GROUP BY time(N)``
         percentiles: tier-digest-served interior buckets, built-from-raw
         boundary buckets — every bucket ships a mergeable digest."""
-        def tier(s, lo, hi, cols, raw):
-            r = self._pick_sketch_rollup(s, group_by_s, hi)
-            return None if r is None else self._tier_buckets(
-                s, lo, hi, cols, group_by_s, r, raw,
-                partial(self._tier_digests, s, r))
-
         return self._grouped(
             db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, self._digest_of, tier,
-            lambda: self._note_sketch("fallback:multi-series"),
+            t1_exclusive, _walk_values(self._digest_of), _SKETCH,
+            lambda s, r: partial(self._tier_digests, s, r),
         )
 
     def distinct_partials(

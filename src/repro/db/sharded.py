@@ -221,25 +221,18 @@ class ShardedInfluxDB:
     def shard_names(self) -> list[str]:
         return sorted(self.shards)
 
-    @property
-    def rollup_plan(self) -> dict[str, int]:
-        """Rollup-planner decision counters summed across shards — the
-        same observational surface :attr:`InfluxDB.rollup_plan` exposes on
-        the single engine."""
+    def _summed(self, counter: str) -> dict[str, int]:
+        """A planner decision counter (:attr:`InfluxDB.rollup_plan`,
+        :attr:`InfluxDB.sketch_plan`) summed across shards — the same
+        observational surface the single engine exposes."""
         out: dict[str, int] = {}
         for sh in self.shards.values():
-            for k, v in sh.rollup_plan.items():
+            for k, v in getattr(sh, counter).items():
                 out[k] = out.get(k, 0) + v
         return out
 
-    @property
-    def sketch_plan(self) -> dict[str, int]:
-        """Sketch-planner decision counters summed across shards."""
-        out: dict[str, int] = {}
-        for sh in self.shards.values():
-            for k, v in sh.sketch_plan.items():
-                out[k] = out.get(k, 0) + v
-        return out
+    rollup_plan = property(partial(_summed, counter="rollup_plan"))
+    sketch_plan = property(partial(_summed, counter="sketch_plan"))
 
     @property
     def sketch_served(self) -> int:

@@ -1,9 +1,9 @@
-"""Mergeable sketches for incremental analytics: t-digest, HLL, reservoir.
+"""Mergeable sketches for incremental analytics: t-digest and HLL.
 
 PR 5's rollup tiers keep count/total/min/max/last per bucket, which
 serves MEAN/SUM/COUNT/MIN/MAX/LAST at O(tiers) cost — but percentiles and
 distinct counts still require a raw columnar scan on every read.  This
-module supplies the three mergeable summaries that close that gap (the
+module supplies the two mergeable summaries that close that gap (the
 online-ODA pattern of DCDB Wintermute):
 
 - :class:`TDigest` — quantile sketch (merging-digest variant).  Clusters
@@ -12,9 +12,6 @@ online-ODA pattern of DCDB Wintermute):
 - :class:`HyperLogLog` — cardinality with ``1.04/√m`` standard error,
   register-wise-max mergeable across shards and federation hosts; held and
   shipped as its occupied registers until the dense array is the smaller.
-- :class:`ReservoirSample` — a bottom-k sample keyed by a stable hash of
-  each row's identity, so shard-split samples merge into exactly the
-  sample an unsharded store would keep.
 
 Everything here is pure python, deterministic (no entropy source — ties
 break on canonical byte encodings), and serializable to JSON-safe dicts,
@@ -44,7 +41,6 @@ __all__ = [
     "DEFAULT_SKETCH",
     "TDigest",
     "HyperLogLog",
-    "ReservoirSample",
     "value_key",
     "stable_hash64",
     "float_hash64",
@@ -615,64 +611,3 @@ class HyperLogLog:
 
 
 _POW2_NEG = tuple(2.0 ** -r for r in range(65))
-
-
-# ----------------------------------------------------------------------
-# Bottom-k reservoir
-# ----------------------------------------------------------------------
-class ReservoirSample:
-    """Deterministic bottom-k sample.
-
-    Each item's priority is the stable hash of its identity key (for
-    time-series rows: the ``(time, seq)`` pair), so any partition of the
-    stream — shards, federation hosts — keeps samples that merge into
-    exactly the k items the unsharded stream would have kept."""
-
-    __slots__ = ("k", "_items", "_seen")
-
-    def __init__(self, k: int = 64) -> None:
-        if k < 1:
-            raise ValueError("reservoir size must be >= 1")
-        self.k = k
-        self._items: list[tuple[int, float]] = []  # (priority, value)
-        self._seen = 0
-
-    def add(self, value: float, key: Any = None) -> None:
-        self._seen += 1
-        pri = stable_hash64((key, value) if key is not None else value)
-        self._items.append((pri, value))
-        if len(self._items) > 4 * self.k:
-            self._prune()
-
-    def merge_from(self, other: "ReservoirSample") -> None:
-        self._items.extend(other._items)
-        self._seen += other._seen
-        self._prune()
-
-    def _prune(self) -> None:
-        self._items.sort()
-        del self._items[self.k:]
-
-    @property
-    def seen(self) -> int:
-        return self._seen
-
-    def values(self) -> list[float]:
-        self._prune()
-        return [v for _, v in self._items]
-
-    def to_dict(self) -> dict[str, Any]:
-        self._prune()
-        return {
-            "k": self.k,
-            "seen": self._seen,
-            "items": [[p, v] for p, v in self._items],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "ReservoirSample":
-        r = cls(doc["k"])
-        r._seen = int(doc["seen"])
-        r._items = [(int(p), float(v)) for p, v in doc["items"]]
-        r._prune()
-        return r

@@ -144,9 +144,10 @@ def harvest(run: dict[str, Any]) -> set[str]:
             pts.add(f"rollup-plan:{reason}")
 
     # --- sketch serving planner --------------------------------------
-    # Keys are already ``served:<tier:g>`` / ``fallback:<why>`` /
-    # ``hll-served`` — tier-sketch serves, fallback disqualifications and
-    # merge-bound rejections each become one behaviour point.
+    # Keys are already one outcome per read (``served:<tier:g>`` /
+    # ``hll-served`` / ``fallback:raw-scan`` / ``fallback:hll-trimmed`` …)
+    # and the reasons tiers were turned down (``skip:merge-bound`` …); each
+    # becomes one behaviour point.
     for reason, n in run.get("sketch_plan", {}).items():
         if n:
             pts.add(f"sketch-plan:{reason}")

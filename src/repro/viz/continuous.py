@@ -1,30 +1,26 @@
-"""Continuous queries: incrementally materialized dashboard targets.
+"""Continuous queries: standing dashboard targets over closed buckets.
 
 Real InfluxDB lets operators register ``CONTINUOUS QUERY`` statements that
 downsample on a schedule so dashboards read precomputed rows instead of
 rescanning raw points.  :class:`ContinuousQueryRegistrar` plays that role
 for :class:`~repro.viz.grafana.GrafanaServer`: a registered target (its
 ``agg``/``agg_arg``/``group_by_s`` describe e.g. ``PERCENTILE("lat", 99)
-... GROUP BY time(60s)``) is re-executed only over the buckets that closed
-since the last refresh, and the results accumulate in a materialized
-series the server can chart without touching the engine.
+... GROUP BY time(60s)``) has a watermark that :meth:`refresh` advances
+over the buckets closed since, and :meth:`series` is the engine's answer
+over ``[start_t, watermark)``.
 
-Cost model: each refresh issues one InfluxQL statement scoped to the new
-buckets.  When the target is a ``PERCENTILE`` over a rollup-tier-aligned
-``GROUP BY time`` window, the engine answers each bucket from its tier
-t-digests — O(tiers) work per bucket, independent of how many raw points
-landed in it — so steady-state materialization cost tracks wall-clock
-time, not ingest volume.
-
-Late data: writes landing behind the watermark would silently miss the
-materialized rows, so each refresh re-executes the trailing
-``replay_buckets`` already-closed buckets and replaces their rows; data
-arriving later than that is visible only via :meth:`backfill`.
+The precomputed rows are the engine's own: a ``PERCENTILE`` over a rollup
+tier-aligned ``GROUP BY time`` window answers each bucket from its tier
+t-digest, and what that digest answered is kept beside it, so a closed
+bucket asked again is a slice read — no second copy of the answers lives
+here.  Late data needs no replay window either: a write behind the
+watermark re-folds its own bucket in the engine, and the next
+:meth:`series` serves it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.db.influxql import execute
@@ -37,20 +33,15 @@ __all__ = ["ContinuousQuery", "ContinuousQueryRegistrar"]
 
 @dataclass
 class ContinuousQuery:
-    """One registered materialization (name + target + progress state)."""
+    """One registered target (name + target + progress state)."""
 
     name: str
     target: Target
     start_t: float
-    replay_buckets: int
-    #: Exclusive upper bound of materialized time: every bucket whose key
-    #: is < watermark has been executed at least once.
+    #: Exclusive upper bound of served time: every bucket whose key is
+    #: below it was closed at the last refresh.
     watermark: float = 0.0
-    #: bucket key -> value (None = bucket executed, field absent/NaN-free
-    #: rows empty); insertion is keyed so replayed buckets replace in place.
-    rows: dict[float, float | None] = field(default_factory=dict)
     refreshes: int = 0
-    buckets_materialized: int = 0
 
     def __post_init__(self) -> None:
         if not self.target.agg:
@@ -60,13 +51,11 @@ class ContinuousQuery:
                 f"continuous query {self.name!r} needs GROUP BY time "
                 "(group_by_s > 0)"
             )
-        if self.replay_buckets < 0:
-            raise DashboardError("replay_buckets must be >= 0")
         self.watermark = self.start_t
 
 
 class ContinuousQueryRegistrar:
-    """Registry + refresh loop for materialized dashboard targets."""
+    """Registry + refresh loop for standing dashboard targets."""
 
     def __init__(self, server: GrafanaServer) -> None:
         self.server = server
@@ -74,14 +63,10 @@ class ContinuousQueryRegistrar:
 
     # ------------------------------------------------------------------
     def register(
-        self,
-        name: str,
-        target: Target,
-        start_t: float = 0.0,
-        replay_buckets: int = 1,
+        self, name: str, target: Target, start_t: float = 0.0
     ) -> ContinuousQuery:
-        """Install (or replace) a continuous query; materialization starts
-        empty and advances on :meth:`refresh`."""
+        """Install (or replace) a continuous query; it serves nothing until
+        a :meth:`refresh` closes its first bucket."""
         if target.group_by_s <= 0:
             raise DashboardError(
                 f"continuous query {name!r} needs GROUP BY time "
@@ -91,7 +76,6 @@ class ContinuousQueryRegistrar:
             name=name,
             target=target,
             start_t=(start_t // target.group_by_s) * target.group_by_s,
-            replay_buckets=replay_buckets,
         )
         self._queries[name] = cq
         return cq
@@ -109,72 +93,47 @@ class ContinuousQueryRegistrar:
             raise DashboardError(f"no continuous query {name!r}") from None
 
     # ------------------------------------------------------------------
-    def _execute_window(self, cq: ContinuousQuery, lo: float, hi: float) -> int:
-        """Materialize buckets with lo <= key < hi; returns buckets written.
-
-        ``time <= hi - 1ulp`` is approximated by querying up to the last
-        closed bucket's end minus nothing — the engine keys buckets at
-        ``(t // g) * g``, so restricting to keys < hi after execution is
-        exact regardless of the range's right edge.
-        """
-        if hi <= lo:
-            return 0
-        statement = self.server.target_statement(cq.target, t0=lo, t1=hi)
-        rs = execute(self.server.influx, self.server.database, statement)
-        written = 0
-        for t, row in rs.rows:
-            if lo <= t < hi:
-                cq.rows[t] = row[0]
-                written += 1
-        # Buckets with no rows at all stay absent (a gap, not a zero) —
-        # matching what a direct panel query over the same range returns.
-        return written
-
     def refresh(self, now: float, name: str | None = None) -> dict[str, int]:
-        """Advance materialization to every bucket fully closed at ``now``.
+        """Advance the watermark over every bucket fully closed at ``now``.
 
-        Returns {cq name: buckets written this refresh}.  Only closed
-        buckets are executed — a half-open bucket would materialize a
-        value that still changes under ingest.
+        Returns {cq name: buckets closed this refresh}.  Only closed
+        buckets are served — a half-open bucket would show a value that
+        still changes under ingest.
         """
         out: dict[str, int] = {}
         queries = [self.get(name)] if name is not None else list(self._queries.values())
         for cq in queries:
             g = cq.target.group_by_s
             horizon = (now // g) * g  # first still-open bucket's key
-            lo = max(cq.start_t, cq.watermark - cq.replay_buckets * g)
-            written = self._execute_window(cq, lo, horizon)
+            closed = max(0, round((horizon - cq.watermark) / g))
             cq.watermark = max(cq.watermark, horizon)
             cq.refreshes += 1
-            cq.buckets_materialized += written
-            out[cq.name] = written
+            out[cq.name] = closed
         return out
-
-    def backfill(self, name: str) -> int:
-        """Re-execute a query's whole materialized range (late-data repair
-        beyond the replay window); returns buckets written."""
-        cq = self.get(name)
-        return self._execute_window(cq, cq.start_t, cq.watermark)
 
     # ------------------------------------------------------------------
     def series(self, name: str) -> tuple[list[float], list[float]]:
-        """The materialized (times, values) — what a panel charts."""
+        """The engine's (times, values) over ``[start_t, watermark)`` — what
+        a panel charts.  Buckets with no value stay absent (a gap, not a
+        zero), as in a direct panel query over the same range."""
         cq = self.get(name)
-        times, values = [], []
-        for t in sorted(cq.rows):
-            v = cq.rows[t]
-            if v is not None:
+        times: list[float] = []
+        values: list[float] = []
+        if cq.watermark <= cq.start_t:
+            return times, values
+        statement = self.server.target_statement(cq.target, t0=cq.start_t, t1=cq.watermark)
+        for t, row in execute(self.server.influx, self.server.database, statement).rows:
+            # ``time <= watermark`` may open the bucket at the watermark
+            if cq.start_t <= t < cq.watermark and row[0] is not None:
                 times.append(t)
-                values.append(v)
+                values.append(row[0])
         return times, values
 
     def stats(self) -> dict[str, dict[str, Any]]:
         return {
             name: {
                 "watermark": cq.watermark,
-                "buckets": len(cq.rows),
                 "refreshes": cq.refreshes,
-                "buckets_materialized": cq.buckets_materialized,
                 "statement": self.server.target_statement(cq.target),
             }
             for name, cq in sorted(self._queries.items())

@@ -266,7 +266,7 @@ class TestLateWritesAndRetention:
             assert repr(execute(db, DB, text).rows) == repr(
                 naive_execute(db, DB, text).rows)
         assert db.rollup_plan.get("skip:nan-poisoned") == 2
-        assert db.sketch_plan.get("fallback:nan-poisoned") == 1
+        assert db.sketch_plan.get("skip:nan-poisoned") == 1
         assert calls == {}  # no tier could serve: none was caught up
 
     @pytest.mark.parametrize("horizon", [30.0, 65.0, 72.0, 85.0, 200.0])

@@ -22,6 +22,7 @@ from repro.db.influx import (
     InfluxDB,
     InfluxError,
     Point,
+    _ROLLUP,
     bucket_runs,
 )
 from repro.db.influxql import Query, execute, naive_execute
@@ -153,6 +154,11 @@ class TestPushdownEquivalence:
         _assert_same(_mk(pts, tiers=()), _fix(q))
 
 
+def _plan_rollup(db, s, agg, N):
+    """The tier the planner gives ``GROUP BY time(N)`` over all of ``s``."""
+    return db._plan(_ROLLUP[agg], s, 0, len(s), N)
+
+
 class TestRollupServing:
     def test_coarse_bucket_served_from_tier(self):
         """A tier-aligned GROUP BY actually uses the rollup arrays: the
@@ -161,20 +167,20 @@ class TestRollupServing:
             Point("m", {"tag": "a"}, {"v": float(i)}, i * 1.0) for i in range(600)
         )
         s = next(iter(next(iter(db._dbs["pmove"].meas.values())).series.values()))
-        r = db._pick_rollup(s, "MEAN", 60.0)
+        r = _plan_rollup(db, s, "MEAN", 60.0)
         assert r is not None and r.tier == 60.0
         # Multiples only combine exactly for COUNT/MIN/MAX/LAST.
-        assert db._pick_rollup(s, "SUM", 120.0) is None
-        assert db._pick_rollup(s, "COUNT", 120.0).tier == 60.0
-        assert db._pick_rollup(s, "MEAN", 7.0) is None
+        assert _plan_rollup(db, s, "SUM", 120.0) is None
+        assert _plan_rollup(db, s, "COUNT", 120.0).tier == 60.0
+        assert _plan_rollup(db, s, "MEAN", 7.0) is None
 
     def test_nan_poisons_min_max_tier(self):
         db = _mk([Point("m", {}, {"v": float("nan")}, 5.0),
                   Point("m", {}, {"v": 1.0}, 6.0)])
         s = next(iter(next(iter(db._dbs["pmove"].meas.values())).series.values()))
-        assert db._pick_rollup(s, "MIN", 10.0) is None
-        assert db._pick_rollup(s, "MAX", 10.0) is None
-        assert db._pick_rollup(s, "COUNT", 10.0) is not None
+        assert _plan_rollup(db, s, "MIN", 10.0) is None
+        assert _plan_rollup(db, s, "MAX", 10.0) is None
+        assert _plan_rollup(db, s, "COUNT", 10.0) is not None
 
     def test_unaligned_head_tail_exact(self):
         """A time filter cutting through tier buckets falls back to raw
@@ -333,7 +339,7 @@ class TestBucketEdges:
                 "m", ("a",), agg, (), None, None, 0.5,
                 agg_arg=50.0 if agg == "PERCENTILE" else None))
         assert "served:0.1" not in db.rollup_plan
-        assert db.sketch_plan == {"fallback:tier-not-dividing": 1,
+        assert db.sketch_plan == {"skip:tier-not-dividing": 1,
                                   "fallback:raw-scan": 1}
         assert_answers_like_naive(db, Query("m", ("a",), "COUNT", (), None, None, 0.2))
         assert db.rollup_plan["served:0.1"] == 1  # 0.2 is exactly two of them

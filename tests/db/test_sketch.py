@@ -21,7 +21,6 @@ from repro.db.sketch import (
     _SPARSE_ENTRY_BYTES,
     DEFAULT_SKETCH,
     HyperLogLog,
-    ReservoirSample,
     SketchConfig,
     TDigest,
     _hll_alpha,
@@ -684,29 +683,3 @@ class TestHyperLogLog:
             assert dense.registers == sparse.registers == regs
             assert dense.count() == sparse.count() == \
                 DenseHLL.from_dict({"p": p, "registers": regs.hex()}).count()
-
-
-# ----------------------------------------------------------------------
-# Reservoir
-# ----------------------------------------------------------------------
-class TestReservoir:
-    def test_split_merge_equals_whole(self):
-        whole = ReservoirSample(16)
-        parts = [ReservoirSample(16) for _ in range(4)]
-        for i in range(1000):
-            v = float(i) * 0.5
-            whole.add(v, key=i)
-            parts[i % 4].add(v, key=i)
-        merged = parts[0]
-        for p in parts[1:]:
-            merged.merge_from(p)
-        assert merged.values() == whole.values()
-        assert merged.seen == whole.seen
-
-    def test_bounded_and_serializable(self):
-        r = ReservoirSample(8)
-        for i in range(10_000):
-            r.add(float(i), key=i)
-        assert len(r.values()) == 8
-        back = ReservoirSample.from_dict(r.to_dict())
-        assert back.values() == r.values()

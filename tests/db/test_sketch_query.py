@@ -120,7 +120,7 @@ class TestExactEquivalence:
         a = execute(db, "pmove", text)
         b = naive_execute(db, "pmove", text)
         assert a.rows == b.rows
-        assert db.sketch_plan.get("fallback:tier-not-dividing")
+        assert db.sketch_plan.get("skip:tier-not-dividing")
 
     def test_multi_series_percentile_is_exact(self):
         db = InfluxDB(rollup_tiers=(10.0,))
@@ -190,7 +190,7 @@ class TestSketchServed:
         a = execute(db, "pmove", text)
         b = naive_execute(db, "pmove", text)
         assert a.rows == b.rows
-        assert db.sketch_plan.get("fallback:nan-poisoned")
+        assert db.sketch_plan.get("skip:nan-poisoned")
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +291,7 @@ class TestRouterErrorBound:
             assert got.rows == want.rows, text
             assert execute(single, "pmove", text).rows == want.rows, text
         assert not router.sketch_served
-        assert all(k.startswith("fallback:") for k in router.sketch_plan)
+        assert all(k.startswith(("skip:", "fallback:")) for k in router.sketch_plan)
 
     def test_default_router_still_merges_digests(self):
         """4/200 = 0.02 <= 0.02: at the default configuration the ungrouped

@@ -1,10 +1,12 @@
-"""Continuous-query registrar: incremental PERCENTILE materialization."""
+"""Continuous-query registrar: standing PERCENTILE targets read from the engine."""
 
 import random
 
 import pytest
 
 from repro.db.influx import InfluxDB, Point
+from repro.db.influxql import execute
+from repro.db.sketch import TDigest
 from repro.viz import (
     ContinuousQueryRegistrar,
     Dashboard,
@@ -77,33 +79,51 @@ class TestRegistrar:
                    if k.startswith("served:")) > sum(
             v for k, v in before.items() if k.startswith("served:"))
 
-    def test_replay_window_repairs_late_data(self):
+    def test_a_late_write_into_the_last_closed_bucket_is_served(self):
         db, srv, tgt = seeded_server()
         reg = ContinuousQueryRegistrar(srv)
-        reg.register("p99", tgt, replay_buckets=1)
+        reg.register("p99", tgt)
         reg.refresh(120.0)
         _, before = reg.series("p99")
-        # Late write into the *last* closed bucket: replayed next refresh.
         db.write_many("pmove", [
             Point("m", {"tag": "j1"}, {"lat": 10_000.0}, 110.0)
         ])
         reg.refresh(180.0)
         _, after = reg.series("p99")
         # Sketch-served p99 interpolates toward the new outlier; the
-        # contract is that the replayed bucket *moved*, way up.
+        # contract is that the late bucket *moved*, way up.
         assert after[1] > max(before) * 100
 
-    def test_backfill_recomputes_whole_range(self):
+    def test_a_late_write_anywhere_below_the_watermark_is_served(self):
+        """No replay window: the engine re-folds the late write's own
+        bucket, and the next read serves it.  A materializer that replayed
+        only the last closed bucket kept serving bucket 0's p99 as 15.07
+        here, where the engine answers 891.67."""
         db, srv, tgt = seeded_server()
         reg = ContinuousQueryRegistrar(srv)
         reg.register("p99", tgt)
+        assert reg.refresh(600.0) == {"p99": 10}
+        times, before = reg.series("p99")
+        db.write_many("pmove", [Point("m", {"tag": "j1"}, {"lat": 1000.0}, 30.5)])
+        closed = reg.refresh(600.0)
+        got = reg.series("p99")
+        want = execute(db, "pmove", srv.target_statement(tgt, t0=0.0, t1=599.0)).rows
+        assert got == (times, [row[0] for _, row in want])
+        assert got[1][0] > 50 * before[0] and got[1][1:] == before[1:]
+        assert closed == {"p99": 0}  # nothing closed since
+
+    def test_a_closed_bucket_asked_again_is_a_slice_read(self, monkeypatch):
+        """The answers live beside the engine's tier digests, not here."""
+        _, srv, tgt = seeded_server()
+        reg = ContinuousQueryRegistrar(srv)
+        reg.register("p99", tgt)
         reg.refresh(600.0)
-        db.write_many("pmove", [
-            Point("m", {"tag": "j1"}, {"lat": 99_999.0}, 5.0)
-        ])
-        assert reg.backfill("p99") == 10
-        _, values = reg.series("p99")
-        assert values[0] > 10_000.0  # bucket 0 now reflects the outlier
+        first = reg.series("p99")
+        asked = []
+        orig = TDigest.quantile
+        monkeypatch.setattr(TDigest, "quantile",
+                            lambda d, q: asked.append(q) or orig(d, q))
+        assert reg.series("p99") == first and asked == []
 
     def test_needs_agg_and_group_by(self):
         _, srv, _ = seeded_server()
