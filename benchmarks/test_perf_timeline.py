@@ -21,7 +21,11 @@ bought 1.04× (ROADMAP item 3: "make the batched read pay or delete it").
 The scalar call is a batch of one since PR 20, so the ratio is what a tick
 saves by sharing the call, the validation and the result list; both sides'
 absolute times are recorded beside it, so a ratio bought by a slower scalar
-read shows.  Results land in ``benchmarks/results/BENCH_timeline.json`` so
+read shows.  A third gate runs a sampler's own shape on one series —
+``TICKS`` rounds of write-one-tick-then-read-it — and bounds the last
+``TICK_BLOCK`` ticks at ``TICK_GROWTH_CEILING`` × the first: a merge that
+appends what it staged costs the tick, one that re-sweeps the history grows
+with it.  Results land in ``benchmarks/results/BENCH_timeline.json`` so
 future PRs have a perf trajectory to compare against.
 """
 
@@ -48,6 +52,13 @@ SPEEDUP_FLOOR = 5.0
 #: on both rows, 1.37–1.90 over fourteen runs; 0.76–1.12 and 0.99–1.03 at its
 #: parent under this file).
 BATCH_FLOOR = {"sampler_window": 1.25, "since_boot_window": 1.25}
+TICKS = 5_000
+TICK_BLOCK = 1_000
+TICK_REPEATS = 3
+#: last TICK_BLOCK ticks ÷ first TICK_BLOCK ticks, least disturbed of
+#: TICK_REPEATS: flat would be 1.0; a merge that re-sweeps every breakpoint
+#: makes the last block ≈ TICKS / TICK_BLOCK times dearer than the first.
+TICK_GROWTH_CEILING = 1.5
 SEED = 20240806
 
 HOT = (("cpu", 0), "cycles")
@@ -114,6 +125,32 @@ def _batch_vs_scalar(tl, pairs, w0: float, w1: float) -> dict:
     }
 
 
+def _tick_by_tick() -> dict:
+    """A sampler on one series: each tick deposits its window's segment
+    (rates vary, so every tick adds a breakpoint) and reads the window back,
+    which merges what the tick staged.  Returns the first and last
+    ``TICK_BLOCK`` ticks' wall time, least disturbed of ``TICK_REPEATS``."""
+    dt = 1 / 32
+    first_s = last_s = float("inf")
+    for _ in range(TICK_REPEATS):
+        tl = Timeline()
+        stamps = [time.perf_counter()]
+        for k in range(TICKS):
+            t0, t1 = k * dt, (k + 1) * dt
+            tl.add_rate(HOT[0], HOT[1], t0, t1, 1e9 + (k % 7) * 1e6)
+            tl.integrate(HOT[0], HOT[1], t0, t1)
+            stamps.append(time.perf_counter())
+        first_s = min(first_s, stamps[TICK_BLOCK] - stamps[0])
+        last_s = min(last_s, stamps[TICKS] - stamps[TICKS - TICK_BLOCK])
+    return {
+        "ticks": TICKS,
+        "block": TICK_BLOCK,
+        "first_block_ms": 1e3 * first_s,
+        "last_block_ms": 1e3 * last_s,
+        "last_over_first": last_s / first_s,
+    }
+
+
 def test_timeline_engine_speedup():
     rng = random.Random(SEED)
     windows = _windows(rng)
@@ -149,6 +186,8 @@ def test_timeline_engine_speedup():
         "since_boot_window": _batch_vs_scalar(indexed, pairs, 0.0, windows[0][1]),
     }
 
+    ticks = _tick_by_tick()
+
     stats_i, stats_n = latency_stats(lat_indexed), latency_stats(lat_naive)
     speedup = stats_n["p50_ms"] / stats_i["p50_ms"]
 
@@ -171,12 +210,15 @@ def test_timeline_engine_speedup():
             "speedup_p50": speedup,
         },
         "batched_read": batched,
+        "tick_by_tick": ticks,
         "gate": {
             "speedup_floor": SPEEDUP_FLOOR,
             "batch_floor": BATCH_FLOOR,
+            "tick_growth_ceiling": TICK_GROWTH_CEILING,
             "passed": speedup >= SPEEDUP_FLOOR and all(
                 batched[row]["batch_vs_scalar"] >= floor
-                for row, floor in BATCH_FLOOR.items()),
+                for row, floor in BATCH_FLOOR.items())
+            and ticks["last_over_first"] <= TICK_GROWTH_CEILING,
         },
         "run": run_metadata(N_SEGMENTS, SEED),
     }
@@ -188,3 +230,4 @@ def test_timeline_engine_speedup():
     )
     for row, floor in BATCH_FLOOR.items():
         assert batched[row]["batch_vs_scalar"] >= floor, (row, batched[row], floor)
+    assert ticks["last_over_first"] <= TICK_GROWTH_CEILING, ticks

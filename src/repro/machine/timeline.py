@@ -27,8 +27,21 @@ Writes never touch the compacted arrays directly: ``add_rate`` appends to a
 per-series **staging buffer** (the simulator deposits in near-monotone
 time, so this is an O(1) list append), and the first read after a write
 merges the buffer — staged segments become ``+rate`` / ``-rate`` boundary
-deltas, combined with the compacted function's own deltas, swept once in
-time order (Timsort makes the near-sorted common case cheap).  ``integrate``
+deltas, combined with the compacted function's own deltas, and one sorted
+running sum rebuilds ``times`` / ``rates`` / ``prefix``.
+
+A sampler's merge is an append.  When every staged segment starts at or
+after the last breakpoint and the stored rates are a *fixpoint* of the
+sweep (each differs from the one before it, 0.0 before the first, and
+``prev + (r - prev) == r``), re-sweeping the earlier breakpoints would
+rebuild them bit for bit.  So the same sweep starts at the last breakpoint:
+it re-encodes only that breakpoint's ``0.0 - rates[-1]`` step, adds the
+staged deltas, continues the running sum from ``rates[-1]`` and extends
+``prefix`` from its last kept entry.  A merge therefore costs the staged
+segments, not the series' history.  The fixpoint is checked once per new
+rate and kept as a per-series count.  Any other merge (an out-of-order
+write, or a rate that absorbed a much smaller one, such as ``1e20 + 1``)
+sweeps from the first breakpoint, as every merge once did.  ``integrate``
 is then two bisects and a prefix difference, ``rate_at`` one bisect, and
 ``integrate_batch`` answers many series over one shared window in a single
 pass — the shape a sampler tick needs.  An integration over an empty window
@@ -54,31 +67,50 @@ Scope = tuple[str, int]
 class _Series:
     """One (scope, quantity) series: compacted step function + staging."""
 
-    __slots__ = ("staged", "times", "rates", "prefix")
+    __slots__ = ("staged", "times", "rates", "prefix", "verified")
 
     def __init__(self) -> None:
         self.staged: list[tuple[float, float, float]] = []  # (t0, t1, rate)
         self.times: list[float] = []  # breakpoints, len m+1 (or empty)
         self.rates: list[float] = []  # per-interval summed rate, len m
         self.prefix: list[float] = []  # integral from times[0], len m+1
+        # rates[:verified] are known to be a fixpoint of the sweep: each
+        # differs from its predecessor (0.0 before rates[0]) and is rebuilt
+        # exactly from it by one running-sum step.
+        self.verified = 0
 
-    def merge(self) -> None:
-        """Fold the staging buffer into the compacted representation."""
+    def merge(self) -> int:
+        """Fold the staging buffer into the compacted representation.
+
+        One sorted running-sum sweep over boundary deltas.  It starts at the
+        old last breakpoint when every staged segment starts at or after it
+        and the stored rates are a verified fixpoint — re-sweeping the
+        earlier breakpoints would rebuild them bit for bit — and at the
+        first breakpoint otherwise.  Returns the number of leading
+        breakpoints kept (0 for a full sweep).
+        """
+        times, rates, prefix, staged = self.times, self.rates, self.prefix, self.staged
+        start = 0
+        if times and self.verified == len(rates):
+            last = times[-1]
+            if all(s0 >= last for s0, _, _ in staged):
+                start = len(rates)
+        base = rates[start - 1] if start else 0.0
+
         deltas: dict[float, float] = defaultdict(float)
-        prev = 0.0
-        for i, t in enumerate(self.times):
-            r = self.rates[i] if i < len(self.rates) else 0.0
+        prev = base
+        for i in range(start, len(times)):
+            r = rates[i] if i < len(rates) else 0.0
             if r != prev:
-                deltas[t] = r - prev
+                deltas[times[i]] = r - prev
             prev = r
-        for s0, s1, rate in self.staged:
+        for s0, s1, rate in staged:
             deltas[s0] += rate
             deltas[s1] -= rate
-        self.staged.clear()
+        staged.clear()
 
-        times: list[float] = []
-        rates: list[float] = []
-        rate = 0.0
+        del times[start:], rates[start:], prefix[start:]
+        rate = base
         for t in sorted(deltas):
             d = deltas[t]
             if d == 0.0 and times:
@@ -90,14 +122,23 @@ class _Series:
         # trailing rate (exactly zero up to float dust from the sweep).
         if times:
             rates.pop()
-        prefix = [0.0]
-        acc = 0.0
-        for i, r in enumerate(rates):
-            acc += r * (times[i + 1] - times[i])
+        if not prefix:
+            prefix.append(0.0)
+        acc = prefix[-1]
+        for i in range(len(prefix) - 1, len(rates)):
+            acc += rates[i] * (times[i + 1] - times[i])
             prefix.append(acc)
-        self.times = times
-        self.rates = rates
-        self.prefix = prefix
+
+        ok = min(self.verified, len(rates)) if start else 0
+        prev = rates[ok - 1] if ok else 0.0
+        while ok < len(rates):
+            r = rates[ok]
+            if r == prev or prev + (r - prev) != r:
+                break
+            prev = r
+            ok += 1
+        self.verified = ok
+        return start
 
 
 class Timeline:

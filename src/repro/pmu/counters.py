@@ -172,8 +172,9 @@ class PMU:
 
         This is the whole-tick fetch of a PCP sampler: the true
         accumulations for all (event term, cpu) pairs come back from a
-        single :meth:`SimulatedMachine.read_batch` call, then the
-        deterministic per-read noise is applied — measured values are
+        single :meth:`SimulatedMachine.read_batch` call, then the tick's
+        deterministic per-read noise is seeded in one
+        :meth:`NoiseModel.measure_batch` — measured values are
         identical to scalar :meth:`read_interval` reads, only the number
         of timeline traversals changes."""
         sess = self.session
@@ -188,18 +189,15 @@ class PMU:
                 for quantity in edef.terms:
                     pairs.append((scope, quantity))
         raw = self.machine.read_batch(pairs, t0, t1)
-        out: dict[str, dict[int, float]] = {}
+        reads: list[tuple[float, int, str, int]] = []
         k = 0
         for event, edef in zip(events, defs):
             mux = sess.mux_groups if (edef.scope == "cpu" and not edef.fixed) else 1
-            per_cpu: dict[int, float] = {}
             for cpu in sess.cpus:
                 true = 0.0
                 for scale in edef.terms.values():
                     true += scale * raw[k]
                     k += 1
-                per_cpu[cpu] = self.noise.measure(
-                    true, cpu, event, t0, t1, mux_groups=mux
-                )
-            out[event] = per_cpu
-        return out
+                reads.append((true, cpu, event, mux))
+        measured = iter(self.noise.measure_batch(reads, t0, t1))
+        return {event: {cpu: next(measured) for cpu in sess.cpus} for event in events}

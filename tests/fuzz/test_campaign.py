@@ -5,6 +5,9 @@ import pytest
 from repro.fuzz import run_campaign
 from repro.fuzz.status import reset, snapshot
 
+# ≈ 10 s: the CI fuzz-smoke lane runs it; the tier-1 lane skips it.
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(autouse=True)
 def _fresh_status():

@@ -6,10 +6,12 @@ contract (overlap summing, half-open windows, negative-rate corrections)
 is pinned on each independently of the randomized equivalence suite.
 """
 
+import struct
 from bisect import bisect_right
+from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import NaiveTimeline, Timeline
@@ -345,3 +347,120 @@ class TestBatchEqualsScalarBitForBit:
             assert got == [parent_integrate(oracle, s, q, w0, w1) for s, q in self.PAIRS]
             assert naive.integrate_batch(self.PAIRS, w0, w1) == [
                 naive.integrate(s, q, w0, w1) for s, q in self.PAIRS]
+
+
+# ----------------------------------------------------------------------
+# merge: the tail sweep == the full sweep, bit for bit
+# ----------------------------------------------------------------------
+def parent_merge(times, rates, staged):
+    """The merge as it stood before it could start at the old last
+    breakpoint: every stored breakpoint re-encoded as a delta and swept
+    again with the staged ones.  Kept here as the oracle."""
+    deltas = defaultdict(float)
+    prev = 0.0
+    for i, t in enumerate(times):
+        r = rates[i] if i < len(rates) else 0.0
+        if r != prev:
+            deltas[t] = r - prev
+        prev = r
+    for s0, s1, rate in staged:
+        deltas[s0] += rate
+        deltas[s1] -= rate
+    out_t, out_r = [], []
+    rate = 0.0
+    for t in sorted(deltas):
+        d = deltas[t]
+        if d == 0.0 and out_t:
+            continue
+        rate += d
+        out_t.append(t)
+        out_r.append(rate)
+    if out_t:
+        out_r.pop()
+    prefix = [0.0]
+    acc = 0.0
+    for i, r in enumerate(out_r):
+        acc += r * (out_t[i + 1] - out_t[i])
+        prefix.append(acc)
+    return out_t, out_r, prefix
+
+
+def _packed(xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def merge_ticks(ticks):
+    """Write each tick's segments to one series and merge after each, each
+    time against ``parent_merge`` on a copy.  Returns the kept-breakpoint
+    count of every merge (0 = full sweep)."""
+    tl = Timeline()
+    kept = []
+    for segs in ticks:
+        for t0, t1, rate in segs:
+            tl.add_rate(("cpu", 0), "x", t0, t1, rate)
+        series = tl._series.get((("cpu", 0), "x"))
+        if series is None or not series.staged:
+            continue
+        want = parent_merge(list(series.times), list(series.rates), list(series.staged))
+        kept.append(series.merge())
+        got = (series.times, series.rates, series.prefix)
+        for g, w in zip(got, want):
+            assert _packed(g) == _packed(w)
+    return kept
+
+
+tick_rates = st.one_of(
+    st.integers(-100, 100).map(float),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([1e20, -1e20, 1.0, -1.0, 3.0, -3.0]),
+)
+
+
+@st.composite
+def tick_soups(draw):
+    """Sampler-shaped ticks (each after the last: tail path) with optional
+    out-of-order, overlapping, cancelling and huge-next-to-tiny segments."""
+    ticks = []
+    now = draw(st.floats(0, 10))
+    for _ in range(draw(st.integers(1, 12))):
+        segs = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["tick", "at-last", "back", "cancel"]))
+            dur = draw(st.one_of(st.integers(1, 3).map(float), st.floats(0.01, 5)))
+            rate = draw(tick_rates)
+            if kind == "back":
+                t0 = max(0.0, now - draw(st.floats(0.01, 20)))
+            else:
+                t0 = now if kind == "at-last" else now + draw(st.sampled_from([0.0, 0.5, 1.0]))
+            segs.append((t0, t0 + dur, rate))
+            if kind == "cancel":
+                segs.append((t0, t0 + dur, -rate))
+        ticks.append(segs)
+        now = max(now, max(t1 for _, t1, _ in segs))
+    return ticks
+
+
+class TestMergeTailEqualsFullSweep:
+    @given(tick_soups())
+    @settings(max_examples=150, deadline=None)
+    def test_every_merge_matches_the_full_sweep(self, ticks):
+        for k in merge_ticks(ticks):
+            event("tail" if k else "full")
+
+    def test_both_paths_are_exercised(self):
+        """The spy: each case takes the path its shape calls for."""
+        monotone = [[(float(i), float(i + 1), 1.0 + i % 3)] for i in range(50)]
+        assert merge_ticks(monotone) == [0] + list(range(1, 50))
+        # s0 == times[-1] (the tick starts where the last one ended) and a
+        # gap: both append
+        assert merge_ticks([[(0.0, 1.0, 2.0)], [(1.0, 2.0, 5.0)], [(4.0, 5.0, 7.0)]]) == [0, 1, 2]
+        # negative and cancelling rates keep the tail path
+        assert merge_ticks([[(0.0, 1.0, -2.0)], [(1.0, 2.0, 3.0), (1.0, 2.0, -3.0)],
+                            [(2.0, 3.0, 2.0)]]) == [0, 1, 1]
+        # a segment before the last breakpoint forces the full sweep
+        assert merge_ticks([[(0.0, 2.0, 1.0)], [(1.0, 3.0, 1.0)]]) == [0, 0]
+        # 1e20 next to 1: 1e20 + 1 == 1e20 leaves two equal stored rates, no
+        # fixpoint, so the next merge sweeps everything although it appends;
+        # that sweep drops the absorbed breakpoint and the one after appends
+        assert merge_ticks([[(0.0, 2.0, 1e20), (1.0, 2.0, 1.0)], [(2.0, 3.0, 1.0)],
+                            [(3.0, 4.0, 5.0)]]) == [0, 0, 2]

@@ -1,10 +1,16 @@
 """Tests for PMU counter programming, reading, multiplexing, and noise."""
 
+import hashlib
+import random
+import struct
+
+import numpy as np
 import pytest
 
 from repro.machine import ISA, KernelDescriptor, SimulatedMachine, csl, icl, zen3
 from repro.machine.spec import PMUSpec
 from repro.pmu import PMU, CounterAllocationError, NoiseModel, UnknownEventError
+from repro.pmu.noise import _pcg64_states
 
 
 def kernel(n=10_000_000):
@@ -230,3 +236,82 @@ class TestNoiseModel:
         nm = NoiseModel(self.spec())
         v = nm.measure(1e9, 0, "EV", 0.0, 1.0)
         assert abs(v - 1e9) / 1e9 < 0.01
+
+
+# ----------------------------------------------------------------------
+# Batch seeding == default_rng(seed), draw for draw
+# ----------------------------------------------------------------------
+def parent_rng(machine_seed, cpu, event, t0, t1):
+    """Per-read noise stream as ``NoiseModel._rng`` built it before a tick's
+    reads were seeded in one batch.  Kept here as the oracle."""
+    ident = f"{machine_seed}:{cpu}:{event}:{t0:.9f}:{t1:.9f}".encode()
+    digest = hashlib.blake2b(ident, digest_size=8).digest()
+    (seed,) = struct.unpack("<Q", digest)
+    return np.random.default_rng(seed)
+
+
+def parent_measure(nm, true_value, cpu, event, t0, t1, mux_groups=1):
+    if true_value == 0.0:
+        return 0.0
+    rng = parent_rng(nm.machine_seed, cpu, event, t0, t1)
+    rel = nm.pmu.overcount_ppm * 1e-6 + rng.normal(0.0, nm.pmu.jitter_ppm * 1e-6)
+    if mux_groups > 1:
+        rel += rng.normal(0.0, 0.008 * (mux_groups - 1))
+    return max(0.0, true_value * (1.0 + rel))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestBatchSeeding:
+    @staticmethod
+    def seeds():
+        rnd = random.Random(20240806)
+        return EDGE_SEEDS + [rnd.getrandbits(64) for _ in range(1000)]
+
+    def test_states_and_draws_equal_default_rng(self):
+        seeds = self.seeds()
+        words = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        for seed, (state, inc) in zip(seeds, _pcg64_states(words)):
+            ref = np.random.default_rng(seed)
+            want = ref.bit_generator.state["state"]
+            assert (state, inc) == (want["state"], want["inc"]), seed
+            bitgen.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            got = [gen.normal(0.0, 1e-4), gen.normal(0.0, 0.008), gen.random()]
+            want = [ref.normal(0.0, 1e-4), ref.normal(0.0, 0.008), ref.random()]
+            assert struct.pack("<3d", *got) == struct.pack("<3d", *want), seed
+
+    def test_measure_batch_equals_parent_measure(self):
+        spec = PMUSpec(n_programmable=4, n_fixed=3, uarch="skylakex")
+        nm = NoiseModel(spec, machine_seed=11)
+        rnd = random.Random(3)
+        reads = [(rnd.choice([0.0, 1.0, 1e9, rnd.uniform(0, 1e12)]), rnd.randrange(64),
+                  rnd.choice(["A", "B:C"]), rnd.randint(1, 4)) for _ in range(300)]
+        got = nm.measure_batch(reads, 1.25, 1.5)
+        want = [parent_measure(nm, v, c, e, 1.25, 1.5, m) for v, c, e, m in reads]
+        assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(want)}d", *want)
+        assert [nm.measure(v, c, e, 1.25, 1.5, m) for v, c, e, m in reads] == got
+
+    def test_batch_rejects_negative_anywhere(self):
+        nm = NoiseModel(PMUSpec(n_programmable=4, n_fixed=3, uarch="skylakex"))
+        with pytest.raises(ValueError):
+            nm.measure_batch([(1.0, 0, "E", 1), (-1.0, 1, "E", 1)], 0.0, 1.0)
+
+    def test_all_cpus_equals_per_cpu_reads_under_multiplexing(self):
+        m = SimulatedMachine(icl(), seed=2)
+        pmu = PMU(m, seed=2)
+        programmable = [n for n in pmu.catalog.core_events() if not pmu.catalog.get(n).fixed]
+        sess = pmu.program(programmable[:12] + ["INSTRUCTION_RETIRED", "RAPL_ENERGY_PKG"],
+                           cpus=[0, 1, 2, 3])
+        assert sess.mux_groups > 1
+        m.run_kernel(kernel(1_000_000), [0, 1, 2])
+        t1 = m.clock.now()
+        batch = pmu.read_events_all_cpus(list(sess.events), 0.0, t1)
+        for ev in sess.events:
+            for cpu in sess.cpus:
+                assert struct.pack("<d", batch[ev][cpu]) == struct.pack(
+                    "<d", pmu.read_interval(ev, cpu, 0.0, t1))
