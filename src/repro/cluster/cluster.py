@@ -156,10 +156,9 @@ class SimulatedCluster:
             prof = estimate_execution(node_desc, m.spec, cpu_ids, rng=None)
             dil = m.faults.slowdown(t_start, tuple(cpu_ids),
                                     memory_bound=(prof.bound == "memory"))
-            if self.node_faults:
-                # A hanging node crawls; being the slowest, it paces the
-                # whole bulk-synchronous iteration below.
-                dil *= self.node_faults.hang_factor(m.spec.hostname, t_start)
+            # A hanging node crawls; being the slowest, it paces the whole
+            # bulk-synchronous iteration below.
+            dil *= self.node_faults.hang_factor(m.spec.hostname, t_start)
             per_node_t.append(prof.runtime_s * dil)
         t_comp_iter = max(per_node_t)
 
@@ -256,8 +255,6 @@ class SimulatedCluster:
         the next exchange) and the partial work is lost — no compute or
         communication telemetry is deposited for the doomed attempt.
         """
-        if not self.node_faults:
-            return None
         failure = self.node_faults.first_failure(node_names, t_start, est_end)
         if failure is None:
             return None

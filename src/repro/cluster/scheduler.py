@@ -89,10 +89,7 @@ class FifoScheduler:
     def _available_at(self, node: str) -> float:
         """When a node can take work: free of jobs *and* recovered from
         any down window active at that instant."""
-        t = self._node_free[node]
-        if self.cluster.node_faults:
-            t = self.cluster.node_faults.next_up(node, t)
-        return t
+        return self.cluster.node_faults.next_up(node, self._node_free[node])
 
     def _pick_nodes(self, n: int) -> list[str]:
         """The n earliest-available schedulable nodes (ties by name)."""

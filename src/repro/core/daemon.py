@@ -125,7 +125,9 @@ class PMoVE:
         # Samplers write through a failure-injectable proxy so chaos (DB
         # outages, partitions, flaky writes) can be scripted against a live
         # daemon; reads and dashboards keep using the raw engine.
-        self.service_faults = service_faults or ServiceFaultSet()
+        self.service_faults = (
+            service_faults if service_faults is not None else ServiceFaultSet()
+        )
         self._write_influx = FaultyInfluxDB(self.influx, self.service_faults)
         self.mongo = MongoDB()
         self.grafana = GrafanaServer(

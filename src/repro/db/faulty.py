@@ -29,7 +29,7 @@ class FaultyInfluxDB:
 
     def __init__(self, inner: InfluxDB, faults: ServiceFaultSet | None = None) -> None:
         self.inner = inner
-        self.faults = faults or ServiceFaultSet()
+        self.faults = faults if faults is not None else ServiceFaultSet()
         #: Virtual time of the next write attempt (stamped by the caller).
         self.now = 0.0
         self.accepted_writes = 0

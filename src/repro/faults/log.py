@@ -22,9 +22,12 @@ virtual clock, so chaos runs replay bit-for-bit under a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
+from .nodes import NodeCrash
+from .window import Schedule
 
 __all__ = ["LogTruncation", "ConsumerCrash", "LogFaultSet"]
 
@@ -38,39 +41,39 @@ class LogTruncation:
     topic: str | None = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        if not self.at >= 0:  # so spelled, a NaN instant is refused too
             raise ValueError("truncation time must be >= 0")
 
 
-@dataclass(frozen=True)
-class ConsumerCrash:
-    """One consumer of ``group`` is dead over ``[t0, t1)``."""
+@dataclass(frozen=True, init=False)
+class ConsumerCrash(NodeCrash):
+    """One consumer of ``group`` is dead over ``[t0, t1)`` — a node crash
+    whose node is the ``(group, consumer)`` member."""
 
     group: str
     consumer: str
-    t0: float
-    t1: float = field(default=np.inf)
 
-    def __post_init__(self) -> None:
-        if self.t1 <= self.t0:
-            raise ValueError("crash window must have t1 > t0")
-
-    def covers(self, t: float) -> bool:
-        return self.t0 <= t < self.t1
+    def __init__(
+        self, group: str, consumer: str, t0: float, t1: float = math.inf
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "consumer", consumer)
+        super().__init__(t0, t1)
 
 
-class LogFaultSet:
-    """Schedule of commit-log faults, consulted by the ingest pipeline."""
+class LogFaultSet(Schedule):
+    """Schedule of commit-log faults, consulted by the ingest pipeline:
+    crashes scoped by ``(group, consumer)``, truncations unscoped."""
 
-    def __init__(self) -> None:
-        self.truncations: list[LogTruncation] = []
-        self.crashes: list[ConsumerCrash] = []
+    def _locate(self, fault: LogTruncation | ConsumerCrash):
+        if isinstance(fault, ConsumerCrash):
+            return (fault.group, fault.consumer), fault
+        if isinstance(fault, LogTruncation):
+            return None, fault
+        raise TypeError(f"not a commit-log fault: {fault!r}")
 
     def inject(
-        self,
-        fault: LogTruncation | ConsumerCrash,
-        *,
-        allow_overlap: bool = False,
+        self, fault: LogTruncation | ConsumerCrash, *, allow_overlap: bool = False
     ):
         """Add one fault to the schedule, validating it loudly.
 
@@ -79,71 +82,27 @@ class LogFaultSet:
         bugs — the merged behaviour is indistinguishable from a single
         window, so the writer's intent silently degrades.  Injection
         rejects both; ``allow_overlap=True`` opts a deliberate layering
-        back in.  Zero-length crash windows are already rejected by the
-        :class:`ConsumerCrash` constructor.
+        back in.
         """
-        if isinstance(fault, LogTruncation):
-            if not allow_overlap:
-                for f in self.truncations:
-                    if f.at == fault.at and f.topic == fault.topic:
-                        raise ValueError(
-                            f"duplicate truncation at t={fault.at} "
-                            f"(topic={fault.topic!r})"
-                        )
-            self.truncations.append(fault)
-            self.truncations.sort(key=lambda f: f.at)
-        elif isinstance(fault, ConsumerCrash):
-            if fault.t1 <= fault.t0:  # defensive: constructor enforces
-                raise ValueError(f"zero-length crash window: {fault}")
-            if not allow_overlap:
-                for f in self.crashes:
-                    if (
-                        f.group == fault.group
-                        and f.consumer == fault.consumer
-                        and f.t0 < fault.t1
-                        and fault.t0 < f.t1
-                    ):
-                        raise ValueError(
-                            "overlapping crash windows for "
-                            f"{fault.group}/{fault.consumer}: "
-                            f"[{f.t0}, {f.t1}) vs [{fault.t0}, {fault.t1}) "
-                            "— pass allow_overlap=True if layering is intended"
-                        )
-            self.crashes.append(fault)
-            self.crashes.sort(key=lambda f: (f.t0, f.t1))
-        else:
-            raise TypeError(f"not a commit-log fault: {fault!r}")
-        return fault
-
-    def clear(self) -> None:
-        self.truncations.clear()
-        self.crashes.clear()
+        if not allow_overlap:
+            if isinstance(fault, ConsumerCrash):
+                self.refuse_overlap((fault.group, fault.consumer), fault)
+            elif fault in self.truncations:
+                raise ValueError(
+                    f"duplicate truncation at t={fault.at} (topic={fault.topic!r})"
+                )
+        return super().inject(fault)
 
     @property
-    def faults(self) -> list[LogTruncation | ConsumerCrash]:
-        """Uniform listing surface, matching the service/node fault sets."""
-        return [*self.truncations, *self.crashes]
+    def truncations(self) -> Sequence[LogTruncation]:
+        return self.by_scope.get(None, ())
 
     # ------------------------------------------------------------------
     def crashed(self, group: str, consumer: str, t: float) -> bool:
         """Is this consumer inside any of its crash windows at ``t``?"""
-        if not self.crashes:  # the liveness probe of every poll; usually no schedule
-            return False
-        return any(
-            c.group == group and c.consumer == consumer and c.covers(t)
-            for c in self.crashes
-        )
+        # the liveness probe of every poll: no key is built for an empty schedule
+        return bool(self.by_scope) and self.down_at((group, consumer), t)
 
     def next_up(self, group: str, consumer: str, t: float) -> float:
-        """Earliest time ≥ ``t`` the consumer is outside every window.
-
-        Fixpoint over the schedule, so adjacent/overlapping windows merge.
-        """
-        changed = True
-        while changed:
-            changed = False
-            for c in self.crashes:
-                if c.group == group and c.consumer == consumer and c.covers(t):
-                    t = c.t1
-                    changed = True
-        return t
+        """Earliest time ≥ ``t`` the consumer is outside every window."""
+        return self.up_at((group, consumer), t)

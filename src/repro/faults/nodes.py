@@ -23,9 +23,9 @@ schedules replay bit-for-bit.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+
+from .window import Schedule, Window
 
 __all__ = ["NodeFault", "NodeCrash", "NodeHang", "NodeFlap", "NodeFaultSet",
            "NodeFailure"]
@@ -41,20 +41,9 @@ class NodeFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NodeFault:
+class NodeFault(Window):
     """Base node fault: a lifecycle disruption active on [t0, t1)."""
 
-    t0: float
-    t1: float
-
-    def __post_init__(self) -> None:
-        if self.t1 <= self.t0:
-            raise ValueError("fault window must have positive length")
-
-    def active(self, t: float) -> bool:
-        return self.t0 <= t < self.t1
-
-    # ------------------------------------------------------------------
     def down_at(self, t: float) -> bool:
         """Whether this fault has the node down at ``t``."""
         return False
@@ -117,54 +106,63 @@ class NodeHang(NodeFault):
 @dataclass(frozen=True)
 class NodeFlap(NodeFault):
     """The node bounces on a deterministic duty cycle inside the window:
-    each ``period_s`` starts with ``down_fraction`` of downtime."""
+    each ``period_s`` starts with ``down_fraction`` of downtime.
+
+    Cycle ``k`` starts at ``t0 + k * period_s``; every answer below comes
+    from one cycle index, so they agree with each other at cycle edges.
+    """
 
     period_s: float = 2.0
     down_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.period_s <= 0:
+        if not self.period_s > 0:
             raise ValueError("flap period must be positive")
         if not 0.0 < self.down_fraction < 1.0:
             raise ValueError("down_fraction must be in (0, 1)")
 
-    def _down_len(self) -> float:
-        return self.down_fraction * self.period_s
+    def _start(self, k: int) -> float:
+        return self.t0 + k * self.period_s
+
+    def _down_end(self, k: int) -> float:
+        return self._start(k) + self.down_fraction * self.period_s
+
+    def _cycle(self, t: float) -> int:
+        """The cycle holding ``t >= t0``: the ``k`` with ``_start(k) <= t <
+        _start(k + 1)`` as computed in floats, which the quotient's floor
+        alone misses by one near an edge."""
+        k = math.floor((t - self.t0) / self.period_s)
+        while self._start(k) > t:
+            k -= 1
+        while self._start(k + 1) <= t:
+            k += 1
+        return k
 
     def down_at(self, t: float) -> bool:
-        if not self.active(t):
-            return False
-        return (t - self.t0) % self.period_s < self._down_len()
+        return self.active(t) and t < self._down_end(self._cycle(t))
 
     def next_down(self, t: float) -> float | None:
         if t >= self.t1:
             return None
         t = max(t, self.t0)
-        phase = (t - self.t0) % self.period_s
-        if phase < self._down_len():
-            cand = t
-        else:
-            cand = t + (self.period_s - phase)
+        k = self._cycle(t)
+        cand = t if t < self._down_end(k) else self._start(k + 1)
         return cand if cand < self.t1 else None
 
     def next_up(self, t: float) -> float:
         if not self.down_at(t):
             return t
-        phase = (t - self.t0) % self.period_s
-        return min(t + (self._down_len() - phase), self.t1)
+        return min(self._down_end(self._cycle(t)), self.t1)
 
     def down_intervals(self, t0: float, t1: float) -> list[tuple[float, float]]:
         lo, hi = max(t0, self.t0), min(t1, self.t1)
         if lo >= hi:
             return []
         out = []
-        k = math.floor((lo - self.t0) / self.period_s)
-        while True:
-            cycle = self.t0 + k * self.period_s
-            if cycle >= hi:
-                break
-            a, b = max(lo, cycle), min(hi, cycle + self._down_len())
+        k = self._cycle(lo)
+        while (start := self._start(k)) < hi:
+            a, b = max(lo, start), min(hi, self._down_end(k))
             if a < b:
                 out.append((a, b))
             k += 1
@@ -185,96 +183,48 @@ def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return out
 
 
-@dataclass
-class NodeFaultSet:
-    """The cluster's installed node faults, keyed by node name."""
+class NodeFaultSet(Schedule):
+    """The cluster's installed node faults, scoped by node name."""
 
-    by_node: dict[str, list[NodeFault]] = field(default_factory=dict)
+    def __init__(self, by_node: dict[str, list[NodeFault]] | None = None) -> None:
+        super().__init__()
+        for node, faults in (by_node or {}).items():
+            for f in faults:
+                super().inject(node, f)
 
-    def __bool__(self) -> bool:
-        return any(self.by_node.values())
+    def _locate(self, node: str, fault: NodeFault) -> tuple[str, NodeFault]:
+        return node, fault
 
     def inject(
         self, node: str, fault: NodeFault, *, allow_overlap: bool = False
     ) -> NodeFault:
-        """Install one fault on ``node``.
-
-        Two same-kind faults whose windows overlap on one node are almost
-        always a schedule bug (the writer meant back-to-back windows, or
-        injected twice) — silently merging them hides it, so injection
-        rejects the overlap loudly.  Pass ``allow_overlap=True`` for the
-        deliberate cases (compounding hang factors, chaos soak layering).
-        Zero-length windows are already rejected by the fault constructor.
-        """
-        if fault.t1 <= fault.t0:  # defensive: constructors enforce this
-            raise ValueError(f"zero-length fault window on {node}: {fault}")
+        """Install one fault on ``node``, refusing a same-kind window that
+        overlaps one already there unless ``allow_overlap=True`` (the
+        deliberate cases: compounding hang factors, chaos soak layering)."""
         if not allow_overlap:
-            for f in self.by_node.get(node, []):
-                if type(f) is type(fault) and f.t0 < fault.t1 and fault.t0 < f.t1:
-                    raise ValueError(
-                        f"overlapping {type(fault).__name__} windows on "
-                        f"{node}: [{f.t0}, {f.t1}) vs [{fault.t0}, {fault.t1}) "
-                        "— pass allow_overlap=True if layering is intended"
-                    )
-        self.by_node.setdefault(node, []).append(fault)
-        return fault
-
-    def remove(self, node: str, fault: NodeFault) -> bool:
-        """Remove one installed fault; returns whether it was present."""
-        try:
-            self.by_node.get(node, []).remove(fault)
-            return True
-        except ValueError:
-            return False
-
-    @contextmanager
-    def scoped(self, node: str, fault: NodeFault) -> Iterator[NodeFault]:
-        """Inject on enter, remove on exit — chaos tests leak no state."""
-        self.inject(node, fault)
-        try:
-            yield fault
-        finally:
-            self.remove(node, fault)
-
-    def clear(self) -> None:
-        self.by_node.clear()
+            self.refuse_overlap(node, fault)
+        return super().inject(node, fault)
 
     def faults_for(self, node: str) -> list[NodeFault]:
-        return list(self.by_node.get(node, []))
+        return list(self.by_scope.get(node, ()))
 
     # ------------------------------------------------------------------
-    def is_down(self, node: str, t: float) -> bool:
-        faults = self.by_node.get(node)
-        return bool(faults) and any(f.down_at(t) for f in faults)
+    is_down = Schedule.down_at
+    next_up = Schedule.up_at
 
     def hang_factor(self, node: str, t: float) -> float:
-        factor = 1.0
-        for f in self.by_node.get(node, []):
-            factor *= f.hang_factor(t)
-        return factor
+        return self.product(node, t, "hang_factor", t)
 
     def next_down(self, node: str, t: float) -> float | None:
         """Earliest instant >= ``t`` the node goes (or already is) down."""
-        cands = [c for f in self.by_node.get(node, [])
+        cands = [c for f in self.by_scope.get(node, ())
                  if (c := f.next_down(t)) is not None]
         return min(cands) if cands else None
-
-    def next_up(self, node: str, t: float) -> float:
-        """Earliest instant >= ``t`` with the node up (fixpoint over all
-        faults, since windows may chain back-to-back)."""
-        faults = self.by_node.get(node, [])
-        while True:
-            t2 = t
-            for f in faults:
-                t2 = max(t2, f.next_up(t2))
-            if t2 == t:
-                return t
-            t = t2
 
     def down_intervals(self, node: str, t0: float, t1: float) -> list[tuple[float, float]]:
         """Merged downtime intervals of one node clipped to [t0, t1)."""
         raw: list[tuple[float, float]] = []
-        for f in self.by_node.get(node, []):
+        for f in self.by_scope.get(node, ()):
             raw.extend(f.down_intervals(t0, t1))
         return _merge(raw)
 

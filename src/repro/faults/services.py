@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterable
+
+from .window import Schedule, Window
 
 __all__ = [
     "ServiceFault",
@@ -45,25 +46,15 @@ class ServiceUnavailable(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ServiceFault:
+class ServiceFault(Window):
     """Base service fault: a named disruption active on [t0, t1)."""
-
-    t0: float
-    t1: float
-
-    def __post_init__(self) -> None:
-        if self.t1 <= self.t0:
-            raise ValueError("fault window must have positive length")
-
-    def active(self, t: float) -> bool:
-        return self.t0 <= t < self.t1
 
     #: Short reason tag used in errors and stats; None = does not fail writes.
     reason: str | None = None
 
     def fails_write(self, t: float) -> bool:
         """Whether a write attempted at ``t`` fails because of this fault."""
-        return False
+        return self.reason is not None and self.active(t)
 
     def latency_factor(self, t: float) -> float:
         """Multiplier on insert service time for an attempt at ``t``."""
@@ -76,18 +67,12 @@ class DbOutage(ServiceFault):
 
     reason: str | None = "db-outage"
 
-    def fails_write(self, t: float) -> bool:
-        return self.active(t)
-
 
 @dataclass(frozen=True)
 class NetworkPartition(ServiceFault):
     """Host link severed: reports never reach the DB during the window."""
 
     reason: str | None = "network-partition"
-
-    def fails_write(self, t: float) -> bool:
-        return self.active(t)
 
 
 @dataclass(frozen=True)
@@ -123,6 +108,8 @@ class FlakyWrites(ServiceFault):
         super().__post_init__()
         if not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be in [0, 1]")
+        if not -(2**63) <= self.seed < 2**63:  # the draw packs it as an int64
+            raise ValueError("seed must fit a signed 64-bit integer")
 
     def _draw(self, t: float) -> float:
         h = hashlib.blake2b(struct.pack("<qd", self.seed, t), digest_size=8)
@@ -132,50 +119,22 @@ class FlakyWrites(ServiceFault):
         return self.active(t) and self._draw(t) < self.p_fail
 
 
-@dataclass
-class ServiceFaultSet:
-    """The installed host-side faults, consulted at attempt time."""
+class ServiceFaultSet(Schedule):
+    """The installed host-side faults, consulted at attempt time; all
+    unscoped, and overlapping windows compose."""
 
-    faults: list[ServiceFault] = field(default_factory=list)
+    def __init__(self, faults: Iterable[ServiceFault] = ()) -> None:
+        super().__init__()
+        for f in faults:
+            self.inject(f)
 
-    def inject(self, fault: ServiceFault) -> ServiceFault:
-        self.faults.append(fault)
-        return fault
-
-    def remove(self, fault: ServiceFault) -> bool:
-        """Remove one installed fault; returns whether it was present."""
-        try:
-            self.faults.remove(fault)
-            return True
-        except ValueError:
-            return False
-
-    @contextmanager
-    def scoped(self, fault: ServiceFault) -> Iterator[ServiceFault]:
-        """Inject on enter, remove on exit — chaos tests leak no state."""
-        self.inject(fault)
-        try:
-            yield fault
-        finally:
-            self.remove(fault)
-
-    def clear(self) -> None:
-        self.faults.clear()
-
-    def active_at(self, t: float) -> list[ServiceFault]:
-        return [f for f in self.faults if f.active(t)]
-
-    # ------------------------------------------------------------------
     def write_error(self, t: float) -> str | None:
         """Reason string if a write attempted at ``t`` fails, else None."""
-        for f in self.faults:
+        for f in self.by_scope.get(None, ()):
             if f.fails_write(t):
                 return f.reason or type(f).__name__
         return None
 
     def latency_factor(self, t: float) -> float:
         """Composed insert-service-time multiplier at ``t``."""
-        factor = 1.0
-        for f in self.faults:
-            factor *= f.latency_factor(t)
-        return factor
+        return self.product(None, t, "latency_factor", t)

@@ -25,6 +25,7 @@ reachable:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +34,6 @@ from .scenario import (
     AGGS,
     MODES,
     PRESET_POOL,
-    FaultSpec,
     LogFaultSpec,
     Scenario,
     ScenarioError,
@@ -75,13 +75,7 @@ def _windows(sc: Scenario) -> list[tuple[str, int]]:
 
 def _rewrite(sc: Scenario, field: str, idx: int, t0: float, t1: float) -> Scenario | None:
     entries = list(getattr(sc, field))
-    old = entries[idx]
-    if field == "service_faults":
-        entries[idx] = FaultSpec(old.kind, t0, t1, old.param)
-    elif field == "log_faults":
-        entries[idx] = LogFaultSpec(old.kind, t0, t1, old.group, old.consumer)
-    else:
-        entries[idx] = ShardCrashSpec(old.shard, t0, t1)
+    entries[idx] = replace(entries[idx], t0=t0, t1=t1)
     return _guarded(sc, **{field: tuple(entries)})
 
 
@@ -128,21 +122,7 @@ def split_window(sc: Scenario, rng: np.random.Generator) -> Scenario | None:
     mid = f.t0 + (f.t1 - f.t0) * float(rng.uniform(0.3, 0.7))
     gap = (f.t1 - f.t0) * 0.1
     lo, hi = round(mid - gap / 2, 3), round(mid + gap / 2, 3)
-    if field == "service_faults":
-        entries[idx : idx + 1] = [
-            FaultSpec(f.kind, f.t0, lo, f.param),
-            FaultSpec(f.kind, hi, f.t1, f.param),
-        ]
-    elif field == "log_faults":
-        entries[idx : idx + 1] = [
-            LogFaultSpec(f.kind, f.t0, lo, f.group, f.consumer),
-            LogFaultSpec(f.kind, hi, f.t1, f.group, f.consumer),
-        ]
-    else:
-        entries[idx : idx + 1] = [
-            ShardCrashSpec(f.shard, f.t0, lo),
-            ShardCrashSpec(f.shard, hi, f.t1),
-        ]
+    entries[idx : idx + 1] = [replace(f, t1=lo), replace(f, t0=hi)]
     return _guarded(sc, **{field: tuple(entries)})
 
 

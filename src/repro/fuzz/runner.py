@@ -34,15 +34,7 @@ from typing import Any
 from repro.core.daemon import PMoVE
 from repro.core.superdb import SuperDB
 from repro.db.faulty import stamp
-from repro.faults.log import ConsumerCrash, LogFaultSet, LogTruncation
-from repro.faults.nodes import NodeCrash, NodeFlap, NodeHang
-from repro.faults.services import (
-    DbOutage,
-    FlakyWrites,
-    InsertLatencySpike,
-    NetworkPartition,
-    ServiceFaultSet,
-)
+from repro.faults.services import DbOutage, ServiceFaultSet
 from repro.machine.presets import PRESETS, get_preset
 from repro.machine.simulator import SimulatedMachine
 from repro.pcp.shipper import ShipperConfig
@@ -57,7 +49,6 @@ from .oracles import (
     check_shard_partial_never_error,
     check_slo_isolation,
 )
-from .rng import derive_seed
 from .scenario import Scenario
 
 __all__ = ["RunResult", "execute"]
@@ -89,48 +80,6 @@ class RunResult:
             "fingerprint": self.fingerprint,
             "coverage": sorted(self.coverage),
         }
-
-
-# ----------------------------------------------------------------------
-# Fault materialization (spec -> live fault objects)
-# ----------------------------------------------------------------------
-def _service_faults(sc: Scenario) -> ServiceFaultSet:
-    fs = ServiceFaultSet()
-    for f in sc.service_faults:
-        if f.kind == "outage":
-            fs.inject(DbOutage(t0=f.t0, t1=f.t1))
-        elif f.kind == "partition":
-            fs.inject(NetworkPartition(t0=f.t0, t1=f.t1))
-        elif f.kind == "latency":
-            fs.inject(InsertLatencySpike(t0=f.t0, t1=f.t1, factor=f.param))
-        else:
-            fs.inject(FlakyWrites(
-                t0=f.t0, t1=f.t1, p_fail=f.param,
-                # FlakyWrites packs its seed as a signed int64
-                seed=derive_seed(sc.seed, f"flaky@{f.t0}") % (2**63),
-            ))
-    return fs
-
-
-def _log_faults(sc: Scenario) -> LogFaultSet | None:
-    if not sc.log_faults:
-        return None
-    lf = LogFaultSet()
-    for f in sc.log_faults:
-        if f.kind == "truncate":
-            lf.inject(LogTruncation(at=f.t0))
-        else:
-            cid = f"{f.group}-{f.consumer}"
-            lf.inject(ConsumerCrash(f.group, cid, f.t0, f.t1))
-    return lf
-
-
-def _node_fault(spec) -> Any:
-    if spec.kind == "crash":
-        return NodeCrash(t0=spec.t0, t1=spec.t1)
-    if spec.kind == "hang":
-        return NodeHang(t0=spec.t0, t1=spec.t1, factor=spec.param)
-    return NodeFlap(t0=spec.t0, t1=spec.t1, down_fraction=spec.param)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +167,7 @@ def _cluster_phase(sc: Scenario) -> dict[str, Any] | None:
                                seed=sc.seed)
     monitor = ClusterMonitor(cluster)
     for f in cs.node_faults:
-        cluster.inject_node_fault(cluster.node_names[f.node], _node_fault(f))
+        cluster.inject_node_fault(cluster.node_names[f.node], f.build())
     spec = get_preset(sc.preset)
     job = JobSpec(
         name="fuzz_job", n_nodes=cs.job_nodes,
@@ -403,20 +352,17 @@ def execute(
 def _execute(sc: Scenario, *, check_oracles: bool, _nested: bool) -> RunResult:
     from repro.pcp.transport import TransportModel
 
-    faults = _service_faults(sc)
     daemon = PMoVE(
         env={"PMOVE_SHARDS": str(sc.shards)},
         seed=sc.seed,
-        service_faults=faults,
+        service_faults=sc.service_fault_set(),
     )
     machine = SimulatedMachine(get_preset(sc.preset), seed=sc.seed)
     hostname = machine.spec.hostname
     daemon.attach_target(machine, transport=TransportModel(hiccup_rate_max=0.0))
 
     for c in sc.shard_crashes:
-        daemon.influx.inject_shard_fault(
-            f"shard-{c.shard}", NodeCrash(t0=c.t0, t1=c.t1)
-        )
+        daemon.influx.inject_shard_fault(f"shard-{c.shard}", c.build())
 
     superdb: SuperDB | None = None
     if sc.federate:
@@ -436,7 +382,7 @@ def _execute(sc: Scenario, *, check_oracles: bool, _nested: bool) -> RunResult:
             n_partitions=sc.n_partitions,
             db_writers=sc.db_writers,
             fsync_every_reports=sc.fsync_every,
-            log_faults=_log_faults(sc),
+            log_faults=sc.log_fault_set(),
             superdb=superdb if sc.federate else None,
             max_apply_attempts=sc.max_apply_attempts,
         )

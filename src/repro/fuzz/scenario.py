@@ -30,11 +30,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from typing import Any, Iterable, TypeVar
 
+from repro.faults.log import ConsumerCrash, LogFaultSet, LogTruncation
+from repro.faults.nodes import NodeCrash, NodeFault, NodeFaultSet, NodeFlap, NodeHang
+from repro.faults.services import (
+    DbOutage,
+    FlakyWrites,
+    InsertLatencySpike,
+    NetworkPartition,
+    ServiceFault,
+    ServiceFaultSet,
+)
+from repro.faults.window import Schedule
 from repro.machine.presets import PRESETS
 
-from .rng import spawn
+from .rng import derive_seed, spawn
 
 __all__ = [
     "FaultSpec",
@@ -63,6 +74,26 @@ class ScenarioError(ValueError):
     """A scenario (or a mutation of one) violates the grammar."""
 
 
+S = TypeVar("S", bound=Schedule)
+
+
+def _installed(schedule: S, keyed: Iterable[tuple]) -> S:
+    """``schedule`` with each ``(*scope, fault)`` of ``keyed`` injected.
+
+    The specs' ``build`` methods are the one place a scenario's windows
+    become faults, and the run injects them the same way: so the fault
+    constructors and the schedule's overlap rule judge every window, and
+    what they refuse is a grammar violation, re-drawn by the mutators
+    instead of crashing the runner.
+    """
+    try:
+        for key in keyed:
+            schedule.inject(*key)
+    except ValueError as e:
+        raise ScenarioError(str(e)) from None
+    return schedule
+
+
 # ----------------------------------------------------------------------
 # Window specs
 # ----------------------------------------------------------------------
@@ -73,20 +104,31 @@ class FaultSpec:
     kind: str  # outage | partition | latency | flaky
     t0: float
     t1: float
-    #: latency -> factor (>= 1); flaky -> p_fail in [0, 1]; else unused.
+    #: latency -> factor (>= 1); flaky -> p_fail in (0, 1]; else unused.
     param: float = 0.0
 
     def validate(self, horizon: float) -> None:
         if self.kind not in SERVICE_KINDS:
             raise ScenarioError(f"unknown service fault kind {self.kind!r}")
-        if not 0.0 <= self.t0 < self.t1:
+        if not 0.0 <= self.t0:
             raise ScenarioError(f"bad fault window [{self.t0}, {self.t1})")
         if self.t0 >= horizon:
             raise ScenarioError("fault window starts past the run horizon")
-        if self.kind == "latency" and self.param < 1.0:
-            raise ScenarioError("latency factor must be >= 1")
-        if self.kind == "flaky" and not 0.0 < self.param <= 1.0:
+        if self.kind == "flaky" and not self.param > 0.0:
             raise ScenarioError("flaky p_fail must be in (0, 1]")
+
+    def build(self, seed: int) -> ServiceFault:
+        if self.kind == "outage":
+            return DbOutage(t0=self.t0, t1=self.t1)
+        if self.kind == "partition":
+            return NetworkPartition(t0=self.t0, t1=self.t1)
+        if self.kind == "latency":
+            return InsertLatencySpike(t0=self.t0, t1=self.t1, factor=self.param)
+        return FlakyWrites(
+            t0=self.t0, t1=self.t1, p_fail=self.param,
+            # FlakyWrites packs its seed as a signed int64
+            seed=derive_seed(seed, f"flaky@{self.t0}") % (2**63),
+        )
 
 
 @dataclass(frozen=True)
@@ -105,13 +147,16 @@ class LogFaultSpec:
             raise ScenarioError(f"unknown log fault kind {self.kind!r}")
         if self.t0 < 0:
             raise ScenarioError("log fault must start at t >= 0")
-        if self.kind == "consumer-crash":
-            if self.t1 <= self.t0:
-                raise ScenarioError("consumer-crash window must have t1 > t0")
-            if self.consumer < 0:
-                raise ScenarioError("consumer index must be >= 0")
+        if self.kind == "consumer-crash" and self.consumer < 0:
+            raise ScenarioError("consumer index must be >= 0")
         if self.t0 >= horizon:
             raise ScenarioError("log fault starts past the run horizon")
+
+    def build(self) -> LogTruncation | ConsumerCrash:
+        if self.kind == "truncate":
+            return LogTruncation(at=self.t0)
+        cid = f"{self.group}-{self.consumer}"
+        return ConsumerCrash(self.group, cid, self.t0, self.t1)
 
 
 @dataclass(frozen=True)
@@ -127,10 +172,13 @@ class ShardCrashSpec:
             raise ScenarioError("shard crash needs a sharded scenario")
         if not 0 <= self.shard < shards:
             raise ScenarioError(f"shard index {self.shard} out of range")
-        if not 0.0 <= self.t0 < self.t1:
+        if not 0.0 <= self.t0:
             raise ScenarioError(f"bad shard-crash window [{self.t0}, {self.t1})")
         if self.t0 >= horizon:
             raise ScenarioError("shard crash starts past the run horizon")
+
+    def build(self) -> NodeCrash:
+        return NodeCrash(t0=self.t0, t1=self.t1)
 
 
 @dataclass(frozen=True)
@@ -148,12 +196,15 @@ class NodeFaultSpec:
             raise ScenarioError(f"unknown node fault kind {self.kind!r}")
         if not 0 <= self.node < n_nodes:
             raise ScenarioError(f"node index {self.node} out of range")
-        if not 0.0 <= self.t0 < self.t1:
+        if not 0.0 <= self.t0:
             raise ScenarioError(f"bad node fault window [{self.t0}, {self.t1})")
-        if self.kind == "hang" and self.param < 1.0:
-            raise ScenarioError("hang factor must be >= 1")
-        if self.kind == "flap" and not 0.0 < self.param < 1.0:
-            raise ScenarioError("flap down_fraction must be in (0, 1)")
+
+    def build(self) -> NodeFault:
+        if self.kind == "crash":
+            return NodeCrash(t0=self.t0, t1=self.t1)
+        if self.kind == "hang":
+            return NodeHang(t0=self.t0, t1=self.t1, factor=self.param)
+        return NodeFlap(t0=self.t0, t1=self.t1, down_fraction=self.param)
 
 
 @dataclass(frozen=True)
@@ -175,15 +226,7 @@ class ClusterSpec:
             raise ScenarioError("cluster job iterations must be in [10, 400]")
         for f in self.node_faults:
             f.validate(self.n_nodes)
-        for i, a in enumerate(self.node_faults):
-            for b in self.node_faults[i + 1:]:
-                if (
-                    a.kind == b.kind and a.node == b.node
-                    and a.t0 < b.t1 and b.t0 < a.t1
-                ):
-                    raise ScenarioError(
-                        f"overlapping {a.kind} windows on node {a.node}"
-                    )
+        _installed(NodeFaultSet(), ((f.node, f.build()) for f in self.node_faults))
 
 
 @dataclass(frozen=True)
@@ -288,6 +331,14 @@ class Scenario:
         """Virtual end-of-interest: sampling plus downstream grace."""
         return self.duration_s + 30.0
 
+    def service_fault_set(self) -> ServiceFaultSet:
+        return _installed(
+            ServiceFaultSet(), ((f.build(self.seed),) for f in self.service_faults)
+        )
+
+    def log_fault_set(self) -> LogFaultSet:
+        return _installed(LogFaultSet(), ((f.build(),) for f in self.log_faults))
+
     def validate(self) -> "Scenario":
         """Raise :class:`ScenarioError` on any grammar violation; returns
         self so call sites can chain."""
@@ -325,32 +376,12 @@ class Scenario:
                 )
         if self.log_faults and self.mode != "durable":
             raise ScenarioError("log faults need mode='durable'")
-        # The fault sets reject overlapping windows loudly at injection
-        # time; mirror that here so mutation chains that stack windows
-        # fail as a grammar error (and get re-drawn) rather than crashing
-        # mid-run inside the runner.
-        crashes = [f for f in self.log_faults if f.kind == "consumer-crash"]
-        for i, a in enumerate(crashes):
-            for b in crashes[i + 1:]:
-                if (
-                    a.group == b.group and a.consumer == b.consumer
-                    and a.t0 < b.t1 and b.t0 < a.t1
-                ):
-                    raise ScenarioError(
-                        "overlapping consumer-crash windows for "
-                        f"{a.group}/{a.consumer}"
-                    )
-        truncs = [f.t0 for f in self.log_faults if f.kind == "truncate"]
-        if len(set(truncs)) != len(truncs):
-            raise ScenarioError("duplicate log truncations at one instant")
         for c in self.shard_crashes:
             c.validate(self.horizon, self.shards)
-        for i, a in enumerate(self.shard_crashes):
-            for b in self.shard_crashes[i + 1:]:
-                if a.shard == b.shard and a.t0 < b.t1 and b.t0 < a.t1:
-                    raise ScenarioError(
-                        f"overlapping crash windows on shard {a.shard}"
-                    )
+        # built and thrown away: the fault sets judge every window
+        self.service_fault_set()
+        self.log_fault_set()
+        _installed(NodeFaultSet(), ((c.shard, c.build()) for c in self.shard_crashes))
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ScenarioError("tenant names must be unique")

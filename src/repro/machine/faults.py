@@ -14,26 +14,17 @@ dilation factor for a given execution placement.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterable
+
+from repro.faults.window import Schedule, Window
 
 __all__ = ["Fault", "CpuThrottle", "MemoryContention", "LoadImbalance", "FaultSet"]
 
 
 @dataclass(frozen=True)
-class Fault:
+class Fault(Window):
     """Base fault: a named degradation active on [t0, t1)."""
-
-    t0: float
-    t1: float
-
-    def __post_init__(self) -> None:
-        if self.t1 <= self.t0:
-            raise ValueError("fault window must have positive length")
-
-    def active(self, t: float) -> bool:
-        return self.t0 <= t < self.t1
 
     def slowdown(self, cpu_ids: tuple[int, ...], memory_bound: bool) -> float:
         """Runtime multiplier (>= 1) this fault imposes on an execution."""
@@ -98,42 +89,15 @@ class LoadImbalance(Fault):
         return self.straggler_factor if affected else 1.0
 
 
-@dataclass
-class FaultSet:
-    """The machine's installed faults."""
+class FaultSet(Schedule):
+    """The machine's installed faults; all unscoped, and overlapping
+    windows compose."""
 
-    faults: list[Fault] = field(default_factory=list)
-
-    def inject(self, fault: Fault) -> Fault:
-        self.faults.append(fault)
-        return fault
-
-    def remove(self, fault: Fault) -> bool:
-        """Remove one installed fault; returns whether it was present."""
-        try:
-            self.faults.remove(fault)
-            return True
-        except ValueError:
-            return False
-
-    @contextmanager
-    def scoped(self, fault: Fault) -> Iterator[Fault]:
-        """Inject on enter, remove on exit — tests leak no fault state."""
-        self.inject(fault)
-        try:
-            yield fault
-        finally:
-            self.remove(fault)
-
-    def active_at(self, t: float) -> list[Fault]:
-        return [f for f in self.faults if f.active(t)]
+    def __init__(self, faults: Iterable[Fault] = ()) -> None:
+        super().__init__()
+        for f in faults:
+            self.inject(f)
 
     def slowdown(self, t: float, cpu_ids: tuple[int, ...], memory_bound: bool) -> float:
         """Composed runtime multiplier of all faults active at ``t``."""
-        factor = 1.0
-        for f in self.active_at(t):
-            factor *= f.slowdown(cpu_ids, memory_bound)
-        return factor
-
-    def clear(self) -> None:
-        self.faults.clear()
+        return self.product(None, t, "slowdown", cpu_ids, memory_bound)

@@ -411,7 +411,7 @@ class CommitLog:
         # Same placement construction as the PR 6 shard router: a series'
         # partition is where its consistent-hash key lands on the ring.
         self.ring = HashRing([f"p{i}" for i in range(n_partitions)], vnodes=vnodes)
-        self.faults = faults or LogFaultSet()
+        self.faults = faults if faults is not None else LogFaultSet()
         self.checkpoints = CheckpointStore()
         self.dlq = DeadLetterQueue()
         self.now = 0.0

@@ -79,6 +79,18 @@ class TestHealth:
         stats, _ = daemon.scenario_a("icl", duration_s=5.0, freq_hz=1.0)
         assert stats.inserted_points > 0
 
+    def test_an_empty_fault_set_handed_in_is_the_one_consulted(self):
+        from repro.faults import DbOutage, ServiceFaultSet
+
+        faults = ServiceFaultSet()
+        d = PMoVE(seed=5, service_faults=faults)
+        assert d.service_faults is faults
+        d.attach_target(SimulatedMachine(icl(), seed=5))
+        faults.inject(DbOutage(t0=0.0, t1=1e6))
+        d.scenario_a("icl", duration_s=3.0, freq_hz=1.0)
+        assert d.health()["writes"]["accepted"] == 0
+        assert d.health()["writes"]["rejected"] > 0
+
 
 class TestScenarioA:
     def test_dashboard_before_data(self, daemon):

@@ -74,3 +74,13 @@ class TestInjection:
         _, proxy = make()
         assert proxy.faults.faults == []
         proxy.at(123.0).write("db", pt())  # no faults: any time is fine
+
+    def test_an_empty_set_handed_in_is_the_one_consulted(self):
+        """An empty fault set is falsy; the proxy must keep it, not swap in
+        a fresh one, so a fault injected later still bites."""
+        faults = ServiceFaultSet()
+        _, proxy = make(faults)
+        assert proxy.faults is faults
+        faults.inject(DbOutage(t0=0.0, t1=10.0))
+        with pytest.raises(ServiceUnavailable):
+            proxy.at(5.0).write("db", pt())

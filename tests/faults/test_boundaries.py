@@ -26,6 +26,7 @@ from repro.faults import (
     NodeHang,
     ServiceFaultSet,
 )
+from repro.machine import CpuThrottle
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +125,9 @@ class TestNodeBoundaries:
 class TestLogBoundaries:
     def test_consumer_crash_half_open(self):
         c = ConsumerCrash("db-writer", "db-writer-0", t0=2.0, t1=5.0)
-        assert c.covers(2.0)
-        assert not c.covers(5.0)  # a poll exactly at t1 must succeed
+        assert c.active(2.0) and c.down_at(2.0)
+        assert not c.active(5.0)  # a poll exactly at t1 must succeed
+        assert not c.down_at(5.0)
 
     def test_fault_set_next_up_merges_back_to_back(self):
         lf = LogFaultSet()
@@ -139,13 +141,13 @@ class TestLogBoundaries:
 
     def test_liveness_probe_without_a_crash_schedule_walks_nothing(self):
         """``crashed`` is asked for every consumer on every poll; with no
-        crash scheduled it answers before building anything to walk."""
-        class NeverWalked(list):
-            def __iter__(self):
-                raise AssertionError("walked an empty crash schedule")
+        crash scheduled it answers before building a key to probe with."""
+        class NeverProbed(dict):
+            def get(self, *args):
+                raise AssertionError("probed an empty crash schedule")
 
         lf = LogFaultSet()
-        lf.crashes = NeverWalked()
+        lf.by_scope = NeverProbed()
         assert lf.crashed("g", "c", 1.0) is False
 
     def test_zero_length_crash_rejected(self):
@@ -155,7 +157,7 @@ class TestLogBoundaries:
     def test_overlapping_crash_same_consumer_rejected(self):
         lf = LogFaultSet()
         lf.inject(ConsumerCrash("g", "c", 1.0, 4.0))
-        with pytest.raises(ValueError, match="overlapping crash windows"):
+        with pytest.raises(ValueError, match="overlapping ConsumerCrash"):
             lf.inject(ConsumerCrash("g", "c", 3.0, 6.0))
         # Other consumer / other group / explicit layering are all fine.
         lf.inject(ConsumerCrash("g", "c2", 3.0, 6.0))
@@ -175,3 +177,49 @@ class TestLogBoundaries:
     def test_unknown_fault_kind_is_type_error(self):
         with pytest.raises(TypeError):
             LogFaultSet().inject(object())  # type: ignore[arg-type]
+
+
+# ----------------------------------------------------------------------
+# One window contract for every family
+# ----------------------------------------------------------------------
+NAN = math.nan
+
+
+class TestNaNBoundsRefused:
+    """``t1 <= t0`` is False for a NaN bound, so each family used to build
+    a fault that never fires — a silently inert chaos schedule."""
+
+    @pytest.mark.parametrize("make", [
+        lambda t0, t1: DbOutage(t0=t0, t1=t1),
+        lambda t0, t1: FlakyWrites(t0=t0, t1=t1, p_fail=1.0),
+        lambda t0, t1: NodeCrash(t0=t0, t1=t1),
+        lambda t0, t1: NodeFlap(t0=t0, t1=t1),
+        lambda t0, t1: ConsumerCrash("g", "c", t0, t1),
+        lambda t0, t1: CpuThrottle(t0=t0, t1=t1),
+    ], ids=["service", "flaky", "node-crash", "node-flap", "consumer", "machine"])
+    @pytest.mark.parametrize("t0, t1", [(NAN, 5.0), (0.0, NAN), (NAN, NAN)])
+    def test_either_bound(self, make, t0, t1):
+        with pytest.raises(ValueError, match="positive length"):
+            make(t0, t1)
+        make(0.0, 5.0)
+
+    def test_truncation_instant(self):
+        with pytest.raises(ValueError):
+            LogTruncation(at=NAN)
+        LogTruncation(at=0.0)
+
+
+class TestFlakySeedRange:
+    """The draw packs the seed as an int64: a seed outside that range used
+    to construct, then crash the first write in the window with
+    ``struct.error`` instead of a rejected write."""
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_edges_draw(self, seed):
+        f = FlakyWrites(t0=0.0, t1=10.0, p_fail=0.5, seed=seed)
+        assert f.fails_write(5.0) in (True, False)
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63])
+    def test_past_the_edges_refused(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            FlakyWrites(t0=0.0, t1=10.0, p_fail=0.5, seed=seed)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import NodeCrash, NodeFaultSet, NodeFlap, NodeHang
 
@@ -82,6 +84,66 @@ class TestNodeFlap:
             NodeFlap(t0=0.0, t1=1.0, period_s=0.0)
         with pytest.raises(ValueError):
             NodeFlap(t0=0.0, t1=1.0, down_fraction=1.0)
+        with pytest.raises(ValueError):
+            NodeFlap(t0=0.0, t1=1.0, period_s=math.nan)
+
+
+def _cent(lo: int, hi: int):
+    """Two-decimal floats in ``[lo, hi] / 100``, spelled as literals are."""
+    return st.integers(lo, hi).map(lambda n: n / 100)
+
+
+FLAPS = st.builds(
+    lambda t0, span, period, frac: NodeFlap(
+        t0=t0, t1=round(t0 + span, 2), period_s=period, down_fraction=frac
+    ),
+    _cent(0, 1000), _cent(1, 3000), _cent(1, 500), _cent(1, 99),
+)
+
+
+def _flap_answers_agree(flap: NodeFlap, t: float) -> None:
+    """The four answers of one flap name the same cycle edges."""
+    nd = flap.next_down(t)
+    if nd is not None:
+        assert flap.down_at(nd), (flap, t, nd)
+    fs = NodeFaultSet()
+    fs.inject("n", flap)
+    up = fs.next_up("n", t)
+    if up < flap.t1:
+        assert not fs.is_down("n", up), (flap, t, up)
+    for a, _b in flap.down_intervals(t, t + 3 * flap.period_s):
+        assert flap.down_at(a), (flap, t, a)
+
+
+class TestNodeFlapCycleEdges:
+    """``down_at``, ``next_down``, ``next_up`` and ``down_intervals`` used
+    to find cycle positions three ways, and float rounding put them on
+    different sides of an edge: the scheduler, which waits on ``next_up``,
+    could place a job on a node that was still down."""
+
+    def test_next_down_is_down(self):
+        f = NodeFlap(t0=0.7, t1=9.623, period_s=0.55, down_fraction=0.5)
+        assert f.next_down(4.0) == 4.0
+        assert f.down_at(4.0)
+
+    def test_next_up_is_up(self):
+        fs = NodeFaultSet()
+        fs.inject("n", NodeFlap(t0=3.19, t1=22.63, period_s=1.62,
+                                down_fraction=0.7))
+        up = fs.next_up("n", 12.31)
+        assert up == pytest.approx(12.424)
+        assert not fs.is_down("n", up)
+
+    @given(FLAPS, _cent(0, 4000))
+    @settings(max_examples=60, deadline=None)
+    def test_answers_agree_at_cycle_edges(self, flap, t):
+        _flap_answers_agree(flap, t)
+
+    @pytest.mark.chaos
+    @given(FLAPS, _cent(0, 4000))
+    @settings(max_examples=1000, deadline=None)
+    def test_answers_agree_at_cycle_edges_wide(self, flap, t):
+        _flap_answers_agree(flap, t)
 
 
 class TestNodeFaultSet:

@@ -63,13 +63,14 @@ class TestValidation:
 
 
 class TestOverlapValidation:
-    """Mirrors the fault sets' loud inject-time checks at the grammar
-    level, so mutation chains re-draw instead of crashing the runner."""
+    """The fault sets' loud inject-time checks, run at the grammar level
+    on throwaway schedules, so mutation chains re-draw instead of
+    crashing the runner."""
 
     def test_overlapping_consumer_crashes_rejected(self):
         a = LogFaultSpec("consumer-crash", 1.0, 4.0, "db-writer", 0)
         b = LogFaultSpec("consumer-crash", 3.0, 6.0, "db-writer", 0)
-        with pytest.raises(ScenarioError, match="overlapping consumer-crash"):
+        with pytest.raises(ScenarioError, match="overlapping ConsumerCrash"):
             Scenario(mode="durable", log_faults=(a, b)).validate()
         # Different consumer of the same group is a different schedule.
         c = LogFaultSpec("consumer-crash", 3.0, 6.0, "db-writer", 1)
@@ -80,7 +81,7 @@ class TestOverlapValidation:
 
     def test_duplicate_truncations_rejected(self):
         t = LogFaultSpec("truncate", 2.0)
-        with pytest.raises(ScenarioError, match="duplicate log truncation"):
+        with pytest.raises(ScenarioError, match="duplicate truncation"):
             Scenario(mode="durable", log_faults=(t, t)).validate()
         Scenario(
             mode="durable",
@@ -90,7 +91,7 @@ class TestOverlapValidation:
     def test_overlapping_shard_crashes_rejected(self):
         a = ShardCrashSpec(0, 1.0, float("inf"))
         b = ShardCrashSpec(0, 5.0, 9.0)
-        with pytest.raises(ScenarioError, match="overlapping crash windows"):
+        with pytest.raises(ScenarioError, match="overlapping NodeCrash"):
             Scenario(shards=2, shard_crashes=(a, b)).validate()
         Scenario(
             shards=2, shard_crashes=(a, ShardCrashSpec(1, 5.0, 9.0))
@@ -99,7 +100,7 @@ class TestOverlapValidation:
     def test_overlapping_same_kind_node_faults_rejected(self):
         a = NodeFaultSpec("crash", 0, 1.0, 5.0)
         b = NodeFaultSpec("crash", 0, 4.0, 8.0)
-        with pytest.raises(ScenarioError, match="overlapping crash windows"):
+        with pytest.raises(ScenarioError, match="overlapping NodeCrash"):
             ClusterSpec(node_faults=(a, b)).validate()
         # Different kind may layer (hang during crash recovery etc).
         ClusterSpec(

@@ -94,6 +94,16 @@ class TestSegmentsAndWatermark:
         assert all(not log.has_record(r) for r in tail)
         assert log.end_offset("m0", 0) == 3  # durable prefix intact
 
+    def test_an_empty_fault_set_handed_in_is_the_one_consulted(self):
+        faults = LogFaultSet()
+        log = CommitLog(n_partitions=1, faults=faults)
+        assert log.faults is faults
+        log.append("m0", 0, seq=log.next_seq(), time=0.0, lines="", n_fields=0,
+                   tag="t")
+        faults.inject(LogTruncation(at=1.0))
+        log.at(1.0)
+        assert log.truncated_records == 1
+
 
 class TestProducer:
     def test_report_splits_per_measurement_partition(self):

@@ -110,6 +110,14 @@ class TestCommands:
         loss = float(out.split("% lost")[0].rsplit("(", 1)[1])
         assert loss > 10.0
 
+    def test_chaos_nan_window_is_an_error(self, capsys):
+        """A NaN bound used to install an outage that never fires and
+        report a clean run."""
+        code, out, err = run(capsys, "chaos", "icl", "--outage", "nan", "4")
+        assert code == 1
+        assert "error:" in err
+        assert "fault(s) installed" not in out
+
     def test_chaos_default_fault_injected(self, capsys):
         code, out, _ = run(capsys, "chaos", "icl", "--duration", "12")
         assert code == 0
