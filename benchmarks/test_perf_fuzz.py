@@ -17,16 +17,22 @@ CI lane on:
    log fault + shard crash + aggressor stream) the shallow generator
    practically never assembles in one draw.
 
+The guided campaign's coverage points must also equal the committed
+``coverage_points``: a change to what the twin reports about itself, or
+to how ``harvest`` reads it, shows up here, and is accepted by committing
+the regenerated file.
+
 Everything runs in virtual time, so the numbers are exact and stable;
 results land in ``benchmarks/results/BENCH_fuzz.json``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
-from _helpers import emit_json
+from _helpers import RESULTS_DIR, emit_json
 
 from repro.fuzz import run_campaign
 
@@ -35,6 +41,7 @@ CAMPAIGN_SEED = 3
 
 
 def test_fuzz_campaign_gates():
+    committed = json.loads((RESULTS_DIR / "BENCH_fuzz.json").read_text())
     t0 = time.perf_counter()
     guided = run_campaign(BUDGET, CAMPAIGN_SEED, keep_run_docs=False)
     t_guided = time.perf_counter() - t0
@@ -74,7 +81,11 @@ def test_fuzz_campaign_gates():
     # Gate 1: the campaign is a pure function of its seed.
     assert guided.fingerprint() == again.fingerprint()
     assert guided.rerun_mismatches == []
-    # Gate 2: corpus steering strictly beats budget-matched random draws.
+    # Gate 2: the committed coverage (at the committed budget) is what the
+    # twin reports.
+    if BUDGET == committed["budget"]:
+        assert guided.coverage.points == committed["coverage_points"]
+    # Gate 3: corpus steering strictly beats budget-matched random draws.
     assert guided.distinct_coverage > baseline.distinct_coverage
-    # Gate 3: the twin holds its invariants over the whole campaign.
+    # Gate 4: the twin holds its invariants over the whole campaign.
     assert not guided.failures and not baseline.failures

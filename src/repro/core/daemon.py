@@ -21,7 +21,7 @@ Two scenarios (Fig 3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.db.faulty import FaultyInfluxDB
@@ -460,29 +460,22 @@ class PMoVE:
         return self.service_faults.inject(fault)
 
     def health(self) -> dict[str, Any]:
-        """Operational snapshot of the telemetry path — what a liveness
-        probe against the daemon would report."""
+        """The twin's one self-report — what a liveness probe against the
+        daemon would see, and what the scenario fuzzer harvests coverage
+        from: per target its last sampling run and shipper breaker, the
+        write proxy's counts, the engine's planner decisions, and the
+        shard, durable-ingest and serving sections of what is enabled."""
         targets: dict[str, Any] = {}
         for name, t in self.targets.items():
             stats = t.sampler.last_stats
             shipper = t.sampler.last_shipper
             entry: dict[str, Any] = {
                 "observations": t.observation_count,
-                "last_run": None,
+                "last_run": None if stats is None else asdict(stats),
             }
-            if stats is not None:
-                entry["last_run"] = {
-                    "mode": stats.mode,
-                    "loss_pct": stats.loss_pct,
-                    "inserted_points": stats.inserted_points,
-                    "retried_reports": stats.retried_reports,
-                    "recovered_reports": stats.recovered_reports,
-                    "dropped_by_policy": stats.dropped_by_policy,
-                    "breaker_open_s": stats.breaker_open_s,
-                    "max_queue_depth": stats.max_queue_depth,
-                }
             if shipper is not None:
                 entry["breaker_state"] = shipper.breaker.state
+                entry["breaker_transitions"] = list(shipper.breaker.transitions)
                 entry["queue_depth"] = len(shipper)
                 entry["wal_entries"] = len(shipper.wal)
             targets[name] = entry
@@ -493,6 +486,8 @@ class PMoVE:
                 "rejected": self._write_influx.rejected_writes,
             },
             "targets": targets,
+            "rollup_plan": dict(self.influx.rollup_plan),
+            "sketch_plan": dict(self.influx.sketch_plan),
         }
         if isinstance(self.influx, ShardedInfluxDB):
             out["shards"] = {

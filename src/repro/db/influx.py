@@ -376,7 +376,9 @@ class _Rollup:
 def bucket_runs(times: list[float], lo: int, hi: int, N: float):
     """Rows ``[lo, hi)`` of a sorted time column cut where ``GROUP BY
     time(N)`` cuts them: yields ``(b, i, j)``, rows ``[i, j)`` being the
-    ones whose ``(t // N) * N`` is ``b``.
+    ones whose ``(t // N) * N`` is ``b``.  A label is ``+ 0.0``'d: a row at
+    ``-0.0`` keys equal to one at ``0.0``, and the bucket's label must not
+    depend on which of them comes first.
 
     The key does not fall with time, so a bucket is one run.  A plain
     bisect for ``b + N`` proposes where it ends and the key then settles it
@@ -387,7 +389,7 @@ def bucket_runs(times: list[float], lo: int, hi: int, N: float):
     not one per row."""
     if lo >= hi:
         return
-    i, b = lo, (times[lo] // N) * N
+    i, b = lo, (times[lo] // N) * N + 0.0
     while True:
         j = bisect_left(times, b + N, i + 1, hi)
         while (times[j - 1] // N) * N != b:  # row i is of b: stops there
@@ -397,7 +399,7 @@ def bucket_runs(times: list[float], lo: int, hi: int, N: float):
         yield b, i, j
         if j >= hi:
             return
-        i, b = j, nb
+        i, b = j, nb + 0.0
 
 
 def _bucket_start(times: list[float], b: float, N: float, lo: int, hi: int) -> int:
@@ -493,7 +495,7 @@ class _Series:
             self.folded += 1
             self._hash(idx, idx + 1)
             for r in self._rollups:
-                self._rollup_recompute(r, (time // r.tier) * r.tier)
+                self._rollup_recompute(r, (time // r.tier) * r.tier + 0.0)
 
     # -- summaries: memos over rows [0, folded) --------------------------
     @property
@@ -655,7 +657,7 @@ class _Series:
                     continue
                 # Drop fully expired buckets, then rebuild the boundary
                 # bucket the horizon may have cut through.
-                b0 = (self.times[0] // r.tier) * r.tier
+                b0 = (self.times[0] // r.tier) * r.tier + 0.0
                 k = bisect_left(r.starts, b0)
                 if k:
                     del r.starts[:k]

@@ -488,10 +488,10 @@ def naive_execute(db, database: str, query: Query | str) -> ResultSet:
             return ResultSet(columns=[q.columns[0]], rows=[(t, row)])
         return ResultSet(columns=cols, rows=[(t, row)])
 
-    # GROUP BY time(Ns): bucket on floor(time / N) * N.
+    # GROUP BY time(Ns): bucket on floor(time / N) * N (+ 0.0: -0.0 labels 0.0).
     buckets: dict[float, list[list[float]]] = {}
     for t, vals in rows:
-        b = (t // q.group_by_s) * q.group_by_s
+        b = (t // q.group_by_s) * q.group_by_s + 0.0
         slot = buckets.setdefault(b, [[] for _ in cols])
         for i, v in enumerate(vals):
             if v is not None:

@@ -172,7 +172,7 @@ class NaiveInfluxDB:
         )
         buckets: dict[float, list[list[float]]] = {}
         for t, vals in rows:
-            b = (t // group_by_s) * group_by_s
+            b = (t // group_by_s) * group_by_s + 0.0
             slot = buckets.setdefault(b, [[] for _ in cols])
             for i, v in enumerate(vals):
                 if v is not None:

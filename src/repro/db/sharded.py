@@ -434,7 +434,7 @@ class ShardedInfluxDB:
         for name, sh in self.shards.items():
             if self._up(name):
                 out.update(sh.measurements(db))
-            elif sh.stats(db)["series_count"]:
+            elif sh.measurements(db):  # a down shard hides series: no fold
                 partial = True
         self._note_partial(partial)
         return sorted(out)

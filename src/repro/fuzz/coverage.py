@@ -4,8 +4,9 @@ system already keeps.
 No instrumentation pass, no tracing — every subsystem built in PRs 1–8
 already counts the interesting state transitions (breaker trips,
 scheduler requeues, DLQ parks, admission rejections, rollup-planner
-disqualifications, anti-entropy repairs, partial-degradations).  The
-harvester walks those counters after a run and flattens each *non-zero,
+disqualifications, anti-entropy repairs, partial-degradations), and
+``PMoVE.health()`` reports them in one document.  The harvester walks
+that document after a run and flattens each *non-zero,
 novel* behaviour into a string point ``domain:detail``; the campaign's
 :class:`CoverageMap` deduplicates points across runs and the novelty
 delta is what steers the mutation corpus.
@@ -18,7 +19,7 @@ would never converge.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 __all__ = ["CoverageMap", "harvest"]
 
@@ -73,68 +74,75 @@ def _bucket(n: float, edges: tuple[float, ...]) -> str:
     return f">{edges[-1]:g}"
 
 
+def _edges(transitions: Iterable) -> Iterator[str]:
+    """A breaker's ``(t, state)`` transitions as ``breaker:<from>-><to>``
+    points (every breaker starts closed)."""
+    prev = "closed"
+    for _t, state in transitions:
+        yield f"breaker:{prev}->{state}"
+        prev = state
+
+
+#: ``SamplingStats`` fields that are a point when non-zero.
+_SAMPLER_POINTS = {
+    "lost_reports": "sampler:lost-reports",
+    "dropped_by_policy": "shipper:dropped-by-policy",
+    "spilled_reports": "shipper:spilled",
+    "recovered_reports": "shipper:wal-recovered",
+    "retried_reports": "shipper:retried",
+    "degraded_ticks": "shipper:degraded",
+    "unshipped_reports": "shipper:unshipped-at-close",
+    "breaker_open_s": "breaker:spent-time-open",
+}
+
+#: Per-group ingest counters that are a point when non-zero, as
+#: ``log:<group>:<counter less _records, dashed>``.
+_LOG_COUNTERS = (
+    "parked_records", "replayed_parked_records", "duplicate_records",
+    "filtered_records", "apply_failures", "interruptions",
+)
+
+
 def harvest(run: dict[str, Any]) -> set[str]:
     """Flatten one run's counter document into coverage points.
 
-    ``run`` is the :class:`~repro.fuzz.runner.RunResult` counter doc —
-    stable, JSON-serializable, and assembled by the runner from
-    ``SamplingStats``, ``IngestPipeline.flat_counters()``, shipper/breaker
-    state, the rollup planner, shard stats, serving health, cluster docs
-    and federation links."""
+    ``run`` is the :class:`~repro.fuzz.runner.RunResult` counter doc:
+    ``PMoVE.health()`` less its ``fuzz`` section, plus the runner's own
+    ``sampler`` (Scenario-A ``SamplingStats``), ``cluster``,
+    ``federation`` and ``violations``.  Every point reads a path of that
+    document; none is re-derived from a component."""
     pts: set[str] = set()
 
     # --- sampler / shipper -------------------------------------------
     s = run.get("sampler", {})
     pts.add(f"sampler:mode:{s.get('mode', 'unbuffered')}")
-    if s.get("lost_reports", 0):
-        pts.add("sampler:lost-reports")
-    if s.get("dropped_by_policy", 0):
-        pts.add("shipper:dropped-by-policy")
-    if s.get("spilled_reports", 0):
-        pts.add("shipper:spilled")
-    if s.get("recovered_reports", 0):
-        pts.add("shipper:wal-recovered")
-    if s.get("retried_reports", 0):
-        pts.add("shipper:retried")
-    if s.get("degraded_ticks", 0):
-        pts.add("shipper:degraded")
-    if s.get("unshipped_reports", 0):
-        pts.add("shipper:unshipped-at-close")
-    if s.get("breaker_open_s", 0.0):
-        pts.add("breaker:spent-time-open")
-    for a, b in run.get("breaker_transitions", []):
-        pts.add(f"breaker:{a}->{b}")
+    pts.update(p for name, p in _SAMPLER_POINTS.items() if s.get(name, 0))
+    for target in run.get("targets", {}).values():
+        pts.update(_edges(target.get("breaker_transitions", ())))
 
     # --- durable ingest ----------------------------------------------
     ing = run.get("ingest", {})
-    for key, val in ing.get("counters", {}).items():
-        if not val:
-            continue
-        # keys like "db-writer.parked_records", "producer.resent_records"
-        who, _, what = key.partition(".")
-        if what in (
-            "parked_records",
-            "replayed_parked_records",
-            "duplicate_records",
-            "filtered_records",
-            "apply_failures",
-            "interruptions",
-            "resent",
-            "resent_records",
-            "truncated_records",
-        ):
-            pts.add(f"log:{who}:{what.replace('_records', '').replace('_', '-')}")
-    dlq = ing.get("dlq", {})
-    for reason, n in dlq.get("parked_by_reason", {}).items():
+    for group, g in ing.get("groups", {}).items():
+        for what in _LOG_COUNTERS:
+            if g.get(what, 0):
+                slug = what.replace("_records", "").replace("_", "-")
+                pts.add(f"log:{group}:{slug}")
+        for m in g["members"]:
+            if m["breaker_state"] != "closed":
+                pts.add(f"log:breaker:{m['id']}:{m['breaker_state']}")
+            pts.update(_edges(m["breaker_transitions"]))
+    if ing.get("producer", {}).get("resent_records", 0):
+        pts.add("log:producer:resent")
+    log = ing.get("log", {})
+    if log.get("truncated_records", 0):
+        pts.add("log:producer:truncated")
+    if log.get("rebalances", 0):
+        pts.add("log:rebalance")
+    if log.get("requeued_records", 0):
+        pts.add("dlq:requeued")
+    for reason, n in ing.get("dlq_by_reason", {}).items():
         if n:
             pts.add(f"dlq:park:{reason}")
-    if dlq.get("requeued", 0):
-        pts.add("dlq:requeued")
-    if ing.get("rebalances", 0):
-        pts.add("log:rebalance")
-    for group, state in ing.get("breaker_states", {}).items():
-        if state != "closed":
-            pts.add(f"log:breaker:{group}:{state}")
     if ing.get("max_group_lag", 0):
         pts.add(f"log:lag:{_bucket(ing['max_group_lag'], (8, 64, 512))}")
 
@@ -153,44 +161,42 @@ def harvest(run: dict[str, Any]) -> set[str]:
             pts.add(f"sketch-plan:{reason}")
 
     # --- shards -------------------------------------------------------
-    sh = run.get("shards", {})
+    sh = run.get("shards")
     if sh:
-        pts.add(f"shards:n:{sh.get('n', 0)}")
-        if sh.get("partial_queries", 0):
+        pts.add(f"shards:n:{len(sh['states'])}")
+        if sh["partial_queries"]:
             pts.add("shard:partial-query")
-        if sh.get("dropped_points", 0):
+        if any(sh["dropped_points"].values()):
             pts.add("shard:dropped-writes")
-        for state in sh.get("states", ()):
+        for state in sh["states"].values():
             if state != "up":
                 pts.add(f"shard:state:{state}")
 
     # --- serving ------------------------------------------------------
     srv = run.get("serving", {})
-    for tenant, doc in srv.get("tenants", {}).items():
-        for reason, n in doc.get("rejected", {}).items():
+    for doc in srv.get("tenants", {}).values():
+        for reason, n in doc["rejected"].items():
             if n:
                 pts.add(f"admission:rejected:{reason}")
-        if doc.get("timeouts", 0):
+        if doc["timeouts"]:
             pts.add("exec:timeout")
-        if doc.get("coalesced", 0):
+        if doc["coalesced"]:
             pts.add("exec:coalesced")
-        if doc.get("cache_hit_targets", 0):
+        if doc["cache_hit_targets"]:
             pts.add("serve:cache-hit")
-    ex = srv.get("executor", {})
-    depths = ex.get("max_queue_depth", {})  # dict tenant -> peak depth
-    peak = max(depths.values(), default=0) if isinstance(depths, dict) else depths
+    peak = max(srv.get("executor", {}).get("max_queue_depth", {}).values(), default=0)
     if peak:
         pts.add(f"exec:queue-depth:{_bucket(peak, (2, 8, 32))}")
 
     # --- db writes ----------------------------------------------------
-    db = run.get("db", {})
-    if db.get("rejected_writes", 0):
+    writes = run.get("writes", {})
+    if writes.get("rejected", 0):
         pts.add("db:rejected-writes")
-    if db.get("accepted_writes", 0):
+    if writes.get("accepted", 0):
         pts.add("db:accepted-writes")
 
     # --- cluster ------------------------------------------------------
-    cl = run.get("cluster", {})
+    cl = run.get("cluster") or {}
     if cl:
         if cl.get("requeues", 0):
             pts.add(f"sched:requeue:{_bucket(cl['requeues'], (1, 2, 4))}")
@@ -203,7 +209,7 @@ def harvest(run: dict[str, Any]) -> set[str]:
             pts.add("fleet:degraded")
 
     # --- federation ---------------------------------------------------
-    fed = run.get("federation", {})
+    fed = run.get("federation") or {}
     if fed:
         if fed.get("repaired", 0):
             pts.add("fed:anti-entropy-repaired")

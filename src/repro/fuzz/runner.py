@@ -19,6 +19,11 @@ One run drives the *whole* twin, in phases:
 7. optional SUPERDB federation push + anti-entropy over a faulted WAN;
 8. oracles + coverage harvest + fingerprint.
 
+The counter document is ``PMoVE.health()`` — the twin's one self-report —
+less its process-global ``fuzz`` section, plus what only the runner knows:
+the Scenario-A ``SamplingStats`` and the cluster, federation and oracle
+results.
+
 Everything is virtual-time deterministic: ``execute(sc)`` twice returns
 bit-identical fingerprints, which is itself one of the oracles.
 """
@@ -85,7 +90,7 @@ class RunResult:
 # ----------------------------------------------------------------------
 # Phase drivers
 # ----------------------------------------------------------------------
-def _settle_durable(sc: Scenario, pipe) -> dict[str, Any]:
+def _settle_durable(sc: Scenario, pipe) -> None:
     """Drain past every fault window, requeue healed parks, drain again."""
     finite = [
         f.t1 for f in sc.log_faults if f.t1 != float("inf")
@@ -94,13 +99,11 @@ def _settle_durable(sc: Scenario, pipe) -> dict[str, Any]:
         finite.append(sc.wan_outage[1])
     deadline = max([sc.horizon, pipe.log.now, *finite]) + 60.0
     pipe.drain(deadline)
-    requeued = 0
     for _ in range(3):
         if not pipe.log.dlq.entries and pipe.backlog_records() == 0:
             break
-        requeued += pipe.log.requeue()
+        pipe.log.requeue()
         pipe.drain(max(deadline, pipe.log.now + 60.0))
-    return {"requeued": requeued, "deadline": deadline}
 
 
 def _serving_phase(
@@ -218,19 +221,6 @@ def _federation_phase(
     }
 
 
-# ----------------------------------------------------------------------
-# Counter assembly
-# ----------------------------------------------------------------------
-def _breaker_edges(breaker) -> list[list[str]]:
-    states = [s for _t, s in getattr(breaker, "transitions", [])]
-    prev = "closed"
-    edges = []
-    for s in states:
-        edges.append([prev, s])
-        prev = s
-    return edges
-
-
 def _db_hash(influx, db: str, at: float) -> str:
     stamp(influx, at)
     h = hashlib.sha256()
@@ -239,85 +229,6 @@ def _db_hash(influx, db: str, at: float) -> str:
             h.update(line.encode())
             h.update(b"\n")
     return h.hexdigest()
-
-
-def _assemble_counters(
-    sc: Scenario, daemon: PMoVE, stats, serving, cluster, federation,
-    settle, violations,
-) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "sampler": {
-            "mode": stats.mode,
-            "loss_pct": stats.loss_pct,
-            "expected_points": stats.expected_points,
-            "inserted_points": stats.inserted_points,
-            "lost_reports": stats.lost_reports,
-            "zero_reports": stats.zero_reports,
-            "retried_reports": stats.retried_reports,
-            "recovered_reports": stats.recovered_reports,
-            "dropped_by_policy": stats.dropped_by_policy,
-            "spilled_reports": stats.spilled_reports,
-            "unshipped_reports": stats.unshipped_reports,
-            "degraded_ticks": stats.degraded_ticks,
-            "breaker_open_s": stats.breaker_open_s,
-        }
-        if stats is not None
-        else {},
-        "db": {
-            "accepted_writes": daemon._write_influx.accepted_writes,
-            "rejected_writes": daemon._write_influx.rejected_writes,
-        },
-        "rollup_plan": dict(getattr(daemon.influx, "rollup_plan", {})),
-        "sketch_plan": dict(getattr(daemon.influx, "sketch_plan", {})),
-        "violations": list(violations),
-    }
-    target = next(iter(daemon.targets.values()), None)
-    transitions: list[list[str]] = []
-    if target is not None and target.sampler.last_shipper is not None:
-        transitions += _breaker_edges(target.sampler.last_shipper.breaker)
-    if daemon.ingest is not None:
-        pipe = daemon.ingest
-        for c in pipe.consumers:
-            transitions += _breaker_edges(c.breaker)
-        by_reason: dict[str, int] = {}
-        for e in pipe.log.dlq.entries:
-            by_reason[e.reason] = by_reason.get(e.reason, 0) + 1
-        doc["ingest"] = {
-            "counters": pipe.flat_counters(),
-            "dlq": {
-                "parked_by_reason": by_reason,
-                "requeued": settle.get("requeued", 0) if settle else 0,
-            },
-            "rebalances": pipe.log.rebalances,
-            "truncated_records": pipe.log.truncated_records,
-            "max_group_lag": pipe.max_group_lag,
-            "breaker_states": {
-                c.cid: c.breaker.state for c in pipe.consumers
-            },
-        }
-        if pipe.log.truncated_records:
-            doc["ingest"]["counters"]["producer.truncated_records"] = (
-                pipe.log.truncated_records
-            )
-    doc["breaker_transitions"] = transitions
-    health = daemon.health()
-    if "shards" in health:
-        doc["shards"] = {
-            "n": sc.shards,
-            "states": sorted(set(health["shards"]["states"].values())),
-            "partial_queries": health["shards"]["partial_queries"],
-            "dropped_points": sum(health["shards"]["dropped_points"].values()),
-        }
-    if serving is not None:
-        doc["serving"] = {
-            "executor": serving["executor"],
-            "tenants": serving["tenants"],
-        }
-    if cluster is not None:
-        doc["cluster"] = cluster
-    if federation is not None:
-        doc["federation"] = federation
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -405,9 +316,8 @@ def _execute(sc: Scenario, *, check_oracles: bool, _nested: bool) -> RunResult:
             tag=f"fuzz-obs-{sc.seed}",
         )
 
-    settle = None
     if sc.mode == "durable" and daemon.ingest is not None:
-        settle = _settle_durable(sc, daemon.ingest)
+        _settle_durable(sc, daemon.ingest)
 
     violations: list[str] = []
     serving = None
@@ -464,9 +374,10 @@ def _execute(sc: Scenario, *, check_oracles: bool, _nested: bool) -> RunResult:
                     f"{golden.db_hash[:12]})"
                 )
 
-    counters = _assemble_counters(
-        sc, daemon, stats, serving, cluster, federation, settle, violations
-    )
+    # ``fuzz`` is process-global: two campaigns in one process differ there.
+    counters = {k: v for k, v in daemon.health().items() if k != "fuzz"}
+    counters.update(sampler=dataclasses.asdict(stats), cluster=cluster,
+                    federation=federation, violations=violations)
     db_hash = _db_hash(daemon.influx, daemon.database, sc.horizon + 1e6)
     coverage = harvest(counters)
 
@@ -474,7 +385,7 @@ def _execute(sc: Scenario, *, check_oracles: bool, _nested: bool) -> RunResult:
     fp.update(db_hash.encode())
     for p in sorted(coverage):
         fp.update(p.encode())
-    fp.update(json.dumps(counters, sort_keys=True, default=str).encode())
+    fp.update(json.dumps(counters, sort_keys=True).encode())
     return RunResult(
         scenario=sc,
         counters=counters,

@@ -381,10 +381,12 @@ class DeadLetterQueue:
         self.entries = [e for e in self.entries if e not in taken]
         return taken
 
-    def summary(self) -> dict[str, int]:
+    def summary(self, by: str = "group") -> dict[str, int]:
+        """Parked entries counted per ``group`` or per ``reason``."""
         out: dict[str, int] = {}
         for e in self.entries:
-            out[e.group] = out.get(e.group, 0) + 1
+            k = getattr(e, by)
+            out[k] = out.get(k, 0) + 1
         return out
 
     def to_dicts(self) -> list[dict[str, Any]]:

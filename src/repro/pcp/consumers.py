@@ -62,12 +62,13 @@ GROUP_ANOMALY = "anomaly"
 GROUP_FEDERATOR = "federator"
 
 
-#: Per-consumer counters :meth:`IngestPipeline.flat_counters` sums by group
-#: (``zero_points`` exists on the sink-writing consumers only).
+#: Per-consumer counters summed by group, for :meth:`IngestPipeline.health`
+#: and :meth:`IngestPipeline.flat_counters` alike (``zero_points`` exists on
+#: the sink-writing consumers only).
 _FLAT_COUNTERS = (
     "applied_records", "applied_points", "duplicate_records",
     "filtered_records", "parked_records", "replayed_parked_records",
-    "apply_failures", "zero_points",
+    "apply_failures", "interruptions", "zero_points",
 )
 
 
@@ -504,9 +505,9 @@ class IngestPipeline:
         self.consumers: list[LogConsumer] = []
         self._present: dict[tuple[str, str], bool] = {}
         #: Per consumer, built once in :meth:`add`: its liveness probe and
-        #: the (attribute, flat-counter key) pairs it reports.
+        #: the :data:`_FLAT_COUNTERS` it keeps.
         self._alive: dict[tuple[str, str], Callable[[float], bool]] = {}
-        self._counter_keys: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        self._counters: dict[tuple[str, str], list[str]] = {}
         self._groups: list[str] = []
         self._steps = 0
         self.max_group_lag = 0
@@ -516,9 +517,7 @@ class IngestPipeline:
         g, cid = key = (consumer.group, consumer.cid)
         self._present[key] = True
         self._alive[key] = lambda t: not self.faults.crashed(g, cid, t)
-        self._counter_keys[key] = [
-            (attr, f"{g}.{attr}") for attr in _FLAT_COUNTERS if hasattr(consumer, attr)
-        ]
+        self._counters[key] = [a for a in _FLAT_COUNTERS if hasattr(consumer, a)]
         if g not in self._groups:
             self._groups.append(g)
         return consumer
@@ -591,6 +590,15 @@ class IngestPipeline:
         return sum(self.log.total_lag(g) for g in self._groups)
 
     # ------------------------------------------------------------------
+    def _group_counters(self) -> dict[str, dict[str, float]]:
+        """Per group, each of its members' :data:`_FLAT_COUNTERS` summed."""
+        out: dict[str, dict[str, float]] = {}
+        for c in self.consumers:
+            g = out.setdefault(c.group, {})
+            for attr in self._counters[(c.group, c.cid)]:
+                g[attr] = g.get(attr, 0) + getattr(c, attr)
+        return out
+
     def flat_counters(self) -> dict[str, float]:
         """Scalar counter snapshot — the sampler diffs two of these to
         produce per-run :class:`~repro.pcp.sampler.SamplingStats`."""
@@ -601,14 +609,15 @@ class IngestPipeline:
             "producer.points": p.produced_points,
             "producer.resent": p.resent_records,
         }
+        for g, counters in self._group_counters().items():
+            for attr, n in counters.items():
+                out[f"{g}.{attr}"] = n
         trackers_seen: set[int] = set()
         for c in self.consumers:
-            g = c.group
-            for attr, key in self._counter_keys[(g, c.cid)]:
-                out[key] = out.get(key, 0) + getattr(c, attr)
             tracker = getattr(c, "tracker", None)
             if tracker is not None and id(tracker) not in trackers_seen:
                 trackers_seen.add(id(tracker))
+                g = c.group
                 out[f"{g}.reports"] = out.get(f"{g}.reports", 0) + tracker.reports
                 out[f"{g}.zero_reports"] = (
                     out.get(f"{g}.zero_reports", 0) + tracker.zero_reports
@@ -616,43 +625,35 @@ class IngestPipeline:
         return out
 
     def health(self) -> dict[str, Any]:
-        """Operational snapshot: per-group lag/progress, DLQ, log stats."""
-        groups: dict[str, Any] = {}
+        """Operational snapshot: per group its lag, counters and members
+        (breaker state and transitions), the producer, DLQ parks by reason
+        and the log's stats (which hold the parks by group)."""
+        now = self.log.now
+        groups: dict[str, Any] = {
+            g: {"lag": self.log.total_lag(g), **counters,
+                "max_staleness_s": 0.0, "members": []}
+            for g, counters in self._group_counters().items()
+        }
         for c in self.consumers:
-            g = groups.setdefault(
-                c.group,
-                {
-                    "lag": self.log.total_lag(c.group),
-                    "applied_records": 0,
-                    "duplicate_records": 0,
-                    "parked_records": 0,
-                    "apply_failures": 0,
-                    "max_staleness_s": 0.0,
-                    "members": [],
-                },
-            )
-            g["applied_records"] += c.applied_records
-            g["duplicate_records"] += c.duplicate_records
-            g["parked_records"] += c.parked_records
-            g["apply_failures"] += c.apply_failures
+            g = groups[c.group]
             g["max_staleness_s"] = max(g["max_staleness_s"], c.max_staleness_s)
-            g["members"].append(
-                {
-                    "id": c.cid,
-                    "alive": not self.faults.crashed(c.group, c.cid, self.log.now),
-                    "breaker_state": c.breaker.state,
-                }
-            )
+            g["members"].append({
+                "id": c.cid,
+                "alive": not self.faults.crashed(c.group, c.cid, now),
+                "breaker_state": c.breaker.state,
+                "breaker_transitions": list(c.breaker.transitions),
+            })
+        p = self.producer
         return {
             "groups": groups,
             "producer": {
-                "reports": self.producer.produced_reports,
-                "records": self.producer.produced_records,
-                "points": self.producer.produced_points,
-                "resent_records": self.producer.resent_records,
-                "unacked": len(self.producer),
+                "reports": p.produced_reports,
+                "records": p.produced_records,
+                "points": p.produced_points,
+                "resent_records": p.resent_records,
+                "unacked": len(p),
             },
             "max_group_lag": self.max_group_lag,
-            "dlq": self.log.dlq.summary(),
+            "dlq_by_reason": self.log.dlq.summary("reason"),
             "log": self.log.stats(),
         }

@@ -17,8 +17,7 @@ Request lifecycle (all on virtual time, fully deterministic):
    and missed points differently;
 5. the outcome lands in the per-tenant :class:`SloBoard` —
    p50/p95/p99 by priority class, admit/reject/timeout/coalesce
-   counters, queue-depth gauges — surfaced via :meth:`health` and
-   ``PMoVE.health()``.
+   counters — surfaced via :meth:`health` and ``PMoVE.health()``.
 
 The plain single-caller ``GrafanaServer`` path does not go through any
 of this: it stays byte-identical to every PR before the serving tier.
@@ -235,14 +234,13 @@ class ServingFrontend:
         return self.executor.drain()
 
     def health(self) -> dict[str, Any]:
-        """Per-tenant SLO snapshot + executor/admission gauges.
+        """Per-tenant SLO snapshot + executor/admission gauges (a tenant's
+        peak queue depth is the executor's, under ``max_queue_depth``).
 
         Every registered tenant appears, including all-quiet ones — an
         SLO dashboard with silently missing rows reads as an outage."""
         for tenant in self.admission.tenants():
             self.board.for_tenant(tenant)
-        for tenant, depth in self.executor.max_queue_depth.items():
-            self.board.for_tenant(tenant).observe_queue_depth(depth)
         return {
             "executor": self.executor.stats(),
             "tenants": self.board.snapshot(),

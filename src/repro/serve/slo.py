@@ -53,7 +53,6 @@ class TenantSLO:
         self.cache_miss_targets = 0
         self.points_scanned = 0
         self.sketch_served_targets = 0
-        self.max_queue_depth = 0
         #: priority name ("live"/"backfill") → virtual-second latencies.
         self.latencies: dict[str, list[float]] = defaultdict(list)
 
@@ -64,10 +63,6 @@ class TenantSLO:
 
     def record_latency(self, priority: str, latency_s: float) -> None:
         self.latencies[priority].append(latency_s)
-
-    def observe_queue_depth(self, depth: int) -> None:
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
 
     def p99_s(self, priority: str = "live") -> float:
         return percentile(self.latencies.get(priority, []), 0.99)
@@ -88,7 +83,6 @@ class TenantSLO:
             "cache_miss_targets": self.cache_miss_targets,
             "points_scanned": self.points_scanned,
             "sketch_served_targets": self.sketch_served_targets,
-            "max_queue_depth": self.max_queue_depth,
             "latency": {
                 "all": _latency_summary(all_samples),
                 **{

@@ -240,6 +240,15 @@ class TestFaults:
         assert not db.last_partial
         assert len(got) == 40
 
+    def test_listing_measurements_in_an_outage_folds_nothing_on_the_down_shard(self):
+        db, _ = mk(3)  # written, never read: every row is unfolded
+        victim = db.shard_for("cpu_idle", {"obs": "o0"})
+        db.inject_shard_fault(victim, NodeCrash(t0=10.0, t1=20.0))
+        assert db.at(15.0).measurements("pmove") == ["cpu_idle"]
+        assert db.last_partial
+        m = db.shards[victim].stats("pmove")["measurements"]["cpu_idle"]
+        assert m["rows_unfolded"] == m["points"] > 0
+
     def test_recovery_restores_complete_results(self):
         db, pts = mk(3)
         victim = db.shard_for("cpu_idle", {"obs": "o0"})

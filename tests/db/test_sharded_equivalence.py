@@ -12,11 +12,12 @@ since ``nan != nan`` defeats ``==``.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.influx import ColumnRows, InfluxDB, Point
-from repro.db.influxql import Query, execute
+from repro.db.influxql import Query, execute, naive_execute
 from repro.db.sharded import ShardedInfluxDB
 
 MEASUREMENTS = ["cpu_idle", "mem_used"]
@@ -275,3 +276,28 @@ class TestGatherContract:
             got, want = execute(sharded, "pmove", text), execute(single, "pmove", text)
             assert isinstance(want.rows, ColumnRows), text
             assert isinstance(got.rows, ColumnRows) and len(got.rows) == len(want.rows)
+
+
+class TestSignedZeroBucket:
+    """A row at ``-0.0`` and one at ``0.0`` share bucket 0, which is
+    labelled ``0.0`` whichever comes first, whatever shard saw which."""
+
+    @pytest.mark.parametrize("order", [(-0.0, 0.0), (0.0, -0.0)], ids=repr)
+    @pytest.mark.parametrize("shards", [0, 1, 4])
+    def test_the_zero_bucket_is_labelled_positive_zero(self, shards, order):
+        db = ShardedInfluxDB(shards) if shards else InfluxDB()
+        db.create_database("d")
+        # series "a" is folded before the zero rows land below it (the
+        # out-of-order recompute); "b".."d" are folded by the first read
+        db.write_many("d", [Point("m", {"s": "a"}, {"v": 9.0}, 15.0)])
+        execute(db, "d", 'SELECT MEAN("v") FROM "m" GROUP BY time(10s)')
+        for i, t in enumerate(order):
+            db.write_many("d", [Point("m", {"s": s}, {"v": float(i)}, t)
+                                for s in "abcd"])
+        for agg in ("MEAN", "COUNT", "MAX", "PERCENTILE"):
+            arg = ', 50' if agg == "PERCENTILE" else ""
+            for width in ("10s", "20s", "7s"):
+                text = f'SELECT {agg}("v"{arg}) FROM "m" GROUP BY time({width})'
+                for run in (execute, naive_execute):
+                    first = run(db, "d", text).rows[0][0]
+                    assert repr(first) == "0.0", (run.__name__, text)

@@ -45,5 +45,5 @@ def test_parked_replay_seed_exercises_the_fixed_gate():
     run = execute(sc)
     assert run.violations == []
     assert "log:db-writer:replayed-parked" in run.coverage
-    counters = run.counters["ingest"]["counters"]
-    assert counters["db-writer.replayed_parked_records"] >= 1
+    writers = run.counters["ingest"]["groups"]["db-writer"]
+    assert writers["replayed_parked_records"] >= 1
