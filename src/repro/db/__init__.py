@@ -9,7 +9,6 @@ from .influx import (
     InfluxError,
     Point,
     RetentionPolicy,
-    fold_values,
 )
 from .influxql import (
     Query,
@@ -38,7 +37,6 @@ __all__ = [
     "ServiceUnavailable",
     "ShardedInfluxDB",
     "execute",
-    "fold_values",
     "naive_execute",
     "series_key",
     "show_measurements",

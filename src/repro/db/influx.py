@@ -60,57 +60,37 @@ from functools import partial
 from heapq import merge as _heap_merge
 from itertools import chain, islice
 
+from .aggregates import (  # all five planner families: _plan's callers name them here
+    _PARTIALS, _ROLLUP, _SKETCH, _SKETCH_RANGE, _STDDEV, AGGREGATES, Aggregate, Family,
+    Stat, _values, digest_range, digest_tier, first_seen, partial_stat, stat_tier,
+)
 from .sketch import (
     DEFAULT_SKETCH,
     HyperLogLog,
     SketchConfig,
     TDigest,
     float_hash64,
-    nearest_rank,
     stable_hash64,
-    stddev_from_partials,
-    value_key,
 )
-from .sketch import stddev_of as _stddev_of
 
 __all__ = ["Point", "InfluxError", "RetentionPolicy", "InfluxDB", "ColumnRows",
-           "DEFAULT_ROLLUP_TIERS", "fold_values", "bucket_runs"]
+           "DEFAULT_ROLLUP_TIERS", "bucket_runs"]
 
 #: Downsample shard sizes every series keeps, seconds.
 DEFAULT_ROLLUP_TIERS = (10.0, 60.0)
 
-_FOLDABLE = frozenset({"MEAN", "MAX", "MIN", "SUM", "COUNT", "LAST"})
-
-
-def fold_values(agg: str, values: list[float]) -> float | None:
-    """Fold one aggregate over ``values`` exactly as a row-at-a-time
-    left fold would (the InfluxQL reference semantics)."""
-    if not values:
-        return None
-    if agg == "MEAN":
-        return sum(values) / len(values)
-    if agg == "MAX":
-        return max(values)
-    if agg == "MIN":
-        return min(values)
-    if agg == "SUM":
-        return sum(values)
-    if agg == "COUNT":
-        return float(len(values))
-    if agg == "LAST":
-        return values[-1]
-    raise InfluxError(f"unknown aggregate {agg}")
-
-
-def _merged(digests: list[TDigest]) -> TDigest | None:
-    """One digest for all of them (a single one: itself, no copy)."""
-    if len(digests) < 2:
-        return digests[0] if digests else None
-    return TDigest.merged(digests)
-
 
 class InfluxError(ValueError):
-    """Malformed line protocol or unknown database/measurement."""
+    """Malformed line protocol, unknown database/measurement, refused statement."""
+
+
+def named_aggregate(agg: str) -> Aggregate:
+    """The record of ``agg`` if the engine's named reads (``aggregate_columns``,
+    ``scan_buckets``) answer it."""
+    a = AGGREGATES.get(agg)
+    if a is None or not a.named:
+        raise InfluxError(f"unknown aggregate {agg}")
+    return a
 
 
 _ESCAPE_RE = re.compile(r"([,= \\])")
@@ -889,16 +869,6 @@ def _merge_runs(runs: list, width: int, limit: int | None = None):
     return times, cols.pop() or [], cols
 
 
-def _values(col: list, lo: int, hi: int) -> list[float]:
-    """The values rows ``[lo, hi)`` of a column hold, in order."""
-    part = col[lo:hi]
-    try:
-        sum(part)  # the cheapest probe for a hole: None + float
-    except TypeError:
-        return [v for v in part if v is not None]
-    return part  # none in the range: the slice is its values
-
-
 def _of_values(f):
     """``f`` of a column range's values as an :meth:`InfluxDB._ungrouped`
     fold, for the families that do not look at the rows' keys."""
@@ -910,94 +880,6 @@ def _walk_values(fold):
     walk (:func:`_fold_buckets`), for the families that do not look at the
     rows' keys."""
     return lambda times, seqs, sel, N, lo, hi: _fold_buckets(times, sel, lo, hi, N, fold)
-
-
-# What InfluxDB._tier_buckets asks per column for the whole buckets of a
-# window, one function per aggregate family: ``rc`` is the column's tier
-# state, ``[ri0, ri1)`` the tier buckets, ``spans`` their grouping into
-# output buckets (``None`` when the tier is the output width).
-
-_TIER_STAT = {"MEAN": "total", "SUM": "total", "COUNT": "count",
-              "MIN": "vmin", "MAX": "vmax", "LAST": "last"}
-
-
-def _tier_fold(agg: str, c: str, rc: _RollupCol, ri0: int, ri1: int, spans):
-    """MEAN/SUM/COUNT/MIN/MAX/LAST: a slice of the stat the aggregate reads,
-    finalized by one comprehension; first reduced over ``spans`` when the
-    output is wider than the tier (COUNT/MIN/MAX/LAST only, where that is
-    exact — MEAN and SUM are planned on a tier equal to ``N``)."""
-    count, stat = rc.count, getattr(rc, _TIER_STAT[agg])
-    if spans is not None:
-        out = []
-        for ka, kb in spans:
-            vals = [x for n, x in zip(count[ka:kb], stat[ka:kb]) if n]
-            out.append(float(sum(vals)) if vals and agg == "COUNT"
-                       else fold_values(agg, vals))
-        return out
-    count, stat = count[ri0:ri1], stat[ri0:ri1]
-    if agg == "MEAN":
-        return [x / n if n else None for n, x in zip(count, stat)]
-    if agg == "COUNT":
-        return [float(n) if n else None for n in count]
-    return [x if n else None for n, x in zip(count, stat)]
-
-
-def _tier_stddev(c: str, rc: _RollupCol, ri0: int, ri1: int, spans):
-    return [
-        stddev_from_partials(n, total, sq) if n else None
-        for n, total, sq in zip(
-            rc.count[ri0:ri1], rc.total[ri0:ri1], rc.sumsq[ri0:ri1])
-    ]
-
-
-def _tier_partials(c: str, rc: _RollupCol, ri0: int, ri1: int, spans):
-    """Partial stats (see ``InfluxDB._partial_stat``) with no last key and,
-    the planner having refused a series that ever held one, no NaN."""
-    return [
-        (n, total, lo, hi, last, None, None, False) if n else None
-        for n, total, lo, hi, last in zip(
-            rc.count[ri0:ri1], rc.total[ri0:ri1], rc.vmin[ri0:ri1],
-            rc.vmax[ri0:ri1], rc.last[ri0:ri1])
-    ]
-
-
-@dataclass(frozen=True, slots=True)
-class _Family:
-    """What one family of reads asks of a rollup tier (:meth:`InfluxDB._plan`):
-    ``rules`` judged per tier in order, each named by the reason a tier that
-    fails it is turned down; the counter the decisions land in (``None``:
-    nowhere); the outcome label of a serving tier (followed by its width),
-    of none, and of a read over several series; ``quiet``: record the
-    outcome only, no reasons."""
-
-    counter: str | None
-    rules: tuple[str, ...]
-    served: str = "served:"
-    fallback: str = "fallback:raw-scan"
-    multi: str = "fallback:multi-series"
-    quiet: bool = False
-
-
-#: Rollup reads, per aggregate: COUNT/MIN/MAX/LAST combine exactly across
-#: sub-buckets, MEAN/SUM only ride a tier equal to ``N``.
-_ROLLUP = {
-    agg: _Family("rollup_plan", ("tier-not-dividing", *extra),
-                 fallback="raw-fallback", multi="multi-series-raw")
-    for agg, extra in (
-        ("MEAN", ("mean-sum-needs-exact-tier",)), ("SUM", ("mean-sum-needs-exact-tier",)),
-        ("MIN", ("nan-poisoned",)), ("MAX", ("nan-poisoned",)), ("COUNT", ()), ("LAST", ()),
-    )
-}
-#: Tier digests serve a percentile only where the configured error bound
-#: provably holds; anything else is the exact nearest-rank scan.
-_SKETCH = _Family("sketch_plan", (
-    "tier-not-dividing", "nan-poisoned", "merge-bound", "error-bound"))
-_SKETCH_RANGE = _Family("sketch_plan", (
-    "unaligned-range", "nan-poisoned", "merge-bound", "error-bound"))
-_STDDEV = _Family("sketch_plan", ("exact-tier",), "stddev-served:", "stddev-raw",
-                  "stddev-raw", quiet=True)
-#: The router's merge, not the shard, decides what a partial served.
-_PARTIALS = _Family(None, ("exact-tier", "nan-poisoned"))
 
 
 class _Database:
@@ -1024,6 +906,10 @@ class InfluxDB:
     ``rollup_tiers`` configures the downsample shards every series keeps
     caught up on read (seconds per bucket, ascending); ``()`` disables them.
     """
+
+    #: One engine holds all of its rows: no answer of it is partial (the
+    #: shard router's flag, read by every reader alike).
+    last_partial = False
 
     def __init__(self, rollup_tiers: tuple[float, ...] = DEFAULT_ROLLUP_TIERS,
                  sketch: SketchConfig | None = None) -> None:
@@ -1449,16 +1335,28 @@ class InfluxDB:
         :meth:`scan_columns` rows in (time, seq) order yields
         (:meth:`_ungrouped`).
         """
-        if agg not in _FOLDABLE:
-            raise InfluxError(f"unknown aggregate {agg}")
-        return self._ungrouped(
-            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
-            _of_values(partial(fold_values, agg)),
-        )
+        return self._answer(named_aggregate(agg), None, None, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
+
+    def _answer(
+        self, a: Aggregate, arg, N: float | None, db: str, measurement: str,
+        columns, tags, t0, t1, t0_exclusive: bool, t1_exclusive: bool,
+    ):
+        """Aggregate ``a`` (argument ``arg``) per column — per bucket of
+        ``time(N)`` unless ``N`` is None — by the read skeleton of its shape,
+        with the record's fold, tier planner family and tier reader."""
+        fold = partial(a.fold, arg)
+        if N is None:
+            return self._ungrouped(
+                db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
+                _of_values(fold), a.range_plan, a.range_tier, arg)
+        return self._grouped(
+            db, measurement, N, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
+            _walk_values(fold), a.plan, a.tier, arg)
 
     def _ungrouped(
         self, db: str, measurement: str, columns, tags, t0, t1,
-        t0_exclusive: bool, t1_exclusive: bool, fold, fam=None, served=None,
+        t0_exclusive: bool, t1_exclusive: bool, fold, fam=None, tier=None, arg=None,
     ) -> tuple[list[str], float | None, list]:
         """The one shape of a read without ``GROUP BY``: ``(columns,
         first_row_time, [answer per column])``, ``first_row_time`` being
@@ -1467,7 +1365,7 @@ class InfluxDB:
 
         One matched series (the Listing 3 dashboard shape) of a family a
         tier may serve is first planned (:meth:`_plan`); a tier ``r`` that
-        serves answers every column, ``served(s, r, lo, hi, cols)``.  Else
+        serves answers every column, ``tier(arg, s, r, lo, hi, cols)``.  Else
         each column is ``fold(times, seqs, col, lo, hi)`` over the series'
         own arrays.  Several are put into (time, seq) order by
         :func:`_merge_keyed` and folded the same way, so what a fold sees
@@ -1481,7 +1379,7 @@ class InfluxDB:
         if len(matched) == 1:
             s, lo, hi = matched[0]
             if fam is not None and (r := self._plan(fam, s, lo, hi)) is not None:
-                return cols, s.times[lo], served(s, r, lo, hi, cols)
+                return cols, s.times[lo], tier(arg, s, r, lo, hi, cols)
             times, seqs, sel = s.times, s.seqs, [s.cols.get(c) for c in cols]
         else:
             if fam is not None:
@@ -1494,7 +1392,7 @@ class InfluxDB:
 
     def _grouped(
         self, db: str, measurement: str, N: float, columns, tags, t0, t1,
-        t0_exclusive: bool, t1_exclusive: bool, walk, fam, served,
+        t0_exclusive: bool, t1_exclusive: bool, walk, fam, tier, arg=None,
     ) -> tuple[list[str], ColumnRows]:
         """The one shape of a ``GROUP BY time(N)`` read: per bucket and
         column the family's answer, as columns under the bucket starts
@@ -1503,7 +1401,7 @@ class InfluxDB:
 
         One matched series (the Listing 3 dashboard shape) is first planned
         for family ``fam`` (:meth:`_plan`); a tier ``r`` that serves reads
-        every whole bucket through ``served(s, r)`` (:meth:`_tier_buckets`),
+        every whole bucket through ``tier(arg, s, r, …)`` (:meth:`_tier_buckets`),
         and the series is walked raw otherwise.  Several are merged into
         (time, seq) order by :func:`_merge_keyed` and walked the same way
         (rare shape — exactness over speed)."""
@@ -1520,7 +1418,7 @@ class InfluxDB:
             raw = partial(walk, s.times, s.seqs, [s.cols.get(c) for c in cols], N)
             r = self._plan(fam, s, lo, hi, N)
             return cols, raw(lo, hi) if r is None else self._tier_buckets(
-                s, lo, hi, cols, N, r, raw, served(s, r))
+                s, lo, hi, cols, N, r, raw, partial(tier, arg, s, r))
         self._plan(fam)
         times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
         return cols, walk(times, seqs, sel, N, 0, len(times))
@@ -1544,21 +1442,15 @@ class InfluxDB:
         Single-series matches (the Listing 3 dashboard shape) step from
         bucket edge to bucket edge (:func:`bucket_runs`) and, when a rollup
         tier divides ``N`` evenly, read every bucket the time filter left
-        whole off the rollup shard (``_ROLLUP``) — raw folds cover only
-        the one it cut at either end.  Output is exactly equal to bucketing
-        :meth:`scan_columns` rows.
+        whole off the rollup shard (the record's ``plan`` and ``tier``) —
+        raw folds cover only the one it cut at either end.  Output is
+        exactly equal to bucketing :meth:`scan_columns` rows.
         """
-        if agg not in _FOLDABLE:
-            raise InfluxError(f"unknown aggregate {agg}")
-
-        return self._grouped(
-            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, _walk_values(partial(fold_values, agg)), _ROLLUP[agg],
-            lambda s, r: partial(_tier_fold, agg),
-        )
+        return self._answer(named_aggregate(agg), None, group_by_s, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
 
     def _plan(
-        self, fam: _Family, s: _Series | None = None, lo: int = 0, hi: int = 0,
+        self, fam: Family, s: _Series | None = None, lo: int = 0, hi: int = 0,
         N: float = 0.0, outcome: str | None = None,
     ) -> _Rollup | None:
         """The tier of ``s`` that serves rows ``[lo, hi)`` for read family
@@ -1664,33 +1556,9 @@ class InfluxDB:
         return ColumnRows(head.times + mid + tail.times, out)
 
     # ------------------------------------------------------------------
-    # Scatter-gather partials (consumed by repro.db.sharded)
+    # Scatter-gather partials (consumed by repro.db.sharded; the record
+    # of each aggregate names the reads that ship its partials)
     # ------------------------------------------------------------------
-    # A *partial stat* is the mergeable fold state of one column slice:
-    #     (count, total, vmin, vmax, last, last_t, last_seq, has_nan)
-    # count/total carry MEAN and SUM as a sum/count pair; vmin/vmax/last
-    # carry MIN/MAX/LAST; (last_t, last_seq) is the merge key of the slice's
-    # final value so LAST combines exactly across engines; has_nan poisons
-    # order-sensitive MIN/MAX merging.  last_t is None when the stat was
-    # served from a rollup bucket (the key is not stored there).
-
-    @staticmethod
-    def _partial_stat(
-        times: list[float], seqs: list[int], col: list, lo: int, hi: int
-    ):
-        """Rows ``[lo, hi)`` of one column folded in order into a partial
-        stat keyed by its last value's row (None if they hold no value)."""
-        vals = _values(col, lo, hi)
-        if not vals:
-            return None
-        last = hi - 1
-        while col[last] is None:
-            last -= 1
-        return (
-            len(vals), sum(vals), min(vals), max(vals), vals[-1],
-            times[last], seqs[last], any(v != v for v in vals),
-        )
-
     def aggregate_partials(
         self,
         db: str,
@@ -1702,17 +1570,13 @@ class InfluxDB:
         *,
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
-    ) -> tuple[list[str], float | None, list[tuple | None]]:
-        """Per-column partial stats over the matched range.
-
-        Returns ``(columns, first_row_time, stats)``.  Values fold in this
-        engine's (time, seq) row order, so when every value of a column
-        lives on one engine the finalized aggregate is bit-identical to the
-        single-engine fold.
-        """
+    ) -> tuple[list[str], float | None, list[Stat | None]]:
+        """``(columns, first_row_time, stats)``: one partial stat
+        (:data:`~repro.db.aggregates.Stat`) per column over the matched
+        range, folded in this engine's (time, seq) row order."""
         return self._ungrouped(
             db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
-            self._partial_stat,
+            partial_stat,
         )
 
     def bucket_partials(
@@ -1728,30 +1592,25 @@ class InfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], ColumnRows]:
-        """``GROUP BY time(N)`` partial stats per bucket per column.
-
-        Single-series matches with a rollup tier exactly equal to ``N`` (and
-        no NaN ever ingested) serve whole buckets straight from the rollup
-        arrays — the sum/count pair ride — with raw folds only for the
-        head/tail buckets the time filter cut through.  Rollup-served stats
-        carry ``last_t=None`` (the key is not stored per bucket), which the
-        router treats as "fall back if LAST must merge across shards".
-        """
+        """``GROUP BY time(N)`` partial stats per bucket per column: a
+        rollup tier exactly equal to ``N`` (no NaN ever ingested) serves the
+        whole buckets, raw folds the head/tail the time filter cut."""
         return self._grouped(
             db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, self._partials_raw, _PARTIALS, lambda s, r: _tier_partials,
+            t1_exclusive, self._partials_raw, _PARTIALS, stat_tier,
         )
 
+    @staticmethod
     def _partials_raw(
-        self, times: list[float], seqs: list[int], sel: list[list | None],
+        times: list[float], seqs: list[int], sel: list[list | None],
         N: float, lo: int, hi: int,
     ) -> ColumnRows:
         """Raw bucket walk over rows ``[lo, hi)`` of aligned columns, a
-        partial stat (:meth:`_partial_stat`) per bucket and column."""
+        partial stat per bucket and column."""
         runs = list(bucket_runs(times, lo, hi, N))
         return ColumnRows([b for b, _, _ in runs], [
             None if col is None else
-            [self._partial_stat(times, seqs, col, i, j) for _, i, j in runs]
+            [partial_stat(times, seqs, col, i, j) for _, i, j in runs]
             for col in sel
         ])
 
@@ -1772,71 +1631,11 @@ class InfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], ColumnRows]:
-        """``PERCENTILE(field, pct) … GROUP BY time(N)``.
-
-        Single-series matches answer every whole bucket from the tier's
-        per-bucket digests: when the tier is ``N``, from what the bucket's
-        digest answered the first time it was asked (kept beside it, so a
-        window asked again reads a slice); when ``N`` spans several, from
-        the merge of at most ``N/tier`` of them.  The head/tail buckets a
-        time filter cut through — and every fallback — use the exact
-        nearest-rank fold."""
-        return self._grouped(
-            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, _walk_values(partial(nearest_rank, pct=pct)), _SKETCH,
-            lambda s, r: partial(self._tier_quantiles, s, r, pct / 100.0),
-        )
-
-    @staticmethod
-    def _tier_digests(
-        s: _Series, r: _Rollup, c: str, rc: _RollupCol, ri0: int, ri1: int,
-        spans: list[tuple[int, int]] | None,
-    ) -> list[TDigest | None]:
-        """One digest per whole output bucket of column ``c`` (see
-        :meth:`_tier_buckets`): the tier bucket's own, or the merge of the
-        ones the output bucket spans (a single one: itself, no copy)."""
-        if spans is None:
-            return [s.bucket_digest(r, c, k) for k in range(ri0, ri1)]
-        return [
-            _merged([d for k in range(ka, kb)
-                     if (d := s.bucket_digest(r, c, k)) is not None])
-            for ka, kb in spans
-        ]
-
-    def _tier_quantiles(
-        self, s: _Series, r: _Rollup, q: float, c: str, rc: _RollupCol,
-        ri0: int, ri1: int, spans: list[tuple[int, int]] | None,
-    ) -> list[float | None]:
-        """Quantile ``q`` per whole output bucket of column ``c``.  A tier
-        bucket's answer is asked of its digest once and kept in
-        ``rc.kept[q]`` for as long as the digest holds."""
-        if spans is not None:
-            return [d if d is None else d.quantile(q)
-                    for d in self._tier_digests(s, r, c, rc, ri0, ri1, spans)]
-        kept = rc.kept_for(q)
-        part = kept[ri0:ri1]
-        if None in part:  # never asked (or a bucket with no value)
-            for k in range(ri0, ri1):
-                if kept[k] is None and (d := s.bucket_digest(r, c, k)) is not None:
-                    kept[k] = d.quantile(q)
-            part = kept[ri0:ri1]
-        return part
-
-    @staticmethod
-    def _range_digests(
-        s: _Series, r: _Rollup, lo: int, hi: int, cols: list[str]
-    ) -> list[TDigest | None]:
-        """One merged digest per column over ``[lo, hi)``, which the planner
-        found exactly tiled by the whole buckets of tier ``r``
-        (``_SKETCH_RANGE``)."""
-        T, times = r.tier, s.times
-        ri0 = bisect_left(r.starts, (times[lo] // T) * T)
-        ri1 = bisect_right(r.starts, (times[hi - 1] // T) * T)
-        return [
-            _merged([d for ri in range(ri0, ri1)
-                     if (d := s.bucket_digest(r, c, ri)) is not None])
-            for c in cols
-        ]
+        """``PERCENTILE(field, pct) … GROUP BY time(N)``: whole buckets of
+        one series off the tier's digests where the planner allows, the
+        head/tail a time filter cut and every fallback the exact fold."""
+        return self._answer(AGGREGATES["PERCENTILE"], pct, group_by_s, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
 
     def quantile_columns(
         self,
@@ -1856,12 +1655,8 @@ class InfluxDB:
         Served from merged tier digests when the matched slice is exactly
         bucket-tiled and within the merge/error bounds; exact nearest-rank
         scan otherwise."""
-        return self._ungrouped(
-            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
-            _of_values(partial(nearest_rank, pct=pct)), _SKETCH_RANGE,
-            lambda *a: [d if d is None else d.quantile(pct / 100.0)
-                        for d in self._range_digests(*a)],
-        )
+        return self._answer(AGGREGATES["PERCENTILE"], pct, None, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
 
     def stddev_columns(
         self,
@@ -1877,10 +1672,8 @@ class InfluxDB:
     ) -> tuple[list[str], float | None, list[float | None]]:
         """Ungrouped sample STDDEV per column — exact, folded in the same
         (time, seq) order as the naive reference."""
-        return self._ungrouped(
-            db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
-            _of_values(_stddev_of),
-        )
+        return self._answer(AGGREGATES["STDDEV"], None, None, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
 
     def stddev_buckets(
         self,
@@ -1895,16 +1688,11 @@ class InfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], ColumnRows]:
-        """``STDDEV(field) … GROUP BY time(N)``, exact.
-
-        A rollup tier equal to ``N`` serves whole buckets from the stored
-        (count, Σv, Σv²) fold — bit-identical to the raw fold because both
-        are the same fold of the same slice — with raw folds for the
-        head/tail buckets the time filter cut through."""
-        return self._grouped(
-            db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, _walk_values(_stddev_of), _STDDEV, lambda s, r: _tier_stddev,
-        )
+        """``STDDEV(field) … GROUP BY time(N)``, exact: a tier equal to ``N``
+        serves whole buckets from its (count, Σv, Σv²), the same fold of the
+        same slice as the raw fold of the head/tail buckets."""
+        return self._answer(AGGREGATES["STDDEV"], None, group_by_s, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
 
     def distinct_keyed(
         self,
@@ -1919,29 +1707,14 @@ class InfluxDB:
         t1_exclusive: bool = False,
     ) -> list[tuple[float, int, float]]:
         """Exact distinct values of one field with their first-occurrence
-        (time, seq) merge keys, ordered by first occurrence.
-
-        Dedup keys on :func:`~repro.db.sketch.value_key`, so ``-0.0`` and
-        ``0.0`` are one value, every NaN is one value, and shard-split
-        streams merge to exactly the unsharded answer."""
+        (time, seq) merge keys, ordered by first occurrence
+        (:func:`~repro.db.aggregates.first_seen`, which the router merges
+        shards with too)."""
         matched = self._matched_slices(
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
-        best: dict[bytes, tuple[float, int, float]] = {}
-        for s, lo, hi in matched:
-            col = s.cols.get(column)
-            if col is None:
-                continue
-            times, seqs = s.times, s.seqs
-            for i in range(lo, hi):
-                v = col[i]
-                if v is None:
-                    continue
-                vk = value_key(v)
-                prev = best.get(vk)
-                if prev is None or (times[i], seqs[i]) < (prev[0], prev[1]):
-                    best[vk] = (times[i], seqs[i], v)
-        return sorted(best.values())
+        return first_seen(zip(s.times[lo:hi], s.seqs[lo:hi], s.cols[column][lo:hi])
+                          for s, lo, hi in matched if column in s.cols)
 
     def distinct_values(
         self,
@@ -2040,14 +1813,11 @@ class InfluxDB:
         t1_exclusive: bool = False,
     ) -> tuple[list[str], float | None, list[TDigest | None]]:
         """Scatter-gather primitive: one digest per column over the matched
-        range.  Serves from merged tier digests when the planner allows and
-        otherwise *builds* the digest from the values in (time, seq) order,
-        so the router always receives a true mergeable sketch — never
-        interleaved values.
-        """
+        range — merged tier digests where the planner allows, else built
+        from the values in (time, seq) order: a true mergeable sketch."""
         return self._ungrouped(
             db, measurement, columns, tags, t0, t1, t0_exclusive, t1_exclusive,
-            _of_values(self._digest_of), _SKETCH_RANGE, self._range_digests,
+            _of_values(self._digest_of), _SKETCH_RANGE, digest_range,
         )
 
     def _digest_of(self, vals: list[float]) -> TDigest | None:
@@ -2076,8 +1846,7 @@ class InfluxDB:
         boundary buckets — every bucket ships a mergeable digest."""
         return self._grouped(
             db, measurement, group_by_s, columns, tags, t0, t1, t0_exclusive,
-            t1_exclusive, _walk_values(self._digest_of), _SKETCH,
-            lambda s, r: partial(self._tier_digests, s, r),
+            t1_exclusive, _walk_values(self._digest_of), _SKETCH, digest_tier,
         )
 
     def distinct_partials(

@@ -4,54 +4,48 @@ Supported grammar::
 
     SELECT <select_list> FROM "<measurement>"
         [WHERE <cond> [AND <cond>]*]
-        [GROUP BY time(<N>s)]
+        [GROUP BY time(<N>s)] [LIMIT <n>]
 
     SHOW MEASUREMENTS
-    select_list := * | item [, item]*
-    item        := "field" | field | AGG("field") with AGG in
-                   MEAN MAX MIN SUM COUNT LAST STDDEV MEDIAN DISTINCT
-                 | PERCENTILE("field", <pct>) | COUNT(DISTINCT "field")
-    cond        := tagkey = "value" | tagkey = 'value'
-                 | time >= <sec> | time <= <sec> | time > | time <
+    select_list := * | field [, field]* | call [, call]*
+    field       := "name" | 'name' | name
+    call        := AGG(field) for AGG in MEAN MAX MIN SUM COUNT LAST STDDEV
+                   DISTINCT MEDIAN | PERCENTILE(field, <pct>)
+                 | COUNT(DISTINCT field)
+    cond        := tagkey = "value" | tagkey = 'value' | tagkey = value
+                 | time >= <sec>[s] | time <= <sec>[s] | time > | time <
 
-The paper's generated queries (Listing 3) are exactly this shape::
+A call the aggregate table (:data:`~repro.db.aggregates.SPELLINGS`) does
+not name, a select list mixing calls with raw fields (InfluxDB's own rule)
+or two calls, and an argument or shape the record refuses raise
+:class:`InfluxError`: nothing is answered as a raw column it was not meant
+to be.  The paper's generated queries (Listing 3) are exactly this shape::
 
     SELECT "_cpu0", "_cpu1" FROM "kernel_percpu_cpu_idle"
         WHERE tag="278e26c2-3fd3-45e4-862b-5646dc9e7aa0"
 
-Results come back as a :class:`ResultSet` of (time, values-per-column).
-
-Execution pushes work into the storage engine: raw selects ride
-:meth:`InfluxDB.scan_columns` (with LIMIT pushed into the scan),
-aggregates ride :meth:`InfluxDB.aggregate_columns`, and ``GROUP BY time``
-rides :meth:`InfluxDB.scan_buckets` — which serves coarse buckets from
-rollup tiers, caught up on read, when that is provably exact.  The analytic
-aggregates added by the sketch layer dispatch the same way:
-``PERCENTILE``/``MEDIAN`` ride :meth:`InfluxDB.quantile_buckets` /
-:meth:`InfluxDB.quantile_columns` (tier t-digests when the serving
-planner's error bound holds, exact nearest-rank otherwise), ``STDDEV``
-rides the (count, Σv, Σv²) rollup partials, and ``COUNT(DISTINCT f)``
-rides per-series HyperLogLogs.  Every engine :func:`execute` is handed
-has all of these reads; :func:`naive_execute` keeps the original
-materialize-then-fold path over anything with a ``scan_columns`` as the
-exact reference tests and benchmarks compare against, and nothing here
-calls it.  Parsed statements are LRU-cached on their text, which pays
-for statements whose text is fixed (recall queries, unbounded panels).
-A sliding-window refresh has a
-new time bound in its text every time and would never hit, so
+:func:`execute` is one table lookup and one engine read, returning a
+:class:`ResultSet` of (time, values-per-column); :func:`naive_execute`
+keeps the original materialize-then-fold path, with folds of its own, as
+the exact reference tests and benchmarks compare against, and nothing here
+calls it.  Parsed statements are LRU-cached on their text; a sliding
+window's text changes every refresh, so
 :class:`~repro.viz.grafana.GrafanaServer` parses a target's time-free
-statement — fixed text — and passes :func:`execute` that :class:`Query`
-with the bounds filled in.
+statement and passes :func:`execute` that :class:`Query` with the bounds
+filled in.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .aggregates import AGGREGATES, SPELLINGS, Aggregate
 from .influx import ColumnRows, InfluxDB, InfluxError
-from .sketch import nearest_rank, stddev_of, value_key
+from .naive import reference_fold
+from .sketch import value_key
 
 __all__ = [
     "Query",
@@ -62,15 +56,14 @@ __all__ = [
     "show_measurements",
 ]
 
-_AGGS = ("MEAN", "MAX", "MIN", "SUM", "COUNT", "LAST", "STDDEV", "DISTINCT")
-# Analytic aggregates introduced by the sketch layer; MEDIAN parses to
-# PERCENTILE/50 and COUNT(DISTINCT f) to COUNT_DISTINCT, so neither
-# appears in Query.aggregate.
-_ANALYTIC = ("PERCENTILE", "STDDEV", "DISTINCT", "COUNT_DISTINCT")
-
 # Split a select list on commas that sit *outside* parentheses, so
 # PERCENTILE("f", 99) stays one item.
 _SEL_SPLIT = re.compile(r"\s*,\s*(?![^()]*\))")
+_CALL = re.compile(r"(\w+)\((.+)\)$")
+_DISTINCT = re.compile(r"DISTINCT\s*\(\s*(.+?)\s*\)$|DISTINCT\s+(.+)$", re.IGNORECASE)
+_FIELD = re.compile(r"\"([^\"]+)\"|'([^'\"]+)'|([^\s\"'(),]+)")
+_TIME = re.compile(r"time\s*(>=|<=|>|<)\s*([\d.eE+-]+)s?")
+_TAG = re.compile(r"(\"[\w.]+\"|[\w.]+)\s*=\s*(\"[^\"]*\"|'[^']*'|[^\s\"']+)")
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ class Query:
 
     measurement: str
     columns: tuple[str, ...]  # field names, or ("*",)
-    aggregate: str | None  # None, one of _AGGS, PERCENTILE or COUNT_DISTINCT
+    aggregate: str | None  # None, or the name of a record in AGGREGATES
     tag_filters: tuple[tuple[str, str], ...]
     t0: float | None
     t1: float | None
@@ -148,6 +141,41 @@ def _strip_quotes(s: str) -> str:
     return s
 
 
+def _field(text: str) -> str:
+    """A field name as written: quoted, or one bare word; never with a
+    ``"`` in it, so that it can be written back double-quoted."""
+    m = _FIELD.fullmatch(text.strip())
+    if m is None:
+        raise InfluxError(f"bad field {text.strip()!r}")
+    return m.group(m.lastindex)
+
+
+def _number(text: str, what: str) -> float:
+    """A finite number, or InfluxError: no statement spells ``inf``/``nan``."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise InfluxError(f"bad {what} {text.strip()!r}")
+    return val
+
+
+def _call(fn: str, inner: str) -> tuple[Aggregate, float | None, str]:
+    """One aggregate call: its record, argument and field."""
+    dm = _DISTINCT.match(inner.strip())
+    spelled = SPELLINGS.get((fn.upper(), dm is not None))
+    if spelled is None:
+        raise InfluxError(f"unknown aggregate {fn}({'DISTINCT …' if dm else '…'})")
+    a, arg = spelled
+    if dm:
+        inner = dm.group(1) or dm.group(2)
+    if a.arg is not None and arg is None:
+        inner, _, text = inner.rpartition(",")
+        arg = _number(text, f"{fn} argument")
+    return a, arg, _field(inner)
+
+
 def show_measurements(db: InfluxDB, database: str) -> list[str]:
     """Execute ``SHOW MEASUREMENTS`` (what Grafana's query builder runs)."""
     return db.measurements(database)
@@ -178,61 +206,23 @@ def _parse_query_cached(text: str) -> Query:
     )
     if not m:
         raise InfluxError(f"unparseable InfluxQL: {text!r}")
-    sel = m.group("sel").strip()
-    measurement = _strip_quotes(m.group("meas"))
 
-    aggregate: str | None = None
-    agg_arg: float | None = None
+    # One kind of item per statement: raw fields (None), or one call.
+    kinds: set = set()
     columns: list[str] = []
-    if sel == "*":
-        columns = ["*"]
-    else:
-        for item in _SEL_SPLIT.split(sel):
-            am = re.match(r"(\w+)\((.+)\)$", item.strip())
-            agg: str | None = None
-            arg: float | None = None
-            col: str | None = None
-            if am:
-                fn = am.group(1).upper()
-                inner = am.group(2).strip()
-                if fn == "COUNT":
-                    dm = re.match(
-                        r"DISTINCT\s*\(\s*(.+?)\s*\)$|DISTINCT\s+(.+)$",
-                        inner,
-                        re.IGNORECASE,
-                    )
-                    if dm:
-                        agg = "COUNT_DISTINCT"
-                        col = _strip_quotes(dm.group(1) or dm.group(2))
-                    else:
-                        agg, col = "COUNT", _strip_quotes(inner)
-                elif fn == "PERCENTILE":
-                    parts = re.split(r"\s*,\s*", inner)
-                    if len(parts) != 2:
-                        raise InfluxError("PERCENTILE takes (field, pct)")
-                    try:
-                        arg = float(parts[1])
-                    except ValueError:
-                        raise InfluxError(
-                            f"bad PERCENTILE threshold {parts[1]!r}"
-                        ) from None
-                    if not 0.0 <= arg <= 100.0:
-                        raise InfluxError(
-                            "PERCENTILE threshold must be in [0, 100]"
-                        )
-                    agg, col = "PERCENTILE", _strip_quotes(parts[0])
-                elif fn == "MEDIAN":
-                    agg, arg, col = "PERCENTILE", 50.0, _strip_quotes(inner)
-                elif fn in _AGGS:
-                    agg, col = fn, _strip_quotes(inner)
-            if agg is not None:
-                if aggregate is not None and (aggregate != agg or agg_arg != arg):
-                    raise InfluxError("mixed aggregate functions not supported")
-                aggregate = agg
-                agg_arg = arg
-                columns.append(col)
-            else:
-                columns.append(_strip_quotes(item))
+    for item in _SEL_SPLIT.split(m.group("sel").strip()):
+        call = _CALL.match(item.strip())
+        if call is None:
+            kinds.add(None)
+            columns.append(_field(item))
+        else:
+            a, arg, col = _call(*call.groups())
+            kinds.add((a.name, arg))
+            columns.append(col)
+    if len(kinds) > 1:
+        raise InfluxError("mixed aggregate functions not supported" if None not in kinds
+                          else "mixed aggregate and raw fields not supported")
+    aggregate, agg_arg = kinds.pop() or (None, None)
 
     tag_filters: list[tuple[str, str]] = []
     t0 = t1 = None
@@ -240,31 +230,25 @@ def _parse_query_cached(text: str) -> Query:
     if m.group("where"):
         for cond in re.split(r"\s+AND\s+", m.group("where"), flags=re.IGNORECASE):
             cond = cond.strip()
-            tm = re.match(r"time\s*(>=|<=|>|<)\s*([\d.eE+-]+)", cond)
-            if tm:
-                op = tm.group(1)
-                try:
-                    val = float(tm.group(2))
-                except ValueError:  # "-", "1e", "1.2.3": matched, not a number
-                    raise InfluxError(f"bad time bound in {cond!r}") from None
+            if tm := _TIME.fullmatch(cond):
+                op, val = tm.group(1), _number(tm.group(2), "time bound")
                 if op in (">=", ">"):
                     t0, t0_exclusive = val, op == ">"
                 else:
                     t1, t1_exclusive = val, op == "<"
-                continue
-            em = re.match(r"(\"?[\w.]+\"?)\s*=\s*(\"[^\"]*\"|'[^']*'|\S+)", cond)
-            if not em:
+            elif em := _TAG.fullmatch(cond):
+                tag_filters.append((_strip_quotes(em.group(1)), _strip_quotes(em.group(2))))
+            else:
                 raise InfluxError(f"unparseable WHERE condition {cond!r}")
-            tag_filters.append((_strip_quotes(em.group(1)), _strip_quotes(em.group(2))))
 
-    gb = float(m.group("gb")) if m.group("gb") else None
+    gb = _number(m.group("gb"), "GROUP BY width") if m.group("gb") else None
     if gb is not None and aggregate is None:
         aggregate = "MEAN"  # Influx requires an aggregate with GROUP BY time
     limit = int(m.group("limit")) if m.group("limit") else None
     if limit is not None and limit < 1:
         raise InfluxError("LIMIT must be positive")
-    return Query(
-        measurement=measurement,
+    q = Query(
+        measurement=_strip_quotes(m.group("meas")),
         columns=tuple(columns),
         aggregate=aggregate,
         tag_filters=tuple(tag_filters),
@@ -276,175 +260,75 @@ def _parse_query_cached(text: str) -> Query:
         t1_exclusive=t1_exclusive,
         agg_arg=agg_arg,
     )
+    if aggregate is not None:
+        _record(q)
+    return q
 
 
-def _agg(name: str, values: list[float], arg: float | None = None) -> float | None:
-    if not values:
-        return None
-    if name == "MEAN":
-        return sum(values) / len(values)
-    if name == "MAX":
-        return max(values)
-    if name == "MIN":
-        return min(values)
-    if name == "SUM":
-        return sum(values)
-    if name == "COUNT":
-        return float(len(values))
-    if name == "LAST":
-        return values[-1]
-    if name == "PERCENTILE":
-        return nearest_rank(values, arg if arg is not None else 50.0)
-    if name == "STDDEV":
-        return stddev_of(values)
-    if name == "COUNT_DISTINCT":
-        return float(len({value_key(v) for v in values}))
-    raise InfluxError(f"unknown aggregate {name}")
-
-
-def _check_analytic(q: Query) -> None:
-    """Shape rules shared by :func:`execute` and :func:`naive_execute` so
-    the pushdown and reference paths reject the same statements."""
-    if q.aggregate in ("DISTINCT", "COUNT_DISTINCT"):
-        if q.group_by_s is not None:
-            raise InfluxError(
-                f"{q.aggregate} with GROUP BY time is not supported"
-            )
-        if len(q.columns) != 1 or q.columns[0] == "*":
-            raise InfluxError(f"{q.aggregate} needs exactly one field")
+def _record(q: Query) -> Aggregate:
+    """The table's record of ``q``'s aggregate, or :class:`InfluxError` for
+    a statement no engine read answers."""
+    a = AGGREGATES.get(q.aggregate)
+    if a is None:
+        raise InfluxError(f"unknown aggregate {q.aggregate}")
+    if q.group_by_s is not None and a.grouped is None:
+        raise InfluxError(f"{q.aggregate} with GROUP BY time is not supported")
+    if a.field and (len(q.columns) != 1 or q.columns[0] == "*"):
+        raise InfluxError(f"{q.aggregate} needs exactly one field")
+    if not a.admits(q.agg_arg):
+        raise InfluxError(f"{q.aggregate} takes " + (
+            "no argument" if a.arg is None else "an argument in [%g, %g]" % a.arg))
+    return a
 
 
 def execute(db: InfluxDB, database: str, query: Query | str) -> ResultSet:
-    """Execute a query against one database.
+    """Execute a query against one database: one lookup, one engine read.
 
-    Each statement shape dispatches to the matching engine pushdown:
-
-    - raw select → ``scan_columns`` with LIMIT pushed into the scan;
-    - plain aggregate → ``aggregate_columns`` (column folds, no rows);
-    - GROUP BY time(N) → ``scan_buckets`` (bucket edge to bucket edge,
-      or slices of a rollup tier when that is provably exact).
-
-    Results are exactly equal to :func:`naive_execute`.
+    A raw select is ``scan_columns`` with LIMIT pushed into the scan; an
+    aggregate is the read its record names, ungrouped or under GROUP BY
+    time(N), given its name or argument first where the record says so.
+    DISTINCT and COUNT(DISTINCT) take one field and have rows of their own
+    shape.  Results are exactly equal to :func:`naive_execute` on exact paths.
     """
     q = parse_query(query) if isinstance(query, str) else query
     columns = None if q.columns == ("*",) else list(q.columns)
-    tags = dict(q.tag_filters)
-
-    if q.aggregate in _ANALYTIC:
-        return _execute_analytic(db, database, q, columns, tags)
-
     if q.aggregate is None:
         cols, rows = db.scan_columns(
-            database,
-            q.measurement,
-            columns=columns,
-            tags=tags,
-            t0=q.t0,
-            t1=q.t1,
-            t0_exclusive=q.t0_exclusive,
-            t1_exclusive=q.t1_exclusive,
-            limit=q.limit,
-        )
+            database, q.measurement, columns, dict(q.tag_filters), q.t0, q.t1,
+            t0_exclusive=q.t0_exclusive, t1_exclusive=q.t1_exclusive, limit=q.limit)
         return ResultSet(columns=cols, rows=rows)
-
-    if q.group_by_s is None:
-        cols, first_t, aggs = db.aggregate_columns(
-            database,
-            q.measurement,
-            q.aggregate,
-            columns=columns,
-            tags=tags,
-            t0=q.t0,
-            t1=q.t1,
-            t0_exclusive=q.t0_exclusive,
-            t1_exclusive=q.t1_exclusive,
-        )
-        return ResultSet(
-            columns=cols, rows=[(first_t if first_t is not None else 0.0, aggs)]
-        )
-
-    cols, out = db.scan_buckets(
-        database,
-        q.measurement,
-        q.aggregate,
-        q.group_by_s,
-        columns=columns,
-        tags=tags,
-        t0=q.t0,
-        t1=q.t1,
-        t0_exclusive=q.t0_exclusive,
-        t1_exclusive=q.t1_exclusive,
-    )
-    if q.limit is not None:
-        out = out[: q.limit]
-    return ResultSet(columns=cols, rows=out)
-
-
-def _execute_analytic(
-    db,
-    database: str,
-    q: Query,
-    columns: list[str] | None,
-    tags: dict[str, str],
-) -> ResultSet:
-    """Dispatch PERCENTILE / STDDEV / DISTINCT / COUNT(DISTINCT) to the
-    engine's sketch-aware reads."""
-    _check_analytic(q)
-    kw = dict(
-        tags=tags,
-        t0=q.t0,
-        t1=q.t1,
-        t0_exclusive=q.t0_exclusive,
-        t1_exclusive=q.t1_exclusive,
-    )
-    if q.aggregate == "DISTINCT":
-        pairs = db.distinct_values(database, q.measurement, q.columns[0], **kw)
-        rows = [(t, [v]) for t, v in pairs]
-        if q.limit is not None:
-            rows = rows[: q.limit]
-        return ResultSet(columns=[q.columns[0]], rows=rows)
-    if q.aggregate == "COUNT_DISTINCT":
-        first_t, cnt = db.count_distinct(database, q.measurement, q.columns[0], **kw)
-        return ResultSet(
-            columns=[q.columns[0]],
-            rows=[(first_t if first_t is not None else 0.0, [cnt])],
-        )
-    pct = q.agg_arg if q.agg_arg is not None else 50.0
+    a = _record(q)
+    kw = dict(tags=dict(q.tag_filters), t0=q.t0, t1=q.t1,
+              t0_exclusive=q.t0_exclusive, t1_exclusive=q.t1_exclusive)
+    lead = (q.aggregate,) if a.named else () if a.arg is None else (q.agg_arg,)
     if q.group_by_s is not None:
-        if q.aggregate == "PERCENTILE":
-            cols, out = db.quantile_buckets(
-                database, q.measurement, pct, q.group_by_s, columns=columns, **kw
-            )
+        cols, rows = getattr(db, a.grouped)(
+            database, q.measurement, *lead, q.group_by_s, columns, **kw)
+        return ResultSet(columns=cols, rows=rows if q.limit is None else rows[: q.limit])
+    if a.field:
+        out = getattr(db, a.ungrouped)(database, q.measurement, q.columns[0], **kw)
+        if q.aggregate == "DISTINCT":
+            rows = [(t, [v]) for t, v in out][: q.limit]
         else:
-            cols, out = db.stddev_buckets(
-                database, q.measurement, q.group_by_s, columns=columns, **kw
-            )
-        if q.limit is not None:
-            out = out[: q.limit]
-        return ResultSet(columns=cols, rows=out)
-    if q.aggregate == "PERCENTILE":
-        cols, first_t, aggs = db.quantile_columns(
-            database, q.measurement, pct, columns=columns, **kw
-        )
-    else:
-        cols, first_t, aggs = db.stddev_columns(
-            database, q.measurement, columns=columns, **kw
-        )
-    return ResultSet(
-        columns=cols, rows=[(first_t if first_t is not None else 0.0, aggs)]
-    )
+            rows = [(0.0 if out[0] is None else out[0], [out[1]])]
+        return ResultSet(columns=[q.columns[0]], rows=rows)
+    cols, first_t, aggs = getattr(db, a.ungrouped)(
+        database, q.measurement, *lead, columns, **kw)
+    return ResultSet(columns=cols, rows=[(0.0 if first_t is None else first_t, aggs)])
 
 
 def naive_execute(db, database: str, query: Query | str) -> ResultSet:
     """The seed execute path: materialize scan rows, then fold in Python.
 
     Kept as the equivalence reference (and benchmark baseline) for the
-    pushdown/rollup paths in :func:`execute`.  Works against any engine
+    pushdown/rollup paths in :func:`execute`, with its own folds
+    (:func:`~repro.db.naive.reference_fold`).  Works against any engine
     exposing ``scan_columns`` — including :class:`~repro.db.naive.NaiveInfluxDB`.
     """
     q = parse_query(query) if isinstance(query, str) else query
-    if q.aggregate in _ANALYTIC:
-        _check_analytic(q)
+    if q.aggregate in ("DISTINCT", "COUNT_DISTINCT") and (
+            q.group_by_s is not None or len(q.columns) != 1 or q.columns[0] == "*"):
+        raise InfluxError(f"{q.aggregate} needs one field and no GROUP BY time")
     cols, rows = db.scan_columns(
         database,
         q.measurement,
@@ -482,7 +366,7 @@ def naive_execute(db, database: str, query: Query | str) -> ResultSet:
         row = []
         for i in range(len(cols)):
             vals = [r[i] for _, r in rows if r[i] is not None]
-            row.append(_agg(q.aggregate, vals, q.agg_arg))
+            row.append(reference_fold(q.aggregate, vals, q.agg_arg))
         t = rows[0][0] if rows else 0.0
         if q.aggregate == "COUNT_DISTINCT":
             return ResultSet(columns=[q.columns[0]], rows=[(t, row)])
@@ -497,7 +381,7 @@ def naive_execute(db, database: str, query: Query | str) -> ResultSet:
             if v is not None:
                 slot[i].append(v)
     out = [
-        (b, [_agg(q.aggregate, bucket, q.agg_arg) for bucket in buckets[b]])
+        (b, [reference_fold(q.aggregate, bucket, q.agg_arg) for bucket in buckets[b]])
         for b in sorted(buckets)
     ]
     if q.limit is not None:

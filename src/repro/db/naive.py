@@ -17,9 +17,37 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .influx import InfluxError, Point, RetentionPolicy, fold_values
+from .influx import InfluxError, Point, RetentionPolicy
+from .sketch import nearest_rank, stddev_of, value_key
 
-__all__ = ["NaiveInfluxDB"]
+__all__ = ["NaiveInfluxDB", "reference_fold"]
+
+
+def reference_fold(agg: str, values: list[float], arg: float | None = None) -> float | None:
+    """The seed's fold of one aggregate over ``values`` in row order: what
+    this store and :func:`~repro.db.influxql.naive_execute` answer with,
+    written apart from the engine's aggregate table so that it checks it."""
+    if not values:
+        return None
+    if agg == "MEAN":
+        return sum(values) / len(values)
+    if agg == "MAX":
+        return max(values)
+    if agg == "MIN":
+        return min(values)
+    if agg == "SUM":
+        return sum(values)
+    if agg == "COUNT":
+        return float(len(values))
+    if agg == "LAST":
+        return values[-1]
+    if agg == "PERCENTILE":
+        return nearest_rank(values, arg if arg is not None else 50.0)
+    if agg == "STDDEV":
+        return stddev_of(values)
+    if agg == "COUNT_DISTINCT":
+        return float(len({value_key(v) for v in values}))
+    raise InfluxError(f"unknown aggregate {agg}")
 
 
 class _NaiveDatabase:
@@ -146,7 +174,7 @@ class NaiveInfluxDB:
         out = []
         for i in range(len(cols)):
             vals = [r[i] for _, r in rows if r[i] is not None]
-            out.append(fold_values(agg, vals))
+            out.append(reference_fold(agg, vals))
         return cols, (rows[0][0] if rows else None), out
 
     def scan_buckets(
@@ -178,7 +206,7 @@ class NaiveInfluxDB:
                 if v is not None:
                     slot[i].append(v)
         return cols, [
-            (b, [fold_values(agg, vs) for vs in buckets[b]])
+            (b, [reference_fold(agg, vs) for vs in buckets[b]])
             for b in sorted(buckets)
         ]
 

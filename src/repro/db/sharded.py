@@ -22,16 +22,12 @@ analytics):
 
 - **Queries** run scatter-gather through one dispatch (``_gather``).  A
   query whose matching series all live on one shard delegates verbatim
-  (rollup serving, LIMIT pushdown and all).  Multi-shard queries merge
-  per-shard partials *exactly*: raw selects and LIMIT put the shards' keyed
-  columns in order with the routine an engine orders its series with;
-  COUNT adds, MIN/MAX combine associatively (unless NaN made the fold
-  order-sensitive), LAST picks the partial with the latest (time, seq) key,
-  and MEAN/SUM ride sum/count pairs whenever a single shard holds the
-  column's values — any merge that float reordering could perturb is
-  re-folded, by the engine's own folds, from the interleaved scan, so
-  results stay byte-identical to a single engine.  Sketches (t-digests,
-  HLLs) merge only inside the configured error bound.
+  (rollup serving, LIMIT pushdown and all).  Multi-shard queries put the
+  shards' keyed columns in order with the routine an engine orders its
+  series with, and an aggregate's partials merge as its record in
+  :data:`~repro.db.aggregates.AGGREGATES` says — re-folded from the
+  interleaved scan wherever a merge could differ from one engine's answer
+  in a bit; sketches merge only inside the configured error bound.
 
 - **Freshness stamps** combine into per-shard epoch and generation vectors
   and the lowest frontier (:meth:`ShardedInfluxDB.freshness`), so the
@@ -60,6 +56,7 @@ from heapq import merge as _heap_merge
 
 from repro.faults.nodes import NodeFault, NodeFaultSet
 
+from .aggregates import AGGREGATES, FALLBACK, Aggregate, _values
 from .influx import (
     DEFAULT_ROLLUP_TIERS,
     ColumnRows,
@@ -68,14 +65,11 @@ from .influx import (
     Point,
     _fold_buckets,
     _merge_keyed,
-    _values,
-    fold_values,
+    named_aggregate,
 )
-from .sketch import SketchConfig, TDigest, nearest_rank, stddev_of, value_key
+from .sketch import SketchConfig
 
 __all__ = ["HashRing", "ShardedInfluxDB", "series_key"]
-
-_FOLDABLE = frozenset({"MEAN", "MAX", "MIN", "SUM", "COUNT", "LAST"})
 
 
 def _hash64(s: str) -> int:
@@ -641,86 +635,8 @@ class ShardedInfluxDB:
     # ------------------------------------------------------------------
     # Between shards such an answer is ``(columns, bucket starts, [[answer
     # per bucket] per column])`` — an ungrouped read being one bucket that
-    # starts at its first row — and leaves through ``_rows`` or ``_row`` in
-    # the shape the engine gives it.  ``_folded_scan`` works it out exactly,
-    # as the engine's own fold of the interleaved rows.  ``_merged_partials``
-    # works it out from one *slot* per shard, bucket and column (a partial
-    # stat, a t-digest) wherever the family's ``merge`` says that is
-    # provably the same answer, and folds the rest.
-    #
-    # A stat is (count, total, vmin, vmax, last, last_t, last_seq, has_nan);
-    # see InfluxDB.aggregate_partials.  ``_merge_stats`` returns the
-    # _FALLBACK sentinel for MEAN/SUM split across shards (float summation
-    # order), MIN/MAX with a NaN in the fold, and LAST whose winning key a
-    # rollup did not store.
-
-    _FALLBACK = object()
-
-    @staticmethod
-    def _rows(cols: list[str], starts: list, out: list):
-        return cols, ColumnRows(starts, out)
-
-    @staticmethod
-    def _row(cols: list[str], starts: list, out: list):
-        return cols, starts[0], [None if col is None else col[0] for col in out]
-
-    @classmethod
-    def _merge_stats(cls, agg: str, stats: list[tuple]):
-        if not stats:
-            return None
-        if agg == "COUNT":
-            return float(sum(st[0] for st in stats))
-        if len(stats) == 1:
-            count, total, vmin, vmax, last = stats[0][:5]
-            if agg == "MEAN":
-                return total / count
-            if agg == "SUM":
-                return total
-            if agg == "MIN":
-                return vmin
-            if agg == "MAX":
-                return vmax
-            return last  # LAST
-        if agg in ("MEAN", "SUM"):
-            return cls._FALLBACK  # float summation order must not reorder
-        if agg in ("MIN", "MAX"):
-            if any(st[7] for st in stats):
-                return cls._FALLBACK  # NaN makes the fold order-sensitive
-            vals = [st[2] if agg == "MIN" else st[3] for st in stats]
-            best = min(vals) if agg == "MIN" else max(vals)
-            # min/max keep the *first* extremum in fold order, and -0.0 ==
-            # 0.0: a tie between bit-distinct values is order-sensitive,
-            # so only a bitwise-unambiguous extremum merges associatively.
-            if any(v == best and repr(v) != repr(best) for v in vals):
-                return cls._FALLBACK
-            return best
-        # LAST: the partial with the latest (time, seq) key wins.
-        if any(st[5] is None for st in stats):
-            return cls._FALLBACK  # rollup-served partial lost its key
-        return max(stats, key=lambda st: (st[5], st[6]))[4]
-
-    def _merged_sketch(self, sketches: list):
-        """The shards' sketches of one slot — t-digests or HLLs, at least
-        one — as one.  This is the only place the router answers
-        approximately, so the only place it checks that it may: _FALLBACK
-        when the error bound of what it would hand over exceeds the one
-        configured (:class:`~repro.db.sketch.SketchConfig`; a digest's
-        doubles once it is a merge)."""
-        cfg = self.sketch
-        first = sketches[0]
-        if isinstance(first, TDigest):
-            ok = cfg.digest_bound(merged=len(sketches) > 1) <= cfg.epsilon
-        else:
-            ok = first.error_bound() <= cfg.hll_epsilon
-        if not ok:
-            return self._FALLBACK
-        return first if len(sketches) == 1 else type(first).merged(sketches)
-
-    def _merge_digests(self, q: float, digests: list[TDigest]):
-        if not digests:
-            return None
-        d = self._merged_sketch(digests)
-        return d if d is self._FALLBACK else d.quantile(q)
+    # starts at its first row — and ``_answer`` hands it over in the shape
+    # the engine gives it.
 
     def _folded_scan(self, read, columns, group_by_s: float | None, fold):
         """The exact answer: ``fold`` of each bucket's values in (time,
@@ -758,16 +674,41 @@ class ShardedInfluxDB:
                 for into, i in zip(held, idx):
                     if i is not None and slots[i] is not None:
                         into[k].append(slots[i])
-        out = [[merge(slots) for slots in col] for col in held]
-        again = [ci for ci, col in enumerate(out)
-                 if any(v is self._FALLBACK for v in col)]
+        out = [[merge(slots) if slots else None for slots in col] for col in held]
+        again = [ci for ci, col in enumerate(out) if FALLBACK in col]
         if again:
             _, _, exact = self._folded_scan(
                 read, [cols[ci] for ci in again], group_by_s, fold)
             for ci, ecol in zip(again, exact):
-                out[ci] = [e if v is self._FALLBACK else v
+                out[ci] = [e if v is FALLBACK else v
                            for v, e in zip(out[ci], ecol)]
         return cols, starts, out
+
+    def _answer(
+        self, op: str, args: tuple, a: Aggregate, arg, N: float | None, db: str,
+        measurement: str, columns, tags, t0, t1, t0_exclusive: bool, t1_exclusive: bool,
+    ):
+        """Aggregate ``a`` (argument ``arg``) per column, per bucket of
+        ``time(N)`` unless ``N`` is None: through :meth:`_gather`, merging
+        the record's partial reads by its ``merge`` (:meth:`_merged_partials`)
+        or, a record without partials, folding the interleaved scan."""
+        if N is not None and N <= 0:
+            raise InfluxError("GROUP BY time() needs a positive bucket width")
+        fold = partial(a.fold, arg)
+
+        def merge(read):
+            if a.partials is None:
+                cols, starts, out = self._folded_scan(read, columns, N, fold)
+            else:
+                cols, starts, out = self._merged_partials(
+                    read, a.partials[N is not None], columns, N,
+                    partial(a.merge, arg, self.sketch), fold)
+            if N is not None:
+                return cols, ColumnRows(starts, out)
+            return cols, starts[0], [None if col is None else col[0] for col in out]
+
+        return self._gather(op, db, measurement, tags, t0, t1, t0_exclusive,
+                            t1_exclusive, args, merge)
 
     def aggregate_columns(
         self,
@@ -783,15 +724,9 @@ class ShardedInfluxDB:
         t1_exclusive: bool = False,
     ) -> tuple[list[str], float | None, list[float | None]]:
         """Scatter-gather aggregate: per-shard partials, merged exactly."""
-        if agg not in _FOLDABLE:
-            raise InfluxError(f"unknown aggregate {agg}")
-        return self._gather(
-            "aggregate_columns", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (agg, columns),
-            lambda read: self._row(*self._merged_partials(
-                read, "aggregate_partials", columns, None,
-                partial(self._merge_stats, agg), partial(fold_values, agg))),
-        )
+        return self._answer("aggregate_columns", (agg, columns), named_aggregate(agg),
+                            None, None, db, measurement, columns, tags, t0, t1,
+                            t0_exclusive, t1_exclusive)
 
     def scan_buckets(
         self,
@@ -815,27 +750,9 @@ class ShardedInfluxDB:
         merge cannot reproduce bit-for-bit is re-folded from one shared
         interleaved scan.
         """
-        if agg not in _FOLDABLE:
-            raise InfluxError(f"unknown aggregate {agg}")
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        return self._gather(
-            "scan_buckets", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (agg, group_by_s, columns),
-            lambda read: self._rows(*self._merged_partials(
-                read, "bucket_partials", columns, group_by_s,
-                partial(self._merge_stats, agg), partial(fold_values, agg))),
-        )
-
-    # PERCENTILE ships per-shard t-digest partials and merges them as
-    # digests (true merge — the whole point of mergeable sketches), so the
-    # cross-shard answer carries the same rank-error bound as a single
-    # engine's, and is the exact nearest rank where the configuration
-    # promises less than that.  COUNT(DISTINCT) merges per-shard HLLs
-    # register-wise when every shard may serve approximately, else unions
-    # the value-keyed exact lists.  STDDEV and DISTINCT are exact: a fold
-    # of the interleaved scan and a merge of first occurrences,
-    # byte-identical to the unsharded engine.
+        return self._answer("scan_buckets", (agg, group_by_s, columns),
+                            named_aggregate(agg), None, group_by_s, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
 
     def quantile_columns(
         self,
@@ -850,14 +767,9 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], float | None, list[float | None]]:
-        return self._gather(
-            "quantile_columns", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (pct, columns),
-            lambda read: self._row(*self._merged_partials(
-                read, "quantile_partials", columns, None,
-                partial(self._merge_digests, pct / 100.0),
-                partial(nearest_rank, pct=pct))),
-        )
+        return self._answer("quantile_columns", (pct, columns), AGGREGATES["PERCENTILE"],
+                            pct, None, db, measurement, columns, tags, t0, t1,
+                            t0_exclusive, t1_exclusive)
 
     def quantile_buckets(
         self,
@@ -873,16 +785,9 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], ColumnRows]:
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        return self._gather(
-            "quantile_buckets", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (pct, group_by_s, columns),
-            lambda read: self._rows(*self._merged_partials(
-                read, "quantile_bucket_partials", columns, group_by_s,
-                partial(self._merge_digests, pct / 100.0),
-                partial(nearest_rank, pct=pct))),
-        )
+        return self._answer("quantile_buckets", (pct, group_by_s, columns),
+                            AGGREGATES["PERCENTILE"], pct, group_by_s, db, measurement,
+                            columns, tags, t0, t1, t0_exclusive, t1_exclusive)
 
     def stddev_columns(
         self,
@@ -899,12 +804,9 @@ class ShardedInfluxDB:
         """Exact: single contributing shard delegates (rollup-partial
         serving and all); multi-shard re-folds the interleaved keyed scan in
         single-engine row order, so results stay byte-identical."""
-        return self._gather(
-            "stddev_columns", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (columns,),
-            lambda read: self._row(
-                *self._folded_scan(read, columns, None, stddev_of)),
-        )
+        return self._answer("stddev_columns", (columns,), AGGREGATES["STDDEV"], None,
+                            None, db, measurement, columns, tags, t0, t1,
+                            t0_exclusive, t1_exclusive)
 
     def stddev_buckets(
         self,
@@ -919,14 +821,9 @@ class ShardedInfluxDB:
         t0_exclusive: bool = False,
         t1_exclusive: bool = False,
     ) -> tuple[list[str], ColumnRows]:
-        if group_by_s <= 0:
-            raise InfluxError("GROUP BY time() needs a positive bucket width")
-        return self._gather(
-            "stddev_buckets", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (group_by_s, columns),
-            lambda read: self._rows(
-                *self._folded_scan(read, columns, group_by_s, stddev_of)),
-        )
+        return self._answer("stddev_buckets", (group_by_s, columns), AGGREGATES["STDDEV"],
+                            None, group_by_s, db, measurement, columns, tags, t0, t1,
+                            t0_exclusive, t1_exclusive)
 
     def distinct_values(
         self,
@@ -942,20 +839,10 @@ class ShardedInfluxDB:
     ) -> list[tuple[float, float]]:
         """Exact DISTINCT: per-shard value-keyed lists merged on the global
         (time, seq) first-occurrence key."""
-        def merge(read):
-            best: dict[bytes, tuple[float, int, float]] = {}
-            for keyed in read("distinct_keyed", column):
-                for t, seq, v in keyed:
-                    vk = value_key(v)
-                    prev = best.get(vk)
-                    if prev is None or (t, seq) < (prev[0], prev[1]):
-                        best[vk] = (t, seq, v)
-            return [(t, v) for t, _, v in sorted(best.values())]
-
+        a = AGGREGATES["DISTINCT"]
         return self._gather(
-            "distinct_values", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (column,), merge,
-        )
+            "distinct_values", db, measurement, tags, t0, t1, t0_exclusive, t1_exclusive,
+            (column,), lambda read: a.merge(None, self.sketch, read(a.partials[0], column)))
 
     def count_distinct(
         self,
@@ -971,23 +858,10 @@ class ShardedInfluxDB:
     ) -> tuple[float | None, float | None]:
         """COUNT(DISTINCT): register-wise HLL merge when every contributing
         shard may serve approximately, else an exact value-key union."""
-        def merge(read):
-            per = read("distinct_partials", column)
-            first_t = min((t for t, _, _ in per if t is not None), default=None)
-            hlls = [h for _, h, _ in per if h is not None]
-            if hlls and len(hlls) == len(per):
-                hll = self._merged_sketch(hlls)
-                if hll is not self._FALLBACK:
-                    return first_t, float(round(hll.count()))
-            keys: set[bytes] = set()
-            for _, _, exact in per:
-                keys.update(value_key(v) for _, _, v in exact)
-            return first_t, (float(len(keys)) if keys else None)
-
+        a = AGGREGATES["COUNT_DISTINCT"]
         return self._gather(
-            "count_distinct", db, measurement, tags, t0, t1, t0_exclusive,
-            t1_exclusive, (column,), merge,
-        )
+            "count_distinct", db, measurement, tags, t0, t1, t0_exclusive, t1_exclusive,
+            (column,), lambda read: a.merge(None, self.sketch, read(a.partials[0], column)))
 
     # ------------------------------------------------------------------
     # Series administration, retention, stats

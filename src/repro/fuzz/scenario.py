@@ -32,6 +32,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, TypeVar
 
+from repro.db.aggregates import AGGREGATES
 from repro.faults.log import ConsumerCrash, LogFaultSet, LogTruncation
 from repro.faults.nodes import NodeCrash, NodeFault, NodeFaultSet, NodeFlap, NodeHang
 from repro.faults.services import (
@@ -274,7 +275,7 @@ class StreamSpec:
             raise ScenarioError(f"unknown stream aggregate {self.agg!r}")
         if self.group_by_s <= 0:
             raise ScenarioError("group_by_s must be positive")
-        if not 0.0 <= self.agg_arg <= 100.0:
+        if not AGGREGATES["PERCENTILE"].admits(self.agg_arg):
             raise ScenarioError("agg_arg must be a percentile in [0, 100]")
         if not 1 <= self.n_workers <= 16:
             raise ScenarioError("executor slots must be in [1, 16]")

@@ -317,8 +317,6 @@ class DbWriterConsumer(LogConsumer):
         self.service_faults = faulty.service_faults(sink, service_faults)
         self.tracker = tracker or ReportTracker()
         self.zero_points = 0
-        #: The sink's optional per-series applied-seq gate.
-        self._sink_max_seq = getattr(sink, "max_seq", None)
         if database not in sink.databases():
             sink.create_database(database)
 
@@ -333,10 +331,8 @@ class DbWriterConsumer(LogConsumer):
         """Per-series gate: a record's points apply atomically and a
         series' records apply in seq order (same partition), so the first
         point's series holding seq ≥ rec.seq means this record landed."""
-        max_seq = self._sink_max_seq
-        if max_seq is None or not pts:
-            return False
-        return max_seq(self.database, rec.topic, pts[0].tags) >= rec.seq
+        return bool(pts) and self.sink.max_seq(
+            self.database, rec.topic, pts[0].tags) >= rec.seq
 
     def apply(self, rec: LogRecord, pts: list[Point], t: float) -> None:
         faulty.write_at(self.sink, t, self.database, pts, seqs=[rec.seq] * len(pts))

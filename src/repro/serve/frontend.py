@@ -178,9 +178,8 @@ class ServingFrontend:
         influx = self.grafana.influx
         targets, labels = request.panel.targets, request.panel.labels()
         for target, statement, label in zip(targets, request.statements, labels):
-            # sketch-served answers the engine has recorded so far (an
-            # engine without sketches records none)
-            serves_before = getattr(influx, "sketch_served", 0)
+            # sketch-served answers the engine has recorded so far
+            serves_before = influx.sketch_served
             times, values, hit = self.grafana.execute_target(
                 target, request.t0, request.t1, request.tag,
                 tenant=request.tenant, statement=statement,
@@ -189,7 +188,7 @@ class ServingFrontend:
             total_points += len(times)
             if hit:
                 hit_targets += 1
-            elif getattr(influx, "sketch_served", 0) > serves_before:
+            elif influx.sketch_served > serves_before:
                 # The engine answered from tier sketches: no raw points
                 # were scanned, so the per-point term would overcharge.
                 sketch_targets += 1

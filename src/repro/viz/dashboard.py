@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.db.aggregates import SPELLINGS
+
 __all__ = ["Target", "Panel", "Dashboard", "DashboardError"]
 
 
@@ -35,7 +37,9 @@ class Target:
     default off and are omitted from the JSON, so legacy documents stay
     byte-identical.  ``agg_arg`` carries a parameterized aggregate's
     argument — today the N of ``PERCENTILE("field", N)``, served from the
-    rollup tiers' t-digests.
+    rollup tiers' t-digests.  ``agg`` must be a function the aggregate table
+    spells (:data:`~repro.db.aggregates.SPELLINGS`), and ``agg_arg`` an
+    argument its record admits.
     """
 
     measurement: str
@@ -53,13 +57,16 @@ class Target:
             raise DashboardError("target needs a measurement")
         if self.group_by_s < 0:
             raise DashboardError("group_by_s must be >= 0")
-        if self.agg_arg is not None and not self.agg:
-            raise DashboardError("agg_arg needs an agg")
-        if self.agg.upper() == "PERCENTILE":
-            if self.agg_arg is None:
-                raise DashboardError("PERCENTILE needs agg_arg (the percentile)")
-            if not 0.0 <= self.agg_arg <= 100.0:
-                raise DashboardError("PERCENTILE agg_arg must be in [0, 100]")
+        if not self.agg:
+            if self.agg_arg is not None:
+                raise DashboardError("agg_arg needs an agg")
+            return
+        a, fixed = SPELLINGS.get((self.agg.upper(), False), (None, None))
+        if a is None:
+            raise DashboardError(f"no aggregate {self.agg!r} in the query table")
+        if (fixed is not None and self.agg_arg is not None) or not a.admits(
+                self.agg_arg if fixed is None else fixed):  # MEDIAN fixes its own
+            raise DashboardError(f"{self.agg} does not take agg_arg={self.agg_arg!r}")
 
     def to_json(self) -> dict[str, Any]:
         doc = {

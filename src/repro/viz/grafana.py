@@ -306,41 +306,38 @@ class GrafanaServer:
 
         The freshness stamps are read *before* executing, so a write racing
         the query can only make a kept answer look stale (recompute), never
-        fresh (stale serve).  Engines without freshness support bypass the
-        cache entirely.  ``tenant`` selects a private partition; ``None`` is
+        fresh (stale serve).  ``tenant`` selects a private partition; ``None`` is
         the default (single-caller) one.  ``statement`` is
         ``target_statement(target, t0, t1, tag)`` where the caller already
         has it.
         """
         cache, capacity = self._partition_for(tenant)
-        freshness = getattr(self.influx, "freshness", None)
         measurement = target.measurement
-        stamps = freshness(self.database, measurement) if callable(freshness) else None
+        stamps = self.influx.freshness(self.database, measurement)
         since, held, timefree = t0, None, None
-        if stamps is not None:
-            epoch, _, frontier = stamps
-            sealed = t1 is not None and t1 < frontier
-            if sealed:
-                key = (self.database,
-                       statement or self.target_statement(target, t0, t1, tag))
-            else:
-                text, timefree = _timefree(target, tag)
-                key = (self.database, text)
-            hit = cache.get(key, measurement, epoch)
-            if hit is not None:
-                if sealed or hit[3:] == (stamps, (t0, t1)):
-                    self.cache_hits += 1
-                    return hit[1][:], hit[2][:], True
-                (was_epoch, _, edge), (was_t0, _) = hit[3:]
-                # Same epoch: the held rows below the held frontier stand.
-                # A raw window that did not move backwards needs only them
-                # and what the engine has from that frontier on.
-                if (was_epoch == epoch and edge > -math.inf
-                        and not target.agg and not target.group_by_s
-                        and (was_t0 is None if t0 is None
-                             else was_t0 is not None and t0 >= was_t0)):
-                    held = hit
-                    since = edge if t0 is None or edge > t0 else t0
+        epoch, _, frontier = stamps
+        sealed = t1 is not None and t1 < frontier
+        if sealed:
+            key = (self.database,
+                   statement or self.target_statement(target, t0, t1, tag))
+        else:
+            text, timefree = _timefree(target, tag)
+            key = (self.database, text)
+        hit = cache.get(key, measurement, epoch)
+        if hit is not None:
+            if sealed or hit[3:] == (stamps, (t0, t1)):
+                self.cache_hits += 1
+                return hit[1][:], hit[2][:], True
+            (was_epoch, _, edge), (was_t0, _) = hit[3:]
+            # Same epoch: the held rows below the held frontier stand.
+            # A raw window that did not move backwards needs only them
+            # and what the engine has from that frontier on.
+            if (was_epoch == epoch and edge > -math.inf
+                    and not target.agg and not target.group_by_s
+                    and (was_t0 is None if t0 is None
+                         else was_t0 is not None and t0 >= was_t0)):
+                held = hit
+                since = edge if t0 is None or edge > t0 else t0
         self.cache_misses += 1
         timefree = timefree or _timefree(target, tag)[1]
         times, values = execute(
@@ -350,7 +347,7 @@ class GrafanaServer:
         # panels) as a cold server would serve them, without held rows, and
         # never kept: the stamps do not move when a shard merely recovers,
         # so a kept partial could outlive the outage.
-        partial = getattr(self.influx, "last_partial", False)
+        partial = self.influx.last_partial
         if held is not None and partial:
             times, values = execute(
                 self.influx, self.database, _windowed(timefree, t0, t1)).series()
@@ -367,7 +364,7 @@ class GrafanaServer:
             times, values = held[1:3]
         if partial:
             self.partial_serves += 1
-        elif stamps is not None:
+        else:
             entry = (measurement, times, values)
             if not sealed:
                 entry += (stamps, (t0, t1))

@@ -17,8 +17,9 @@ from collections import Counter
 import pytest
 
 from repro.db import influx as influx_mod
-from repro.db.influx import InfluxDB, Point, _RollupCol, fold_values
+from repro.db.influx import InfluxDB, Point, _RollupCol
 from repro.db.influxql import execute, naive_execute
+from repro.db.naive import reference_fold
 from repro.db.sharded import ShardedInfluxDB
 from repro.db.sketch import DEFAULT_SKETCH, TDigest, stddev_of
 
@@ -319,7 +320,7 @@ class TestOneFoldPrimitive:
         """``buckets``: the raw in-order values each 10 s bucket holds."""
         before = dict(db.rollup_plan), dict(db.sketch_plan)
         for agg in ("MEAN", "SUM"):
-            want = [fold_values(agg, vals) for vals in buckets]
+            want = [reference_fold(agg, vals) for vals in buckets]
             assert repr(self.served(db, agg)) == repr(want)
         assert repr(self.served(db, "STDDEV")) == repr(
             [stddev_of(vals) for vals in buckets])

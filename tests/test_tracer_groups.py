@@ -59,3 +59,19 @@ def test_router_reads_keep_the_engine_signatures():
         router = inspect.signature(ShardedInfluxDB.__dict__[name]).parameters
         assert [(p.name, p.kind, p.default) for p in engine.values()] == [
             (p.name, p.kind, p.default) for p in router.values()], name
+
+
+def test_every_read_the_aggregate_table_dispatches_to_is_traced():
+    """A read an aggregate's record names but ``GROUPS`` does not would
+    silently drop out of the per-layer breakdown; here it fails instead.
+    The engine serves every read a record names (the router's partial reads
+    included), the router the ones ``execute`` calls."""
+    from repro.db.aggregates import AGGREGATES
+
+    traced = {(c, n) for _, c, n in ENTRIES}
+    for a in AGGREGATES.values():
+        answers = {a.ungrouped, a.grouped} - {None}
+        for name in answers | set(a.partials or ()) - {None}:
+            assert ("InfluxDB", name) in traced, (a.name, name)
+        for name in answers:
+            assert ("ShardedInfluxDB", name) in traced, (a.name, name)

@@ -71,26 +71,6 @@ class TestCacheHits:
             server.execute_panel(p, t0=float(i))
         assert len(server._cache) <= 4
 
-    def test_engine_without_generation_bypasses_cache(self):
-        """An engine that reports no freshness is never cached (and never
-        stale) — ``generation`` alone cannot say what a write left alone."""
-
-        class Legacy:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                if name == "freshness":
-                    raise AttributeError(name)
-                return getattr(self._inner, name)
-
-        influx, _, panel = _mk()
-        server = GrafanaServer(Legacy(influx))
-        server.execute_panel(panel)
-        server.execute_panel(panel)
-        assert server.cache_hits == 0
-        assert not server._cache
-
 
 class TestInvalidation:
     def test_write_between_refreshes_recomputes(self):
