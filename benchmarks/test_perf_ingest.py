@@ -9,26 +9,24 @@ the same seeded Scenario-A windows (the daemon's six SWTelemetry metrics,
 router, all at engine defaults: rollup tiers and sketches **on**.
 
 Two passes per configuration.  The timed pass reports points/s and, for
-durable, wall µs per record applied; it is repeated, the least disturbed
-repeat of each mode is reported and the ratio is the median over repeats
-of modes run back to back.  The counted pass runs the durable path under
-spies and reports what it did per record: payload decodes, polls that
-returned nothing, and rollup cells copied per commit against cells the
-commit's applies touched; and the unbuffered path, for what a tick reads
-off the machine's timeline (since PR 20 one /proc snapshot per instant: no
-scalar ``integrate``, at most five batched reads per ``Pmcd.fetch``).
+durable, wall µs per record applied; it is repeated and the least
+disturbed repeat of each mode is reported.  The counted pass runs the
+durable path under spies and reports what it did per record: payload
+decodes, polls (and polls that returned nothing), checkpoint commits, the
+partitions ``ready`` / ``total_lag`` / ``flush`` visited, and rollup cells
+copied per commit against cells the commit's applies touched; and the
+unbuffered path, for what a tick reads off the machine's timeline (one
+/proc snapshot per instant: no scalar ``integrate``, at most five batched
+reads per ``Pmcd.fetch``).
 
-Gates: the counts (= 1, = 0, ≤ touched; = 0, ≤ 5) and two absolute figures,
-*calibrated*: durable points/s, and what durable adds over unbuffered per
-record applied, ``(durable − unbuffered wall) / records``.  The ratio
-``durable ÷ unbuffered`` points/s is still reported beside its 0.3 floor,
-but no longer asserted: a ratio moves when the term both modes share
-shrinks (the engine write did: 0.43 → 0.36 here with nothing
-durable-specific changed, one run in six under the floor; PR 20 shrank the
-fetch both modes share, and the calibrated unbuffered points/s is recorded
-beside ``PARENT_UNBUFFERED`` so the fall reads as what it is).  This sandbox runs the same
-code 1.2–1.8× slower for minutes at a time (the parent's own tree misses
-its own committed raw figures by that much on a rerun), so each stretch of
+Gates: the counts (= 1, = 0, ≤ touched, ≤ ``MAX_PER_RECORD``; = 0, ≤ 5) and
+two absolute figures, *calibrated*: durable points/s, and what durable adds
+over unbuffered per record applied, ``(durable − unbuffered wall) /
+records``.  The per-record counts are seed-exact, so scaffolding put back
+on the durable path (a poll per partition, a flush of every partition)
+fails as a count before it shows as time.  This sandbox runs the same code
+1.2–1.8× slower for minutes at a time (the parent's own tree misses its
+own committed raw figures by that much on a rerun), so each stretch of
 wall time is scaled by ``benchmarks/e2e/run.py``'s in-run ``reference()``
 — what it would have taken with the reference at its nominal speed —
 and the budgets are the parent commit's figures measured that way by
@@ -40,7 +38,6 @@ this file (``PARENT``), each allowed to worsen by ``BOUND``, the bound
 from __future__ import annotations
 
 import importlib.util
-import statistics
 import time
 from pathlib import Path
 from unittest import mock
@@ -51,6 +48,7 @@ from repro.core.daemon import PMoVE
 from repro.db.influx import Point
 from repro.machine import SimulatedMachine, Timeline, get_preset
 from repro.pcp import CommitLog, Pmcd, RollupMaintainerConsumer
+from repro.pcp.commitlog import _Partition
 
 WINDOWS = 150
 COUNTED_WINDOWS = 40
@@ -59,24 +57,32 @@ SEED = 11
 HOST = "icl"
 FREQ_HZ = 2.0
 WINDOW_S = 2.0
-DURABLE_FLOOR = 0.3  # × unbuffered points/s: reported, not asserted
 CALIBRATE_EVERY = 10  # windows between two reference() readings
-#: The parent commit (PR 15) under this file, calibrated, best of REPEATS,
+#: The parent commit (fbbadff) under this file, calibrated, best of REPEATS,
 #: median of three runs: durable points/s and durable-minus-unbuffered µs
 #: per record applied, per shard count.
 PARENT = {
-    "1_shard": {"durable_points_per_s": 49_900.0, "durable_extra_us_per_record": 65.0},
-    "4_shard": {"durable_points_per_s": 49_300.0, "durable_extra_us_per_record": 63.9},
+    "1_shard": {"durable_points_per_s": 71_700.0, "durable_extra_us_per_record": 62.7},
+    "4_shard": {"durable_points_per_s": 67_000.0, "durable_extra_us_per_record": 64.8},
 }
 BOUND = 0.25
-#: Unbuffered points/s of PR 20's parent under this file, measured the same
-#: way.  Recorded beside this run's figure, not gated: ``BENCHMARK.json``'s
-#: ``live_unbuffered`` is where an ingest regression is refused.
-PARENT_UNBUFFERED = {"1_shard": 144_300.0, "4_shard": 141_600.0}
-RATIO_NOTE = (
-    "durable_over_unbuffered falls when the term both modes share shrinks "
-    "(PR 20: the fetch); reported beside its floor, not asserted -- the "
-    "gates are the counts and the calibrated absolute figures")
+#: Unbuffered points/s of the same parent runs.  Recorded beside this run's
+#: figure, not gated: ``BENCHMARK.json``'s ``live_unbuffered`` is where an
+#: ingest regression is refused.
+PARENT_UNBUFFERED = {"1_shard": 289_200.0, "4_shard": 257_600.0}
+#: Per record appended, over the counted windows (three consumer groups,
+#: 24 partitions of which 6 ever hold a series): what this file counted at
+#: the commit that set them, either shard count.  One poll and one commit
+#: per group, and only the partitions holding records visited — the parent
+#: walked every partition: 12.23 by ``ready``, 27.29 by ``total_lag``,
+#: 5.02 by ``flush``.
+MAX_PER_RECORD = {
+    "polls": 3.0,
+    "commits": 3.0,
+    "ready_partitions": 3.06,
+    "total_lag_partitions": 6.83,
+    "flush_partitions": 1.0,
+}
 MAX_BATCHED_READS_PER_TICK = 5
 
 _spec = importlib.util.spec_from_file_location(
@@ -137,9 +143,12 @@ def _count(shards: int) -> dict:
     commits: list[tuple[int, int, int]] = []  # (copied, touched, held)
     touched: dict[int, set[float]] = {}
     appended: list[int] = []  # lines per record
+    walks = dict.fromkeys(
+        ("commits", "ready_partitions", "total_lag_partitions", "flush_partitions"), 0)
     real_from_line = Point.from_line.__func__
     real_append = CommitLog.append
     real_poll = CommitLog.poll
+    real_commit_log = CommitLog.commit
     real_load = RollupMaintainerConsumer._load_state
     real_applied = RollupMaintainerConsumer._on_applied
     real_commit = RollupMaintainerConsumer._commit_state
@@ -156,6 +165,37 @@ def _count(shards: int) -> dict:
         records = real_poll(self, group, consumer, tp, max_records)
         polls.append(len(records))
         return records
+
+    def commit(self, *args, **kw):
+        walks["commits"] += 1
+        return real_commit_log(self, *args, **kw)
+
+    # a partition visited = one whose durable watermark the call reads
+    inside: list[set[int]] = []
+    watermark = _Partition.flushed
+
+    class Watermark:
+        def __get__(self, p, cls=None):
+            if p is None:
+                return self
+            if inside:
+                inside[-1].add(id(p))
+            return watermark.__get__(p, cls)
+
+        def __set__(self, p, value):
+            watermark.__set__(p, value)
+
+    def walking(name):
+        real = getattr(CommitLog, name)
+
+        def spy(self, *args, **kw):
+            inside.append(set())
+            try:
+                return real(self, *args, **kw)
+            finally:
+                walks[f"{name}_partitions"] += len(inside.pop())
+
+        return mock.patch.object(CommitLog, name, spy)
 
     def load_state(self, tp, cp):
         touched[id(self)] = set()
@@ -177,16 +217,24 @@ def _count(shards: int) -> dict:
     with mock.patch.object(Point, "from_line", classmethod(from_line)), \
             mock.patch.object(CommitLog, "append", append), \
             mock.patch.object(CommitLog, "poll", poll), \
+            mock.patch.object(CommitLog, "commit", commit), \
+            mock.patch.object(_Partition, "flushed", Watermark()), \
+            walking("ready"), walking("total_lag"), walking("flush"), \
             mock.patch.object(RollupMaintainerConsumer, "_load_state", load_state), \
             mock.patch.object(RollupMaintainerConsumer, "_on_applied", on_applied), \
             mock.patch.object(RollupMaintainerConsumer, "_commit_state", commit_state):
         run = _drive("durable", shards, COUNTED_WINDOWS)
     assert len(appended) == run["records_applied"]
+    records = len(appended)
     return {
         "windows": COUNTED_WINDOWS,
-        "records": len(appended),
+        "records": records,
         "decodes_per_record": len(decodes) / sum(appended),
         "polls": len(polls),
+        "per_record": {
+            "polls": len(polls) / records,
+            **{name: n / records for name, n in walks.items()},
+        },
         "empty_partition_polls": polls.count(0),
         "rollup_commits": len(commits),
         "cells_copied_per_commit": sum(c for c, _, _ in commits) / len(commits),
@@ -231,11 +279,9 @@ def _within_budget(got: dict, parent: dict) -> bool:
 
 def test_ingest_modes_like_for_like():
     modes: dict[str, dict] = {}
-    ratios: dict[str, float] = {}
     absolute: dict[str, dict] = {}
     for shards in (0, 4):
-        # one repeat = the three modes back to back, so the ratio compares
-        # runs that saw the machine in the same state
+        # one repeat = the three modes back to back
         repeats = [
             {mode: _drive(mode, shards, WINDOWS)
              for mode in ("unbuffered", "buffered", "durable")}
@@ -246,10 +292,6 @@ def test_ingest_modes_like_for_like():
             best = max((r[mode] for r in repeats), key=lambda r: r["points_per_s"])
             best["points_per_s_repeats"] = [r[mode]["points_per_s"] for r in repeats]
             modes[f"{mode}_{n}_shard"] = best
-        ratios[f"{n}_shard"] = statistics.median(
-            r["durable"]["points_per_s"] / r["unbuffered"]["points_per_s"]
-            for r in repeats
-        )
         # least disturbed repeat of each mode, at the reference's nominal speed
         cal = {mode: min(r[mode]["calibrated_wall_s"] for r in repeats)
                for mode in ("unbuffered", "durable")}
@@ -267,6 +309,7 @@ def test_ingest_modes_like_for_like():
         c["decodes_per_record"] == 1.0
         and c["empty_partition_polls"] == 0
         and c["commits_copying_more_than_touched"] == 0
+        and all(c["per_record"][k] <= MAX_PER_RECORD[k] for k in MAX_PER_RECORD)
         for c in counts.values()
     ) and tick["scalar_reads"] == 0 and (
         tick["batched_reads"] <= MAX_BATCHED_READS_PER_TICK * tick["ticks_fetched"])
@@ -279,15 +322,12 @@ def test_ingest_modes_like_for_like():
         "modes": modes,
         "durable_counts": counts,
         "unbuffered_tick_reads": tick,
-        "durable_over_unbuffered": ratios,
-        "durable_over_unbuffered_note": RATIO_NOTE,
         "calibrated": absolute,
         "gate": {
-            "durable_floor": DURABLE_FLOOR,
-            "ratio_above_floor": min(ratios.values()) >= DURABLE_FLOOR,
             "parent_calibrated": PARENT,
             "parent_unbuffered_points_per_s": PARENT_UNBUFFERED,
             "max_batched_reads_per_tick": MAX_BATCHED_READS_PER_TICK,
+            "max_per_record": MAX_PER_RECORD,
             "bound": BOUND,
             "passed": count_gates
             and all(_within_budget(absolute[n], PARENT[n]) for n in PARENT),
@@ -300,6 +340,8 @@ def test_ingest_modes_like_for_like():
         assert c["decodes_per_record"] == 1.0, (name, c)
         assert c["empty_partition_polls"] == 0, (name, c)
         assert c["commits_copying_more_than_touched"] == 0, (name, c)
+        for k, most in MAX_PER_RECORD.items():
+            assert c["per_record"][k] <= most, (name, k, c["per_record"])
     assert tick["scalar_reads"] == 0, tick
     assert tick["batched_reads"] <= MAX_BATCHED_READS_PER_TICK * tick["ticks_fetched"], tick
     for name, parent in PARENT.items():

@@ -153,6 +153,33 @@ def _split_pair(kv: str) -> tuple[str, str]:
     return k, "=".join(rest)
 
 
+def _ns(t: float) -> int:
+    """Whole nanoseconds nearest ``t`` seconds:
+    ``floor(t) * 10**9 + round((t - floor(t)) * 1e9)``.
+
+    The whole seconds and the fraction are converted apart: both are exact
+    in a double, so only the fraction's product is rounded, once.
+    ``int(t * 1e9)`` truncated that product's rounding error instead
+    (4.1 s became 4 099 999 999 ns).  A product that comes out whole and
+    below 2**52 in magnitude is within a quarter of the exact one, so it
+    is the answer already; every dyadic tick time takes that way.
+    """
+    p = t * 1e9
+    n = int(p)
+    if n == p and -2.0**52 < p < 2.0**52:  # doubles there are 1/2 apart at most
+        return n
+    s = math.floor(t)
+    return s * 1_000_000_000 + round((t - s) * 1e9)
+
+
+#: Per series (measurement, tag items and field names, in the point's own
+#: order): the escaped ``measurement,tags `` head of its line and its
+#: ``(escaped name=, name)`` field pairs in key order.  Telemetry repeats
+#: a few series millions of times; the memo is emptied when it fills.
+_LINE_PARTS: dict[tuple, tuple[str, tuple[tuple[str, str], ...]]] = {}
+_LINE_PARTS_CAP = 4096
+
+
 def _parse_field_value(v: str) -> float:
     """Parse one line-protocol field value.
 
@@ -186,18 +213,34 @@ class Point:
         """Serialize to Influx line protocol (ns timestamp, float fields).
 
         ``from_line(p.to_line()) == p`` for every point this returns a line
-        for.  A name no single line can carry is refused: a line break
-        anywhere (batches are cut into lines before they are parsed),
-        leading whitespace on the measurement (parsers strip the line), or
-        a leading ``#`` on it (the line would read as a comment).
+        for whose time is the double nearest a whole nanosecond (any other
+        time comes back as the nearest such double).  A name no single line
+        can carry is refused: a line break anywhere (batches are cut into
+        lines before they are parsed), leading whitespace on the
+        measurement (parsers strip the line), or a leading ``#`` on it (the
+        line would read as a comment).
         """
+        fields = self.fields
+        series = (self.measurement, *self.tags.items(), *fields)
+        parts = _LINE_PARTS.get(series)
+        if parts is None:
+            parts = self._line_parts()
+            if len(_LINE_PARTS) >= _LINE_PARTS_CAP:
+                _LINE_PARTS.clear()
+            _LINE_PARTS[series] = parts
+        head, names = parts
+        text = ",".join([f"{n}{fields[k]!r}" for n, k in names])
+        return f"{head}{text} {_ns(self.time)}"
+
+    def _line_parts(self) -> tuple[str, tuple[tuple[str, str], ...]]:
+        """The series' share of :meth:`to_line`, checked: what the memo holds."""
         key = _escape(self.measurement)
         if self.tags:
             key += "," + ",".join(
                 f"{_escape(k)}={_escape(v)}" for k, v in sorted(self.tags.items())
             )
-        fields = ",".join(f"{_escape(k)}={v!r}" for k, v in sorted(self.fields.items()))
-        line = f"{key} {fields} {int(self.time * 1e9)}"
+        names = tuple((f"{_escape(k)}=", k) for k in sorted(self.fields))
+        line = f"{key} {','.join(n for n, _ in names)}"
         if _LINE_BREAK_RE.search(line) or key[0].isspace():
             raise InfluxError(
                 f"line break or leading whitespace in a name of {line!r}; "
@@ -208,33 +251,56 @@ class Point:
                 f"measurement of {line!r} starts with '#': a batch parser "
                 "would skip the line as a comment"
             )
-        return line
+        return key + " ", names
 
     @classmethod
     def from_line(cls, line: str) -> "Point":
-        """Parse one line-protocol record."""
-        parts = _split_unescaped(line.strip(), " ")
-        parts = [p for p in parts if p != ""]
+        """Parse one line-protocol record.
+
+        The time is ``ns / 10**9``, which Python rounds correctly: the
+        double nearest the nanosecond count :meth:`to_line` wrote.
+        """
+        escaped = "\\" in line
+        if escaped:
+            parts = _split_unescaped(line.strip(), " ")
+        else:
+            parts = line.strip().split(" ")
+        if "" in parts:
+            parts = [p for p in parts if p != ""]
         if len(parts) < 2:
             raise InfluxError(f"malformed line protocol: {line!r}")
-        key = parts[0]
-        field_part = parts[1]
-        ts = int(parts[2]) / 1e9 if len(parts) > 2 else 0.0
-        key_parts = _split_unescaped(key, ",")
-        measurement = _unescape(key_parts[0])
+        ts = int(parts[2]) / 1_000_000_000 if len(parts) > 2 else 0.0
         tags: dict[str, str] = {}
+        fields: dict[str, float] = {}
+        if not escaped:  # nothing to unescape: cut at the first '=' as it is
+            measurement, *pairs = parts[0].split(",")
+            for kv in pairs:
+                k, _, v = kv.partition("=")
+                if not k or not v:
+                    raise InfluxError(f"malformed tag {kv!r}")
+                tags[k] = v
+            for kv in parts[1].split(","):
+                k, _, v = kv.partition("=")
+                if not k or v == "":
+                    raise InfluxError(f"malformed field {kv!r}")
+                try:
+                    fields[k] = float(v)  # no float literal ends in 'i'
+                except ValueError:
+                    fields[k] = _parse_field_value(v)
+            return cls(measurement, tags, fields, ts)
+        key_parts = _split_unescaped(parts[0], ",")
+        measurement = _unescape(key_parts[0])
         for kv in key_parts[1:]:
             k, v = _split_pair(kv)
             if not k or not v:
                 raise InfluxError(f"malformed tag {kv!r}")
             tags[_unescape(k)] = _unescape(v)
-        fields: dict[str, float] = {}
-        for kv in _split_unescaped(field_part, ","):
+        for kv in _split_unescaped(parts[1], ","):
             k, v = _split_pair(kv)
             if not k or v == "":
                 raise InfluxError(f"malformed field {kv!r}")
             fields[_unescape(k)] = _parse_field_value(v)
-        return cls(measurement=measurement, tags=tags, fields=fields, time=ts)
+        return cls(measurement, tags, fields, ts)
 
 
 @dataclass
@@ -1014,7 +1080,7 @@ class InfluxDB:
             s.key_len
             + sum(_esc_len(k) + 1 + len(repr(v)) for k, v in point.fields.items())
             + (nf - 1)
-            + len(str(int(point.time * 1e9)))
+            + len(str(_ns(time)))
             + 3  # two separating spaces + trailing newline
         )
 

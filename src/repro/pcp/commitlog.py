@@ -25,7 +25,10 @@ substrate production ODA pipelines sit on — a Kafka-shaped commit log:
   over the sorted partition list), poll at their own pace, and commit
   :class:`Checkpoint` s — ``(next offset, applied seq, optional state
   blob)`` — atomically to the :class:`CheckpointStore` (the in-process
-  model of ``__consumer_offsets``).  Membership changes (crash, rejoin)
+  model of ``__consumer_offsets``).  Flushes, lag sums and ready-partition
+  walks visit only the partitions that hold records: a series lands on
+  one partition of its topic, so most partitions never see one.
+  Membership changes (crash, rejoin)
   rebalance assignments and reset read positions to the committed
   checkpoints, which is what makes replay-from-checkpoint the *only*
   recovery path;
@@ -42,9 +45,9 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.db.influx import Point
 from repro.db.sharded import HashRing, series_key
@@ -62,7 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogRecord:
     """One report's points for one (topic, partition), in line protocol.
 
@@ -71,6 +74,9 @@ class LogRecord:
     after a truncation or a DLQ requeue).  ``report_id``/``report_records``
     tie the record back to the sampler report it was split from, so the
     DB writer can account whole reports for Table III.
+
+    Never edited once appended (a re-append is a ``replace`` copy); not
+    frozen only because a frozen ``__init__`` costs four times as much.
     """
 
     topic: str
@@ -106,12 +112,11 @@ class LogRecord:
         """
         pts = self._decoded
         if pts is None:
-            pts = [
+            pts = self._decoded = [
                 Point.from_line(line)
                 for line in self.lines.splitlines()
                 if line.strip()
             ]
-            object.__setattr__(self, "_decoded", pts)
         return pts
 
 
@@ -178,6 +183,11 @@ class _Partition:
 
     def _range(self, start: int, stop: int) -> list[LogRecord]:
         """Records in ``[start, stop)``; ``start`` is not below the log start."""
+        if start >= stop:
+            return []
+        seg = self.segments[-1]
+        if start >= seg.base_offset:  # a caught-up reader: the tail segment
+            return seg.records[start - seg.base_offset:stop - seg.base_offset]
         out: list[LogRecord] = []
         o = start
         while o < stop:
@@ -224,7 +234,7 @@ class _Partition:
         is visited once, the walk resumes where the last one stopped."""
         if upto > self.released:
             for rec in self._range(max(self.released, self.start_offset), upto):
-                object.__setattr__(rec, "_decoded", None)
+                rec._decoded = None
             self.released = upto
 
     def trim(self, upto: int) -> int:
@@ -240,15 +250,15 @@ class _Partition:
         return reclaimed
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """Committed progress of one (group, topic, partition).
 
     ``offset`` is the next record to read, ``applied_seq`` the highest
     sequence number whose effects are durable in the consumer's sink, and
     ``state`` an opaque blob committed *atomically* with the offset — the
     exactly-once trick the rollup maintainer uses (its accumulator never
-    drifts from its offset).
+    drifts from its offset).  A plain tuple: every consumer commits one
+    per record it reads.
     """
 
     offset: int = 0
@@ -279,7 +289,10 @@ class CheckpointStore:
         applied_seq: int,
         state: Any = None,
     ) -> None:
-        self._docs.setdefault(group, {})[tp] = Checkpoint(offset, applied_seq, state)
+        docs = self._docs.get(group)
+        if docs is None:
+            docs = self._docs[group] = {}
+        docs[tp] = Checkpoint(offset, applied_seq, state)
         self.commits += 1
 
     def committed_offset(self, group: str, tp: tuple[str, int]) -> int:
@@ -327,10 +340,12 @@ class DeadLetter:
 
 
 class DeadLetterQueue:
-    """Per-group parking lot for records a consumer could not apply."""
+    """Per-group parking lot for records a consumer could not apply:
+    ``entries`` in parking order, their ``(group, seq)`` indexed beside."""
 
     def __init__(self) -> None:
         self.entries: list[DeadLetter] = []
+        self._parked: set[tuple[str, int]] = set()
         self.parked_total = 0
         self.requeued_total = 0
 
@@ -352,9 +367,10 @@ class DeadLetterQueue:
         record, crashed before committing, and replays the batch must not
         grow the DLQ a second time.
         """
-        for e in self.entries:
-            if e.group == group and e.record.seq == record.seq:
-                return None
+        key = (group, record.seq)
+        if key in self._parked:
+            return None
+        self._parked.add(key)
         letter = DeadLetter(group, record, reason, error, attempts, t)
         self.entries.append(letter)
         self.parked_total += 1
@@ -371,14 +387,18 @@ class DeadLetterQueue:
         the record gets applied both by the replay (after the fault heals)
         and by the eventual requeue under a fresh seq, defeating every
         idempotence gate."""
-        return any(
-            e.group == group and e.record.seq == seq for e in self.entries
-        )
+        return (group, seq) in self._parked
 
     def take(self, group: str | None = None) -> list[DeadLetter]:
-        """Remove and return parked entries (all groups if None)."""
-        taken = [e for e in self.entries if group is None or e.group == group]
-        self.entries = [e for e in self.entries if e not in taken]
+        """Remove and return parked entries (all groups if None), in
+        parking order."""
+        if group is None:
+            taken, self.entries = self.entries, []
+        else:
+            taken = [e for e in self.entries if e.group == group]
+            self.entries = [e for e in self.entries if e.group != group]
+        for e in taken:
+            self._parked.discard((e.group, e.record.seq))
         return taken
 
     def summary(self, by: str = "group") -> dict[str, int]:
@@ -419,9 +439,14 @@ class CommitLog:
         self.now = 0.0
 
         self._topics: dict[str, list[_Partition]] = {}
+        #: Partitions with a flushed record, in (topic, partition) order.
+        self._held: list[_Partition] = []
+        #: Partitions appended to since their last flush.
+        self._unflushed: set[_Partition] = set()
         self._seq = 0
         self._report_seq = 0
-        self._placement: dict[tuple[str, tuple], int] = {}
+        #: (topic, tag items in the caller's order) → partition
+        self._placement: dict[tuple, int] = {}
         self._applied_truncations: set[int] = set()
 
         # Group coordination.
@@ -429,10 +454,9 @@ class CommitLog:
         self._generations: dict[str, int] = {}
         #: group → (topic, partition) → next offset to hand out
         self._positions: dict[str, dict[tuple[str, int], int]] = {}
-        #: (group, consumer) → (generation, topic count, assignment)
-        self._assignments: dict[
-            tuple[str, str], tuple[int, int, list[tuple[str, int]]]
-        ] = {}
+        #: (group, consumer) → (generation, topic count, assignment, as a set)
+        self._assignments: dict[tuple[str, str], tuple[
+            int, int, list[tuple[str, int]], frozenset[tuple[str, int]]]] = {}
         self.rebalances = 0
 
         # Observability.
@@ -456,10 +480,8 @@ class CommitLog:
 
     def _truncate(self, topic: str | None) -> int:
         lost = 0
-        for name, parts in self._topics.items():
-            if topic is not None and name != topic:
-                continue
-            for p in parts:
+        for p in self._unflushed:  # no other partition has a tail to lose
+            if topic is None or p.topic == topic:
                 lost += len(p.truncate_to_flushed())
         self.truncated_records += lost
         return lost
@@ -481,13 +503,11 @@ class CommitLog:
 
     def partition_for(self, topic: str, tags: dict[str, str]) -> int:
         """PR 6 placement: consistent-hash the series key over partitions."""
-        tagkey = tuple(sorted(tags.items()))
-        k = (topic, tagkey)
+        k = (topic, *tags.items())
         p = self._placement.get(k)
         if p is None:
-            p = self._placement[k] = int(
-                self.ring.place(series_key(topic, tagkey))[1:]
-            )
+            key = series_key(topic, tuple(sorted(tags.items())))
+            p = self._placement[k] = int(self.ring.place(key)[1:])
         return p
 
     def next_seq(self) -> int:
@@ -513,23 +533,16 @@ class CommitLog:
         report_records: int = 1,
     ) -> LogRecord:
         p = self._topic(topic)[partition]
-        rec = LogRecord(
-            topic=topic,
-            partition=partition,
-            offset=p.next_offset,
-            seq=seq,
-            time=time,
-            produced_at=self.now,
-            lines=lines,
-            n_fields=n_fields,
-            tag=tag,
-            is_zero=is_zero,
-            report_id=report_id,
-            report_records=report_records,
-        )
-        p.append(rec)
-        self.appended_records += 1
+        rec = LogRecord(topic, partition, p.next_offset, seq, time, self.now, lines,
+                        n_fields, tag, is_zero, report_id, report_records)
+        self._put(p, rec)
         return rec
+
+    def _put(self, p: _Partition, rec: LogRecord) -> None:
+        """Append ``rec`` (its offset already ``p.next_offset``), unflushed."""
+        p.append(rec)
+        self._unflushed.add(p)
+        self.appended_records += 1
 
     def has_record(self, rec: LogRecord) -> bool:
         """Is this exact (offset, seq) still in the log?  Truncation probe."""
@@ -544,11 +557,12 @@ class CommitLog:
     def flush(self, topic: str | None = None) -> int:
         """fsync: advance the durable high-watermark; returns records flushed."""
         n = 0
-        for name, parts in self._topics.items():
-            if topic is not None and name != topic:
-                continue
-            for p in parts:
-                n += p.flush()
+        for p in [p for p in self._unflushed if topic is None or p.topic == topic]:
+            self._unflushed.discard(p)
+            held = p.flushed
+            n += p.flush()
+            if not held and p.flushed:
+                insort(self._held, p, key=lambda q: q.tp)
         self.flushed_records += n
         return n
 
@@ -601,16 +615,21 @@ class CommitLog:
         counts its membership changes, topics are never dropped).  The
         list is the cached one: read it, do not edit it.
         """
+        return self._assigned(group, consumer)[2]
+
+    def _assigned(self, group: str, consumer: str):
+        """Cached ``(generation, topic count, assignment, as a set)``."""
         generation, n_topics = self._generations.get(group, 0), len(self._topics)
         cached = self._assignments.get((group, consumer))
         if cached is not None and cached[0] == generation and cached[1] == n_topics:
-            return cached[2]
+            return cached
         members = self._members.get(group, [])
         mine: list[tuple[str, int]] = []
         if consumer in members:
             mine = self.all_partitions()[members.index(consumer) :: len(members)]
-        self._assignments[(group, consumer)] = (generation, n_topics, mine)
-        return mine
+        cached = self._assignments[(group, consumer)] = (
+            generation, n_topics, mine, frozenset(mine))
+        return cached
 
     def ready(self, group: str, consumer: str) -> list[tuple[str, int]]:
         """The assigned partitions :meth:`poll` would return records from,
@@ -619,15 +638,16 @@ class CommitLog:
         A poll of any other partition is a no-op — nothing read, nothing
         committed, no virtual time spent — so a consumer that walks only
         these reaches each of them at the instant a walk of its whole
-        assignment would.
+        assignment would.  Only partitions holding records are visited:
+        they are kept in (topic, partition) order, the assignment's.
         """
-        topics = self._topics
+        mine = self._assigned(group, consumer)[3]
         positions = self._positions.get(group) or {}
         committed = self.checkpoints.for_group(group)
         out = []
-        for tp in self.assignment(group, consumer):
-            p = topics[tp[0]][tp[1]]
-            if p.flushed:  # most partitions of a topic never see a series
+        for p in self._held:
+            tp = p.tp
+            if tp in mine:
                 pos = positions.get(tp)
                 if pos is None:
                     pos = committed.get(tp, _NO_CHECKPOINT).offset
@@ -647,11 +667,13 @@ class CommitLog:
         The position starts at the committed checkpoint and advances as
         records are handed out; rebalances reset it to the checkpoint.
         """
-        if consumer not in self._members.get(group, []):
+        if consumer not in self._members.get(group, ()):
             return []
         topic, part = tp
         p = self._topic(topic)[part]
-        positions = self._positions.setdefault(group, {})
+        positions = self._positions.get(group)
+        if positions is None:
+            positions = self._positions[group] = {}
         pos = positions.get(tp)
         if pos is None:
             pos = self.checkpoints.committed_offset(group, tp)
@@ -695,12 +717,13 @@ class CommitLog:
 
     def total_lag(self, group: str) -> int:
         committed = self.checkpoints.for_group(group)
-        return sum(
-            max(0, p.flushed - committed.get(p.tp, _NO_CHECKPOINT).offset)
-            for parts in self._topics.values()
-            for p in parts
-            if p.flushed
-        )
+        lag = 0
+        for p in self._held:
+            cp = committed.get(p.tp)
+            n = p.flushed - cp.offset if cp is not None else p.flushed
+            if n > 0:
+                lag += n
+        return lag
 
     # ------------------------------------------------------------------
     # Dead-letter queue
@@ -729,15 +752,9 @@ class CommitLog:
         touched: set[str] = set()
         for letter in taken:
             r = letter.record
-            rec = replace(
-                r,
-                offset=self._topic(r.topic)[r.partition].next_offset,
-                seq=self.next_seq(),
-                produced_at=self.now,
-                for_group=letter.group,
-            )
-            self._topic(r.topic)[r.partition].append(rec)
-            self.appended_records += 1
+            p = self._topic(r.topic)[r.partition]
+            self._put(p, replace(r, offset=p.next_offset, seq=self.next_seq(),
+                                 produced_at=self.now, for_group=letter.group))
             touched.add(r.topic)
         for topic in touched:
             self.flush(topic)
@@ -784,17 +801,13 @@ class CommitLog:
             return 0
         committed = [self.checkpoints.for_group(g) for g in groups]
         reclaimed = 0
-        for parts in self._topics.values():
-            for p in parts:
-                if p.flushed:
-                    floor = min(
-                        docs.get(p.tp, _NO_CHECKPOINT).offset for docs in committed
-                    )
-                    floor = min(floor, p.flushed)
-                    # Every listed group is past these: nobody decodes them
-                    # again, so the shared decode goes before the segment.
-                    p.release_decoded(floor)
-                    reclaimed += p.trim(floor)
+        for p in self._held:
+            floor = min(docs.get(p.tp, _NO_CHECKPOINT).offset for docs in committed)
+            floor = min(floor, p.flushed)
+            # Every listed group is past these: nobody decodes them again,
+            # so the shared decode goes before the segment.
+            p.release_decoded(floor)
+            reclaimed += p.trim(floor)
         self.trimmed_records += reclaimed
         return reclaimed
 
@@ -868,8 +881,7 @@ class LogProducer:
                 continue
             p = self.log._topic(rec.topic)[rec.partition]
             fresh = replace(rec, offset=p.next_offset, produced_at=self.log.now)
-            p.append(fresh)
-            self.log.appended_records += 1
+            self.log._put(p, fresh)
             self._unacked[i] = fresh
             self.resent_records += 1
 
@@ -882,34 +894,31 @@ class LogProducer:
         is_zero: bool = False,
     ) -> list[LogRecord]:
         """Split one report's point batch into records and append them."""
-        self.log.at(t)
+        log = self.log
+        log.at(t)
         self._reconcile()
+        place = log.partition_for
         groups: dict[tuple[str, int], list[Point]] = {}
         for p in batch:
-            key = (p.measurement, self.log.partition_for(p.measurement, p.tags))
-            groups.setdefault(key, []).append(p)
-        report_id = self.log.next_report_id()
+            m = p.measurement
+            groups.setdefault((m, place(m, p.tags)), []).append(p)
+        report_id = log.next_report_id()
         records: list[LogRecord] = []
-        for (topic, partition) in sorted(groups):
-            pts = groups[(topic, partition)]
-            records.append(
-                self.log.append(
-                    topic,
-                    partition,
-                    seq=self.log.next_seq(),
-                    time=report_time,
-                    lines="\n".join(p.to_line() for p in pts),
-                    n_fields=sum(len(p.fields) for p in pts),
-                    tag=tag,
-                    is_zero=is_zero,
-                    report_id=report_id,
-                    report_records=len(groups),
-                )
-            )
+        n_points = 0
+        for key in sorted(groups):
+            pts = groups[key]
+            n_fields = sum([len(p.fields) for p in pts])
+            n_points += n_fields
+            records.append(log.append(
+                key[0], key[1], seq=log.next_seq(), time=report_time,
+                lines="\n".join([p.to_line() for p in pts]), n_fields=n_fields,
+                tag=tag, is_zero=is_zero, report_id=report_id,
+                report_records=len(groups),
+            ))
         self._unacked.extend(records)
         self.produced_reports += 1
         self.produced_records += len(records)
-        self.produced_points += sum(r.n_fields for r in records)
+        self.produced_points += n_points
         self._reports_since_flush += 1
         if self._reports_since_flush >= self.fsync_every_reports:
             self.flush(t)

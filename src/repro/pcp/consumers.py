@@ -120,7 +120,6 @@ class LogConsumer:
         self.breaker = breaker or CircuitBreaker(5, 1.0)
         self._rng = np.random.default_rng(seed)
         self.next_poll_t = 0.0
-        self._last_apply_error = ("", 0)
         log.join(self.group, self.cid)
 
         self.polled_records = 0
@@ -172,25 +171,26 @@ class LogConsumer:
     def _consume_tp(
         self, tp: tuple[str, int], t: float, alive: Callable[[float], bool]
     ) -> tuple[float, bool]:
-        log = self.log
-        cp = log.committed(self.group, tp)
-        records = log.poll(self.group, self.cid, tp, self.max_poll_records)
+        log, group = self.log, self.group
+        cp = log.committed(group, tp)
+        records = log.poll(group, self.cid, tp, self.max_poll_records)
         if not records:
             return t, False
         self._load_state(tp, cp)
         applied_seq = cp.applied_seq
-        next_offset = cp.offset
+        commit_every = self.commit_every
         n_since = 0
         for rec in records:
             if not alive(t):
                 self.interruptions += 1
                 return t, True
             self.polled_records += 1
-            if rec.for_group is not None and rec.for_group != self.group:
+            seq = rec.seq
+            if rec.for_group is not None and rec.for_group != group:
                 self.filtered_records += 1  # another group's DLQ redelivery
-            elif rec.seq <= applied_seq:
+            elif seq <= applied_seq:
                 self.duplicate_records += 1
-            elif log.dlq.is_parked(self.group, rec.seq):
+            elif log.dlq.is_parked(group, seq):
                 # Crash-replay of a record this group already parked: the
                 # DLQ owns it now.  Re-attempting here could *succeed*
                 # (the fault healed) and the later requeue — under a
@@ -198,75 +198,67 @@ class LogConsumer:
                 # it a second time.
                 self.replayed_parked_records += 1
             else:
-                done, t, interrupted = self._handle(rec, t, alive)
+                t, interrupted = self._handle(rec, t, alive)
                 if interrupted:
                     return t, True
-                applied_seq = max(applied_seq, rec.seq)
-            next_offset = rec.offset + 1
+                applied_seq = seq  # above applied_seq: the gate let it in
             n_since += 1
-            if n_since >= self.commit_every:
-                log.commit(self.group, tp, next_offset, applied_seq,
+            if n_since >= commit_every:
+                log.commit(group, tp, rec.offset + 1, applied_seq,
                            self._commit_state(tp))
                 n_since = 0
         if n_since:
-            log.commit(self.group, tp, next_offset, applied_seq,
+            log.commit(group, tp, records[-1].offset + 1, applied_seq,
                        self._commit_state(tp))
         return t, False
 
     def _handle(
         self, rec: LogRecord, t: float, alive: Callable[[float], bool]
-    ) -> tuple[bool, float, bool]:
-        """Process one non-gated record → (visible effect?, t, interrupted)."""
+    ) -> tuple[float, bool]:
+        """Process one non-gated record, the consumer alive at ``t`` →
+        (t, interrupted): parse (poison parks), sink gate, then apply with
+        backoff behind the breaker until it lands or the attempt budget is
+        spent (the record parks)."""
         try:
             pts = rec.points()
         except (InfluxError, ValueError) as e:
             self.log.park(self.group, rec, "parse-error", str(e), 0)
             self.parked_records += 1
-            return False, t, False
+            return t, False
         if self._sink_applied(rec, pts):
             self.duplicate_records += 1
-            return False, t, False
-        ok, t = self._apply_with_retry(rec, pts, t, alive)
-        if ok is None:
-            return False, t, True
-        if ok:
-            self.applied_records += 1
-            self.applied_points += rec.n_fields
-            self.max_staleness_s = max(self.max_staleness_s, t - rec.time)
-            self._on_applied(rec, pts, t)
-            return True, t, False
-        error, attempts = self._last_apply_error
-        self.log.park(self.group, rec, "apply-error", error, attempts)
-        self.parked_records += 1
-        return False, t, False
-
-    def _apply_with_retry(
-        self, rec: LogRecord, pts: list[Point], t: float,
-        alive: Callable[[float], bool],
-    ) -> tuple[bool | None, float]:
-        """Apply with backoff behind the breaker; None = crashed mid-retry."""
+            return t, False
+        breaker = self.breaker
         attempts = 0
         prev_sleep = 0.0
+        probed = t
         while True:
-            start = self.breaker.earliest_attempt(t)
-            if not alive(start):
-                return None, start
-            self.breaker.on_attempt(start)
+            start = breaker.earliest_attempt(t)
+            if start != probed and not alive(start):
+                return start, True
+            breaker.on_attempt(start)
             t_done = start + self.apply_cost_s(rec, start)
             attempts += 1
             try:
                 self.apply(rec, pts, t_done)
             except (ApplyError, ServiceUnavailable) as e:
                 self.apply_failures += 1
-                self.breaker.record_failure(t_done)
+                breaker.record_failure(t_done)
                 if attempts >= self.max_apply_attempts:
-                    self._last_apply_error = (str(e), attempts)
-                    return False, t_done
+                    self.log.park(self.group, rec, "apply-error", str(e), attempts)
+                    self.parked_records += 1
+                    return t_done, False
                 prev_sleep = self.retry.next_sleep(prev_sleep, self._rng)
                 t = t_done + prev_sleep
                 continue
-            self.breaker.record_success(t_done)
-            return True, t_done
+            breaker.record_success(t_done)
+            break
+        self.applied_records += 1
+        self.applied_points += rec.n_fields
+        if t_done - rec.time > self.max_staleness_s:
+            self.max_staleness_s = t_done - rec.time
+        self._on_applied(rec, pts, t_done)
+        return t_done, False
 
 
 class ReportTracker:
@@ -536,15 +528,14 @@ class IngestPipeline:
     def _step_next(self, until: float) -> bool:
         """Run the earliest pending poll before ``until``; False if none."""
         best: LogConsumer | None = None
-        for c in self.consumers:
-            if c.next_poll_t < until and (
-                best is None
-                or (c.next_poll_t, c.cid) < (best.next_poll_t, best.cid)
-            ):
-                best = c
+        t = until
+        for c in self.consumers:  # earliest poll before ``until``, then by id
+            ct = c.next_poll_t
+            if ct < t or (ct == t and best is not None and c.cid < best.cid):
+                best, t = c, ct
         if best is None:
             return False
-        c, t = best, best.next_poll_t
+        c = best
         key = (c.group, c.cid)
         if self.faults.crashed(c.group, c.cid, t):
             if self._present.get(key, True):

@@ -6,6 +6,8 @@ dead-letter queue — plus the idempotence gates on a small end-to-end
 pipeline.  The full fault matrix lives in ``test_commitlog_chaos.py``.
 """
 
+import random
+
 import pytest
 
 from repro.db import InfluxDB, Point
@@ -20,6 +22,7 @@ from repro.pcp import (
     ReportTracker,
     RollupMaintainerConsumer,
 )
+from repro.pcp.commitlog import DeadLetter, DeadLetterQueue, LogRecord
 
 
 def pts(topic, n, t0=0.0, tag="t", host="h0"):
@@ -233,6 +236,54 @@ class TestDeadLetterQueue:
         (d,) = log.dlq.to_dicts()
         assert d["group"] == "g" and d["topic"] == "m0"
         assert d["seq"] == rec.seq and d["reason"] == "parse-error"
+
+    @pytest.mark.parametrize("n_ops", [300, pytest.param(2000, marks=pytest.mark.chaos)])
+    def test_the_index_answers_what_a_list_scan_answers(self, n_ops):
+        """Parks, crash redeliveries (the same group and seq parked again)
+        and requeues of one group or of all, against :class:`ListScanDLQ`:
+        the same parks refused, the same letters taken in the same order,
+        the same entries, counts and artifact left behind."""
+        rng = random.Random(n_ops)
+        records = [LogRecord("m0", 0, k, k, 0.0, 0.0, "x", 1, "t") for k in range(60)]
+        groups = ["db-writer", "rollup", "anomaly"]
+        dlq, oracle = DeadLetterQueue(), ListScanDLQ()
+        for i in range(n_ops):
+            group = rng.choice(groups)
+            if rng.random() < 0.8:
+                letter = (group, rng.choice(records),
+                          rng.choice(["parse-error", "apply-error"]), "e", 1, float(i))
+                assert (dlq.park(*letter) is None) == (oracle.park(*letter) is None)
+            else:
+                whom = group if rng.random() < 0.7 else None
+                assert dlq.take(whom) == oracle.take(whom)
+            assert dlq.entries == oracle.entries
+            seq = rng.choice(records).seq
+            assert [dlq.is_parked(g, seq) for g in groups] == [
+                oracle.is_parked(g, seq) for g in groups]
+        assert dlq.parked_total == oracle.parked_total
+        assert dlq.summary() == oracle.summary() and dlq.to_dicts() == oracle.to_dicts()
+        assert dlq.summary("reason") == oracle.summary("reason")
+
+
+class ListScanDLQ(DeadLetterQueue):
+    """The dead-letter queue as it was before its index: every lookup
+    scans the entries."""
+
+    def park(self, group, record, reason, error, attempts, t):
+        if self.is_parked(group, record.seq):
+            return None
+        letter = DeadLetter(group, record, reason, error, attempts, t)
+        self.entries.append(letter)
+        self.parked_total += 1
+        return letter
+
+    def is_parked(self, group, seq):
+        return any(e.group == group and e.record.seq == seq for e in self.entries)
+
+    def take(self, group=None):
+        taken = [e for e in self.entries if group is None or e.group == group]
+        self.entries = [e for e in self.entries if e not in taken]
+        return taken
 
 
 class TestPipelineEndToEnd:

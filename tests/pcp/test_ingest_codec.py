@@ -1,15 +1,19 @@
 """The line-protocol codec every durable record and WAL entry goes through.
 
-Two things are pinned here.  The early-outs inside ``_split_unescaped`` /
+Three things are pinned here.  The early-outs inside ``_split_unescaped`` /
 ``_unescape`` / ``_escape`` (``str.split`` or identity when a token holds
 nothing to escape) answer exactly what the character walk and the regex
 answer — those stay in this file as the references, and ``from_line`` is
 compared with a parser built from them, exception type and message
-included.  And a point either survives ``to_line`` → ``from_line``
+included.  A point either survives ``to_line`` → ``from_line``
 unchanged or is refused with ``InfluxError``: never a different point.
+And its time travels as the nanosecond nearest it, and comes back as the
+double nearest that nanosecond.
 """
 
+import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.db.influx import (
     InfluxDB,
+    _LINE_PARTS,
+    _LINE_PARTS_CAP,
     InfluxError,
     Point,
     _esc_len,
@@ -26,6 +32,7 @@ from repro.db.influx import (
     _split_unescaped,
     _unescape,
 )
+from repro.db.influxql import execute
 from repro.pcp import CommitLog, LogProducer
 
 # ----------------------------------------------------------------------
@@ -75,7 +82,7 @@ def from_line_ref(line):
     parts = [p for p in split_ref(line.strip(), " ") if p != ""]
     if len(parts) < 2:
         raise InfluxError(f"malformed line protocol: {line!r}")
-    ts = int(parts[2]) / 1e9 if len(parts) > 2 else 0.0
+    ts = int(parts[2]) / 10**9 if len(parts) > 2 else 0.0
     key_parts = split_ref(parts[0], ",")
     tags = {}
     for kv in key_parts[1:]:
@@ -105,6 +112,43 @@ def outcome(fn, *args):
 tokens = st.text(alphabet="ab,= \\1.", max_size=12)
 #: whole lines: the same alphabet plus the shapes a number can take
 lines = st.text(alphabet="mv,= \\01.i-e\t", max_size=24)
+
+
+def _near_line(lead, measurement, tags, fields, ts, extra, seps, trail):
+    sep = iter(seps * 4)
+    line = lead + measurement + "".join(f",{k}={v}" for k, v in tags)
+    line += next(sep) + ",".join(f"{k}={v}" for k, v in fields)
+    for part in [ts, *extra]:
+        line += next(sep) + part
+    return line + trail
+
+
+#: backslash-free lines a few characters from valid, where the decode's
+#: early-out runs: empty tag values, '=' inside values, more than three
+#: parts, leading / trailing / doubled spaces and tabs, 'i'-suffixed
+#: integers, nan and inf
+_name = st.text(alphabet="ab=", max_size=3)
+_value = st.sampled_from([
+    "1", "-2.5", "3e2", "42i", "-7i", "4.5i", "i", "nan", "inf", "-inf", "NaN",
+    "Infinity", "", "1=2", "x", "1_0",
+])
+near_lines = st.builds(
+    _near_line,
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.text(alphabet="m=", max_size=3),
+    st.lists(st.tuples(_name, _name), max_size=3),
+    st.lists(st.tuples(_name, _value), min_size=1, max_size=3),
+    st.sampled_from(["", "0", "12500000000", "-5", "1.5", "1700000000250000000"]),
+    st.lists(st.sampled_from(["", "x", "7", "="]), max_size=2),
+    st.lists(st.sampled_from([" ", "  ", "\t", " \t"]), min_size=1, max_size=3),
+    st.sampled_from(["", " ", "\t", " \n"]),
+)
+
+
+def canonical(result):
+    """An outcome with a parsed point as its repr (NaN fields compare)."""
+    return (result[0], repr(result[1])) if result[0] == "ok" else result
+
 
 MALFORMED = [
     "only_measurement_no_fields",
@@ -146,6 +190,13 @@ class TestEarlyOutsMatchTheWalk:
     @settings(max_examples=400)
     def test_from_line_on_arbitrary_text(self, line):
         assert outcome(Point.from_line, line) == outcome(from_line_ref, line)
+
+    @given(near_lines)
+    @settings(max_examples=400)
+    def test_from_line_on_nearly_valid_lines(self, line):
+        assert "\\" not in line
+        got = outcome(Point.from_line, line)
+        assert canonical(got) == canonical(outcome(from_line_ref, line))
 
     @pytest.mark.parametrize("line", MALFORMED)
     def test_from_line_on_every_malformed_shape(self, line):
@@ -273,3 +324,62 @@ class TestRoundTripOrRefusal:
         influx.create_database("d")
         influx.write_many("d", batch)
         assert influx.stats("d")["bytes_written"] == sum(len(t) + 1 for t in text)
+
+
+# ----------------------------------------------------------------------
+# time: the nanosecond nearest the point's time, and back to that double
+# ----------------------------------------------------------------------
+class TestTimeIsCarriedExactly:
+    @pytest.mark.parametrize("t", [4.1, 1700000000.25])
+    def test_a_line_selects_what_a_direct_write_selects(self, t):
+        """Both came back moved: 4.1 as 4.099999999 (the encoder truncated
+        ``t * 1e9``), 1700000000.25 as 1700000000.2499998 (the decoder
+        divided by ``1e9`` in floats), and a ``time >= t`` read lost them."""
+        p = Point("m", {"k": "v"}, {"v": 1.0}, t)
+        assert Point.from_line(p.to_line()) == p
+        statement = f'SELECT "v" FROM "m" WHERE time >= {t!r}s'
+        answers = []
+        for write in (lambda db: db.write("d", p),
+                      lambda db: db.write_lines("d", p.to_line())):
+            db = InfluxDB()
+            db.create_database("d")
+            write(db)
+            answers.append(list(execute(db, "d", statement).rows))
+        assert answers == [[(t, [1.0])]] * 2
+
+    @given(st.integers(-(2 * 10**9), 2 * 10**9), st.integers(0, 10**9 - 1))
+    @settings(max_examples=300)
+    def test_every_whole_nanosecond_time_round_trips(self, s, ns):
+        t = (s * 10**9 + ns) / 10**9  # the double nearest that nanosecond
+        p = Point("m", {}, {"v": 0.0}, t)
+        line = p.to_line()
+        assert Point.from_line(line).time == t
+        influx = InfluxDB()
+        influx.create_database("d")
+        influx.write("d", p)
+        assert influx.stats("d")["bytes_written"] == len(line) + 1
+
+    @given(st.floats(-1e12, 1e12)
+           | st.integers(-(2**40), 2**40).map(lambda k: k / 1024))  # ticks
+    @settings(max_examples=150)
+    def test_any_other_time_is_quantised_to_the_nearest_nanosecond(self, t):
+        ns = int(Point("m", {}, {"v": 0.0}, t).to_line().rsplit(" ", 1)[1])
+        s = math.floor(t)  # the formula, without the whole-product shortcut
+        assert ns == s * 10**9 + round((t - s) * 1e9)
+        # half a nanosecond, and the one rounding of the fraction's product
+        assert abs(ns - Fraction(t) * 10**9) <= Fraction(1, 2) + Fraction(1, 10**6)
+
+
+def test_the_series_memo_is_bounded_and_answers_what_a_fresh_encode_does():
+    """``to_line`` keeps each series' escaped head and field names; past
+    the cap the memo starts over, and no line depends on what it held."""
+    series = [
+        Point(f"m{i % 7}", {"host": f"h{i}", "a b": "c,d"}, {"v=": 1.5, "u": -2.0},
+              i + 0.25)
+        for i in range(_LINE_PARTS_CAP + 10)
+    ]
+    first = [p.to_line() for p in series]
+    assert 0 < len(_LINE_PARTS) <= _LINE_PARTS_CAP
+    _LINE_PARTS.clear()
+    assert [p.to_line() for p in reversed(series)] == first[::-1]
+    assert Point.from_line(first[-1]) == series[-1]
