@@ -23,11 +23,22 @@ Two scenarios, three gates, results in
    stays under ``LIVE_P99_BOUND_MS`` (virtual) during the flood, and
    degrades ≤ ``P99_DEGRADATION_CAP``× vs the polite run — the
    aggressor's excess is *rejected*, not socialized.
+
+Both scenarios' schedules are pinned: the counts, makespans and p99s of
+every run must equal ``PINNED_SCHEDULE`` exactly (at the default and the
+CI workload sizes), so a change to the serving path that moves a single
+scheduling decision fails here.  ``wall.us_per_request`` is report-only:
+the median wall time a request costs over ``WALL_REPLAYS`` untraced
+replays of the capacity burst through the 8-worker frontend, printed
+beside ``WALL_US_BEFORE``.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import statistics
+import time
 
 from _helpers import emit_json
 
@@ -55,6 +66,65 @@ P99_DEGRADATION_CAP = 1.2  # aggressor may cost other tenants <= 20% at p99
 P99_EPSILON_MS = 1.0  # floor for the ratio: sub-ms p99s are all "fast"
 
 MEASUREMENT = "kernel_percpu_cpu_idle"
+
+WALL_REPLAYS = 5
+#: ``wall.us_per_request`` before the frontend dropped its per-request
+#: scaffolding (slot min-scan, per-dispatch tenant sort, a decision object
+#: per arrival): the median of ten runs on a 2-vCPU box, alternating with
+#: the current code (median 65.4 there; single runs spread 44–97).
+#: Context for the figure printed beside it, never a gate.
+WALL_US_BEFORE = 83.8
+
+#: (n_tenants, n_points) → the schedule both scenarios produce, at the
+#: default size and at the CI smoke lane's (``PMOVE_BENCH_SERVE_POINTS``).
+PINNED_SCHEDULE: dict[tuple[int, int], dict] = {
+    (8, 40000): {
+        "serial_baseline": {
+            "executed": 808, "coalesced": 0, "timeouts": 0,
+            "virtual_makespan_s": 19.190800000000035,
+        },
+        "bounded_concurrent": {
+            "executed": 115, "coalesced": 693, "timeouts": 0,
+            "virtual_makespan_s": 2.245894446301435,
+        },
+        "polite": {
+            "virtual_makespan_s": 9.987219993667988,
+            "executed": 59, "coalesced": 133, "timeouts": 0,
+            "aggressor": {"submitted": 24, "admitted": 24, "rejected": {}},
+            "quiet_live_p99_ms": [22.00000000000024],
+        },
+        "flooded": {
+            "virtual_makespan_s": 9.987219993667988,
+            "executed": 168, "coalesced": 114, "timeouts": 0,
+            "aggressor": {"submitted": 439, "admitted": 114,
+                          "rejected": {"rate_limited": 325}},
+            "quiet_live_p99_ms": [22.00000000000024],
+        },
+    },
+    (8, 20000): {
+        "serial_baseline": {
+            "executed": 808, "coalesced": 0, "timeouts": 0,
+            "virtual_makespan_s": 17.785400000000145,
+        },
+        "bounded_concurrent": {
+            "executed": 115, "coalesced": 693, "timeouts": 0,
+            "virtual_makespan_s": 2.026894446301435,
+        },
+        "polite": {
+            "virtual_makespan_s": 9.802819993667988,
+            "executed": 59, "coalesced": 133, "timeouts": 0,
+            "aggressor": {"submitted": 24, "admitted": 24, "rejected": {}},
+            "quiet_live_p99_ms": [22.00000000000024],
+        },
+        "flooded": {
+            "virtual_makespan_s": 9.945200000000002,
+            "executed": 168, "coalesced": 114, "timeouts": 0,
+            "aggressor": {"submitted": 439, "admitted": 114,
+                          "rejected": {"rate_limited": 325}},
+            "quiet_live_p99_ms": [22.00000000000024],
+        },
+    },
+}
 
 # Inflated virtual service costs (10x the frontend default): a live panel
 # refresh ~25-60ms, a wide backfill scan ~100ms+.  Saturation, on purpose.
@@ -110,6 +180,41 @@ def _throughput(frontend: ServingFrontend, n_specs: int) -> dict:
     }
 
 
+def _schedule(serial: dict, concurrent: dict, isolation: dict,
+              aggressor: str) -> dict:
+    """The virtual figures both scenarios produce, as pinned."""
+    keep = ("executed", "coalesced", "timeouts", "virtual_makespan_s")
+    out = {"serial_baseline": {k: serial[k] for k in keep},
+           "bounded_concurrent": {k: concurrent[k] for k in keep}}
+    for side, run in isolation.items():
+        ex, tenants = run["health"]["executor"], run["health"]["tenants"]
+        out[side] = {
+            "virtual_makespan_s": run["makespan_s"],
+            **{k: ex[k] for k in ("executed", "coalesced", "timeouts")},
+            "aggressor": {k: tenants[aggressor][k]
+                          for k in ("submitted", "admitted", "rejected")},
+            "quiet_live_p99_ms": sorted({
+                t["latency"].get("live", t["latency"]["all"])["p99_ms"]
+                for name, t in tenants.items() if name != aggressor}),
+        }
+    return out
+
+
+def _wall_us_per_request(burst) -> float:
+    """Median wall µs a request over ``WALL_REPLAYS`` untraced replays of
+    ``burst`` through the bounded frontend (engine build not timed)."""
+    samples = []
+    for _ in range(WALL_REPLAYS):
+        grafana, _ = _grafana()
+        fe = ServingFrontend(grafana, _tenants(), n_workers=N_WORKERS,
+                             admission_enabled=False, cost_model=COST)
+        t0 = time.perf_counter()
+        replay(fe, burst)
+        fe.drain()
+        samples.append(1e6 * (time.perf_counter() - t0) / len(burst))
+    return statistics.median(samples)
+
+
 def test_serving_capacity_and_isolation():
     panels = _panels()
     _, span_s = _grafana()
@@ -163,11 +268,14 @@ def test_serving_capacity_and_isolation():
             aggressor=aggressor if flood else None,
         )
         replay(fe, specs)
-        fe.drain()
-        return fe.health()
+        return {"makespan_s": fe.drain(), "health": fe.health()}
 
-    polite = isolation_run(flood=False)
-    flooded = isolation_run(flood=True)
+    polite_run = isolation_run(flood=False)
+    flooded_run = isolation_run(flood=True)
+    polite, flooded = polite_run["health"], flooded_run["health"]
+    schedule = _schedule(serial, concurrent,
+                         {"polite": polite_run, "flooded": flooded_run}, aggressor)
+    wall_us = _wall_us_per_request(burst)
 
     def live_p99_ms(health: dict, tenant: str) -> float:
         latency = health["tenants"][tenant]["latency"]
@@ -227,7 +335,15 @@ def test_serving_capacity_and_isolation():
             "quiet_tenants": quiet,
         },
         "gate": gates,
+        "schedule": schedule,
+        "wall": {"us_per_request": wall_us, "replays": WALL_REPLAYS,
+                 "us_per_request_before": WALL_US_BEFORE},
     })
+
+    pinned = PINNED_SCHEDULE.get((N_TENANTS, N_POINTS))
+    if pinned is not None:
+        assert json.loads(json.dumps(schedule)) == pinned, (
+            "the serving schedule moved: a scheduling decision changed")
 
     assert serial["completed"] == serial["offered"]  # baseline served it all
     assert concurrent["completed"] == concurrent["offered"]

@@ -45,6 +45,8 @@ REJECT_UNKNOWN_TENANT = "unknown_tenant"
 REJECT_QUEUE_FULL = "queue_full"
 REJECT_RATE_LIMITED = "rate_limited"
 REJECT_POINT_QUOTA = "point_quota"
+#: ``Priority.label`` by value: the SLO board's latency class names.
+PRIORITY_LABELS = ("live", "backfill")
 
 
 class Priority(IntEnum):
@@ -55,7 +57,7 @@ class Priority(IntEnum):
 
     @property
     def label(self) -> str:
-        return "live" if self is Priority.LIVE else "backfill"
+        return PRIORITY_LABELS[self]
 
     @classmethod
     def parse(cls, value: "Priority | str") -> "Priority":
@@ -69,7 +71,7 @@ class Priority(IntEnum):
             ) from None
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRequest:
     """One admitted unit of work: a panel refresh for a tenant.
 
@@ -89,17 +91,20 @@ class QueryRequest:
     tag: str | None = None
     deadline_s: float | None = None
     est_points: float = 0.0
-    weight: float = 1.0
-
-    @property
-    def key(self) -> tuple[str, ...]:
-        return self.statements
 
 
 @dataclass(frozen=True)
 class AdmissionDecision:
     admitted: bool
     reason: str | None = None  # one of the REJECT_* constants when refused
+
+
+#: A decision is a value: one shared instance per outcome.
+_ADMITTED = AdmissionDecision(True)
+_UNKNOWN_TENANT, _QUEUE_FULL, _RATE_LIMITED, _POINT_QUOTA = (
+    AdmissionDecision(False, reason) for reason in (
+        REJECT_UNKNOWN_TENANT, REJECT_QUEUE_FULL, REJECT_RATE_LIMITED,
+        REJECT_POINT_QUOTA))
 
 
 @dataclass
@@ -144,12 +149,12 @@ class AdmissionController:
         """
         gate = self._gates.get(request.tenant)
         if gate is None:
-            return AdmissionDecision(False, REJECT_UNKNOWN_TENANT)
+            return _UNKNOWN_TENANT
         at = request.submit_t if t is None else t
         if queue_depth >= gate.config.max_queue_depth:
-            return AdmissionDecision(False, REJECT_QUEUE_FULL)
+            return _QUEUE_FULL
         if not gate.requests.try_take(at, 1.0):
-            return AdmissionDecision(False, REJECT_RATE_LIMITED)
+            return _RATE_LIMITED
         if not gate.points.try_take(at, max(0.0, request.est_points)):
-            return AdmissionDecision(False, REJECT_POINT_QUOTA)
-        return AdmissionDecision(True)
+            return _POINT_QUOTA
+        return _ADMITTED

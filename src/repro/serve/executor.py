@@ -34,9 +34,9 @@ callback; the executor only decides *who runs when*.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable
 
 from .admission import Priority, QueryRequest
@@ -46,6 +46,8 @@ __all__ = ["ExecutionRecord", "ServiceCostModel", "BoundedExecutor"]
 STATUS_DONE = "done"
 STATUS_COALESCED = "coalesced"
 STATUS_TIMEOUT = "timeout"
+_INF = float("inf")
+_LIVE = Priority.LIVE
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ServiceCostModel:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionRecord:
     """Terminal outcome of one admitted request."""
 
@@ -89,10 +91,6 @@ class ExecutionRecord:
     start_t: float
     finish_t: float
     points: int = 0
-
-    @property
-    def latency_s(self) -> float:
-        return self.finish_t - self.submit_t
 
 
 class _TenantQueue:
@@ -133,11 +131,15 @@ class BoundedExecutor:
         self.aging_s = aging_s
         self.coalesce = coalesce
         self._weights = dict(weights or {})
-        self.slots = [0.0] * n_workers
+        #: (free_t, slot) per worker slot, a heap: its top is the slot the
+        #: next dispatch takes, the lowest index among the soonest free.
+        self._free = [(0.0, slot) for slot in range(n_workers)]
         self.now = 0.0
         self._queues: dict[str, _TenantQueue] = {}
+        #: the same queues in tenant-name order, the order _pick walks
+        self._order: list[_TenantQueue] = []
         self._vtime = 0.0  # global stride clock: pass of the last dispatch
-        #: (submit_t, seq, request) arrival events not yet admitted.
+        #: (submit_t, seq, request, admit) arrival events not yet admitted.
         self._arrivals: list[tuple[float, int, QueryRequest, Callable]] = []
         self._seq = 0
         #: statement key → (finish_t, result, record) of in-flight runs.
@@ -151,6 +153,24 @@ class BoundedExecutor:
         self.timeouts = 0
         self.max_queue_depth: dict[str, int] = {}
 
+    @property
+    def slots(self) -> list[float]:
+        """Virtual time each worker slot comes free, by slot index."""
+        free = [0.0] * self.n_workers
+        for free_t, slot in self._free:
+            free[slot] = free_t
+        return free
+
+    def set_weight(self, tenant: str, weight: float) -> None:
+        """``tenant``'s fair-share weight from the next dispatch on,
+        including for a queue that already exists."""
+        if weight <= 0:
+            raise ValueError("weight must be positive")
+        self._weights[tenant] = weight
+        q = self._queues.get(tenant)
+        if q is not None:
+            q.weight = weight
+
     # ------------------------------------------------------------------
     # Feeding the loop
     # ------------------------------------------------------------------
@@ -161,51 +181,48 @@ class BoundedExecutor:
     ) -> None:
         """Register an arrival event; ``admit`` runs at the arrival instant
         and returns True to enqueue (False = rejected, never queued)."""
-        heapq.heappush(
+        heappush(
             self._arrivals, (request.submit_t, self._seq, request, admit)
         )
         self._seq += 1
 
     def enqueue(self, request: QueryRequest) -> None:
-        q = self._queue_for(request.tenant)
-        if len(q) == 0:
-            # Waking from idle: inherit the stride clock, don't replay it.
-            q.vpass = max(q.vpass, self._vtime)
-        (q.live if request.priority is Priority.LIVE else q.backfill).append(request)
-        self._queued += 1
-        depth = len(q)
-        if depth > self.max_queue_depth.get(request.tenant, 0):
-            self.max_queue_depth[request.tenant] = depth
-
-    def _queue_for(self, tenant: str) -> _TenantQueue:
+        tenant = request.tenant
         q = self._queues.get(tenant)
         if q is None:
             q = self._queues[tenant] = _TenantQueue(self._weights.get(tenant, 1.0))
-        return q
+            self._order = [self._queues[name] for name in sorted(self._queues)]
+        live, backfill = q.live, q.backfill
+        if not (live or backfill):
+            # Waking from idle: inherit the stride clock, don't replay it.
+            q.vpass = max(q.vpass, self._vtime)
+        (live if request.priority is _LIVE else backfill).append(request)
+        self._queued += 1
+        depth = len(live) + len(backfill)
+        if depth > self.max_queue_depth.get(tenant, 0):
+            self.max_queue_depth[tenant] = depth
 
     def queue_depth(self, tenant: str) -> int:
         q = self._queues.get(tenant)
-        return len(q) if q is not None else 0
+        return 0 if q is None else len(q.live) + len(q.backfill)
 
     def total_queued(self) -> int:
         return self._queued
-
-    def pending_arrivals(self) -> int:
-        return len(self._arrivals)
 
     # ------------------------------------------------------------------
     # The pump
     # ------------------------------------------------------------------
     def run(self, until: float) -> float:
         """Process every event strictly before ``until``; returns now."""
-        while self._step(until):
+        step = self._step
+        while step(until):
             pass
         return self.now
 
     def drain(self) -> float:
         """Run until arrivals and queues are empty; returns the makespan
         (virtual completion time of the last served request)."""
-        self.run(float("inf"))
+        self.run(_INF)
         return self.makespan()
 
     def makespan(self) -> float:
@@ -213,18 +230,24 @@ class BoundedExecutor:
         return max(served) if served else self.now
 
     def _step(self, until: float) -> bool:
-        t_arrival = self._arrivals[0][0] if self._arrivals else float("inf")
+        """Process the next event before ``until``; False when there is none."""
+        # max(a, b) spelled out as ``b if b > a else a``: the same float,
+        # signed zeros and NaNs included, without the builtin call
+        arrivals, now = self._arrivals, self.now
+        t_arrival = arrivals[0][0] if arrivals else _INF
         if self._queued:
-            t_dispatch = max(min(self.slots), self.now)
+            free_t = self._free[0][0]
+            t_dispatch = now if now > free_t else free_t
         else:
-            t_dispatch = float("inf")
-        t_next = min(t_arrival, t_dispatch)
-        if t_next == float("inf") or t_next >= until:
+            t_dispatch = _INF
+        t_next = t_arrival if t_arrival <= t_dispatch else t_dispatch
+        if t_next == _INF or t_next >= until:
             return False
         if t_arrival <= t_dispatch:
-            _, _, request, admit = heapq.heappop(self._arrivals)
-            self.now = max(self.now, t_arrival)
-            if admit(request, self.now):
+            _, _, request, admit = heappop(arrivals)
+            if t_arrival > now:
+                self.now = now = t_arrival
+            if admit(request, now):
                 self.enqueue(request)
         else:
             self.now = t_dispatch
@@ -232,99 +255,74 @@ class BoundedExecutor:
         return True
 
     # ------------------------------------------------------------------
-    def _pick(self, t: float) -> QueryRequest | None:
+    def _pick(self, t: float) -> tuple[QueryRequest, _TenantQueue]:
         """Weighted-fair choice among queue heads, live class first.
 
         Within a tenant the candidate is its live head, else its backfill
         head; a backfill head that has waited past ``aging_s`` competes in
-        the live class.  Across tenants: (class, pass, name) — all
-        deterministic orderings.
+        the live class.  Across tenants: (class, pass, name) — the walk is
+        in name order, so only a strictly smaller (class, pass) displaces
+        the best so far.  Called only while something is queued.
         """
-        best_key: tuple[int, float, str] | None = None
-        best_tenant: str | None = None
-        for name in sorted(self._queues):
-            q = self._queues[name]
-            if len(q) == 0:
+        aging_s = self.aging_s
+        best, best_class, best_pass = None, 2, 0.0
+        for q in self._order:
+            if q.live:
+                klass = 0
+            elif q.backfill:
+                klass = 0 if t - q.backfill[0].submit_t >= aging_s else 1
+            else:
                 continue
-            aged = bool(q.backfill) and t - q.backfill[0].submit_t >= self.aging_s
-            klass = 0 if (q.live or aged) else 1
-            key = (klass, q.vpass, name)
-            if best_key is None or key < best_key:
-                best_key, best_tenant = key, name
-        if best_tenant is None:
-            return None
+            if klass < best_class or (klass == best_class and q.vpass < best_pass):
+                best, best_class, best_pass = q, klass, q.vpass
         self._queued -= 1
-        q = self._queues[best_tenant]
-        if q.live and q.backfill:
+        live, backfill = best.live, best.backfill
+        if live and backfill:
             # An aged backfill head that predates the live head wins even
             # inside its own tenant — otherwise a tenant's live stream
             # starves its own backfill forever.
-            aged = t - q.backfill[0].submit_t >= self.aging_s
-            if aged and q.backfill[0].submit_t < q.live[0].submit_t:
-                return q.backfill.popleft()
-        lane = q.live if q.live else q.backfill
-        return lane.popleft()
-
-    def _finish(self, request: QueryRequest, record: ExecutionRecord, result: Any) -> None:
-        self.records.append(record)
-        if self.on_complete is not None:
-            self.on_complete(request, record, result)
+            head = backfill[0]
+            if t - head.submit_t >= aging_s and head.submit_t < live[0].submit_t:
+                return backfill.popleft(), best
+        return (live or backfill).popleft(), best
 
     def _dispatch(self, t: float) -> None:
         finishing, inflight = self._finishing, self._inflight
         while finishing and finishing[0][0] <= t:
-            finish_t, _, key = heapq.heappop(finishing)
+            finish_t, _, key = heappop(finishing)
             # (without coalescing a key can be running twice: the later
             # run owns the entry until its own finish time)
             running = inflight.get(key)
             if running is not None and running[0] == finish_t:
                 del inflight[key]
-        request = self._pick(t)
-        if request is None:  # pragma: no cover — guarded by total_queued()
-            return
-
-        if (
-            request.deadline_s is not None
-            and t - request.submit_t > request.deadline_s
-        ):
+        request, q = self._pick(t)
+        key, deadline_s = request.statements, request.deadline_s
+        running = inflight.get(key) if self.coalesce else None
+        if deadline_s is not None and t - request.submit_t > deadline_s:
             self.timeouts += 1
-            record = ExecutionRecord(
-                request.rid, request.tenant, request.priority, STATUS_TIMEOUT,
-                request.submit_t, t, t,
-            )
-            self._finish(request, record, None)
-            return
-
-        if self.coalesce:
-            inflight = self._inflight.get(request.key)
-            if inflight is not None:
-                finish_t, result, lead = inflight
-                self.coalesced += 1
-                record = ExecutionRecord(
-                    request.rid, request.tenant, request.priority,
-                    STATUS_COALESCED, request.submit_t, t, finish_t,
-                    points=lead.points,
-                )
-                self._finish(request, record, result)
-                return
-
-        result, points, service_s = self.execute(request, t)
-        if service_s < 0:
-            raise ValueError("modeled service time must be >= 0")
-        slot = min(range(self.n_workers), key=lambda i: self.slots[i])
-        finish_t = t + service_s
-        self.slots[slot] = finish_t
-        q = self._queue_for(request.tenant)
-        q.vpass += service_s / q.weight
-        self._vtime = q.vpass
-        self.executed += 1
-        record = ExecutionRecord(
-            request.rid, request.tenant, request.priority, STATUS_DONE,
-            request.submit_t, t, finish_t, points=points,
-        )
-        self._inflight[request.key] = (finish_t, result, record)
-        heapq.heappush(self._finishing, (finish_t, request.rid, request.key))
-        self._finish(request, record, result)
+            status, finish_t, points, result = STATUS_TIMEOUT, t, 0, None
+        elif running is not None:
+            self.coalesced += 1
+            finish_t, result, lead = running
+            status, points = STATUS_COALESCED, lead.points
+        else:
+            result, points, service_s = self.execute(request, t)
+            if service_s < 0:
+                raise ValueError("modeled service time must be >= 0")
+            finish_t = t + service_s
+            heapreplace(self._free, (finish_t, self._free[0][1]))
+            q.vpass += service_s / q.weight
+            self._vtime = q.vpass
+            self.executed += 1
+            status = STATUS_DONE
+        record = ExecutionRecord(request.rid, request.tenant, request.priority,
+                                 status, request.submit_t, t, finish_t, points)
+        if status is STATUS_DONE:
+            inflight[key] = (finish_t, result, record)
+            heappush(finishing, (finish_t, request.rid, key))
+        self.records.append(record)
+        if self.on_complete is not None:
+            self.on_complete(request, record, result)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -30,9 +30,8 @@ from typing import Any
 from repro.viz.dashboard import Panel
 from repro.viz.grafana import GrafanaServer
 
-from .admission import AdmissionController, Priority, QueryRequest
+from .admission import PRIORITY_LABELS, AdmissionController, Priority, QueryRequest
 from .executor import (
-    STATUS_COALESCED,
     STATUS_DONE,
     STATUS_TIMEOUT,
     BoundedExecutor,
@@ -93,7 +92,7 @@ class ServingFrontend:
     def register_tenant(self, config: TenantConfig) -> TenantConfig:
         self.admission.register(config)
         self.grafana.set_tenant_cache_size(config.name, config.cache_entries)
-        self.executor._weights[config.name] = config.weight
+        self.executor.set_weight(config.name, config.weight)
         return config
 
     def _estimate_points(self, panel: Panel, t0: float | None, t1: float | None) -> float:
@@ -125,26 +124,16 @@ class ServingFrontend:
         needs the executor's queue state *at that virtual time*."""
         rid = self._next_rid
         self._next_rid += 1
-        prio = Priority.parse(priority)
-        statements = tuple(
-            self.grafana.target_statement(target, t0, t1, tag)
-            for target in panel.targets
-        )
+        prio = priority if priority.__class__ is Priority else Priority.parse(priority)
+        target_statement = self.grafana.target_statement
+        statements = tuple([
+            target_statement(target, t0, t1, tag) for target in panel.targets
+        ])
+        if est_points is None:
+            est_points = self._estimate_points(panel, t0, t1)
         request = QueryRequest(
-            rid=rid,
-            tenant=tenant,
-            panel=panel,
-            statements=statements,
-            submit_t=max(at, self.executor.now),
-            priority=prio,
-            t0=t0,
-            t1=t1,
-            tag=tag,
-            deadline_s=deadline_s,
-            est_points=(
-                est_points if est_points is not None
-                else self._estimate_points(panel, t0, t1)
-            ),
+            rid, tenant, panel, statements, max(at, self.executor.now), prio,
+            t0, t1, tag, deadline_s, est_points,
         )
         self.outcomes[rid] = "pending"
         self.executor.schedule_arrival(request, self._admit)
@@ -154,7 +143,7 @@ class ServingFrontend:
     # Executor callbacks
     # ------------------------------------------------------------------
     def _admit(self, request: QueryRequest, t: float) -> bool:
-        slo = self.board.for_tenant(request.tenant)
+        slo = self.board[request.tenant]
         slo.submitted += 1
         if self.admission_enabled:
             decision = self.admission.admit(
@@ -175,28 +164,35 @@ class ServingFrontend:
         missed_points = 0
         sketch_targets = 0
         total_points = 0
-        influx = self.grafana.influx
-        targets, labels = request.panel.targets, request.panel.labels()
-        for target, statement, label in zip(targets, request.statements, labels):
-            # sketch-served answers the engine has recorded so far
-            serves_before = influx.sketch_served
-            times, values, hit = self.grafana.execute_target(
-                target, request.t0, request.t1, request.tag,
-                tenant=request.tenant, statement=statement,
+        grafana = self.grafana
+        influx = grafana.influx
+        panel, tenant = request.panel, request.tenant
+        t0, t1, tag = request.t0, request.t1, request.tag
+        # sketch-served answers the engine has recorded so far (a cache hit
+        # never reaches the engine, so only a miss can move the count)
+        sketch_served = influx.sketch_served
+        for target, statement, label in zip(
+            panel.targets, request.statements, panel.labels()
+        ):
+            times, values, hit = grafana.execute_target(
+                target, t0, t1, tag, tenant=tenant, statement=statement,
             )
             series[label] = (times, values)
             total_points += len(times)
             if hit:
                 hit_targets += 1
-            elif influx.sketch_served > serves_before:
+                continue
+            served_now = influx.sketch_served
+            if served_now > sketch_served:
                 # The engine answered from tier sketches: no raw points
                 # were scanned, so the per-point term would overcharge.
                 sketch_targets += 1
+                sketch_served = served_now
             else:
                 missed_points += len(times)
-        slo = self.board.for_tenant(request.tenant)
+        slo = self.board[tenant]
         slo.cache_hit_targets += hit_targets
-        slo.cache_miss_targets += len(request.panel.targets) - hit_targets
+        slo.cache_miss_targets += len(panel.targets) - hit_targets
         slo.points_scanned += missed_points
         slo.sketch_served_targets += sketch_targets
         service_s = self.cost_model.service_s(
@@ -207,17 +203,18 @@ class ServingFrontend:
     def _complete(
         self, request: QueryRequest, record: ExecutionRecord, result: Any
     ) -> None:
-        slo = self.board.for_tenant(request.tenant)
-        self.outcomes[request.rid] = record.status
-        if record.status == STATUS_TIMEOUT:
+        slo = self.board[request.tenant]
+        status = self.outcomes[request.rid] = record.status
+        if status == STATUS_TIMEOUT:
             slo.timeouts += 1
             return
         slo.completed += 1
-        if record.status == STATUS_DONE:
+        if status == STATUS_DONE:
             slo.executed += 1
-        elif record.status == STATUS_COALESCED:
+        else:
             slo.coalesced += 1
-        slo.record_latency(record.priority.label, record.latency_s)
+        slo.record_latency(
+            PRIORITY_LABELS[record.priority], record.finish_t - record.submit_t)
         if self.keep_results:
             self.results[request.rid] = result
 

@@ -64,9 +64,6 @@ class TenantSLO:
     def record_latency(self, priority: str, latency_s: float) -> None:
         self.latencies[priority].append(latency_s)
 
-    def p99_s(self, priority: str = "live") -> float:
-        return percentile(self.latencies.get(priority, []), 0.99)
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         all_samples = [x for xs in self.latencies.values() for x in xs]
@@ -93,20 +90,19 @@ class TenantSLO:
         }
 
 
-class SloBoard:
-    """The tenant → :class:`TenantSLO` registry the frontend writes into."""
+class SloBoard(dict[str, TenantSLO]):
+    """The tenant → :class:`TenantSLO` registry the frontend writes into;
+    reading a tenant it has not seen opens that tenant's account."""
 
-    def __init__(self) -> None:
-        self._accounts: dict[str, TenantSLO] = {}
-
-    def for_tenant(self, tenant: str) -> TenantSLO:
-        acct = self._accounts.get(tenant)
-        if acct is None:
-            acct = self._accounts[tenant] = TenantSLO(tenant)
+    def __missing__(self, tenant: str) -> TenantSLO:
+        acct = self[tenant] = TenantSLO(tenant)
         return acct
 
+    def for_tenant(self, tenant: str) -> TenantSLO:
+        return self[tenant]
+
     def tenants(self) -> list[str]:
-        return sorted(self._accounts)
+        return sorted(self)
 
     def snapshot(self) -> dict[str, dict]:
-        return {name: acct.snapshot() for name, acct in sorted(self._accounts.items())}
+        return {name: acct.snapshot() for name, acct in sorted(self.items())}

@@ -39,10 +39,10 @@ class TokenBucket:
         self._last_t = t0
 
     def _refill(self, t: float) -> None:
-        elapsed = max(0.0, t - self._last_t)
-        self._last_t = max(self._last_t, t)
-        if elapsed:
-            self._level = min(self.capacity, self._level + elapsed * self.rate_per_s)
+        last = self._last_t
+        if t > last:
+            self._last_t = t
+            self._level = min(self.capacity, self._level + (t - last) * self.rate_per_s)
 
     def level(self, t: float) -> float:
         """Tokens available at virtual time ``t`` (refills as a side effect)."""

@@ -90,6 +90,18 @@ class TestWeightedFairness:
         first9 = [r.tenant for r in ex.records[:9]]
         assert first9.count("a") == 6 and first9.count("b") == 3
 
+    def test_set_weight_reaches_an_existing_queue(self):
+        ex = _mk(n_workers=1, service_s=1.0)
+        for rid in range(12):
+            ex.schedule_arrival(_req(rid, tenant="a" if rid < 6 else "b"), _admit_all)
+        ex.run(until=0.5)
+        ex.set_weight("a", 2.0)
+        ex.drain()
+        first9 = [r.tenant for r in ex.records[:9]]
+        assert first9.count("a") == 6 and first9.count("b") == 3
+        with pytest.raises(ValueError):
+            ex.set_weight("a", 0.0)
+
     def test_idle_wake_inherits_stride_clock(self):
         """A tenant waking from idle must not replay its idle period as a
         burst: its pass is bumped to the global virtual time."""

@@ -92,6 +92,25 @@ class TestSubmitAndServe:
         assert fe.outcomes[rid] == "done"
         assert fe.grafana.tenant_cache_info("late")["capacity"] == 7
 
+    def test_late_registration_reweights_a_live_queue(self):
+        """With admission off, a request for a tenant not yet registered
+        opens its queue at weight 1.0; registering the tenant afterwards
+        must reweight that queue, not only the table new queues read."""
+        fe = _frontend(tenants=[TenantConfig("seed")], admission_enabled=False,
+                       n_workers=1, cost_model=ServiceCostModel(
+                           base_s=1.0, hit_s=0.0, per_point_s=0.0))
+        for k in range(10):  # distinct windows: nothing coalesces
+            for tenant in ("a", "b"):
+                fe.submit(tenant, _panel(), at=0.0, t0=0.0, t1=float(k + 1))
+        fe.run(until=0.5)  # queues exist; the first dispatch went out
+        fe.register_tenant(TenantConfig("a", weight=4.0))
+        fe.register_tenant(TenantConfig("b"))
+        fe.drain()
+        # a drains about 4:1: all ten of its requests are out within the
+        # first 13 dispatches (strict alternation would take 19)
+        order = [r.tenant for r in fe.executor.records]
+        assert order[:13].count("a") == 10, order
+
 
 class TestSloAccounting:
     def test_latency_split_by_priority_class(self):
