@@ -208,8 +208,7 @@ class SuperDB:
                     dg = TDigest(DEFAULT_SKETCH.compression)
                     dg.add_many(vals)
                     hll = HyperLogLog(DEFAULT_SKETCH.hll_p)
-                    for v in vals:
-                        hll.add(v)
+                    hll.add_many(vals)
                     per_sketch[f] = {
                         "digest": dg.to_dict(), "hll": hll.to_dict()
                     }

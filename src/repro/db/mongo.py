@@ -62,8 +62,14 @@ def _clone(value: Any) -> Any:
     # per scalar doubles the cost of the walk.
     t = type(value)
     if t is dict:
-        return {k: v if type(v) in _ATOMIC else _clone(v) for k, v in value.items()}
+        out = value.copy()  # the scalars, in C; only containers are walked
+        for k, v in value.items():
+            if type(v) not in _ATOMIC:
+                out[k] = _clone(v)
+        return out
     if t is list:
+        if _ATOMIC.issuperset(map(type, value)):
+            return value.copy()  # a leaf list, in C
         return [v if type(v) in _ATOMIC else _clone(v) for v in value]
     if t in _ATOMIC:
         return value

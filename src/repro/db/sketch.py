@@ -345,6 +345,12 @@ class TDigest:
         for _, w in pairs:
             total += w
         delta = float(self.compression)
+        if total <= delta and min(self._weights) >= 1.0:
+            # Every limit below is at most total/δ ≤ 1, up to rounding, and
+            # any two clusters weigh at least 2: the pass would merge nothing.
+            self._means = [m for m, _ in pairs]
+            self._weights = [w for _, w in pairs]
+            return
         means: list[float] = []
         weights: list[float] = []
         cm, cw = pairs[0]
@@ -502,7 +508,38 @@ class HyperLogLog:
             self._sparse, self._dense = None, bytearray(self.registers)
 
     def add(self, value: Any) -> None:
-        self.add_hash((float_hash64 if type(value) is float else stable_hash64)(value))
+        self.add_many((value,))
+
+    def add_many(self, values: Iterable[Any]) -> None:
+        """Bulk :meth:`add`, bit-equal to the sequential one: each distinct
+        float is hashed once, and the ranks fold in one pass — register-max
+        does not depend on order, and the held form follows the occupied
+        count alone."""
+        floats: set[float] = set()
+        hashes: list[int] = []
+        for v in values:
+            if type(v) is float:
+                floats.add(v)
+            else:
+                hashes.append(stable_hash64(v))
+        hashes.extend(map(float_hash64, floats))
+        shift = 64 - self.p
+        mask = (1 << shift) - 1
+        # rank = leading zeros of the remaining 64-p bits, plus one
+        entries = [h >> shift << 6 | shift - (h & mask).bit_length() + 1
+                   for h in hashes]
+        regs = self._dense
+        if regs is None:
+            self._merge_sparse(entries)
+            return
+        for e in entries:
+            if e & 63 > regs[e >> 6]:
+                regs[e >> 6] = e & 63
+
+    def _merge_sparse(self, entries: list[int]) -> None:
+        # Sorted, a register's highest rank comes last: the one kept.
+        self._sparse = list({e >> 6: e for e in sorted(self._sparse + entries)}.values())
+        self._settle()
 
     def add_hash(self, h: int) -> None:
         j = h >> (64 - self.p)
@@ -527,9 +564,7 @@ class HyperLogLog:
             raise ValueError("cannot merge HLLs of different precision")
         mine, theirs = self._sparse, other._sparse
         if mine is not None and theirs is not None:
-            # Sorted, a register's highest rank comes last: the one kept.
-            self._sparse = list({e >> 6: e for e in sorted(mine + theirs)}.values())
-            self._settle()
+            self._merge_sparse(theirs)
         else:
             if mine is not None:  # max commutes: take other's, fold the few held here
                 theirs, self._sparse, self._dense = mine, None, bytearray(other._dense)

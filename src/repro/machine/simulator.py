@@ -129,7 +129,7 @@ class SimulatedMachine:
         )
 
         t0 = self.clock.now()
-        t1 = t0 + runtime
+        t1 = t0 + float(runtime)  # virtual time stays a Python float
         self._extend_background(t1)
         for cpu in cpu_ids:
             self.timeline.bulk_add(("cpu", cpu), profile.per_thread, t0, t1)

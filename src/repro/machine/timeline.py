@@ -175,7 +175,7 @@ class Timeline:
         if series is None:
             series = self._series[key] = _Series()
             self._scope_quantities.setdefault(scope, set()).add(quantity)
-        series.staged.append((t0, t1, rate))
+        series.staged.append((float(t0), float(t1), float(rate)))
 
     def add_total(self, scope: Scope, quantity: str, t0: float, t1: float, total: float) -> None:
         """Accrue ``total`` units of ``quantity`` uniformly over [t0, t1)."""

@@ -34,13 +34,13 @@ class VirtualClock:
         """Move time forward by ``dt`` seconds and return the new time."""
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
-        self._t += dt
+        self._t += float(dt)
         return self._t
 
     def advance_to(self, t: float) -> float:
         """Move time forward to absolute time ``t`` (no-op if in the past)."""
         if t > self._t:
-            self._t = t
+            self._t = float(t)
         return self._t
 
 

@@ -3,6 +3,7 @@
 import copy
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,6 +262,40 @@ class TestCopyContract:
         again = c.find_one()
         del again["_id"]
         assert again == want
+
+    def test_leaf_containers_are_copies_and_the_rest_deep_copies(self):
+        """A leaf dict or list (scalars only) is copied whole, but still
+        per reference: a shared one comes out as two.  Whatever is not a
+        plain dict, list or scalar is deep-copied, its type kept."""
+        class Sub(dict):
+            pass
+
+        leaf_list, leaf_dict = [1.5, "a", None, True], {"x": 1, "y": -0.0}
+        tup, sub = (1, [2]), Sub(a=[1])
+        doc = {"l1": leaf_list, "l2": leaf_list, "d1": leaf_dict,
+               "d2": leaf_dict, "nest": [leaf_list, {"d": leaf_dict}],
+               "t": tup, "s": {1, 2}, "p": Payload([1]),
+               "n": np.float64(1.5), "sub": sub}
+        got = _clone(doc)
+        assert got == doc and list(got) == list(doc)
+        lists = [got["l1"], got["l2"], got["nest"][0], leaf_list]
+        dicts = [got["d1"], got["d2"], got["nest"][1]["d"], leaf_dict]
+        assert len({id(x) for x in lists}) == len({id(x) for x in dicts}) == 4
+        assert type(got["n"]) is np.float64 and got["n"] == 1.5
+        assert type(got["sub"]) is Sub and got["sub"]["a"] is not sub["a"]
+        assert type(got["t"]) is tuple and got["t"][1] is not tup[1]
+        assert type(got["p"]) is Payload and got["p"].xs is not doc["p"].xs
+
+        c = coll()
+        c.insert_one(doc)
+        before = copy.deepcopy(c.find())
+        out = c.find_one()
+        out["l1"].append(99)
+        out["d2"]["z"] = 99
+        out["nest"][1]["d"]["x"] = 99
+        leaf_list.append(98)
+        leaf_dict["x"] = 98
+        assert c.find() == before
 
     def test_push_each_extends_and_rejects_other_modifiers(self):
         c = coll()

@@ -13,6 +13,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterable
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -273,6 +274,59 @@ class TestTDigest:
             for q in self.QS:
                 assert repr(d.quantile(q)) == repr(self.walked_quantile(d, q))
 
+    @staticmethod
+    def parent_recluster(d: TDigest) -> None:
+        """``TDigest._recluster`` as it was before it returned early when
+        nothing can merge: kept verbatim as the reference."""
+        if not d._means:
+            return
+        pairs = sorted(zip(d._means, d._weights))
+        total = 0.0
+        for _, w in pairs:
+            total += w
+        delta = float(d.compression)
+        means: list[float] = []
+        weights: list[float] = []
+        cm, cw = pairs[0]
+        cum = 0.0  # total weight in already-sealed clusters
+        for m, w in pairs[1:]:
+            nw = cw + w
+            q = (cum + nw / 2.0) / total
+            limit = 4.0 * total * q * (1.0 - q) / delta
+            if nw <= limit or limit < 1.0 and nw <= 1.0:
+                cw = nw
+                cm += (w / cw) * (m - cm)
+            else:
+                means.append(cm)
+                weights.append(cw)
+                cum += cw
+                cm, cw = m, w
+        means.append(cm)
+        weights.append(cw)
+        d._means = means
+        d._weights = weights
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0])),
+        st.one_of(st.just(1.0), st.integers(1, 40).map(float),
+                  st.floats(0.01, 60.0))), min_size=1, max_size=90),
+        st.sampled_from([10, 25, 100, 200]))
+    @settings(max_examples=200, deadline=None)
+    @example([(float(k), 1.0) for k in range(10)], 10)  # total = δ
+    @example([(float(k), 1.0) for k in range(11)], 10)  # total = δ + 1
+    @example([(0.0, 9.5), (1.0, 1.0), (2.0, 1.0), (3.0, 8.49)], 10)  # ≈ 2δ
+    def test_recluster_is_the_parent_pass_bit_for_bit(self, pairs, compression):
+        """The early return (total ≤ δ, every weight ≥ 1) against the full
+        pass it skips: the same centroids, signed zeros included."""
+        got, want = TDigest(compression), TDigest(compression)
+        for d in (got, want):
+            d._means = [m for m, _ in pairs]
+            d._weights = [w for _, w in pairs]
+        got._recluster()
+        self.parent_recluster(want)
+        assert repr(got._means) == repr(want._means)
+        assert repr(got._weights) == repr(want._weights)
+
     def test_quantile_walk_equivalence_on_a_large_skewed_digest(self):
         n = 200_000
         d = TDigest(DEFAULT_SKETCH.compression)
@@ -413,10 +467,25 @@ def filled(p: int, n: int, seed: int = 0) -> tuple[HyperLogLog, DenseHLL]:
     return pair
 
 
+def filled_with(*values: Any) -> DenseHLL:
+    """The oracle after one ``add`` of each value."""
+    h = DenseHLL()
+    for v in values:
+        h.add(v)
+    return h
+
+
 WHICH = st.integers(0, 2)
+#: What a field value can be: every float (NaN and -0.0 among them), the
+#: numpy double an SpMV kernel's arithmetic hands out, ints on both sides of
+#: 2**53 (exactly representable, and not), bools and strings.
+HLL_VALUES = st.one_of(
+    st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, math.nan, 1.0]),
+    st.floats(-1e3, 1e3).map(np.float64), st.integers(-5, 5),
+    st.integers(2**53 - 2, 2**64), st.booleans(), st.text(max_size=3))
 HLL_OPS = st.lists(st.one_of(
-    st.tuples(st.just("add"), WHICH, st.one_of(
-        st.floats(allow_nan=True), st.integers(-5, 5), st.text(max_size=3))),
+    st.tuples(st.just("add"), WHICH, HLL_VALUES),
+    st.tuples(st.just("add_many"), WHICH, st.lists(HLL_VALUES, max_size=12)),
     st.tuples(st.just("add_hash"), WHICH, st.integers(0, 2**64 - 1)),
     # enough hashes at once to reach, and to cross, the promotion point
     st.tuples(st.just("burst"), WHICH, st.integers(0, 2**32), st.floats(0.0, 2.5)),
@@ -436,6 +505,10 @@ def check_interleaving(p: int, n: int, ops) -> None:
         if op in ("add", "add_hash"):
             getattr(new[i], op)(*args)
             getattr(old[i], op)(*args)
+        elif op == "add_many":
+            new[i].add_many(args[0])
+            for v in args[0]:
+                old[i].add(v)
         elif op == "burst":
             rnd = random.Random(args[0])
             for _ in range(int(args[1] * sparse_limit(p)) + 1):
@@ -554,6 +627,44 @@ class TestHyperLogLog:
             == HyperLogLog.merged([c, a, b]).to_dict()
         assert left.registers == whole.registers
         assert left.count() == whole.count()
+
+    @pytest.mark.parametrize("p", [4, 6, 10, 12])
+    @given(fill=st.floats(0.0, 2.5), seed=st.integers(0, 2**16),
+           values=st.lists(HLL_VALUES, max_size=60).map(lambda v: v + v[::2]))
+    @settings(max_examples=60, deadline=None)
+    def test_add_many_is_the_sequential_adds_bit_for_bit(self, p, fill, seed, values):
+        """The bulk build against one ``add_hash`` per value, from a sparse
+        or a dense start, over mixed types and repeats: the same registers,
+        held in the same form (``to_dict`` carries both)."""
+        bulk, oracle = filled(p, int(fill * sparse_limit(p)), seed)
+        seq = HyperLogLog.from_dict(bulk.to_dict())
+        bulk.add_many(values)
+        for v in values:
+            seq.add_hash(stable_hash64(v))
+            oracle.add(v)
+        assert bulk.to_dict() == seq.to_dict()
+        assert bulk.registers == oracle.registers
+        occupied = bulk.m - bulk.registers.count(0)
+        assert is_sparse(bulk) == (occupied <= sparse_limit(p))
+        one = HyperLogLog.from_dict(seq.to_dict())
+        for v in values:
+            one.add(v)
+        assert one.to_dict() == bulk.to_dict()
+
+    def test_add_many_hashes_each_distinct_float_once(self, monkeypatch):
+        import repro.db.sketch as sketch
+
+        hashed = []
+
+        def counted(v, real=sketch.float_hash64):
+            hashed.append(v)
+            return real(v)
+
+        monkeypatch.setattr(sketch, "float_hash64", counted)
+        h = HyperLogLog()
+        h.add_many([1.5, 2.5, 1.5, -0.0, 0.0, 2.5, 1.5])
+        assert sorted(hashed) == [0.0, 1.5, 2.5]
+        assert h.registers == filled_with(1.5, 2.5, 0.0).registers
 
     @pytest.mark.parametrize("p", [4, 10, 12, 16])
     def test_promotion_is_at_one_occupied_count_whatever_crosses_it(self, p):

@@ -32,8 +32,13 @@ from repro.db.influx import (
     _split_unescaped,
     _unescape,
 )
+from repro.core.daemon import PMoVE
 from repro.db.influxql import execute
+from repro.machine import SimulatedMachine
+from repro.machine.presets import get_preset
 from repro.pcp import CommitLog, LogProducer
+from repro.workloads.matrices import generate
+from repro.workloads.spmv import spmv_descriptor
 
 # ----------------------------------------------------------------------
 # references: a Python character walk and one regex per token
@@ -383,3 +388,30 @@ def test_the_series_memo_is_bounded_and_answers_what_a_fresh_encode_does():
     _LINE_PARTS.clear()
     assert [p.to_line() for p in reversed(series)] == first[::-1]
     assert Point.from_line(first[-1]) == series[-1]
+
+
+def test_durable_scenario_b_over_spmv_parks_nothing():
+    """An SpMV descriptor's runtime is a ``numpy.float64``.  It used to
+    leak into the clock, so tick times and counter values were numpy
+    doubles too, and ``to_line`` wrote ``v=np.float64(…)``: ``from_line``
+    refused it: below, 96 of the 130 records were parked as parse errors,
+    and 256 of the 1 040 points never landed."""
+    daemon = PMoVE(seed=7)
+    machine = SimulatedMachine(get_preset("icl"), seed=7)
+    daemon.attach_target(machine)
+    pipe = daemon.enable_durable_ingest()
+    matrix = generate("adaptive", scale=0.001, seed=7)
+    for k in range(3):
+        desc = spmv_descriptor(matrix, machine.spec, n_threads=8, nnz_scale=9000)
+        daemon.scenario_b("icl", desc, ["FLOPS_DP", "LOADS"], freq_hz=32,
+                          n_threads=8, mode="durable", tag=f"spmv-{k}")
+        stats = daemon.target("icl").sampler.last_stats
+        assert stats.parked_records == 0
+        assert stats.applied_records == stats.produced_records > 0
+    pipe.drain(machine.clock.now() + 10.0)
+    assert daemon.health()["ingest"]["dlq_by_reason"] == {}
+    stored = [p for m in daemon.influx.measurements("pmove")
+              for p in daemon.influx.points("pmove", m)]
+    assert stored
+    assert all(type(p.time) is float for p in stored)
+    assert all(type(v) is float for p in stored for v in p.fields.values())
