@@ -208,6 +208,9 @@ class Point:
             raise InfluxError("point needs a measurement name")
         if not self.fields:
             raise InfluxError("point needs at least one field")
+        values = self.fields.values()
+        if not all(values) and None in values:  # stored, None reads as absent
+            raise InfluxError(f"field value None in {self.fields!r}")
 
     def to_line(self) -> str:
         """Serialize to Influx line protocol (ns timestamp, float fields).
@@ -475,10 +478,12 @@ class _Series:
     row; a reader first asks :meth:`catch_up` for the prefix it reads
     (either attribute: for all of it), which folds what is missing of that
     and costs one compare when nothing is.
+    Byte accounting is a fold too: :meth:`bill` charges rows ``[billed, len)``
+    to ``bytes_written`` when asked, and a row inserted below the mark at once.
     """
 
     __slots__ = ("tags", "key_len", "times", "seqs", "cols", "_rollups", "max_seq",
-                 "_hlls", "hll_trimmed", "sketch", "folded", "has_nan")
+                 "_hlls", "hll_trimmed", "sketch", "folded", "has_nan", "billed")
 
     def __init__(
         self, tags: dict[str, str], key_len: int, tiers: tuple[float, ...] = (),
@@ -492,6 +497,7 @@ class _Series:
         self.sketch = sketch
         #: Rows ``[0, folded)`` are reflected in ``_rollups`` and ``_hlls``.
         self.folded = 0
+        self.billed = 0  # rows ``[0, billed)`` are in ``bytes_written``
         #: A NaN was ever written here.  It poisons tier serving of MIN/MAX
         #: (NaN makes those folds order-dependent) and of percentiles, and
         #: is noted by the write, not by a fold: which plan a read gets
@@ -510,7 +516,7 @@ class _Series:
         #: (retention trims rows but must not forget the high-watermark).
         self.max_seq = -1
 
-    def add(self, time: float, seq: int, fields: dict[str, float]) -> None:
+    def add(self, time: float, seq: int, fields: dict[str, float]) -> int:
         if seq > self.max_seq:
             self.max_seq = seq
         times = self.times
@@ -542,6 +548,24 @@ class _Series:
             self._hash(idx, idx + 1)
             for r in self._rollups:
                 self._rollup_recompute(r, (time // r.tier) * r.tier + 0.0)
+        return idx
+
+    def line_bytes(self, i: int, j: int) -> int:
+        """``len(p.to_line()) + 1`` summed over the points stored as rows
+        ``[i, j)``: per row key, ns time and 2; per value name, repr and 2."""
+        n = (self.key_len + 2) * (j - i) + sum(map(len, map(str, map(_ns, self.times[i:j]))))
+        for name, col in self.cols.items():
+            part = col[i:j]
+            absent = part.count(None)  # repr(None) is 4 characters
+            n += (len(part) - absent) * (_esc_len(name) + 2) - 4 * absent
+            n += sum(map(len, map(repr, part)))
+        return n
+
+    def bill(self) -> int:
+        """The bytes of rows ``[billed, len)``, which are billed from now."""
+        i = self.billed
+        self.billed = j = len(self.times)
+        return self.line_bytes(i, j) if i < j else 0
 
     # -- summaries: memos over rows [0, folded) --------------------------
     @property
@@ -696,6 +720,7 @@ class _Series:
             for col in self.cols.values():
                 del col[:idx]
             self.folded = max(self.folded - idx, 0)
+            self.billed = max(self.billed - idx, 0)
             for r in self._rollups:
                 if not self.folded:  # no folded row is left
                     r.starts.clear()
@@ -1070,19 +1095,11 @@ class InfluxDB:
             m.seq += 1
         elif seq >= m.seq:
             m.seq = seq + 1
-        s.add(time, seq, point.fields)
+        idx = s.add(time, seq, point.fields)
         d.points_written += len(point.fields)
-        # Line-protocol byte accounting, computed arithmetically: the series
-        # key prefix length is cached, so only field values and the ns
-        # timestamp are formatted.  Matches len(point.to_line()) + 1 exactly.
-        nf = len(point.fields)
-        d.bytes_written += (
-            s.key_len
-            + sum(_esc_len(k) + 1 + len(repr(v)) for k, v in point.fields.items())
-            + (nf - 1)
-            + len(str(_ns(time)))
-            + 3  # two separating spaces + trailing newline
-        )
+        if idx < s.billed:  # the row landed below the billing mark
+            s.billed += 1
+            d.bytes_written += s.line_bytes(idx, idx + 1)
 
     def write(self, db: str, point: Point) -> None:
         self._append(self._db(db), point)
@@ -1965,6 +1982,7 @@ class InfluxDB:
             return 0
         removed = 0
         for sid in list(m.match_ids(tags)):
+            d.bytes_written += m.series[sid].bill()
             removed += len(m.series[sid])
             m.remove_series(sid)
         if not m.series:
@@ -2011,6 +2029,7 @@ class InfluxDB:
         if sid is None:
             return None
         s = m.series[sid]
+        d.bytes_written += s.bill()
         names = list(s.cols)
         cols = [s.cols[n] for n in names]
         rows = [
@@ -2041,10 +2060,12 @@ class InfluxDB:
         if m is None:
             m = d.meas[measurement] = _Measurement(measurement, d.tiers, d.sketch)
         s = m.series_for(tags)
+        d.bytes_written += s.bill()
         for t, seq, fields in rows:
             if seq >= m.seq:
                 m.seq = seq + 1
             s.add(t, seq, fields)
+        s.billed = len(s.times)  # billed where they were written
         self._bump(d, measurement)
         return len(rows)
 
@@ -2065,6 +2086,7 @@ class InfluxDB:
             meas_dropped = 0
             for sid in list(m.series):
                 s = m.series[sid]
+                d.bytes_written += s.bill()
                 meas_dropped += s.drop_before(horizon)
                 if not s.times:
                     m.remove_series(sid)
@@ -2091,6 +2113,7 @@ class InfluxDB:
         HLL is in (its occupied registers while sparse); ``hll_registers`` is ``m``.
         """
         d = self._db(db)
+        d.bytes_written += sum(s.bill() for m in d.meas.values() for s in m.series.values())
         stored = sum(
             len(s) for m in d.meas.values() for s in m.series.values()
         )

@@ -925,6 +925,8 @@ class ShardedInfluxDB:
         if name in self.shards:
             raise InfluxError(f"shard {name!r} already attached")
         engine = engine or InfluxDB(self._rollup_tiers, sketch=self._sketch)
+        # Stamps above every shard's: an epoch vector cannot recur over new rows.
+        engine._gen_seq = max(sh._gen_seq for sh in (engine, *self.shards.values()))
         for db, duration in self._databases.items():
             engine.create_database(db)
             if duration is not None:

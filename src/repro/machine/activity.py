@@ -13,7 +13,7 @@ The unit of a read is the **instant**, as it is for a real ``pmdalinux``
 (one pass over /proc/stat hands back every CPU's counters):
 :meth:`SoftwareState.snapshot` integrates each cumulative counter behind
 the asked metrics once — one batched timeline read per counter — and every
-metric is a view of those reads, looked up in one table.
+metric is a view of those reads, looked up in one table (and kept a while).
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ class SoftwareState:
             "pernic": [n.name for n in spec.nics],
         }
         self._instances = {m: domains[d] for m, (d, _, _) in SW_METRICS.items()}
+        # instant -> {source: values} of the two latest read under ``_stamp``
+        self._memo: dict[float, dict[Callable, list]] = {}
+        self._stamp: tuple[int, int] | None = None
         self._cycles = [(("cpu", c), "cycles") for c in range(spec.n_threads)]
         # Hardware threads per NUMA node, and the one read that covers them all.
         self._node_threads = [len(node.core_ids) * spec.smt for node in spec.numa_nodes]
@@ -78,8 +81,13 @@ class SoftwareState:
         """Every instance of each metric at virtual time ``t``, in
         :meth:`instances` order — one read of /proc: each source in
         ``_VIEWS`` is read once and shared by the metrics that are views of
-        it, and nothing outlives the call."""
-        read: dict[Callable, list] = {}
+        it.  The sources of the two latest instants are kept, and served while
+        the machine's write stamp holds and a fresh read would lay down no
+        background: then they are what it would return, bit for bit."""
+        machine = self.machine
+        stamp = (machine.timeline.writes, len(machine.runs))
+        fresh = stamp != self._stamp or max(t, machine.clock.now()) > machine._bg_end
+        read = {} if fresh else self._memo.get(t) or {}
         out: dict[str, list[float]] = {}
         for metric in metrics:
             try:
@@ -89,7 +97,13 @@ class SoftwareState:
             values = read.get(source)
             if values is None:
                 values = read[source] = source(self, t)
-            out[metric] = values if view is None else view(values, t)
+            out[metric] = values[:] if view is None else view(values, t)  # caller-owned
+        # Not a read that wrote, nor NaN or -0.0 (== matches them elsewhere).
+        if t > 0.0 and (machine.timeline.writes, len(machine.runs)) == stamp:
+            memo = self._memo = self._memo if stamp == self._stamp else {}
+            self._stamp, memo[t] = stamp, read
+            if len(memo) > 2:
+                del memo[min(memo)]
         return out
 
     def value(self, metric: str, instance: str, t: float) -> float:

@@ -155,6 +155,7 @@ class Timeline:
         # Per-scope quantity index, maintained on insert so quantities()
         # never scans the whole store.
         self._scope_quantities: dict[Scope, set[str]] = {}
+        self.writes = 0  # segments staged so far: a kept answer's stamp
 
     # ------------------------------------------------------------------
     # Writes
@@ -176,6 +177,7 @@ class Timeline:
             series = self._series[key] = _Series()
             self._scope_quantities.setdefault(scope, set()).add(quantity)
         series.staged.append((float(t0), float(t1), float(rate)))
+        self.writes += 1
 
     def add_total(self, scope: Scope, quantity: str, t0: float, t1: float, total: float) -> None:
         """Accrue ``total`` units of ``quantity`` uniformly over [t0, t1)."""

@@ -85,9 +85,11 @@ class Pmcd:
         Metrics are grouped by owning agent and each agent is asked once
         per tick — a perfevent fetch is a single batched PMU read, a
         pmdalinux fetch one /proc snapshot per window edge.  The report
-        lists metrics in request order regardless of grouping."""
+        lists metrics in request order regardless of grouping, once each."""
         if not metrics:
             raise ValueError("empty metric list")
+        if len(set(metrics)) != len(metrics):
+            raise ValueError(f"repeated metric in {metrics!r}")
         if t1 < t0:
             raise ValueError("fetch window reversed")
         by_agent: dict[int, tuple[Agent, list[str]]] = {}

@@ -227,6 +227,8 @@ class Sampler:
             raise ValueError("empty sampling window")
         if mode not in ("unbuffered", "buffered", "durable"):
             raise ValueError(f"unknown sampling mode {mode!r}")
+        if len(set(metrics)) != len(metrics):
+            raise ValueError(f"repeated metric in {metrics!r}")
         tag = tag or str(uuid.uuid4())
         config = shipper_config or ShipperConfig()
         if mode == "durable":

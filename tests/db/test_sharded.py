@@ -153,6 +153,25 @@ class TestFreshness:
         _, values, hit = srv.execute_target(target, 0.0, 30.0)
         assert not hit and 7.0 in values
 
+    def test_an_epoch_vector_does_not_recur_after_shards_come_and_go(self):
+        """Each engine counts its own stamps, so a shard added later could
+        repeat an epoch vector seen before over other rows (0.0 was the
+        frontier below which a row lay; then the same vector said -inf).
+        A new engine's stamps start above every shard's."""
+        db = ShardedInfluxDB(3)
+        db.create_database("pmove")
+        db.write_many("pmove", [Point("m", {"obs": s}, {"v": float(t)}, float(t))
+                                for s in "abc" for t in range(0, 25, 3)])
+        db.remove_shard("shard-1")
+        db.remove_shard("shard-2")
+        db.add_shard()
+        db.drain_shard(db.shard_names()[0])
+        db.write("pmove", Point("m", {"obs": "a"}, {"v": -1.0}, 0.0))
+        seen = db.freshness("pmove", "m")
+        db.add_shard()
+        db.remove_shard(db.shard_names()[1])
+        assert db.freshness("pmove", "m")[0] != seen[0]
+
     @pytest.mark.parametrize("change", ["add", "drain", "remove"])
     def test_membership_changes_start_a_new_epoch_vector(self, change):
         db, _ = mk(3)

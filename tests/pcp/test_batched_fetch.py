@@ -193,3 +193,42 @@ class TestScenarioATick:
             assert (got.fetches, got.values_served, got.cpu_seconds) == (
                 want.fetches, want.values_served, want.cpu_seconds), name
             assert got.fetches > 0
+
+    def test_a_tick_whose_window_starts_where_the_last_ended_reads_one_instant(self):
+        """The second tick's ``t0`` is the first tick's ``t1``: its /proc
+        snapshot is kept, so only ``t1``'s counters and the load window are
+        read (the first tick of a run still reads both edges)."""
+        machine, pmcd = self.stack()
+        sw = list(SCENARIO_A_METRICS)
+        pmcd.fetch(sw, 10.0, 10.5)
+        counts = instrument(machine)
+        second = pmcd.fetch(sw, 10.5, 11.0)
+        assert counts == {"integrate": 0, "integrate_batch": 3}
+        _, fresh = self.stack()
+        assert second.values == fresh.fetch(sw, 10.5, 11.0).values
+
+
+class TestARepeatedMetricIsRefused:
+    """A report holds a metric once, so a fetch that names it twice would
+    charge an agent for values the report does not carry (Fig 6's costs
+    would depend on the fetch shape)."""
+
+    def test_pmcd_refuses_and_charges_nothing(self):
+        machine = make_machine()
+        linux = PmdaLinux(SoftwareState(machine))
+        pmcd = Pmcd([linux])
+        with pytest.raises(ValueError, match="repeated metric"):
+            pmcd.fetch(["kernel.all.load", "mem.util.used", "kernel.all.load"], 0.0, 5.0)
+        for costs in pmcd.resource_usage().values():
+            assert (costs.fetches, costs.values_served, costs.cpu_seconds) == (0, 0, 0.0)
+
+    def test_sampler_refuses_before_any_draw(self):
+        machine = make_machine()
+        db = InfluxDB()
+        sampler = Sampler(Pmcd([PmdaLinux(SoftwareState(machine))]), db, seed=3)
+        before = sampler._rng.bit_generator.state
+        with pytest.raises(ValueError, match="repeated metric"):
+            sampler.run(["kernel.all.load"] * 2, 2.0, 0.0, 2.0, tag="t")
+        assert sampler._rng.bit_generator.state == before
+        assert sampler.last_stats is None
+        assert db.stats("pmove")["points_written"] == 0
