@@ -8,14 +8,15 @@ becomes one JSON line; the summary gives, per workload and metric, the
 parent's median and IQR, the change's median, the relative change of the
 medians and how many pairs the change won.
 
-    python3 benchmarks/pairs.py --parent ../parent --out pairs.jsonl \\
+    python3 benchmarks/pairs.py --parent ../parent --pr N \\
         --workloads live_unbuffered --pairs 10 --seed-base 100
-    python3 benchmarks/pairs.py --summarize pairs.jsonl
+    python3 benchmarks/pairs.py --summarize benchmarks/results/PRN_pairs.jsonl
 
 The parent tree is any checkout of the parent commit (``git archive`` into
-a directory works).  The change tree defaults to the tree this file is in.
-Rows are appended to ``benchmarks/results/PR{n}_pairs.jsonl`` (or
-``--out``), so several invocations build one file.
+a directory works); the change tree is the one this file is in.  Every run
+lasts ``BENCHMARK.json``'s ``run_seconds``.  Rows are appended to
+``benchmarks/results/PR{n}_pairs.jsonl``, so several invocations build one
+file.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ ROOT = HERE.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``--workload`` run in ``tree``: its last stdout line, flattened."""
     cmd = [*SPEC["command"], "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{SPEC['run_seconds']:g}", "--trace", "0"]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     wall = time.perf_counter() - start
@@ -93,15 +94,12 @@ def summarize(rows: list[dict]) -> str:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, help="tree of the parent commit")
-    p.add_argument("--change", type=Path, default=ROOT, help="tree of the change")
     p.add_argument("--workloads", nargs="+",
                    default=[w["name"] for w in SPEC["workloads"]])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed-base", type=int, default=0,
                    help="pair k (from 1) runs seed base + k, counted across workloads")
-    p.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     p.add_argument("--pr", type=int, help="write benchmarks/results/PR{n}_pairs.jsonl")
-    p.add_argument("--out", type=Path, help="the JSON-lines file to append to")
     p.add_argument("--summarize", type=Path, help="only print the summary of this file")
     args = p.parse_args(argv)
 
@@ -109,10 +107,10 @@ def main(argv: list[str] | None = None) -> int:
         rows = [json.loads(line) for line in args.summarize.read_text().splitlines() if line]
         print(summarize(rows))
         return 0
-    if args.parent is None or (args.pr is None and args.out is None):
-        p.error("--parent and one of --pr / --out are needed to run pairs")
-    out = args.out or HERE / "results" / f"PR{args.pr}_pairs.jsonl"
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.parent is None or args.pr is None:
+        p.error("--parent and --pr are needed to run pairs")
+    out = HERE / "results" / f"PR{args.pr}_pairs.jsonl"
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
     rows = []
     seed = args.seed_base
     for workload in args.workloads:
@@ -121,8 +119,8 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
                 row = {"workload": workload, "side": side, "pair": pair, "seed": seed,
-                       "seconds": args.seconds, "first": order[0],
-                       **run_once(trees[side], workload, seed, args.seconds)}
+                       "seconds": SPEC["run_seconds"], "first": order[0],
+                       **run_once(trees[side], workload, seed)}
                 rows.append(row)
                 with out.open("a") as f:
                     f.write(json.dumps(row) + "\n")

@@ -208,9 +208,8 @@ class Point:
             raise InfluxError("point needs a measurement name")
         if not self.fields:
             raise InfluxError("point needs at least one field")
-        values = self.fields.values()
-        if not all(values) and None in values:  # stored, None reads as absent
-            raise InfluxError(f"field value None in {self.fields!r}")
+        if not all(self.fields.values()) and None in self.fields.values():
+            raise InfluxError(f"field value None (it would read as absent) in {self.fields!r}")
 
     def to_line(self) -> str:
         """Serialize to Influx line protocol (ns timestamp, float fields).
@@ -478,8 +477,6 @@ class _Series:
     row; a reader first asks :meth:`catch_up` for the prefix it reads
     (either attribute: for all of it), which folds what is missing of that
     and costs one compare when nothing is.
-    Byte accounting is a fold too: :meth:`bill` charges rows ``[billed, len)``
-    to ``bytes_written`` when asked, and a row inserted below the mark at once.
     """
 
     __slots__ = ("tags", "key_len", "times", "seqs", "cols", "_rollups", "max_seq",
@@ -551,8 +548,7 @@ class _Series:
         return idx
 
     def line_bytes(self, i: int, j: int) -> int:
-        """``len(p.to_line()) + 1`` summed over the points stored as rows
-        ``[i, j)``: per row key, ns time and 2; per value name, repr and 2."""
+        """``len(p.to_line()) + 1`` summed over the points of rows ``[i, j)``."""
         n = (self.key_len + 2) * (j - i) + sum(map(len, map(str, map(_ns, self.times[i:j]))))
         for name, col in self.cols.items():
             part = col[i:j]
@@ -563,9 +559,8 @@ class _Series:
 
     def bill(self) -> int:
         """The bytes of rows ``[billed, len)``, which are billed from now."""
-        i = self.billed
-        self.billed = j = len(self.times)
-        return self.line_bytes(i, j) if i < j else 0
+        i, self.billed = self.billed, len(self.times)
+        return self.line_bytes(i, self.billed) if i < self.billed else 0
 
     # -- summaries: memos over rows [0, folded) --------------------------
     @property

@@ -174,6 +174,7 @@ class ShardedInfluxDB:
         self._seqs: dict[tuple[str, str], int] = {}  # (db, measurement) → next
         self._placement: dict[tuple[str, tuple], str] = {}  # series → shard
         self._draining: set[str] = set()
+        self._gen_retired = 0  # the highest stamp count of a removed engine
         # Observability.
         self.last_partial = False
         self.partial_queries = 0
@@ -925,8 +926,9 @@ class ShardedInfluxDB:
         if name in self.shards:
             raise InfluxError(f"shard {name!r} already attached")
         engine = engine or InfluxDB(self._rollup_tiers, sketch=self._sketch)
-        # Stamps above every shard's: an epoch vector cannot recur over new rows.
-        engine._gen_seq = max(sh._gen_seq for sh in (engine, *self.shards.values()))
+        # Stamps above any engine's it held: a reused name repeats no epoch.
+        engine._gen_seq = max(self._gen_retired, *(
+            sh._gen_seq for sh in (engine, *self.shards.values())))
         for db, duration in self._databases.items():
             engine.create_database(db)
             if duration is not None:
@@ -961,7 +963,7 @@ class ShardedInfluxDB:
         summary = self.drain_shard(name) if name in self.ring.nodes else (
             self._rebalance(f"remove {name}")
         )
-        del self.shards[name]
+        self._gen_retired = max(self._gen_retired, self.shards.pop(name)._gen_seq)
         self._draining.discard(name)
         self.dropped_points.pop(name, None)
         summary["reason"] = f"remove {name}"

@@ -59,9 +59,8 @@ class SoftwareState:
             "pernic": [n.name for n in spec.nics],
         }
         self._instances = {m: domains[d] for m, (d, _, _) in SW_METRICS.items()}
-        # instant -> {source: values} of the two latest read under ``_stamp``
-        self._memo: dict[float, dict[Callable, list]] = {}
-        self._stamp: tuple[int, int] | None = None
+        # (machine version, instant) -> {source: values}, the two latest kept
+        self._memo: dict[tuple[int, float], dict[Callable, list]] = {}
         self._cycles = [(("cpu", c), "cycles") for c in range(spec.n_threads)]
         # Hardware threads per NUMA node, and the one read that covers them all.
         self._node_threads = [len(node.core_ids) * spec.smt for node in spec.numa_nodes]
@@ -81,13 +80,11 @@ class SoftwareState:
         """Every instance of each metric at virtual time ``t``, in
         :meth:`instances` order — one read of /proc: each source in
         ``_VIEWS`` is read once and shared by the metrics that are views of
-        it.  The sources of the two latest instants are kept, and served while
-        the machine's write stamp holds and a fresh read would lay down no
-        background: then they are what it would return, bit for bit."""
-        machine = self.machine
-        stamp = (machine.timeline.writes, len(machine.runs))
-        fresh = stamp != self._stamp or max(t, machine.clock.now()) > machine._bg_end
-        read = {} if fresh else self._memo.get(t) or {}
+        it.  The sources of the two latest instants are kept under the
+        machine's :meth:`~repro.machine.SimulatedMachine.version` and served
+        while it holds: then they are what a fresh read returns, bit for bit."""
+        stamp = self.machine.version(t)
+        read = self._memo.get((stamp, t), {})
         out: dict[str, list[float]] = {}
         for metric in metrics:
             try:
@@ -98,12 +95,11 @@ class SoftwareState:
             if values is None:
                 values = read[source] = source(self, t)
             out[metric] = values[:] if view is None else view(values, t)  # caller-owned
-        # Not a read that wrote, nor NaN or -0.0 (== matches them elsewhere).
-        if t > 0.0 and (machine.timeline.writes, len(machine.runs)) == stamp:
-            memo = self._memo = self._memo if stamp == self._stamp else {}
-            self._stamp, memo[t] = stamp, read
-            if len(memo) > 2:
-                del memo[min(memo)]
+        # Kept: a read under a version wrote nothing (NaN, -0.0: == misleads).
+        if t > 0.0 and stamp is not None:
+            self._memo[stamp, t] = read
+            if len(self._memo) > 2:
+                del self._memo[min(self._memo)]  # an older version, else instant
         return out
 
     def value(self, metric: str, instance: str, t: float) -> float:

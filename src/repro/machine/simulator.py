@@ -96,6 +96,13 @@ class SimulatedMachine:
         self._extend_background(t)
         return t
 
+    def version(self, t: float) -> int | None:
+        """A count that moves with every timeline write and kernel run, or
+        ``None`` if a read up to ``t`` would first lay down background."""
+        if max(t, self.clock.now()) > self._bg_end:
+            return None
+        return self.timeline.writes + len(self.runs)
+
     # ------------------------------------------------------------------
     # Kernel execution
     # ------------------------------------------------------------------

@@ -172,6 +172,25 @@ class TestFreshness:
         db.remove_shard(db.shard_names()[1])
         assert db.freshness("pmove", "m")[0] != seen[0]
 
+    def test_a_reused_shard_name_does_not_repeat_a_removed_engines_epoch(self):
+        """shard-1 counts higher than shard-0, deletes its series (a bump
+        on shard-1 alone) and leaves with no rows to move; a new engine
+        under the same name must not stamp its first write with the epoch
+        the old one ended on."""
+        db = ShardedInfluxDB(2)
+        db.create_database("pmove")
+        # "a" lands on shard-0 and "b" on shard-1 (ring of two names)
+        db.write_many("pmove", [Point("m", {"obs": s}, {"v": float(t)}, float(t))
+                                for s in "ab" for t in range(5)])
+        assert db.delete_series("pmove", "m", {"obs": "b"}) == 5
+        seen = db.freshness("pmove", "m")[0]
+        assert seen[1] > db.shards["shard-0"]._gen_seq  # shard-1 counted higher
+        db.remove_shard("shard-1")
+        assert db.add_shard()["moved_series"] == 0
+        db.write("pmove", Point("m", {"obs": "b"}, {"v": 9.0}, 9.0))
+        assert db.shards["shard-1"].list_series("pmove") == [("m", {"obs": "b"})]
+        assert db.freshness("pmove", "m")[0] != seen
+
     @pytest.mark.parametrize("change", ["add", "drain", "remove"])
     def test_membership_changes_start_a_new_epoch_vector(self, change):
         db, _ = mk(3)

@@ -15,6 +15,8 @@ would be counted as written, read as absent, and printed as a line no
 parser takes back.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,33 +29,50 @@ DB = "d"
 MEASUREMENTS = ["cpu", "m x"]  # the second needs escaping
 TAGS = [{}, {"host": "a"}, {"host": "b,c", "tag": "t"}]
 FIELDS = ["_cpu0", "v", "a=b"]
+SPECIAL = [0.0, -0.0, 0.1, 5e-324, 1e-300, 1.5e300, float("nan"), float("inf"),
+           -float("inf"), 0, -7, 10**6]
 
-values = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(-10**6, 10**6),
-    st.sampled_from([0.0, -0.0, 0.1, 1e-300, 1.5e300]),
-)
-points = st.builds(
-    Point,
-    measurement=st.sampled_from(MEASUREMENTS),
-    tags=st.sampled_from(TAGS),
-    fields=st.dictionaries(st.sampled_from(FIELDS), values, min_size=1, max_size=3),
-    # a few instants, so writes land above, on and below the billing mark
-    time=st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0)),
-)
-ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("write"), st.lists(points, min_size=1, max_size=4)),
-        st.tuples(st.just("lines"), st.lists(points, min_size=1, max_size=3)),
-        st.tuples(st.just("seqs"), st.lists(points, min_size=1, max_size=3)),
-        st.tuples(st.just("stats"),),
-        st.tuples(st.just("retention"), st.floats(0.0, 14.0)),
-        st.tuples(st.just("delete"), st.sampled_from(MEASUREMENTS),
-                  st.sampled_from([None, {"host": "a"}])),
-        st.tuples(st.just("move"), st.sampled_from(MEASUREMENTS), st.sampled_from(TAGS)),
-    ),
-    max_size=14,
-)
+
+def value(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(SPECIAL)
+    if kind == 1:
+        return rng.randint(-10**6, 10**6)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+
+
+def points(rng):
+    return [
+        Point(rng.choice(MEASUREMENTS), rng.choice(TAGS),
+              {f: value(rng) for f in rng.sample(FIELDS, rng.randint(1, 3))},
+              # a few instants, so writes land above, on and below the mark
+              float(rng.randint(0, 12)) if rng.random() < 0.5 else rng.uniform(0.0, 12.0))
+        for _ in range(rng.randint(1, 4))
+    ]
+
+
+KINDS = ["write", "lines", "seqs", "stats", "retention", "delete", "move"]
+
+
+def op(step):
+    """A script step from one integer (``random.Random`` of it): one draw
+    per step keeps 1 000 examples cheap to generate, and hypothesis still
+    shrinks the script's length and its steps."""
+    rng = random.Random(step)
+    kind = KINDS[step % len(KINDS)]
+    if kind in ("write", "lines", "seqs"):
+        return kind, points(rng)
+    if kind == "retention":
+        return kind, rng.uniform(0.0, 14.0)
+    if kind == "delete":
+        return kind, rng.choice(MEASUREMENTS), rng.choice([None, {"host": "a"}])
+    if kind == "move":
+        return kind, rng.choice(MEASUREMENTS), rng.choice(TAGS)
+    return (kind,)
+
+
+ops = st.lists(st.integers(0, 2**32).map(op), max_size=14)
 
 
 def counters(db):

@@ -1,7 +1,7 @@
 """A kept /proc snapshot ≡ a fresh one, bit for bit.
 
 ``SoftwareState.snapshot`` keeps the source reads of the two latest
-instants it read and hands them out again while the machine is unwritten.
+instants it read and hands them out again while ``machine.version(t)`` holds.
 The oracle is a fresh ``SoftwareState`` per read (it keeps nothing) on a
 *twin* machine that plays the same script, so the check also pins that a
 kept answer skips nothing a fresh read would have done to the machine: a
@@ -13,6 +13,9 @@ the machine (background left behind the clock), and direct ``add_rate``
 deposits, among them a ``1e20`` rate with a ``1`` beside it, which forces
 full merge sweeps — and a caller that scribbles on a list it was handed.
 """
+
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -30,22 +33,12 @@ def kernel(n):
         stores=n / 4, mem_isa=ISA.AVX2, working_set_bytes=24 * n)
 
 
-writes = st.one_of(
-        st.none(),
-        st.tuples(st.just("advance"), st.floats(0.01, 2.0)),
-        st.tuples(st.just("clock"), st.floats(0.01, 1.0)),
-        st.tuples(st.just("kernel"), st.integers(1, 4),
-                  st.sampled_from([200_000, 40_000_000])),
-        st.tuples(st.just("deposit"), st.integers(0, 3),
-                  st.sampled_from(["cycles", "dram_bytes"]),
-                  st.floats(0.0, 1.0), st.floats(0.0, 0.5),
-                  st.sampled_from([-1e6, 1.0, 3e7, 1e20])),
-        st.tuples(st.just("scribble"),),
-)
-reads = st.tuples(st.lists(st.sampled_from(METRICS), min_size=1, max_size=6, unique=True),
-                  st.booleans(), st.integers(0, 63))
-#: Each step: maybe something happens, then a read.
-ops = st.lists(st.tuples(writes, reads), min_size=1, max_size=10)
+# A step is one integer: what happens and where the read lands are drawn
+# from ``random.Random`` of it, which keeps 1 000 examples cheap to
+# generate; hypothesis still shrinks the script's length and its steps.
+# Four steps in ten write the machine.
+KINDS = [None, None, None, None, "scribble", "scribble", "advance", "clock", "kernel", "deposit"]
+ops = st.lists(st.integers(0, 2**32), min_size=1, max_size=10)
 
 
 def instants(machine, read):
@@ -57,26 +50,27 @@ def instants(machine, read):
     return out
 
 
-def play(op, machine):
-    kind = op[0]
+def play(kind, rng, machine):
     if kind == "advance":
-        machine.advance(op[1])
+        machine.advance(rng.uniform(0.01, 2.0))
     elif kind == "clock":
-        machine.clock.advance(op[1])
+        machine.clock.advance(rng.uniform(0.01, 1.0))
     elif kind == "kernel":
-        machine.run_kernel(kernel(op[2]), list(range(op[1])))
-    elif kind == "deposit":
-        _, cpu, quantity, a, width, rate = op
+        machine.run_kernel(kernel(rng.choice([200_000, 40_000_000])),
+                           list(range(rng.randint(1, 4))))
+    else:  # a deposit anywhere up to the clock, past ones included
+        scope, quantity = ("cpu", rng.randint(0, 3)), rng.choice(["cycles", "dram_bytes"])
+        rate = rng.choice([-1e6, 1.0, 3e7, 1e20])
         now = machine.clock.now()
-        t0 = a * now
-        t1 = t0 + width * now
-        machine.timeline.add_rate(("cpu", cpu), quantity, t0, t1, rate)
+        t0 = rng.random() * now
+        t1 = t0 + rng.uniform(0.0, 0.5) * now
+        machine.timeline.add_rate(scope, quantity, t0, t1, rate)
         if rate == 1e20:  # a small rate on top: 1e20 + 1 == 1e20
-            machine.timeline.add_rate(("cpu", cpu), quantity, t0, t1, 1.0)
+            machine.timeline.add_rate(scope, quantity, t0, t1, 1.0)
 
 
 def bits(snapshot):
-    return {m: [float(v).hex() for v in vs] for m, vs in snapshot.items()}
+    return {m: array("d", vs).tobytes() for m, vs in snapshot.items()}
 
 
 def check(host, script):
@@ -86,21 +80,21 @@ def check(host, script):
     kept = SoftwareState(kept_m)
     read: list[float] = []
     handed: list[dict] = []
-    for op, (metrics, again, pick) in script:
-        if op is None:
-            pass
-        elif op[0] == "scribble":
+    for step in script:
+        kind = KINDS[step % len(KINDS)]
+        if kind == "scribble":
             for snap in handed:
                 for values in snap.values():
                     values[:] = [-1.0] * len(values)
+        elif kind is not None:
+            play(kind, random.Random(step), kept_m)
+            play(kind, random.Random(step), fresh_m)
+        rng = random.Random(f"read {step}")
+        metrics = rng.sample(METRICS, rng.randint(1, 6))
+        if rng.random() < 0.5 and read:  # one of the two latest instants read: kept
+            t = read[-1 - rng.randrange(min(2, len(read)))]
         else:
-            play(op, kept_m)
-            play(op, fresh_m)
-        if again and read:  # one of the two latest instants read: kept
-            t = read[-1 - pick % min(2, len(read))]
-        else:
-            choices = instants(kept_m, read)
-            t = choices[pick % len(choices)]
+            t = rng.choice(instants(kept_m, read))
         got = kept.snapshot(metrics, t)
         want = SoftwareState(fresh_m).snapshot(metrics, t)
         assert bits(got) == bits(want), (t, metrics)
@@ -109,10 +103,9 @@ def check(host, script):
             fresh_m._bg_end, fresh_m.timeline.writes)
         read.append(t)
         handed.append(got)
-    # the twins still agree everywhere after the script
+    # the twins still agree on everything at the end
     end = kept_m.clock.now()
-    for t in {*read, end}:
-        assert bits(kept.snapshot(METRICS, t)) == bits(SoftwareState(fresh_m).snapshot(METRICS, t))
+    assert bits(kept.snapshot(METRICS, end)) == bits(SoftwareState(fresh_m).snapshot(METRICS, end))
 
 
 class TestKeptSnapshotEqualsFresh:
@@ -155,6 +148,19 @@ class TestKeptSnapshotEqualsFresh:
         m.clock.advance(1.0)
         state.snapshot(METRICS, 2.0)
         assert m._bg_end == 5.0
+
+    def test_the_version_moves_with_every_write_and_lags_with_the_background(self):
+        m = SimulatedMachine(get_preset("icl"), seed=4)
+        m.advance(4.0)
+        v = m.version(4.0)
+        assert v is not None and m.version(2.0) == v
+        assert m.version(4.5) is None  # a read there lays background first
+        m.timeline.add_rate(("cpu", 0), "cycles", 0.5, 0.75, 1.0)
+        assert m.version(4.0) == v + 1
+        m.run_kernel(kernel(200_000), [0])
+        assert m.version(m.clock.now()) > v + 1
+        m.clock.advance(1.0)
+        assert m.version(0.0) is None
 
     def test_a_handed_list_is_the_callers(self):
         m = SimulatedMachine(get_preset("icl"), seed=4)
