@@ -35,9 +35,11 @@ import os
 import random
 import time
 
+import numpy as np
 from _helpers import emit_json, latency_stats, run_metadata
 
 from repro.machine import NaiveTimeline, Timeline
+from repro.pmu import noise
 
 N_SEGMENTS = int(float(os.environ.get("PMOVE_BENCH_TL_SEGMENTS", "100000")))
 N_COOL_CPUS = 7  # cooler per-cpu series alongside the hot one
@@ -59,6 +61,11 @@ TICK_REPEATS = 3
 #: TICK_REPEATS: flat would be 1.0; a merge that re-sweeps every breakpoint
 #: makes the last block ≈ TICKS / TICK_BLOCK times dearer than the first.
 TICK_GROWTH_CEILING = 1.5
+SEED_READS = 38
+SEED_REPEATS = 5
+#: four-round mix ÷ twelve-step strawman, least disturbed of SEED_REPEATS
+#: alternating repeats (0.43-0.58 where it was written)
+SEED_CEILING = 0.75
 SEED = 20240806
 
 HOT = (("cpu", 0), "cycles")
@@ -151,6 +158,72 @@ def _tick_by_tick() -> dict:
     }
 
 
+def _strawman_keys(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
+    keys = []
+    for _ in range(n):
+        nxt = init * mult & 0xFFFF_FFFF
+        keys.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return keys
+
+
+_STRAWMAN_MIX_KEYS = _strawman_keys(0x43B0D7E5, 0x931E8875, 16)
+_STRAWMAN_STATE_KEYS = _strawman_keys(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _twelve_step_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """The strawman, as the seeding was before the four-round mix:
+    ``SeedSequence.mix_entropy`` as twelve dependent cross-mixes of four
+    separate pool lanes, numpy scalar constants, one ufunc chain each."""
+    mix_l, mix_r = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+    def hashmix(v, key):
+        v = (v ^ key[0]) * key[1]
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = mix_l * x - mix_r * y
+        return r ^ (r >> 16)
+
+    keys = iter(_STRAWMAN_MIX_KEYS)
+    zero = np.zeros(len(words), dtype=np.uint32)
+    pool = [hashmix(w, next(keys)) for w in (words[:, 0], words[:, 1], zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], next(keys)))
+    out = np.stack([hashmix(pool[i % 4], key)
+                    for i, key in enumerate(_STRAWMAN_STATE_KEYS)], axis=1)
+    m128, states = (1 << 128) - 1, []
+    for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & m128
+        states.append(((inc + ((s_hi << 64) | s_lo)) * noise._PCG64_MULT + inc & m128, inc))
+    return states
+
+
+def _tick_seeding() -> dict:
+    """µs to seed one tick's ``SEED_READS`` noise streams, both ways:
+    ``SEED_REPEATS`` alternating repeats, least disturbed of each."""
+    rng = random.Random(SEED)
+    seeds = [rng.getrandbits(64) for _ in range(SEED_READS)]
+    words = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2)
+    assert noise._pcg64_states(words) == _twelve_step_states(words)
+    best = {"four_round": float("inf"), "twelve_step": float("inf")}
+    fns = {"four_round": noise._pcg64_states, "twelve_step": _twelve_step_states}
+    for _ in range(SEED_REPEATS):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            for _ in range(500):
+                fn(words)
+            best[name] = min(best[name], (time.perf_counter() - t0) / 500)
+    return {
+        "reads": SEED_READS,
+        "four_round_us": 1e6 * best["four_round"],
+        "twelve_step_us": 1e6 * best["twelve_step"],
+        "four_over_twelve": best["four_round"] / best["twelve_step"],
+    }
+
+
 def test_timeline_engine_speedup():
     rng = random.Random(SEED)
     windows = _windows(rng)
@@ -187,6 +260,7 @@ def test_timeline_engine_speedup():
     }
 
     ticks = _tick_by_tick()
+    seeding = _tick_seeding()
 
     stats_i, stats_n = latency_stats(lat_indexed), latency_stats(lat_naive)
     speedup = stats_n["p50_ms"] / stats_i["p50_ms"]
@@ -211,14 +285,17 @@ def test_timeline_engine_speedup():
         },
         "batched_read": batched,
         "tick_by_tick": ticks,
+        "tick_seeding": seeding,
         "gate": {
             "speedup_floor": SPEEDUP_FLOOR,
             "batch_floor": BATCH_FLOOR,
             "tick_growth_ceiling": TICK_GROWTH_CEILING,
+            "seed_ceiling": SEED_CEILING,
             "passed": speedup >= SPEEDUP_FLOOR and all(
                 batched[row]["batch_vs_scalar"] >= floor
                 for row, floor in BATCH_FLOOR.items())
-            and ticks["last_over_first"] <= TICK_GROWTH_CEILING,
+            and ticks["last_over_first"] <= TICK_GROWTH_CEILING
+            and seeding["four_over_twelve"] <= SEED_CEILING,
         },
         "run": run_metadata(N_SEGMENTS, SEED),
     }
@@ -231,3 +308,4 @@ def test_timeline_engine_speedup():
     for row, floor in BATCH_FLOOR.items():
         assert batched[row]["batch_vs_scalar"] >= floor, (row, batched[row], floor)
     assert ticks["last_over_first"] <= TICK_GROWTH_CEILING, ticks
+    assert seeding["four_over_twelve"] <= SEED_CEILING, seeding

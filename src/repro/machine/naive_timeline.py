@@ -40,8 +40,9 @@ class NaiveTimeline:
 
     def add_rate(self, scope: Scope, quantity: str, t0: float, t1: float, rate: float) -> None:
         """Accrue ``quantity`` on ``scope`` at ``rate`` per second over [t0, t1)."""
-        if t1 < t0:
-            raise ValueError(f"segment ends before it starts: [{t0}, {t1})")
+        inf = float("inf")
+        if not (-inf < t0 <= t1 < inf and -inf < rate < inf):
+            raise ValueError(f"segment [{t0}, {t1}) at {rate}/s is reversed or not finite")
         if t1 == t0 or rate == 0.0:
             return
         key = (scope, quantity)

@@ -63,6 +63,7 @@ __all__ = ["Scope", "Timeline"]
 
 Scope = tuple[str, int]
 
+_INF = float("inf")
 
 class _Series:
     """One (scope, quantity) series: compacted step function + staging."""
@@ -165,10 +166,12 @@ class Timeline:
 
         ``rate`` may be negative: a correction that retracts previously
         deposited accrual (the integral over any window may then be
-        negative).  Zero-width or zero-rate segments are dropped.
+        negative).  Zero-width or zero-rate segments are dropped; a reversed
+        one, or one with a bound or rate that is not finite, is refused (a
+        NaN would make every later integral of the series NaN).
         """
-        if t1 < t0:
-            raise ValueError(f"segment ends before it starts: [{t0}, {t1})")
+        if not (-_INF < t0 <= t1 < _INF and -_INF < rate < _INF):
+            raise ValueError(f"segment [{t0}, {t1}) at {rate}/s is reversed or not finite")
         if t1 == t0 or rate == 0.0:
             return
         key = (scope, quantity)

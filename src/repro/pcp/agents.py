@@ -132,27 +132,26 @@ class PmdaPerfevent(Agent):
     def __init__(self, pmu: PMU) -> None:
         super().__init__("pmdaperfevent")
         self.pmu = pmu
-        self._configured: list[str] = []
+        self._events: dict[str, str] = {}  # metric → event, in configured order
+        self._fields = {c: instance_field(f"cpu{c}") for c in range(pmu.machine.spec.n_threads)}
 
     def configure(self, events: list[str], cpus: list[int] | None = None) -> None:
+        names = {perfevent_metric(e): e for e in events}
+        if len(names) != len(set(events)):
+            clash = sorted(set(events) - set(names.values()))
+            raise ValueError(f"events {clash} share a PMNS name with another event")
         self.pmu.program(events, cpus=cpus)
-        self._configured = list(events)
+        self._events = names
 
     @property
     def configured_events(self) -> list[str]:
-        return list(self._configured)
+        return list(self._events.values())
 
     def metrics(self) -> list[str]:
-        return [perfevent_metric(e) for e in self._configured]
+        return list(self._events)
 
     def owns(self, metric: str) -> bool:
         return metric.startswith("perfevent.")
-
-    def _event_for(self, metric: str) -> str:
-        for e in self._configured:
-            if perfevent_metric(e) == metric:
-                return e
-        raise KeyError(f"perfevent metric {metric!r} not configured")
 
     def _fetch_batch(
         self, metrics: list[str], t0: float, t1: float
@@ -160,10 +159,14 @@ class PmdaPerfevent(Agent):
         """One batched PMU read for the whole metric set × cpu set: a tick
         issues a single :meth:`~repro.pmu.counters.PMU.read_events_all_cpus`
         (one timeline pass), never events × cpus scalar ``integrate`` calls."""
-        events = [self._event_for(m) for m in metrics]
+        try:
+            events = [self._events[m] for m in metrics]
+        except KeyError as e:
+            raise KeyError(f"perfevent metric {e.args[0]!r} not configured") from None
         vals = self.pmu.read_events_all_cpus(events, t0, t1)
+        fields = self._fields
         return {
-            metric: {instance_field(f"cpu{c}"): v for c, v in vals[event].items()}
+            metric: {fields[c]: v for c, v in vals[event].items()}
             for metric, event in zip(metrics, events)
         }
 

@@ -50,6 +50,9 @@ class PMU:
         self.catalog: EventCatalog = catalog_for(self.spec.uarch)
         self.noise = NoiseModel(self.spec, machine_seed=seed)
         self._session: CounterSession | None = None
+        #: the read plan of the last event list read, which ``program`` and
+        #: ``stop`` drop: (events, pairs, term scales, identities, muxes)
+        self._plan: tuple | None = None
 
     # ------------------------------------------------------------------
     # Programming
@@ -105,6 +108,7 @@ class PMU:
             t_programmed=self.machine.clock.now(),
             mux_groups=mux_groups,
         )
+        self._plan = None
         return self._session
 
     @property
@@ -115,6 +119,7 @@ class PMU:
 
     def stop(self) -> None:
         self._session = None
+        self._plan = None
 
     # ------------------------------------------------------------------
     # Reading
@@ -164,6 +169,26 @@ class PMU:
         cpu set instead of a scalar integrate per cpu."""
         return self.read_events_all_cpus([event], t0, t1)[event]
 
+    def _read_plan(self, events: tuple[str, ...]) -> tuple:
+        """What every read of ``events`` × the session's cpus asks the same
+        way, in event-major, cpu-minor order: the timeline pairs, each read's
+        term scales, noise identity and mux group count."""
+        sess = self.session
+        missing = [e for e in events if e not in sess]
+        if missing:
+            raise KeyError(f"events {missing} not programmed")
+        pairs, scales, identities, muxes = [], [], [], []
+        for event in events:
+            edef = self.catalog.get(event)
+            mux = sess.mux_groups if (edef.scope == "cpu" and not edef.fixed) else 1
+            for cpu in sess.cpus:
+                scope = self._scope_for(edef, cpu)
+                pairs.extend((scope, quantity) for quantity in edef.terms)
+                scales.append(tuple(edef.terms.values()))
+                identities.append(self.noise.identity(cpu, event))
+                muxes.append(mux)
+        return events, pairs, scales, identities, muxes
+
     def read_events_all_cpus(
         self, events: list[str], t0: float, t1: float
     ) -> dict[str, dict[int, float]]:
@@ -174,30 +199,20 @@ class PMU:
         accumulations for all (event term, cpu) pairs come back from a
         single :meth:`SimulatedMachine.read_batch` call, then the tick's
         deterministic per-read noise is seeded in one
-        :meth:`NoiseModel.measure_batch` — measured values are
+        :meth:`NoiseModel.measure_planned` — measured values are
         identical to scalar :meth:`read_interval` reads, only the number
-        of timeline traversals changes."""
-        sess = self.session
-        missing = [e for e in events if e not in sess]
-        if missing:
-            raise KeyError(f"events {missing} not programmed")
-        defs = [self.catalog.get(e) for e in events]
-        pairs: list[tuple[tuple[str, int], str]] = []
-        for edef in defs:
-            for cpu in sess.cpus:
-                scope = self._scope_for(edef, cpu)
-                for quantity in edef.terms:
-                    pairs.append((scope, quantity))
-        raw = self.machine.read_batch(pairs, t0, t1)
-        reads: list[tuple[float, int, str, int]] = []
-        k = 0
-        for event, edef in zip(events, defs):
-            mux = sess.mux_groups if (edef.scope == "cpu" and not edef.fixed) else 1
-            for cpu in sess.cpus:
-                true = 0.0
-                for scale in edef.terms.values():
-                    true += scale * raw[k]
-                    k += 1
-                reads.append((true, cpu, event, mux))
-        measured = iter(self.noise.measure_batch(reads, t0, t1))
-        return {event: {cpu: next(measured) for cpu in sess.cpus} for event in events}
+        of timeline traversals changes.  All but the window comes from the
+        session's read plan, built by the first read of an event list."""
+        if self._plan is None or self._plan[0] != tuple(events):
+            self._plan = self._read_plan(tuple(events))
+        _, pairs, term_scales, identities, muxes = self._plan
+        raw = iter(self.machine.read_batch(pairs, t0, t1))
+        values = []
+        for scales in term_scales:
+            true = 0.0
+            for scale in scales:
+                true += scale * next(raw)
+            values.append(true)
+        measured = iter(self.noise.measure_planned(values, identities, muxes, t0, t1))
+        cpus = self._session.cpus
+        return {event: {cpu: next(measured) for cpu in cpus} for event in events}

@@ -13,12 +13,13 @@ same measured value, and experiment outcomes are reproducible bit-for-bit.
 Each read's stream is ``np.random.default_rng(seed)`` with ``seed`` the
 little-endian ``uint64`` of an 8-byte blake2b of the identity string.  A
 sampler tick reads every event on every cpu over one window, so
-:meth:`NoiseModel.measure_batch` seeds the whole tick at once: numpy's
+:meth:`NoiseModel.measure_planned` seeds the whole tick at once: numpy's
 ``SeedSequence`` (pool size 4; a ``uint64`` entropy zero-padded to four
-words hashes exactly as the unpadded one) and its ``generate_state(4,
-uint64)`` run vectorised over the batch in ``uint32`` arrays, PCG64's
-``(state, inc)`` follows as ``pcg_setseq_128_srandom_r`` derives it, and
-one reused ``PCG64`` + ``Generator`` is set to it per read.  That relies on
+words hashes exactly as the unpadded one) runs as four array rounds over
+the batch's ``(4, n)`` ``uint32`` pool, its ``generate_state(4, uint64)``
+as one more, PCG64's ``(state, inc)`` follows as
+``pcg_setseq_128_srandom_r`` derives it, and one reused ``PCG64`` +
+``Generator`` is set to it per read.  That relies on
 the stream-stability numpy guarantees for ``SeedSequence`` and PCG64
 seeding (NEP 19); ``tests/pmu/test_counters.py`` pins it against
 ``default_rng`` draw for draw and fails if a numpy ever breaks it.
@@ -27,6 +28,7 @@ seeding (NEP 19); ``tests/pmu/test_counters.py`` pins it against
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -37,49 +39,62 @@ __all__ = ["NoiseModel"]
 _M32 = 0xFFFF_FFFF
 _M128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _hash_keys(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
-    """The (xor, multiply) constant pair of each of ``n`` successive hash
-    steps: the running hash constant never depends on the data."""
+def _u32(v) -> np.ndarray:
+    # an array constant costs numpy less than a scalar one on small arrays
+    return np.array(v, dtype=np.uint32)
+
+
+_MIX_L, _MIX_R, _SHIFT = _u32(0xCA01F9DD), _u32(0x4973F715), _u32(16)
+
+
+def _hash_keys(init: int, mult: int, n: int) -> np.ndarray:
+    """The (xor, multiply) constant pairs of ``n`` successive hash steps as a
+    ``(2, n, 1)`` array: the running hash constant never depends on the data."""
     keys = []
     for _ in range(n):
         nxt = init * mult & _M32
-        keys.append((np.uint32(init), np.uint32(nxt)))
+        keys.append((init, nxt))
         init = nxt
-    return keys
+    return _u32(keys).T[:, :, None]
 
 
 #: 4 pool fills + 12 cross-mixes (SeedSequence.mix_entropy), then the 8
-#: output words of generate_state(4, uint64).
+#: output words of generate_state(4, uint64), lanes 0-3 twice.
 _MIX_KEYS = _hash_keys(0x43B0D7E5, 0x931E8875, 16)
 _STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 8)
+_STATE_LANES = [0, 1, 2, 3, 0, 1, 2, 3]
+#: cross-mix round ``src``'s key per lane; lane ``src``'s zero key is a dummy
+_ROUND_KEYS = [np.insert(_MIX_KEYS[:, 4 + 3 * s:7 + 3 * s], s, 0, axis=1) for s in range(4)]
 
 
-def _hashmix(v: np.ndarray, key: tuple[np.uint32, np.uint32]) -> np.ndarray:
-    v = (v ^ key[0]) * key[1]
-    return v ^ (v >> 16)
+def _hashmix(v: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    v = (v ^ keys[0]) * keys[1]
+    return v ^ (v >> _SHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> 16)
+    return r ^ (r >> _SHIFT)
 
 
 def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``default_rng(seed)`` for each row of
-    ``words``, an ``(n, 2)`` ``uint32`` array of seeds' low and high words."""
-    keys = iter(_MIX_KEYS)
-    zero = np.zeros(len(words), dtype=np.uint32)
-    pool = [_hashmix(w, next(keys)) for w in (words[:, 0], words[:, 1], zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(keys)))
-    out = np.stack([_hashmix(pool[i % 4], key) for i, key in enumerate(_STATE_KEYS)], axis=1)
+    ``words``, an ``(n, 2)`` ``uint32`` array of seeds' low and high words.
+    The twelve cross-mixes run as four rounds, one per source lane: round
+    ``src`` never writes lane ``src``, so its hashes and mixes are one
+    ``(4, n)`` step each, after which lane ``src`` is put back as it was."""
+    pool = np.zeros((4, len(words)), dtype=np.uint32)
+    pool[:2] = words.T
+    pool = _hashmix(pool, _MIX_KEYS[:, :4])
+    for src, keys in enumerate(_ROUND_KEYS):
+        lane = pool[src]
+        pool = _mix(pool, _hashmix(lane, keys))
+        pool[src] = lane
+    out = _hashmix(pool[_STATE_LANES], _STATE_KEYS).T.astype("<u4", order="C")
     states = []
-    for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
+    for s_hi, s_lo, i_hi, i_lo in out.view("<u8").tolist():
         inc = (((i_hi << 64) | i_lo) << 1 | 1) & _M128
         states.append(((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc & _M128, inc))
     return states
@@ -93,6 +108,11 @@ class NoiseModel:
         self.machine_seed = machine_seed
         self._bitgen = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
+
+    def identity(self, cpu: int, event: str) -> bytes:
+        """A read's identity up to its window: the head of the bytes whose
+        blake2b seeds the read's noise stream."""
+        return f"{self.machine_seed}:{cpu}:{event}".encode()
 
     def measure(
         self,
@@ -117,44 +137,51 @@ class NoiseModel:
         self, reads: list[tuple[float, int, str, int]], t0: float, t1: float
     ) -> list[float]:
         """Measured values of many ``(true_value, cpu, event, mux_groups)``
-        reads over one window [t0, t1), in order.  A zero true value draws
-        nothing and measures 0.0."""
-        window = f":{t0:.9f}:{t1:.9f}"
-        head = f"{self.machine_seed}:"
+        reads over one window [t0, t1), in order: :meth:`measure_planned`
+        with each read's :meth:`identity`."""
+        identity = self.identity
+        return self.measure_planned(
+            [r[0] for r in reads], [identity(r[1], r[2]) for r in reads],
+            [r[3] for r in reads], t0, t1)
+
+    def measure_planned(self, true_values: list[float], identities: list[bytes],
+                        mux_groups: list[int], t0: float, t1: float) -> list[float]:
+        """Measured values of reads given as parallel lists over one window
+        [t0, t1).  A zero true value draws nothing and measures 0.0; one
+        outside ``[0, inf)`` (NaN included) is refused, not measured."""
+        window = f":{t0:.9f}:{t1:.9f}".encode()
         blake2b = hashlib.blake2b
         digests = []
-        for true_value, cpu, event, mux_groups in reads:
-            if true_value < 0:
-                raise ValueError("counter accumulation cannot be negative")
-            if mux_groups < 1:
+        for true_value, ident, mux in zip(true_values, identities, mux_groups):
+            if not 0.0 <= true_value < math.inf:
+                raise ValueError(
+                    f"counter accumulation must be finite and >= 0, got {true_value!r}")
+            if mux < 1:
                 raise ValueError("mux_groups must be >= 1")
-            if true_value != 0.0:
-                ident = f"{head}{cpu}:{event}{window}".encode()
-                digests.append(blake2b(ident, digest_size=8).digest())
+            if true_value:
+                digests.append(blake2b(ident + window, digest_size=8).digest())
         if not digests:
-            return [0.0] * len(reads)
+            return [0.0] * len(true_values)
         words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 2)
         states = iter(_pcg64_states(words))
 
-        bitgen, normal = self._bitgen, self._gen.normal
+        # normal(0.0, scale) is 0.0 + scale * z: scale * z, bit for bit
+        bitgen, z = self._bitgen, self._gen.standard_normal
+        pcg = {"state": 0, "inc": 0}
+        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         over = self.pmu.overcount_ppm * 1e-6
         jitter_sd = self.pmu.jitter_ppm * 1e-6
         out = []
-        for true_value, _, _, mux_groups in reads:
-            if true_value == 0.0:
+        for true_value, mux in zip(true_values, mux_groups):
+            if not true_value:
                 out.append(0.0)
                 continue
-            state, inc = next(states)
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            rel = over + normal(0.0, jitter_sd)
-            if mux_groups > 1:
+            pcg["state"], pcg["inc"] = next(states)
+            bitgen.state = full
+            rel = over + jitter_sd * z()
+            if mux > 1:
                 # Extrapolation error ~0.8 % per extra group (empirically what
                 # perf-style time-slicing costs on steady workloads).
-                rel += normal(0.0, 0.008 * (mux_groups - 1))
+                rel += 0.008 * (mux - 1) * z()
             out.append(max(0.0, true_value * (1.0 + rel)))
         return out

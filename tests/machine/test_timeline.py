@@ -67,6 +67,23 @@ class TestTimelineBasics:
         with pytest.raises(ValueError):
             tl.add_rate(("cpu", 0), "x", 2.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("t0, t1, rate", [
+        (float("nan"), 1.0, 1.0), (0.0, float("nan"), 1.0), (0.0, 1.0, float("nan")),
+        (0.0, float("inf"), 1.0), (float("-inf"), 1.0, 1.0), (0.0, 1.0, float("inf")),
+        (0.0, 1.0, float("-inf")), (1.0, 1.0, float("nan"))])
+    def test_non_finite_segment_rejected(self, tl, t0, t1, rate):
+        # a NaN bound passes ``t1 < t0``, and a NaN rate once made every
+        # later integral over the series NaN
+        with pytest.raises(ValueError, match="finite"):
+            tl.add_rate(("cpu", 0), "x", t0, t1, rate)
+        assert tl.integrate(("cpu", 0), "x", 0.0, 2.0) == 0.0
+
+    def test_non_finite_total_rejected(self, tl):
+        with pytest.raises(ValueError, match="finite"):
+            tl.add_total(("cpu", 0), "x", 0.0, 1.0, float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            tl.bulk_add(("cpu", 0), {"x": float("inf")}, 0.0, 1.0)
+
     def test_reversed_window_rejected(self, tl):
         with pytest.raises(ValueError):
             tl.integrate(("cpu", 0), "x", 2.0, 1.0)

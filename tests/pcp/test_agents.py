@@ -90,6 +90,46 @@ class TestPmdaPerfevent:
         total = sum(vals.values())
         assert total == pytest.approx(run.ground_truth("loads"), rel=0.01)
 
+    def test_configure_twice_reads_as_fresh_agent(self):
+        m, _ = make_machine()
+        run = m.run_kernel(triad(1_000_000), [0, 1, 2])
+        a = PmdaPerfevent(PMU(m, seed=4))
+        a.configure(["MEM_INST_RETIRED:ALL_LOADS", "UNHALTED_CORE_CYCLES"], cpus=[0, 1])
+        a.fetch_batch(a.metrics(), run.t_start, run.t_end)
+        events = ["MEM_INST_RETIRED:ALL_STORES", "RAPL_ENERGY_PKG"]
+        a.configure(events, cpus=[2, 0, 9])
+        fresh = PmdaPerfevent(PMU(m, seed=4))
+        fresh.configure(events, cpus=[2, 0, 9])
+        assert a.metrics() == fresh.metrics() == [perfevent_metric(e) for e in events]
+        assert a.configured_events == events
+        got = a.fetch_batch(a.metrics(), run.t_start, run.t_end)
+        assert got == fresh.fetch_batch(fresh.metrics(), run.t_start, run.t_end)
+        assert list(got[perfevent_metric("RAPL_ENERGY_PKG")]) == ["_cpu2", "_cpu0", "_cpu9"]
+        with pytest.raises(KeyError, match="not configured"):
+            a.fetch(perfevent_metric("MEM_INST_RETIRED:ALL_LOADS"), run.t_start, run.t_end)
+
+    def test_unconfigured_metric_raises(self):
+        m, _ = make_machine()
+        a = PmdaPerfevent(PMU(m))
+        a.configure(["UNHALTED_CORE_CYCLES"], cpus=[0])
+        assert a.owns("perfevent.hwcounters.NOPE.value")
+        with pytest.raises(KeyError, match="not configured"):
+            a.fetch_batch([perfevent_metric("UNHALTED_CORE_CYCLES"),
+                           "perfevent.hwcounters.NOPE.value"], 0.0, 1.0)
+        assert a.costs.fetches == 0
+
+    def test_events_sharing_a_pmns_name_refused(self):
+        # both would be perfevent.hwcounters.FP_ARITH_SCALAR_DOUBLE.value,
+        # and a fetch of it could serve only one of them
+        m, _ = make_machine()
+        pmu = PMU(m)
+        a = PmdaPerfevent(pmu)
+        with pytest.raises(ValueError, match="PMNS name"):
+            a.configure(["FP_ARITH:SCALAR_DOUBLE", "FP_ARITH.SCALAR_DOUBLE"])
+        assert a.metrics() == []
+        with pytest.raises(RuntimeError):
+            _ = pmu.session
+
     def test_owns_prefix(self):
         m, _ = make_machine()
         a = PmdaPerfevent(PMU(m))

@@ -209,6 +209,16 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             nm.measure(-1.0, 0, "E", 0.0, 1.0)
 
+    @pytest.mark.parametrize("true_value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, true_value):
+        # max(0.0, nan) is 0.0 and inf * (1 + rel) is inf: both once
+        # measured as if they were counts
+        nm = NoiseModel(self.spec())
+        with pytest.raises(ValueError, match="finite"):
+            nm.measure(true_value, 0, "E", 0.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            nm.measure_batch([(1.0, 0, "E", 1), (true_value, 1, "E", 1)], 0.0, 1.0)
+
     def test_bad_mux_rejected(self):
         nm = NoiseModel(self.spec())
         with pytest.raises(ValueError):
@@ -315,3 +325,101 @@ class TestBatchSeeding:
             for cpu in sess.cpus:
                 assert struct.pack("<d", batch[ev][cpu]) == struct.pack(
                     "<d", pmu.read_interval(ev, cpu, 0.0, t1))
+
+
+# ----------------------------------------------------------------------
+# The session read plan: built once, replaced by program/stop, bit-equal
+# ----------------------------------------------------------------------
+def bits(reads: dict[str, dict[int, float]]) -> dict[str, dict[int, bytes]]:
+    return {e: {c: struct.pack("<d", v) for c, v in per.items()} for e, per in reads.items()}
+
+
+def fresh_reads(machine, seed, events, cpus, t0, t1):
+    """The same window read by a PMU that never held another session."""
+    pmu = PMU(machine, seed=seed)
+    pmu.program(events, cpus=cpus)
+    return bits(pmu.read_events_all_cpus(events, t0, t1))
+
+
+def oracle_reads(pmu, events, t0, t1):
+    """Per-read ``parent_measure`` of the session's true accumulations."""
+    sess, out = pmu.session, {}
+    for e in events:
+        edef = pmu.catalog.get(e)
+        mux = sess.mux_groups if edef.scope == "cpu" and not edef.fixed else 1
+        out[e] = {}
+        for c in sess.cpus:
+            true = 0.0
+            for q, scale in edef.terms.items():
+                true += scale * pmu.machine.read(pmu._scope_for(edef, c), q, t0, t1)
+            out[e][c] = parent_measure(pmu.noise, true, c, e, t0, t1, mux)
+    return bits(out)
+
+
+class TestReadPlan:
+    @pytest.fixture(scope="class")
+    def zen(self):
+        m = SimulatedMachine(zen3(), seed=5)
+        m.run_kernel(zen_kernel(1_000_000), [0, 1, 2, 3])
+        return m
+
+    def test_reprogram_other_events_and_cpus(self, zen):
+        pmu, t1 = PMU(zen, seed=5), zen.clock.now()
+        first = ["RETIRED_SSE_AVX_FLOPS:ANY", "RAPL_ENERGY_PKG"]  # 6 terms; socket scope
+        pmu.program(first, cpus=[0, 1])
+        assert bits(pmu.read_events_all_cpus(first, 0.0, t1)) == oracle_reads(pmu, first, 0.0, t1)
+        second = ["LS_DISPATCH:LD_DISPATCH", "RETIRED_SSE_AVX_FLOPS:MULT_FLOPS"]
+        pmu.program(second, cpus=[3, 2, 5])
+        got = bits(pmu.read_events_all_cpus(second, 0.0, t1))
+        assert got == fresh_reads(zen, 5, second, [3, 2, 5], 0.0, t1)
+        assert got == oracle_reads(pmu, second, 0.0, t1)
+        assert list(got["LS_DISPATCH:LD_DISPATCH"]) == [3, 2, 5]
+
+    def test_mux_on_then_off(self, zen):
+        pmu, t1 = PMU(zen, seed=5), zen.clock.now()
+        many = ["RETIRED_UOPS", "RETIRED_BRANCH_INSTRUCTIONS", "LS_DISPATCH:LD_DISPATCH",
+                "LS_DISPATCH:STORE_DISPATCH", "MEM_UOPS:LOADS"]
+        assert pmu.program(many, cpus=[0, 1]).mux_groups == 3
+        assert bits(pmu.read_events_all_cpus(many, 0.0, t1)) == oracle_reads(pmu, many, 0.0, t1)
+        few = many[:2]
+        assert pmu.program(few, cpus=[0, 1]).mux_groups == 1
+        got = bits(pmu.read_events_all_cpus(few, 0.0, t1))
+        assert got == oracle_reads(pmu, few, 0.0, t1)
+        assert got == fresh_reads(zen, 5, few, [0, 1], 0.0, t1)
+
+    def test_event_lists_alternate_in_one_session(self, zen):
+        pmu, t1 = PMU(zen, seed=5), zen.clock.now()
+        events = ["CYCLES_NOT_IN_HALT", "MEM_UOPS:STORES", "RAPL_ENERGY_DRAM"]
+        pmu.program(events, cpus=[0, 4])
+        for ask in (events, events[1:], events[::-1], events):
+            assert bits(pmu.read_events_all_cpus(ask, 0.0, t1)) == oracle_reads(pmu, ask, 0.0, t1)
+
+    def test_stop_then_read_raises(self, zen):
+        pmu = PMU(zen, seed=5)
+        pmu.program(["CYCLES_NOT_IN_HALT"], cpus=[0])
+        pmu.read_events_all_cpus(["CYCLES_NOT_IN_HALT"], 0.0, 1.0)
+        pmu.stop()
+        with pytest.raises(RuntimeError, match="not been programmed"):
+            pmu.read_events_all_cpus(["CYCLES_NOT_IN_HALT"], 0.0, 1.0)
+
+    def test_unprogrammed_event_raises_every_time(self, zen):
+        pmu = PMU(zen, seed=5)
+        pmu.program(["CYCLES_NOT_IN_HALT"], cpus=[0])
+        for _ in range(2):
+            with pytest.raises(KeyError, match="not programmed"):
+                pmu.read_events_all_cpus(["CYCLES_NOT_IN_HALT", "MEM_UOPS:LOADS"], 0.0, 1.0)
+        assert pmu.read_events_all_cpus(["CYCLES_NOT_IN_HALT"], 0.0, 0.0) == {
+            "CYCLES_NOT_IN_HALT": {0: 0.0}}
+
+    def test_all_zero_batch_draws_nothing(self, monkeypatch):
+        import repro.pmu.noise as noise
+
+        def no_draws(words):
+            raise AssertionError("an all-zero batch seeded a stream")
+
+        monkeypatch.setattr(noise, "_pcg64_states", no_draws)
+        nm = NoiseModel(PMUSpec(n_programmable=4, n_fixed=3, uarch="skylakex"))
+        before = nm._bitgen.state
+        assert nm.measure_batch([(0.0, c, "E", 2) for c in range(5)], 0.0, 1.0) == [0.0] * 5
+        assert nm.measure_batch([], 0.0, 1.0) == []
+        assert nm._bitgen.state == before
