@@ -32,6 +32,7 @@ class FaultyInfluxDB:
         self.faults = faults if faults is not None else ServiceFaultSet()
         #: Virtual time of the next write attempt (stamped by the caller).
         self.now = 0.0
+        self._inner_at = getattr(inner, "at", None)  # a router keeps a clock
         self.accepted_writes = 0
         self.rejected_writes = 0
 
@@ -43,7 +44,8 @@ class FaultyInfluxDB:
         clock as the service faults interposed here.
         """
         self.now = t
-        stamp(self.inner, t)
+        if self._inner_at is not None:
+            self._inner_at(t)
         return self
 
     # ------------------------------------------------------------------
@@ -64,8 +66,8 @@ class FaultyInfluxDB:
         self._check()
         # ``seqs`` pins per-measurement write sequences (the durable-ingest
         # apply path); forwarded verbatim so the idempotence gate works
-        # through the fault proxy.
-        n = write_at(self.inner, self.now, db, points, seqs=seqs)
+        # through the fault proxy.  The inner clock is stamped by ``at``.
+        n = self.inner.write_many(db, points, seqs=seqs)
         self.accepted_writes += 1
         return n
 
@@ -74,6 +76,10 @@ class FaultyInfluxDB:
         n = self.inner.write_lines(db, lines)
         self.accepted_writes += 1
         return n
+
+    def max_seq(self, db: str, measurement: str, tags: dict | None = None) -> int:
+        """The durable apply gate, asked per record: no __getattr__ miss."""
+        return self.inner.max_seq(db, measurement, tags)
 
     # ------------------------------------------------------------------
     def __getattr__(self, name: str):

@@ -334,7 +334,8 @@ class ShardedInfluxDB:
         place = self.ring.place
         groups: dict[str, tuple[list[Point], list[int]]] = {}
         # Hot loop: one sequence stamp + one memoized placement lookup per
-        # point; a 0/1-tag set (the telemetry norm) skips the sort.
+        # point, keyed on the tag items in the point's own order (the sort
+        # that names the series runs once per order seen).
         for i, p in enumerate(points):
             meas = p.measurement
             k = (db, meas)
@@ -345,13 +346,10 @@ class ShardedInfluxDB:
                 q = seqs[i]
                 if q >= own_seqs.get(k, 0):
                     own_seqs[k] = q + 1
-            tags = p.tags
-            items = tags.items()
-            tagkey = tuple(items) if len(tags) < 2 else tuple(sorted(items))
-            pk = (meas, tagkey)
+            pk = (meas, tuple(p.tags.items()))
             name = memo.get(pk)
             if name is None:
-                name = memo[pk] = place(series_key(meas, tagkey))
+                name = memo[pk] = place(series_key(meas, tuple(sorted(pk[1]))))
             g = groups.get(name)
             if g is None:
                 g = groups[name] = ([], [])
@@ -359,18 +357,16 @@ class ShardedInfluxDB:
             g[1].append(q)
         written = 0
         shard_s: dict[str, float] = {}
+        is_down, now = self.faults.is_down, self.now
         for name, (pts, qs) in groups.items():
-            if not self._up(name):
-                self.dropped_points[name] = (
-                    self.dropped_points.get(name, 0) + len(pts)
-                )
-                continue
-            written += self._timed(
-                shard_s, name,
-                lambda sh=self.shards[name], p=pts, q=qs: sh.write_many(
-                    db, p, seqs=q
-                ),
-            )
+            if is_down(name, now):
+                self.dropped_points[name] = self.dropped_points.get(name, 0) + len(pts)
+            elif self.instrument:  # a closure per shard only when timed
+                written += self._timed(
+                    shard_s, name,
+                    lambda sh=self.shards[name], p=pts, q=qs: sh.write_many(db, p, seqs=q))
+            else:
+                written += self.shards[name].write_many(db, pts, seqs=qs)
         self._record("write_many", shard_s)
         return written
 
@@ -476,10 +472,12 @@ class ShardedInfluxDB:
         included: their in-memory state models durable storage that comes
         back with the node, so the durable-ingest gate must see it — the
         safe error direction for at-most-once is "already applied")."""
-        return max(
-            (sh.max_seq(db, measurement, tags) for sh in self.shards.values()),
-            default=-1,
-        )
+        best = -1
+        for sh in self.shards.values():
+            q = sh.max_seq(db, measurement, tags)
+            if q > best:
+                best = q
+        return best
 
     # ------------------------------------------------------------------
     # Scatter-gather

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .nodes import NodeCrash
 from .window import Schedule
@@ -102,6 +102,12 @@ class LogFaultSet(Schedule):
         """Is this consumer inside any of its crash windows at ``t``?"""
         # the liveness probe of every poll: no key is built for an empty schedule
         return bool(self.by_scope) and self.down_at((group, consumer), t)
+
+    def probe(self, group: str, consumer: str) -> Callable[[float], bool]:
+        """``not crashed(group, consumer, t)`` as one call: the liveness
+        probe a consumer makes before every record."""
+        key, scopes, down_at = (group, consumer), self.by_scope, self.down_at
+        return lambda t: not (scopes and down_at(key, t))
 
     def next_up(self, group: str, consumer: str, t: float) -> float:
         """Earliest time ≥ ``t`` the consumer is outside every window."""

@@ -140,12 +140,11 @@ class LogSegment:
 class _Partition:
     """Segmented record store with a flushed (durable) high-watermark."""
 
-    __slots__ = ("topic", "index", "tp", "segment_records", "segments",
-                 "_bases", "flushed", "released")
+    __slots__ = ("topic", "tp", "segment_records", "segments", "_bases",
+                 "flushed", "released")
 
     def __init__(self, topic: str, index: int, segment_records: int) -> None:
         self.topic = topic
-        self.index = index
         self.tp = (topic, index)
         self.segment_records = segment_records
         self.segments: list[LogSegment] = [LogSegment(0)]
@@ -173,13 +172,9 @@ class _Partition:
 
     def append(self, rec: LogRecord) -> None:
         seg = self.segments[-1]
-        if len(seg) >= self.segment_records:
+        if len(seg.records) >= self.segment_records:
             seg = self._add_segment(seg.end_offset)
         seg.records.append(rec)
-
-    def get(self, offset: int) -> LogRecord:
-        seg = self.segments[bisect_right(self._bases, offset) - 1]
-        return seg.records[offset - seg.base_offset]
 
     def _range(self, start: int, stop: int) -> list[LogRecord]:
         """Records in ``[start, stop)``; ``start`` is not below the log start."""
@@ -193,14 +188,14 @@ class _Partition:
         while o < stop:
             seg = self.segments[bisect_right(self._bases, o) - 1]
             lo = o - seg.base_offset
-            hi = min(len(seg), stop - seg.base_offset)
+            hi = min(len(seg.records), stop - seg.base_offset)
             out.extend(seg.records[lo:hi])
             o = seg.base_offset + hi
         return out
 
     def read(self, start: int, max_records: int) -> list[LogRecord]:
         """Durable records in ``[start, flushed)``, at most ``max_records``."""
-        start = max(start, self.start_offset)
+        start = max(start, self.segments[0].base_offset)
         if start < self.released:
             # A reader behind the mark (a group that joined late) decodes
             # these records again; the next release starts from here.
@@ -257,8 +252,9 @@ class Checkpoint(NamedTuple):
     sequence number whose effects are durable in the consumer's sink, and
     ``state`` an opaque blob committed *atomically* with the offset — the
     exactly-once trick the rollup maintainer uses (its accumulator never
-    drifts from its offset).  A plain tuple: every consumer commits one
-    per record it reads.
+    drifts from its offset).  The store keeps it as a plain tuple (every
+    consumer commits one per record it reads); :meth:`CommitLog.committed`
+    names the fields.
     """
 
     offset: int = 0
@@ -267,48 +263,44 @@ class Checkpoint(NamedTuple):
 
 
 #: What a (group, partition) that never committed loads.
-_NO_CHECKPOINT = Checkpoint()
+_NO_CHECKPOINT = (0, -1, None)
+
+
+class _GroupCheckpoints(dict):
+    """One group's ``(offset, applied_seq, state)`` by partition, and
+    ``consumed``: the sum of those offsets, the records below them."""
+
+    consumed = 0
 
 
 class CheckpointStore:
     """The in-process ``__consumer_offsets``: atomic, crash-durable commits."""
 
     def __init__(self) -> None:
-        #: group → (topic, partition) → checkpoint
-        self._docs: dict[str, dict[tuple[str, int], Checkpoint]] = {}
+        self._docs: dict[str, _GroupCheckpoints] = {}
         self.commits = 0
 
-    def load(self, group: str, tp: tuple[str, int]) -> Checkpoint:
-        return self.for_group(group).get(tp, _NO_CHECKPOINT)
-
-    def commit(
-        self,
-        group: str,
-        tp: tuple[str, int],
-        offset: int,
-        applied_seq: int,
-        state: Any = None,
-    ) -> None:
-        docs = self._docs.get(group)
-        if docs is None:
-            docs = self._docs[group] = {}
-        docs[tp] = Checkpoint(offset, applied_seq, state)
+    def commit(self, group: str, tp: tuple[str, int], offset: int,
+               applied_seq: int, state: Any = None) -> None:
+        docs = self._docs.get(group) or self.for_group(group)
+        docs.consumed += offset - docs.get(tp, _NO_CHECKPOINT)[0]
+        docs[tp] = (offset, applied_seq, state)
         self.commits += 1
 
-    def committed_offset(self, group: str, tp: tuple[str, int]) -> int:
-        return self.load(group, tp).offset
-
-    def for_group(self, group: str) -> dict[tuple[str, int], Checkpoint]:
-        """The group's checkpoints by partition (the store's own mapping:
-        read it, commit through :meth:`commit`)."""
-        return self._docs.get(group) or {}
+    def for_group(self, group: str) -> _GroupCheckpoints:
+        """The group's checkpoints by partition: the store's own mapping,
+        live across commits (read it, commit through :meth:`commit`)."""
+        docs = self._docs.get(group)
+        if docs is None:
+            docs = self._docs[group] = _GroupCheckpoints()
+        return docs
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         """JSON-friendly view for health surfaces and CI artifacts."""
         return {
-            f"{g}:{topic}/{p}": {"offset": cp.offset, "applied_seq": cp.applied_seq}
+            f"{g}:{topic}/{p}": {"offset": offset, "applied_seq": seq}
             for g, docs in sorted(self._docs.items())
-            for (topic, p), cp in sorted(docs.items())
+            for (topic, p), (offset, seq, _) in sorted(docs.items())
         }
 
 
@@ -552,7 +544,7 @@ class CommitLog:
         p = parts[rec.partition]
         if not (p.start_offset <= rec.offset < p.next_offset):
             return False
-        return p.get(rec.offset).seq == rec.seq
+        return p._range(rec.offset, rec.offset + 1)[0].seq == rec.seq
 
     def flush(self, topic: str | None = None) -> int:
         """fsync: advance the durable high-watermark; returns records flushed."""
@@ -639,10 +631,11 @@ class CommitLog:
         committed, no virtual time spent — so a consumer that walks only
         these reaches each of them at the instant a walk of its whole
         assignment would.  Only partitions holding records are visited:
-        they are kept in (topic, partition) order, the assignment's.
+        they are kept in (topic, partition) order, the assignment's.  Each
+        one's read position is settled here, so its poll looks nothing up.
         """
         mine = self._assigned(group, consumer)[3]
-        positions = self._positions.get(group) or {}
+        positions = self._positions.setdefault(group, {})
         committed = self.checkpoints.for_group(group)
         out = []
         for p in self._held:
@@ -650,18 +643,14 @@ class CommitLog:
             if tp in mine:
                 pos = positions.get(tp)
                 if pos is None:
-                    pos = committed.get(tp, _NO_CHECKPOINT).offset
-                if max(pos, p.start_offset) < p.flushed:
+                    pos = committed.get(tp, _NO_CHECKPOINT)[0]
+                if max(pos, p.segments[0].base_offset) < p.flushed:
+                    positions[tp] = pos
                     out.append(tp)
         return out
 
-    def poll(
-        self,
-        group: str,
-        consumer: str,
-        tp: tuple[str, int],
-        max_records: int,
-    ) -> list[LogRecord]:
+    def poll(self, group: str, consumer: str, tp: tuple[str, int],
+             max_records: int) -> list[LogRecord]:
         """Fetch durable records from the group's position on ``tp``.
 
         The position starts at the committed checkpoint and advances as
@@ -669,14 +658,11 @@ class CommitLog:
         """
         if consumer not in self._members.get(group, ()):
             return []
-        topic, part = tp
-        p = self._topic(topic)[part]
-        positions = self._positions.get(group)
-        if positions is None:
-            positions = self._positions[group] = {}
+        p = (self._topics.get(tp[0]) or self._topic(tp[0]))[tp[1]]
+        positions = self._positions.setdefault(group, {})
         pos = positions.get(tp)
         if pos is None:
-            pos = self.checkpoints.committed_offset(group, tp)
+            pos = self.checkpoints.for_group(group).get(tp, _NO_CHECKPOINT)[0]
         records = p.read(pos, max_records)
         if records:
             positions[tp] = records[-1].offset + 1
@@ -693,37 +679,35 @@ class CommitLog:
         """
         self._positions.get(group, {}).pop(tp, None)
 
-    def commit(
-        self,
-        group: str,
-        tp: tuple[str, int],
-        offset: int,
-        applied_seq: int,
-        state: Any = None,
-    ) -> None:
+    def commit(self, group: str, tp: tuple[str, int], offset: int,
+               applied_seq: int, state: Any = None) -> None:
+        """Checkpoint ``tp`` for ``group``.  ``offset`` is one past a record
+        the group was handed, so within ``[0, flushed]``: past the watermark
+        it would skip records nobody has read."""
+        parts = self._topics.get(tp[0])
+        if not 0 <= offset <= (parts[tp[1]].flushed if parts else 0):
+            raise ValueError(
+                f"commit offset {offset} on {tp} is outside [0, flushed]")
         self.checkpoints.commit(group, tp, offset, applied_seq, state)
 
     def committed(self, group: str, tp: tuple[str, int]) -> Checkpoint:
-        return self.checkpoints.load(group, tp)
+        cp = self.checkpoints.for_group(group).get(tp, _NO_CHECKPOINT)
+        return Checkpoint._make(cp)
 
     def lag(self, group: str) -> dict[tuple[str, int], int]:
         """Durable-but-uncommitted records per partition for one group."""
         committed = self.checkpoints.for_group(group)
         return {
-            p.tp: max(0, p.flushed - committed.get(p.tp, _NO_CHECKPOINT).offset)
+            p.tp: max(0, p.flushed - committed.get(p.tp, _NO_CHECKPOINT)[0])
             for parts in self._topics.values()
             for p in parts
         }
 
     def total_lag(self, group: str) -> int:
-        committed = self.checkpoints.for_group(group)
-        lag = 0
-        for p in self._held:
-            cp = committed.get(p.tp)
-            n = p.flushed - cp.offset if cp is not None else p.flushed
-            if n > 0:
-                lag += n
-        return lag
+        """Durable records the group has not committed past: a commit is
+        never past its partition's watermark, so what was flushed less what
+        the group consumed."""
+        return self.flushed_records - self.checkpoints.for_group(group).consumed
 
     # ------------------------------------------------------------------
     # Dead-letter queue
@@ -802,7 +786,7 @@ class CommitLog:
         committed = [self.checkpoints.for_group(g) for g in groups]
         reclaimed = 0
         for p in self._held:
-            floor = min(docs.get(p.tp, _NO_CHECKPOINT).offset for docs in committed)
+            floor = min(docs.get(p.tp, _NO_CHECKPOINT)[0] for docs in committed)
             floor = min(floor, p.flushed)
             # Every listed group is past these: nobody decodes them again,
             # so the shared decode goes before the segment.
@@ -921,13 +905,16 @@ class LogProducer:
         self.produced_points += n_points
         self._reports_since_flush += 1
         if self._reports_since_flush >= self.fsync_every_reports:
-            self.flush(t)
+            self._fsync()  # the clock and the reconcile are current
         return records
 
     def flush(self, t: float) -> int:
         """fsync the log: everything appended becomes durable (acked)."""
         self.log.at(t)
         self._reconcile()
+        return self._fsync()
+
+    def _fsync(self) -> int:
         n = self.log.flush()
         self._unacked.clear()
         self._reports_since_flush = 0

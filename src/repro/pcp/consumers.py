@@ -30,6 +30,7 @@ rejoin), tracks peak group lag, and trims consumed segments.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.db.influx import InfluxError, Point
 from repro.faults.log import LogFaultSet
 from repro.faults.services import ServiceFaultSet
 
-from .commitlog import Checkpoint, CommitLog, LogProducer, LogRecord
+from .commitlog import _NO_CHECKPOINT, CommitLog, LogProducer, LogRecord
 from .retry import CircuitBreaker, RetryPolicy
 from .transport import TransportModel
 
@@ -104,8 +105,9 @@ class LogConsumer:
         breaker: CircuitBreaker | None = None,
         seed: int = 0,
     ) -> None:
-        if poll_interval_s <= 0:
-            raise ValueError("poll interval must be positive")
+        # So spelled, a NaN is refused too: a NaN next poll never comes due.
+        if not (0 < poll_interval_s < math.inf and 0 <= apply_cost_base_s < math.inf):
+            raise ValueError("need a finite poll interval > 0 and apply cost >= 0")
         if max_poll_records < 1 or commit_every < 1 or max_apply_attempts < 1:
             raise ValueError("poll/commit/attempt budgets must be >= 1")
         self.log = log
@@ -144,8 +146,8 @@ class LogConsumer:
         """Does the sink already hold this record's effects?"""
         return False
 
-    def _load_state(self, tp: tuple[str, int], cp: Checkpoint) -> None:
-        """Restore checkpoint-embedded state before processing ``tp``."""
+    def _load_state(self, tp: tuple[str, int], cp: tuple[int, int, Any]) -> None:
+        """Restore the state in ``cp`` (offset, applied seq, state) for ``tp``."""
 
     def _commit_state(self, tp: tuple[str, int]) -> Any:
         """State blob to commit atomically with the offset (or None)."""
@@ -158,12 +160,15 @@ class LogConsumer:
     def step(self, t: float, alive: Callable[[float], bool]) -> float:
         """Run one poll cycle starting at ``t``; returns the end time."""
         t0 = t
-        for tp in self.log.ready(self.group, self.cid):
+        log = self.log
+        # fetched once per cycle: a partition's consume commits only its own
+        self._checkpoints = log.checkpoints.for_group(self.group)
+        for tp in log.ready(self.group, self.cid):
             t, interrupted = self._consume_tp(tp, t, alive)
             if interrupted:
                 # died mid-batch: what was polled but not committed must be
                 # polled again, whether or not a rebalance follows
-                self.log.rewind(self.group, tp)
+                log.rewind(self.group, tp)
                 break
         self.next_poll_t = max(t0 + self.poll_interval_s, t)
         return t
@@ -172,13 +177,14 @@ class LogConsumer:
         self, tp: tuple[str, int], t: float, alive: Callable[[float], bool]
     ) -> tuple[float, bool]:
         log, group = self.log, self.group
-        cp = log.committed(group, tp)
         records = log.poll(group, self.cid, tp, self.max_poll_records)
         if not records:
             return t, False
+        cp = self._checkpoints.get(tp, _NO_CHECKPOINT)
         self._load_state(tp, cp)
-        applied_seq = cp.applied_seq
+        applied_seq = cp[1]
         commit_every = self.commit_every
+        is_parked = log.dlq.is_parked
         n_since = 0
         for rec in records:
             if not alive(t):
@@ -190,7 +196,7 @@ class LogConsumer:
                 self.filtered_records += 1  # another group's DLQ redelivery
             elif seq <= applied_seq:
                 self.duplicate_records += 1
-            elif log.dlq.is_parked(group, seq):
+            elif is_parked(group, seq):
                 # Crash-replay of a record this group already parked: the
                 # DLQ owns it now.  Re-attempting here could *succeed*
                 # (the fault healed) and the later requeue — under a
@@ -218,7 +224,7 @@ class LogConsumer:
         """Process one non-gated record, the consumer alive at ``t`` →
         (t, interrupted): parse (poison parks), sink gate, then apply with
         backoff behind the breaker until it lands or the attempt budget is
-        spent (the record parks)."""
+        spent (the record parks).  A quiet breaker is not asked anything."""
         try:
             pts = rec.points()
         except (InfluxError, ValueError) as e:
@@ -233,10 +239,13 @@ class LogConsumer:
         prev_sleep = 0.0
         probed = t
         while True:
-            start = breaker.earliest_attempt(t)
-            if start != probed and not alive(start):
-                return start, True
-            breaker.on_attempt(start)
+            if breaker.quiet:
+                start = t
+            else:
+                start = breaker.earliest_attempt(t)
+                if start != probed and not alive(start):
+                    return start, True
+                breaker.on_attempt(start)
             t_done = start + self.apply_cost_s(rec, start)
             attempts += 1
             try:
@@ -251,7 +260,8 @@ class LogConsumer:
                 prev_sleep = self.retry.next_sleep(prev_sleep, self._rng)
                 t = t_done + prev_sleep
                 continue
-            breaker.record_success(t_done)
+            if not breaker.quiet:
+                breaker.record_success(t_done)
             break
         self.applied_records += 1
         self.applied_points += rec.n_fields
@@ -367,8 +377,8 @@ class RollupMaintainerConsumer(LogConsumer):
         self._committed: dict[float, list[float]] = {}
         self._overlay: dict[float, list[float]] = {}
 
-    def _load_state(self, tp: tuple[str, int], cp: Checkpoint) -> None:
-        self._committed = cp.state if cp.state is not None else {}
+    def _load_state(self, tp: tuple[str, int], cp: tuple[int, int, Any]) -> None:
+        self._committed = cp[2] if cp[2] is not None else {}
         self._overlay = {}
 
     def _commit_state(self, tp: tuple[str, int]) -> dict[float, list[float]]:
@@ -401,8 +411,9 @@ class RollupMaintainerConsumer(LogConsumer):
         """Merged (count, total, min, max) per (topic, bucket) — committed
         checkpoints only, so this view is crash-consistent by definition."""
         out: dict[tuple[str, float], list[float]] = {}
-        for (topic, _p), cp in self.log.checkpoints.for_group(self.group).items():
-            for b, (c, tot, mn, mx) in (cp.state or {}).items():
+        for (topic, _p), (_, _, state) in self.log.checkpoints.for_group(
+                self.group).items():
+            for b, (c, tot, mn, mx) in (state or {}).items():
                 cell = out.get((topic, b))
                 if cell is None:
                     out[(topic, b)] = [c, tot, mn, mx]
@@ -492,11 +503,11 @@ class IngestPipeline:
         )
         self.consumers: list[LogConsumer] = []
         self._present: dict[tuple[str, str], bool] = {}
-        #: Per consumer, built once in :meth:`add`: its liveness probe and
-        #: the :data:`_FLAT_COUNTERS` it keeps.
+        #: Per consumer, its liveness probe (built once in :meth:`add`).
         self._alive: dict[tuple[str, str], Callable[[float], bool]] = {}
-        self._counters: dict[tuple[str, str], list[str]] = {}
         self._groups: list[str] = []
+        #: Per group, its lag as its latest poll cycle left it.
+        self._lags: dict[str, int] = {}
         self._steps = 0
         self.max_group_lag = 0
 
@@ -504,8 +515,7 @@ class IngestPipeline:
         self.consumers.append(consumer)
         g, cid = key = (consumer.group, consumer.cid)
         self._present[key] = True
-        self._alive[key] = lambda t: not self.faults.crashed(g, cid, t)
-        self._counters[key] = [a for a in _FLAT_COUNTERS if hasattr(consumer, a)]
+        self._alive[key] = self.faults.probe(g, cid)
         if g not in self._groups:
             self._groups.append(g)
         return consumer
@@ -548,7 +558,7 @@ class IngestPipeline:
             self._present[key] = True
         self.log.at(t)
         c.step(t, self._alive[key])
-        lag = self.log.total_lag(c.group)
+        lag = self._lags[c.group] = self.log.total_lag(c.group)
         if lag > self.max_group_lag:
             self.max_group_lag = lag
         self._steps += 1
@@ -563,10 +573,14 @@ class IngestPipeline:
 
     def drain(self, deadline: float) -> float:
         """Pump until every group has consumed its durable backlog (or the
-        deadline passes); returns the virtual time reached."""
-        while True:
-            if len(self.producer) == 0 and self.backlog_records() == 0:
-                break
+        deadline passes); returns the virtual time reached.
+
+        Nothing appends or flushes meanwhile: a group's lag moves only when
+        its members poll, and each cycle's reading keeps the backlog."""
+        lags = self._lags
+        for g in self._groups:
+            lags[g] = self.log.total_lag(g)
+        while len(self.producer) or sum(lags.values()):
             if not self._step_next(deadline):
                 break
         self.log.trim()
@@ -582,13 +596,13 @@ class IngestPipeline:
         out: dict[str, dict[str, float]] = {}
         for c in self.consumers:
             g = out.setdefault(c.group, {})
-            for attr in self._counters[(c.group, c.cid)]:
-                g[attr] = g.get(attr, 0) + getattr(c, attr)
+            for attr in _FLAT_COUNTERS:
+                if hasattr(c, attr):
+                    g[attr] = g.get(attr, 0) + getattr(c, attr)
         return out
 
     def flat_counters(self) -> dict[str, float]:
-        """Scalar counter snapshot — the sampler diffs two of these to
-        produce per-run :class:`~repro.pcp.sampler.SamplingStats`."""
+        """Scalar counter snapshot of every group and the producer."""
         p = self.producer
         out: dict[str, float] = {
             "producer.reports": p.produced_reports,
@@ -599,16 +613,14 @@ class IngestPipeline:
         for g, counters in self._group_counters().items():
             for attr, n in counters.items():
                 out[f"{g}.{attr}"] = n
-        trackers_seen: set[int] = set()
+        seen: set[int] = set()  # a tracker its members share counts once
         for c in self.consumers:
             tracker = getattr(c, "tracker", None)
-            if tracker is not None and id(tracker) not in trackers_seen:
-                trackers_seen.add(id(tracker))
-                g = c.group
-                out[f"{g}.reports"] = out.get(f"{g}.reports", 0) + tracker.reports
-                out[f"{g}.zero_reports"] = (
-                    out.get(f"{g}.zero_reports", 0) + tracker.zero_reports
-                )
+            if tracker is not None and id(tracker) not in seen:
+                seen.add(id(tracker))
+                for attr in ("reports", "zero_reports"):
+                    k = f"{c.group}.{attr}"
+                    out[k] = out.get(k, 0) + getattr(tracker, attr)
         return out
 
     def health(self) -> dict[str, Any]:

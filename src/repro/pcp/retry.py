@@ -11,6 +11,7 @@ RNG, so chaos runs replay bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class RetryPolicy:
     budget_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.base_s <= 0 or self.cap_s < self.base_s:
-            raise ValueError("need 0 < base_s <= cap_s")
+        if not 0 < self.base_s <= self.cap_s < math.inf:
+            raise ValueError("need 0 < base_s <= cap_s, both finite")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1 (or None)")
         if self.budget_s < 0:
@@ -58,6 +59,8 @@ class CircuitBreaker:
     HALF_OPEN = "half_open"
 
     def __init__(self, threshold: int, open_s: float) -> None:
+        if not (threshold >= 1 and 0 < open_s < math.inf):
+            raise ValueError("breaker needs a threshold >= 1 and a finite open_s > 0")
         self.threshold = threshold
         self.open_s = open_s
         self.state = self.CLOSED
@@ -72,6 +75,9 @@ class CircuitBreaker:
         self._probe_started = 0.0
         #: Total probes admitted while half-open (one per half-open window).
         self.half_open_probes = 0
+        #: Closed with no failure streak (so no probe either): an attempt
+        #: may start at once, and its success changes nothing.
+        self.quiet = True
 
     def _set(self, t: float, state: str) -> None:
         if state != self.OPEN and self.state == self.OPEN:
@@ -107,8 +113,10 @@ class CircuitBreaker:
         self._probe_inflight = False
         if self.state != self.CLOSED:
             self._set(t, self.CLOSED)
+        self.quiet = True
 
     def record_failure(self, t: float) -> None:
+        self.quiet = False
         self.consecutive_failures += 1
         self._probe_inflight = False
         if self.state == self.HALF_OPEN or (

@@ -425,9 +425,26 @@ class _LogSink:
         self.tag = tag
         self.pipeline = pipeline
         self.grace_s = grace_s
-        self.before = pipeline.flat_counters()
         self.writers = pipeline.group_members("db-writer")
+        self.before = self._counters()
         self.open_before = sum(c.breaker.open_seconds(t_start) for c in self.writers)
+
+    def _counters(self) -> dict[str, int]:
+        """What a run reports deltas of: the db-writer group's counters and
+        whole reports, the producer's records and every group's parks."""
+        ws, p = self.writers, self.pipeline.producer
+        trackers = {id(c.tracker): c.tracker for c in ws}.values()
+        return {
+            "inserted_points": sum(c.applied_points for c in ws),
+            "zero_points": sum(c.zero_points for c in ws),
+            "inserted_reports": sum(t.reports for t in trackers),
+            "zero_reports": sum(t.zero_reports for t in trackers),
+            "produced_records": p.produced_records,
+            "applied_records": sum(c.applied_records for c in ws),
+            "duplicate_records": sum(c.duplicate_records for c in ws),
+            "parked_records": sum(c.parked_records for c in self.pipeline.consumers),
+            "resent_records": p.resent_records,
+        }
 
     def before_tick(self, k: int, tick: float) -> bool:
         self.pipeline.pump(tick)
@@ -435,28 +452,17 @@ class _LogSink:
 
     def deliver(self, t: float, report: Report, batch: list[Point], is_zero: bool,
                 final: bool) -> None:
-        self.pipeline.produce(t, t, batch, self.tag, is_zero)
+        self.pipeline.producer.produce(t, t, batch, self.tag, is_zero)
 
     def finish(self, t_end: float) -> dict:
         pipeline, writers = self.pipeline, self.writers
         pipeline.producer.flush(t_end)
         end_t = pipeline.drain(t_end + self.grace_s)
-        before, after = self.before, pipeline.flat_counters()
-        delta = lambda key: int(after.get(key, 0) - before.get(key, 0))  # noqa: E731
         open_s = sum(c.breaker.open_seconds(max(end_t, t_end)) for c in writers)
         return {
-            "inserted_points": delta("db-writer.applied_points"),
-            "zero_points": delta("db-writer.zero_points"),
-            "inserted_reports": delta("db-writer.reports"),
-            "zero_reports": delta("db-writer.zero_reports"),
+            **{k: n - self.before[k] for k, n in self._counters().items()},
             "breaker_open_s": open_s - self.open_before,
             "max_staleness_s": max((c.max_staleness_s for c in writers), default=0.0),
-            "produced_records": delta("producer.records"),
-            "applied_records": delta("db-writer.applied_records"),
-            "duplicate_records": delta("db-writer.duplicate_records"),
-            "parked_records": sum(
-                delta(k) for k in after if k.endswith(".parked_records")),
-            "resent_records": delta("producer.resent"),
             "max_group_lag": pipeline.max_group_lag,
             "backlog_records": pipeline.backlog_records(),
         }

@@ -63,14 +63,9 @@ class ShipperConfig:
             raise ValueError("queue capacity must be >= 1")
         if self.policy not in _POLICIES:
             raise ValueError(f"unknown queue policy {self.policy!r}; pick from {_POLICIES}")
-        if self.backoff_base_s <= 0 or self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("need 0 < backoff_base_s <= backoff_cap_s")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        if self.breaker_open_s <= 0:
-            raise ValueError("breaker open window must be positive")
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1 (or None)")
+        # the backoff and the breaker refuse what they could not run on
+        RetryPolicy(self.backoff_base_s, self.backoff_cap_s, self.max_attempts)
+        CircuitBreaker(self.breaker_threshold, self.breaker_open_s)
         if self.drain_grace_s < 0:
             raise ValueError("drain grace must be >= 0")
 
@@ -219,24 +214,6 @@ class Shipper:
         return written
 
     # ------------------------------------------------------------------
-    def _try_insert(self, item: _Item, t: float) -> bool:
-        try:
-            write_at(self.influx, t, self.database, item.batch)
-        except ServiceUnavailable:
-            return False
-        return True
-
-    def _backoff(self, item: _Item) -> float:
-        sleep = self.retry.next_sleep(item.prev_sleep, self._rng)
-        item.prev_sleep = sleep
-        return sleep
-
-    def _give_up(self, item: _Item) -> None:
-        if self.config.policy == "spill":
-            self._spill(item)
-        else:
-            self.dropped_by_policy += 1
-
     def advance(self, now: float) -> None:
         """Service the queue: run every attempt that can *start* before
         ``now``.  An attempt that completes past ``now`` just leaves the
@@ -255,26 +232,32 @@ class Shipper:
             self.free_at = t_done
             self.last_event_t = t_done
             item.attempts += 1
-            if self._try_insert(item, t_done):
-                self.breaker.record_success(t_done)
-                self.queue.popleft()
-                self.inserted_reports += 1
-                self.inserted_points += item.n_fields
-                if item.is_zero:
-                    self.zero_reports += 1
-                    self.zero_points += item.n_fields
-                if item.attempts > 1:
-                    self.recovered_reports += 1
-                self.max_staleness_s = max(self.max_staleness_s, t_done - item.report_time)
-            else:
+            try:
+                write_at(self.influx, t_done, self.database, item.batch)
+            except ServiceUnavailable:
                 self.breaker.record_failure(t_done)
                 if item.attempts == 1:
                     self.retried_reports += 1
-                if self.retry.exhausted(item.attempts):
-                    self.queue.popleft()
-                    self._give_up(item)
+                if not self.retry.exhausted(item.attempts):
+                    item.prev_sleep = self.retry.next_sleep(item.prev_sleep, self._rng)
+                    item.not_before = t_done + item.prev_sleep
+                    continue
+                self.queue.popleft()  # given up on: spilled or dropped
+                if self.config.policy == "spill":
+                    self._spill(item)
                 else:
-                    item.not_before = t_done + self._backoff(item)
+                    self.dropped_by_policy += 1
+                continue
+            self.breaker.record_success(t_done)
+            self.queue.popleft()
+            self.inserted_reports += 1
+            self.inserted_points += item.n_fields
+            if item.is_zero:
+                self.zero_reports += 1
+                self.zero_points += item.n_fields
+            if item.attempts > 1:
+                self.recovered_reports += 1
+            self.max_staleness_s = max(self.max_staleness_s, t_done - item.report_time)
 
     def drain(self, deadline: float) -> float:
         """Keep servicing until the queue empties or ``deadline`` passes;

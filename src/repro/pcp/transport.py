@@ -15,6 +15,7 @@ single-node InfluxDB 1.8 on spinning-adjacent storage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +40,14 @@ class TransportModel:
     hiccup_rate_max: float = 0.04
 
     def __post_init__(self) -> None:
-        if self.net_bw_mbit <= 0:
-            raise ValueError("network bandwidth must be positive")
-        if self.insert_per_point_s < 0 or self.insert_base_s < 0:
-            raise ValueError("negative insert costs")
-        if self.net_latency_s < 0:
-            raise ValueError("negative network latency")
-        if self.jitter_rel_std < 0:
-            raise ValueError("negative jitter")
-        if self.zero_floor_s <= 0:
-            raise ValueError("zero floor must be positive")
+        # So spelled, a NaN is refused too: it would make every ship time,
+        # and every durable apply time after it, NaN.
+        if not (self.net_bw_mbit > 0 and self.zero_floor_s > 0):
+            raise ValueError("network bandwidth and zero floor must be positive")
+        for name in ("net_latency_s", "insert_base_s", "insert_per_point_s",
+                     "jitter_rel_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 <= self.hiccup_rate_max <= 1.0:
             raise ValueError("hiccup rate must be in [0, 1]")
 

@@ -6,6 +6,7 @@ dead-letter queue — plus the idempotence gates on a small end-to-end
 pipeline.  The full fault matrix lives in ``test_commitlog_chaos.py``.
 """
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from repro.pcp import (
     CommitLog,
     DbWriterConsumer,
     IngestPipeline,
+    LogConsumer,
     LogProducer,
     ReportTracker,
     RollupMaintainerConsumer,
@@ -96,6 +98,28 @@ class TestSegmentsAndWatermark:
         assert log.truncated_records == 2
         assert all(not log.has_record(r) for r in tail)
         assert log.end_offset("m0", 0) == 3  # durable prefix intact
+
+    def test_a_commit_outside_the_flushed_range_is_refused(self):
+        """A commit past the flushed watermark would skip records nobody
+        read (and read as zero lag); a negative one names no record."""
+        log = CommitLog(n_partitions=1)
+        pipe = IngestPipeline(log)
+        c = pipe.add(LogConsumer(log, group="g"))
+        pipe.produce(0.0, 0.0, pts("m0", 1), "t")
+        tp = ("m0", 0)
+        for offset in (5, 2, -1):
+            with pytest.raises(ValueError, match="outside"):
+                log.commit("g", tp, offset, 9)
+        with pytest.raises(ValueError):
+            log.commit("g", ("never-appended", 0), 1, 9)
+        assert tuple(log.committed("g", tp)) == (0, -1, None)
+        log.commit("g", tp, 0, -1)  # both ends of [0, flushed] are fine
+        log.commit("g", tp, 1, -1)
+        log.commit("g", tp, 0, -1)
+        pipe.produce(1.0, 1.0, pts("m0", 1, t0=1.0), "t")
+        assert log.total_lag("g") == 2 == sum(log.lag("g").values())
+        pipe.drain(50.0)
+        assert c.applied_records == 2 and log.total_lag("g") == 0
 
     def test_an_empty_fault_set_handed_in_is_the_one_consulted(self):
         faults = LogFaultSet()
@@ -284,6 +308,32 @@ class ListScanDLQ(DeadLetterQueue):
         taken = [e for e in self.entries if group is None or e.group == group]
         self.entries = [e for e in self.entries if e not in taken]
         return taken
+
+
+class TestConsumerPacing:
+    @pytest.mark.parametrize("kw", [
+        {"poll_interval_s": math.nan}, {"poll_interval_s": math.inf},
+        {"poll_interval_s": 0.0}, {"poll_interval_s": -0.5},
+        {"apply_cost_base_s": math.nan}, {"apply_cost_base_s": math.inf},
+        {"apply_cost_base_s": -0.001},
+    ])
+    def test_a_pace_no_poll_or_apply_can_keep_is_refused(self, kw):
+        """A NaN poll interval made the first poll's next one NaN, never
+        due: the consumer stalled for good and ``drain`` returned quietly
+        with the backlog still there."""
+        log = CommitLog(n_partitions=1)
+        with pytest.raises(ValueError):
+            LogConsumer(log, group="g", **kw)
+        assert log.members("g") == []
+
+    def test_a_free_apply_is_a_pace(self):
+        log = CommitLog(n_partitions=1)
+        pipe = IngestPipeline(log)
+        c = pipe.add(LogConsumer(log, group="g", apply_cost_base_s=0.0))
+        for k in range(3):
+            pipe.produce(float(k), float(k), pts("m0", 1, t0=float(k)), "t")
+        pipe.drain(50.0)
+        assert c.applied_records == 3 and pipe.backlog_records() == 0
 
 
 class TestPipelineEndToEnd:

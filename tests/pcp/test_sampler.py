@@ -1,6 +1,7 @@
 """Tests for the transport model and the sampling loop."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ class TestTransportModel:
             TransportModel(hiccup_rate_max=1.5)
         TransportModel(hiccup_rate_max=0.0)  # boundary values are fine
         TransportModel(hiccup_rate_max=1.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"net_bw_mbit": math.nan}, {"jitter_rel_std": math.nan},
+        {"insert_base_s": math.nan}, {"insert_per_point_s": math.nan},
+        {"net_latency_s": math.nan}, {"net_latency_s": math.inf},
+        {"insert_base_s": math.inf}, {"jitter_rel_std": math.inf},
+        {"zero_floor_s": math.nan}, {"hiccup_rate_max": math.nan},
+    ])
+    def test_a_parameter_that_makes_ship_times_nan_is_refused(self, kw):
+        """A NaN ship time makes every durable apply time after it NaN."""
+        with pytest.raises(ValueError):
+            TransportModel(**kw)
 
     def test_latency_spike_dilates_insert_share_only(self):
         from repro.faults import InsertLatencySpike, ServiceFaultSet

@@ -1,12 +1,14 @@
 """Unit tests for the resilient shipping layer: queue policies, circuit
 breaker state machine, backoff, and WAL spill/replay."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.db import FaultyInfluxDB, InfluxDB, Point, ShardedInfluxDB
 from repro.faults import DbOutage, ServiceFaultSet
-from repro.pcp import CircuitBreaker, Shipper, ShipperConfig, TransportModel
+from repro.pcp import CircuitBreaker, RetryPolicy, Shipper, ShipperConfig, TransportModel
 
 
 def make_shipper(config=None, faults=None, seed=0):
@@ -194,6 +196,28 @@ class TestBareEngineWithFaults:
 
 
 class TestCircuitBreaker:
+    @pytest.mark.parametrize("threshold, open_s", [
+        (5, math.nan), (5, -1.0), (5, 0.0), (5, math.inf), (0, 1.0), (-1, 1.0),
+    ])
+    def test_a_window_or_threshold_it_cannot_keep_is_refused(self, threshold, open_s):
+        with pytest.raises(ValueError):
+            CircuitBreaker(threshold, open_s)
+
+    def test_a_closed_breaker_is_quiet_until_a_failure(self):
+        b = CircuitBreaker(threshold=2, open_s=1.0)
+        assert b.quiet
+        b.record_failure(0.0)
+        assert not b.quiet and b.state == b.CLOSED
+        b.record_success(0.1)  # clears the streak: nothing else to clear
+        assert b.quiet and b.transitions == []
+        b.record_failure(0.2)
+        b.record_failure(0.3)
+        b.on_attempt(1.3)
+        assert not b.quiet and b.state == b.HALF_OPEN
+        b.record_success(1.4)
+        assert b.quiet and [s for _, s in b.transitions] == [
+            b.OPEN, b.HALF_OPEN, b.CLOSED]
+
     def test_opens_after_threshold(self):
         b = CircuitBreaker(threshold=3, open_s=1.0)
         for k in range(2):
@@ -242,6 +266,16 @@ class TestCircuitBreaker:
         b.record_failure(0.3)
         b.record_failure(0.4)
         assert b.state == b.CLOSED  # streak restarted, threshold not hit
+
+
+class TestRetryPolicy:
+    @pytest.mark.parametrize("kw", [
+        {"base_s": math.nan}, {"cap_s": math.nan}, {"cap_s": math.inf},
+        {"base_s": 0.0}, {"base_s": -0.05}, {"base_s": 3.0, "cap_s": 2.0},
+    ])
+    def test_a_sleep_it_cannot_price_is_refused(self, kw):
+        with pytest.raises(ValueError):
+            RetryPolicy(**kw)
 
 
 class TestShipperBreakerIntegration:
