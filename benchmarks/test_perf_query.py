@@ -228,10 +228,16 @@ def _live_edge_sliding_window():
     series, ``LIVE_EDGE_APPENDED`` rows written before each refresh.  Rows
     the engine returned to each warm refresh, the rows at or above the
     frontier its held answer was computed at, and µs per refresh of the
-    warm server and of a cache-cold one."""
+    warm server and of a cache-cold one.
+
+    A second series under the same tag holds one row of another field, at
+    t = 0: the warm server's first read merges two series, so it holds its
+    answer (one series' window is read again, not held), and every slid
+    window after it is one series' rows, which the deltas read."""
     influx = InfluxDB()
     influx.create_database("pmove")
     target = Target("live", "_v", tag="s0")
+    influx.write("pmove", Point("live", {"tag": "s0", "k": "u"}, {"_u": 0.0}, 0.0))
 
     def append(first, n):
         influx.write_many("pmove", [

@@ -63,20 +63,18 @@ Stat = namedtuple("Stat", "count total vmin vmax last last_t last_seq has_nan")
 FALLBACK = object()
 
 
-def _values(col: list, lo: int, hi: int) -> list[float]:
-    """The values rows ``[lo, hi)`` of a column hold, in order."""
+def _values(col: list, lo: int, hi: int, dense: bool) -> list[float]:
+    """The values rows ``[lo, hi)`` of a column hold, in order: the slice
+    itself where ``dense`` says the column holds no ``None``."""
     part = col[lo:hi]
-    try:
-        sum(part)  # the cheapest probe for a hole: None + float
-    except TypeError:
-        return [v for v in part if v is not None]
-    return part  # none in the range: the slice is its values
+    return part if dense else [v for v in part if v is not None]
 
 
-def partial_stat(times: list[float], seqs: list[int], col: list, lo: int, hi: int):
+def partial_stat(times: list[float], seqs: list[int], col: list, lo: int, hi: int,
+                 dense: bool):
     """Rows ``[lo, hi)`` of one column folded in order into a :class:`Stat`
     keyed by its last value's row (None if they hold no value)."""
-    vals = _values(col, lo, hi)
+    vals = _values(col, lo, hi, dense)
     if not vals:
         return None
     last = hi - 1

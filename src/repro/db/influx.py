@@ -469,7 +469,9 @@ class _Series:
     sequence so equal timestamps preserve global insertion order across
     series (matching a stable sort over a flat point list).  ``cols`` maps
     field name → value array aligned with ``times`` (``None`` = field absent
-    in that row).
+    in that row), and ``holes`` counts the ``None`` cells of all of them —
+    exact under every mutation, so a series without one is known whole
+    without a look.
 
     The per-series summaries — one downsample shard per configured tier
     (``rollups``) and one value-cardinality HLL per field (``hlls``) — are
@@ -480,7 +482,7 @@ class _Series:
     """
 
     __slots__ = ("tags", "key_len", "times", "seqs", "cols", "_rollups", "max_seq",
-                 "_hlls", "hll_trimmed", "sketch", "folded", "has_nan", "billed")
+                 "_hlls", "hll_trimmed", "sketch", "folded", "has_nan", "billed", "holes")
 
     def __init__(
         self, tags: dict[str, str], key_len: int, tiers: tuple[float, ...] = (),
@@ -491,6 +493,7 @@ class _Series:
         self.times: list[float] = []
         self.seqs: list[int] = []
         self.cols: dict[str, list[float | None]] = {}
+        self.holes = 0
         self.sketch = sketch
         #: Rows ``[0, folded)`` are reflected in ``_rollups`` and ``_hlls``.
         self.folded = 0
@@ -534,9 +537,12 @@ class _Series:
             col = cols.get(name)
             if col is None:
                 col = cols[name] = [None] * len(times)
+                self.holes += len(times) - 1
             col[idx] = v
             if v != v:
                 self.has_nan = True
+        if len(fields) != len(cols):  # the row left a hole in every field it lacks
+            self.holes += len(cols) - len(fields)
         if idx < self.folded:
             # The row landed inside the folded prefix: the prefix grew by
             # it, and only the bucket it fell in (as far as it is folded)
@@ -713,6 +719,8 @@ class _Series:
             del self.times[:idx]
             del self.seqs[:idx]
             for col in self.cols.values():
+                if self.holes:
+                    self.holes -= col[:idx].count(None)
                 del col[:idx]
             self.folded = max(self.folded - idx, 0)
             self.billed = max(self.billed - idx, 0)
@@ -815,15 +823,22 @@ class ColumnRows(Sequence):
     list; the rows themselves are built on first use, once, so a reader
     that only wants columns (:meth:`series`) never pays for them.  A slice
     is always another ``ColumnRows`` over the sliced columns.
+
+    ``dense[i]``: column ``i`` is known to hold no ``None`` (``None``:
+    nothing is known).  ``runs``: how many sources a scan merged, 1 for one
+    series' slices.
     """
 
-    __slots__ = ("times", "cols", "_rows")
+    __slots__ = ("times", "cols", "dense", "runs", "_rows")
 
     def __init__(
-        self, times: list[float], cols: list[list[float | None] | None]
+        self, times: list[float], cols: list[list[float | None] | None],
+        dense: list[bool] | None = None, runs: int | None = None,
     ) -> None:
         self.times = times
         self.cols = cols
+        self.dense = dense
+        self.runs = runs
         self._rows: list[tuple[float, list[float | None]]] | None = None
 
     def _build_rows(self) -> list[tuple[float, list[float | None]]]:
@@ -837,14 +852,16 @@ class ColumnRows(Sequence):
             self._rows = self._build_rows()
         return self._rows
 
-    def series(self, idx: int = 0) -> tuple[list[float], list[float]]:
+    def series(self, idx: int = 0, take: bool = False) -> tuple[list[float], list[float]]:
         """Column ``idx`` as fresh ``(times, values)`` lists, rows whose
-        value is ``None`` dropped from both."""
+        value is ``None`` dropped from both.  ``take``: for a dense column,
+        this object's own lists, uncopied, for a caller that reads this
+        object no more."""
         col = self.cols[idx]
         if col is None:
             return [], []
-        if None not in col:
-            return list(self.times), list(col)
+        if self.dense is not None and self.dense[idx]:
+            return (self.times, col) if take else (self.times[:], col[:])
         return (
             [t for t, v in zip(self.times, col) if v is not None],
             [v for v in col if v is not None],
@@ -860,7 +877,8 @@ class ColumnRows(Sequence):
         if not isinstance(i, slice):
             return self._materialized()[i]
         return ColumnRows(
-            self.times[i], [c[i] if c is not None else None for c in self.cols]
+            self.times[i], [c[i] if c is not None else None for c in self.cols],
+            self.dense, self.runs,
         )
 
     def __eq__(self, other) -> bool:
@@ -877,25 +895,30 @@ class ColumnRows(Sequence):
 
 
 def _fold_buckets(
-    times: list[float], sel: list[list | None], lo: int, hi: int, N: float, fold
+    times: list[float], sel: list[list | None], dense: list[bool], lo: int, hi: int,
+    N: float, fold,
 ) -> ColumnRows:
     """``GROUP BY time(N)`` over rows ``[lo, hi)`` of aligned columns, as
     columns: per bucket (:func:`bucket_runs`) and per column of ``sel``
-    (``None`` = never written), ``fold`` of the bucket's values."""
+    (``None`` = never written), ``fold`` of the bucket's values — its
+    slice, where ``dense`` says the column holds no ``None``."""
     runs = list(bucket_runs(times, lo, hi, N))
     out: list[list | None] = []
-    for col in sel:
+    for col, whole in zip(sel, dense):
         if col is None:
             out.append(None)
-            continue
-        try:
-            sum(col[lo:hi])  # the cheapest probe for a hole: None + float
-        except TypeError:
+        elif whole:
+            out.append([fold(col[i:j]) for _, i, j in runs])
+        else:
             out.append([fold([v for v in col[i:j] if v is not None])
                         for _, i, j in runs])
-        else:  # none in the range: a bucket's slice is its values
-            out.append([fold(col[i:j]) for _, i, j in runs])
     return ColumnRows([b for b, _, _ in runs], out)
+
+
+def _dense(matched: list[tuple[_Series, int, int]], cols: list[str]) -> list[bool]:
+    """Per column of ``cols``: every matched series wrote it and holds no
+    hole, so no slice or merge of theirs does."""
+    return [all(c in s.cols and not s.holes for s, _, _ in matched) for c in cols]
 
 
 def _merge_keyed(
@@ -958,14 +981,15 @@ def _merge_runs(runs: list, width: int, limit: int | None = None):
 def _of_values(f):
     """``f`` of a column range's values as an :meth:`InfluxDB._ungrouped`
     fold, for the families that do not look at the rows' keys."""
-    return lambda times, seqs, col, lo, hi: f(_values(col, lo, hi))
+    return lambda times, seqs, col, lo, hi, dense: f(_values(col, lo, hi, dense))
 
 
 def _walk_values(fold):
     """``fold`` of each bucket's values as an :meth:`InfluxDB._grouped`
     walk (:func:`_fold_buckets`), for the families that do not look at the
     rows' keys."""
-    return lambda times, seqs, sel, N, lo, hi: _fold_buckets(times, sel, lo, hi, N, fold)
+    return lambda times, seqs, sel, dense, N, lo, hi: _fold_buckets(
+        times, sel, dense, lo, hi, N, fold)
 
 
 class _Database:
@@ -1294,10 +1318,9 @@ class InfluxDB:
         names: set[str] = set()
         for s, lo, hi in matched:
             for nm, col in s.cols.items():
-                # a dense column answers at its first row; a sparse one is
-                # one C-level count over the slice
+                # a series without a hole has a value in any slice
                 if nm not in names and (
-                    col[lo] is not None or col[lo:hi].count(None) != hi - lo
+                    not s.holes or col[lo:hi].count(None) != hi - lo
                 ):
                     names.add(nm)
         return sorted(names)
@@ -1344,9 +1367,10 @@ class InfluxDB:
             for c in cols:
                 col = s.cols.get(c)
                 out.append(col[lo:hi] if col is not None else None)
-            return cols, ColumnRows(s.times[lo:hi], out)
+            return cols, ColumnRows(s.times[lo:hi], out, [not s.holes] * len(cols), 1)
         return cols, ColumnRows(
-            *_merge_keyed(self._runs(matched, cols), len(cols), limit))
+            *_merge_keyed(self._runs(matched, cols), len(cols), limit),
+            _dense(matched, cols), len(matched))
 
     @staticmethod
     def _runs(matched: list[tuple[_Series, int, int]], cols: list[str]) -> list:
@@ -1445,9 +1469,10 @@ class InfluxDB:
         tier may serve is first planned (:meth:`_plan`); a tier ``r`` that
         serves answers every column, ``tier(arg, s, r, lo, hi, cols)``.  Else
         each column is ``fold(times, seqs, col, lo, hi)`` over the series'
-        own arrays.  Several are put into (time, seq) order by
-        :func:`_merge_keyed` and folded the same way, so what a fold sees
-        is what a fold over :meth:`scan_columns` rows would."""
+        own arrays (``dense``: whether it holds no ``None``).  Several are
+        put into (time, seq) order by :func:`_merge_keyed` and folded the
+        same way, so what a fold sees is what a fold over
+        :meth:`scan_columns` rows would."""
         matched = self._matched_slices(
             self._db(db), measurement, tags, t0, t1, t0_exclusive, t1_exclusive
         )
@@ -1465,7 +1490,8 @@ class InfluxDB:
             times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
             lo, hi = 0, len(times)
         return cols, times[lo], [
-            None if col is None else fold(times, seqs, col, lo, hi) for col in sel
+            None if col is None else fold(times, seqs, col, lo, hi, whole)
+            for col, whole in zip(sel, _dense(matched, cols))
         ]
 
     def _grouped(
@@ -1474,8 +1500,8 @@ class InfluxDB:
     ) -> tuple[list[str], ColumnRows]:
         """The one shape of a ``GROUP BY time(N)`` read: per bucket and
         column the family's answer, as columns under the bucket starts
-        (:class:`ColumnRows`); ``walk(times, seqs, sel, N, lo, hi)`` works
-        it out from rows ``[lo, hi)`` of aligned columns.
+        (:class:`ColumnRows`); ``walk(times, seqs, sel, dense, N, lo, hi)``
+        works it out from rows ``[lo, hi)`` of aligned columns.
 
         One matched series (the Listing 3 dashboard shape) is first planned
         for family ``fam`` (:meth:`_plan`); a tier ``r`` that serves reads
@@ -1493,13 +1519,14 @@ class InfluxDB:
             return cols, ColumnRows([], [None] * len(cols))
         if len(matched) == 1:
             s, lo, hi = matched[0]
-            raw = partial(walk, s.times, s.seqs, [s.cols.get(c) for c in cols], N)
+            raw = partial(walk, s.times, s.seqs, [s.cols.get(c) for c in cols],
+                          _dense(matched, cols), N)
             r = self._plan(fam, s, lo, hi, N)
             return cols, raw(lo, hi) if r is None else self._tier_buckets(
                 s, lo, hi, cols, N, r, raw, partial(tier, arg, s, r))
         self._plan(fam)
         times, seqs, sel = _merge_runs(self._runs(matched, cols), len(cols))
-        return cols, walk(times, seqs, sel, N, 0, len(times))
+        return cols, walk(times, seqs, sel, _dense(matched, cols), N, 0, len(times))
 
     def scan_buckets(
         self,
@@ -1681,15 +1708,15 @@ class InfluxDB:
     @staticmethod
     def _partials_raw(
         times: list[float], seqs: list[int], sel: list[list | None],
-        N: float, lo: int, hi: int,
+        dense: list[bool], N: float, lo: int, hi: int,
     ) -> ColumnRows:
         """Raw bucket walk over rows ``[lo, hi)`` of aligned columns, a
         partial stat per bucket and column."""
         runs = list(bucket_runs(times, lo, hi, N))
         return ColumnRows([b for b, _, _ in runs], [
             None if col is None else
-            [partial_stat(times, seqs, col, i, j) for _, i, j in runs]
-            for col in sel
+            [partial_stat(times, seqs, col, i, j, whole) for _, i, j in runs]
+            for col, whole in zip(sel, dense)
         ])
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .aggregates import AGGREGATES, SPELLINGS, Aggregate
@@ -93,36 +93,28 @@ class ResultSet:
 
     columns: list[str]
     rows: list[tuple[float, list[float | None]]] | ColumnRows
-    _col_cache: dict[str, list[float | None]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def column(self, name: str) -> list[float | None]:
-        """One column's values, memoized: dashboards extract the same
-        column per series per render, so the index lookup and list build
-        are paid once per name.  Callers get a fresh list — the cache
-        entry must never be handed out, or one caller's in-place edit
-        would poison every later read."""
-        cached = self._col_cache.get(name)
-        if cached is None:
-            idx = self.columns.index(name)
-            cached = [row[idx] for _, row in self.rows]
-            self._col_cache[name] = cached
-        return list(cached)
+        """One column's values, a fresh list."""
+        idx = self.columns.index(name)
+        return [row[idx] for _, row in self.rows]
 
     def times(self) -> list[float]:
         return [t for t, _ in self.rows]
 
-    def series(self, column: str | None = None) -> tuple[list[float], list[float]]:
+    def series(
+        self, column: str | None = None, take: bool = False
+    ) -> tuple[list[float], list[float]]:
         """One column (default: the first) as the ``(times, values)`` a
         panel plots: rows where it is ``None`` dropped from both.  Fresh
-        lists; read straight off the columns when the engine returned them."""
+        lists; read straight off the columns when the engine returned them
+        (``take``: see :meth:`ColumnRows.series`)."""
         if column is None and not self.columns:
             return [], []  # SELECT * over no data
         idx = 0 if column is None else self.columns.index(column)
         rows = self.rows
         if isinstance(rows, ColumnRows):
-            return rows.series(idx)
+            return rows.series(idx, take)
         times, values = [], []
         for t, row in rows:
             if row[idx] is not None:
@@ -199,7 +191,7 @@ def _parse_query_cached(text: str) -> Query:
     m = re.match(
         r"SELECT\s+(?P<sel>.+?)\s+FROM\s+(?P<meas>\"[^\"]+\"|\S+)"
         r"(?:\s+WHERE\s+(?P<where>.+?))?"
-        r"(?:\s+GROUP\s+BY\s+time\((?P<gb>[\d.]+)s\))?"
+        r"(?:\s+GROUP\s+BY\s+time\((?P<gb>[\d.eE+-]+)s\))?"
         r"(?:\s+LIMIT\s+(?P<limit>\d+))?\s*$",
         src,
         re.IGNORECASE | re.DOTALL,
@@ -242,6 +234,8 @@ def _parse_query_cached(text: str) -> Query:
                 raise InfluxError(f"unparseable WHERE condition {cond!r}")
 
     gb = _number(m.group("gb"), "GROUP BY width") if m.group("gb") else None
+    if gb is not None and gb <= 0:
+        raise InfluxError("GROUP BY time() needs a positive bucket width")
     if gb is not None and aggregate is None:
         aggregate = "MEAN"  # Influx requires an aggregate with GROUP BY time
     limit = int(m.group("limit")) if m.group("limit") else None

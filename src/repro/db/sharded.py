@@ -537,24 +537,8 @@ class ShardedInfluxDB:
                 *read("scan_points"), key=lambda r: (r[0], r[1]))),
         )
 
-    def points(
-        self,
-        db: str,
-        measurement: str,
-        tags: dict[str, str] | None = None,
-        t0: float | None = None,
-        t1: float | None = None,
-        *,
-        t0_exclusive: bool = False,
-        t1_exclusive: bool = False,
-    ) -> list[Point]:
-        return [
-            p
-            for _, _, p in self.scan_points(
-                db, measurement, tags, t0, t1,
-                t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
-            )
-        ]
+    #: :meth:`scan_points` less the keys, as on one engine.
+    points = InfluxDB.points
 
     @staticmethod
     def _union_columns(
@@ -627,7 +611,8 @@ class ShardedInfluxDB:
         for shard_cols, (times, seqs, values) in per:
             have = dict(zip(shard_cols, values))
             runs.append((times, seqs, [have.get(c) for c in cols]))
-        return cols, ColumnRows(*_merge_keyed(runs, len(cols), limit))
+        unknown = [False] * len(cols)  # no merged column is known to be whole
+        return cols, ColumnRows(*_merge_keyed(runs, len(cols), limit), unknown, len(per))
 
     # ------------------------------------------------------------------
     # One answer per (bucket, column): aggregates, percentiles, STDDEV
@@ -643,11 +628,11 @@ class ShardedInfluxDB:
         cols, rows = self._merged_scan(read, columns)
         if group_by_s is not None:
             out = _fold_buckets(
-                rows.times, rows.cols, 0, len(rows), group_by_s, fold)
+                rows.times, rows.cols, rows.dense, 0, len(rows), group_by_s, fold)
             return cols, out.times, out.cols
         return cols, rows.times[:1] or [None], [
-            None if col is None else [fold(_values(col, 0, len(rows)))]
-            for col in rows.cols]
+            None if col is None else [fold(_values(col, 0, len(rows), whole))]
+            for col, whole in zip(rows.cols, rows.dense)]
 
     def _merged_partials(
         self, read, name: str, columns, group_by_s: float | None, merge, fold

@@ -20,6 +20,7 @@ watermark re-folds its own bucket in the engine, and the next
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -44,14 +45,12 @@ class ContinuousQuery:
     refreshes: int = 0
 
     def __post_init__(self) -> None:
-        if not self.target.agg:
-            raise DashboardError(f"continuous query {self.name!r} needs an agg")
-        if self.target.group_by_s <= 0:
-            raise DashboardError(
-                f"continuous query {self.name!r} needs GROUP BY time "
-                "(group_by_s > 0)"
-            )
-        self.watermark = self.start_t
+        """``start_t`` floors to its bucket's start."""
+        g = self.target.group_by_s
+        if not self.target.agg or g <= 0:
+            raise DashboardError(f"continuous query {self.name!r} needs an agg "
+                                 "and GROUP BY time (group_by_s > 0)")
+        self.watermark = self.start_t = (self.start_t // g) * g
 
 
 class ContinuousQueryRegistrar:
@@ -67,21 +66,8 @@ class ContinuousQueryRegistrar:
     ) -> ContinuousQuery:
         """Install (or replace) a continuous query; it serves nothing until
         a :meth:`refresh` closes its first bucket."""
-        if target.group_by_s <= 0:
-            raise DashboardError(
-                f"continuous query {name!r} needs GROUP BY time "
-                "(group_by_s > 0)"
-            )
-        cq = ContinuousQuery(
-            name=name,
-            target=target,
-            start_t=(start_t // target.group_by_s) * target.group_by_s,
-        )
-        self._queries[name] = cq
+        cq = self._queries[name] = ContinuousQuery(name, target, start_t)
         return cq
-
-    def unregister(self, name: str) -> None:
-        self._queries.pop(name, None)
 
     def names(self) -> list[str]:
         return sorted(self._queries)
@@ -117,17 +103,13 @@ class ContinuousQueryRegistrar:
         a panel charts.  Buckets with no value stay absent (a gap, not a
         zero), as in a direct panel query over the same range."""
         cq = self.get(name)
-        times: list[float] = []
-        values: list[float] = []
         if cq.watermark <= cq.start_t:
-            return times, values
+            return [], []
         statement = self.server.target_statement(cq.target, t0=cq.start_t, t1=cq.watermark)
-        for t, row in execute(self.server.influx, self.server.database, statement).rows:
-            # ``time <= watermark`` may open the bucket at the watermark
-            if cq.start_t <= t < cq.watermark and row[0] is not None:
-                times.append(t)
-                values.append(row[0])
-        return times, values
+        times, values = execute(self.server.influx, self.server.database, statement).series()
+        # ``time <= watermark`` may open the bucket at the watermark
+        cut = bisect_left(times, cq.watermark)
+        return times[:cut], values[:cut]
 
     def stats(self) -> dict[str, dict[str, Any]]:
         return {

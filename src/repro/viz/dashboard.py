@@ -12,6 +12,7 @@ artifacts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -55,8 +56,9 @@ class Target:
     def __post_init__(self) -> None:
         if not self.measurement:
             raise DashboardError("target needs a measurement")
-        if self.group_by_s < 0:
-            raise DashboardError("group_by_s must be >= 0")
+        if not 0 <= self.group_by_s < math.inf:  # NaN fails it too
+            raise DashboardError(
+                f"group_by_s must be finite and >= 0, not {self.group_by_s!r}")
         if not self.agg:
             if self.agg_arg is not None:
                 raise DashboardError("agg_arg needs an agg")
@@ -113,6 +115,8 @@ class Panel:
     title: str
     targets: list[Target]
     panel_type: str = "timeseries"
+    #: (the targets, their labels) as :meth:`labels` last worked them out
+    _labelled: tuple = field(default=((), ()), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.targets:
@@ -122,8 +126,16 @@ class Panel:
         """One legend label per target: its alias, else the last 40
         characters of measurement + field.  Labels that collide — Fig 2 c/d
         draws one field once per execution — gain the target's tag, then
-        its position, so that no series overwrites another."""
-        targets = self.targets
+        its position, so that no series overwrites another.  Worked out
+        once per state of ``targets``: a panel edited in place, or given
+        new targets, is labelled again."""
+        targets = tuple(self.targets)
+        if self._labelled[0] != targets:  # one identity test per (frozen) target
+            self._labelled = (targets, tuple(self._label(targets)))
+        return list(self._labelled[1])
+
+    @staticmethod
+    def _label(targets: tuple[Target, ...]) -> list[str]:
         labels = [t.alias or f"{t.measurement}{t.params}"[-40:] for t in targets]
         if len(set(labels)) == len(labels):
             return labels

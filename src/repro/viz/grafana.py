@@ -22,15 +22,17 @@ epoch, which drops the measurement's sealed entries there and then.
 
 An *open* window (no ``t1``, or one at or above the frontier) is what a
 live dashboard refreshes, and it slides: its statement never repeats, so
-it is not keyed by one.  Each target keeps **one held answer** — the
-stamps and window it was computed at, overwritten in place by its
-successor.  The same window at the same generation is a hit.  A raw
-target whose window moved forward in the same epoch is a *delta*: the
-held rows with ``t0 <= time < held frontier`` (two bisects; the rule says
-they cannot have changed) plus one engine read from the held frontier on.
-It reads the engine, so it counts as a miss (``delta_serves`` says how
-many misses were deltas).  Anything else — a new epoch, a window that
-moved backwards, an aggregate — is the full read.
+it is not keyed by one.  A raw window whose read came back as one
+series' slices (``ColumnRows.runs``) keeps nothing: reading it again is
+two slices, handed to the caller uncopied.  Any other target keeps **one
+held answer** — the stamps and window it was computed at, overwritten in
+place by its successor.  The same window at the same generation is a
+hit.  A raw target whose window moved forward in the same epoch is a
+*delta*: the held rows with ``t0 <= time < held frontier`` (two bisects;
+the rule says they cannot have changed) plus one engine read from the
+held frontier on.  It reads the engine, so it counts as a miss
+(``delta_serves`` says how many misses were deltas).  Anything else — a
+new epoch, a window that moved backwards, an aggregate — is the full read.
 
 No statement is formatted or parsed per refresh: the target's *time-free*
 statement is formatted and parsed once, the window goes into a copy of
@@ -104,10 +106,12 @@ def _windowed(q: Query, t0: float | None, t1: float | None) -> Query:
     t1 = None if t1 is None else float(t1)
     if not ((t0 is None or math.isfinite(t0)) and (t1 is None or math.isfinite(t1))):
         raise InfluxError(f"non-finite time bound in ({t0}, {t1})")
-    # Built field by field: every miss passes here, and
-    # dataclasses.replace costs several times as much.
-    return Query(q.measurement, q.columns, q.aggregate, q.tag_filters,
-                 t0, t1, q.group_by_s, q.limit, agg_arg=q.agg_arg)
+    # Every miss passes here: a copy of the parse's fields, set past the
+    # frozen dataclass's __init__ (its per-field object.__setattr__ costs
+    # several times as much).  ``q`` has no bound, so no exclusivity.
+    w = object.__new__(Query)
+    w.__dict__.update(q.__dict__, t0=t0, t1=t1)
+    return w
 
 
 class _Filed:
@@ -296,9 +300,9 @@ class GrafanaServer:
     def _target_series(
         self,
         target: Target,
-        t0: float | None,
-        t1: float | None,
-        tag: str | None,
+        t0: float | None = None,
+        t1: float | None = None,
+        tag: str | None = None,
         tenant: str | None = None,
         statement: str | None = None,
     ) -> tuple[list[float], list[float], bool]:
@@ -340,8 +344,8 @@ class GrafanaServer:
                 since = edge if t0 is None or edge > t0 else t0
         self.cache_misses += 1
         timefree = timefree or _timefree(target, tag)[1]
-        times, values = execute(
-            self.influx, self.database, _windowed(timefree, since, t1)).series()
+        got = execute(self.influx, self.database, _windowed(timefree, since, t1))
+        times, values = got.series(take=True)
         # A sharded engine flags results computed while a shard holding
         # relevant data was down.  Those are served (degraded beats blank
         # panels) as a cold server would serve them, without held rows, and
@@ -350,7 +354,7 @@ class GrafanaServer:
         partial = self.influx.last_partial
         if held is not None and partial:
             times, values = execute(
-                self.influx, self.database, _windowed(timefree, t0, t1)).series()
+                self.influx, self.database, _windowed(timefree, t0, t1)).series(take=True)
         elif held is not None:
             # The held lists become the new answer in place (nobody else
             # has them): cut to [t0, held frontier), then the rows read.
@@ -364,12 +368,16 @@ class GrafanaServer:
             times, values = held[1:3]
         if partial:
             self.partial_serves += 1
-        else:
+        elif sealed or held is not None or timefree.aggregate or got.rows.runs > 1:
             entry = (measurement, times, values)
             if not sealed:
                 entry += (stamps, (t0, t1))
             cache.store(key, entry, epoch if sealed else None, capacity)
             times, values = times[:], values[:]  # the entry's stay its own
+        elif hit is not None:
+            # One series' raw window is two slices: read, not held, so the
+            # answer an earlier merged read left here goes.
+            del cache.entries[key]
         return times, values, False
 
     def invalidate_cache(self) -> None:
@@ -399,19 +407,9 @@ class GrafanaServer:
         self.invalidate_cache()
         self.reset_stats()
 
-    def execute_target(
-        self,
-        target: Target,
-        t0: float | None = None,
-        t1: float | None = None,
-        tag: str | None = None,
-        tenant: str | None = None,
-        statement: str | None = None,
-    ) -> tuple[list[float], list[float], bool]:
-        """One target's (times, values, served_from_cache) — the serving
-        frontend's per-target entry point (it needs the hit flag for its
-        service-cost model, and has formatted ``statement`` already)."""
-        return self._target_series(target, t0, t1, tag, tenant, statement)
+    #: The serving frontend's per-target entry point: it needs the hit flag
+    #: for its service-cost model, and has formatted ``statement`` already.
+    execute_target = _target_series
 
     def execute_panel(
         self,

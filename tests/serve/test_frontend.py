@@ -154,7 +154,10 @@ class TestSloAccounting:
         assert percentile([7.0], 0.50) == 7.0
 
     def test_health_shape(self):
-        fe = _frontend()
+        grafana = _grafana()  # a second series under t1: the read merges two
+        grafana.influx.write_many("pmove", [
+            Point("cpu", {"tag": "t1", "k": "u"}, {"u": 0.0}, float(i)) for i in range(120)])
+        fe = _frontend(grafana)
         fe.submit("a", _panel(), at=0.0)
         fe.drain()
         h = fe.health()

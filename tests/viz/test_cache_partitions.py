@@ -10,7 +10,13 @@ from repro.db.influx import InfluxDB, Point
 from repro.viz.dashboard import Panel, Target
 from repro.viz.grafana import GrafanaServer
 
-from .test_panel_cache import HeldAnswerCache, ParentCache, check_index, held_answers
+from .test_panel_cache import (
+    HeldAnswerCache,
+    ParentCache,
+    beside,
+    check_index,
+    held_answers,
+)
 
 
 def _mk(n=50):
@@ -18,7 +24,8 @@ def _mk(n=50):
     influx.create_database("pmove")
     influx.write_many(
         "pmove",
-        [Point("cpu", {"tag": "t1"}, {"_cpu0": float(i)}, float(i)) for i in range(n)],
+        beside([Point("cpu", {"tag": "t1"}, {"_cpu0": float(i)}, float(i))
+                for i in range(n)]),
     )
     server = GrafanaServer(influx)
     panel = Panel(id=1, title="cpu", targets=[Target("cpu", "_cpu0", tag="t1")])
@@ -156,8 +163,8 @@ class TestMeasurementIndex:
 
     def _two_measurements(self):
         influx, server, cpu = _mk()
-        influx.write_many("pmove", [
-            Point("mem", {"tag": "t1"}, {"v": float(i)}, float(i)) for i in range(50)])
+        influx.write_many("pmove", beside([
+            Point("mem", {"tag": "t1"}, {"v": float(i)}, float(i)) for i in range(50)]))
         mem = Panel(id=2, title="mem", targets=[Target("mem", "v", tag="t1")])
         return influx, server, cpu, mem
 
@@ -271,11 +278,11 @@ class TestServeReadHeavyShape:
         def write(m):
             t = reports[m]
             reports[m] += 1
-            influx.write_many("pmove", [
+            influx.write_many("pmove", beside([
                 Point(f"bench_m{m}", {"tag": f"s{s}"},
                       {f: float((t * 7 + s + i) % 13) for i, f in enumerate(fields)},
                       float(t))
-                for s in range(4)])
+                for s in range(4)]))
 
         for _ in range(400):
             for m in range(4):

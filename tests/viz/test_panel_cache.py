@@ -20,11 +20,20 @@ from hypothesis import strategies as st
 
 from repro.db.faulty import FaultyInfluxDB
 from repro.db.influx import InfluxDB, InfluxError, Point
-from repro.db.influxql import naive_execute
+from repro.db.influxql import naive_execute, parse_query
 from repro.db.sharded import ShardedInfluxDB
 from repro.faults import NodeCrash
 from repro.viz.dashboard import Dashboard, Panel, Target
 from repro.viz.grafana import GrafanaServer
+
+
+def beside(points):
+    """``points``, and beside each one of a second series under the same
+    tags that writes field ``u`` only: a read of any other field then
+    merges two series' rows — the read a target holds its answer for (one
+    series' window is read again, not held) — and answers what it did."""
+    return [q for p in points for q in (
+        p, Point(p.measurement, {**p.tags, "k": "u"}, {"u": 0.0}, p.time))]
 
 
 def _mk(n=50, tiers=(10.0, 60.0)):
@@ -32,7 +41,8 @@ def _mk(n=50, tiers=(10.0, 60.0)):
     influx.create_database("pmove")
     influx.write_many(
         "pmove",
-        [Point("cpu", {"tag": "t1"}, {"_cpu0": float(i)}, float(i)) for i in range(n)],
+        beside([Point("cpu", {"tag": "t1"}, {"_cpu0": float(i)}, float(i))
+                for i in range(n)]),
     )
     server = GrafanaServer(influx)
     panel = Panel(id=1, title="cpu", targets=[Target("cpu", "_cpu0", tag="t1")])
@@ -124,11 +134,9 @@ class TestInvalidation:
         for step in range(120):
             action = rng.random()
             if action < 0.45:
-                influx.write(
-                    "pmove",
+                influx.write_many("pmove", beside([
                     Point("cpu", {"tag": "t1"}, {"_cpu0": rng.uniform(-10, 10)},
-                          rng.uniform(0, 100)),
-                )
+                          rng.uniform(0, 100))]))
             elif action < 0.5:
                 influx.delete_series("pmove", "cpu", tags={"tag": "t1"})
             t0 = rng.choice([None, rng.uniform(0, 50)])
@@ -187,9 +195,9 @@ class TestDownsampledTargets:
 def _sharded_mk(n=50):
     influx = ShardedInfluxDB(3)
     influx.create_database("pmove")
-    influx.write_many("pmove", [
+    influx.write_many("pmove", beside([
         Point("cpu", {"tag": f"t{s}"}, {"_cpu0": float(i)}, float(i))
-        for i in range(n) for s in (1, 2, 3, 4)])
+        for i in range(n) for s in (1, 2, 3, 4)]))
     return influx, GrafanaServer(influx), Panel(
         id=1, title="cpu", targets=[Target("cpu", "_cpu0", tag="t1")])
 
@@ -367,9 +375,11 @@ class HeldAnswerCache(ParentCache):
     ended below the frontier is kept under its statement and is good for
     its epoch, and every other window is kept under its target — one per
     target, the newer over the older — and is good for the very window and
-    generation it was computed at; nothing leaves except by capacity."""
+    generation it was computed at; nothing leaves except by capacity — or
+    by a miss that was not ``kept`` (a raw window read as one series'
+    slices is read again, not held)."""
 
-    def read(self, tenant, target, statement, stamps, window):
+    def read(self, tenant, target, statement, stamps, window, kept=True):
         epoch, gen, frontier = stamps
         sealed = window[1] is not None and window[1] < frontier
         key = statement if sealed else target
@@ -380,11 +390,22 @@ class HeldAnswerCache(ParentCache):
             self.hits += 1
             return True
         self.misses += 1
+        if not kept:
+            lru.pop(key, None)
+            return False
         lru[key] = (epoch, gen, window)
         lru.move_to_end(key)
         while len(lru) > self.capacity:
             lru.popitem(last=False)
         return False
+
+
+def merged_runs(influx, statement):
+    """How many series' runs the engine's read of a raw ``statement`` is
+    made of (:attr:`~repro.db.influx.ColumnRows.runs`)."""
+    q = parse_query(statement)
+    return influx.scan_columns("pmove", q.measurement, list(q.columns),
+                               dict(q.tag_filters), q.t0, q.t1)[1].runs
 
 
 def held_answers(part):
@@ -442,10 +463,10 @@ cache_ops = st.lists(
 def _engine(kind):
     influx = InfluxDB() if kind == "single" else ShardedInfluxDB(4)
     influx.create_database("pmove")
-    influx.write_many("pmove", [
+    influx.write_many("pmove", beside([
         Point(m, {"tag": s}, {"v": float(i)}, float(i))
         for m in MEASUREMENTS for s in SERIES for i in range(0, 40, 4)
-    ])
+    ]))
     return influx
 
 
@@ -471,7 +492,7 @@ class TestDeadEntries:
         windows never pile up to begin with."""
         influx, server, panel = _mk()
         other = Panel(id=2, title="mem", targets=[Target("mem", "v", tag="t1")])
-        influx.write("pmove", Point("mem", {"tag": "t1"}, {"v": 1.0}, 3.0))
+        influx.write_many("pmove", beside([Point("mem", {"tag": "t1"}, {"v": 1.0}, 3.0)]))
         for t1 in (10.0, 20.0):
             server.execute_panel(panel, t1=t1)
         for t0 in (0.0, 10.0, 20.0):  # one held answer, overwritten in place
@@ -567,9 +588,12 @@ class TestDeadEntries:
 
                 fresh = naive_execute(influx, "pmove", stmt).series()
                 assert (list(times), list(values)) == (list(fresh[0]), list(fresh[1]))
+                # what the read leaves: a sealed window, a delta, a merged read
+                kept = (hit or sealed or server.delta_serves > deltas
+                        or merged_runs(influx, stmt) > 1)
                 # every read the rule says hits does; evicting the dead
                 # early can only leave more room for the living
-                want = model.read(tenant, target, stmt, stamps, (t0, t1))
+                want = model.read(tenant, target, stmt, stamps, (t0, t1), kept)
                 assert hit or not want
                 if hit:
                     # … and only ever on an answer computed in this epoch,
@@ -593,9 +617,11 @@ class TestDeadEntries:
                     assert filed.epoch == epoch == computed[tenant, sealed_key][0][0]
                 if sealed:
                     assert key in filed.sealed
-                else:
+                elif kept:
                     assert part.entries[key][3:] == computed[tenant, key]
                     assert list(part.entries)[-1] == key
+                else:
+                    assert key not in part.entries
                 # … other measurements lose entries to capacity only, oldest
                 # first, and other partitions are not touched at all
                 left = [k for k in bystanders if k in part.entries]
