@@ -16,7 +16,7 @@ Usage (also available as ``python -m repro.cli``)::
     pmove bench icl stream           # BenchmarkInterface runners
     pmove cluster --nodes 4          # cluster demo job with comm telemetry
     pmove shard --shards 4 --kill-shard 1  # sharded storage + degraded serving
-    pmove fuzz all --budget 50 --seed 3 --minimize  # coverage-guided fuzzing
+    pmove fuzz all --budget 50 --seed 3 --minimize  # seeded scenario fuzzing
     pmove fuzz all --replay tests/fuzz/corpus       # replay minimized seeds
     pmove presets                    # list the Table II platforms
 
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "fuzz",
-        help="coverage-guided scenario fuzzing: evolve whole-twin scenarios "
+        help="seeded scenario fuzzing: random whole-twin scenarios "
              "against the invariant oracles",
     )
     s.add_argument("preset", choices=sorted(PRESETS) + ["all"],
@@ -215,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0, help="campaign seed")
     s.add_argument("--minimize", action="store_true",
                    help="ddmin-shrink each failure family to a minimal seed")
-    s.add_argument("--baseline", action="store_true",
-                   help="mutation-free control arm (fresh grammar draws only)")
     s.add_argument("--coverage-out", metavar="PATH",
                    help="write the coverage-map JSON artifact to PATH")
     s.add_argument("--corpus", metavar="DIR",
@@ -826,13 +824,11 @@ def _cmd_fuzz(args) -> int:
         args.budget,
         args.seed,
         presets=presets,
-        mutate_corpus=not args.baseline,
         do_minimize=args.minimize,
         keep_run_docs=False,
         on_run=progress,
     )
-    arm = "baseline (mutation-free)" if args.baseline else "guided"
-    print(f"\n{arm} campaign: budget={result.budget} seed={result.seed}")
+    print(f"\ncampaign: budget={result.budget} seed={result.seed}")
     print(f"  distinct coverage: {result.distinct_coverage}")
     print(f"  corpus size:       {len(result.corpus)}")
     print(f"  failures:          {len(result.failures)}")

@@ -66,6 +66,17 @@ from .views import ViewSpec, level_view, subtree_view
 
 __all__ = ["Target", "PMoVE", "DEFAULT_ENV"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "core.daemon": {
+        "PMoVE": (
+            "attach_target", "target", "scenario_a", "resolve_events",
+            "scenario_b", "enable_durable_ingest", "enable_serving",
+            "push_to_superdb", "recall_observation"),
+    },
+}
+
 DEFAULT_ENV = {
     "INFLUX_HOST": "127.0.0.1:8086",
     "MONGO_HOST": "127.0.0.1:27017",

@@ -38,6 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["FederationLink", "SyncPending"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "core.superdb": {
+        "FederationLink": ("report", "anti_entropy", "sync_status"),
+    },
+}
+
 
 class SyncPending(RuntimeError):
     """A sync left observations pending (retry budget exhausted)."""

@@ -37,6 +37,16 @@ from .ontology import (
 
 __all__ = ["KnowledgeBase", "KBError"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "core.kb": {
+        "KnowledgeBase": (
+            "from_probe", "save", "append_entry", "entries_of_type",
+            "to_jsonld", "subtree", "get"),
+    },
+}
+
 
 class KBError(ValueError):
     """Inconsistent KB structure or failed lookups."""

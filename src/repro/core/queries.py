@@ -17,6 +17,14 @@ from repro.db.influxql import ResultSet, execute
 
 __all__ = ["generate_queries", "recall", "query_for_component"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "core.daemon": {
+        None: ("generate_queries", "recall"),
+    },
+}
+
 
 def generate_queries(
     observation: dict[str, Any],

@@ -38,6 +38,14 @@ from .federation import FederationLink
 
 __all__ = ["SuperDB"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "core.superdb": {
+        "SuperDB": ("report", "anti_entropy", "sync_status", "compare_metric"),
+    },
+}
+
 _AGGS = ("min", "max", "mean", "count")
 
 

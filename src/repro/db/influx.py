@@ -76,6 +76,26 @@ from .sketch import (
 __all__ = ["Point", "InfluxError", "RetentionPolicy", "InfluxDB", "ColumnRows",
            "DEFAULT_ROLLUP_TIERS", "bucket_runs"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "db.influx.write": {
+        "InfluxDB": (
+            "write", "write_many", "write_lines", "import_rows",
+            "delete_series", "enforce_retention"),
+    },
+    "db.influx.read": {
+        "InfluxDB": (
+            "points", "scan_points", "scan_columns", "scan_keyed",
+            "aggregate_columns", "scan_buckets", "aggregate_partials",
+            "bucket_partials", "quantile_buckets", "quantile_columns",
+            "stddev_columns", "stddev_buckets", "distinct_keyed",
+            "distinct_values", "count_distinct", "quantile_partials",
+            "quantile_bucket_partials", "distinct_partials", "generation",
+            "max_seq", "measurements", "series_count", "list_series"),
+    },
+}
+
 #: Downsample shard sizes every series keeps, seconds.
 DEFAULT_ROLLUP_TIERS = (10.0, 60.0)
 
@@ -460,6 +480,18 @@ def _bucket_start(times: list[float], b: float, N: float, lo: int, hi: int) -> i
     while i > lo and (times[i - 1] // N) * N >= b:
         i -= 1
     return i
+
+
+def check_bucket_keys(first: float, last: float, N: float) -> None:
+    """Refuse ``GROUP BY time(N)`` over times ``first`` … ``last`` when a
+    bucket key ``(t // N) * N`` would not be finite: past ``t / N`` ≈
+    1.8e308 every later bucket is labelled ``inf`` and folded into one.
+    The key does not fall with time, so the two end times (the
+    largest-magnitude time is one of them) bound every key of the read."""
+    if not (math.isfinite((first // N) * N) and math.isfinite((last // N) * N)):
+        raise InfluxError(
+            f"GROUP BY time({N!r}s) is too narrow for times up to "
+            f"{max(abs(first), abs(last))!r}: its bucket keys overflow")
 
 
 class _Series:
@@ -1517,6 +1549,8 @@ class InfluxDB:
         cols = self._resolve_columns(matched, columns)
         if not matched:
             return cols, ColumnRows([], [None] * len(cols))
+        check_bucket_keys(min(s.times[lo] for s, lo, _ in matched),
+                          max(s.times[hi - 1] for s, _, hi in matched), N)
         if len(matched) == 1:
             s, lo, hi = matched[0]
             raw = partial(walk, s.times, s.seqs, [s.cols.get(c) for c in cols],

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .aggregates import AGGREGATES, SPELLINGS, Aggregate
-from .influx import ColumnRows, InfluxDB, InfluxError
+from .influx import ColumnRows, InfluxDB, InfluxError, check_bucket_keys
 from .naive import reference_fold
 from .sketch import value_key
 
@@ -55,6 +55,17 @@ __all__ = [
     "naive_execute",
     "show_measurements",
 ]
+
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "db.influxql.parse": {
+        None: ("parse_query",),
+    },
+    "db.influxql.execute": {
+        None: ("execute", "show_measurements"),
+    },
+}
 
 # Split a select list on commas that sit *outside* parentheses, so
 # PERCENTILE("f", 99) stays one item.
@@ -367,6 +378,8 @@ def naive_execute(db, database: str, query: Query | str) -> ResultSet:
         return ResultSet(columns=cols, rows=[(t, row)])
 
     # GROUP BY time(Ns): bucket on floor(time / N) * N (+ 0.0: -0.0 labels 0.0).
+    if rows:
+        check_bucket_keys(rows[0][0], rows[-1][0], q.group_by_s)
     buckets: dict[float, list[list[float]]] = {}
     for t, vals in rows:
         b = (t // q.group_by_s) * q.group_by_s + 0.0

@@ -38,6 +38,18 @@ from .sketch import value_key
 
 __all__ = ["MongoError", "Collection", "MongoDB"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "db.mongo": {
+        "Collection": (
+            "create_index", "insert_one", "insert_many", "find", "find_one",
+            "count_documents", "distinct", "update_one", "update_many",
+            "replace_one", "delete_many"),
+        "MongoDB": ("collection",),
+    },
+}
+
 
 class MongoError(ValueError):
     """Bad filter/update documents."""

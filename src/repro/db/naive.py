@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .influx import InfluxError, Point, RetentionPolicy
+from .influx import InfluxError, Point, RetentionPolicy, check_bucket_keys
 from .sketch import nearest_rank, stddev_of, value_key
 
 __all__ = ["NaiveInfluxDB", "reference_fold"]
@@ -198,6 +198,8 @@ class NaiveInfluxDB:
             db, measurement, columns, tags, t0, t1,
             t0_exclusive=t0_exclusive, t1_exclusive=t1_exclusive,
         )
+        if rows:
+            check_bucket_keys(rows[0][0], rows[-1][0], group_by_s)
         buckets: dict[float, list[list[float]]] = {}
         for t, vals in rows:
             b = (t // group_by_s) * group_by_s + 0.0

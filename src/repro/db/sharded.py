@@ -65,11 +65,27 @@ from .influx import (
     Point,
     _fold_buckets,
     _merge_keyed,
+    check_bucket_keys,
     named_aggregate,
 )
 from .sketch import SketchConfig
 
 __all__ = ["HashRing", "ShardedInfluxDB", "series_key"]
+
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "db.sharded.route": {
+        "ShardedInfluxDB": ("write", "write_many", "write_lines"),
+    },
+    "db.sharded.gather": {
+        "ShardedInfluxDB": (
+            "points", "scan_points", "scan_columns", "aggregate_columns",
+            "scan_buckets", "quantile_columns", "quantile_buckets",
+            "stddev_columns", "stddev_buckets", "distinct_values",
+            "count_distinct", "generation", "max_seq", "measurements"),
+    },
+}
 
 
 def _hash64(s: str) -> int:
@@ -627,6 +643,8 @@ class ShardedInfluxDB:
         seq) order, by the routines the engine folds its own rows with."""
         cols, rows = self._merged_scan(read, columns)
         if group_by_s is not None:
+            if rows:
+                check_bucket_keys(rows.times[0], rows.times[-1], group_by_s)
             out = _fold_buckets(
                 rows.times, rows.cols, rows.dense, 0, len(rows), group_by_s, fold)
             return cols, out.times, out.cols

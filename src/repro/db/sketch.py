@@ -48,6 +48,18 @@ __all__ = [
     "stddev_from_partials",
 ]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "db.sketch": {
+        "TDigest": (
+            "add", "add_many", "merge_from", "merged", "quantile", "to_dict",
+            "from_dict"),
+        "HyperLogLog": (
+            "add", "add_hash", "merge_from", "count", "to_dict", "from_dict"),
+    },
+}
+
 
 # ----------------------------------------------------------------------
 # Configuration

@@ -1,15 +1,15 @@
-"""``repro.fuzz`` — coverage-guided scenario fuzzing for the whole twin.
+"""``repro.fuzz`` — seeded scenario fuzzing for the whole twin.
 
 A seed-deterministic :class:`~repro.fuzz.scenario.Scenario` grammar
 composes everything PRs 1–8 built — workload mix, machine preset,
 service/log/node fault schedules, durable-vs-buffered ingest, shard
 count, multi-tenant query streams — into one executable description.
-Mutation operators (:mod:`~repro.fuzz.mutators`) evolve a corpus steered
-by a coverage map harvested from counters the system already keeps
-(:mod:`~repro.fuzz.coverage`); invariant oracles
-(:mod:`~repro.fuzz.oracles`) check every run; failing scenarios are
-ddmin-shrunk (:mod:`~repro.fuzz.minimize`) to minimal JSON seeds that
-the chaos CI lane replays forever.
+A campaign executes random draws of it; a coverage map harvested from
+counters the system already keeps (:mod:`~repro.fuzz.coverage`) says
+what the draws reached; invariant oracles (:mod:`~repro.fuzz.oracles`)
+check every run; failing scenarios are ddmin-shrunk
+(:mod:`~repro.fuzz.minimize`) to minimal JSON seeds that the chaos CI
+lane replays forever.
 
 Entry points: ``pmove fuzz <preset>`` on the CLI, or
 :func:`~repro.fuzz.campaign.run_campaign` /
@@ -32,8 +32,6 @@ _LAZY = {
     "harvest": "coverage",
     "minimize": "minimize",
     "violation_family": "minimize",
-    "MUTATORS": "mutators",
-    "mutate": "mutators",
     "RunResult": "runner",
     "execute": "runner",
     "PRESET_POOL": "scenario",

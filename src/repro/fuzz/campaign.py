@@ -1,19 +1,16 @@
-"""The campaign loop: coverage-guided corpus evolution over scenarios.
+"""The campaign loop: seeded random scenarios against the oracles.
 
-Classic grey-box fuzzing shape (AFL-style) transplanted to whole-twin
-scenarios:
+Each of ``budget`` iterations draws a fresh scenario from the grammar
+(:func:`~repro.fuzz.scenario.generate`), executes it, folds its coverage
+points into the campaign's :class:`~repro.fuzz.coverage.CoverageMap`,
+checks the oracles, and — when asked — ddmin-minimizes the first failure
+of each oracle family into a replayable JSON seed.  The scenarios that
+first reached a point are kept as the campaign's ``corpus``.
 
-1. keep a **corpus** of scenarios that each contributed novel coverage;
-2. each iteration pick a parent (weighted toward recent novelty), apply
-   a 1–3 link mutation chain, execute the child;
-3. admit the child to the corpus iff it lit up coverage points no prior
-   run reached;
-4. any run that violates an oracle is (optionally) ddmin-minimized and
-   its minimal scenario serialized as a replayable JSON seed.
-
-Setting ``mutate=False`` gives the control arm: same budget, every
-scenario independently generated from the grammar — the acceptance gate
-requires the guided arm to reach strictly more distinct coverage.
+There is no corpus steering: measured at budget 200 over six seeds, a
+mutation-and-energy corpus reached no more distinct points than
+budget-matched random draws (EXPERIMENTS.md, "Scenario fuzzing"), so the
+few states only mutation reached are plain draws of the generator now.
 
 Everything is seed-deterministic: same ``(budget, seed, presets)`` →
 bit-identical campaign report, enforced by a periodic rerun-identity
@@ -22,12 +19,12 @@ check (oracle O6) inside the campaign itself.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .coverage import CoverageMap
 from .minimize import minimize, violation_family
-from .mutators import mutate
 from .rng import spawn
 from .runner import RunResult, execute
 from .scenario import PRESET_POOL, Scenario, generate
@@ -41,20 +38,13 @@ RERUN_CHECK_EVERY = 16
 
 
 @dataclass
-class _CorpusEntry:
-    scenario: Scenario
-    novel: int          # coverage points this entry discovered
-    picks: int = 0      # times chosen as a parent since last discovery
-
-
-@dataclass
 class CampaignResult:
     """Everything a campaign produced, JSON-ready."""
 
     budget: int
     seed: int
-    mutated: bool
     coverage: CoverageMap
+    #: the scenarios that first reached a coverage point, in run order
     corpus: list[Scenario] = field(default_factory=list)
     failures: list[dict[str, Any]] = field(default_factory=list)
     runs: list[dict[str, Any]] = field(default_factory=list)
@@ -68,40 +58,30 @@ class CampaignResult:
 
     def fingerprint(self) -> str:
         """Campaign-level identity: the ordered run fingerprints."""
-        import hashlib
-
         h = hashlib.sha256()
         for fp in self.run_fingerprints:
             h.update(fp.encode())
         return h.hexdigest()
 
-    def to_dict(self) -> dict[str, Any]:
+    def summary(self) -> dict[str, Any]:
+        """The compact facts ``PMoVE.health()["fuzz"]`` reports."""
         return {
             "budget": self.budget,
             "seed": self.seed,
-            "mutated": self.mutated,
             "distinct_coverage": self.distinct_coverage,
             "corpus_size": len(self.corpus),
+            "failures": len(self.failures),
+            "rerun_mismatches": list(self.rerun_mismatches),
+            "campaign_fingerprint": self.fingerprint(),
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        return self.summary() | {
             "failures": self.failures,
             "rerun_checks": self.rerun_checks,
-            "rerun_mismatches": self.rerun_mismatches,
-            "campaign_fingerprint": self.fingerprint(),
             "coverage": self.coverage.to_dict(),
             "runs": self.runs,
         }
-
-
-def _pick_parent(entries: list[_CorpusEntry], rng) -> _CorpusEntry:
-    """Energy-weighted choice: fresh discoveries get picked more, and an
-    entry's energy decays each time it is picked without paying off."""
-    weights = [max(0.25, e.novel / (1.0 + e.picks)) for e in entries]
-    total = sum(weights)
-    x = rng.random() * total
-    for e, w in zip(entries, weights):
-        x -= w
-        if x <= 0:
-            return e
-    return entries[-1]
 
 
 def run_campaign(
@@ -109,7 +89,6 @@ def run_campaign(
     seed: int,
     *,
     presets: tuple[str, ...] = PRESET_POOL,
-    mutate_corpus: bool = True,
     do_minimize: bool = False,
     max_minimize_steps: int = 48,
     keep_run_docs: bool = True,
@@ -117,72 +96,47 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a ``budget``-scenario campaign from ``seed``.
 
-    ``mutate_corpus=False`` is the mutation-free random baseline: every
-    iteration executes a fresh grammar-generated scenario and no corpus
-    steering happens.  ``do_minimize=True`` ddmin-shrinks each distinct
-    failure family once and records the minimal scenario in the failure
-    doc (``minimized`` key) ready for ``tests/fuzz/corpus/``."""
+    ``do_minimize=True`` ddmin-shrinks each distinct failure family once
+    and records the minimal scenario in the failure doc (``minimized``
+    key) ready for ``tests/fuzz/corpus/``."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = spawn(seed, "campaign")
-    cov = CoverageMap()
-    result = CampaignResult(budget=budget, seed=seed, mutated=mutate_corpus,
-                            coverage=cov)
-    entries: list[_CorpusEntry] = []
+    result = CampaignResult(budget=budget, seed=seed, coverage=CoverageMap())
     minimized_families: set[frozenset[str]] = set()
-    stale = 0  # runs since the last novel coverage point
 
     for i in range(budget):
-        mutations: list[str] = []
-        # Staleness restart: when mutation stops paying, fall back to
-        # fresh grammar draws until something novel reopens the frontier.
-        explore = stale >= 8 or rng.random() >= 0.85
-        if mutate_corpus and entries and not explore:
-            parent = _pick_parent(entries, rng)
-            parent.picks += 1
-            n_links = int(rng.integers(1, 4))
-            child, mutations = mutate(parent.scenario, rng, n=n_links)
-            if not mutations:  # chain produced nothing applicable
-                child = generate(int(rng.integers(0, 2**31)), presets=presets)
-        else:
-            child = generate(int(rng.integers(0, 2**31)), presets=presets)
-
-        run = execute(child)
-        novel = cov.observe(run.coverage)
+        sc = generate(int(rng.integers(0, 2**31)), presets=presets)
+        run = execute(sc)
+        novel = result.coverage.observe(run.coverage)
         if novel:
-            stale = 0
-            entries.append(_CorpusEntry(scenario=child, novel=len(novel)))
-            result.corpus.append(child)
-        else:
-            stale += 1
+            result.corpus.append(sc)
         if on_run is not None:
             on_run(i, run, novel)
 
-        doc: dict[str, Any] = {
-            "i": i,
-            "scenario_seed": child.seed,
-            "preset": child.preset,
-            "mode": child.mode,
-            "mutations": mutations,
-            "novel": novel,
-            "violations": run.violations,
-            "fingerprint": run.fingerprint,
-        }
         result.run_fingerprints.append(run.fingerprint)
         if keep_run_docs:
-            result.runs.append(doc)
+            result.runs.append({
+                "i": i,
+                "scenario_seed": sc.seed,
+                "preset": sc.preset,
+                "mode": sc.mode,
+                "novel": novel,
+                "violations": run.violations,
+                "fingerprint": run.fingerprint,
+            })
 
         if run.failed:
             fail: dict[str, Any] = {
                 "i": i,
                 "violations": run.violations,
-                "scenario": child.to_dict(),
+                "scenario": sc.to_dict(),
             }
             family = violation_family(run.violations)
             if do_minimize and family not in minimized_families:
                 minimized_families.add(family)
                 small, small_run = minimize(
-                    child, run.violations, max_steps=max_minimize_steps
+                    sc, run.violations, max_steps=max_minimize_steps
                 )
                 fail["minimized"] = small.to_dict()
                 fail["minimized_violations"] = small_run.violations
@@ -191,18 +145,8 @@ def run_campaign(
         # O6: seeded rerun bit-identity, spot-checked on a cadence.
         if (i + 1) % RERUN_CHECK_EVERY == 0:
             result.rerun_checks += 1
-            again = execute(child)
-            if again.fingerprint != run.fingerprint:
+            if execute(sc).fingerprint != run.fingerprint:
                 result.rerun_mismatches.append(i)
 
-    record_campaign({
-        "budget": budget,
-        "seed": seed,
-        "mutated": mutate_corpus,
-        "distinct_coverage": result.distinct_coverage,
-        "corpus_size": len(result.corpus),
-        "failures": len(result.failures),
-        "rerun_mismatches": list(result.rerun_mismatches),
-        "campaign_fingerprint": result.fingerprint(),
-    })
+    record_campaign(result.summary())
     return result

@@ -6,14 +6,14 @@ already counts the interesting state transitions (breaker trips,
 scheduler requeues, DLQ parks, admission rejections, rollup-planner
 disqualifications, anti-entropy repairs, partial-degradations), and
 ``PMoVE.health()`` reports them in one document.  The harvester walks
-that document after a run and flattens each *non-zero,
-novel* behaviour into a string point ``domain:detail``; the campaign's
-:class:`CoverageMap` deduplicates points across runs and the novelty
-delta is what steers the mutation corpus.
+that document after a run and flattens each *non-zero* behaviour into a
+string point ``domain:detail``; the campaign's :class:`CoverageMap`
+deduplicates points across runs.  It measures what a campaign reached
+— the count the fuzz benchmark and the committed coverage gate read —
+and steers nothing.
 
-Points are intentionally coarse (state reached, not how many times):
-count-sensitive coverage would make every run "novel" and the corpus
-would never converge.
+Points are intentionally coarse (state reached, not how many times), so
+the map of a long campaign converges to a stable, comparable set.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ derivable from one seed.
 
 The fuzzer's determinism contract is *global*: a campaign at seed ``S``
 must replay bit-for-bit, including every stochastic sub-component it
-drives — scenario generation, mutation choices, the serving load
+drives — scenario generation, the campaign's draws, the serving load
 schedule, chaos fault schedules.  Handing the same ``np.random.Generator``
 around would make the draw sequence depend on call order (which changes
 whenever a phase is added or skipped), so instead each component derives

@@ -22,8 +22,8 @@ hand-enumerate:
 Scenarios are frozen, hashable, and round-trip losslessly through JSON —
 that is what makes a minimized failing scenario a *replayable seed* the
 chaos CI lane can pin forever.  :func:`generate` draws a random (but
-seed-deterministic) scenario; mutation lives in
-:mod:`repro.fuzz.mutators`.
+seed-deterministic) scenario, and is the only source of the campaign's
+scenarios.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ AGGS = ("", "MEAN", "SUM", "MIN", "MAX", "COUNT", "PERCENTILE")
 
 
 class ScenarioError(ValueError):
-    """A scenario (or a mutation of one) violates the grammar."""
+    """A scenario violates the grammar."""
 
 
 S = TypeVar("S", bound=Schedule)
@@ -84,8 +84,7 @@ def _installed(schedule: S, keyed: Iterable[tuple]) -> S:
     The specs' ``build`` methods are the one place a scenario's windows
     become faults, and the run injects them the same way: so the fault
     constructors and the schedule's overlap rule judge every window, and
-    what they refuse is a grammar violation, re-drawn by the mutators
-    instead of crashing the runner.
+    what they refuse is a grammar violation, not a crash of the runner.
     """
     try:
         for key in keyed:
@@ -253,7 +252,7 @@ class StreamSpec:
     live_period_s: float = 1.0
     backfill_period_s: float = 4.0
     window_s: float = 8.0
-    #: Sub-seed of the schedule rng; the reorder mutator perturbs this.
+    #: Sub-seed of the query schedule's rng.
     order_seed: int = 0
     #: "" = raw panel targets; else every panel gains a downsampled twin
     #: (``agg`` + ``group_by_s``) that exercises the rollup planner —
@@ -469,17 +468,13 @@ class Scenario:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
-    def key(self) -> str:
-        """Canonical identity: equal scenarios have equal keys."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def with_(self, **kw: Any) -> "Scenario":
-        """``dataclasses.replace`` + validate, the mutation primitive."""
+        """``dataclasses.replace`` + validate."""
         return replace(self, **kw).validate()
 
 
 # ----------------------------------------------------------------------
-# Random generation (the campaign's exploration floor)
+# Random generation (the campaign's one source of scenarios)
 # ----------------------------------------------------------------------
 def _gen_service_fault(rng, horizon: float) -> FaultSpec:
     kind = SERVICE_KINDS[int(rng.integers(0, len(SERVICE_KINDS)))]
@@ -493,31 +488,41 @@ def _gen_service_fault(rng, horizon: float) -> FaultSpec:
     return FaultSpec(kind, round(t0, 3), round(t1, 3), param)
 
 
-def _gen_log_fault(rng, horizon: float, db_writers: int) -> LogFaultSpec:
+def _gen_log_faults(rng, horizon: float, db_writers: int) -> tuple[LogFaultSpec, ...]:
+    """One commit-log fault; a consumer crash is sometimes followed by a
+    second one that starts just after it ends, so the consumer dies again
+    while it replays from its checkpoint."""
     if rng.random() < 0.35:
-        return LogFaultSpec("truncate", round(float(rng.uniform(1.0, horizon * 0.6)), 3))
+        return (LogFaultSpec("truncate", round(float(rng.uniform(1.0, horizon * 0.6)), 3)),)
     t0 = float(rng.uniform(0.5, horizon * 0.5))
-    t1 = t0 + float(rng.uniform(1.0, horizon * 0.4))
+    t1 = round(t0 + float(rng.uniform(1.0, horizon * 0.4)), 3)
     group = "db-writer" if rng.random() < 0.7 else ("rollup" if rng.random() < 0.5 else "anomaly")
     consumer = int(rng.integers(0, db_writers)) if group == "db-writer" else 0
-    return LogFaultSpec("consumer-crash", round(t0, 3), round(t1, 3), group, consumer)
+    crash = LogFaultSpec("consumer-crash", round(t0, 3), t1, group, consumer)
+    if rng.random() >= 0.4:
+        return (crash,)
+    t2 = t1 + float(rng.uniform(0.05, 0.5))
+    again = LogFaultSpec("consumer-crash", round(t2, 3),
+                         round(t2 + float(rng.uniform(0.5, 2.0)), 3), group, consumer)
+    return crash, again
 
 
 def generate(seed: int, presets: tuple[str, ...] = PRESET_POOL) -> Scenario:
     """Draw one random scenario, a pure function of ``seed``.
 
-    The generated distribution is deliberately *shallow* — zero to two
-    faults, one optional extra phase — so depth comes from the mutation
-    corpus compounding, not the generator guessing.  (That asymmetry is
-    what the campaign-vs-baseline coverage gate in the benchmark
-    measures.)
+    Every axis is drawn independently: preset, rate, ingest mode with its
+    queue and commit-log knobs, zero to four shards, zero to two service
+    faults, a log fault (sometimes a consumer crash and a second one
+    during its replay) when durable, a shard crash when sharded, and each
+    optional phase — query stream (any aggregate, a percentile other than
+    95 too), cluster job, observation and federation — by its own coin.
     """
     rng = spawn(seed, "scenario.generate")
     preset = presets[int(rng.integers(0, len(presets)))]
     duration = round(float(rng.uniform(4.0, 12.0)), 1)
     freq = float(rng.choice([1.0, 2.0, 4.0]))
     mode = MODES[int(rng.integers(0, len(MODES)))]
-    shards = int(rng.choice([0, 0, 2, 3]))
+    shards = int(rng.choice([0, 0, 2, 3, 4]))
     db_writers = int(rng.integers(1, 3)) if mode == "durable" else 1
 
     sc = Scenario(
@@ -534,13 +539,12 @@ def generate(seed: int, presets: tuple[str, ...] = PRESET_POOL) -> Scenario:
         max_apply_attempts=int(rng.choice([3, 8, 12])),
     )
 
-    horizon = sc.horizon
     n_service = int(rng.integers(0, 3))
     sc = sc.with_(service_faults=tuple(
         _gen_service_fault(rng, duration) for _ in range(n_service)
     ))
     if mode == "durable" and rng.random() < 0.5:
-        sc = sc.with_(log_faults=(_gen_log_fault(rng, duration, db_writers),))
+        sc = sc.with_(log_faults=_gen_log_faults(rng, duration, db_writers))
     if shards >= 2 and rng.random() < 0.4:
         t0 = round(float(rng.uniform(1.0, duration)), 3)
         sc = sc.with_(shard_crashes=(
@@ -555,14 +559,17 @@ def generate(seed: int, presets: tuple[str, ...] = PRESET_POOL) -> Scenario:
                        aggressor=(i == aggressor_at))
             for i in range(n_tenants)
         )
+        agg = str(rng.choice(AGGS))
         stream = StreamSpec(
             duration_s=round(float(rng.uniform(3.0, 8.0)), 1),
             live_period_s=float(rng.choice([0.5, 1.0])),
             backfill_period_s=float(rng.choice([2.0, 4.0])),
             window_s=round(float(rng.uniform(2.0, duration)), 1),
             order_seed=int(rng.integers(0, 2**31)),
-            agg=str(rng.choice(AGGS)),
+            agg=agg,
             group_by_s=float(rng.choice([10.0, 20.0, 60.0, 15.0])),
+            agg_arg=float(rng.choice([50.0, 90.0, 95.0, 99.0]))
+            if agg == "PERCENTILE" else 95.0,
             n_workers=int(rng.choice([2, 4, 8])),
         )
         sc = sc.with_(tenants=tenants, stream=stream)

@@ -24,6 +24,14 @@ from .simulator import SimulatedMachine
 
 __all__ = ["SoftwareState", "SW_METRICS"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "machine": {
+        "SoftwareState": ("instances", "value"),
+    },
+}
+
 _BASE_MEM_USED_KB = 4 * 1024 * 1024  # 4 GB of OS + daemons
 
 #: Metric name -> (instance domain, semantics, units). Instance domains:

@@ -29,6 +29,16 @@ from .tsc import TimeStampCounter, VirtualClock
 
 __all__ = ["KernelRun", "SimulatedMachine"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "machine": {
+        "SimulatedMachine": (
+            "advance", "run_kernel", "read", "read_batch", "read_cpu",
+            "read_socket", "busy_fraction", "busy_fractions"),
+    },
+}
+
 #: Fraction of one thread's cycle budget consumed by OS noise when idle.
 _BG_CYCLES_FRAC = 0.002
 

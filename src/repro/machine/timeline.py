@@ -61,6 +61,16 @@ from collections.abc import Iterable, Mapping
 
 __all__ = ["Scope", "Timeline"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "machine": {
+        "Timeline": (
+            "integrate", "integrate_batch", "integrate_many", "add_rate",
+            "add_total", "bulk_add"),
+    },
+}
+
 Scope = tuple[str, int]
 
 _INF = float("inf")

@@ -56,6 +56,17 @@ __all__ = [
     "IngestPipeline",
 ]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "pcp.consumers": {
+        "IngestPipeline": (
+            "produce", "pump", "drain", "backlog_records", "flat_counters",
+            "health"),
+        "LogConsumer": ("step",),
+    },
+}
+
 #: Canonical group names (one group per downstream concern).
 GROUP_DB_WRITER = "db-writer"
 GROUP_ROLLUP = "rollup"

@@ -15,6 +15,14 @@ from .agents import Agent, AgentCosts
 
 __all__ = ["Report", "Pmcd"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "pcp.pmcd": {
+        "Pmcd": ("fetch", "available_metrics"),
+    },
+}
+
 
 @dataclass
 class Report:

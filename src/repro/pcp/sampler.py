@@ -37,6 +37,14 @@ from .transport import TransportModel
 
 __all__ = ["SamplingStats", "Sampler"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "pcp.sampler": {
+        "Sampler": ("run", "sampling_overhead"),
+    },
+}
+
 #: Queue-depth fractions (of capacity) that trigger / clear degradation.
 _BACKPRESSURE_HIGH = 0.75
 _BACKPRESSURE_LOW = 0.25

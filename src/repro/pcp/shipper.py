@@ -38,6 +38,14 @@ from .transport import TransportModel
 
 __all__ = ["ShipperConfig", "CircuitBreaker", "RetryPolicy", "WalEntry", "Shipper"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "pcp.shipper": {
+        "Shipper": ("offer", "advance", "drain", "replay_wal"),
+    },
+}
+
 _POLICIES = ("drop_oldest", "drop_newest", "spill")
 
 

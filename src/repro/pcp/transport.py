@@ -22,6 +22,16 @@ import numpy as np
 
 __all__ = ["TransportModel"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "pcp.transport": {
+        "TransportModel": (
+            "ship_time", "mean_ship_time", "zero_batch_probability",
+            "hiccup_rate"),
+    },
+}
+
 _BYTES_PER_POINT = 42  # field name + float + separators in line protocol
 
 

@@ -34,6 +34,14 @@ __all__ = [
     "COMMON_EVENTS",
 ]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "pmu": {
+        "AbstractionLayer": ("formula", "get", "hw_events_needed", "evaluate"),
+    },
+}
+
 _NOT_SUPPORTED = "NOT_SUPPORTED"
 
 

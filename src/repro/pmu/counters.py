@@ -22,6 +22,16 @@ from .noise import NoiseModel
 
 __all__ = ["CounterSession", "PMU", "CounterAllocationError"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "pmu": {
+        "PMU": (
+            "program", "stop", "read", "read_interval", "read_all_cpus",
+            "read_events_all_cpus"),
+    },
+}
+
 
 class CounterAllocationError(RuntimeError):
     """Raised when an event set cannot be scheduled without multiplexing

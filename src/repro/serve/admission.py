@@ -41,6 +41,14 @@ __all__ = [
     "REJECT_POINT_QUOTA",
 ]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "serve": {
+        "AdmissionController": ("admit",),
+    },
+}
+
 REJECT_UNKNOWN_TENANT = "unknown_tenant"
 REJECT_QUEUE_FULL = "queue_full"
 REJECT_RATE_LIMITED = "rate_limited"

@@ -43,6 +43,14 @@ from .admission import Priority, QueryRequest
 
 __all__ = ["ExecutionRecord", "ServiceCostModel", "BoundedExecutor"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "serve": {
+        "BoundedExecutor": ("schedule_arrival", "enqueue", "run", "drain"),
+    },
+}
+
 STATUS_DONE = "done"
 STATUS_COALESCED = "coalesced"
 STATUS_TIMEOUT = "timeout"

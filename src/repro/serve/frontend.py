@@ -43,6 +43,14 @@ from .tenants import TenantConfig
 
 __all__ = ["ServingFrontend"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "serve": {
+        "ServingFrontend": ("submit", "run", "drain", "health"),
+    },
+}
+
 
 class ServingFrontend:
     """Admission + bounded execution + per-tenant caches + SLO accounting."""

@@ -19,6 +19,14 @@ if TYPE_CHECKING:  # pragma: no cover - viz↔core import cycle guard
 
 __all__ = ["generate_dashboard"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "viz.generator": {
+        None: ("generate_dashboard",),
+    },
+}
+
 _dashboard_ids = itertools.count(1)
 
 

@@ -56,6 +56,16 @@ from .render import Series, render_series_svg, render_series_text
 
 __all__ = ["GrafanaServer", "quote_tag_value"]
 
+#: What the end-to-end benchmark times here, as data: {breakdown group:
+#: {class, or None for module functions: (names…)}}.
+__traced__ = {
+    "viz.grafana": {
+        "GrafanaServer": (
+            "register", "get", "target_statement", "execute_target",
+            "execute_panel", "set_tenant_cache_size", "tenant_cache_info"),
+    },
+}
+
 _AND_SPLIT = re.compile(r"\s+AND\s+", re.IGNORECASE)
 
 

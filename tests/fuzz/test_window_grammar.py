@@ -4,9 +4,8 @@
 fault sets' overlap rule in four loops, and the fault constructors'
 parameter checks beside them; they now build each scenario's faults into
 throwaway schedules.  The parent's rules are kept below as the oracle:
-over generated-and-mutated draws whose windows and parameters are pushed
-toward the rules' edges, both accept and reject exactly the same
-scenarios.
+over generated draws whose windows and parameters are pushed toward the
+rules' edges, both accept and reject exactly the same scenarios.
 """
 
 import dataclasses
@@ -18,7 +17,6 @@ from repro.fuzz import (
     ScenarioError,
     ShardCrashSpec,
     generate,
-    mutate,
     spawn,
 )
 from repro.fuzz.scenario import LOG_KINDS, NODE_KINDS, SERVICE_KINDS, ClusterSpec
@@ -156,9 +154,8 @@ def _perturb(sc, rng):
 
 def _draws(n: int, label: str):
     rng = spawn(27, label)
-    parents = [generate(s) for s in range(12)]
-    for i in range(n):
-        sc, _ = mutate(parents[i % len(parents)], rng, n=int(rng.integers(0, 3)))
+    for seed in range(n):
+        sc = generate(seed)
         for _ in range(int(rng.integers(1, 4))):
             sc = _perturb(sc, rng)
         yield sc

@@ -5,14 +5,20 @@
 moved to a mixin, a base class or ``__getattr__`` passes every test under
 ``tests/`` and then raises ``KeyError`` in the benchmark driver; this is
 where it fails first.  The tracer is loaded by path and not edited.
+
+Each module the tracer wraps also declares what it wraps, as data beside
+its code (``__traced__``); the two must name the same calls.
 """
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import repro
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "tracing.py"
 
@@ -75,3 +81,32 @@ def test_every_read_the_aggregate_table_dispatches_to_is_traced():
             assert ("InfluxDB", name) in traced, (a.name, name)
         for name in answers:
             assert ("ShardedInfluxDB", name) in traced, (a.name, name)
+
+
+def declared():
+    """Every ``(group, module, class, name)`` a ``repro`` module declares in
+    its ``__traced__``."""
+    out = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        mod = importlib.import_module(info.name)
+        for group, classes in getattr(mod, "__traced__", {}).items():
+            for cls, names in classes.items():
+                out.update((group, info.name, cls, n) for n in names)
+    return out
+
+
+def traced(groups):
+    return {
+        (group, module, cls, name)
+        for group, entries in groups.items()
+        for module, cls, names in entries
+        for name in names
+    }
+
+
+def test_the_declarations_are_the_tracer_table():
+    """The union of the modules' ``__traced__`` is ``GROUPS``, exactly."""
+    have, want = declared(), traced(_groups())
+    assert not have - want, f"declared but not traced: {sorted(have - want, key=str)}"
+    assert not want - have, f"traced but not declared: {sorted(want - have, key=str)}"
+
