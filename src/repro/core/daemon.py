@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.db.faulty import FaultyInfluxDB
 from repro.db.influx import InfluxDB
-from repro.db.influxql import ResultSet
+from repro.db.influxql import Query, ResultSet, parse_query, quote_tag_value
 from repro.db.sharded import ShardedInfluxDB
 from repro.db.mongo import MongoDB
 from repro.faults.log import LogFaultSet
@@ -112,6 +112,9 @@ class Target:
     perfevent: PmdaPerfevent
     observation_count: int = 0
     gpus: list[SimulatedGpu] = field(default_factory=list)
+    #: Parsed recall statements per observation ``@id``, beside the texts
+    #: they were parsed from: filled at an observation's first recall.
+    recall_plans: dict[str, tuple[list[str], list[Query]]] = field(default_factory=dict)
 
 
 class PMoVE:
@@ -289,11 +292,16 @@ class PMoVE:
         (with auto-generated queries) to the KB.
 
         ``tag`` pins the observation's series tag; the default draws a
-        fresh UUID.  Seed-deterministic harnesses (the scenario fuzzer)
-        pass an explicit tag so shard placement — a hash over the series
-        key including this tag — is identical across reruns.
+        fresh UUID.  A tag no InfluxQL statement can carry (both quote
+        kinds, an ``AND`` separator) raises
+        :class:`~repro.db.influx.InfluxError` before anything is sampled.
+        Seed-deterministic harnesses (the scenario fuzzer) pass an explicit
+        tag so shard placement — a hash over the series key including this
+        tag — is identical across reruns.
         """
         t = self.target(hostname)
+        if tag:
+            quote_tag_value(tag)  # the recall statements must carry it
         spec = t.machine.spec
         n_threads = n_threads or spec.n_cores
         cpu_ids = pin_threads(spec, n_threads, pinning)
@@ -537,9 +545,18 @@ class PMoVE:
     # Recall & dashboards
     # ==================================================================
     def recall_observation(self, hostname: str, observation: dict[str, Any]) -> dict[str, ResultSet]:
-        """Execute an observation's auto-generated queries (Listing 3)."""
-        self.target(hostname)
-        return recall(self.influx, self.database, observation)
+        """Execute an observation's auto-generated queries (Listing 3).
+
+        Each statement is parsed once per daemon: the target holds the
+        parses under the observation's ``@id`` and uses them while the
+        observation's statement texts are the ones they were parsed from."""
+        t = self.target(hostname)
+        texts = observation.get("queries") or generate_queries(observation)
+        held = t.recall_plans.get(observation.get("@id"))
+        if held is None or held[0] != texts:
+            held = (list(texts), [parse_query(q) for q in texts])
+            t.recall_plans[observation.get("@id")] = held
+        return recall(self.influx, self.database, observation, held[1])
 
     def dashboard_for_view(self, view: ViewSpec) -> str:
         """Generate and register a dashboard for any KB view."""

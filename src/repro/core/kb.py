@@ -18,9 +18,10 @@ steps 1–2), never from a live :class:`MachineSpec` — see
 from __future__ import annotations
 
 import re
+from operator import is_
 from typing import Any
 
-from repro.db.mongo import Collection, MongoDB, _clone
+from repro.db.mongo import _ATOMIC, Collection, MongoDB, _clone
 from repro.pcp.pmns import instance_field, metric_to_measurement, perfevent_metric
 
 from .dtmi import make_dtmi, parse_dtmi
@@ -83,11 +84,10 @@ class KnowledgeBase:
         self.config: dict[str, Any] = {}
         self.entries: list[dict[str, Any]] = []
         self.probe: dict[str, Any] = {}
-        #: What :meth:`save` last wrote and where — (collection, structure
+        #: What :meth:`save` last wrote into each collection — (shape
         #: snapshot, references to the entries persisted) — so the next
-        #: save can send only what changed.
-        self._persisted: tuple[Collection | None, dict[str, Any] | None, list] = (
-            None, None, [])
+        #: save there can send only what changed.
+        self._persisted: dict[Collection, tuple[tuple, list]] = {}
 
     # ==================================================================
     # Construction
@@ -480,38 +480,73 @@ class KnowledgeBase:
         kb.entries = list(doc.get("entries", []))
         return kb
 
-    def save(self, mongo: MongoDB, database: str = "pmove") -> None:
+    def _shape(self) -> tuple:
+        """A snapshot of everything ``_structure`` is made of, cheap to
+        take and to compare (:meth:`_same_shape`): the config by value, per
+        interface its id, kind, name and contents list, and the tree.
+        Contents are frozen dataclasses, so holding the same objects means
+        holding the same values — except a Property whose description is
+        not a scalar (a list, a dict) and can be edited in place: those
+        descriptions are held by value."""
+        rows = [(i.id, i.kind, i.name, list(i.contents))
+                for i in self.interfaces.values()]
+        held = [(c, _clone(c.description)) for _, _, _, contents in rows
+                for c in contents
+                if isinstance(c, Property) and type(c.description) not in _ATOMIC]
+        return (self.hostname, self.root_id, _clone(self.config), rows, held,
+                {k: list(v) for k, v in self._children.items()})
+
+    def _same_shape(self, shape: tuple) -> bool:
+        """Whether the KB still has ``shape`` (a :meth:`_shape`): a list
+        compare per interface, by identity, and no JSON-LD built."""
+        hostname, root, config, rows, held, tree = shape
+        ifaces = self.interfaces
+        return (
+            hostname == self.hostname and root == self.root_id
+            and config == self.config and len(rows) == len(ifaces)
+            and all(r[0] == i.id and r[1] == i.kind and r[2] == i.name
+                    and len(r[3]) == len(i.contents)
+                    and all(map(is_, r[3], i.contents))
+                    for r, i in zip(rows, ifaces.values()))
+            and all(c.description == d for c, d in held)
+            and tree == self._children
+        )
+
+    def save(self, mongo: MongoDB, database: str = "pmove",
+             collection: str = "kb") -> None:
         """Persist to the document store (Fig 3 step 3; re-run on change).
 
         The document is the structure plus the append-only ``entries``
-        log, and a save sends what changed: when the structure equals the
-        one last written to this collection, the host's document is still
-        there and the entries persisted then are still the head of
-        ``entries``, only the new tail is ``$push``ed.  Anything else — a
-        first save, another store, a structure or config change, a deleted
-        document, a truncated or rewritten log — replaces the document, so
-        what is stored always equals ``to_jsonld()``.
+        log, and a save sends what changed: when the KB still has the
+        shape last written to this collection (:meth:`_same_shape`), the
+        host's document is still there and the entries persisted then are
+        still the head of ``entries``, only the new tail is ``$push``ed.
+        Anything else — a first save, another collection, a structure or
+        config change, a deleted document, a truncated or rewritten log —
+        replaces the document, so what is stored always equals
+        ``to_jsonld()``.  Each collection keeps its own record, so saves
+        into two of them (the local KB, SUPERDB's copy) do not reset each
+        other.
         """
-        col = mongo.collection(database, "kb")
-        col.create_index("hostname")  # idempotent; every load filters on it
+        col = mongo.collection(database, collection)
         flt = {"hostname": self.hostname}
-        structure = self._structure()
-        last_col, last_structure, sent = self._persisted
-        if (
-            last_col is col
-            and structure == last_structure
-            and self.entries[:len(sent)] == sent
-            and col.count_documents(flt) == 1
-        ):
-            new = self.entries[len(sent):]
-            if new:
-                col.update_one(flt, {"$push": {"entries": {"$each": new}}})
-                sent.extend(new)
-            return
-        col.replace_one(flt, {**structure, "entries": self.entries}, upsert=True)
-        # A clone, so that the snapshot does not follow later edits of the
-        # live config (or of anything else ``_structure`` hands out).
-        self._persisted = (col, _clone(structure), list(self.entries))
+        last = self._persisted.get(col)
+        if last is not None:
+            shape, sent = last
+            if (
+                self._same_shape(shape)
+                and self.entries[:len(sent)] == sent
+                and col.count_documents(flt) == 1
+            ):
+                new = self.entries[len(sent):]
+                if new:
+                    col.update_one(flt, {"$push": {"entries": {"$each": new}}})
+                    sent.extend(new)
+                return
+        col.create_index("hostname")  # every load filters on it
+        col.replace_one(flt, {**self._structure(), "entries": self.entries},
+                        upsert=True)
+        self._persisted[col] = (self._shape(), list(self.entries))
 
     @classmethod
     def load(cls, mongo: MongoDB, hostname: str, database: str = "pmove") -> "KnowledgeBase":

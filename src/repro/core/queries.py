@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.db.influx import InfluxDB
-from repro.db.influxql import ResultSet, execute
+from repro.db.influxql import Query, ResultSet, execute, quote_tag_value
 
 __all__ = ["generate_queries", "recall", "query_for_component"]
 
@@ -36,13 +36,15 @@ def generate_queries(
     The default is the verbatim Listing 3 raw select.  ``agg`` (and
     optionally ``group_by_s``) generate the downsampled variant instead —
     ``SELECT AGG("f") ... GROUP BY time(Ns)`` — which the engine serves
-    from its rollup tiers when the bucket width allows.
+    from its rollup tiers when the bucket width allows.  The tag is quoted
+    as the grammar allows (:func:`~repro.db.influxql.quote_tag_value`); a
+    tag no statement can carry raises :class:`~repro.db.influx.InfluxError`.
     """
     if observation.get("@type") != "ObservationInterface":
         raise ValueError("query generation needs an ObservationInterface entry")
     if group_by_s is not None and agg is None:
         agg = "MEAN"
-    tag = observation["tag"]
+    where = f"tag={quote_tag_value(observation['tag'])}"
     out: list[str] = []
     for m in observation["metrics"]:
         if agg is None:
@@ -51,17 +53,23 @@ def generate_queries(
             fields = ", ".join(f'{agg}("{f}")' for f in m["fields"])
         gb = f" GROUP BY time({group_by_s}s)" if group_by_s is not None else ""
         out.append(
-            f'SELECT {fields} FROM "{m["measurement"]}" WHERE tag="{tag}"{gb}'
+            f'SELECT {fields} FROM "{m["measurement"]}" WHERE {where}{gb}'
         )
     return out
 
 
 def recall(
-    influx: InfluxDB, database: str, observation: dict[str, Any]
+    influx: InfluxDB,
+    database: str,
+    observation: dict[str, Any],
+    plans: list[Query] | None = None,
 ) -> dict[str, ResultSet]:
-    """Execute an observation's queries; returns measurement → results."""
+    """Execute an observation's queries; returns measurement → results.
+
+    ``plans`` are its statements already parsed, in order (the daemon
+    holds them per observation); without them the texts are executed."""
     results: dict[str, ResultSet] = {}
-    queries = observation.get("queries") or generate_queries(observation)
+    queries = plans or observation.get("queries") or generate_queries(observation)
     for m, q in zip(observation["metrics"], queries):
         results[m["measurement"]] = execute(influx, database, q)
     return results

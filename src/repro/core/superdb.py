@@ -152,8 +152,9 @@ class SuperDB:
     # Upstream writes (called by the federation link per round trip)
     # ------------------------------------------------------------------
     def _upsert_kb(self, kb) -> None:
-        kbs = self.mongo.collection("superdb", "kbs")
-        kbs.replace_one({"hostname": kb.hostname}, kb.to_jsonld(), upsert=True)
+        """The host's KB copy, by the KB's own delta rule: an unchanged
+        structure sends the entries appended since the last sync here."""
+        kb.save(self.mongo, "superdb", "kbs")
 
     def _push_observation(
         self,
@@ -211,14 +212,16 @@ class SuperDB:
                     copied += len(vals)
                     # Mergeable sketches travel beside the scalar summary:
                     # SUPERDB can answer global percentile / cardinality
-                    # questions without ever pulling raw points back.  The
-                    # HLL of a profile's few values ships sparse: bytes, not KB.
+                    # questions without ever pulling raw points back.  Each
+                    # is stored as its one ``to_bytes`` value, a leaf to the
+                    # document store; the HLL of a profile's few values is
+                    # sparse: tens of bytes, not KB.
                     dg = TDigest(DEFAULT_SKETCH.compression)
                     dg.add_many(vals)
                     hll = HyperLogLog(DEFAULT_SKETCH.hll_p)
                     hll.add_many(vals)
                     per_sketch[f] = {
-                        "digest": dg.to_dict(), "hll": hll.to_dict()
+                        "digest": dg.to_bytes(), "hll": hll.to_bytes()
                     }
                 aggregates[m["measurement"]] = per_field
                 sketches[m["measurement"]] = per_sketch
@@ -262,12 +265,12 @@ class SuperDB:
         sync left observations pending is flagged ``partial: True`` — its
         numbers are real but may not cover everything the host measured.
 
-        Observations reported with serialized sketches additionally yield
-        true cross-observation percentiles (``p50``/``p95``/``p99``, from a
-        register-exact t-digest merge — not a mean of per-observation
-        percentiles) and an HLL cardinality estimate
-        (``distinct_estimate``); hosts synced before the sketch era simply
-        lack those keys.
+        Observations reported with sketches (stored as ``to_bytes``
+        values, decoded here) additionally yield true cross-observation
+        percentiles (``p50``/``p95``/``p99``, from a register-exact
+        t-digest merge — not a mean of per-observation percentiles) and an
+        HLL cardinality estimate (``distinct_estimate``); hosts synced
+        before the sketch era simply lack those keys.
         """
         out: dict[str, dict[str, float]] = {}
         digests: dict[str, list[TDigest]] = {}
@@ -296,11 +299,11 @@ class SuperDB:
             if sk:
                 if "digest" in sk:
                     digests.setdefault(host, []).append(
-                        TDigest.from_dict(sk["digest"])
+                        TDigest.from_bytes(sk["digest"])
                     )
                 if "hll" in sk:
                     hlls.setdefault(host, []).append(
-                        HyperLogLog.from_dict(sk["hll"])
+                        HyperLogLog.from_bytes(sk["hll"])
                     )
         for host, cur in out.items():
             ds = digests.get(host)

@@ -15,6 +15,9 @@ Supported grammar::
     cond        := tagkey = "value" | tagkey = 'value' | tagkey = value
                  | time >= <sec>[s] | time <= <sec>[s] | time > | time <
 
+A tag value has no escapes: :func:`quote_tag_value` writes one the way
+this grammar reads it back, or refuses it.
+
 A call the aggregate table (:data:`~repro.db.aggregates.SPELLINGS`) does
 not name, a select list mixing calls with raw fields (InfluxDB's own rule)
 or two calls, and an argument or shape the record refuses raise
@@ -54,6 +57,7 @@ __all__ = [
     "execute",
     "naive_execute",
     "show_measurements",
+    "quote_tag_value",
 ]
 
 #: What the end-to-end benchmark times here, as data: {breakdown group:
@@ -75,6 +79,7 @@ _DISTINCT = re.compile(r"DISTINCT\s*\(\s*(.+?)\s*\)$|DISTINCT\s+(.+)$", re.IGNOR
 _FIELD = re.compile(r"\"([^\"]+)\"|'([^'\"]+)'|([^\s\"'(),]+)")
 _TIME = re.compile(r"time\s*(>=|<=|>|<)\s*([\d.eE+-]+)s?")
 _TAG = re.compile(r"(\"[\w.]+\"|[\w.]+)\s*=\s*(\"[^\"]*\"|'[^']*'|[^\s\"']+)")
+_AND_SPLIT = re.compile(r"\s+AND\s+", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,30 @@ def _call(fn: str, inner: str) -> tuple[Aggregate, float | None, str]:
     return a, arg, _field(inner)
 
 
+def quote_tag_value(value: str) -> str:
+    """Quote a tag value for a WHERE clause, or refuse (:class:`InfluxError`).
+
+    The grammar has no escape sequences: a double-quoted value may not
+    contain ``"`` and a single-quoted one may not contain ``'``.  A value
+    containing ``"`` is emitted single-quoted; one containing both quote
+    kinds, or anything the parser's ``AND`` splitter would cut in half,
+    cannot be represented and is rejected outright — a malformed (or
+    worse, silently truncated) statement is never produced.
+    """
+    if '"' in value and "'" in value:
+        raise InfluxError(
+            f"tag value {value!r} mixes single and double quotes; "
+            "InfluxQL here cannot escape either"
+        )
+    if _AND_SPLIT.search(value):
+        raise InfluxError(
+            f"tag value {value!r} contains an AND separator; "
+            "it would split the WHERE clause"
+        )
+    quote = "'" if '"' in value else '"'
+    return f"{quote}{value}{quote}"
+
+
 def show_measurements(db: InfluxDB, database: str) -> list[str]:
     """Execute ``SHOW MEASUREMENTS`` (what Grafana's query builder runs)."""
     return db.measurements(database)
@@ -231,7 +260,7 @@ def _parse_query_cached(text: str) -> Query:
     t0 = t1 = None
     t0_exclusive = t1_exclusive = False
     if m.group("where"):
-        for cond in re.split(r"\s+AND\s+", m.group("where"), flags=re.IGNORECASE):
+        for cond in _AND_SPLIT.split(m.group("where")):
             cond = cond.strip()
             if tm := _TIME.fullmatch(cond):
                 op, val = tm.group(1), _number(tm.group(2), "time bound")

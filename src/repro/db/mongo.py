@@ -57,18 +57,19 @@ class MongoError(ValueError):
 
 _OPERATORS = {"$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$in", "$nin", "$exists", "$regex"}
 
-_ATOMIC = frozenset({str, int, float, bool, type(None)})
+_ATOMIC = frozenset({str, int, float, bool, bytes, type(None)})
 
 
 def _clone(value: Any) -> Any:
     """Independent copy of a JSON tree.
 
-    Plain dicts, lists and scalars — what documents are made of — are
-    rebuilt directly; anything else (tuple, set, dataclass, numpy scalar,
-    dict/list subclass) is deep-copied, so nothing the caller holds is
-    ever shared with the store.  Unlike one deep copy of the whole tree, a
-    sub-list referenced twice comes out as two lists — as it would from a
-    real server, which stores bytes, not references.
+    Plain dicts and lists — what documents are made of — are rebuilt
+    directly; scalars, ``bytes`` among them (a sketch's payload), are
+    immutable and shared; anything else (tuple, set, dataclass, numpy
+    scalar, dict/list subclass) is deep-copied, so nothing the caller
+    holds is ever shared with the store.  Unlike one deep copy of the
+    whole tree, a sub-list referenced twice comes out as two lists — as it
+    would from a real server, which stores bytes, not references.
     """
     # Leaves are tested inline: most of a document is scalars, and a call
     # per scalar doubles the cost of the walk.

@@ -14,9 +14,11 @@ online-ODA pattern of DCDB Wintermute):
   shipped as its occupied registers until the dense array is the smaller.
 
 Everything here is pure python, deterministic (no entropy source — ties
-break on canonical byte encodings), and serializable to JSON-safe dicts,
-which is what lets SUPERDB ship sketches over a ``FederationLink`` and
-lets the sharded engine scatter-gather *summaries* instead of rows.
+break on canonical byte encodings), and serializable two ways: to
+JSON-safe dicts (``to_dict``/``from_dict``) and to one compact ``bytes``
+value (``to_bytes``/``from_bytes``, lossless, what SUPERDB stores), which
+is what lets SUPERDB ship sketches over a ``FederationLink`` and lets the
+sharded engine scatter-gather *summaries* instead of rows.
 
 :func:`value_key` is the canonical value encoding shared by every sketch
 (and by ``repro.db.mongo.distinct``): type-tagged, length-prefixed bytes
@@ -460,6 +462,35 @@ class TDigest:
         d.has_nan = bool(doc.get("has_nan", False))
         return d
 
+    def to_bytes(self) -> bytes:
+        """The :meth:`to_dict` state as one value: a fixed header, then the
+        means and the weights as big-endian doubles."""
+        self._compress()
+        n = len(self._means)
+        return _TD_HEAD.pack(b"T", self.compression, self.has_nan, self._count,
+                             self._min, self._max, n) + struct.pack(
+            f">{2 * n}d", *self._means, *self._weights)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "TDigest":
+        """Load :meth:`to_bytes`; a truncated or foreign payload is a
+        ``ValueError``."""
+        if len(data) < _TD_HEAD.size:
+            raise ValueError("truncated t-digest payload")
+        tag, compression, has_nan, count, lo, hi, n = _TD_HEAD.unpack_from(data)
+        if tag != b"T" or has_nan > 1 or len(data) != _TD_HEAD.size + 16 * n:
+            raise ValueError("malformed t-digest payload")
+        d = cls(compression)
+        vals = struct.unpack_from(f">{2 * n}d", data, _TD_HEAD.size)
+        d._means, d._weights = list(vals[:n]), list(vals[n:])
+        d._count, d._min, d._max, d.has_nan = count, lo, hi, bool(has_nan)
+        return d
+
+
+#: ``TDigest.to_bytes`` header: tag, compression, has_nan, count, min, max,
+#: centroid count.
+_TD_HEAD = struct.Struct(">cIBdddI")
+
 
 # ----------------------------------------------------------------------
 # HyperLogLog
@@ -636,25 +667,62 @@ class HyperLogLog:
     def from_dict(cls, doc: dict[str, Any]) -> "HyperLogLog":
         """Load either form — the state follows the contents, not the form
         — refusing registers no hash can produce."""
-        h = cls(doc["p"])
         if ("registers" in doc) == ("sparse" in doc):
             raise ValueError("HLL payload needs one of 'registers' and 'sparse'")
+        return cls._loaded(
+            doc["p"], bytes.fromhex(doc["registers"]) if "registers" in doc else None,
+            doc.get("sparse"), bool(doc.get("trimmed", False)))
+
+    def to_bytes(self) -> bytes:
+        """The :meth:`to_dict` state as one value: tag, ``p``, flags
+        (trimmed, dense) and the number of items held, then the registers
+        (a byte each), or the sparse entries as big-endian 32-bit ints."""
+        if self._dense is not None:
+            return _HLL_HEAD.pack(b"H", self.p, self.trimmed | 2, self.m) + self._dense
+        n = len(self._sparse)
+        return _HLL_HEAD.pack(b"H", self.p, self.trimmed, n) + struct.pack(
+            f">{n}I", *self._sparse)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "HyperLogLog":
+        """Load :meth:`to_bytes`, refusing what :meth:`from_dict` refuses
+        and a truncated payload."""
+        if len(data) < _HLL_HEAD.size:
+            raise ValueError("truncated HLL payload")
+        tag, p, flags, n = _HLL_HEAD.unpack_from(data)
+        dense = flags & 2
+        body = data[_HLL_HEAD.size:]
+        if tag != b"H" or flags > 3 or len(body) != (n if dense else 4 * n):
+            raise ValueError("truncated or malformed HLL payload")
+        return cls._loaded(p, body if dense else None,
+                           None if dense else list(struct.unpack(f">{n}I", body)),
+                           bool(flags & 1))
+
+    @classmethod
+    def _loaded(cls, p: int, registers: bytes | None, sparse: list | None,
+                trimmed: bool) -> "HyperLogLog":
+        """An HLL holding ``registers`` (one rank byte each) or the
+        ``sparse`` entries, after checking that a hash could set them."""
+        h = cls(p)
         top = 64 - h.p + 1  # the rank of a hash whose remaining bits are all 0
-        if "registers" in doc:
-            regs = bytes.fromhex(doc["registers"])
-            if len(regs) != h.m or max(regs) > top:
+        if registers is not None:
+            if len(registers) != h.m or max(registers) > top:
                 raise ValueError("HLL register payload does not match precision")
-            h._sparse = [j << 6 | r for j, r in enumerate(regs) if r]
+            h._sparse = [j << 6 | r for j, r in enumerate(registers) if r]
         else:
             last = -1
-            for e in doc["sparse"]:
+            for e in sparse:
                 if type(e) is not int or not (last < e >> 6 < h.m and 1 <= e & 63 <= top):
                     raise ValueError(f"sparse HLL entry {e!r}: bad rank, index or order")
                 last = e >> 6
-            h._sparse = list(doc["sparse"])
+            h._sparse = list(sparse)
         h._settle()
-        h.trimmed = bool(doc.get("trimmed", False))
+        h.trimmed = trimmed
         return h
 
+
+#: ``HyperLogLog.to_bytes`` header: tag, ``p``, flags (1 trimmed, 2 dense),
+#: registers or sparse entries that follow.
+_HLL_HEAD = struct.Struct(">cBBI")
 
 _POW2_NEG = tuple(2.0 ** -r for r in range(65))

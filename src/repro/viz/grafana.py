@@ -43,18 +43,17 @@ engine's columns (:meth:`~repro.db.influxql.ResultSet.series`).
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from collections import OrderedDict
 from functools import lru_cache
 
 from repro.db.influx import InfluxDB, InfluxError
-from repro.db.influxql import Query, execute, parse_query
+from repro.db.influxql import Query, execute, parse_query, quote_tag_value
 
 from .dashboard import Dashboard, DashboardError, Panel, Target
 from .render import Series, render_series_svg, render_series_text
 
-__all__ = ["GrafanaServer", "quote_tag_value"]
+__all__ = ["GrafanaServer"]
 
 #: What the end-to-end benchmark times here, as data: {breakdown group:
 #: {class, or None for module functions: (names…)}}.
@@ -65,34 +64,6 @@ __traced__ = {
             "execute_panel", "set_tenant_cache_size", "tenant_cache_info"),
     },
 }
-
-_AND_SPLIT = re.compile(r"\s+AND\s+", re.IGNORECASE)
-
-
-def quote_tag_value(value: str) -> str:
-    """Quote a tag value for a WHERE clause, or refuse.
-
-    The InfluxQL grammar here has no escape sequences: a double-quoted
-    value may not contain ``"`` and a single-quoted one may not contain
-    ``'``.  A value containing ``"`` is emitted single-quoted; one
-    containing both quote kinds, or anything the parser's ``AND``
-    splitter would cut in half, cannot be represented and is rejected
-    outright — a malformed (or worse, silently truncated) statement is
-    never produced.
-    """
-    if '"' in value and "'" in value:
-        raise DashboardError(
-            f"tag value {value!r} mixes single and double quotes; "
-            "InfluxQL here cannot escape either"
-        )
-    if _AND_SPLIT.search(value):
-        raise DashboardError(
-            f"tag value {value!r} contains an AND separator; "
-            "it would split the WHERE clause"
-        )
-    quote = "'" if '"' in value else '"'
-    return f"{quote}{value}{quote}"
-
 
 @lru_cache(maxsize=512)
 def _timefree(target: Target, tag: str | None) -> tuple[str, Query]:
@@ -262,7 +233,10 @@ class GrafanaServer:
         where = []
         effective_tag = target.tag or tag
         if effective_tag is not None and effective_tag != "":
-            where.append(f"tag={quote_tag_value(effective_tag)}")
+            try:
+                where.append(f"tag={quote_tag_value(effective_tag)}")
+            except InfluxError as e:
+                raise DashboardError(str(e)) from None
         if t0 is not None:
             where.append(f"time >= {t0}")
         if t1 is not None:

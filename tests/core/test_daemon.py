@@ -174,6 +174,67 @@ class TestScenarioB:
         assert obs["affinity"] == [0, 1, 8, 9]
 
 
+class TestRecallPlans:
+    @staticmethod
+    def _count_parses(monkeypatch):
+        """Every statement parse, cached or not, as it happens."""
+        from repro.db import influxql
+
+        parsed = []
+        real = influxql._parse_query_cached
+        monkeypatch.setattr(influxql, "_parse_query_cached",
+                            lambda text: parsed.append(text) or real(text))
+        return parsed
+
+    def test_a_second_recall_parses_nothing(self, daemon, monkeypatch):
+        desc = build_kernel("triad", 2_000_000, iterations=200)
+        obs, _ = daemon.scenario_b("icl", desc, EVENTS_INTEL, freq_hz=8, n_threads=4)
+        parsed = self._count_parses(monkeypatch)
+        first = daemon.recall_observation("icl", obs)
+        assert parsed == obs["queries"]
+        del parsed[:]
+        again = daemon.recall_observation("icl", obs)
+        assert parsed == []
+        assert {m: (rs.columns, list(rs.rows)) for m, rs in again.items()} == {
+            m: (rs.columns, list(rs.rows)) for m, rs in first.items()}
+
+    def test_changed_statement_texts_are_parsed_again(self, daemon, monkeypatch):
+        desc = build_kernel("triad", 2_000_000, iterations=200)
+        obs, _ = daemon.scenario_b("icl", desc, EVENTS_INTEL, freq_hz=8, n_threads=4)
+        daemon.recall_observation("icl", obs)
+        parsed = self._count_parses(monkeypatch)
+        obs["queries"][0] += " LIMIT 2"
+        res = daemon.recall_observation("icl", obs)
+        assert parsed == obs["queries"]
+        assert len(res[obs["metrics"][0]["measurement"]]) == 2
+
+
+class TestHostileTags:
+    def test_a_tag_with_a_double_quote_is_recalled(self, daemon):
+        """It used to be sampled and stored under a statement the parser
+        refused, so its recall raised."""
+        desc = build_kernel("triad", 2_000_000, iterations=200)
+        obs, _ = daemon.scenario_b("icl", desc, ["TOTAL_MEMORY_INSTRUCTIONS"],
+                                   freq_hz=8, n_threads=4, tag='a"b')
+        assert all(q.endswith("""WHERE tag='a"b'""") for q in obs["queries"])
+        res = daemon.recall_observation("icl", obs)
+        assert res and all(len(rs) > 0 for rs in res.values())
+
+    @pytest.mark.parametrize("tag", ["x AND y", "a\"b'c"])
+    def test_a_tag_no_statement_carries_is_refused_before_sampling(self, daemon, tag):
+        from repro.db.influx import InfluxError
+
+        t = daemon.target("icl")
+        before = (t.machine.clock.now(), len(t.kb.entries), t.observation_count,
+                  daemon.influx.measurements(daemon.database))
+        desc = build_kernel("triad", 2_000_000, iterations=200)
+        with pytest.raises(InfluxError):
+            daemon.scenario_b("icl", desc, ["TOTAL_MEMORY_INSTRUCTIONS"],
+                              freq_hz=8, n_threads=4, tag=tag)
+        assert (t.machine.clock.now(), len(t.kb.entries), t.observation_count,
+                daemon.influx.measurements(daemon.database)) == before
+
+
 class TestCompareTargets:
     def test_cross_machine_dashboard(self):
         d = PMoVE(seed=1)

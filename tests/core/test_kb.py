@@ -348,3 +348,87 @@ class TestDeltaPersistence:
             for i in range(1, 5)
         ]
         _assert_persisted(kb, mongo)
+
+    @pytest.mark.parametrize("edit", [
+        lambda kb, cfg, tags: cfg.append(3),
+        lambda kb, cfg, tags: cfg.__setitem__(0, 9),
+        lambda kb, cfg, tags: tags.__setitem__("rack", "r2"),
+        lambda kb, cfg, tags: tags["dims"].append("z"),
+        lambda kb, cfg, tags: setattr(kb.get(kb.root_id), "name", "h1-renamed"),
+    ], ids=["list-append", "list-item", "dict-item", "dict-nested", "interface-name"])
+    def test_an_edit_in_place_replaces_the_document(self, edit):
+        """Contents are compared by identity; a container-valued
+        description is the one thing edited under the same identity, so it
+        is compared by value — and so is an interface's name."""
+        kb, mongo = _small_kb(), MongoDB()
+        cfg, tags = [1, 2], {"rack": "r1", "dims": ["x", "y"]}
+        root = kb.get(kb.root_id)
+        root.add(Property(id=make_dtmi(HOST, "cfg"), name="cfg", description=cfg))
+        root.add(Property(id=make_dtmi(HOST, "tags"), name="tags", description=tags))
+        kb.save(mongo)
+        edit(kb, cfg, tags)
+        kb.append_entry({"@type": "ObservationInterface", "@id": make_dtmi(HOST, "o1")})
+        kb.save(mongo)
+        _assert_persisted(kb, mongo)
+        kb.save(mongo)  # and the replaced shape is the one compared next
+        _assert_persisted(kb, mongo)
+
+    def test_an_unchanged_save_builds_no_interface_document(self, monkeypatch):
+        kb, mongo = KnowledgeBase.from_probe(probe(icl())), MongoDB()
+        kb.save(mongo)
+        built = []
+        real = Interface.to_jsonld
+        monkeypatch.setattr(Interface, "to_jsonld",
+                            lambda self: built.append(self.id) or real(self))
+        for i in range(3):
+            kb.append_entry({"@type": "ObservationInterface",
+                             "@id": make_dtmi(HOST, f"o{i}")})
+            kb.save(mongo)
+        kb.save(mongo)
+        assert built == []
+        kb.get(kb.root_id).add(
+            Property(id=make_dtmi(HOST, "late"), name="late", description=1))
+        kb.save(mongo)
+        assert len(built) == len(kb.interfaces)  # a change is one rebuild
+        col = mongo.collection("pmove", "kb")
+        doc = col.find_one({"hostname": kb.hostname})
+        del doc["_id"]
+        assert doc == kb.to_jsonld()
+
+    def test_superdb_copy_sends_only_the_new_entries(self, monkeypatch):
+        """SUPERDB's KB copy follows the same rule, and its record is its
+        own: the local saves between two syncs do not make a sync resend
+        the KB, nor the other way round."""
+        from repro.core.superdb import SuperDB
+
+        calls = []
+        for name in ("replace_one", "update_one"):
+            real = getattr(Collection, name)
+
+            def spy(self, flt, arg, *a, _name=name, _real=real, **kw):
+                if "entries" in arg or "$push" in arg:  # KB documents only
+                    calls.append((self.name, _name, arg))
+                return _real(self, flt, arg, *a, **kw)
+
+            monkeypatch.setattr(Collection, name, spy)
+        kb, mongo, sdb = _small_kb(), MongoDB(), SuperDB()
+        for i in range(3):
+            kb.append_entry({"@type": "ProcessInterface",
+                             "@id": make_dtmi(HOST, f"p{i}")})
+            kb.save(mongo)
+            sdb._upsert_kb(kb)
+        kb.save(mongo)
+        sdb._upsert_kb(kb)
+        assert [c[:2] for c in calls] == [
+            ("kb", "replace_one"), ("kbs", "replace_one"),
+            ("kb", "update_one"), ("kbs", "update_one"),
+            ("kb", "update_one"), ("kbs", "update_one"),
+        ]
+        assert [c[2] for c in calls[2:]] == [
+            {"$push": {"entries": {"$each": kb.entries[i:i + 1]}}}
+            for i in (1, 1, 2, 2)
+        ]
+        doc = sdb.kb_document(HOST)
+        del doc["_id"]
+        assert doc == kb.to_jsonld()
+        _assert_persisted(kb, mongo)

@@ -9,7 +9,7 @@ from repro.core import PMoVE
 from repro.core.anomaly import percentile_exceed, scan_observation, scan_series
 from repro.core.superdb import SuperDB
 from repro.db.influx import InfluxDB, Point
-from repro.db.sketch import nearest_rank
+from repro.db.sketch import HyperLogLog, TDigest, nearest_rank
 from repro.machine import SimulatedMachine, get_preset
 from repro.workloads import build_kernel
 
@@ -90,7 +90,7 @@ class TestSuperDBSketches:
         doc = sdb.observations("hostA")[0]
         sk = doc["sketches"]["lat"]["ms"]
         assert set(sk) == {"digest", "hll"}
-        assert sk["digest"]["count"] == 1000
+        assert TDigest.from_bytes(sk["digest"]).count == 1000
         # Aggregates keep the paper's exact key set (no sketch leakage).
         assert set(doc["aggregates"]["lat"]["ms"]) == {"min", "max", "mean",
                                                        "count"}
@@ -174,5 +174,36 @@ class TestSuperDBSketches:
             for doc in docs:
                 for fields in doc["sketches"].values():
                     for sk in fields.values():
-                        assert "sparse" in sk["hll"]
-                        assert len(json.dumps(sk["hll"])) < 300
+                        hll = HyperLogLog.from_bytes(sk["hll"]).to_dict()
+                        assert "sparse" in hll
+                        assert len(json.dumps(hll)) < 300
+
+    def test_a_profile_document_holds_a_third_of_the_nodes(self):
+        """A profiling observation's document (five HW events, eight
+        threads) keeps each field's sketches as two ``bytes`` values: at
+        most a third of the dict and list nodes it held with the
+        ``to_dict`` forms, which the bytes decode back to exactly."""
+        d, sdb = PMoVE(seed=7), SuperDB(seed=7)
+        d.attach_target(SimulatedMachine(get_preset("icl"), seed=7))
+        d.scenario_b("icl", build_kernel("triad", 4_000_000, iterations=84),
+                     ["FLOPS_DP", "LOADS", "STORES", "INSTRUCTIONS", "CYCLES"],
+                     freq_hz=32, n_threads=8, tag="nodes")
+        sdb.report(d.target("icl").kb, d.influx, d.database, mode="agg")
+        (doc,) = sdb.observations("icl")
+
+        def nodes(v):
+            if isinstance(v, dict):
+                return 1 + sum(map(nodes, v.values()))
+            if isinstance(v, list):
+                return 1 + sum(map(nodes, v))
+            return 0
+
+        as_dicts = {**doc, "sketches": {
+            m: {f: {"digest": TDigest.from_bytes(sk["digest"]).to_dict(),
+                    "hll": HyperLogLog.from_bytes(sk["hll"]).to_dict()}
+                for f, sk in fields.items()}
+            for m, fields in doc["sketches"].items()}}
+        assert sum(len(f) for f in doc["sketches"].values()) >= 40
+        assert all(type(v) is bytes for fields in doc["sketches"].values()
+                   for sk in fields.values() for v in sk.values())
+        assert 3 * nodes(doc) <= nodes(as_dicts)

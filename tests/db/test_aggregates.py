@@ -25,9 +25,8 @@ from hypothesis import strategies as st
 
 from repro.db import InfluxDB, InfluxError, Point, ShardedInfluxDB
 from repro.db.aggregates import AGGREGATES
-from repro.db.influxql import Query, execute, naive_execute, parse_query
+from repro.db.influxql import Query, execute, naive_execute, parse_query, quote_tag_value
 from repro.viz.dashboard import DashboardError, Target
-from repro.viz.grafana import quote_tag_value
 
 
 def _db():
@@ -130,7 +129,7 @@ HOSTILE = st.text(st.sampled_from(list("ab \t\n\"'=,()<>*;.ANDé ")), max_size
 def _quotable(value):
     try:
         quote_tag_value(value)
-    except DashboardError:
+    except InfluxError:
         return False
     return True
 

@@ -794,3 +794,106 @@ class TestHyperLogLog:
             assert dense.registers == sparse.registers == regs
             assert dense.count() == sparse.count() == \
                 DenseHLL.from_dict({"p": p, "registers": regs.hex()}).count()
+
+
+# ----------------------------------------------------------------------
+# The bytes form
+# ----------------------------------------------------------------------
+def random_digest(rng: random.Random) -> TDigest:
+    """Empty, NaN-flagged, few values (uncompressed run) or many."""
+    d = TDigest(rng.choice([10, 50, DEFAULT_SKETCH.compression]))
+    n = rng.choice([0, 1, rng.randint(2, 60), rng.randint(500, 3000)])
+    d.add_many([rng.gauss(0.0, 1e3) for _ in range(n)])
+    if rng.random() < 0.3:
+        d.add(math.nan)
+    if rng.random() < 0.3:
+        d.merge_from(TDigest.of([rng.random() for _ in range(rng.randint(0, 40))],
+                                d.compression))
+    return d
+
+
+def random_hll(rng: random.Random) -> HyperLogLog:
+    """Empty, sparse, at the sparse limit, or dense; trimmed or not."""
+    p = rng.choice([4, 5, 12, 16])
+    h = HyperLogLog(p)
+    n = rng.choice([0, rng.randint(1, 9), sparse_limit(p), sparse_limit(p) + 1,
+                    rng.randint(1, 3 * min(1 << p, 4096))])
+    for _ in range(n):
+        h.add_hash(rng.getrandbits(64))
+    h.trimmed = rng.random() < 0.3
+    return h
+
+
+def hll_bytes(p: int, held: list[int] | bytes) -> bytes:
+    """A hand-made ``HyperLogLog.to_bytes`` payload: sparse entries (a
+    list) or registers (bytes)."""
+    if isinstance(held, bytes):
+        return struct.pack(">cBBI", b"H", p, 2, len(held)) + held
+    return struct.pack(f">cBBI{len(held)}I", b"H", p, 0, len(held), *held)
+
+
+class TestBytesForm:
+    """``to_bytes``/``from_bytes`` hold exactly the ``to_dict`` state, and
+    ``from_bytes`` refuses what ``from_dict`` refuses, and a cut payload."""
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_the_bytes_form_round_trips(self, seed):
+        rng = random.Random(seed)
+        for _ in range(4):
+            d = random_digest(rng)
+            back = TDigest.from_bytes(d.to_bytes())
+            assert back.to_dict() == d.to_dict()
+            assert back.to_bytes() == d.to_bytes()
+            h = random_hll(rng)
+            again = HyperLogLog.from_bytes(h.to_bytes())
+            assert again.to_dict() == h.to_dict()
+            assert again.registers == h.registers and again.count() == h.count()
+            cut = rng.randrange(len(h.to_bytes()))
+            with pytest.raises(ValueError):
+                HyperLogLog.from_bytes(h.to_bytes()[:cut])
+            cut = rng.randrange(len(d.to_bytes()))
+            with pytest.raises(ValueError):
+                TDigest.from_bytes(d.to_bytes()[:cut])
+
+    def test_every_state_is_covered(self):
+        """Empty, NaN-flagged, sparse, dense and trimmed each round-trip."""
+        empty, nan, few = TDigest(), TDigest(), TDigest()
+        nan.add(math.nan)
+        few.add_many([3.0, 1.0, 2.0])
+        sparse, dense = filled(12, 9)[0], filled(12, 5000)[0]
+        trimmed = filled(4, 3)[0]
+        trimmed.trimmed = True
+        assert is_sparse(sparse) and not is_sparse(dense)
+        for d in (empty, nan, few):
+            assert TDigest.from_bytes(d.to_bytes()).to_dict() == d.to_dict()
+        for h in (HyperLogLog(), sparse, dense, trimmed):
+            assert HyperLogLog.from_bytes(h.to_bytes()).to_dict() == h.to_dict()
+        assert len(sparse.to_bytes()) * 20 <= len(dense.to_bytes())
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"H", b"H\x0c\x00",                  # cut in the header
+        hll_bytes(12, [1 << 6 | 1])[:-1],         # cut in an entry
+        hll_bytes(3, []),                         # p below 4
+        hll_bytes(17, []),                        # p above 16
+        hll_bytes(3, bytes(8)),
+        hll_bytes(4, [1 << 6 | 62]),              # rank 62 > 61
+        hll_bytes(4, [1 << 6]),                   # rank 0
+        hll_bytes(4, b"\x3f" + bytes(15)),        # rank 63 > 61
+        hll_bytes(4, bytes(15)),                  # 15 registers
+        hll_bytes(4, [2 << 6 | 1, 1 << 6 | 1]),   # descending
+        hll_bytes(4, [1 << 6 | 1, 1 << 6 | 2]),   # one index twice
+        b"T" + hll_bytes(4, [])[1:],              # another family
+    ])
+    def test_hll_from_bytes_rejects(self, payload):
+        with pytest.raises(ValueError):
+            HyperLogLog.from_bytes(payload)
+
+    @pytest.mark.parametrize("cut", [0, 1, 33, 34 + 8])
+    def test_digest_from_bytes_rejects_a_cut_payload(self, cut):
+        d = TDigest()
+        d.add_many([1.0, 2.0])
+        with pytest.raises(ValueError):
+            TDigest.from_bytes(d.to_bytes()[:cut])
+        with pytest.raises(ValueError):
+            TDigest.from_bytes(b"H" + d.to_bytes()[1:])  # another family

@@ -10,10 +10,10 @@ loudly instead of interpolated wrongly.
 
 import pytest
 
-from repro.db.influx import InfluxDB, Point
-from repro.db.influxql import parse_query
+from repro.db.influx import InfluxDB, InfluxError, Point
+from repro.db.influxql import parse_query, quote_tag_value
 from repro.viz.dashboard import DashboardError, Panel, Target
-from repro.viz.grafana import GrafanaServer, quote_tag_value
+from repro.viz.grafana import GrafanaServer
 
 
 class TestQuoteTagValue:
@@ -28,15 +28,15 @@ class TestQuoteTagValue:
         assert quote_tag_value("bob's host") == '"bob\'s host"'
 
     def test_both_quote_kinds_rejected(self):
-        with pytest.raises(DashboardError, match="mixes single and double"):
+        with pytest.raises(InfluxError, match="mixes single and double"):
             quote_tag_value("a\"b'c")
 
     def test_and_separator_rejected(self):
         """A value the parser's AND-splitter would cut in half can never
         reach a statement — that is an injection, not a tag."""
-        with pytest.raises(DashboardError, match="AND separator"):
+        with pytest.raises(InfluxError, match="AND separator"):
             quote_tag_value('x AND time >= 0')
-        with pytest.raises(DashboardError, match="AND separator"):
+        with pytest.raises(InfluxError, match="AND separator"):
             quote_tag_value("x and y")  # splitter is case-insensitive
 
     def test_android_is_a_fine_tag_value(self):
