@@ -73,7 +73,7 @@ from .sketch import (
     stable_hash64,
 )
 
-__all__ = ["Point", "InfluxError", "RetentionPolicy", "InfluxDB", "ColumnRows",
+__all__ = ["Point", "InfluxError", "check_names", "RetentionPolicy", "InfluxDB", "ColumnRows",
            "DEFAULT_ROLLUP_TIERS", "bucket_runs"]
 
 #: What the end-to-end benchmark times here, as data: {breakdown group:
@@ -134,18 +134,6 @@ def _unescape(s: str) -> str:
     return _UNESCAPE_RE.sub(r"\1", s)
 
 
-# Escaped-length memo for field names: sampler field names (``_cpu0`` …)
-# repeat millions of times, so byte accounting never re-escapes them.
-_ESC_LEN: dict[str, int] = {}
-
-
-def _esc_len(s: str) -> int:
-    n = _ESC_LEN.get(s)
-    if n is None:
-        n = _ESC_LEN[s] = len(_escape(s))
-    return n
-
-
 def _split_unescaped(s: str, sep: str) -> list[str]:
     """Split on ``sep`` except where backslash-escaped."""
     if "\\" not in s:
@@ -195,12 +183,51 @@ def _ns(t: float) -> int:
 #: Per series (measurement, tag items and field names, in the point's own
 #: order): the escaped ``measurement,tags `` head of its line, its
 #: ``(escaped name=, name)`` field pairs in key order, and its tags in key
-#: order as :meth:`Point.carried` hands them out (``None`` where an empty
-#: name or tag value makes the line one :meth:`Point.from_line` refuses).
-#: Telemetry repeats a few series millions of times; the memo is emptied
-#: when it fills.
-_LINE_PARTS: dict[tuple, tuple[str, tuple[tuple[str, str], ...], dict | None]] = {}
+#: order as :meth:`Point.carried` hands them out.  Only a series whose
+#: names :func:`check_names` passed gets an entry.  Telemetry repeats a few
+#: series millions of times; the memo is emptied when it fills.
+_LINE_PARTS: dict[tuple, tuple[str, tuple[tuple[str, str], ...], dict]] = {}
 _LINE_PARTS_CAP = 4096
+_FLOAT = frozenset((float,))
+
+
+def check_names(measurement: str, tags: dict[str, str], fields) -> None:
+    """The name half of what a point is, checked once per series (where
+    :meth:`Point.to_line` or :meth:`Point.carried` first meets it, and
+    where the engine creates a measurement, series or column): no empty
+    tag key, tag value or field name, no line break in any name, and no
+    measurement that starts with whitespace a parser strips (an escaped
+    space survives) or with ``#`` (a batch parser skips it as a comment).
+    """
+    if "" in tags or "" in tags.values() or "" in fields:
+        raise InfluxError(f"empty tag key, tag value or field name in {measurement!r} "
+                          f"{tags!r} {list(fields)!r}; line protocol cannot carry it")
+    lead = measurement[:1]
+    if lead.isspace() and lead != " " or _LINE_BREAK_RE.search(
+            "".join((measurement, *tags, *tags.values(), *fields))):
+        raise InfluxError(f"line break or leading whitespace in a name of {measurement!r} "
+                          f"{tags!r} {list(fields)!r}; line protocol cannot carry it")
+    if lead == "#":
+        raise InfluxError(f"measurement {measurement!r} starts with '#': a batch "
+                          "parser would skip the line as a comment")
+
+
+def _checked_fields(measurement: str, fields: dict) -> dict[str, float]:
+    """The constructor's cold path: ``fields`` in a fresh dict, each ``int``
+    as its ``float``.  Any other value (``bool``, ``numpy.float64``, ``str``,
+    ``None``, an int beyond a double), no field or no measurement raise."""
+    if not measurement or not fields:
+        raise InfluxError(f"point needs a measurement and a field: {measurement!r} {fields!r}")
+    out = {}
+    for k, v in fields.items():
+        if type(v) is not float and type(v) is not int:
+            raise InfluxError(f"field {k!r} of {measurement!r} is a {type(v).__name__} "
+                              f"({v!r}), not a float or an int")
+        try:
+            out[k] = float(v)
+        except OverflowError:
+            raise InfluxError(f"field {k!r} is beyond a double: {v}") from None
+    return out
 
 
 def _parse_field_value(v: str) -> float:
@@ -217,33 +244,37 @@ def _parse_field_value(v: str) -> float:
         raise InfluxError(f"non-numeric field value {v!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
-    """One time-series sample."""
+    """One time-series sample — the only definition of one.  Construction
+    checks a measurement, at least one field, every value a ``float`` (an
+    ``int`` becomes its float, in a fresh dict) and a finite ``float`` or
+    ``int`` time, kept as given; :func:`check_names` checks the names."""
 
     measurement: str
     tags: dict[str, str]
     fields: dict[str, float]
     time: float  # seconds
 
-    def __post_init__(self) -> None:
-        if not self.measurement:
-            raise InfluxError("point needs a measurement name")
-        if not self.fields:
-            raise InfluxError("point needs at least one field")
-        if not all(self.fields.values()) and None in self.fields.values():
-            raise InfluxError(f"field value None (it would read as absent) in {self.fields!r}")
+    def __init__(self, measurement: str, tags: dict[str, str],
+                 fields: dict[str, float], time: float) -> None:
+        if {*map(type, fields.values())} != _FLOAT or not measurement:
+            fields = _checked_fields(measurement, fields)
+        if (type(time) is not float or time - time) and type(time) is not int:
+            # A NaN key has no place in a sorted column, and an infinite one
+            # no bucket, no nanosecond spelling and no use as a frontier.
+            raise InfluxError(f"point time {time!r} is not a finite float or int")
+        # The dataclass is frozen: set past its per-field object.__setattr__.
+        self.__dict__.update(measurement=measurement, tags=tags, fields=fields,
+                             time=time)
 
     def to_line(self) -> str:
         """Serialize to Influx line protocol (ns timestamp, float fields).
 
         ``from_line(p.to_line()) == p`` for every point this returns a line
         for whose time is the double nearest a whole nanosecond (any other
-        time comes back as the nearest such double).  A name no single line
-        can carry is refused: a line break anywhere (batches are cut into
-        lines before they are parsed), leading whitespace on the
-        measurement (parsers strip the line), or a leading ``#`` on it (the
-        line would read as a comment).
+        time comes back as the nearest such double).  A point whose names
+        no single line can carry (:func:`check_names`) is refused.
         """
         head, names, _ = self._series_parts()
         fields = self.fields
@@ -253,42 +284,19 @@ class Point:
     def carried(self) -> "Point":
         """``Point.from_line(self.to_line())``, without the line.
 
-        Tags and fields come in key order, an ``int`` value as its
-        ``float`` and the time as the double nearest its nanosecond.  The
-        tags dict is shared by every carried point of the series (read it,
-        do not edit it); the fields dict is new, so the caller's stays the
-        caller's.  Whatever the line would
-        not carry back — a value that is not a ``float`` or an ``int``
-        (``numpy.float64``, ``bool``, ``str``), a name :meth:`to_line`
-        refuses, an empty name or tag value — raises :class:`InfluxError`.
+        Tags and fields come in key order and the time as the double
+        nearest its nanosecond.  The tags dict is shared by every carried
+        point of the series (read it, do not edit it); the fields dict is
+        new, so the caller's stays the caller's, and is checked again (a
+        value put into it after construction is refused too).  Whatever the
+        line would not carry back raises :class:`InfluxError`.
         """
         _, names, tags = self._series_parts()
-        if tags is None:
-            raise InfluxError(
-                f"empty name or tag value in {self!r}; line protocol cannot carry it")
         fields = self.fields
-        out = {}
-        for _, k in names:
-            v = fields[k]
-            if type(v) is not float:
-                if type(v) is not int:
-                    raise InfluxError(
-                        f"field {k!r} of {self.measurement!r} is a "
-                        f"{type(v).__name__} ({v!r}), not a float or an int")
-                try:
-                    v = float(v)
-                except OverflowError:
-                    raise InfluxError(f"field {k!r} is beyond a double: {v}") from None
-            out[k] = v
-        # Set past the frozen dataclass's __init__ (its per-field
-        # object.__setattr__ costs several times as much): ``self`` passed
-        # its checks, and ``out`` holds the same names, as floats.
-        q = object.__new__(Point)
-        q.__dict__.update(measurement=self.measurement, tags=tags, fields=out,
-                          time=_ns(self.time) / 1_000_000_000)
-        return q
+        return Point(self.measurement, tags, {k: fields[k] for _, k in names},
+                     _ns(self.time) / 1_000_000_000)
 
-    def _series_parts(self) -> tuple[str, tuple[tuple[str, str], ...], dict | None]:
+    def _series_parts(self) -> tuple[str, tuple[tuple[str, str], ...], dict]:
         """This point's series' entry in ``_LINE_PARTS``."""
         series = (self.measurement, *self.tags.items(), *self.fields)
         parts = _LINE_PARTS.get(series)
@@ -299,29 +307,24 @@ class Point:
             _LINE_PARTS[series] = parts
         return parts
 
-    def _line_parts(self) -> tuple[str, tuple[tuple[str, str], ...], dict | None]:
+    def _line_parts(self) -> tuple[str, tuple[tuple[str, str], ...], dict]:
         """The series' share of :meth:`to_line`, checked: what the memo holds."""
+        check_names(self.measurement, self.tags, self.fields)
         key = _escape(self.measurement)
         if self.tags:
             key += "," + ",".join(
                 f"{_escape(k)}={_escape(v)}" for k, v in sorted(self.tags.items())
             )
         names = tuple((f"{_escape(k)}=", k) for k in sorted(self.fields))
-        line = f"{key} {','.join(n for n, _ in names)}"
-        if _LINE_BREAK_RE.search(line) or key[0].isspace():
-            raise InfluxError(
-                f"line break or leading whitespace in a name of {line!r}; "
-                "line protocol cannot carry it"
-            )
-        if key[0] == "#":
-            raise InfluxError(
-                f"measurement of {line!r} starts with '#': a batch parser "
-                "would skip the line as a comment"
-            )
-        tags = dict(sorted(self.tags.items()))
-        if "" in tags or "" in tags.values() or "" in self.fields:
-            tags = None
-        return key + " ", names, tags
+        return key + " ", names, dict(sorted(self.tags.items()))
+
+    @classmethod
+    def from_lines(cls, lines: str) -> "list[Point]":
+        """Every point of a line-protocol batch; blank lines and ``#``
+        comments are skipped.  The whole batch is parsed before a caller
+        writes any of it, so one malformed line refuses the batch."""
+        return [cls.from_line(line) for line in lines.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
 
     @classmethod
     def from_line(cls, line: str) -> "Point":
@@ -639,7 +642,7 @@ class _Series:
         for name, col in self.cols.items():
             part = col[i:j]
             absent = part.count(None)  # repr(None) is 4 characters
-            n += (len(part) - absent) * (_esc_len(name) + 2) - 4 * absent
+            n += (len(part) - absent) * (len(_escape(name)) + 2) - 4 * absent
             n += sum(map(len, map(repr, part)))
         return n
 
@@ -835,7 +838,7 @@ class _Measurement:
         self.name = name
         self.tiers = tiers
         self.sketch = sketch
-        self.key_base_len = _esc_len(name)
+        self.key_base_len = len(_escape(name))
         self.series: dict[int, _Series] = {}
         self.by_tags: dict[tuple[tuple[str, str], ...], int] = {}
         self.tag_index: dict[tuple[str, str], set[int]] = {}
@@ -848,23 +851,30 @@ class _Measurement:
         #: cardinality `fleet_health` reports without enumerating series.
         self.series_hll = HyperLogLog(sketch.hll_p)
 
-    def series_for(self, tags: dict[str, str]) -> _Series:
+    def series_for(self, tags: dict[str, str], fields: dict[str, float]) -> _Series:
+        """The series of ``tags``.  A new series, or a field new to it, has
+        its names checked (:func:`check_names`) before it is created."""
         key = tuple(sorted(tags.items()))
         sid = self.by_tags.get(key)
-        if sid is None:
-            sid = self.next_sid
-            self.next_sid += 1
-            key_len = self.key_base_len + sum(
-                2 + _esc_len(k) + _esc_len(v) for k, v in key
-            )
-            s = _Series(dict(tags), key_len, self.tiers, self.sketch)
-            self.series[sid] = s
-            self.by_tags[key] = sid
-            for kv in key:
-                self.tag_index.setdefault(kv, set()).add(sid)
-            self.series_hll.add_hash(stable_hash64(key))
-            return s
-        return self.series[sid]
+        if sid is not None:
+            s = self.series[sid]
+            if fields.keys() <= s.cols.keys():
+                return s
+        check_names(self.name, tags, fields)
+        if sid is not None:
+            return s  # only a column is new: the row's add() creates it
+        sid = self.next_sid
+        self.next_sid += 1
+        key_len = self.key_base_len + sum(
+            2 + len(_escape(k)) + len(_escape(v)) for k, v in key
+        )
+        s = _Series(dict(tags), key_len, self.tiers, self.sketch)
+        self.series[sid] = s
+        self.by_tags[key] = sid
+        for kv in key:
+            self.tag_index.setdefault(kv, set()).add(sid)
+        self.series_hll.add_hash(stable_hash64(key))
+        return s
 
     def match_ids(self, tags: dict[str, str] | None):
         """Series ids whose tag set contains every requested (key, value)."""
@@ -1168,27 +1178,20 @@ class InfluxDB:
             fresh[0] = fresh[1] = stamp
 
     def _append(self, d: _Database, point: Point, seq: int | None = None) -> None:
+        name = point.measurement
+        m = d.meas.get(name)
+        if m is None:
+            check_names(name, point.tags, point.fields)  # a refused name creates nothing
+            m = d.meas[name] = _Measurement(name, d.tiers, d.sketch)
+        s = m.series_for(point.tags, point.fields)
         time = point.time
-        if time - time != 0.0:  # NaN or ±inf
-            # Refused before anything moves.  A NaN key has no place in a
-            # sorted column: every bisect over it afterwards would answer
-            # by where its probes happen to land.  An infinite one has no
-            # bucket and no nanosecond spelling, and as the frontier it
-            # would make every window test as sealed.
-            raise InfluxError(f"point time is not finite: {point!r}")
-        fresh = d.fresh.get(point.measurement)
+        fresh = d.fresh.get(name)
         if fresh is not None and time >= fresh[2]:
             # In-order append: nothing below the frontier moves.
             self._gen_seq = fresh[1] = self._gen_seq + 1
             fresh[2] = time
         else:
-            self._bump(d, point.measurement, time)
-        m = d.meas.get(point.measurement)
-        if m is None:
-            m = d.meas[point.measurement] = _Measurement(
-                point.measurement, d.tiers, d.sketch
-            )
-        s = m.series_for(point.tags)
+            self._bump(d, name, time)
         if seq is None:
             seq = m.seq
             m.seq += 1
@@ -1232,11 +1235,7 @@ class InfluxDB:
         point lands, so a malformed line rejects the batch atomically.
         """
         d = self._db(db)
-        batch = [
-            Point.from_line(line)
-            for line in lines.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        batch = Point.from_lines(lines)
         append = self._append
         for p in batch:
             append(d, p)
@@ -2162,10 +2161,12 @@ class InfluxDB:
         if not rows:
             return 0
         d = self._db(db)
+        names = dict.fromkeys(k for _, _, f in rows for k in f)
         m = d.meas.get(measurement)
         if m is None:
+            check_names(measurement, tags, names)
             m = d.meas[measurement] = _Measurement(measurement, d.tiers, d.sketch)
-        s = m.series_for(tags)
+        s = m.series_for(tags, names)
         d.bytes_written += s.bill()
         for t, seq, fields in rows:
             if seq >= m.seq:

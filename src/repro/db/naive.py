@@ -87,9 +87,10 @@ class NaiveInfluxDB:
 
     def write(self, db: str, point: Point) -> None:
         d = self._db(db)
+        n = len(point.to_line()) + 1  # an uncarriable name raises before the append
         d.measurements[point.measurement].append(point)
         d.points_written += len(point.fields)
-        d.bytes_written += len(point.to_line()) + 1
+        d.bytes_written += n
 
     def write_many(self, db: str, points: list[Point]) -> int:
         for p in points:

@@ -391,12 +391,7 @@ class ShardedInfluxDB:
         routes, so a malformed line rejects the batch atomically (the
         single-engine contract)."""
         self._check_db(db)
-        batch = [
-            Point.from_line(line)
-            for line in lines.splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-        return self.write_many(db, batch)
+        return self.write_many(db, Point.from_lines(lines))
 
     # ------------------------------------------------------------------
     # Scatter planning

@@ -128,9 +128,7 @@ class LogRecord:
         read-only (sinks copy the values out).
         """
         pts = self.payload
-        if type(pts) is str:
-            return [Point.from_line(line) for line in pts.splitlines() if line.strip()]
-        return pts
+        return Point.from_lines(pts) if type(pts) is str else pts
 
     @property
     def lines(self) -> str:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.db.faulty import ServiceUnavailable, write_at
-from repro.db.influx import InfluxDB, Point
+from repro.db.influx import InfluxDB, Point, check_names
 
 from .pmcd import Pmcd, Report
 from .pmns import metric_to_measurement
@@ -172,14 +172,11 @@ class Sampler:
         self.last_degradation: list[tuple[float, int]] = []
 
     # ------------------------------------------------------------------
-    def _batch(self, report: Report, tag: str) -> list[Point]:
+    def _batch(self, report: Report, tags: dict[str, str]) -> list[Point]:
         """Build the Influx point batch for one report.
 
-        The tags dict is built once and shared across the report's points
-        (Point is frozen and the engine copies what it stores)."""
-        tags = {"tag": tag}
-        if self.host:
-            tags["host"] = self.host
+        The run's one tags dict is shared across its points (Point is
+        frozen and the engine copies what it stores)."""
         t = report.time
         return [
             Point(
@@ -228,6 +225,11 @@ class Sampler:
         does when P-MoVE "stops the sampling as the kernel is halted"
         (Scenario B); without it the tail window past the last tick is
         never observed.
+
+        A ``tag`` or host that line protocol cannot carry
+        (:func:`~repro.db.influx.check_names`) raises
+        :class:`~repro.db.influx.InfluxError` before the first tick, in
+        every mode: a buffered or spilling run cannot fail mid-ship.
         """
         if freq_hz <= 0:
             raise ValueError("sampling frequency must be positive")
@@ -238,6 +240,9 @@ class Sampler:
         if len(set(metrics)) != len(metrics):
             raise ValueError(f"repeated metric in {metrics!r}")
         tag = tag or str(uuid.uuid4())
+        tags = {"tag": tag, "host": self.host} if self.host else {"tag": tag}
+        for metric in metrics:  # a name no line carries fails here, not mid-ship
+            check_names(metric_to_measurement(metric), tags, ())
         config = shipper_config or ShipperConfig()
         if mode == "durable":
             if pipeline is None:
@@ -247,7 +252,7 @@ class Sampler:
             sink = _QueueSink(self, tag, config, freq_hz, t_start)
         else:
             sink = _DirectSink(self, t_start)
-        stats = self._run(metrics, freq_hz, t_start, t_end, tag, final_fetch, mode, sink)
+        stats = self._run(metrics, freq_hz, t_start, t_end, tags, final_fetch, mode, sink)
         self.last_stats = stats
         if stats.inserted_reports > 0:
             self.last_success_t = t_end
@@ -255,7 +260,8 @@ class Sampler:
 
     # ------------------------------------------------------------------
     def _run(self, metrics: list[str], freq_hz: float, t_start: float, t_end: float,
-             tag: str, final_fetch: bool, mode: str, sink) -> SamplingStats:
+             tags: dict[str, str], final_fetch: bool, mode: str,
+             sink) -> SamplingStats:
         """The one tick loop: tick, fetch, hand the report to ``sink``.
 
         pmcd-side physics is the same whatever the sink: scheduling hiccups
@@ -292,13 +298,13 @@ class Sampler:
                 last_fetch_t = tick
             if points_per_report is None:
                 points_per_report = report.n_points
-            sink.deliver(tick, report, self._batch(report, tag), is_zero, False)
+            sink.deliver(tick, report, self._batch(report, tags), is_zero, False)
 
         if final_fetch and last_fetch_t < t_end:
             report = self.pmcd.fetch(metrics, last_fetch_t, t_end)
             if points_per_report is None:
                 points_per_report = report.n_points
-            sink.deliver(t_end, report, self._batch(report, tag), False, True)
+            sink.deliver(t_end, report, self._batch(report, tags), False, True)
 
         counters = sink.finish(t_end)
         if points_per_report is None:
@@ -311,7 +317,7 @@ class Sampler:
             expected_points=n_ticks * points_per_report,
             expected_reports=n_ticks,
             lost_reports=lost + counters.pop("lost_reports", 0),
-            tag=tag,
+            tag=tags["tag"],
             mode=mode,
             **counters,
         )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import InfluxDB, InfluxError, Point
+from repro.db import InfluxDB, InfluxError, Point, ShardedInfluxDB
 
 
 def mk_db():
@@ -130,8 +130,11 @@ class TestWriteRead:
         batch = "m v=1.0 1000000000\nm v=2.0 2000000000\n# comment\n\n"
         assert db.write_lines("pmove", batch) == 2
 
-    def test_write_lines_rejects_batch_atomically(self):
-        db = mk_db()
+    @pytest.mark.parametrize("make", [InfluxDB, lambda: ShardedInfluxDB(2)],
+                             ids=["engine", "router"])
+    def test_write_lines_rejects_batch_atomically(self, make):
+        db = make()
+        db.create_database("pmove")
         with pytest.raises(InfluxError):
             db.write_lines("pmove", "m v=1.0 1000000000\nm v=notanumber 0\n")
         assert db.points("pmove", "m") == []  # nothing landed

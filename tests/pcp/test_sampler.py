@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import PMoVE
-from repro.db import FaultyInfluxDB, InfluxDB
+from repro.db import FaultyInfluxDB, InfluxDB, InfluxError
 from repro.faults import DbOutage, ServiceFaultSet
 from repro.machine import SimulatedMachine, SoftwareState, icl, skx
 from repro.pcp import (
@@ -258,6 +258,24 @@ class TestSampler:
             s.run(metrics, 0, 0.0, 1.0)
         with pytest.raises(ValueError):
             s.run(metrics, 2, 5.0, 5.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("tag, host", [("a\nb", ""), ("t", "n\u20280")],
+                             ids=["tag", "host"])
+    def test_a_tag_no_line_carries_is_refused_before_the_first_tick(self, mode, tag, host):
+        """Unbuffered, it used to be stored; buffered and spilled, it would
+        fail mid-ship; durable, at the first produce."""
+        s, influx, metrics, m = make_sampler()
+        s.host = host
+        log = CommitLog()
+        pipe = IngestPipeline(log)
+        pipe.add(DbWriterConsumer(log, influx))
+        now, rng = m.clock.now(), s._rng.bit_generator.state
+        with pytest.raises(InfluxError, match="line break"):
+            s.run(metrics, 8.0, 0.0, 2.0, tag=tag, mode=mode, pipeline=pipe)
+        assert (m.clock.now(), s._rng.bit_generator.state) == (now, rng)
+        assert influx.measurements("pmove") == [] and log.appended_records == 0
+        assert s.last_stats is None
 
     def test_expected_point_count_formula(self):
         """expected = freq * duration * n_metrics * n_threads — the
